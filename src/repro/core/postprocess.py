@@ -22,9 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import math
+
+import numpy as np
 
 from repro.core.communities import Cover
 from repro.graph.adjacency import Graph
@@ -36,6 +39,7 @@ __all__ = [
     "weak_threshold",
     "DisjointSetEntropy",
     "sweep_tau1",
+    "attach_weak",
     "extract_communities",
     "PostprocessResult",
 ]
@@ -62,30 +66,111 @@ def sequence_similarity(seq_a: Sequence[int], seq_b: Sequence[int]) -> float:
 def edge_weights(
     graph: Graph, sequences: Mapping[int, Sequence[int]]
 ) -> Dict[Edge, float]:
-    """Similarity weight for every edge of ``graph``.
+    """Similarity weight for every edge of ``graph``, keyed in ``graph.edges()`` order.
 
-    ``sequences`` maps vertex -> label sequence (e.g. ``LabelState.labels``).
-    Label histograms are built once per vertex (not once per edge), which is
-    what keeps the O(|E|) post-processing pass affordable at web-graph scale.
+    ``sequences`` maps vertex -> label sequence of ints (e.g.
+    ``LabelState.labels``).  Each weight is the integer collision count
+    ``hits_uv = sum_l c_u(l) * c_v(l)`` divided by ``len_u * len_v`` in
+    float64: the same correctly rounded division of the same integers as
+    :func:`sequence_similarity`, so the floats are identical.  The counts
+    come from one run-length encoding per vertex and a vectorised merge
+    over all edges at once (:func:`_collision_counts`).
     """
-    counters: Dict[int, Counter] = {}
-    lengths: Dict[int, int] = {}
-    for v in graph.vertices():
+    vertices = list(graph.vertices())
+    seqs = []
+    for v in vertices:
         seq = sequences[v]
         if not seq:
             raise ValueError(f"vertex {v} has an empty label sequence")
-        counters[v] = Counter(seq)
-        lengths[v] = len(seq)
-    weights: Dict[Edge, float] = {}
-    for u, v in graph.edges():
-        counts_u, counts_v = counters[u], counters[v]
-        if len(counts_u) > len(counts_v):
-            counts_u, counts_v = counts_v, counts_u
-        hits = sum(
-            count * counts_v.get(label, 0) for label, count in counts_u.items()
+        seqs.append(seq)
+    edges = list(graph.edges())
+    if not edges:
+        return {}
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    row_u, row_v = _edge_rows(vertices, edges)
+    hits = _collision_counts(*_label_runs(seqs, lengths), row_u, row_v)
+    weights = hits / (lengths[row_u] * lengths[row_v])
+    del hits, row_u, row_v  # free the work arrays before the dict is built
+    return dict(zip(edges, weights.tolist()))
+
+
+def _edge_rows(vertices: List[int], edges: List[Edge]) -> Tuple[np.ndarray, np.ndarray]:
+    """Position in ``vertices`` of each edge's two ends (any int ids)."""
+    ids = np.fromiter(vertices, dtype=np.int64, count=len(vertices))
+    order = np.argsort(ids)
+    ends = np.fromiter(
+        chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
+    )
+    rows = order[np.searchsorted(ids[order], ends)]
+    return rows[0::2], rows[1::2]
+
+
+def _label_runs(
+    seqs: List[Sequence[int]], lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Each sequence, sorted and run-length encoded into one padded row.
+
+    Row ``r`` holds the distinct labels of ``seqs[r]`` in ascending order
+    beside their multiplicities, then at least one ``sentinel`` label
+    (above every label) with count 0.  Labels are replaced by their rank
+    among all labels, so both tables fit int32.
+    """
+    n = len(seqs)
+    flat = np.fromiter(
+        chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum())
+    )
+    distinct, codes = np.unique(flat, return_inverse=True)
+    sentinel = distinct.size
+    width = int(lengths.max()) + 1
+    grid = np.full((n, width), sentinel, dtype=np.int32)
+    grid[np.arange(width) < lengths[:, None]] = codes  # row-major, like codes
+    grid.sort(axis=1)
+    # Run index of every cell: a run starts wherever the label changes.
+    rank = np.zeros(grid.shape, dtype=np.int32)
+    rank[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    np.cumsum(rank, axis=1, out=rank)
+    runs = int(rank[:, -1].max()) + 1
+    cell = rank + (np.arange(n) * runs)[:, None]
+    labels = np.full(n * runs, sentinel, dtype=np.int32)
+    labels[cell] = grid
+    counts = np.bincount(cell.ravel(), minlength=n * runs).astype(np.int32)
+    counts[labels == sentinel] = 0
+    return labels.reshape(n, runs), counts.reshape(n, runs), sentinel
+
+
+def _collision_counts(
+    labels: np.ndarray,
+    counts: np.ndarray,
+    sentinel: int,
+    row_u: np.ndarray,
+    row_v: np.ndarray,
+) -> np.ndarray:
+    """``sum_l c_u(l) * c_v(l)`` for every edge ``(row_u[e], row_v[e])``.
+
+    A sorted merge of the two run rows of every edge at once: one cursor
+    per row, the lower label advances (both on a match), and an edge drops
+    out once either cursor reaches its row's sentinel.  With rows of at
+    most ``R`` runs this takes at most ``2R`` vectorised steps.
+    """
+    runs = labels.shape[1]
+    labels, counts = labels.ravel(), counts.ravel()
+    cur_u, cur_v = row_u * runs, row_v * runs
+    edge = np.arange(row_u.size)
+    hits = np.zeros(row_u.size, dtype=np.int64)
+    while edge.size:
+        a, b = labels[cur_u], labels[cur_v]
+        live = (a != sentinel) & (b != sentinel)
+        if not live.all():
+            edge, cur_u, cur_v, a, b = (
+                edge[live], cur_u[live], cur_v[live], a[live], b[live]
+            )
+        match = np.flatnonzero(a == b)
+        hits[edge[match]] += (
+            counts[cur_u[match]].astype(np.int64) * counts[cur_v[match]]
         )
-        weights[(u, v)] = hits / (lengths[u] * lengths[v])
-    return weights
+        cur_u += a <= b
+        cur_v += a >= b
+    return hits
 
 
 def weak_threshold(graph: Graph, weights: Mapping[Edge, float]) -> float:
@@ -217,6 +302,46 @@ def sweep_tau1(
     return best_tau, best_entropy, curve
 
 
+def attach_weak(
+    graph: Graph,
+    weights: Mapping[Edge, float],
+    strong_components: Sequence[Set[int]],
+    tau2: float,
+) -> Tuple[List[Set[int]], int]:
+    """The strong communities with isolated vertices attached through τ2.
+
+    Every vertex outside the strong components joins the community of each
+    strong neighbour whose edge weight reaches ``tau2`` (Eq. 2); joining
+    several is what creates overlap.  Returns the communities (one per
+    strong component, in order) and the number of vertices attached.
+    """
+    strong_members: Set[int] = set()
+    community_of: Dict[int, int] = {}
+    communities: List[Set[int]] = []
+    for cid, component in enumerate(strong_components):
+        communities.append(set(component))
+        strong_members.update(component)
+        for v in component:
+            community_of[v] = cid
+
+    attached = 0
+    for v in graph.vertices():
+        if v in strong_members:
+            continue
+        targets: Set[int] = set()
+        for u in graph.neighbors_view(v):
+            if u not in strong_members:
+                continue
+            edge = (u, v) if u < v else (v, u)
+            if weights[edge] >= tau2 - 1e-12:
+                targets.add(community_of[u])
+        if targets:
+            attached += 1
+            for cid in targets:
+                communities[cid].add(v)
+    return communities, attached
+
+
 def extract_communities(
     graph: Graph,
     sequences: Mapping[int, Sequence[int]],
@@ -250,40 +375,17 @@ def extract_communities(
             -(len(c) / graph.num_vertices) * math.log(len(c) / graph.num_vertices)
             for c in strong_components
         )
-
-    strong_members: Set[int] = set()
-    community_of: Dict[int, int] = {}
-    communities: List[Set[int]] = []
-    for cid, component in enumerate(strong_components):
-        communities.append(set(component))
-        strong_members.update(component)
-        for v in component:
-            community_of[v] = cid
-
-    # Weak pass: attach isolated vertices through τ2 (Eq. 2); attachment to
-    # several communities produces overlap.
-    attached = 0
-    for v in graph.vertices():
-        if v in strong_members:
-            continue
-        targets: Set[int] = set()
-        for u in graph.neighbors_view(v):
-            if u not in strong_members:
-                continue
-            edge = (u, v) if u < v else (v, u)
-            if weights[edge] >= resolved_tau2 - 1e-12:
-                targets.add(community_of[u])
-        if targets:
-            attached += 1
-            for cid in targets:
-                communities[cid].add(v)
+    # Weak pass: attach isolated vertices through τ2 (Eq. 2).
+    communities, attached = attach_weak(
+        graph, weights, strong_components, resolved_tau2
+    )
 
     return PostprocessResult(
         cover=Cover(communities),
         tau1=resolved_tau1,
         tau2=resolved_tau2,
         entropy=entropy,
-        weights=dict(weights),
+        weights=weights,
         entropy_curve=curve,
         num_strong_communities=len(strong_components),
         num_attached_vertices=attached,

@@ -14,7 +14,9 @@ continuously, extract periodically).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.communities import Cover
@@ -108,25 +110,34 @@ def match_covers(
 
     report = TransitionReport()
 
-    # Best match in each direction, gated by the threshold.
-    def best_match(community, candidates) -> Tuple[int, float]:
-        best_idx, best_sim = -1, 0.0
-        for idx, candidate in enumerate(candidates):
-            sim = _jaccard(community, candidate)
-            if sim > best_sim:
-                best_idx, best_sim = idx, sim
-        return (best_idx, best_sim) if best_sim >= match_threshold else (-1, 0.0)
-
+    # Score only the (old, new) pairs that share a vertex, found through the
+    # new cover's vertex -> community index: a disjoint pair has Jaccard 0
+    # and can never clear the positive threshold.  Candidates are scanned
+    # in ascending index order with a strict ``>``, so ties go to the lowest
+    # index, and ``k / (|a| + |b| - k)`` divides the same integers as
+    # ``|a & b| / |a | b|``: the events equal an all-pairs scan's.
+    new_sizes = [len(new_c) for new_c in new]
+    bwd_old = [-1] * len(new)  # new j -> best old i so far
+    bwd_sim = [0.0] * len(new)
     fwd: Dict[int, Tuple[int, float]] = {}  # old i -> best new j
     for i, old_c in enumerate(old):
-        j, sim = best_match(old_c, list(new))
-        if j >= 0:
-            fwd[i] = (j, sim)
-    bwd: Dict[int, Tuple[int, float]] = {}  # new j -> best old i
-    for j, new_c in enumerate(new):
-        i, sim = best_match(new_c, list(old))
-        if i >= 0:
-            bwd[j] = (i, sim)
+        shared = Counter(chain.from_iterable(map(new.memberships_of, old_c)))
+        best_j, best_sim = -1, 0.0
+        old_size = len(old_c)
+        for j in sorted(shared):
+            k = shared[j]
+            sim = k / (old_size + new_sizes[j] - k)
+            if sim > best_sim:
+                best_j, best_sim = j, sim
+            if sim > bwd_sim[j]:
+                bwd_old[j], bwd_sim[j] = i, sim
+        if best_sim >= match_threshold:
+            fwd[i] = (best_j, best_sim)
+    bwd: Dict[int, Tuple[int, float]] = {
+        j: (bwd_old[j], bwd_sim[j])
+        for j in range(len(new))
+        if bwd_sim[j] >= match_threshold
+    }
 
     consumed_old: set = set()
     consumed_new: set = set()

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.api.registry import ENGINES, PROGRAMS
 from repro.core.communities import Cover
 from repro.core.labels import NO_SOURCE, LabelState
 from repro.core.labels_array import ArrayLabelState
-from repro.core.postprocess import edge_weights, sweep_tau1, weak_threshold
+from repro.core.postprocess import attach_weak, edge_weights, sweep_tau1, weak_threshold
 from repro.distributed.components import distributed_connected_components
 from repro.distributed.engine_array import TupleProgramAdapter
 from repro.distributed.metrics import CommStats
@@ -463,21 +463,5 @@ def run_distributed_postprocess(
         graph, num_workers=num_workers, weights=weights, tau=tau1
     )
     strong = [c for c in components if len(c) >= 2]
-    strong_members: Set[int] = set()
-    community_of: Dict[int, int] = {}
-    communities: List[Set[int]] = []
-    for cid, component in enumerate(strong):
-        communities.append(set(component))
-        strong_members.update(component)
-        for v in component:
-            community_of[v] = cid
-    for v in graph.vertices():
-        if v in strong_members:
-            continue
-        for u in graph.neighbors_view(v):
-            if u not in strong_members:
-                continue
-            edge = (u, v) if u < v else (v, u)
-            if weights[edge] >= tau2 - 1e-12:
-                communities[community_of[u]].add(v)
+    communities, _attached = attach_weak(graph, weights, strong, tau2)
     return Cover(communities), stats

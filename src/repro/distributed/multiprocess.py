@@ -746,13 +746,67 @@ class MultiprocessBSPEngine:
 
     def _recover(self, exc: WorkerCrashedError) -> None:
         """Respawn the dead, rewind everyone to the last cut (or to a
-        fresh start when no cut exists yet), and let the caller replay."""
+        fresh start when no cut exists yet), and let the caller replay.
+
+        Two faults in one superstep can surface one at a time: a worker
+        found dead during the rewind starts another round of respawn and
+        rewind, and the respawn budget bounds the rounds.
+        """
         if self._closed or not self._fault_tolerance:
             raise exc
-        # A pipe EOF can be observed microseconds before waitpid() sees the
-        # exit (the kernel closes fds before the zombie transition), so
-        # give the death a moment to become reapable before concluding the
-        # crash is something recovery cannot repair.
+        dead = self._await_dead(exc)
+        obs = self.obs
+        if obs is not None:
+            restore_start = time.time_ns()
+        while True:
+            self.recovery.recoveries += 1
+            # Drop the live outboxes before touching the transport: shm
+            # outbox columns are views pinning the dead worker's segments,
+            # and detach cannot reap a segment with exported pointers.  The
+            # cut owns materialised copies, so nothing is lost.
+            self._outboxes = None
+            logger.warning(
+                "recovering from %s: respawning worker(s) %s",
+                exc,
+                [self._worker_ids[index] for index in dead],
+            )
+            for index in dead:
+                self._respawn(index)
+            try:
+                self._resync("reset" if self._checkpoint is None else "restore")
+                break
+            except WorkerCrashedError as again:
+                exc = again
+                dead = self._await_dead(exc)
+        if self._checkpoint is None:
+            # Crashed before the first cut existed: reset every program
+            # and redo the start barrier.
+            self.stats.truncate(self._stats_base)
+            self.recovery.supersteps_replayed += self._superstep
+            self._superstep = 0
+            self._outboxes = None
+        else:
+            cut = self._checkpoint
+            self.recovery.supersteps_replayed += max(
+                0, self._superstep - cut.superstep
+            )
+            self._superstep = cut.superstep
+            self._outboxes = dict(cut.outboxes)
+            self.stats.truncate(cut.stats_len)
+        if obs is not None:
+            obs.trace.record(
+                "engine.restore", restore_start, plane=self.plane,
+                superstep=self._superstep,
+            )
+
+    def _await_dead(self, exc: WorkerCrashedError) -> List[int]:
+        """Indices of the dead workers; re-raises ``exc`` if there are none.
+
+        A pipe EOF can be observed microseconds before waitpid() sees the
+        exit (the kernel closes fds before the zombie transition), so the
+        death gets a moment to become reapable before the crash is judged
+        something recovery cannot repair.
+        """
         deadline = time.monotonic() + 5.0
         while True:
             dead = [
@@ -765,44 +819,7 @@ class MultiprocessBSPEngine:
             time.sleep(_POLL_S)
         if not dead:  # pragma: no cover - not a process death; cannot repair
             raise exc
-        obs = self.obs
-        if obs is not None:
-            restore_start = time.time_ns()
-        self.recovery.recoveries += 1
-        # Drop the live outboxes before touching the transport: shm outbox
-        # columns are views pinning the dead worker's segments, and detach
-        # cannot reap a segment with exported pointers.  The cut owns
-        # materialised copies, so nothing is lost.
-        self._outboxes = None
-        logger.warning(
-            "recovering from %s: respawning worker(s) %s",
-            exc,
-            [self._worker_ids[index] for index in dead],
-        )
-        for index in dead:
-            self._respawn(index)
-        if self._checkpoint is None:
-            # Crashed before the first cut existed: reset every program
-            # and redo the start barrier.
-            self._resync("reset")
-            self.stats.truncate(self._stats_base)
-            self.recovery.supersteps_replayed += self._superstep
-            self._superstep = 0
-            self._outboxes = None
-        else:
-            cut = self._checkpoint
-            self._resync("restore")
-            self.recovery.supersteps_replayed += max(
-                0, self._superstep - cut.superstep
-            )
-            self._superstep = cut.superstep
-            self._outboxes = dict(cut.outboxes)
-            self.stats.truncate(cut.stats_len)
-        if obs is not None:
-            obs.trace.record(
-                "engine.restore", restore_start, plane=self.plane,
-                superstep=self._superstep,
-            )
+        return dead
 
     def _respawn(self, index: int) -> None:
         wid = self._worker_ids[index]

@@ -9,14 +9,19 @@ once:
   one with :func:`repro.core.tracking.assign_stable_ids` (maximum-Jaccard
   matching, the Greene et al. protocol), so a community keeps its id while
   it drifts, survives merges/splits by closest continuation, and retired
-  ids are never reused.
+  ids are never reused.  The matcher scores only the community pairs that
+  share a vertex, through an inverted vertex -> community map; a disjoint
+  pair has Jaccard 0 and can never clear the positive threshold, so the
+  ids are the same as an all-pairs scan's.
 * **Inverted maps** — the cover is unpacked into ``vertex -> (stable ids)``
   and ``stable id -> members`` dictionaries, so membership queries are
   O(memberships) lookups rather than cover scans.
 
-The index is rebuilt wholesale per extraction (extraction itself dominates;
-see the service benchmark) and serves any number of queries in between —
-this is what decouples query latency from ingest batch size.
+The index is rebuilt wholesale per extraction and serves any number of
+queries in between — this is what decouples query latency from ingest
+batch size.  A refresh is dominated by the extraction it indexes; its edge
+weights are vectorised label-collision counts, bit-identical to the
+per-edge join (see :func:`repro.core.postprocess.edge_weights`).
 """
 
 from __future__ import annotations

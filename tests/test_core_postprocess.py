@@ -1,11 +1,13 @@
 """Tests for the post-processing stage (Section III-B)."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.postprocess as postprocess
 from repro.core.postprocess import (
     DisjointSetEntropy,
     edge_weights,
@@ -66,6 +68,74 @@ class TestEdgeWeights:
         intra = [w for (u, v), w in weights.items() if (u < 4) == (v < 4)]
         bridge = weights[(0, 4)]
         assert sum(intra) / len(intra) > bridge
+
+    def test_rejects_empty_sequence(self):
+        g = Graph.from_edges([(0, 1)], vertices=[7])
+        with pytest.raises(ValueError, match="vertex 1"):
+            edge_weights(g, {0: [3], 1: [], 7: [3]})
+        with pytest.raises(ValueError, match="vertex 7"):
+            edge_weights(g, {0: [3], 1: [3], 7: []})
+
+    def test_edgeless_graph(self):
+        assert edge_weights(Graph.from_edges((), vertices=[4]), {4: [1]}) == {}
+
+
+def _oracle_weights(graph, sequences):
+    """One ``sequence_similarity`` per edge, in ``graph.edges()`` order."""
+    return {
+        (u, v): sequence_similarity(sequences[u], sequences[v])
+        for u, v in graph.edges()
+    }
+
+
+@st.composite
+def _labelled_graph(draw):
+    """A random graph on non-contiguous ids (some isolated) with label
+    sequences of unequal lengths over non-contiguous label values."""
+    ids = draw(st.lists(st.integers(-1000, 10**6), min_size=1, max_size=25,
+                        unique=True))
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=60)) if u != v]
+    graph = Graph.from_edges(edges, vertices=ids)
+    pool = draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=6,
+                         unique=True))
+    label = st.one_of(st.sampled_from(pool), st.integers(-(2**62), 2**62))
+    sequences = {
+        v: draw(st.lists(label, min_size=1, max_size=12)) for v in ids
+    }
+    return graph, sequences
+
+
+class TestEdgeWeightsOracle:
+    """The collision-count kernel equals the per-edge ``Counter`` join."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_labelled_graph())
+    def test_equals_sequence_similarity_in_edge_order(self, case):
+        graph, sequences = case
+        got = edge_weights(graph, sequences)
+        assert list(got.items()) == list(_oracle_weights(graph, sequences).items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(_labelled_graph())
+    def test_extraction_bit_identical(self, case):
+        graph, sequences = case
+        got = extract_communities(graph, sequences, step=0.01)
+        with mock.patch.object(postprocess, "edge_weights", _oracle_weights):
+            want = extract_communities(graph, sequences, step=0.01)
+        assert list(got.weights.items()) == list(want.weights.items())
+        assert (got.tau1, got.tau2) == (want.tau1, want.tau2)
+        assert got.entropy == want.entropy
+        assert got.entropy_curve == want.entropy_curve
+        assert got.cover.communities == want.cover.communities
+        assert got.num_attached_vertices == want.num_attached_vertices
+
+    def test_rslpa_sequences(self, sparse_random):
+        propagator = ReferencePropagator(sparse_random, seed=5)
+        propagator.propagate(30)
+        labels = propagator.state.labels
+        got = edge_weights(sparse_random, labels)
+        assert list(got.items()) == list(_oracle_weights(sparse_random, labels).items())
 
 
 class TestWeakThreshold:

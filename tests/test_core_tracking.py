@@ -1,10 +1,22 @@
 """Tests for community evolution tracking."""
 
-import pytest
+from typing import Dict, List, Tuple
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.tracking as tracking
 from repro.core.communities import Cover
 from repro.core.detector import RSLPADetector
-from repro.core.tracking import CommunityTracker, match_covers
+from repro.core.tracking import (
+    CommunityEvent,
+    CommunityTracker,
+    TransitionReport,
+    assign_stable_ids,
+    match_covers,
+)
 from repro.graph.edits import EditBatch
 from repro.graph.generators import ring_of_cliques
 
@@ -119,3 +131,156 @@ class TestCommunityTracker:
         report = tracker.observe(detector.communities())
         kinds = {e.kind for e in report.events}
         assert "merged" in kinds or "grown" in kinds or "died" in kinds
+
+
+# ----------------------------------------------------------------------
+# Oracle: the all-pairs best-match scan, kept as it was before matching
+# went through the inverted vertex -> community map.
+# ----------------------------------------------------------------------
+def _jaccard(a, b) -> float:
+    if not a and not b:
+        return 1.0
+    union = len(a | b)
+    return len(a & b) / union if union else 0.0
+
+
+def _oracle_match_covers(old, new, match_threshold=0.3, drift_tolerance=0.1):
+    report = TransitionReport()
+
+    def best_match(community, candidates) -> Tuple[int, float]:
+        best_idx, best_sim = -1, 0.0
+        for idx, candidate in enumerate(candidates):
+            sim = _jaccard(community, candidate)
+            if sim > best_sim:
+                best_idx, best_sim = idx, sim
+        return (best_idx, best_sim) if best_sim >= match_threshold else (-1, 0.0)
+
+    fwd: Dict[int, Tuple[int, float]] = {}
+    for i, old_c in enumerate(old):
+        j, sim = best_match(old_c, list(new))
+        if j >= 0:
+            fwd[i] = (j, sim)
+    bwd: Dict[int, Tuple[int, float]] = {}
+    for j, new_c in enumerate(new):
+        i, sim = best_match(new_c, list(old))
+        if i >= 0:
+            bwd[j] = (i, sim)
+
+    consumed_old: set = set()
+    consumed_new: set = set()
+    merge_groups: Dict[int, List[int]] = {}
+    for i, (j, _sim) in fwd.items():
+        merge_groups.setdefault(j, []).append(i)
+    for j, olds in sorted(merge_groups.items()):
+        if len(olds) > 1:
+            sim = max(fwd[i][1] for i in olds)
+            report.events.append(
+                CommunityEvent("merged", tuple(sorted(olds)), (j,), sim)
+            )
+            consumed_old.update(olds)
+            consumed_new.add(j)
+    split_groups: Dict[int, List[int]] = {}
+    for j, (i, _sim) in bwd.items():
+        if j not in consumed_new:
+            split_groups.setdefault(i, []).append(j)
+    for i, news in sorted(split_groups.items()):
+        if i in consumed_old:
+            continue
+        if len(news) > 1:
+            sim = max(bwd[j][1] for j in news)
+            report.events.append(
+                CommunityEvent("split", (i,), tuple(sorted(news)), sim)
+            )
+            consumed_old.add(i)
+            consumed_new.update(news)
+    for i, (j, sim) in sorted(fwd.items()):
+        if i in consumed_old or j in consumed_new:
+            continue
+        old_size, new_size = len(old[i]), len(new[j])
+        if new_size > old_size * (1 + drift_tolerance):
+            kind = "grown"
+        elif new_size < old_size * (1 - drift_tolerance):
+            kind = "shrunk"
+        else:
+            kind = "continued"
+        report.events.append(CommunityEvent(kind, (i,), (j,), sim))
+        consumed_old.add(i)
+        consumed_new.add(j)
+    for i in range(len(old)):
+        if i not in consumed_old:
+            report.events.append(CommunityEvent("died", (i,), ()))
+    for j in range(len(new)):
+        if j not in consumed_new:
+            report.events.append(CommunityEvent("born", (), (j,)))
+    return report
+
+
+@st.composite
+def _cover_pair(draw):
+    """Two covers over at most 30 vertices, drawn so that equal-Jaccard
+    ties, identical communities (within and across covers) and empty covers
+    all occur.  Half the draws build communities from equal-sized blocks of
+    vertices, where Jaccard values are ratios of block counts and tie often.
+    """
+    block = draw(st.sampled_from([1, 1, 2, 3]))
+    universe = draw(st.integers(1, 30 // block))
+    community = st.builds(
+        lambda blocks: frozenset(b * block + r for b in blocks for r in range(block)),
+        st.frozensets(st.integers(0, universe - 1), min_size=1, max_size=universe),
+    )
+    pool = draw(st.lists(community, min_size=1, max_size=6))
+    pick = st.one_of(st.sampled_from(pool), community)
+    old = draw(st.lists(pick, max_size=12))
+    new = draw(st.lists(pick, max_size=12))
+    return Cover(old), Cover(new)
+
+
+_thresholds = st.sampled_from([0.05, 0.2, 0.3, 0.5, 0.99])
+_drifts = st.sampled_from([0.0, 0.1, 0.5])
+
+
+class TestMatchCoversOracle:
+    """The overlap-only matcher equals the all-pairs scan exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cover_pair(), _thresholds, _drifts, st.data())
+    def test_events_and_stable_ids_equal_all_pairs_scan(
+        self, covers, threshold, drift, data
+    ):
+        old, new = covers
+        old_ids = data.draw(
+            st.lists(st.integers(0, 99), min_size=len(old), max_size=len(old),
+                     unique=True)
+        )
+        got = assign_stable_ids(old, old_ids, new, 100, threshold, drift)
+        with mock.patch.object(tracking, "match_covers", _oracle_match_covers):
+            want = assign_stable_ids(old, old_ids, new, 100, threshold, drift)
+        assert got[2].events == want[2].events
+        assert got[:2] == want[:2]
+        assert match_covers(old, new, threshold, drift).events == want[2].events
+
+    def test_forward_tie_goes_to_the_lowest_index(self):
+        # Old {0, 1, 2} has Jaccard 1/4 with both new communities.  The
+        # larger one (index 0) holds only vertices that come after vertex 0,
+        # which is in index 1, so the scan order must not pick the winner:
+        # the lower index wins and old 0 grows instead of merging with old 1.
+        old = Cover([{0, 1, 2}, {0, 9}])
+        new = Cover([{1, 2, 10, 11, 12, 13, 14}, {0, 9}])
+        report = match_covers(old, new, match_threshold=0.2)
+        assert report.events == _oracle_match_covers(old, new, 0.2).events
+        assert report.events == [
+            CommunityEvent("grown", (0,), (0,), 0.25),
+            CommunityEvent("continued", (1,), (1,), 1.0),
+        ]
+
+    def test_backward_tie_goes_to_the_lowest_index(self):
+        # {0, 1, 4, 5} has Jaccard 1/3 with both old communities; its best
+        # old match is the lower index, which makes old 0 the one that split.
+        old = Cover([{0, 1, 2, 3}, {4, 5, 6, 7}])
+        new = Cover([{0, 1, 4, 5}, {2, 3}, {6, 7}])
+        report = match_covers(old, new, match_threshold=0.3)
+        assert report.events == _oracle_match_covers(old, new, 0.3).events
+        assert [(e.kind, e.before, e.after) for e in report.events] == [
+            ("split", (0,), (0, 1)),
+            ("shrunk", (1,), (2,)),
+        ]

@@ -10,7 +10,6 @@ so CI can select them with ``-k "fault and smoke"``.
 import os
 import pickle
 import signal
-import time
 from functools import partial
 
 import pytest
@@ -193,6 +192,20 @@ class TestKillRecovery:
         _assert_identical(memories, ref_memories)
         assert steps == ref_steps
         assert recovery.recoveries == 1
+
+    def test_second_death_during_recovery(self, reference):
+        # Worker 0 dies at once; worker 1 stalls, then dies in the same
+        # superstep while the driver is rewinding for worker 0.  That
+        # second death must start another recovery round, not escape.
+        ref_memories, ref_steps = reference
+        plan = FaultPlan(kill=(0, 1), drop_send=(1, 1), stall=(1, 1, 1.0))
+        memories, steps, recovery = _faulty_run(
+            "pipe", plan, checkpoint_interval=1
+        )
+        _assert_identical(memories, ref_memories)
+        assert steps == ref_steps
+        assert recovery.recoveries == 2
+        assert recovery.workers_respawned == 2
 
 
 # Crash at every superstep on the reference transport; the cheaper spot
