@@ -1,6 +1,6 @@
 """Backend substrate benchmark — reference vs CSR-backed paths on LFR.
 
-Times the three layers the shared CSR substrate accelerates and records the
+Times the layers the shared CSR substrate accelerates and records the
 numbers in ``BENCH_backends.json`` at the repository root, so the perf
 trajectory of the array substrate is tracked across PRs:
 
@@ -10,8 +10,8 @@ trajectory of the array substrate is tracked across PRs:
 2. **propagation** — pure-Python :class:`ReferencePropagator` vs the
    CSR-backed :class:`FastPropagator`, and reference :class:`SLPA` vs
    :class:`FastSLPA`, on the Table-I LFR instance;
-3. **sharding** — dict-of-list :func:`build_shards` vs
-   :func:`build_csr_shards` (CSR slice, no Graph round trip).
+3. **sharding** — :func:`build_csr_shards` (CSR slice, no Graph round
+   trip).
 
 Run:  PYTHONPATH=src:. python -m pytest benchmarks/bench_backend_substrate.py -q
 """
@@ -29,7 +29,7 @@ from repro.baselines.slpa import SLPA
 from repro.baselines.slpa_fast import FastSLPA
 from repro.core.fast import FastPropagator
 from repro.core.rslpa import ReferencePropagator
-from repro.distributed.worker import build_csr_shards, build_shards
+from repro.distributed.worker import build_csr_shards
 from repro.graph.csr import CSRGraph, build_csr_arrays
 from repro.graph.partition import HashPartitioner
 from repro.workloads.lfr import LFRParams, generate_lfr
@@ -118,13 +118,11 @@ def test_backend_substrate(benchmark, report, default_lfr):
             "speedup": t_ref_slpa / t_fast_slpa if t_fast_slpa else float("inf"),
         }
 
-        # --- 3. sharding: dict slices vs CSR slices ---------------------
+        # --- 3. sharding: CSR slices -----------------------------------
         part = HashPartitioner(NUM_WORKERS)
-        t_dict, _ = _timed(lambda: build_shards(graph, part))
         t_csr, _ = _timed(lambda: build_csr_shards(csr, part))
         results["sharding"] = {
             "num_workers": NUM_WORKERS,
-            "dict_shards_s": t_dict,
             "csr_shards_s": t_csr,
         }
         return results
@@ -152,7 +150,7 @@ def test_backend_substrate(benchmark, report, default_lfr):
             (f"SLPA T={SLPA_T}", round(results["slpa"]["reference_s"], 3),
              round(results["slpa"]["csr_fast_s"], 3),
              f"{results['slpa']['speedup']:.1f}x"),
-            (f"shard x{NUM_WORKERS}", round(results["sharding"]["dict_shards_s"], 4),
+            (f"shard x{NUM_WORKERS}", "-",
              round(results["sharding"]["csr_shards_s"], 4), "-"),
         ],
     )

@@ -16,9 +16,9 @@ tests (see DESIGN.md "Static invariants" for the full mapping):
   to a long-lived owner with a shutdown path); the SIGKILL tests assert
   ``/dev/shm`` stays clean, this rule asserts the code shape that makes
   them pass.
-* **RPL004 API hygiene** — internal code never calls its own deprecated
-  shims, configs stay frozen dataclasses, concrete components are
-  resolved through :mod:`repro.api.registry`, never imported directly.
+* **RPL004 API hygiene** — configs stay frozen dataclasses, concrete
+  components are resolved through :mod:`repro.api.registry`, never
+  imported directly.
 * **RPL005 concurrency** — no blocking I/O (fsync, socket sends) while
   holding the durability lock, no bare ``except``, no mutable default
   arguments on code that crosses pickle boundaries into workers.
@@ -352,13 +352,6 @@ class ResourceDisciplineRule(Rule):
 # ----------------------------------------------------------------------
 # RPL004 — API hygiene
 # ----------------------------------------------------------------------
-#: Deprecated keyword aliases internal code must not use (the
-#: deprecation-strict CI job catches executions; this catches the text).
-_DEPRECATED_KWARGS = {
-    "RSLPADetector": ("engine",),
-    "detect_communities": ("engine",),
-}
-
 #: Concrete component classes that must be resolved through
 #: repro.api.registry, keyed by their home module.
 _REGISTRY_ONLY = {
@@ -376,34 +369,15 @@ _REGISTRY_EXEMPT = ("distributed/transport.py", "service/replication.py",
 
 
 class ApiHygieneRule(Rule):
-    """RPL004: no deprecated shims, frozen configs, registry resolution."""
+    """RPL004: frozen configs, registry resolution."""
 
     rule_id = "RPL004"
-    title = "API hygiene: shims, frozen configs, registry-resolved components"
+    title = "API hygiene: frozen configs, registry-resolved components"
     scope = ()
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        yield from self._check_deprecated_kwargs(ctx)
         yield from self._check_frozen_configs(ctx)
         yield from self._check_registry_resolution(ctx)
-
-    def _check_deprecated_kwargs(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for call in ctx.walk(ast.Call):
-            name = ctx.call_name(call)
-            if name is None:
-                continue
-            tail = name.rsplit(".", 1)[-1]
-            for banned in _DEPRECATED_KWARGS.get(tail, ()):
-                for keyword in call.keywords:
-                    if keyword.arg == banned:
-                        yield self.finding(
-                            ctx, keyword.value,
-                            f"{tail}({banned}=...) is the deprecated "
-                            "pre-plan-API alias (DeprecationWarning at "
-                            "runtime; the deprecation-strict CI job fails "
-                            "on it); internal code uses backend=/"
-                            "ExecutionConfig",
-                        )
 
     def _check_frozen_configs(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ctx.walk(ast.ClassDef):

@@ -6,16 +6,16 @@ the same thing.  Three layers (see ``DESIGN.md`` at the repo root):
 
 1. **Configs** (:mod:`repro.api.config`) — frozen declarative dataclasses:
    :class:`AlgoConfig` (seed, horizon T, τ sweep),
-   :class:`ExecutionConfig` (backend / message plane / shard storage /
-   state format / workers / partitioner / multiprocess),
+   :class:`ExecutionConfig` (backend / state format / workers /
+   partitioner / multiprocess / transport / fault tolerance / trace),
    :class:`ServicePlanConfig` (a full service deployment).
 2. **Plan resolution** (:mod:`repro.api.plan`) —
    :func:`resolve_plan(caps, config) <resolve_plan>` negotiates every
    ``"auto"`` against the graph's :class:`GraphCaps` in exactly one
    place and returns a :class:`RunPlan` whose :meth:`RunPlan.explain`
-   says why each fallback fired.  Components (partitioners, engines,
-   worker programs) resolve by name through
-   :mod:`repro.api.registry`, so plugins extend any axis.
+   says why each fallback fired.  Components (partitioners, transports,
+   service wires) resolve by name through :mod:`repro.api.registry`, so
+   plugins extend any axis.
 3. **Results** (:mod:`repro.api.results`) — :class:`DetectionResult` /
    :class:`UpdateResult` / :class:`DistributedResult` carry the cover,
    the live state handle, comm stats, timings, and the plan that
@@ -43,13 +43,7 @@ from repro.api.plan import (
     resolve_plan,
     resolve_service_plan,
 )
-from repro.api.registry import (
-    ENGINES,
-    PARTITIONERS,
-    PROGRAMS,
-    SERVICE_TRANSPORTS,
-    Registry,
-)
+from repro.api.registry import PARTITIONERS, SERVICE_TRANSPORTS, Registry
 from repro.api.results import (
     DetectionResult,
     DistributedResult,
@@ -72,8 +66,6 @@ __all__ = [
     "plan_for",
     "Registry",
     "PARTITIONERS",
-    "ENGINES",
-    "PROGRAMS",
     "SERVICE_TRANSPORTS",
     "DetectionResult",
     "UpdateResult",

@@ -5,8 +5,8 @@ Three frozen dataclasses describe a run before any negotiation happens:
 * :class:`AlgoConfig` — the algorithm itself (seed, horizon T, τ1 sweep
   step).  Identical values ⇒ bit-identical labels on every backend.
 * :class:`ExecutionConfig` — where and on what substrate the run executes:
-  the local backend, the distributed message plane, worker-shard storage,
-  state export format, worker count, partitioner, multiprocess flag.
+  the local backend, state export format, worker count, partitioner,
+  multiprocess flag, transport, fault tolerance, tracing.
   Every field accepts ``"auto"``; :func:`repro.api.plan.resolve_plan`
   turns the config plus the graph's capabilities into a concrete
   :class:`~repro.api.plan.RunPlan` with recorded provenance.
@@ -43,11 +43,13 @@ __all__ = [
 DEFAULT_ITERATIONS = 200
 
 #: Built-in values per execution axis (``auto`` defers to plan resolution;
-#: ``engine`` and ``transport`` additionally accept any name registered in
-#: :data:`repro.api.registry.ENGINES` / :data:`repro.api.registry.TRANSPORTS`).
+#: ``transport`` additionally accepts any name registered in
+#: :data:`repro.api.registry.TRANSPORTS`).  ``engine`` and
+#: ``shard_backend`` name the one distributed substrate (columnar messages
+#: over CSR shards) and have no other value.
 BACKEND_CHOICES = ("auto", "fast", "reference")
-ENGINE_CHOICES = ("auto", "reference", "array")
-SHARD_BACKEND_CHOICES = ("auto", "dict", "csr")
+ENGINE_CHOICES = ("auto", "array")
+SHARD_BACKEND_CHOICES = ("auto", "csr")
 STATE_FORMAT_CHOICES = ("auto", "dict", "array")
 TRANSPORT_CHOICES = ("auto", "pipe", "shm", "tcp")
 #: Service-plane (primary → replica WAL shipping) transports; distinct
@@ -56,7 +58,21 @@ TRANSPORT_CHOICES = ("auto", "pipe", "shm", "tcp")
 SERVICE_TRANSPORT_CHOICES = ("auto", "pipe", "tcp")
 
 
+#: Spellings of the deleted tuple plane and dict shards.
+_REMOVED_CHOICES = {
+    ("engine", "reference"): "the tuple message plane",
+    ("shard_backend", "dict"): "dict worker shards",
+}
+
+
 def _check_choice(value: str, choices, name: str) -> None:
+    removed = _REMOVED_CHOICES.get((name, value))
+    if removed is not None:
+        raise ValueError(
+            f"{name}={value!r} ({removed}) was removed; every distributed "
+            f"run uses columnar messages over CSR shards, so {name} accepts "
+            f"{choices[0]!r} or {choices[1]!r}"
+        )
     if value not in choices:
         pretty = ", ".join(repr(c) for c in choices[:-1])
         raise ValueError(
@@ -99,12 +115,11 @@ class ExecutionConfig:
         ``0`` runs locally; ``> 0`` runs on the simulated BSP cluster
         with that many workers.
     engine:
-        Distributed message plane — ``"array"`` (struct-of-arrays
-        columns), ``"reference"`` (Python tuples), or ``"auto"`` (array
-        on CSR shards).
+        Distributed message plane; ``"auto"`` or ``"array"`` (the one
+        columnar plane).
     shard_backend:
-        Worker-shard adjacency storage — ``"csr"``, ``"dict"``, or
-        ``"auto"`` (CSR whenever the ids are contiguous).
+        Worker-shard adjacency storage; ``"auto"`` or ``"csr"`` (the one
+        shard layout).
     state_format:
         Distributed fit export — ``"array"``
         (:class:`~repro.core.labels_array.ArrayLabelState`), ``"dict"``
@@ -124,9 +139,7 @@ class ExecutionConfig:
         control pipes), ``"shm"`` (zero-copy shared-memory column rings),
         ``"tcp"`` (framed columns over localhost sockets), a plugin
         registered in :data:`repro.api.registry.TRANSPORTS`, or
-        ``"auto"`` (shm whenever the array plane runs multiprocess).
-        Only meaningful with ``multiprocess=True``; ``shm``/``tcp``
-        require the array message plane.
+        ``"auto"`` (shm).  Only meaningful with ``multiprocess=True``.
     fault_tolerance:
         Supervise the multiprocess engine: checkpoint a consistent cut
         every ``checkpoint_interval`` supersteps and transparently
@@ -161,12 +174,10 @@ class ExecutionConfig:
     trace: bool = False
 
     def __post_init__(self):
-        from repro.api.registry import ENGINES as engine_registry
         from repro.api.registry import TRANSPORTS as transport_registry
 
         _check_choice(self.backend, BACKEND_CHOICES, "backend")
-        if self.engine not in engine_registry:  # plugin planes are selectable
-            _check_choice(self.engine, ENGINE_CHOICES, "engine")
+        _check_choice(self.engine, ENGINE_CHOICES, "engine")
         if self.transport not in transport_registry:  # plugin data planes too
             _check_choice(self.transport, TRANSPORT_CHOICES, "transport")
         _check_choice(self.shard_backend, SHARD_BACKEND_CHOICES, "shard_backend")

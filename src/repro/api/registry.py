@@ -1,10 +1,9 @@
-"""Named component registries: partitioners, BSP engines, worker programs.
+"""Named component registries: partitioners, transports, service wires.
 
-One uniform mechanism replaces the per-module if/else ladders that used to
-map ``engine="array"`` / ``shard_backend="csr"`` strings onto classes:
-components are registered by name, the cluster wrappers resolve them
-through :meth:`Registry.resolve`, and plugins extend any axis without
-touching repro code::
+One uniform mechanism maps configuration strings onto components:
+components are registered by name, callers resolve them through
+:meth:`Registry.resolve`, and plugins extend any axis without touching
+repro code::
 
     from repro.api.registry import PARTITIONERS
 
@@ -16,11 +15,6 @@ Calling conventions per registry (what a resolved component *is*):
 * :data:`PARTITIONERS` — a builder ``f(num_workers, caps) -> Partitioner``
   (``caps`` is the :class:`~repro.api.plan.GraphCaps`, so range-style
   partitioners can size themselves to the graph).
-* :data:`ENGINES` — a builder ``f(shards, partitioner) -> engine`` with
-  the in-process BSP engine interface (``run(programs)``, ``stats``).
-* :data:`PROGRAMS` — the worker-program *class* itself, keyed
-  ``"<task>/<plane>"`` (e.g. ``"rslpa/array"``); classes are returned
-  raw so multiprocess factories built from them stay picklable.
 * :data:`TRANSPORTS` — the multiprocess data-plane :class:`~repro.
   distributed.transport.Transport` *class* (instantiated with no
   arguments per engine), e.g. ``"shm"`` for the zero-copy
@@ -42,8 +36,6 @@ from typing import Any, Callable, Dict, List
 __all__ = [
     "Registry",
     "PARTITIONERS",
-    "ENGINES",
-    "PROGRAMS",
     "TRANSPORTS",
     "SERVICE_TRANSPORTS",
 ]
@@ -115,8 +107,6 @@ class Registry:
 
 
 PARTITIONERS = Registry("partitioner")
-ENGINES = Registry("bsp engine")
-PROGRAMS = Registry("worker program")
 TRANSPORTS = Registry("transport")
 SERVICE_TRANSPORTS = Registry("service transport")
 
@@ -138,65 +128,6 @@ def build_range_partitioner(num_workers, caps):
 
 PARTITIONERS.register("hash", build_hash_partitioner)
 PARTITIONERS.register("range", build_range_partitioner)
-
-
-# ----------------------------------------------------------------------
-# Built-in BSP engine builders.
-# ----------------------------------------------------------------------
-def build_reference_engine(shards, partitioner):
-    from repro.distributed.engine import BSPEngine
-
-    return BSPEngine(shards, partitioner)
-
-
-def build_array_engine(shards, partitioner):
-    from repro.distributed.engine_array import ArrayBSPEngine
-
-    return ArrayBSPEngine(shards, partitioner)
-
-
-ENGINES.register("reference", build_reference_engine)
-ENGINES.register("array", build_array_engine)
-
-
-# ----------------------------------------------------------------------
-# Built-in worker-program classes, keyed "<task>/<plane>".
-# ----------------------------------------------------------------------
-def _load_rslpa_reference():
-    from repro.distributed.programs import RSLPAPropagationProgram
-
-    return RSLPAPropagationProgram
-
-
-def _load_rslpa_array():
-    from repro.distributed.programs_array import FastRSLPAPropagationProgram
-
-    return FastRSLPAPropagationProgram
-
-
-def _load_slpa_reference():
-    from repro.distributed.programs import SLPAPropagationProgram
-
-    return SLPAPropagationProgram
-
-
-def _load_slpa_array():
-    from repro.distributed.programs_array import FastSLPAPropagationProgram
-
-    return FastSLPAPropagationProgram
-
-
-def _load_correction_reference():
-    from repro.distributed.programs import CorrectionPropagationProgram
-
-    return CorrectionPropagationProgram
-
-
-PROGRAMS.register_lazy("rslpa/reference", _load_rslpa_reference)
-PROGRAMS.register_lazy("rslpa/array", _load_rslpa_array)
-PROGRAMS.register_lazy("slpa/reference", _load_slpa_reference)
-PROGRAMS.register_lazy("slpa/array", _load_slpa_array)
-PROGRAMS.register_lazy("correction/reference", _load_correction_reference)
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.core.complexity import (
     worst_case_updates,
 )
 from repro.core.detector import RSLPADetector, detect_communities
-from repro.core.fast import FastPropagator, graph_to_csr
+from repro.core.fast import FastPropagator
 from repro.core.incremental import CorrectionPropagator, UpdateReport
 from repro.core.incremental_fast import FastCorrectionPropagator
 from repro.core.labels import NO_SOURCE, LabelState
@@ -68,7 +68,6 @@ __all__ = [
     "detect_communities",
     "ReferencePropagator",
     "FastPropagator",
-    "graph_to_csr",
     "CorrectionPropagator",
     "FastCorrectionPropagator",
     "UpdateReport",

@@ -28,7 +28,6 @@ bit-identical per seed for fit *and* every subsequent update.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Iterable, List, Optional, Union
 
@@ -50,44 +49,22 @@ from repro.utils.validation import check_type
 __all__ = ["RSLPADetector", "detect_communities", "DEFAULT_ITERATIONS"]
 
 
-def _shim_configs(
-    seed, iterations, tau_step, backend, engine, algo, execution
-) -> tuple:
+def _shim_configs(seed, iterations, tau_step, backend, algo, execution) -> tuple:
     """Map the keyword shims onto (AlgoConfig, ExecutionConfig).
 
-    ``engine=`` is the deprecated pre-PR-5 alias of ``backend=`` (it
-    predates the cluster wrappers using ``engine=`` for the *message
-    plane*, a different axis); it keeps working but warns.  Keywords and
-    config objects are exclusive per axis so a call can never silently
-    contradict itself.
+    Keywords and config objects are exclusive per axis so a call can never
+    silently contradict itself.
     """
-    if engine is not None:
-        warnings.warn(
-            "engine= is a deprecated alias of backend= on RSLPADetector "
-            "(the distributed message plane also uses the name 'engine'); "
-            "use backend= or ExecutionConfig(backend=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if backend is not None and engine != backend:
-            raise ValueError(
-                f"conflicting backend selection: engine={engine!r}, "
-                f"backend={backend!r}"
-            )
     if execution is not None:
-        if backend is not None or engine is not None:
+        if backend is not None:
             raise ValueError(
                 "pass the backend either via execution=/ExecutionConfig or "
                 "via the backend= keyword, not both"
             )
     else:
-        resolved = backend if backend is not None else (engine or "auto")
-        if resolved not in ("auto", "fast", "reference"):
-            raise ValueError(
-                "backend (or its legacy alias engine) must be 'auto', 'fast' "
-                f"or 'reference', got {resolved!r}"
-            )
-        execution = ExecutionConfig(backend=resolved)
+        execution = ExecutionConfig(
+            backend=backend if backend is not None else "auto"
+        )
     if algo is not None:
         if (seed, iterations, tau_step) != (0, DEFAULT_ITERATIONS, 0.001):
             raise ValueError(
@@ -117,9 +94,6 @@ class RSLPADetector:
         propagator).  The choice covers the whole lifecycle — static fit
         *and* incremental ``update`` — and both backends are bit-identical
         per seed.
-    engine:
-        Deprecated alias of ``backend`` (emits ``DeprecationWarning``);
-        when both are given they must agree.
     tau_step:
         Grid step of the τ1 entropy sweep (paper suggests 0.001).
     algo / execution:
@@ -127,6 +101,8 @@ class RSLPADetector:
         (:class:`~repro.api.config.AlgoConfig`,
         :class:`~repro.api.config.ExecutionConfig`); exclusive with the
         corresponding keywords.
+
+    Everything after ``iterations`` is keyword-only.
     """
 
     def __init__(
@@ -134,22 +110,20 @@ class RSLPADetector:
         graph: Graph,
         seed: int = 0,
         iterations: int = DEFAULT_ITERATIONS,
-        engine: Optional[str] = None,
+        *,
         tau_step: float = 0.001,
         backend: Optional[str] = None,
-        *,
         algo: Optional[AlgoConfig] = None,
         execution: Optional[ExecutionConfig] = None,
     ):
         self.algo, self.execution = _shim_configs(
-            seed, iterations, tau_step, backend, engine, algo, execution
+            seed, iterations, tau_step, backend, algo, execution
         )
         self.graph = graph.copy()
         self.seed = self.algo.seed
         self.iterations = self.algo.iterations
         self.tau_step = self.algo.tau_step
         self.backend = self.execution.backend
-        self.engine = self.execution.backend  # legacy name, same value
         self._corrector: Optional[
             Union[CorrectionPropagator, FastCorrectionPropagator]
         ] = None
@@ -243,8 +217,6 @@ class RSLPADetector:
     def fit_distributed(
         self,
         num_workers: Optional[int] = None,
-        engine: Optional[str] = None,
-        shard_backend: Optional[str] = None,
         partitioner=None,
     ) -> "RSLPADetector":
         """Run Algorithm 1 on the simulated BSP cluster instead of locally.
@@ -254,10 +226,8 @@ class RSLPADetector:
         resolved plan's ``backend`` would, so the ``update``/
         ``communities`` lifecycle continues unchanged; the run's
         communication counters are kept in :attr:`comm_stats`.  Keywords
-        override the detector's :class:`ExecutionConfig` per call:
-        ``engine`` selects the message plane, ``shard_backend`` the
-        worker adjacency storage — see
-        :func:`repro.distributed.run_distributed_rslpa`; defaults come
+        override the detector's :class:`ExecutionConfig` per call (see
+        :func:`repro.distributed.run_distributed_rslpa`); defaults come
         from the config (4 workers when the config is local).
         """
         from repro.distributed.cluster import run_distributed_rslpa
@@ -269,10 +239,6 @@ class RSLPADetector:
             # worker count, then to the wrapper default of 4, so the
             # recorded plan and the cluster run can never disagree.
             num_workers=num_workers or cfg.num_workers or 4,
-            engine=engine if engine is not None else cfg.engine,
-            shard_backend=(
-                shard_backend if shard_backend is not None else cfg.shard_backend
-            ),
             partitioner=partitioner if partitioner is not None else cfg.partitioner,
         )
         plan = self.plan(run_cfg)

@@ -1,71 +1,55 @@
-"""Distributed substrate: BSP engines, vertex programs, comm accounting.
+"""Distributed substrate: the columnar BSP engine, vertex programs, comm accounting.
 
-Two independent axes select how a distributed run executes, mirroring the
-library's two-representation architecture (see :mod:`repro.graph`):
+One substrate runs every distributed program — Algorithm 1, the SLPA
+baseline, Algorithm 2 (Correction Propagation) and Hash-to-Min connected
+components:
 
-**Shard storage** (``shard_backend=`` on the cluster wrappers):
+**Shards** — :class:`CSRShard` (:func:`build_csr_shards`): local
+``indptr``/``indices`` arrays (read-only, so programs cannot corrupt the
+shared adjacency) sliced straight out of an immutable
+:class:`~repro.graph.CSRGraph` snapshot by
+:func:`repro.graph.partition.slice_csr`, or built from a mutable
+:class:`~repro.graph.Graph` with any vertex ids.  Ids are never
+relabelled: every random draw is a slot hash keyed by the vertex id.
 
-* dict-backed :class:`WorkerShard` (:func:`build_shards`) — sorted
-  neighbour lists sliced from the mutable :class:`~repro.graph.Graph`;
-  works for arbitrary vertex ids and is the default.
-* CSR-backed :class:`CSRShard` (:func:`build_csr_shards`) — local
-  ``indptr``/``indices`` arrays (read-only, so programs cannot corrupt
-  the shared adjacency) sliced straight out of an immutable
-  :class:`~repro.graph.CSRGraph` snapshot by
-  :func:`repro.graph.partition.slice_csr`.
-
-**Message plane** (``engine=`` on the cluster wrappers, ``plane=`` on the
-multiprocess backend):
-
-* the **tuple plane** — :class:`BSPEngine` routes Python
-  ``(dst, payload)`` tuples one ``partitioner.owner()`` call at a time
-  and delivers sorted tuple inboxes to
-  :class:`~repro.distributed.engine.WorkerProgram` subclasses
-  (:mod:`repro.distributed.programs`);
-* the **columnar plane** — :class:`ArrayBSPEngine` accumulates sends as
-  typed struct-of-arrays int64 columns
-  (:mod:`repro.distributed.message_array`), routes a whole superstep with
-  one vectorised ``owner_array`` gather + lexsort barrier, and delivers
-  per-kind column inboxes to
-  :class:`~repro.distributed.engine_array.ArrayWorkerProgram` subclasses
-  (:mod:`repro.distributed.programs_array`); tuple programs run here
-  unmodified through :class:`TupleProgramAdapter`.
+**Message plane** — :class:`ArrayBSPEngine` accumulates sends as typed
+struct-of-arrays int64 columns (:mod:`repro.distributed.message_array`),
+routes a whole superstep with one vectorised ``owner_array`` gather +
+lexsort barrier, and delivers per-kind column inboxes to
+:class:`~repro.distributed.engine_array.ArrayWorkerProgram` subclasses
+(:mod:`repro.distributed.programs_array`,
+:mod:`repro.distributed.programs`, :mod:`repro.distributed.components`).
 
 **Data transport** (``transport=`` on the multiprocess backend and
 :class:`~repro.api.config.ExecutionConfig`) — how superstep payloads move
 between the driver and real OS worker processes; in-process engines pass
-references and have no transport axis.  The plane × transport matrix:
+references and have no transport axis:
 
-====================  ===========  ==========================================
-transport             planes       payload path
-====================  ===========  ==========================================
-``pipe`` (reference)  tuple+array  pickled over the control pipes
-``shm`` (zero-copy)   array only   packed int64 columns written in place into
-                                   double-buffered ``multiprocessing.
-                                   shared_memory`` rings; the pipes carry only
-                                   ``(segment, layout)`` index headers and the
-                                   reader maps read-only views
-``tcp`` (two hosts)   array only   the same framed columns over localhost
-                                   sockets (length-prefixed layout +
-                                   ``sendall``/``recv_into`` raw bytes)
-====================  ===========  ==========================================
+====================  ==================================================
+transport             payload path
+====================  ==================================================
+``pipe`` (reference)  pickled over the control pipes
+``shm`` (zero-copy)   packed int64 columns written in place into
+                      double-buffered ``multiprocessing.shared_memory``
+                      rings; the pipes carry only ``(segment, layout)``
+                      index headers and the reader maps read-only views
+``tcp`` (two hosts)   the same framed columns over localhost sockets
+                      (length-prefixed layout + ``sendall``/``recv_into``
+                      raw bytes)
+====================  ==================================================
 
-Every (shard backend × message plane × transport) combination is
-bit-identical — same results, same per-superstep :class:`CommStats`
-counters — because all programs derive their randomness from the same
-counter-based slot hashes over the same ascending neighbour sequences,
-and routing/accounting always run on the driver before any transport
-touches the columns; ``engine="auto"`` prefers the columnar plane on CSR
-shards and ``transport="auto"`` prefers shared memory whenever the array
-plane runs multiprocess.  Both shard kinds and both program flavours are
-picklable, so the in-process engines and the
-:class:`MultiprocessBSPEngine` accept either.
+Every transport is bit-identical — same results, same per-superstep
+:class:`CommStats` counters — because all programs derive their
+randomness from the same counter-based slot hashes over the same
+ascending neighbour sequences, and routing/accounting always run on the
+driver before any transport touches the columns; ``transport="auto"``
+resolves to shared memory for every multiprocess run.
 
 Axis negotiation lives in one place: the cluster wrappers accept an
 :class:`~repro.api.config.ExecutionConfig` (``config=``; the per-axis
 keywords are shims onto it), every ``auto`` resolves through
-:func:`repro.api.plan.resolve_plan`, and engines/programs/named
-partitioners/transports are looked up in :mod:`repro.api.registry` —
+:func:`repro.api.plan.resolve_plan`, and named partitioners/transports
+are looked up in :mod:`repro.api.registry` —
 ``ExecutionConfig(multiprocess=True)`` routes the propagation wrappers
 through the multiprocess engine with identical results and stats.  A
 worker process that dies mid-run raises :class:`WorkerCrashedError`
@@ -94,13 +78,7 @@ from repro.distributed.components import (
     HashToMinProgram,
     distributed_connected_components,
 )
-from repro.distributed.engine import BSPEngine, MessageContext, WorkerProgram
-from repro.distributed.engine_array import (
-    ArrayBSPEngine,
-    ArrayWorkerProgram,
-    TupleProgramAdapter,
-)
-from repro.distributed.message import Message, message_size_bytes, payload_size_bytes
+from repro.distributed.engine_array import ArrayBSPEngine, ArrayWorkerProgram
 from repro.distributed.message_array import (
     SCHEMAS,
     ArrayInbox,
@@ -119,40 +97,22 @@ from repro.distributed.transport import (
     Transport,
     WorkerCrashedError,
 )
-from repro.distributed.programs import (
-    CorrectionPropagationProgram,
-    RSLPAPropagationProgram,
-    SLPAPropagationProgram,
-)
+from repro.distributed.programs import CorrectionPropagationProgram
 from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
     FastSLPAPropagationProgram,
     shard_local_csr,
 )
-from repro.distributed.worker import (
-    CSRShard,
-    WorkerShard,
-    build_csr_shards,
-    build_shards,
-)
+from repro.distributed.worker import CSRShard, build_csr_shards
 
 __all__ = [
-    "BSPEngine",
     "ArrayBSPEngine",
-    "MessageContext",
     "ArrayMessageContext",
     "ArrayInbox",
-    "WorkerProgram",
     "ArrayWorkerProgram",
-    "TupleProgramAdapter",
-    "WorkerShard",
     "CSRShard",
-    "build_shards",
     "build_csr_shards",
     "shard_local_csr",
-    "Message",
-    "message_size_bytes",
-    "payload_size_bytes",
     "MessageSchema",
     "SCHEMAS",
     "register_schema",
@@ -161,8 +121,6 @@ __all__ = [
     "SuperstepStats",
     "RecoveryStats",
     "FaultPlan",
-    "RSLPAPropagationProgram",
-    "SLPAPropagationProgram",
     "CorrectionPropagationProgram",
     "FastRSLPAPropagationProgram",
     "FastSLPAPropagationProgram",

@@ -13,20 +13,21 @@ communication-cost experiments:
 * :func:`run_distributed_postprocess` — weights + τ2 locally per worker,
   τ1 sweep on the driver, communities via distributed hash-to-min CC.
 
-Execution selection is centralised: the per-call keywords
-(``num_workers`` / ``engine`` / ``shard_backend`` / ``state_format`` /
-``partitioner``) are shims that build an
+Every run shards the graph with :func:`build_csr_shards` (any vertex ids)
+and exchanges columnar messages on
+:class:`~repro.distributed.engine_array.ArrayBSPEngine`.  Execution
+selection is centralised: the per-call keywords (``num_workers`` /
+``state_format`` / ``partitioner``) are shims that build an
 :class:`~repro.api.config.ExecutionConfig` (pass ``config=`` to supply one
-directly — it takes precedence), and every ``auto`` is negotiated by
-:func:`repro.api.plan.resolve_plan`.  Engines, worker programs, and named
-partitioners come from :mod:`repro.api.registry`, so plugged-in components
-resolve exactly like the built-ins.  ``config.multiprocess=True`` runs the
-propagation wrappers on real OS processes
+directly — it takes precedence), every ``auto`` is negotiated by
+:func:`repro.api.plan.resolve_plan`, and named partitioners come from
+:mod:`repro.api.registry`, so plugged-in partitioners resolve exactly like
+the built-ins.  ``config.multiprocess=True`` runs the propagation wrappers
+on real OS processes
 (:class:`~repro.distributed.multiprocess.MultiprocessBSPEngine`) with
 bit-identical results and stats; ``config.transport`` picks the data
 plane those processes exchange supersteps over (``auto`` resolves to the
-zero-copy shared-memory rings whenever the array plane runs
-multiprocess).
+zero-copy shared-memory rings).
 """
 
 from __future__ import annotations
@@ -39,15 +40,19 @@ import numpy as np
 
 from repro.api.config import ExecutionConfig
 from repro.api.plan import GraphCaps, RunPlan, resolve_plan
-from repro.api.registry import ENGINES, PROGRAMS
 from repro.core.communities import Cover
 from repro.core.labels import NO_SOURCE, LabelState
 from repro.core.labels_array import ArrayLabelState
 from repro.core.postprocess import attach_weak, edge_weights, sweep_tau1, weak_threshold
 from repro.distributed.components import distributed_connected_components
-from repro.distributed.engine_array import TupleProgramAdapter
+from repro.distributed.engine_array import ArrayBSPEngine
 from repro.distributed.metrics import CommStats
-from repro.distributed.worker import build_csr_shards, build_shards
+from repro.distributed.programs import CorrectionPropagationProgram
+from repro.distributed.programs_array import (
+    FastRSLPAPropagationProgram,
+    FastSLPAPropagationProgram,
+)
+from repro.distributed.worker import build_csr_shards
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edits import EditBatch, apply_batch
@@ -65,8 +70,6 @@ def _execution_config(
     config: Optional[ExecutionConfig],
     num_workers: int,
     partitioner: Optional[Union[str, Partitioner]],
-    shard_backend: str,
-    engine: str,
     state_format: str = "auto",
 ) -> ExecutionConfig:
     """The keyword shim: kwargs become a config unless one was passed.
@@ -82,17 +85,8 @@ def _execution_config(
     return ExecutionConfig(
         num_workers=num_workers,
         partitioner=partitioner,
-        shard_backend=shard_backend,
-        engine=engine,
         state_format=state_format,
     )
-
-
-def _build_shards_for(plan: RunPlan, graph, part: Partitioner):
-    """Build worker shards on the plan's (already negotiated) backend."""
-    if plan.shard_backend == "csr":
-        return build_csr_shards(graph, part)
-    return build_shards(graph, part)
 
 
 def _obs_for(plan: RunPlan):
@@ -116,19 +110,14 @@ def _attach_obs(bsp, plan: RunPlan) -> None:
     if obs is None:
         return
     obs.meta.setdefault("mode", "in-process")
-    obs.meta.setdefault("engine", plan.engine)
     obs.meta.setdefault("num_workers", plan.num_workers)
     bsp.obs = obs
     bsp.stats.obs = obs
 
 
 def _merge_collected_rslpa_state(collected: Dict[int, tuple], iterations: int) -> LabelState:
-    """Fully-recorded :class:`LabelState` from per-vertex collect() tuples.
-
-    This is the plane-agnostic merge: tuple programs, array programs, and
-    multiprocess workers all export the same per-vertex
-    ``(labels, srcs, poss)`` format.
-    """
+    """Fully-recorded :class:`LabelState` from per-vertex collect() tuples
+    (the ``(labels, srcs, poss)`` lists multiprocess workers ship back)."""
     state = LabelState()
     for v, (labels, srcs, poss) in collected.items():
         state.labels[v] = list(labels)
@@ -227,7 +216,6 @@ def _run_multiprocess(plan: RunPlan, shards, part, program_cls, seed, iterations
     from repro.distributed.multiprocess import MultiprocessBSPEngine
 
     factory = partial(program_cls, seed=seed, iterations=iterations)
-    plane = "array" if plan.engine == "array" else "tuple"
     fault_kwargs = {}
     if plan.fault_tolerance:
         # resolve_plan already made both knobs concrete for fault-tolerant
@@ -241,7 +229,6 @@ def _run_multiprocess(plan: RunPlan, shards, part, program_cls, seed, iterations
         shards,
         part,
         factory,
-        plane=plane,
         transport=plan.transport or "pipe",
         obs=_obs_for(plan),
         **fault_kwargs,
@@ -255,95 +242,77 @@ def _run_multiprocess(plan: RunPlan, shards, part, program_cls, seed, iterations
 
 
 def run_distributed_rslpa(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
     seed: int = 0,
     iterations: int = 200,
     num_workers: int = 4,
     partitioner: Optional[Union[str, Partitioner]] = None,
-    shard_backend: str = "dict",
-    engine: str = "auto",
     state_format: str = "dict",
     config: Optional[ExecutionConfig] = None,
 ) -> Tuple[Union[LabelState, ArrayLabelState], CommStats]:
     """Algorithm 1 on the simulated cluster; returns (state, comm stats).
 
     The returned state is fully recorded (provenance + reverse records) and
-    bit-identical to a sequential :class:`ReferencePropagator` run —
-    on either shard backend (``graph`` may also be a :class:`CSRGraph`),
-    on either message plane (``engine="reference"`` routes Python
-    tuples, ``"array"`` routes struct-of-arrays columns; ``"auto"`` takes
-    the array plane on CSR shards), in-process or on real OS processes
-    (``config.multiprocess``).  ``state_format="array"`` returns an
+    bit-identical to a sequential :class:`ReferencePropagator` run, for a
+    :class:`Graph` with any vertex ids or a :class:`CSRGraph`, in-process
+    or on real OS processes (``config.multiprocess``).
+    ``state_format="array"`` returns an
     :class:`~repro.core.labels_array.ArrayLabelState` (contiguous ids
-    required) — the array engine's native export, assembled without any
+    required) — the columnar engine's native export, assembled without any
     per-vertex Python, and what the fast incremental lifecycle consumes.
     All ``auto`` negotiation happens in
     :func:`repro.api.plan.resolve_plan`; ``config=`` supplies the
     :class:`~repro.api.config.ExecutionConfig` directly and overrides the
     per-axis keywords.
     """
-    cfg = _execution_config(
-        config, num_workers, partitioner, shard_backend, engine, state_format
-    )
+    cfg = _execution_config(config, num_workers, partitioner, state_format)
     plan = resolve_plan(GraphCaps.of(graph), cfg)
     part = plan.build_partitioner()
-    shards = _build_shards_for(plan, graph, part)
-    program_cls = PROGRAMS.resolve(f"rslpa/{plan.engine}")
+    shards = build_csr_shards(graph, part)
 
     if plan.multiprocess:
         collected, stats = _run_multiprocess(
-            plan, shards, part, program_cls, seed, iterations
+            plan, shards, part, FastRSLPAPropagationProgram, seed, iterations
         )
         state = _merge_collected_rslpa_state(collected, iterations)
         if plan.state_format == "array":
             return ArrayLabelState.from_label_state(state), stats
         return state, stats
 
-    bsp = ENGINES.resolve(plan.engine)(shards, part)
+    bsp = ArrayBSPEngine(shards, part)
     _attach_obs(bsp, plan)
     programs = [
-        program_cls(shard, seed=seed, iterations=iterations) for shard in shards
+        FastRSLPAPropagationProgram(shard, seed=seed, iterations=iterations)
+        for shard in shards
     ]
     bsp.run(programs)
-    if plan.engine == "array":
-        if plan.state_format == "array":
-            return _assemble_array_rslpa_state(programs, iterations), bsp.stats
-        return _merge_array_rslpa_state(programs, iterations), bsp.stats
-
-    collected: Dict[int, tuple] = {}
-    for program in programs:
-        collected.update(program.collect())
-    state = _merge_collected_rslpa_state(collected, iterations)
     if plan.state_format == "array":
-        return ArrayLabelState.from_label_state(state), bsp.stats
-    return state, bsp.stats
+        return _assemble_array_rslpa_state(programs, iterations), bsp.stats
+    return _merge_array_rslpa_state(programs, iterations), bsp.stats
 
 
 def run_distributed_slpa(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
     seed: int = 0,
     iterations: int = 100,
     num_workers: int = 4,
     partitioner: Optional[Union[str, Partitioner]] = None,
-    shard_backend: str = "dict",
-    engine: str = "auto",
     config: Optional[ExecutionConfig] = None,
 ) -> Tuple[Dict[int, List[int]], CommStats]:
     """The SLPA baseline on the simulated cluster; returns (memories, stats)."""
-    cfg = _execution_config(config, num_workers, partitioner, shard_backend, engine)
+    cfg = _execution_config(config, num_workers, partitioner)
     plan = resolve_plan(GraphCaps.of(graph), cfg)
     part = plan.build_partitioner()
-    shards = _build_shards_for(plan, graph, part)
-    program_cls = PROGRAMS.resolve(f"slpa/{plan.engine}")
+    shards = build_csr_shards(graph, part)
     if plan.multiprocess:
-        memories, stats = _run_multiprocess(
-            plan, shards, part, program_cls, seed, iterations
+        return _run_multiprocess(
+            plan, shards, part, FastSLPAPropagationProgram, seed, iterations
         )
-        return memories, stats
-    bsp = ENGINES.resolve(plan.engine)(shards, part)
+    bsp = ArrayBSPEngine(shards, part)
     _attach_obs(bsp, plan)
     programs = [
-        program_cls(shard, seed=seed, iterations=iterations) for shard in shards
+        FastSLPAPropagationProgram(shard, seed=seed, iterations=iterations)
+        for shard in shards
     ]
     bsp.run(programs)
     memories: Dict[int, List[int]] = {}
@@ -360,8 +329,6 @@ def run_distributed_update(
     batch_epoch: int = 1,
     num_workers: int = 4,
     partitioner: Optional[Union[str, Partitioner]] = None,
-    shard_backend: str = "dict",
-    engine: str = "auto",
     config: Optional[ExecutionConfig] = None,
 ) -> Tuple[Graph, LabelState, CommStats]:
     """Algorithm 2 on the simulated cluster.
@@ -370,13 +337,11 @@ def run_distributed_update(
     the repaired state (same object, mutated), and communication stats.
     ``batch_epoch`` must count batches the same way the sequential
     :class:`CorrectionPropagator` does for the randomness to line up.
-    ``shard_backend="csr"`` requires the post-batch graph to keep
-    contiguous ids ``0..n-1`` (the plan is resolved against the
-    *post-batch* capabilities, and fails before mutating anything).
-    ``engine="array"`` runs the correction program through the columnar
-    message plane (same repairs, same stats).
+    The plan is resolved against the *post-batch* capabilities, so a
+    request the batch invalidates (e.g. ``backend="fast"`` once the batch
+    adds a gap in the ids) fails before anything is mutated.
     """
-    cfg = _execution_config(config, num_workers, partitioner, shard_backend, engine)
+    cfg = _execution_config(config, num_workers, partitioner)
     if cfg.multiprocess:
         raise ValueError(
             "run_distributed_update repairs the caller's state in place; "
@@ -394,7 +359,6 @@ def run_distributed_update(
         num_vertices=len(post_ids),
         num_edges=graph.num_edges,
         contiguous_ids=post_contiguous,
-        is_csr=isinstance(graph, CSRGraph),
     )
     plan = resolve_plan(caps, cfg)
     new_graph = apply_batch(graph, batch)
@@ -410,13 +374,12 @@ def run_distributed_update(
                 state.epochs[v].append(0)
 
     part = plan.build_partitioner()
-    shards = _build_shards_for(plan, new_graph, part)
-    program_cls = PROGRAMS.resolve("correction/reference")
+    shards = build_csr_shards(new_graph, part)
     programs = []
     for shard in shards:
         local = shard.vertices
         programs.append(
-            program_cls(
+            CorrectionPropagationProgram(
                 shard,
                 seed=seed,
                 iterations=state.num_iterations,
@@ -430,15 +393,9 @@ def run_distributed_update(
                 batch_epoch=batch_epoch,
             )
         )
-    bsp = ENGINES.resolve(plan.engine)(shards, part)
+    bsp = ArrayBSPEngine(shards, part)
     _attach_obs(bsp, plan)
-    if plan.engine == "array":
-        # The correction program stays tuple-level (its cascade is sparse,
-        # O(eta) messages); the adapter runs it unmodified on the columnar
-        # plane, exercising the vectorised barrier end to end.
-        bsp.run([TupleProgramAdapter(program) for program in programs])
-    else:
-        bsp.run(programs)
+    bsp.run(programs)
     # Worker slices alias the state's own lists/dicts, so the state is
     # already repaired in place; nothing to merge back.
     return new_graph, state, bsp.stats

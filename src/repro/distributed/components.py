@@ -9,7 +9,7 @@ engine:
 * every vertex ``v`` keeps a cluster set ``C_v``, initially ``{v} ∪ N(v)``;
 * each round, ``v`` sends ``C_v`` to ``m = min(C_v)`` and ``{m}`` to every
   other member of ``C_v``; clusters are replaced by the union of received
-  sets;
+  sets.  A set travels as fixed-width ``set`` rows, one per member;
 * at convergence ``min(C_v)`` is the component representative for every
   ``v`` (and the representative's cluster holds its whole component).
 
@@ -23,11 +23,14 @@ without materialising the filtered graph (Section V-B2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.distributed.engine import BSPEngine, MessageContext, WorkerProgram
+import numpy as np
+
+from repro.distributed.engine_array import ArrayBSPEngine, ArrayWorkerProgram
+from repro.distributed.message_array import ArrayInbox, ArrayMessageContext
 from repro.distributed.metrics import CommStats
-from repro.distributed.worker import WorkerShard, build_shards
+from repro.distributed.worker import CSRShard, build_csr_shards
 from repro.graph.adjacency import Graph
 from repro.graph.partition import HashPartitioner, Partitioner
 
@@ -36,37 +39,44 @@ __all__ = ["HashToMinProgram", "distributed_connected_components"]
 Edge = Tuple[int, int]
 
 
-class HashToMinProgram(WorkerProgram):
+class HashToMinProgram(ArrayWorkerProgram):
     """Hash-to-Min connected components over one worker shard."""
 
-    def __init__(self, shard: WorkerShard):
+    def __init__(self, shard: CSRShard):
         super().__init__(shard)
-        # int() keeps cluster members plain ints on the CSR shard backend.
         self.clusters: Dict[int, Set[int]] = {
-            v: {v, *(int(u) for u in shard.neighbors(v))} for v in shard.vertices
+            v: {v, *shard.neighbors(v).tolist()} for v in shard.vertices
         }
         self._dirty: Set[int] = {v for v in shard.vertices if shard.degree(v) > 0}
 
-    def _emit(self, ctx: MessageContext) -> None:
+    def _emit(self, ctx: ArrayMessageContext) -> None:
+        dst: List[int] = []
+        members: List[int] = []
         for v in sorted(self._dirty):
             cluster = self.clusters[v]
             m = min(cluster)
-            payload = tuple(sorted(cluster))
-            ctx.send(m, ("set", payload))
-            for u in cluster:
-                if u != m:
-                    ctx.send(u, ("set", (m,)))
+            others = [u for u in cluster if u != m]
+            dst += [m] * len(cluster)
+            members += cluster
+            dst += others
+            members += [m] * len(others)
         self._dirty.clear()
+        if dst:
+            ctx.send_columns(
+                "set", np.array(dst, dtype=np.int64), np.array(members, dtype=np.int64)
+            )
 
-    def on_start(self, ctx: MessageContext) -> None:
+    def on_start(self, ctx: ArrayMessageContext) -> None:
         self._emit(ctx)
 
     def on_superstep(
-        self, ctx: MessageContext, superstep: int, inbox: Sequence[tuple]
+        self, ctx: ArrayMessageContext, superstep: int, inbox: ArrayInbox
     ) -> None:
         received: Dict[int, Set[int]] = {}
-        for dst, _kind, members in inbox:
-            received.setdefault(dst, set()).update(members)
+        columns = inbox.columns("set")
+        if columns is not None:
+            for dst, member in zip(*(col.tolist() for col in columns)):
+                received.setdefault(dst, set()).add(member)
         for v, incoming in received.items():
             if not incoming <= self.clusters[v]:
                 # Monotone variant: clusters only grow, so delta-sending
@@ -121,8 +131,8 @@ def distributed_connected_components(
         )
     else:
         part = partitioner or HashPartitioner(num_workers)
-    shards = build_shards(filtered, part)
-    engine = BSPEngine(shards, part)
+    shards = build_csr_shards(filtered, part)
+    engine = ArrayBSPEngine(shards, part)
     programs = [HashToMinProgram(shard) for shard in shards]
     engine.run(programs)
     representative: Dict[int, int] = {}

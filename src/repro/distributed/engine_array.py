@@ -1,29 +1,27 @@
 """The columnar BSP superstep engine.
 
-Drop-in sibling of :class:`repro.distributed.engine.BSPEngine` whose
-message plane is the struct-of-arrays one from
-:mod:`repro.distributed.message_array`: programs emit column batches into
-an :class:`~repro.distributed.message_array.ArrayMessageContext`, and the
-synchronisation barrier is one vectorised
-:func:`~repro.distributed.message_array.route_columns` call instead of a
-per-message Python loop.
+Executes one :class:`ArrayWorkerProgram` per worker shard in bulk-
+synchronous supersteps, the MapReduce/Spark execution model the paper
+targets (Section V-B2): within a superstep every worker processes its
+inbox and emits messages, and at the synchronisation barrier the engine
+routes them to the owner of each destination vertex and records
+communication statistics.  Programs emit column batches into an
+:class:`~repro.distributed.message_array.ArrayMessageContext`, and the
+barrier is one vectorised
+:func:`~repro.distributed.message_array.route_columns` call.
 
-Two program flavours run here:
+Programs are *worker-level* (one instance per shard) rather than
+vertex-level: the paper's algorithms are most naturally written as
+mappers/reducers over a worker's local vertices (see Algorithms 1-2).
 
-* :class:`ArrayWorkerProgram` subclasses — array-native, they consume the
-  per-kind inbox columns wholesale (see
-  :mod:`repro.distributed.programs_array`);
-* any reference :class:`~repro.distributed.engine.WorkerProgram` wrapped
-  in a :class:`TupleProgramAdapter`, which reconstructs the reference
-  engine's sorted tuple inbox from the columns and converts scalar sends
-  back — bit-identical behaviour on the new plane without touching the
-  program (how Correction Propagation runs here).
+Determinism: workers run in id order and every per-kind inbox is
+delivered ``(dst, fields...)``-sorted, so a run is a pure function of
+(program, shards, seed) — the property that lets the test suite assert
+distributed == sequential equality bit for bit.
 
-Determinism and accounting are exactly the reference engine's: same inbox
-order guarantees, same per-superstep :class:`CommStats` counters (the test
-suite asserts both, message for message).  So is the observability hook:
-set :attr:`ArrayBSPEngine.obs` to record ``engine.compute`` /
-``engine.route`` spans, leave it ``None`` for a zero-overhead run.
+Observability: set :attr:`ArrayBSPEngine.obs` to record
+``engine.compute`` / ``engine.route`` spans, leave it ``None`` for a
+zero-overhead run.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from __future__ import annotations
 from time import time_ns
 from typing import Dict, List, Sequence
 
-from repro.distributed.engine import MessageContext, WorkerProgram
 from repro.distributed.message_array import (
     ArrayInbox,
     ArrayMessageContext,
@@ -39,23 +36,23 @@ from repro.distributed.message_array import (
     route_columns,
 )
 from repro.distributed.metrics import CommStats
-from repro.distributed.worker import WorkerShard
+from repro.distributed.worker import CSRShard
 from repro.graph.partition import Partitioner
 
-__all__ = ["ArrayWorkerProgram", "TupleProgramAdapter", "ArrayBSPEngine"]
+__all__ = ["ArrayWorkerProgram", "ArrayBSPEngine"]
 
 
 class ArrayWorkerProgram:
-    """Base class for array-native worker programs.
+    """Base class for worker-level BSP programs.
 
-    The columnar counterpart of
-    :class:`~repro.distributed.engine.WorkerProgram`: ``ctx`` is an
-    :class:`ArrayMessageContext` and the inbox arrives as an
+    Subclasses hold per-worker algorithm state, are constructed once per
+    shard, and must be picklable to run under the multiprocess backend.
+    ``ctx`` is an :class:`ArrayMessageContext` and the inbox arrives as an
     :class:`ArrayInbox` of per-kind column tuples (sorted by
     ``(dst, fields...)`` within each kind).
     """
 
-    def __init__(self, shard: WorkerShard):
+    def __init__(self, shard: CSRShard):
         self.shard = shard
 
     def on_start(self, ctx: ArrayMessageContext) -> None:
@@ -81,59 +78,26 @@ class ArrayWorkerProgram:
         return {}
 
     def snapshot(self) -> dict:
-        """Portable copy of the mutable state (everything but the shard);
-        same contract as :meth:`WorkerProgram.snapshot
-        <repro.distributed.engine.WorkerProgram.snapshot>`."""
+        """Portable copy of this program's mutable state (checkpointing).
+
+        The default captures everything in ``__dict__`` except the shard:
+        shards are immutable inputs the supervisor re-ships to a
+        replacement process, not state.  The snapshot is pickled across a
+        process boundary, which is what gives it copy semantics — programs
+        whose state is builtins/ndarrays (all built-ins) need not override.
+        """
         return {k: v for k, v in self.__dict__.items() if k != "shard"}
 
     def restore(self, snapshot: dict) -> None:
-        """Reinstate a :meth:`snapshot` for bit-identical replay."""
+        """Reinstate a :meth:`snapshot`; replay from it is bit-identical
+        because every random draw is keyed by counters in that state."""
         self.__dict__.update(snapshot)
-
-
-class TupleProgramAdapter(ArrayWorkerProgram):
-    """Runs an unmodified tuple-plane program on the columnar engine.
-
-    The adapter rebuilds the reference engine's fully sorted tuple inbox
-    (:meth:`ArrayInbox.to_sorted_tuples`) for ``on_superstep`` and funnels
-    the program's scalar sends into the column buffers, so the wrapped
-    program observes exactly the reference engine's contract.
-    """
-
-    def __init__(self, program: WorkerProgram):
-        super().__init__(program.shard)
-        self.program = program
-
-    def on_start(self, ctx: ArrayMessageContext) -> None:
-        tuple_ctx = MessageContext()
-        self.program.on_start(tuple_ctx)
-        for dst_vertex, payload in tuple_ctx.outbox:
-            ctx.send(dst_vertex, payload)
-
-    def on_superstep(
-        self, ctx: ArrayMessageContext, superstep: int, inbox: ArrayInbox
-    ) -> None:
-        tuple_ctx = MessageContext()
-        self.program.on_superstep(tuple_ctx, superstep, inbox.to_sorted_tuples())
-        for dst_vertex, payload in tuple_ctx.outbox:
-            ctx.send(dst_vertex, payload)
-
-    def collect(self) -> dict:
-        return self.program.collect()
-
-    def snapshot(self) -> dict:
-        # Delegate: the wrapped program's state is the state (the default
-        # would capture `self.program` wholesale, shard included).
-        return self.program.snapshot()
-
-    def restore(self, snapshot: dict) -> None:
-        self.program.restore(snapshot)
 
 
 class ArrayBSPEngine:
     """Runs array programs over shards with a vectorised routing barrier."""
 
-    def __init__(self, shards: Sequence[WorkerShard], partitioner: Partitioner):
+    def __init__(self, shards: Sequence[CSRShard], partitioner: Partitioner):
         if len(shards) != partitioner.num_partitions:
             raise ValueError(
                 f"{len(shards)} shards but partitioner has "
@@ -158,7 +122,10 @@ class ArrayBSPEngine:
         programs: Sequence[ArrayWorkerProgram],
         max_supersteps: int = 100_000,
     ) -> List[ArrayWorkerProgram]:
-        """Execute until message quiescence (or the superstep cap)."""
+        """Execute until message quiescence (or the superstep cap).
+
+        Returns the programs so callers can :meth:`ArrayWorkerProgram.collect`.
+        """
         if len(programs) != len(self.shards):
             raise ValueError("one program instance per shard is required")
         obs = self.obs

@@ -1,28 +1,23 @@
 """Columnar message plane: typed schemas, array buffers, vectorised routing.
 
-The reference BSP engine materialises every message as a Python tuple and
-routes them one ``partitioner.owner()`` call at a time.  This module is the
-array alternative: each message *kind* has a :class:`MessageSchema` fixing
-its integer payload fields, senders accumulate messages as struct-of-arrays
-``int64`` columns (:class:`ArrayMessageContext`), and the superstep barrier
+Each message *kind* has a :class:`MessageSchema` fixing its integer payload
+fields, senders accumulate messages as struct-of-arrays ``int64`` columns
+(:class:`ArrayMessageContext`), and the superstep barrier
 (:func:`route_columns`) routes a whole outbox with a handful of numpy
 passes — one :meth:`~repro.graph.partition.Partitioner.owner_array` gather
 over the destination column, ``np.bincount`` for the per-worker split, and
 one lexsort per kind for deterministic inbox order.
 
-Equivalence with the tuple plane is exact and is what the test suite
-asserts:
+Two contracts make runs reproducible and comparable across partitioners,
+transports and worker processes:
 
-* **accounting** — a kind's wire size is fixed by its schema
-  (``address + kind tag + 8 bytes per field``), matching
-  :func:`repro.distributed.message.message_size_bytes` on the equivalent
-  tuple, so per-superstep :class:`~repro.distributed.metrics.SuperstepStats`
-  are identical counter for counter;
+* **accounting** — a kind's wire size is fixed by its schema: an 8-byte
+  vertex address, the kind tag's UTF-8 bytes, and 8 bytes per field
+  (``req`` 35, ``lab`` 43, ``spk`` 27, ``unreg``/``fetch`` 37,
+  ``fval``/``corr`` 52, ``set`` 19), so per-superstep
+  :class:`~repro.distributed.metrics.SuperstepStats` are counter-exact;
 * **ordering** — within a kind, inbox rows are lexicographically sorted by
-  ``(dst, fields...)``; merging kinds in ascending kind-string order
-  reproduces the reference engine's fully sorted tuple inbox
-  (:meth:`ArrayInbox.to_sorted_tuples`), which is how tuple programs run
-  unchanged on the array engine.
+  ``(dst, fields...)``, whatever the order the senders emitted them in.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.distributed.message import message_size_bytes
 from repro.distributed.metrics import SuperstepStats
 from repro.graph.partition import Partitioner
 
@@ -63,14 +57,9 @@ class MessageSchema:
 
     @property
     def message_bytes(self) -> int:
-        """Wire size of one message of this kind.
-
-        Computed *through* the tuple plane's
-        :func:`~repro.distributed.message.message_size_bytes` on a
-        representative tuple, so the per-schema accounting is identical to
-        the per-message accounting by construction.
-        """
-        return message_size_bytes((0, (self.kind,) + (0,) * self.width))
+        """Wire size of one message of this kind: an 8-byte vertex
+        address, the kind tag's UTF-8 bytes, and 8 bytes per field."""
+        return 8 + len(self.kind.encode("utf-8")) + 8 * self.width
 
 
 #: Registry of every message kind the built-in programs exchange.
@@ -100,6 +89,8 @@ register_schema("unreg", ("pos", "tar", "k"))
 register_schema("fetch", ("pos", "tar", "k"))
 register_schema("fval", ("label", "k", "src", "pos", "version"))
 register_schema("corr", ("label", "k", "src", "pos", "version"))
+# Hash-to-Min connected components (post-processing).
+register_schema("set", ("member",))
 
 
 class _ColumnBuffer:
@@ -171,11 +162,9 @@ ArrayOutbox = Dict[str, Tuple[np.ndarray, ...]]
 class ArrayMessageContext:
     """Collects one worker's sends as per-kind growing int64 columns.
 
-    The columnar sibling of
-    :class:`~repro.distributed.engine.MessageContext`: array programs emit
-    whole column batches via :meth:`send_columns`; the scalar :meth:`send`
-    accepts reference-style ``(kind, *ints)`` payload tuples so tuple
-    programs can run on the array plane through an adapter.
+    Vectorised programs emit whole column batches via :meth:`send_columns`;
+    sparse ones (the Correction Propagation cascade) send one
+    ``(kind, *ints)`` row at a time with :meth:`send`.
     """
 
     __slots__ = ("_buffers",)
@@ -202,7 +191,7 @@ class ArrayMessageContext:
         self._buffer(kind).append_columns(dst, cols)
 
     def send(self, dst_vertex: int, payload: tuple) -> None:
-        """Tuple-plane compatible scalar send (``payload[0]`` is the kind)."""
+        """Queue one message; ``payload`` is ``(kind, *fields)``."""
         self._buffer(payload[0]).append_row(int(dst_vertex), payload[1:])
 
     @property
@@ -221,8 +210,7 @@ class ArrayMessageContext:
 class ArrayInbox:
     """One worker's per-superstep inbox in columnar form.
 
-    Per kind, rows are sorted lexicographically by ``(dst, fields...)`` —
-    the reference engine's tuple order restricted to that kind.
+    Per kind, rows are sorted lexicographically by ``(dst, fields...)``.
     """
 
     __slots__ = ("_columns",)
@@ -258,25 +246,6 @@ class ArrayInbox:
                 for kind, cols in self._columns.items()
             }
         )
-
-    def to_sorted_tuples(self) -> List[tuple]:
-        """The reference engine's sorted tuple inbox, reconstructed exactly.
-
-        Rows become ``(dst, kind, *fields)`` tuples of plain Python ints;
-        the full sort merges kinds into the reference order (tuples compare
-        ``(dst, kind-string, ints...)``, and rows of equal dst and kind
-        have identical widths).
-        """
-        out: List[tuple] = []
-        for kind in self.kinds():
-            cols = self._columns[kind]
-            as_lists = [col.tolist() for col in cols]
-            out.extend(
-                (dst, kind, *rest)
-                for dst, *rest in zip(*as_lists)
-            )
-        out.sort()
-        return out
 
 
 def route_columns(
@@ -320,8 +289,7 @@ def route_columns(
         )
         owners = partitioner.owner_array(dst)
         if int(owners.min()) < 0 or int(owners.max()) >= num_partitions:
-            # Fail as loudly as the reference engine's inboxes[owner] KeyError
-            # would: a partitioner bug must not silently drop messages.
+            # A partitioner bug must not silently drop messages.
             bad = dst[(owners < 0) | (owners >= num_partitions)]
             raise ValueError(
                 f"partitioner assigned owners outside 0..{num_partitions - 1} "

@@ -6,31 +6,21 @@ process per worker, a control pipe per worker, and the driver acting as
 the synchronisation barrier — the closest single-machine analogue to the
 paper's 7-node Spark deployment.
 
-Two message planes, selected with ``plane=``:
-
-* ``"tuple"`` (default) — programs are
-  :class:`~repro.distributed.engine.WorkerProgram` subclasses; outboxes
-  cross the data plane as pickled tuple lists and the driver routes them
-  with the reference per-message loop.
-* ``"array"`` — programs are
-  :class:`~repro.distributed.engine_array.ArrayWorkerProgram` subclasses
-  (or adapter-wrapped tuple programs); outboxes are packed per-kind numpy
-  columns and the driver barrier is the vectorised
-  :func:`~repro.distributed.message_array.route_columns`.
+Programs are :class:`~repro.distributed.engine_array.ArrayWorkerProgram`
+subclasses; outboxes are per-kind numpy columns and the driver barrier is
+the vectorised :func:`~repro.distributed.message_array.route_columns`.
 
 How the columns move is the *transport* (``transport=``, see
 :mod:`repro.distributed.transport` and
 :data:`repro.api.registry.TRANSPORTS`): ``"pipe"`` pickles payloads over
-the control pipes (the reference data plane, and the only one the tuple
-plane supports), ``"shm"`` swaps them through double-buffered
-shared-memory rings with only index headers on the pipes, and ``"tcp"``
-frames them over localhost sockets so worker groups behave like separate
-hosts.  Results and per-superstep :class:`CommStats` are bit-identical
-across all transports — routing happens on the driver before any
-transport touches the columns.
+the control pipes (the reference data plane), ``"shm"`` swaps them
+through double-buffered shared-memory rings with only index headers on
+the pipes, and ``"tcp"`` frames them over localhost sockets so worker
+groups behave like separate hosts.  Results and per-superstep
+:class:`CommStats` are bit-identical across all transports — routing
+happens on the driver before any transport touches the columns.
 
 Programs must be picklable (all programs in
-:mod:`repro.distributed.programs` and
 :mod:`repro.distributed.programs_array` are, as long as their state is
 builtins/ndarrays).  Mutations a program makes to its state stay inside
 its process; results come back via ``collect()``, so this backend suits
@@ -48,10 +38,10 @@ supervised recovery:
 
 * every ``checkpoint_interval`` barriers (and always at superstep 0 and
   at quiescence) the driver collects a **consistent cut** — each worker's
-  CRC-validated pickled :meth:`~repro.distributed.engine.WorkerProgram.
-  snapshot` plus materialised copies of the superstep's outboxes and the
-  :class:`CommStats` length, held driver-side, which survives any worker
-  death;
+  CRC-validated pickled :meth:`~repro.distributed.engine_array.
+  ArrayWorkerProgram.snapshot` plus materialised copies of the
+  superstep's outboxes and the :class:`CommStats` length, held
+  driver-side, which survives any worker death;
 * on :class:`WorkerCrashedError` the driver respawns the dead worker
   (re-shipping its shard, rebuilding its transport endpoint — the TCP
   endpoint redials with exponential backoff), restores the last cut on
@@ -93,28 +83,24 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.distributed.engine import MessageContext, WorkerProgram
-from repro.distributed.engine_array import ArrayWorkerProgram, TupleProgramAdapter
+from repro.distributed.engine_array import ArrayWorkerProgram
 from repro.distributed.faults import FaultPlan
-from repro.distributed.message import Message, message_size_bytes
 from repro.distributed.message_array import (
     ArrayInbox,
     ArrayMessageContext,
     ArrayOutbox,
     route_columns,
 )
-from repro.distributed.metrics import CommStats, RecoveryStats, SuperstepStats
+from repro.distributed.metrics import CommStats, RecoveryStats
 from repro.distributed.transport import Transport, WorkerCrashedError, WorkerEndpoint
-from repro.distributed.worker import WorkerShard
+from repro.distributed.worker import CSRShard
 from repro.graph.partition import Partitioner
 
 __all__ = ["MultiprocessBSPEngine", "WorkerCrashedError"]
 
 logger = logging.getLogger(__name__)
 
-ProgramFactory = Callable[
-    [WorkerShard], Union[WorkerProgram, ArrayWorkerProgram]
-]
+ProgramFactory = Callable[[CSRShard], ArrayWorkerProgram]
 
 #: Seconds between liveness polls while the driver waits on a pipe.
 _POLL_S = 0.05
@@ -130,21 +116,14 @@ _CTRL = "__ctrl__"
 #: collect reply, acks of an interrupted earlier recovery).
 _DRAIN_LIMIT = 64
 
-
-def _build_program(factory: ProgramFactory, shard: WorkerShard, plane: str):
-    program = factory(shard)
-    if plane == "array" and not isinstance(program, ArrayWorkerProgram):
-        # Tuple programs run on the columnar plane through the adapter
-        # (same contract as the in-process ArrayBSPEngine).
-        program = TupleProgramAdapter(program)
-    return program
+#: The ``plane`` attribute of every engine span (the columnar plane).
+_PLANE = "array"
 
 
 def _worker_main(
     conn,
-    shard: WorkerShard,
+    shard: CSRShard,
     factory: ProgramFactory,
-    plane: str,
     endpoint: WorkerEndpoint,
     fault_plan: Optional[FaultPlan] = None,
     trace: bool = False,
@@ -165,8 +144,7 @@ def _worker_main(
         from repro.obs import Obs
 
         obs = Obs()
-    program = _build_program(factory, shard, plane)
-    make_ctx = ArrayMessageContext if plane == "array" else MessageContext
+    program = factory(shard)
     try:
         endpoint.open()
         while True:
@@ -183,7 +161,7 @@ def _worker_main(
                     # Time blocked in conn.recv() waiting for the barrier
                     # to release this superstep.
                     obs.trace.record(
-                        "engine.barrier_wait", idle_start, plane=plane,
+                        "engine.barrier_wait", idle_start, plane=_PLANE,
                         worker=wid, superstep=superstep,
                     )
                 # Fault seams, in failure order: a kill strikes before the
@@ -196,27 +174,24 @@ def _worker_main(
                     time.sleep(stall)
                 if obs is not None:
                     compute_start = time.time_ns()
-                ctx = make_ctx()
+                ctx = ArrayMessageContext()
                 inbox = None
                 if verb == "start":
                     program.on_start(ctx)
-                elif plane == "array":
-                    inbox = endpoint.recv_inbox(header)
-                    program.on_superstep(ctx, superstep, ArrayInbox(inbox))
                 else:
                     inbox = endpoint.recv_inbox(header)
-                    program.on_superstep(ctx, superstep, inbox)
+                    program.on_superstep(ctx, superstep, ArrayInbox(inbox))
                 if obs is not None:
                     pack_start = time.time_ns()
                     obs.trace.record(
-                        "engine.compute", compute_start, plane=plane,
+                        "engine.compute", compute_start, plane=_PLANE,
                         worker=wid, superstep=superstep, end_ns=pack_start,
                     )
-                payload = ctx.finalize() if plane == "array" else ctx.outbox
+                payload = ctx.finalize()
                 if obs is not None:
                     send_start = time.time_ns()
                     obs.trace.record(
-                        "engine.pack", pack_start, plane=plane,
+                        "engine.pack", pack_start, plane=_PLANE,
                         worker=wid, superstep=superstep, end_ns=send_start,
                     )
                 delay = faults.delay_seconds(wid, superstep)
@@ -232,7 +207,7 @@ def _worker_main(
                 endpoint.send_outbox(payload, conn.send)
                 if obs is not None:
                     obs.trace.record(
-                        "engine.transport_send", send_start, plane=plane,
+                        "engine.transport_send", send_start, plane=_PLANE,
                         worker=wid, superstep=superstep,
                     )
                 # Drop the inbox views before the next iteration: shm inbox
@@ -265,7 +240,7 @@ def _worker_main(
                 program.restore(pickle.loads(blob))
                 conn.send((_CTRL, "restored", token))
             elif verb == "reset":
-                program = _build_program(factory, shard, plane)
+                program = factory(shard)
                 conn.send((_CTRL, "reset", command[1]))
             elif verb == "collect":
                 conn.send(program.collect())
@@ -289,7 +264,7 @@ class _Cut:
 
     superstep: int
     blobs: Dict[int, bytes]  # worker_id -> pickled program snapshot
-    outboxes: Dict[int, object]  # worker_id -> owned outbox copy
+    outboxes: Dict[int, ArrayOutbox]  # worker_id -> owned outbox copy
     stats_len: int  # CommStats length at the cut
 
 
@@ -306,11 +281,10 @@ class MultiprocessBSPEngine:
 
     def __init__(
         self,
-        shards: Sequence[WorkerShard],
+        shards: Sequence[CSRShard],
         partitioner: Partitioner,
         factory: ProgramFactory,
         mp_context: Optional[str] = None,
-        plane: str = "tuple",
         transport: Union[str, Transport] = "pipe",
         fault_tolerance: bool = False,
         checkpoint_interval: int = 4,
@@ -323,26 +297,17 @@ class MultiprocessBSPEngine:
                 f"{len(shards)} shards but partitioner has "
                 f"{partitioner.num_partitions} partitions"
             )
-        if plane not in ("tuple", "array"):
-            raise ValueError(f"plane must be 'tuple' or 'array', got {plane!r}")
-        if plane == "array":
-            worker_ids = sorted(shard.worker_id for shard in shards)
-            if worker_ids != list(range(partitioner.num_partitions)):
-                # The columnar barrier addresses inboxes by partition index.
-                raise ValueError(
-                    f"shard worker_ids {worker_ids} must be the partition "
-                    f"indices 0..{partitioner.num_partitions - 1}"
-                )
+        worker_ids = sorted(shard.worker_id for shard in shards)
+        if worker_ids != list(range(partitioner.num_partitions)):
+            # The columnar barrier addresses inboxes by partition index.
+            raise ValueError(
+                f"shard worker_ids {worker_ids} must be the partition "
+                f"indices 0..{partitioner.num_partitions - 1}"
+            )
         if isinstance(transport, str):
             from repro.api.registry import TRANSPORTS
 
             transport = TRANSPORTS.resolve(transport)()
-        if transport.array_only and plane != "array":
-            raise ValueError(
-                f"transport {transport.name!r} moves packed columns and "
-                f"requires plane='array'; the tuple plane runs on "
-                f"transport='pipe' only"
-            )
         if not isinstance(checkpoint_interval, int) or checkpoint_interval < 1:
             raise ValueError(
                 f"checkpoint_interval must be an int >= 1, "
@@ -357,7 +322,6 @@ class MultiprocessBSPEngine:
                 f"fault_plan must be a FaultPlan, got {type(fault_plan).__name__}"
             )
         self.partitioner = partitioner
-        self.plane = plane
         self.recovery = RecoveryStats()
         # The observability context (None = off).  It rides on the stats
         # object like the recovery ledger, so the cluster wrappers and
@@ -372,7 +336,7 @@ class MultiprocessBSPEngine:
         transport.obs = obs
         if obs is not None:
             obs.meta.setdefault("mode", "multiprocess")
-            obs.meta.setdefault("plane", plane)
+            obs.meta.setdefault("plane", _PLANE)
             obs.meta.setdefault("transport", transport.name)
             obs.meta.setdefault("num_workers", len(shards))
         self._fault_tolerance = bool(fault_tolerance)
@@ -393,7 +357,7 @@ class MultiprocessBSPEngine:
         self._checkpoint: Optional[_Cut] = None
         self._superstep = 0
         self._stats_base = 0
-        self._outboxes: Optional[Dict[int, object]] = None
+        self._outboxes: Optional[Dict[int, ArrayOutbox]] = None
         self._ctrl_token = 0
         self._last_max_supersteps = 100_000
         try:
@@ -417,7 +381,6 @@ class MultiprocessBSPEngine:
                 child_conn,
                 shard,
                 self._factory,
-                self.plane,
                 self._transport.worker_endpoint(shard.worker_id),
                 self._fault_plans[index],
                 self.obs is not None,
@@ -462,8 +425,8 @@ class MultiprocessBSPEngine:
                 self._worker_ids[index], process.exitcode, "(pipe truncated)"
             )
 
-    def _recv_outboxes(self) -> Dict[int, object]:
-        outboxes: Dict[int, object] = {}
+    def _recv_outboxes(self) -> Dict[int, ArrayOutbox]:
+        outboxes: Dict[int, ArrayOutbox] = {}
         try:
             for i, wid in enumerate(self._worker_ids):
                 try:
@@ -514,26 +477,6 @@ class MultiprocessBSPEngine:
     # ------------------------------------------------------------------
     # Superstep loop
     # ------------------------------------------------------------------
-    def _route_tuples(
-        self, outboxes: Dict[int, List[Message]], superstep: int
-    ) -> Dict[int, List[tuple]]:
-        step_stats = SuperstepStats(superstep=superstep)
-        inboxes: Dict[int, List[tuple]] = {wid: [] for wid in self._worker_ids}
-        for sender_id, outbox in outboxes.items():
-            for dst_vertex, payload in outbox:
-                owner = self.partitioner.owner(dst_vertex)
-                size = message_size_bytes((dst_vertex, payload))
-                step_stats.messages += 1
-                step_stats.bytes += size
-                if owner != sender_id:
-                    step_stats.remote_messages += 1
-                    step_stats.remote_bytes += size
-                inboxes[owner].append((dst_vertex,) + payload)
-        for inbox in inboxes.values():
-            inbox.sort()
-        self.stats.record(step_stats)
-        return inboxes
-
     def _route_arrays(
         self, outboxes: Dict[int, ArrayOutbox], superstep: int
     ) -> Dict[int, ArrayOutbox]:
@@ -558,7 +501,7 @@ class MultiprocessBSPEngine:
         self._outboxes = self._recv_outboxes()
         if obs is not None:
             obs.trace.record(
-                "engine.barrier_wait", barrier_start, plane=self.plane,
+                "engine.barrier_wait", barrier_start, plane=_PLANE,
                 superstep=0,
             )
         if self._fault_tolerance:
@@ -567,7 +510,6 @@ class MultiprocessBSPEngine:
             self._take_checkpoint()
 
     def _superstep_loop(self, max_supersteps: int) -> None:
-        route = self._route_arrays if self.plane == "array" else self._route_tuples
         obs = self.obs
         while any(self._outboxes.values()):
             superstep = self._superstep + 1
@@ -577,25 +519,25 @@ class MultiprocessBSPEngine:
                 )
             if obs is not None:
                 route_start = time.time_ns()
-            inboxes = route(self._outboxes, superstep)
+            inboxes = self._route_arrays(self._outboxes, superstep)
             self._superstep = superstep
             if obs is not None:
                 send_start = time.time_ns()
                 obs.trace.record(
-                    "engine.route", route_start, plane=self.plane,
+                    "engine.route", route_start, plane=_PLANE,
                     superstep=superstep, end_ns=send_start,
                 )
             self._send_inboxes(inboxes, superstep)
             if obs is not None:
                 barrier_start = time.time_ns()
                 obs.trace.record(
-                    "engine.transport_send", send_start, plane=self.plane,
+                    "engine.transport_send", send_start, plane=_PLANE,
                     superstep=superstep, end_ns=barrier_start,
                 )
             self._outboxes = self._recv_outboxes()
             if obs is not None:
                 obs.trace.record(
-                    "engine.barrier_wait", barrier_start, plane=self.plane,
+                    "engine.barrier_wait", barrier_start, plane=_PLANE,
                     superstep=superstep,
                 )
             if (
@@ -654,15 +596,13 @@ class MultiprocessBSPEngine:
     def _materialize_outboxes(self, outboxes):
         """Owned copies of the current outboxes (shm columns are views
         into ring slots that are rewritten two supersteps later)."""
-        if self.plane == "array":
-            return {
-                wid: {
-                    kind: tuple(np.array(col) for col in cols)
-                    for kind, cols in outbox.items()
-                }
-                for wid, outbox in outboxes.items()
+        return {
+            wid: {
+                kind: tuple(np.array(col) for col in cols)
+                for kind, cols in outbox.items()
             }
-        return {wid: list(outbox) for wid, outbox in outboxes.items()}
+            for wid, outbox in outboxes.items()
+        }
 
     def _fetch_worker_traces(self) -> None:
         """Ship-and-merge every worker's spans and metrics (trace verb).
@@ -740,7 +680,7 @@ class MultiprocessBSPEngine:
         self.recovery.checkpoints_taken += 1
         if obs is not None:
             obs.trace.record(
-                "engine.checkpoint", checkpoint_start, plane=self.plane,
+                "engine.checkpoint", checkpoint_start, plane=_PLANE,
                 superstep=self._superstep,
             )
 
@@ -795,7 +735,7 @@ class MultiprocessBSPEngine:
             self.stats.truncate(cut.stats_len)
         if obs is not None:
             obs.trace.record(
-                "engine.restore", restore_start, plane=self.plane,
+                "engine.restore", restore_start, plane=_PLANE,
                 superstep=self._superstep,
             )
 
@@ -848,7 +788,7 @@ class MultiprocessBSPEngine:
         self._transport.attach(wid, self._processes[index])
         if obs is not None:
             obs.trace.record(
-                "engine.respawn", respawn_start, plane=self.plane,
+                "engine.respawn", respawn_start, plane=_PLANE,
                 worker=wid, superstep=self._superstep,
             )
         logger.info("respawned worker %d (%s)", wid, self._shards[index].describe())

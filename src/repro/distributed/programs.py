@@ -1,168 +1,29 @@
-"""Distributed vertex programs: Algorithms 1 and 2 over the BSP engine.
+"""Algorithm 2 over workers: Correction Propagation on the columnar engine.
 
-Three programs, all bit-compatible with their sequential counterparts (the
-test suite asserts exact state equality):
-
-* :class:`RSLPAPropagationProgram` — Algorithm 1's fetch protocol.  Each
-  iteration is two supersteps: every vertex sends one ``(src, pos)`` request
-  and receives one label back, so the per-iteration message volume is
-  ``2·|V|`` — the paper's ``O(|V|)`` communication claim (Section III-A).
-* :class:`SLPAPropagationProgram` — the baseline's push protocol: one spoken
-  label per *directed edge* per iteration, ``2·|E|`` messages — the
-  ``O(|E|)`` cost rSLPA improves on.
-* :class:`CorrectionPropagationProgram` — Algorithm 2: repick requests,
-  record maintenance (register/unregister), label fetches and correction
-  cascades, quiescing when every buffer drains (message volume ``O(η)``).
+:class:`CorrectionPropagationProgram` repairs the label state after an
+edit batch with repick requests, record maintenance (register/unregister),
+label fetches and correction cascades, quiescing when every buffer drains
+(message volume ``O(η)``).  The cascade is sparse, so the program keeps
+per-vertex dict state and sends one row at a time; its inbox is read one
+message kind at a time in :attr:`~CorrectionPropagationProgram.KIND_ORDER`.
+The static propagation programs (Algorithm 1 and the SLPA baseline) live
+in :mod:`repro.distributed.programs_array`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.baselines.slpa import _SEND, _TIE
 from repro.core.incremental import keep_lottery_uniform, repick_draw
 from repro.core.labels import NO_SOURCE
-from repro.core.randomness import draw_position, draw_src_index, slot_hash
-from repro.distributed.engine import MessageContext, WorkerProgram
-from repro.distributed.worker import WorkerShard
+from repro.distributed.engine_array import ArrayWorkerProgram
+from repro.distributed.message_array import ArrayInbox, ArrayMessageContext
+from repro.distributed.worker import CSRShard
 
-__all__ = [
-    "RSLPAPropagationProgram",
-    "SLPAPropagationProgram",
-    "CorrectionPropagationProgram",
-]
+__all__ = ["CorrectionPropagationProgram"]
 
 
-class RSLPAPropagationProgram(WorkerProgram):
-    """Algorithm 1 as mappers/reducers (fetch protocol).
-
-    Message kinds:
-      ``(dst, "req", pos, requester, t)`` — requester asks dst for l_dst^pos;
-      ``(dst, "lab", label, src, pos, t)`` — the reply, appended at dst.
-    """
-
-    def __init__(self, shard: WorkerShard, seed: int, iterations: int):
-        super().__init__(shard)
-        self.seed = seed
-        self.iterations = iterations
-        self.labels: Dict[int, List[int]] = {v: [v] for v in shard.vertices}
-        self.srcs: Dict[int, List[int]] = {v: [NO_SOURCE] for v in shard.vertices}
-        self.poss: Dict[int, List[int]] = {v: [NO_SOURCE] for v in shard.vertices}
-
-    def _send_requests(self, ctx: MessageContext, t: int) -> None:
-        for v in sorted(self.shard.vertices):
-            nbrs = self.shard.neighbors(v)
-            if len(nbrs) == 0:
-                continue  # fallback slots are padded at collect()
-            h = slot_hash(self.seed, v, t, 0)
-            # int() keeps hashes and messages identical on the CSR backend,
-            # whose neighbour sequences are numpy arrays.
-            src = int(nbrs[draw_src_index(h, len(nbrs))])
-            pos = draw_position(h, t)
-            ctx.send(src, ("req", pos, v, t))
-
-    def on_start(self, ctx: MessageContext) -> None:
-        if self.iterations >= 1:
-            self._send_requests(ctx, 1)
-
-    def on_superstep(
-        self, ctx: MessageContext, superstep: int, inbox: Sequence[tuple]
-    ) -> None:
-        advanced_t: Optional[int] = None
-        for message in inbox:
-            kind = message[1]
-            if kind == "lab":
-                dst, _kind, label, src, pos, t = message
-                self.labels[dst].append(label)
-                self.srcs[dst].append(src)
-                self.poss[dst].append(pos)
-                advanced_t = t
-            elif kind == "req":
-                dst, _kind, pos, requester, t = message
-                ctx.send(requester, ("lab", self.labels[dst][pos], dst, pos, t))
-            else:  # pragma: no cover - protocol violation
-                raise ValueError(f"unknown message kind {kind!r}")
-        if advanced_t is not None and advanced_t < self.iterations:
-            self._send_requests(ctx, advanced_t + 1)
-
-    def collect(self) -> dict:
-        """Per-vertex (labels, srcs, poss), degree-0 vertices padded."""
-        result = {}
-        for v in self.shard.vertices:
-            labels, srcs, poss = self.labels[v], self.srcs[v], self.poss[v]
-            while len(labels) < self.iterations + 1:  # degree-0 fallback
-                labels.append(labels[0])
-                srcs.append(NO_SOURCE)
-                poss.append(NO_SOURCE)
-            result[v] = (labels, srcs, poss)
-        return result
-
-
-class SLPAPropagationProgram(WorkerProgram):
-    """The SLPA baseline's push protocol (one label per directed edge).
-
-    Message kind: ``(listener, "spk", label, t)``.  Speaker draws and the
-    plurality tie-break reuse the exact counter-based hashes of
-    :class:`repro.baselines.slpa.SLPA`, so memories match bit-for-bit.
-    """
-
-    def __init__(self, shard: WorkerShard, seed: int, iterations: int):
-        super().__init__(shard)
-        self.seed = seed
-        self.iterations = iterations
-        self.memories: Dict[int, List[int]] = {v: [v] for v in shard.vertices}
-
-    def _speak(self, ctx: MessageContext, t: int) -> None:
-        for speaker in sorted(self.shard.vertices):
-            memory = self.memories[speaker]
-            for listener in self.shard.neighbors(speaker):
-                listener = int(listener)  # CSR backend yields numpy ints
-                h = slot_hash(
-                    self.seed ^ _SEND, speaker * 0x1F1F1F1F + listener, t, 0
-                )
-                pos = draw_position(h, t)
-                ctx.send(listener, ("spk", memory[pos], t))
-
-    def on_start(self, ctx: MessageContext) -> None:
-        if self.iterations >= 1:
-            self._speak(ctx, 1)
-
-    def on_superstep(
-        self, ctx: MessageContext, superstep: int, inbox: Sequence[tuple]
-    ) -> None:
-        if not inbox:
-            return
-        received: Dict[int, List[int]] = {}
-        t = inbox[0][3]
-        for listener, _kind, label, msg_t in inbox:
-            if msg_t != t:  # pragma: no cover - protocol violation
-                raise ValueError("mixed-iteration SLPA inbox")
-            received.setdefault(listener, []).append(label)
-        for listener, labels in received.items():
-            counts = Counter(labels)
-            best = max(counts.values())
-            winners = sorted(l for l, c in counts.items() if c == best)
-            if len(winners) == 1:
-                choice = winners[0]
-            else:
-                h = slot_hash(self.seed ^ _TIE, listener, t, 0)
-                choice = winners[draw_src_index(h, len(winners))]
-            self.memories[listener].append(choice)
-        if t < self.iterations:
-            self._speak(ctx, t + 1)
-
-    def collect(self) -> dict:
-        result = {}
-        for v in self.shard.vertices:
-            memory = self.memories[v]
-            while len(memory) < self.iterations + 1:  # degree-0 fallback
-                memory.append(memory[0])
-            result[v] = memory
-        return result
-
-
-class CorrectionPropagationProgram(WorkerProgram):
+class CorrectionPropagationProgram(ArrayWorkerProgram):
     """Algorithm 2 over workers: incremental repair after an edit batch.
 
     The shard's adjacency must reflect the *new* graph.  Each worker holds
@@ -191,7 +52,7 @@ class CorrectionPropagationProgram(WorkerProgram):
 
     def __init__(
         self,
-        shard: WorkerShard,
+        shard: CSRShard,
         seed: int,
         iterations: int,
         labels: Dict[int, List[int]],
@@ -221,7 +82,7 @@ class CorrectionPropagationProgram(WorkerProgram):
         self.last_seen: Dict[Tuple[int, int], int] = {}
 
     # -- classification (local part of Algorithm 2 lines 1-7) -------------
-    def on_start(self, ctx: MessageContext) -> None:
+    def on_start(self, ctx: ArrayMessageContext) -> None:
         for v in sorted(set(self.added) | set(self.removed)):
             if not self.shard.owns(v):
                 continue
@@ -246,7 +107,7 @@ class CorrectionPropagationProgram(WorkerProgram):
                     self._repick(ctx, v, t, tuple(sorted(added_here)))
 
     def _repick(
-        self, ctx: MessageContext, v: int, t: int, candidates: Sequence[int]
+        self, ctx: ArrayMessageContext, v: int, t: int, candidates: Sequence[int]
     ) -> None:
         old_src, old_pos = self.srcs[v][t], self.poss[v][t]
         if old_src != NO_SOURCE:
@@ -297,7 +158,7 @@ class CorrectionPropagationProgram(WorkerProgram):
     # -- value updates -----------------------------------------------------
     def _install_value(
         self,
-        ctx: MessageContext,
+        ctx: ArrayMessageContext,
         v: int,
         t: int,
         label: int,
@@ -318,7 +179,7 @@ class CorrectionPropagationProgram(WorkerProgram):
         self.touched_slots.add((v, t))
         self._broadcast_correction(ctx, v, t)
 
-    def _broadcast_correction(self, ctx: MessageContext, v: int, t: int) -> None:
+    def _broadcast_correction(self, ctx: ArrayMessageContext, v: int, t: int) -> None:
         label = self.labels[v][t]
         version = self.versions.get((v, t), 0)
         for tar, k in sorted(self.receivers[v].get(t, ())):
@@ -330,35 +191,39 @@ class CorrectionPropagationProgram(WorkerProgram):
                 ctx.send(tar, ("corr", label, k, v, t, version))
 
     # -- superstep dispatch --------------------------------------------------
-    _ORDER = {"unreg": 0, "fval": 1, "corr": 2, "fetch": 3}
+    #: Inbox kinds in dispatch order: detach stale records, apply fetch
+    #: replies, then cascade corrections, and serve new fetches last.
+    #: Within a kind, rows arrive ``(dst, fields...)``-sorted.
+    KIND_ORDER = ("unreg", "fval", "corr", "fetch")
 
     def on_superstep(
-        self, ctx: MessageContext, superstep: int, inbox: Sequence[tuple]
+        self, ctx: ArrayMessageContext, superstep: int, inbox: ArrayInbox
     ) -> None:
-        for message in sorted(inbox, key=lambda m: (self._ORDER[m[1]], m)):
-            kind = message[1]
+        for kind in self.KIND_ORDER:
+            columns = inbox.columns(kind)
+            if columns is None:
+                continue
+            rows = zip(*(col.tolist() for col in columns))
             if kind == "unreg":
-                dst, _kind, pos, tar, k = message
-                self._do_unregister(dst, pos, tar, k)
-            elif kind in ("fval", "corr"):
-                dst, _kind, label, k, src, pos, version = message
-                self._install_value(ctx, dst, k, label, src, pos, version)
+                for dst, pos, tar, k in rows:
+                    self._do_unregister(dst, pos, tar, k)
             elif kind == "fetch":
-                dst, _kind, pos, tar, k = message
-                self._do_register(dst, pos, tar, k)
-                ctx.send(
-                    tar,
-                    (
-                        "fval",
-                        self.labels[dst][pos],
-                        k,
-                        dst,
-                        pos,
-                        self.versions.get((dst, pos), 0),
-                    ),
-                )
-            else:  # pragma: no cover - protocol violation
-                raise ValueError(f"unknown message kind {kind!r}")
+                for dst, pos, tar, k in rows:
+                    self._do_register(dst, pos, tar, k)
+                    ctx.send(
+                        tar,
+                        (
+                            "fval",
+                            self.labels[dst][pos],
+                            k,
+                            dst,
+                            pos,
+                            self.versions.get((dst, pos), 0),
+                        ),
+                    )
+            else:
+                for dst, label, k, src, pos, version in rows:
+                    self._install_value(ctx, dst, k, label, src, pos, version)
 
     def collect(self) -> dict:
         return {

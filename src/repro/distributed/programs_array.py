@@ -1,19 +1,23 @@
-"""Array-native distributed programs: Algorithms 1 and SLPA over columns.
+"""Distributed propagation programs: Algorithm 1 and SLPA over columns.
 
-The columnar counterparts of
-:class:`~repro.distributed.programs.RSLPAPropagationProgram` and
-:class:`~repro.distributed.programs.SLPAPropagationProgram`: per-vertex
-state lives in ``(T+1, n_local)`` int64 matrices, the shard's adjacency is
-consumed as a local CSR pair, and every superstep is a handful of
-broadcast hash-kernel calls (:func:`slot_hash_array` et al.) over whole
-inbox columns instead of a Python loop per message.
+* :class:`FastRSLPAPropagationProgram` — Algorithm 1's fetch protocol.
+  Each iteration is two supersteps: every vertex sends one ``(src, pos)``
+  request and receives one label back, so the per-iteration message
+  volume is ``2·|V|`` — the paper's ``O(|V|)`` communication claim
+  (Section III-A).
+* :class:`FastSLPAPropagationProgram` — the baseline's push protocol: one
+  spoken label per *directed edge* per iteration, ``2·|E|`` messages —
+  the ``O(|E|)`` cost rSLPA improves on.
 
-Both programs are **bit-identical** to their tuple-plane counterparts —
-same messages (so the engine's CommStats agree counter for counter), same
-collected results — because every random draw comes from the same
-counter-based slot hash over the same ascending neighbour sequences; the
-test suite asserts the equivalence across seeds, partitioners and shard
-backends.
+Per-vertex state lives in ``(T+1, n_local)`` int64 matrices, the shard's
+adjacency is consumed as its local CSR pair, and every superstep is a
+handful of broadcast hash-kernel calls (:func:`slot_hash_array` et al.)
+over whole inbox columns instead of a Python loop per message.  Both
+programs are **bit-identical** to their sequential counterparts, because
+every random draw comes from the same counter-based slot hash over the
+same ascending neighbour sequences; the test suite asserts the
+equivalence across seeds and partitioners, and pins the messages and
+per-superstep counters against a tuple-message oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.core.randomness import (
 )
 from repro.distributed.engine_array import ArrayWorkerProgram
 from repro.distributed.message_array import ArrayInbox, ArrayMessageContext
-from repro.distributed.worker import CSRShard, WorkerShard
+from repro.distributed.worker import CSRShard
 
 __all__ = [
     "FastRSLPAPropagationProgram",
@@ -43,35 +47,21 @@ __all__ = [
 
 
 def shard_local_csr(
-    shard: WorkerShard,
+    shard: CSRShard,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shard's adjacency as ``(local_ids, indptr, indices)`` arrays.
 
     ``local_ids`` is ascending (so destination rows resolve with one
     ``searchsorted``); row ``r`` of the CSR pair is the ascending global-id
-    neighbour list of ``local_ids[r]``.  A :class:`CSRShard` already *is*
-    this — its arrays are returned as-is; the dict backend is converted
-    once at program construction.
+    neighbour list of ``local_ids[r]``.
     """
-    if isinstance(shard, CSRShard):
-        return shard.local_ids, shard.indptr, shard.indices
-    ids = sorted(shard.vertices)
-    lengths = np.fromiter(
-        (len(shard.adjacency[v]) for v in ids), dtype=np.int64, count=len(ids)
-    )
-    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    total = int(indptr[-1])
-    indices = np.fromiter(
-        (u for v in ids for u in shard.adjacency[v]), dtype=np.int64, count=total
-    )
-    return np.asarray(ids, dtype=np.int64), indptr, indices
+    return shard.local_ids, shard.indptr, shard.indices
 
 
 class _LocalStateProgram(ArrayWorkerProgram):
     """Shared shard-local CSR plumbing for the array programs."""
 
-    def __init__(self, shard: WorkerShard, seed: int, iterations: int):
+    def __init__(self, shard: CSRShard, seed: int, iterations: int):
         super().__init__(shard)
         self.seed = seed
         self.iterations = iterations
@@ -83,9 +73,9 @@ class _LocalStateProgram(ArrayWorkerProgram):
         """Local matrix columns of the (owned) global ids in ``dst``.
 
         Fails loudly on a destination this shard does not own (a partitioner
-        whose assignment disagrees with how the shards were built), like the
-        tuple programs' ``KeyError`` — a bare searchsorted would silently
-        scatter into a neighbouring vertex's column instead.
+        whose assignment disagrees with how the shards were built) — a bare
+        searchsorted would silently scatter into a neighbouring vertex's
+        column instead.
         """
         rows = np.searchsorted(self.local_ids, dst)
         owned = rows < self.n_local
@@ -101,14 +91,14 @@ class _LocalStateProgram(ArrayWorkerProgram):
 class FastRSLPAPropagationProgram(_LocalStateProgram):
     """Algorithm 1's fetch protocol, one column batch per superstep.
 
-    Same two-superstep iteration and message kinds as the tuple program
-    (``req``/``lab``); labels, sources and positions live in
+    Two supersteps per iteration, message kinds ``req``/``lab``; labels,
+    sources and positions live in
     ``(T+1, n_local)`` matrices pre-filled with the degree-0 fallback
     (own label, ``NO_SOURCE`` provenance), so the per-iteration scatter of
     received labels is the only state write.
     """
 
-    def __init__(self, shard: WorkerShard, seed: int, iterations: int):
+    def __init__(self, shard: CSRShard, seed: int, iterations: int):
         super().__init__(shard, seed, iterations)
         shape = (iterations + 1, self.n_local)
         self.labels = np.tile(self.local_ids, (iterations + 1, 1))
@@ -161,7 +151,7 @@ class FastRSLPAPropagationProgram(_LocalStateProgram):
             self._send_requests(ctx, advanced_t + 1)
 
     def collect(self) -> dict:
-        """Per-vertex (labels, srcs, poss) — the tuple program's format."""
+        """Per-vertex ``(labels, srcs, poss)`` lists, keyed by vertex id."""
         label_seqs = self.labels.T.tolist()
         src_seqs = self.srcs.T.tolist()
         pos_seqs = self.poss.T.tolist()
@@ -174,13 +164,13 @@ class FastRSLPAPropagationProgram(_LocalStateProgram):
 class FastSLPAPropagationProgram(_LocalStateProgram):
     """The SLPA push protocol over columns: one ``spk`` row per directed edge.
 
-    Speaker draws reuse the reference program's composite edge key; the
-    per-listener plurality + tie-break is the
+    Speaker draws reuse :class:`repro.baselines.slpa.SLPA`'s composite edge
+    key; the per-listener plurality + tie-break is the
     :class:`~repro.baselines.slpa_fast.FastSLPA` lexsort construction run
     on the inbox columns of one worker.
     """
 
-    def __init__(self, shard: WorkerShard, seed: int, iterations: int):
+    def __init__(self, shard: CSRShard, seed: int, iterations: int):
         super().__init__(shard, seed, iterations)
         self.memory = np.tile(self.local_ids, (iterations + 1, 1))
         # One row per directed local edge: speaker row r repeats degree[r]
@@ -280,7 +270,7 @@ class FastSLPAPropagationProgram(_LocalStateProgram):
         return winner_row[picked], winner_label[picked]
 
     def collect(self) -> Dict[int, list]:
-        """Per-vertex memory sequences — the tuple program's format."""
+        """Per-vertex memory sequences, keyed by vertex id."""
         memory_seqs = self.memory.T.tolist()
         return {
             v: memory_seqs[r] for r, v in enumerate(self.local_ids.tolist())

@@ -14,7 +14,7 @@ CSR-backed worker shards are built.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -162,21 +162,26 @@ def _gather_rows(
 
 
 def slice_csr(
-    csr: "CSRGraph", partitioner: Partitioner
+    csr: "CSRGraph", partitioner: Partitioner, ids: Optional[np.ndarray] = None
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Slice a CSR snapshot into per-worker CSR shard arrays.
 
     Returns one ``(local_ids, indptr, indices)`` triple per partition:
     ``local_ids`` holds the owned vertex ids ascending, and row ``r`` of the
     local CSR pair is the (global-id) neighbour list of ``local_ids[r]``.
-    Pure array ops — the snapshot is never converted back to a dict graph.
+    ``ids`` (ascending) names the vertex of each snapshot row when the
+    graph's own ids are not ``0..n-1``; ownership and the returned arrays
+    use those names.  Pure array ops — the snapshot is never converted
+    back to a dict graph.
     """
-    owners = partitioner.owner_array(
-        np.arange(csr.num_vertices, dtype=np.int64)
-    )
+    rows = np.arange(csr.num_vertices, dtype=np.int64)
+    owners = partitioner.owner_array(rows if ids is None else ids)
     shards = []
     for p in range(partitioner.num_partitions):
-        local_ids = np.flatnonzero(owners == p).astype(np.int64)
-        local_indptr, local_indices = _gather_rows(csr.indptr, csr.indices, local_ids)
-        shards.append((local_ids, local_indptr, local_indices))
+        local_rows = rows[owners == p]
+        local_indptr, local_indices = _gather_rows(csr.indptr, csr.indices, local_rows)
+        if ids is None:
+            shards.append((local_rows, local_indptr, local_indices))
+        else:
+            shards.append((ids[local_rows], local_indptr, ids[local_indices]))
     return shards

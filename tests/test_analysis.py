@@ -316,14 +316,6 @@ class TestResourceDisciplineRule:
 # RPL004 — API hygiene
 # ----------------------------------------------------------------------
 class TestApiHygieneRule:
-    def test_deprecated_engine_kwarg_flagged(self):
-        src = """
-            from repro.core.detector import RSLPADetector
-            def fit(graph):
-                return RSLPADetector(graph, engine="fast").fit()
-        """
-        assert rules_of(src, SERVICE) == ["RPL004"]
-
     def test_backend_kwarg_clean(self):
         src = """
             from repro.core.detector import RSLPADetector
@@ -333,8 +325,8 @@ class TestApiHygieneRule:
         assert rules_of(src, SERVICE) == []
 
     def test_execution_config_engine_axis_not_confused(self):
-        # ExecutionConfig(engine=...) is the *message plane* axis, a
-        # different, non-deprecated parameter; it must not be flagged.
+        # ExecutionConfig(engine="array") is an accepted spelling of the
+        # one message plane; RPL004 must not flag it.
         src = """
             from repro.api.config import ExecutionConfig
             def plan():

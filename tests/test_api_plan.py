@@ -2,14 +2,15 @@
 
 Three contracts are pinned here:
 
-1. **Matrix equivalence** — ``resolve_plan`` makes exactly the choices the
-   old scattered resolvers (``detector._resolve_use_fast``,
-   ``cluster._resolve_engine``, ``cluster._build_backend_shards``,
-   ``fit_distributed``'s state-format pick) made, for every
-   (backend × engine × shard_backend × contiguity × multiprocess) cell.
-2. **Shim round-trips** — every pre-existing public keyword still works,
-   maps onto the same ``RunPlan``, warns where deprecated, and produces
-   bit-identical covers per seed.
+1. **Matrix equivalence** — ``resolve_plan`` makes exactly the backend and
+   state-format choices the old scattered resolvers
+   (``detector._resolve_use_fast``, ``fit_distributed``'s state-format
+   pick) made, for every (backend × engine × shard_backend × contiguity ×
+   multiprocess) cell; the spellings of the removed tuple plane and dict
+   shards fail at config time, and no cell records an ``engine`` or
+   ``shard_backend`` decision.
+2. **Shim round-trips** — every public keyword still works, maps onto the
+   same ``RunPlan``, and produces bit-identical covers per seed.
 3. **Registry** — components resolve by name, plugins register uniformly,
    collisions and unknown names fail loudly.
 """
@@ -32,6 +33,7 @@ from repro.api import (
     update,
 )
 from repro.core.detector import RSLPADetector
+from repro.distributed.worker import CSRShard, build_csr_shards
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import ContiguousPartitioner, HashPartitioner
@@ -39,31 +41,24 @@ from repro.graph.partition import ContiguousPartitioner, HashPartitioner
 ITERATIONS = 25
 
 
-def oracle(backend, engine, shard_backend, contiguous, is_csr=False):
-    """The pre-PR-5 scattered resolvers, replicated verbatim.
+def oracle(backend, contiguous):
+    """The old scattered backend and state-format resolvers, replicated.
 
-    Returns (use_fast, shard_backend, engine, state_format) or raises
-    ValueError exactly where the old code paths did.
+    Returns (use_fast, state_format) or raises ValueError exactly where the
+    old code paths did.
     """
     # detector._resolve_use_fast
     if backend == "fast" and not contiguous:
         raise ValueError("contiguous")
     use_fast = backend == "fast" or (backend == "auto" and contiguous)
-    # cluster._build_backend_shards (a CSRGraph input always took CSR)
-    sb = shard_backend
-    if sb == "auto":
-        sb = "csr" if (contiguous or is_csr) else "dict"
-    if is_csr:
-        sb = "csr"
-    if sb == "csr" and not (contiguous or is_csr):
-        raise ValueError("contiguous")
-    # cluster._resolve_engine (auto prefers the columnar plane on CSR shards)
-    eng = engine
-    if eng == "auto":
-        eng = "array" if sb == "csr" else "reference"
     # detector.fit_distributed's state-format pick
     sf = "array" if use_fast else "dict"
-    return use_fast, sb, eng, sf
+    return use_fast, sf
+
+
+def substrate_decisions(plan):
+    """Plan decisions about the message plane or the shard layout."""
+    return {d.field for d in plan.decisions} & {"engine", "shard_backend"}
 
 
 class TestResolutionMatrix:
@@ -85,17 +80,20 @@ class TestResolutionMatrix:
         caps = GraphCaps(
             num_vertices=10, num_edges=20, contiguous_ids=contiguous
         )
-        config = ExecutionConfig(
+        kwargs = dict(
             backend=backend,
             num_workers=3,
             engine=engine,
             shard_backend=shard_backend,
             multiprocess=multiprocess,
         )
+        if engine == "reference" or shard_backend == "dict":
+            with pytest.raises(ValueError, match="was removed"):
+                ExecutionConfig(**kwargs)
+            return
+        config = ExecutionConfig(**kwargs)
         try:
-            use_fast, sb, eng, sf = oracle(
-                backend, engine, shard_backend, contiguous
-            )
+            use_fast, sf = oracle(backend, contiguous)
         except ValueError:
             with pytest.raises(ValueError, match="contiguous"):
                 resolve_plan(caps, config)
@@ -103,29 +101,27 @@ class TestResolutionMatrix:
         plan = resolve_plan(caps, config)
         assert plan.use_fast == use_fast
         assert plan.backend == ("fast" if use_fast else "reference")
-        assert plan.shard_backend == sb
-        assert plan.engine == eng
         assert plan.state_format == sf
         assert plan.multiprocess == multiprocess
+        assert plan.transport == ("shm" if multiprocess else None)
         assert plan.mode == "distributed"
+        assert not substrate_decisions(plan)
 
     def test_local_plan_has_no_distributed_axes(self):
         caps = GraphCaps(num_vertices=4, num_edges=3, contiguous_ids=True)
         plan = resolve_plan(caps, ExecutionConfig())
         assert plan.mode == "local"
-        assert plan.engine is None
-        assert plan.shard_backend is None
         assert plan.state_format is None
+        assert plan.partitioner is None
+        assert plan.transport is None
 
-    def test_csr_input_always_takes_csr_slicer(self):
-        caps = GraphCaps(
-            num_vertices=4, num_edges=3, contiguous_ids=True, is_csr=True
-        )
-        plan = resolve_plan(
-            caps, ExecutionConfig(num_workers=2, shard_backend="dict")
-        )
-        assert plan.shard_backend == "csr"
-        assert "CSRGraph" in plan.explain()
+    def test_csr_input_always_takes_csr_slicer(self, cliques_ring):
+        csr = CSRGraph.from_graph(cliques_ring)
+        plan = plan_for(csr, ExecutionConfig(num_workers=2, shard_backend="csr"))
+        assert plan.mode == "distributed"
+        assert not substrate_decisions(plan)
+        shards = build_csr_shards(csr, plan.build_partitioner())
+        assert all(isinstance(shard, CSRShard) for shard in shards)
 
     def test_explicit_array_state_format_needs_contiguous_ids(self):
         caps = GraphCaps(num_vertices=4, num_edges=3, contiguous_ids=False)
@@ -135,7 +131,6 @@ class TestResolutionMatrix:
                 ExecutionConfig(
                     backend="reference",
                     num_workers=2,
-                    shard_backend="dict",
                     state_format="array",
                 ),
             )
@@ -165,22 +160,10 @@ class TestResolutionMatrix:
         assert not GraphCaps.of(Graph.from_edges([(10, 20)])).contiguous_ids
         assert GraphCaps.of(Graph()).contiguous_ids  # empty graph is trivial
         csr = CSRGraph.from_graph(Graph.from_edges([(0, 1)]))
-        caps = GraphCaps.of(csr)
-        assert caps.is_csr and caps.contiguous_ids
+        assert GraphCaps.of(csr).contiguous_ids
 
 
 class TestDeprecationShims:
-    def test_detector_engine_alias_round_trip(self, cliques_ring):
-        with pytest.warns(DeprecationWarning, match="deprecated alias"):
-            legacy = RSLPADetector(
-                cliques_ring, seed=3, iterations=ITERATIONS, engine="fast"
-            )
-        modern = RSLPADetector(
-            cliques_ring, seed=3, iterations=ITERATIONS, backend="fast"
-        )
-        assert legacy.plan() == modern.plan()
-        assert legacy.fit().communities() == modern.fit().communities()
-
     def test_detector_kwargs_and_configs_resolve_same_plan(self, cliques_ring):
         by_kwargs = RSLPADetector(
             cliques_ring, seed=3, iterations=ITERATIONS, backend="reference"
@@ -209,8 +192,6 @@ class TestDeprecationShims:
             seed=5,
             iterations=ITERATIONS,
             num_workers=3,
-            shard_backend="csr",
-            engine="array",
         )
         by_config, stats_c = run_distributed_rslpa(
             cliques_ring,
@@ -460,21 +441,6 @@ class TestRegistry:
         finally:
             PARTITIONERS._entries.pop(name, None)
 
-    def test_plugin_engine_name_passes_config_validation(self, cliques_ring):
-        from repro.api import ENGINES
-
-        name = "test-plugin-plane"
-        ENGINES.register(name, lambda shards, part: None)
-        try:
-            plan = plan_for(
-                cliques_ring, ExecutionConfig(num_workers=2, engine=name)
-            )
-            assert plan.engine == name  # explicit names pass through
-        finally:
-            ENGINES._entries.pop(name, None)
-        with pytest.raises(ValueError, match="engine"):
-            ExecutionConfig(engine=name)  # gone from the registry again
-
     def test_unknown_partitioner_rejected_at_plan_time(self, cliques_ring):
         with pytest.raises(ValueError, match="unknown partitioner"):
             plan_for(
@@ -533,14 +499,14 @@ class TestPlanCLI:
         write_edge_list(cliques_ring, path)
         out = io.StringIO()
         code = main(
-            ["plan", path, "--distributed", "4", "--shard-backend", "dict"],
+            ["plan", path, "--distributed", "4", "--partitioner", "range"],
             out=out,
         )
         assert code == 0
         text = out.getvalue()
         assert "execution plan:" in text
-        assert "shard_backend" in text and "explicitly requested" in text
-        assert "engine" in text
+        assert "partitioner" in text and "partitioner registry" in text
+        assert "engine" not in text and "shard_backend" not in text
 
     def test_plan_subcommand_local(self, tmp_path, cliques_ring):
         import io
@@ -564,23 +530,10 @@ class TestTransportResolution:
         plan = resolve_plan(
             self.CAPS, ExecutionConfig(num_workers=4, multiprocess=True)
         )
-        assert plan.engine == "array"
         assert plan.transport == "shm"
         assert any(
             d.field == "transport" and d.value == "shm" for d in plan.decisions
         )
-
-    def test_auto_falls_back_to_pipe_on_tuple_plane(self):
-        plan = resolve_plan(
-            self.CAPS,
-            ExecutionConfig(
-                num_workers=4,
-                multiprocess=True,
-                engine="reference",
-                shard_backend="dict",
-            ),
-        )
-        assert plan.transport == "pipe"
 
     def test_no_transport_without_multiprocess(self):
         assert resolve_plan(
@@ -597,17 +550,20 @@ class TestTransportResolution:
         assert "transport=tcp" in plan.summary()
 
     def test_column_transport_requires_array_plane(self):
-        with pytest.raises(ValueError, match="engine='array'"):
-            resolve_plan(
-                self.CAPS,
-                ExecutionConfig(
-                    num_workers=4,
-                    multiprocess=True,
-                    engine="reference",
-                    shard_backend="dict",
-                    transport="shm",
-                ),
+        """shm/tcp carry message columns; only the columnar plane exists."""
+        with pytest.raises(ValueError, match="tuple message plane"):
+            ExecutionConfig(
+                num_workers=4, multiprocess=True, engine="reference",
+                transport="shm",
             )
+        plan = resolve_plan(
+            self.CAPS,
+            ExecutionConfig(
+                num_workers=4, multiprocess=True, engine="array",
+                transport="tcp",
+            ),
+        )
+        assert plan.transport == "tcp"
 
     def test_explicit_transport_requires_multiprocess(self):
         with pytest.raises(ValueError, match="multiprocess=True"):
@@ -631,10 +587,45 @@ class TestTransportResolution:
             ),
         )
         memories_ref, stats_ref = run_distributed_slpa(
-            cliques_ring, seed=3, iterations=8, num_workers=2, engine="array"
+            cliques_ring, seed=3, iterations=8, num_workers=2
         )
         assert memories_shm == memories_ref
         assert stats_shm.per_superstep == stats_ref.per_superstep
+
+
+class TestRemovedSubstrateAxes:
+    """One message plane and one shard layout: nothing left to choose."""
+
+    CONTIGUOUS = GraphCaps(num_vertices=60, num_edges=200, contiguous_ids=True)
+    GAPPY = GraphCaps(num_vertices=60, num_edges=200, contiguous_ids=False)
+
+    def test_removed_spellings_raise_naming_what_was_removed(self):
+        with pytest.raises(ValueError, match="tuple message plane.*removed"):
+            ExecutionConfig(engine="reference")
+        with pytest.raises(ValueError, match="dict worker shards.*removed"):
+            ExecutionConfig(shard_backend="dict")
+
+    def test_dist_fit_spelling_still_resolves(self):
+        config = ExecutionConfig(
+            num_workers=2, multiprocess=True, transport="shm", engine="array",
+            shard_backend="csr", state_format="array",
+        )
+        plan = resolve_plan(self.CONTIGUOUS, config)
+        assert plan.transport == "shm" and plan.state_format == "array"
+        assert not substrate_decisions(plan)
+        assert "engine" not in plan.explain()
+        assert "shard_backend" not in plan.explain()
+
+    @pytest.mark.parametrize("backend", ["auto", "reference"])
+    def test_auto_transport_is_shm_for_every_multiprocess_run(self, backend):
+        for caps in (self.CONTIGUOUS, self.GAPPY):
+            plan = resolve_plan(
+                caps,
+                ExecutionConfig(
+                    backend=backend, num_workers=3, multiprocess=True
+                ),
+            )
+            assert plan.transport == "shm"
 
 
 class TestFaultToleranceResolution:

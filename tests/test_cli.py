@@ -90,17 +90,13 @@ class TestDetect:
             "--state", local_state,
         )
         assert code == 0
-        for dist_engine in ("array", "reference"):
-            code, output = run_cli(
-                "detect", graph_file, "--seed", "1", "-T", "40",
-                "--state", dist_state,
-                "--distributed", "3", "--dist-engine", dist_engine,
-            )
-            assert code == 0
-            assert "distributed fit:" in output
-            assert (
-                load_state(dist_state).labels == load_state(local_state).labels
-            )
+        code, output = run_cli(
+            "detect", graph_file, "--seed", "1", "-T", "40",
+            "--state", dist_state, "--distributed", "3",
+        )
+        assert code == 0
+        assert "distributed fit:" in output
+        assert load_state(dist_state).labels == load_state(local_state).labels
 
 
 class TestUpdate:

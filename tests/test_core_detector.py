@@ -29,9 +29,13 @@ class TestLifecycle:
         assert not detector.graph.has_edge(0, 1)
 
     def test_invalid_engine_rejected(self, cliques_ring):
-        with pytest.warns(DeprecationWarning, match="deprecated alias"):
-            with pytest.raises(ValueError, match="engine"):
-                RSLPADetector(cliques_ring, engine="spark")
+        # engine= is not a detector parameter, and everything after
+        # iterations is keyword-only, so a positional value cannot land
+        # on tau_step either.
+        with pytest.raises(TypeError, match="engine"):
+            RSLPADetector(cliques_ring, engine="spark")
+        with pytest.raises(TypeError, match="positional"):
+            RSLPADetector(cliques_ring, 3, 25, "fast")
 
     def test_invalid_backend_rejected(self, cliques_ring):
         with pytest.raises(ValueError, match="backend"):
@@ -46,14 +50,6 @@ class TestLifecycle:
         g = Graph.from_edges([(10, 20), (20, 30), (10, 30)])
         detector = RSLPADetector(g, backend="reference", iterations=20).fit()
         assert detector.label_state.num_iterations == 20
-
-    def test_legacy_engine_alias_warns_and_maps_to_backend(self, cliques_ring):
-        with pytest.warns(DeprecationWarning, match="deprecated alias"):
-            detector = RSLPADetector(cliques_ring, engine="reference")
-        assert detector.backend == "reference"
-        with pytest.warns(DeprecationWarning, match="deprecated alias"):
-            with pytest.raises(ValueError, match="conflicting"):
-                RSLPADetector(cliques_ring, engine="fast", backend="reference")
 
 
 class TestEngineEquivalence:

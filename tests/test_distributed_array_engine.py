@@ -1,11 +1,12 @@
-"""Columnar vs tuple message plane: bit-identical results and accounting.
+"""The columnar message plane against the tuple-plane oracle.
 
-The acceptance oracle for the array message plane: for every program
-(rSLPA, SLPA, correction), every shard backend (dict, CSR), both
+The acceptance oracle for the one distributed substrate: for every
+program (rSLPA, SLPA, correction), both input representations (a
+dict-of-sets :class:`Graph` and a :class:`CSRGraph` snapshot), both
 partitioner families and several seeds, the :class:`ArrayBSPEngine` run
-must reproduce the reference :class:`BSPEngine` run exactly — same
-collected results, same per-superstep :class:`CommStats` counters — and
-the multiprocess backend must agree across planes.
+must reproduce the tuple engine of :mod:`oracles.tuple_plane` exactly —
+same collected results, same per-superstep :class:`CommStats` counters —
+in process and on real worker processes.
 """
 
 from functools import partial
@@ -13,18 +14,25 @@ from functools import partial
 import numpy as np
 import pytest
 
+from oracles.tuple_plane import (
+    BSPEngine,
+    RSLPAPropagationProgram,
+    SLPAPropagationProgram,
+    run_programs,
+    run_update,
+)
+from repro.api.config import ExecutionConfig
 from repro.baselines.slpa import SLPA
 from repro.core.incremental import CorrectionPropagator
 from repro.core.labels_array import ArrayLabelState
 from repro.core.rslpa import ReferencePropagator
 from repro.distributed.cluster import (
+    _merge_collected_rslpa_state,
     run_distributed_rslpa,
     run_distributed_slpa,
     run_distributed_update,
 )
-from repro.distributed.engine import BSPEngine
 from repro.distributed.engine_array import ArrayBSPEngine
-from repro.distributed.message import message_size_bytes
 from repro.distributed.message_array import (
     SCHEMAS,
     ArrayInbox,
@@ -32,19 +40,24 @@ from repro.distributed.message_array import (
     register_schema,
 )
 from repro.distributed.multiprocess import MultiprocessBSPEngine
-from repro.distributed.programs import (
-    RSLPAPropagationProgram,
-    SLPAPropagationProgram,
-)
 from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
     FastSLPAPropagationProgram,
     shard_local_csr,
 )
-from repro.distributed.worker import build_csr_shards, build_shards
+from repro.distributed.worker import build_csr_shards
+from repro.graph.adjacency import Graph
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, ring_of_cliques
 from repro.graph.partition import ContiguousPartitioner, HashPartitioner
 from repro.workloads.dynamic import random_edit_batch
+
+#: Wire size in bytes of one message of each built-in kind: an 8-byte
+#: address, the kind tag, and 8 bytes per payload field.
+WIRE_BYTES = {
+    "req": 35, "lab": 43, "spk": 27, "unreg": 37,
+    "fetch": 37, "fval": 52, "corr": 52, "set": 19,
+}
 
 
 def assert_stats_equal(a, b):
@@ -62,16 +75,34 @@ def partitioners(graph):
     return [
         HashPartitioner(3),
         HashPartitioner(4, salt=9),
-        ContiguousPartitioner(3, graph.num_vertices),
+        ContiguousPartitioner(3, max(graph.vertices()) + 1),
     ]
+
+
+def relabelled(graph, scale=3, offset=7):
+    """``graph`` with every id ``v`` mapped to ``scale * v + offset``."""
+    return Graph.from_edges(
+        [(scale * u + offset, scale * v + offset) for u, v in graph.edges()],
+        vertices=[scale * v + offset for v in graph.vertices()],
+    )
+
+
+def as_input(graph, representation):
+    """``(graph, run input)``: a dict-of-sets ``Graph``, its ``CSRGraph``
+    snapshot, or a ``Graph`` with non-contiguous ids."""
+    if representation == "sparse":
+        graph = relabelled(graph)
+    if representation == "csr":
+        return graph, CSRGraph.from_graph(graph)
+    return graph, graph.copy()
 
 
 class TestSchemas:
     def test_schema_bytes_match_tuple_plane(self):
-        """Per-schema sizes == message_size_bytes on the equivalent tuple."""
-        for kind, schema in SCHEMAS.items():
-            tuple_form = (0, (kind,) + (1,) * schema.width)
-            assert schema.message_bytes == message_size_bytes(tuple_form), kind
+        """Each kind's schema size is its literal tuple-plane wire size."""
+        assert {kind: SCHEMAS[kind].message_bytes for kind in WIRE_BYTES} == (
+            WIRE_BYTES
+        )
 
     def test_reregister_identical_is_ok(self):
         register_schema("req", ("pos", "requester", "t"))
@@ -118,41 +149,23 @@ class TestContextAndInbox:
         assert label.tolist() == [i * 2 for i in range(100)]
         assert t.tolist() == [1] * 100
 
-    def test_to_sorted_tuples_matches_reference_order(self):
-        """Mixed-kind inbox reconstructs the reference engine's sort."""
-        ctx = ArrayMessageContext()
-        messages = [
-            (5, ("req", 2, 7, 3)),
-            (5, ("lab", 9, 1, 0, 3)),
-            (2, ("req", 1, 5, 3)),
-            (5, ("req", 0, 4, 3)),
-        ]
-        for dst, payload in messages:
-            ctx.send(dst, payload)
-        inbox = ArrayInbox(ctx.finalize())
-        expected = sorted((dst,) + payload for dst, payload in messages)
-        assert inbox.to_sorted_tuples() == expected
-        assert inbox.total_messages == 4
-
     def test_empty_inbox(self):
         inbox = ArrayInbox()
         assert not inbox
-        assert inbox.to_sorted_tuples() == []
+        assert inbox.total_messages == 0
         assert inbox.columns("spk") is None
 
 
 class TestShardLocalCSR:
     def test_dict_and_csr_shards_agree(self, small_lfr):
+        """CSR shards hold exactly the sorted adjacency lists of the graph."""
         graph = small_lfr.graph
-        part = HashPartitioner(4)
-        for dshard, cshard in zip(
-            build_shards(graph, part), build_csr_shards(graph, part)
-        ):
-            d_ids, d_indptr, d_indices = shard_local_csr(dshard)
-            c_ids, c_indptr, c_indices = shard_local_csr(cshard)
-            assert d_ids.tolist() == c_ids.tolist()
-            assert d_indptr.tolist() == c_indptr.tolist()
-            assert d_indices.tolist() == c_indices.tolist()
+        for shard in build_csr_shards(graph, HashPartitioner(4)):
+            ids, indptr, indices = shard_local_csr(shard)
+            assert ids.tolist() == sorted(shard.vertices)
+            for r, v in enumerate(ids.tolist()):
+                row = indices[indptr[r] : indptr[r + 1]].tolist()
+                assert row == sorted(graph.neighbors_view(v))
 
     def test_csr_shard_arrays_are_read_only(self, cliques_ring):
         """Programs cannot silently corrupt the shared shard adjacency."""
@@ -183,19 +196,19 @@ class TestShardLocalCSR:
 
 class TestRSLPAEquality:
     @pytest.mark.parametrize("seed", [0, 7, 23])
-    @pytest.mark.parametrize("shard_backend", ["dict", "csr"])
-    def test_engine_equality_all_partitioners(self, seed, shard_backend):
-        graph = erdos_renyi(60, 0.08, seed=11)  # includes isolated vertices
+    @pytest.mark.parametrize("representation", ["dict", "csr", "sparse"])
+    def test_engine_equality_all_partitioners(self, seed, representation):
+        # erdos_renyi includes isolated vertices
+        graph, run_input = as_input(erdos_renyi(60, 0.08, seed=11), representation)
         for part in partitioners(graph):
-            ref_state, ref_stats = run_distributed_rslpa(
-                graph.copy(), seed=seed, iterations=12, partitioner=part,
-                num_workers=part.num_partitions,
-                shard_backend=shard_backend, engine="reference",
+            collected, ref_stats = run_programs(
+                RSLPAPropagationProgram, build_csr_shards(graph, part), part,
+                seed=seed, iterations=12,
             )
+            ref_state = _merge_collected_rslpa_state(collected, 12)
             arr_state, arr_stats = run_distributed_rslpa(
-                graph.copy(), seed=seed, iterations=12, partitioner=part,
-                num_workers=part.num_partitions,
-                shard_backend=shard_backend, engine="array",
+                run_input, seed=seed, iterations=12,
+                partitioner=part, num_workers=part.num_partitions,
             )
             assert arr_state.labels == ref_state.labels
             assert arr_state.srcs == ref_state.srcs
@@ -226,26 +239,28 @@ class TestRSLPAEquality:
             assert arr_p.collect() == ref_collected
 
     def test_auto_prefers_array_on_csr_shards(self, cliques_ring):
-        """auto == array on CSR shards, == reference on dict shards."""
-        for shard_backend, forced in (("csr", "array"), ("dict", "reference")):
-            auto_state, auto_stats = run_distributed_rslpa(
+        """The accepted spellings all resolve to the one substrate."""
+        runs = [
+            run_distributed_rslpa(
                 cliques_ring.copy(), seed=3, iterations=8,
-                shard_backend=shard_backend, engine="auto",
+                config=ExecutionConfig(
+                    num_workers=4, engine=engine, shard_backend=shards,
+                    state_format="dict",
+                ),
             )
-            forced_state, forced_stats = run_distributed_rslpa(
-                cliques_ring.copy(), seed=3, iterations=8,
-                shard_backend=shard_backend, engine=forced,
-            )
-            assert auto_state.labels == forced_state.labels
-            assert_stats_equal(auto_stats, forced_stats)
+            for engine in ("auto", "array")
+            for shards in ("auto", "csr")
+        ]
+        for state, stats in runs[1:]:
+            assert state.labels == runs[0][0].labels
+            assert_stats_equal(stats, runs[0][1])
 
     def test_array_state_format(self, cliques_ring):
         """state_format='array' returns the ArrayLabelState export."""
         ref = ReferencePropagator(cliques_ring.copy(), seed=7)
         ref.propagate(15)
         astate, _ = run_distributed_rslpa(
-            cliques_ring.copy(), seed=7, iterations=15,
-            shard_backend="csr", engine="array", state_format="array",
+            cliques_ring.copy(), seed=7, iterations=15, state_format="array",
         )
         assert isinstance(astate, ArrayLabelState)
         exported = astate.to_label_state()
@@ -254,7 +269,9 @@ class TestRSLPAEquality:
 
     def test_invalid_engine_rejected(self, cliques_ring):
         with pytest.raises(ValueError, match="engine"):
-            run_distributed_rslpa(cliques_ring, engine="spark")
+            run_distributed_rslpa(
+                cliques_ring, config=ExecutionConfig(engine="spark")
+            )
 
     def test_out_of_range_owner_fails_loudly(self, cliques_ring):
         """A buggy partitioner cannot silently drop routed messages."""
@@ -295,7 +312,6 @@ class TestRSLPAEquality:
             MultiprocessBSPEngine(
                 renumbered, part,
                 partial(FastRSLPAPropagationProgram, seed=1, iterations=2),
-                plane="array",
             )
 
     def test_invalid_state_format_rejected(self, cliques_ring):
@@ -305,19 +321,17 @@ class TestRSLPAEquality:
 
 class TestSLPAEquality:
     @pytest.mark.parametrize("seed", [0, 4])
-    @pytest.mark.parametrize("shard_backend", ["dict", "csr"])
-    def test_engine_equality_all_partitioners(self, seed, shard_backend):
-        graph = erdos_renyi(50, 0.1, seed=2)
+    @pytest.mark.parametrize("representation", ["dict", "csr", "sparse"])
+    def test_engine_equality_all_partitioners(self, seed, representation):
+        graph, run_input = as_input(erdos_renyi(50, 0.1, seed=2), representation)
         for part in partitioners(graph):
-            ref_mem, ref_stats = run_distributed_slpa(
-                graph.copy(), seed=seed, iterations=10, partitioner=part,
-                num_workers=part.num_partitions,
-                shard_backend=shard_backend, engine="reference",
+            ref_mem, ref_stats = run_programs(
+                SLPAPropagationProgram, build_csr_shards(graph, part), part,
+                seed=seed, iterations=10,
             )
             arr_mem, arr_stats = run_distributed_slpa(
-                graph.copy(), seed=seed, iterations=10, partitioner=part,
-                num_workers=part.num_partitions,
-                shard_backend=shard_backend, engine="array",
+                run_input, seed=seed, iterations=10,
+                partitioner=part, num_workers=part.num_partitions,
             )
             assert arr_mem == ref_mem
             assert_stats_equal(arr_stats, ref_stats)
@@ -327,54 +341,77 @@ class TestSLPAEquality:
         seq = SLPA(graph.copy(), seed=6, iterations=12)
         seq.propagate()
         mem, _ = run_distributed_slpa(
-            graph.copy(), seed=6, iterations=12, num_workers=4,
-            shard_backend="csr", engine="array",
+            graph.copy(), seed=6, iterations=12, num_workers=4
         )
         assert mem == seq.memories
 
 
+def assert_batches_match(graph, part, seed, batch_size, epochs, iterations=15):
+    """Run ``epochs`` random batches through the sequential corrector, the
+    columnar program and the tuple-inbox oracle; all three must agree."""
+
+    def fresh():
+        g = graph.copy()
+        prop = ReferencePropagator(g, seed=seed)
+        prop.propagate(iterations)
+        return g, prop
+
+    seq_graph, seq_prop = fresh()
+    corrector = CorrectionPropagator(seq_prop)
+    ref_graph, ref_prop = fresh()
+    arr_graph, arr_prop = fresh()
+    ref_state, arr_state = ref_prop.state, arr_prop.state
+    for epoch in range(1, epochs + 1):
+        batch = random_edit_batch(seq_graph, batch_size, seed=100 * seed + epoch)
+        corrector.apply_batch(batch)
+        ref_graph, ref_state, ref_stats = run_update(
+            ref_graph, ref_state, batch, seed, epoch, part
+        )
+        arr_graph, arr_state, arr_stats = run_distributed_update(
+            arr_graph, arr_state, batch, seed=seed, batch_epoch=epoch,
+            num_workers=part.num_partitions, partitioner=part,
+        )
+        assert arr_state.labels == corrector.state.labels, epoch
+        assert ref_state.labels == corrector.state.labels, epoch
+        assert arr_state.epochs == corrector.state.epochs
+        assert arr_state.receivers == ref_state.receivers
+        assert_stats_equal(arr_stats, ref_stats)
+
+
 class TestCorrectionEquality:
-    @pytest.mark.parametrize("shard_backend", ["dict", "csr"])
-    def test_adapter_equals_reference_across_batches(self, shard_backend):
-        """Correction via TupleProgramAdapter: same repairs, same stats."""
+    @pytest.mark.parametrize("ids", ["dense", "sparse"])
+    @pytest.mark.parametrize("partitioner", ["hash", "range"])
+    def test_matches_tuple_oracle(self, ids, partitioner):
+        """Same repairs as the sequential corrector, same per-superstep
+        stats as the tuple-inbox oracle, batch after batch."""
         graph = erdos_renyi(60, 0.06, seed=17)
+        if ids == "sparse":
+            graph = relabelled(graph)
+        if partitioner == "hash":
+            part = HashPartitioner(3)
+        else:
+            part = ContiguousPartitioner(3, max(graph.vertices()) + 1)
+        assert_batches_match(graph, part, seed=3, batch_size=6, epochs=4)
 
-        def fresh(engine):
-            g = graph.copy()
-            prop = ReferencePropagator(g, seed=3)
-            prop.propagate(15)
-            return g, prop.state
-
-        seq_graph = graph.copy()
-        seq_prop = ReferencePropagator(seq_graph, seed=3)
-        seq_prop.propagate(15)
-        corrector = CorrectionPropagator(seq_prop)
-
-        ref_graph, ref_state = fresh("reference")
-        arr_graph, arr_state = fresh("array")
-        for epoch in range(1, 5):
-            batch = random_edit_batch(seq_graph, 6, seed=epoch)
-            corrector.apply_batch(batch)
-            ref_graph, ref_state, ref_stats = run_distributed_update(
-                ref_graph, ref_state, batch, seed=3, batch_epoch=epoch,
-                num_workers=3, shard_backend=shard_backend, engine="reference",
-            )
-            arr_graph, arr_state, arr_stats = run_distributed_update(
-                arr_graph, arr_state, batch, seed=3, batch_epoch=epoch,
-                num_workers=3, shard_backend=shard_backend, engine="array",
-            )
-            assert arr_state.labels == corrector.state.labels, epoch
-            assert ref_state.labels == corrector.state.labels, epoch
-            assert arr_state.epochs == corrector.state.epochs
-            assert arr_state.receivers == ref_state.receivers
-            assert_stats_equal(arr_stats, ref_stats)
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_unreg_before_value_updates(self, workers):
+        """Dense graph, large batches: a source receives the unreg of a
+        stale record in the superstep its value changes.  Detaching first
+        keeps the stale record from drawing a correction message, as in
+        the tuple plane's unreg-first dispatch."""
+        graph = erdos_renyi(40, 0.15, seed=0)
+        assert_batches_match(
+            graph, HashPartitioner(workers), seed=0, batch_size=12, epochs=4,
+            iterations=12,
+        )
 
 
 class TestMultiprocessArrayPlane:
-    """Array plane over real processes (small worker counts for CI)."""
+    """Array plane over real processes against the in-process tuple oracle
+    (small worker counts for CI)."""
 
-    def _run(self, shards, part, factory, plane):
-        with MultiprocessBSPEngine(shards, part, factory, plane=plane) as eng:
+    def _run(self, shards, part, factory):
+        with MultiprocessBSPEngine(shards, part, factory) as eng:
             stats = eng.run()
             results = eng.collect()
         merged = {}
@@ -385,14 +422,13 @@ class TestMultiprocessArrayPlane:
     def test_rslpa_array_plane_matches_tuple_plane(self):
         graph = ring_of_cliques(3, 5)
         part = HashPartitioner(2)
-        tuple_merged, tuple_stats = self._run(
-            build_shards(graph, part), part,
-            partial(RSLPAPropagationProgram, seed=5, iterations=10), "tuple",
+        shards = build_csr_shards(graph, part)
+        tuple_merged, tuple_stats = run_programs(
+            RSLPAPropagationProgram, shards, part, seed=5, iterations=10
         )
         array_merged, array_stats = self._run(
-            build_csr_shards(graph, part), part,
+            shards, part,
             partial(FastRSLPAPropagationProgram, seed=5, iterations=10),
-            "array",
         )
         assert array_merged == tuple_merged
         assert_stats_equal(array_stats, tuple_stats)
@@ -400,42 +436,28 @@ class TestMultiprocessArrayPlane:
     def test_slpa_array_plane_matches_tuple_plane(self):
         graph = ring_of_cliques(3, 4)
         part = HashPartitioner(2)
-        tuple_merged, tuple_stats = self._run(
-            build_shards(graph, part), part,
-            partial(SLPAPropagationProgram, seed=2, iterations=8), "tuple",
+        shards = build_csr_shards(graph, part)
+        tuple_merged, tuple_stats = run_programs(
+            SLPAPropagationProgram, shards, part, seed=2, iterations=8
         )
         array_merged, array_stats = self._run(
-            build_csr_shards(graph, part), part,
+            shards, part,
             partial(FastSLPAPropagationProgram, seed=2, iterations=8),
-            "array",
         )
         assert array_merged == tuple_merged
         assert_stats_equal(array_stats, tuple_stats)
 
-    def test_tuple_program_auto_wrapped_on_array_plane(self):
-        """A tuple-plane factory runs on plane='array' via the adapter."""
-        graph = ring_of_cliques(2, 4)
-        part = HashPartitioner(2)
-        tuple_merged, tuple_stats = self._run(
-            build_shards(graph, part), part,
-            partial(RSLPAPropagationProgram, seed=3, iterations=6), "tuple",
-        )
-        wrapped_merged, wrapped_stats = self._run(
-            build_csr_shards(graph, part), part,
-            partial(RSLPAPropagationProgram, seed=3, iterations=6), "array",
-        )
-        assert wrapped_merged == tuple_merged
-        assert_stats_equal(wrapped_stats, tuple_stats)
-
     def test_invalid_plane_rejected(self):
+        """The engine has one message plane and no ``plane=`` argument."""
         graph = ring_of_cliques(2, 4)
         part = HashPartitioner(2)
-        with pytest.raises(ValueError, match="plane"):
-            MultiprocessBSPEngine(
-                build_shards(graph, part), part,
-                partial(RSLPAPropagationProgram, seed=1, iterations=2),
-                plane="quantum",
-            )
+        for plane in ("quantum", "tuple", "array"):
+            with pytest.raises(TypeError, match="plane"):
+                MultiprocessBSPEngine(
+                    build_csr_shards(graph, part), part,
+                    partial(FastRSLPAPropagationProgram, seed=1, iterations=2),
+                    plane=plane,
+                )
 
 
 class TestDetectorDistributedFit:
@@ -462,8 +484,7 @@ class TestDetectorDistributedFit:
         dist = RSLPADetector(
             cliques_ring, seed=9, iterations=30, backend="reference"
         )
-        dist.fit_distributed(num_workers=2, engine="reference",
-                             shard_backend="dict")
+        dist.fit_distributed(num_workers=2)
         assert dist.label_state.labels == local.label_state.labels
 
     def test_update_after_fit_distributed(self, cliques_ring):

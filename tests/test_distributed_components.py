@@ -2,9 +2,17 @@
 
 import math
 
+import pytest
 
-from repro.distributed.components import distributed_connected_components
+from oracles.tuple_plane import HashToMinProgram, run_programs
+from repro.distributed.components import (
+    _filtered_adjacency,
+    distributed_connected_components,
+)
+from repro.distributed.worker import build_csr_shards
 from repro.graph.adjacency import Graph
+from repro.graph.generators import erdos_renyi, ring_of_cliques
+from repro.graph.partition import HashPartitioner
 
 
 def components_of(graph, **kwargs):
@@ -69,3 +77,58 @@ class TestEfficiency:
         _, s_small = components_of(small, num_workers=3)
         _, s_large = components_of(large, num_workers=3)
         assert s_large.supersteps <= s_small.supersteps + 8
+
+
+def _path(n):
+    return Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+
+
+#: Every graph the tests above run, plus a non-contiguous-id graph:
+#: (graph factory, workers, weights, tau).
+ORACLE_CASES = {
+    "sparse_random": (lambda: erdos_renyi(60, 0.06, seed=17), 3, None, None),
+    "sparse_random_1": (lambda: erdos_renyi(60, 0.06, seed=17), 1, None, None),
+    "sparse_random_5": (lambda: erdos_renyi(60, 0.06, seed=17), 5, None, None),
+    "cliques_ring": (lambda: ring_of_cliques(5, 6), 4, None, None),
+    "isolated": (lambda: Graph.from_edges([(0, 1)], vertices=[7, 8]), 2, None, None),
+    "long_path": (lambda: _path(64), 4, None, None),
+    "path_16": (lambda: _path(16), 3, None, None),
+    "path_256": (lambda: _path(256), 3, None, None),
+    "threshold_split": (
+        lambda: Graph.from_edges([(0, 1), (1, 2), (2, 3)]), 2,
+        {(0, 1): 0.9, (1, 2): 0.1, (2, 3): 0.9}, 0.5,
+    ),
+    "threshold_zero": (
+        lambda: Graph.from_edges([(0, 1), (1, 2)]), 2,
+        {(0, 1): 0.2, (1, 2): 0.3}, 0.0,
+    ),
+    "threshold_all": (lambda: Graph.from_edges([(0, 1)]), 2, {(0, 1): 0.1}, 0.9),
+    "sparse_ids": (
+        lambda: Graph.from_edges(
+            [(3 * u + 7, 3 * v + 7) for u, v in ring_of_cliques(4, 5).edges()]
+            + [(1000, 1003), (1003, 1009)],
+            vertices=[2, 500],
+        ),
+        3, None, None,
+    ),
+}
+
+
+class TestTupleOracle:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_same_components_in_same_supersteps(self, case):
+        """The one-row-per-member protocol finds the tuple plane's
+        components in the same number of supersteps."""
+        make_graph, workers, weights, tau = ORACLE_CASES[case]
+        graph = make_graph()
+        found, stats = components_of(
+            graph, num_workers=workers, weights=weights, tau=tau
+        )
+        part = HashPartitioner(workers)
+        shards = build_csr_shards(_filtered_adjacency(graph, weights, tau), part)
+        representative, oracle_stats = run_programs(HashToMinProgram, shards, part)
+        groups = {}
+        for v, rep in representative.items():
+            groups.setdefault(rep, []).append(v)
+        assert found == sorted(sorted(c) for c in groups.values())
+        assert stats.supersteps == oracle_stats.supersteps

@@ -1,38 +1,63 @@
-"""Dict-backed vs CSR-backed worker shards: identical results, both engines.
+"""CSR worker shards: every graph input, in process and on real processes.
 
-The acceptance oracle for the shared CSR substrate at the distributed
-layer: BSP runs over :class:`CSRShard` arrays must be bit-identical to runs
-over the dict-of-list shards, on the in-process engine and on the true
-multiprocess backend, for a realistic LFR workload.
+The acceptance oracle for the one shard layout: BSP runs over
+:class:`CSRShard` arrays built from a dict-of-sets :class:`Graph` (with
+any vertex ids) or from a :class:`CSRGraph` snapshot must be
+bit-identical to each other and to the sequential engines, on the
+in-process engine and on the true multiprocess backend.
 """
 
 from functools import partial
 
 import pytest
 
+from repro.api import ExecutionConfig, plan_for
+from repro.baselines.slpa import SLPA
+from repro.core.incremental import CorrectionPropagator
+from repro.core.postprocess import extract_communities
 from repro.core.rslpa import ReferencePropagator
-from repro.distributed.cluster import run_distributed_rslpa, run_distributed_slpa
+from repro.distributed.cluster import (
+    run_distributed_postprocess,
+    run_distributed_rslpa,
+    run_distributed_slpa,
+    run_distributed_update,
+)
 from repro.distributed.multiprocess import MultiprocessBSPEngine
-from repro.distributed.programs import RSLPAPropagationProgram, SLPAPropagationProgram
-from repro.distributed.worker import CSRShard, build_csr_shards, build_shards
+from repro.distributed.programs_array import (
+    FastRSLPAPropagationProgram,
+    FastSLPAPropagationProgram,
+)
+from repro.distributed.worker import CSRShard, build_csr_shards
+from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import ring_of_cliques
 from repro.graph.partition import ContiguousPartitioner, HashPartitioner
+from repro.workloads.dynamic import random_edit_batch
+
+
+def sparse_ids(graph, scale=3, offset=7):
+    """``graph`` with every id ``v`` mapped to ``scale * v + offset``."""
+    return Graph.from_edges(
+        [(scale * u + offset, scale * v + offset) for u, v in graph.edges()],
+        vertices=[scale * v + offset for v in graph.vertices()],
+    )
 
 
 class TestShardParity:
     def test_csr_shards_expose_same_neighbour_sequences(self, small_lfr):
         graph = small_lfr.graph
-        part = HashPartitioner(4)
-        dict_shards = build_shards(graph, part)
-        csr_shards = build_csr_shards(graph, part)
-        for dshard, cshard in zip(dict_shards, csr_shards):
-            assert isinstance(cshard, CSRShard)
-            assert dshard.vertices == cshard.vertices
-            assert dshard.local_edges() == cshard.local_edges()
-            for v in dshard.vertices:
-                assert cshard.neighbors(v).tolist() == list(dshard.neighbors(v))
-                assert cshard.degree(v) == dshard.degree(v)
+        shards = build_csr_shards(graph, HashPartitioner(4))
+        assert sorted(v for s in shards for v in s.vertices) == sorted(
+            graph.vertices()
+        )
+        for shard in shards:
+            assert isinstance(shard, CSRShard)
+            assert shard.local_edges() == sum(
+                graph.degree(v) for v in shard.vertices
+            )
+            for v in shard.vertices:
+                assert shard.neighbors(v).tolist() == sorted(graph.neighbors_view(v))
+                assert shard.degree(v) == graph.degree(v)
 
     def test_csr_shards_accept_prebuilt_snapshot(self, cliques_ring):
         part = ContiguousPartitioner(3, cliques_ring.num_vertices)
@@ -44,7 +69,7 @@ class TestShardParity:
 
 
 class TestInProcessEquality:
-    """In-process BSP: dict and CSR shards agree on an LFR workload."""
+    """In-process BSP: Graph and CSRGraph inputs agree on an LFR workload."""
 
     def test_rslpa_identical_on_lfr(self, small_lfr):
         graph = small_lfr.graph
@@ -52,8 +77,7 @@ class TestInProcessEquality:
             graph.copy(), seed=7, iterations=20, num_workers=4
         )
         csr_state, csr_stats = run_distributed_rslpa(
-            graph.copy(), seed=7, iterations=20, num_workers=4,
-            shard_backend="csr",
+            CSRGraph.from_graph(graph), seed=7, iterations=20, num_workers=4
         )
         assert csr_state.labels == dict_state.labels
         assert csr_state.srcs == dict_state.srcs
@@ -64,8 +88,7 @@ class TestInProcessEquality:
     def test_rslpa_csr_matches_sequential_reference(self, small_lfr):
         graph = small_lfr.graph
         state, _ = run_distributed_rslpa(
-            graph.copy(), seed=7, iterations=20, num_workers=4,
-            shard_backend="csr",
+            CSRGraph.from_graph(graph), seed=7, iterations=20, num_workers=4
         )
         ref = ReferencePropagator(graph.copy(), seed=7)
         ref.propagate(20)
@@ -77,16 +100,14 @@ class TestInProcessEquality:
             graph.copy(), seed=11, iterations=12, num_workers=4
         )
         csr_mem, _ = run_distributed_slpa(
-            graph.copy(), seed=11, iterations=12, num_workers=4,
-            shard_backend="csr",
+            CSRGraph.from_graph(graph), seed=11, iterations=12, num_workers=4
         )
         assert csr_mem == dict_mem
 
     def test_results_are_plain_python_ints(self, small_lfr):
         """CSR arrays must not leak numpy scalars into collected state."""
         state, _ = run_distributed_rslpa(
-            small_lfr.graph.copy(), seed=7, iterations=5, num_workers=3,
-            shard_backend="csr",
+            small_lfr.graph.copy(), seed=7, iterations=5, num_workers=3
         )
         sample = next(iter(state.labels))
         assert all(type(x) is int for x in state.labels[sample])
@@ -94,21 +115,102 @@ class TestInProcessEquality:
 
     def test_invalid_backend_rejected(self, cliques_ring):
         with pytest.raises(ValueError, match="shard_backend"):
-            run_distributed_rslpa(cliques_ring, shard_backend="arrow")
+            run_distributed_rslpa(
+                cliques_ring, config=ExecutionConfig(shard_backend="arrow")
+            )
 
     def test_invalid_backend_rejected_on_csr_input(self, cliques_ring):
         with pytest.raises(ValueError, match="shard_backend"):
             run_distributed_rslpa(
-                CSRGraph.from_graph(cliques_ring), shard_backend="arrow"
+                CSRGraph.from_graph(cliques_ring),
+                config=ExecutionConfig(shard_backend="arrow"),
             )
 
 
+class TestNonContiguousIds:
+    """Graphs with gaps in their ids run on CSR shards that keep those ids."""
+
+    @pytest.fixture
+    def graph(self, sparse_random):
+        return sparse_ids(sparse_random)
+
+    def test_shards_keep_global_ids(self, graph):
+        shards = build_csr_shards(graph, HashPartitioner(3))
+        assert sorted(v for s in shards for v in s.local_ids.tolist()) == sorted(
+            graph.vertices()
+        )
+        for shard in shards:
+            for v in shard.vertices:
+                assert shard.neighbors(v).tolist() == sorted(graph.neighbors_view(v))
+
+    def test_rslpa_matches_sequential_reference(self, graph):
+        state, _ = run_distributed_rslpa(
+            graph.copy(), seed=5, iterations=15, num_workers=3
+        )
+        ref = ReferencePropagator(graph.copy(), seed=5)
+        ref.propagate(15)
+        assert state.labels == ref.state.labels
+        assert state.srcs == ref.state.srcs
+        assert state.poss == ref.state.poss
+        assert state.receivers == ref.state.receivers
+
+    def test_slpa_matches_sequential(self, graph):
+        memories, _ = run_distributed_slpa(
+            graph.copy(), seed=5, iterations=12, num_workers=3
+        )
+        ref = SLPA(graph.copy(), seed=5, iterations=12)
+        ref.propagate()
+        assert memories == ref.memories
+
+    def test_update_matches_sequential_corrector(self, graph):
+        seq_prop = ReferencePropagator(graph.copy(), seed=4)
+        seq_prop.propagate(15)
+        corrector = CorrectionPropagator(seq_prop)
+        dist_graph = graph.copy()
+        dist_prop = ReferencePropagator(dist_graph, seed=4)
+        dist_prop.propagate(15)
+        state = dist_prop.state
+        for epoch in range(1, 4):
+            batch = random_edit_batch(seq_prop.graph, 6, seed=epoch)
+            corrector.apply_batch(batch)
+            dist_graph, state, _ = run_distributed_update(
+                dist_graph, state, batch, seed=4, batch_epoch=epoch,
+                num_workers=3,
+            )
+            assert state.labels == corrector.state.labels, epoch
+            assert state.epochs == corrector.state.epochs
+        state.validate(dist_graph)
+
+    def test_postprocess_matches_sequential_extraction(self):
+        graph = sparse_ids(ring_of_cliques(4, 6))
+        state, _ = run_distributed_rslpa(
+            graph.copy(), seed=11, iterations=60, num_workers=3
+        )
+        cover, _ = run_distributed_postprocess(
+            graph, state, num_workers=3, step=0.005
+        )
+        assert cover == extract_communities(graph, state.labels, step=0.005).cover
+
+    def test_multiprocess_auto_transport_is_shm_and_bit_identical(self, graph):
+        config = ExecutionConfig(num_workers=2, multiprocess=True)
+        assert plan_for(graph, config).transport == "shm"
+        in_process, stats_i = run_distributed_rslpa(
+            graph.copy(), seed=2, iterations=10, num_workers=2
+        )
+        multiproc, stats_m = run_distributed_rslpa(
+            graph.copy(), seed=2, iterations=10, config=config
+        )
+        assert multiproc.labels == in_process.labels
+        assert multiproc.srcs == in_process.srcs
+        assert multiproc.poss == in_process.poss
+        assert multiproc.receivers == in_process.receivers
+        assert stats_m.per_superstep == stats_i.per_superstep
+
+
 class TestUpdateAtomicity:
-    """A rejected CSR update must leave the caller's graph/state untouched."""
+    """A rejected update must leave the caller's graph/state untouched."""
 
     def test_non_contiguous_batch_fails_before_mutation(self):
-        from repro.distributed.cluster import run_distributed_update
-        from repro.graph.adjacency import Graph
         from repro.graph.edits import EditBatch
 
         graph = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -118,7 +220,8 @@ class TestUpdateAtomicity:
         vertices_before = sorted(graph.vertices())
         with pytest.raises(ValueError, match="contiguous"):
             run_distributed_update(
-                graph, state, batch, seed=1, shard_backend="csr"
+                graph, state, batch, seed=1,
+                config=ExecutionConfig(num_workers=4, backend="fast"),
             )
         assert set(graph.edges()) == edges_before
         assert sorted(graph.vertices()) == vertices_before
@@ -126,7 +229,7 @@ class TestUpdateAtomicity:
 
 
 class TestMultiprocessEquality:
-    """The true-parallelism backend agrees across shard storages."""
+    """The true-parallelism backend agrees across graph inputs."""
 
     def _run(self, shards, part, factory):
         with MultiprocessBSPEngine(shards, part, factory) as engine:
@@ -140,15 +243,19 @@ class TestMultiprocessEquality:
     def test_rslpa_multiprocess_dict_vs_csr(self):
         graph = ring_of_cliques(4, 5)
         part = HashPartitioner(3)
-        factory = partial(RSLPAPropagationProgram, seed=5, iterations=12)
-        dict_merged = self._run(build_shards(graph, part), part, factory)
-        csr_merged = self._run(build_csr_shards(graph, part), part, factory)
+        factory = partial(FastRSLPAPropagationProgram, seed=5, iterations=12)
+        dict_merged = self._run(build_csr_shards(graph, part), part, factory)
+        csr_merged = self._run(
+            build_csr_shards(CSRGraph.from_graph(graph), part), part, factory
+        )
         assert csr_merged == dict_merged
 
     def test_slpa_multiprocess_dict_vs_csr(self):
         graph = ring_of_cliques(3, 5)
         part = HashPartitioner(3)
-        factory = partial(SLPAPropagationProgram, seed=2, iterations=10)
-        dict_merged = self._run(build_shards(graph, part), part, factory)
-        csr_merged = self._run(build_csr_shards(graph, part), part, factory)
+        factory = partial(FastSLPAPropagationProgram, seed=2, iterations=10)
+        dict_merged = self._run(build_csr_shards(graph, part), part, factory)
+        csr_merged = self._run(
+            build_csr_shards(CSRGraph.from_graph(graph), part), part, factory
+        )
         assert csr_merged == dict_merged

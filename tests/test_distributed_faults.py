@@ -21,7 +21,7 @@ from repro.distributed.faults import FaultPlan
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import FastSLPAPropagationProgram
 from repro.distributed.transport import WorkerCrashedError
-from repro.distributed.worker import build_shards
+from repro.distributed.worker import build_csr_shards
 from repro.graph.generators import ring_of_cliques
 from repro.graph.partition import HashPartitioner
 
@@ -113,7 +113,7 @@ def _assert_identical(got, ref):
 
 def _reference(graph, part):
     """Failure-free in-process ground truth: (memories, superstep stats)."""
-    shards = build_shards(graph, part)
+    shards = build_csr_shards(graph, part)
     engine = ArrayBSPEngine(shards, part)
     programs = engine.run(
         [
@@ -136,13 +136,12 @@ def reference():
 def _faulty_run(transport, fault_plan, checkpoint_interval=2, max_restarts=3):
     """One fault-tolerant multiprocess run: (memories, steps, recovery)."""
     graph, part = _setup()
-    shards = build_shards(graph, part)
+    shards = build_csr_shards(graph, part)
     factory = partial(FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS)
     with MultiprocessBSPEngine(
         shards,
         part,
         factory,
-        plane="array",
         transport=transport,
         fault_tolerance=True,
         checkpoint_interval=checkpoint_interval,
@@ -274,7 +273,7 @@ class TestFaultKinds:
         # the final (quiescence) cut; collect must still return full bits.
         ref_memories, _ = reference
         graph, part = _setup()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         factory = partial(
             FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
         )
@@ -282,7 +281,6 @@ class TestFaultKinds:
             shards,
             part,
             factory,
-            plane="array",
             transport="tcp",
             fault_tolerance=True,
             checkpoint_interval=2,
@@ -302,7 +300,7 @@ class TestFaultKinds:
 class TestPolicy:
     def test_constructor_validation(self):
         graph, part = _setup()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         factory = partial(FastSLPAPropagationProgram, seed=SEED, iterations=2)
         with pytest.raises(ValueError, match="checkpoint_interval"):
             MultiprocessBSPEngine(shards, part, factory, checkpoint_interval=0)
@@ -314,7 +312,7 @@ class TestPolicy:
     def test_without_fault_tolerance_crash_still_raises_smoke(self):
         # Back-compat: the scripted kill surfaces as WorkerCrashedError.
         graph, part = _setup()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         factory = partial(
             FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
         )
@@ -322,7 +320,6 @@ class TestPolicy:
             shards,
             part,
             factory,
-            plane="array",
             fault_plan=FaultPlan(kill=(1, 2)),
         ) as engine:
             with pytest.raises(WorkerCrashedError) as excinfo:
@@ -333,7 +330,7 @@ class TestPolicy:
         # Two scripted kills on different workers against max_restarts=1:
         # the second crash exceeds the budget and must surface.
         graph, part = _setup()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         factory = partial(
             FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
         )
@@ -341,7 +338,6 @@ class TestPolicy:
             shards,
             part,
             factory,
-            plane="array",
             fault_tolerance=True,
             checkpoint_interval=2,
             max_restarts=1,
@@ -352,9 +348,9 @@ class TestPolicy:
 
     def test_shutdown_reports_leaked_pids(self, caplog):
         graph, part = _setup()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         factory = partial(FastSLPAPropagationProgram, seed=SEED, iterations=2)
-        engine = MultiprocessBSPEngine(shards, part, factory, plane="array")
+        engine = MultiprocessBSPEngine(shards, part, factory)
         engine.run()
 
         class Unkillable:

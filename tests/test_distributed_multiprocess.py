@@ -1,10 +1,10 @@
 """Tests for the multiprocess BSP backend (true parallelism).
 
 The transport matrix at the bottom is the load-bearing contract of the
-zero-copy data plane: every (plane × transport × partitioner) cell must
-produce bit-identical covers and per-superstep CommStats to the
-in-process ArrayBSPEngine, and a worker that dies mid-run must raise
-WorkerCrashedError instead of hanging the driver.
+zero-copy data plane: every (transport × partitioner) cell must produce
+bit-identical covers and per-superstep CommStats to the in-process tuple
+oracle, and a worker that dies mid-run must raise WorkerCrashedError
+instead of hanging the driver.
 """
 
 import os
@@ -14,14 +14,16 @@ from functools import partial
 
 import pytest
 
+from oracles.tuple_plane import SLPAPropagationProgram, run_programs
 from repro.baselines.slpa import SLPA
 from repro.core.rslpa import ReferencePropagator
-from repro.distributed.engine_array import ArrayBSPEngine
 from repro.distributed.multiprocess import MultiprocessBSPEngine
-from repro.distributed.programs import RSLPAPropagationProgram, SLPAPropagationProgram
-from repro.distributed.programs_array import FastSLPAPropagationProgram
+from repro.distributed.programs_array import (
+    FastRSLPAPropagationProgram,
+    FastSLPAPropagationProgram,
+)
 from repro.distributed.transport import WorkerCrashedError
-from repro.distributed.worker import build_shards
+from repro.distributed.worker import build_csr_shards
 from repro.graph.generators import ring_of_cliques
 from repro.graph.partition import ContiguousPartitioner, HashPartitioner
 
@@ -30,13 +32,13 @@ from repro.graph.partition import ContiguousPartitioner, HashPartitioner
 def small_setup():
     graph = ring_of_cliques(3, 5)
     part = HashPartitioner(3)
-    return graph, part, build_shards(graph, part)
+    return graph, part, build_csr_shards(graph, part)
 
 
 class TestMultiprocessRSLPA:
     def test_matches_sequential(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(RSLPAPropagationProgram, seed=5, iterations=15)
+        factory = partial(FastRSLPAPropagationProgram, seed=5, iterations=15)
         with MultiprocessBSPEngine(shards, part, factory) as engine:
             engine.run()
             results = engine.collect()
@@ -49,7 +51,7 @@ class TestMultiprocessRSLPA:
 
     def test_stats_match_in_process_engine(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(RSLPAPropagationProgram, seed=5, iterations=10)
+        factory = partial(FastRSLPAPropagationProgram, seed=5, iterations=10)
         with MultiprocessBSPEngine(shards, part, factory) as engine:
             stats = engine.run()
         assert stats.total_messages == 2 * graph.num_vertices * 10
@@ -58,7 +60,7 @@ class TestMultiprocessRSLPA:
 class TestMultiprocessSLPA:
     def test_matches_sequential(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(SLPAPropagationProgram, seed=2, iterations=12)
+        factory = partial(FastSLPAPropagationProgram, seed=2, iterations=12)
         with MultiprocessBSPEngine(shards, part, factory) as engine:
             engine.run()
             results = engine.collect()
@@ -73,7 +75,7 @@ class TestMultiprocessSLPA:
 class TestLifecycle:
     def test_shutdown_idempotent(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(RSLPAPropagationProgram, seed=1, iterations=3)
+        factory = partial(FastRSLPAPropagationProgram, seed=1, iterations=3)
         engine = MultiprocessBSPEngine(shards, part, factory)
         engine.run()
         engine.shutdown()
@@ -81,7 +83,7 @@ class TestLifecycle:
 
     def test_run_after_shutdown_rejected(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(RSLPAPropagationProgram, seed=1, iterations=3)
+        factory = partial(FastRSLPAPropagationProgram, seed=1, iterations=3)
         engine = MultiprocessBSPEngine(shards, part, factory)
         engine.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
@@ -89,23 +91,19 @@ class TestLifecycle:
 
     def test_mismatched_partitioner_rejected(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(RSLPAPropagationProgram, seed=1, iterations=3)
+        factory = partial(FastRSLPAPropagationProgram, seed=1, iterations=3)
         with pytest.raises(ValueError):
             MultiprocessBSPEngine(shards, HashPartitioner(5), factory)
 
 
 # ----------------------------------------------------------------------
-# Transport matrix: plane × transport × partitioner, all bit-identical
+# Transport matrix: transport × partitioner, all bit-identical
 # ----------------------------------------------------------------------
 SEED, ITERATIONS, TAU = 11, 10, 0.3
 
-#: Every supported (plane, transport) cell of the multiprocess engine.
-PLANE_TRANSPORT = [
-    ("tuple", "pipe"),
-    ("array", "pipe"),
-    ("array", "shm"),
-    ("array", "tcp"),
-]
+#: Every transport of the multiprocess engine (ids name the columnar plane
+#: each one carries).
+TRANSPORTS = ["pipe", "shm", "tcp"]
 
 
 def _partitioner(name, graph, workers):
@@ -136,39 +134,31 @@ def _shm_segments():
 
 
 def _reference_run(graph, part):
-    """In-process ArrayBSPEngine ground truth: (memories, superstep stats)."""
-    shards = build_shards(graph, part)
-    engine = ArrayBSPEngine(shards, part)
-    programs = engine.run(
-        [FastSLPAPropagationProgram(s, seed=SEED, iterations=ITERATIONS)
-         for s in shards]
+    """In-process tuple-oracle ground truth: (memories, superstep stats)."""
+    memories, stats = run_programs(
+        SLPAPropagationProgram, build_csr_shards(graph, part), part,
+        seed=SEED, iterations=ITERATIONS,
     )
-    memories = {}
-    for program in programs:
-        memories.update(program.collect())
-    return memories, engine.stats.per_superstep
+    return memories, stats.per_superstep
 
 
 class TestTransportMatrix:
-    @pytest.mark.parametrize("plane,transport", PLANE_TRANSPORT)
+    @pytest.mark.parametrize(
+        "transport", TRANSPORTS, ids=[f"array-{t}" for t in TRANSPORTS]
+    )
     @pytest.mark.parametrize("partitioner", ["hash", "range"])
-    def test_bit_identical_cover_and_stats(self, plane, transport, partitioner):
+    def test_bit_identical_cover_and_stats(self, transport, partitioner):
         graph = ring_of_cliques(4, 6)
         part = _partitioner(partitioner, graph, 3)
         ref_memories, ref_steps = _reference_run(graph, part)
 
-        if plane == "array":
-            factory = partial(
-                FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
-            )
-        else:
-            factory = partial(
-                SLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
-            )
+        factory = partial(
+            FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
+        )
         before = _shm_segments()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         with MultiprocessBSPEngine(
-            shards, part, factory, plane=plane, transport=transport
+            shards, part, factory, transport=transport
         ) as engine:
             stats = engine.run()
             results = engine.collect()
@@ -181,18 +171,9 @@ class TestTransportMatrix:
         assert stats.per_superstep == ref_steps
         assert _shm_segments() <= before  # no leaked shared-memory segments
 
-    def test_column_transports_reject_tuple_plane(self, small_setup):
-        graph, part, shards = small_setup
-        factory = partial(SLPAPropagationProgram, seed=1, iterations=3)
-        for transport in ("shm", "tcp"):
-            with pytest.raises(ValueError, match="plane='array'"):
-                MultiprocessBSPEngine(
-                    shards, part, factory, plane="tuple", transport=transport
-                )
-
     def test_unknown_transport_rejected(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(SLPAPropagationProgram, seed=1, iterations=3)
+        factory = partial(FastSLPAPropagationProgram, seed=1, iterations=3)
         with pytest.raises(KeyError, match="bogus"):
             MultiprocessBSPEngine(shards, part, factory, transport="bogus")
 
@@ -206,9 +187,9 @@ class TestTransportSmoke:
         factory = partial(
             FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
         )
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         with MultiprocessBSPEngine(
-            shards, part, factory, plane="array", transport="tcp"
+            shards, part, factory, transport="tcp"
         ) as engine:
             stats = engine.run()
             results = engine.collect()
@@ -227,9 +208,9 @@ class TestTransportSmoke:
             FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
         )
         before = _shm_segments()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         with MultiprocessBSPEngine(
-            shards, part, factory, plane="array", transport="shm"
+            shards, part, factory, transport="shm"
         ) as engine:
             engine.run()
             results = engine.collect()
@@ -249,9 +230,9 @@ class TestWorkerCrash:
             FastSLPAPropagationProgram, seed=SEED, iterations=500
         )
         before = _shm_segments()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         engine = MultiprocessBSPEngine(
-            shards, part, factory, plane="array", transport=transport
+            shards, part, factory, transport=transport
         )
         try:
             os.kill(engine._processes[1].pid, signal.SIGKILL)
@@ -271,10 +252,10 @@ class TestWorkerCrash:
             FastSLPAPropagationProgram, seed=SEED, iterations=500
         )
         before = _shm_segments()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         with pytest.raises(WorkerCrashedError):
             with MultiprocessBSPEngine(
-                shards, part, factory, plane="array", transport="shm"
+                shards, part, factory, transport="shm"
             ) as engine:
                 os.kill(engine._processes[0].pid, signal.SIGKILL)
                 engine.run()

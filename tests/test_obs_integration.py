@@ -19,7 +19,7 @@ from repro.api.run import run_distributed
 from repro.distributed.faults import FaultPlan
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import FastSLPAPropagationProgram
-from repro.distributed.worker import build_shards
+from repro.distributed.worker import build_csr_shards
 from repro.graph.generators import ring_of_cliques
 from repro.graph.partition import HashPartitioner
 from repro.obs import DRIVER, validate_chrome_trace
@@ -54,7 +54,7 @@ def _multiprocess_run(traced, fault_plan=None):
     """One supervised multiprocess run; returns (memories, stats)."""
     graph = ring_of_cliques(3, 5)
     part = HashPartitioner(2)
-    shards = build_shards(graph, part)
+    shards = build_csr_shards(graph, part)
     factory = partial(
         FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
     )
@@ -67,7 +67,6 @@ def _multiprocess_run(traced, fault_plan=None):
         shards,
         part,
         factory,
-        plane="array",
         transport="shm",
         fault_tolerance=True,
         checkpoint_interval=2,
@@ -145,7 +144,7 @@ class TestMultiprocessTracing:
 
 
 class TestInProcessTracing:
-    @pytest.mark.parametrize("engine", ["reference", "array"])
+    @pytest.mark.parametrize("engine", ["array"])
     def test_trace_on_off_bit_identical_smoke(self, engine):
         graph = ring_of_cliques(4, 5)
         algo = AlgoConfig(seed=SEED, iterations=ITERATIONS)

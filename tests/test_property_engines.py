@@ -5,21 +5,29 @@ shapes (including disconnected pieces, isolated vertices, stars, near-empty
 and near-complete graphs) through every pair of engines that must agree
 bit-for-bit:
 
-* rSLPA: reference vs vectorised vs distributed;
-* SLPA: reference vs vectorised;
+* rSLPA: reference vs vectorised vs distributed, and the columnar message
+  plane vs the tuple-plane oracle;
+* SLPA: reference vs vectorised vs distributed;
 * connected components: hash-to-min vs BFS.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles.tuple_plane import RSLPAPropagationProgram, run_programs
 from repro.baselines.slpa import SLPA
 from repro.baselines.slpa_fast import FastSLPA
 from repro.core.fast import FastPropagator
 from repro.core.rslpa import ReferencePropagator
-from repro.distributed.cluster import run_distributed_rslpa, run_distributed_slpa
+from repro.distributed.cluster import (
+    _merge_collected_rslpa_state,
+    run_distributed_rslpa,
+    run_distributed_slpa,
+)
 from repro.distributed.components import distributed_connected_components
+from repro.distributed.worker import build_csr_shards
 from repro.graph.adjacency import Graph
+from repro.graph.partition import HashPartitioner
 
 MAX_N = 12
 
@@ -80,13 +88,14 @@ class TestRSLPAEngines:
     @given(contiguous_graphs(), st.integers(0, 3), st.integers(1, 4))
     def test_array_engine_equals_reference_engine(self, graph, seed, workers):
         """Columnar message plane == tuple plane, results and accounting."""
-        ref_state, ref_stats = run_distributed_rslpa(
-            graph.copy(), seed=seed, iterations=8, num_workers=workers,
-            shard_backend="dict", engine="reference",
+        part = HashPartitioner(workers)
+        collected, ref_stats = run_programs(
+            RSLPAPropagationProgram, build_csr_shards(graph, part), part,
+            seed=seed, iterations=8,
         )
+        ref_state = _merge_collected_rslpa_state(collected, 8)
         arr_state, arr_stats = run_distributed_rslpa(
             graph.copy(), seed=seed, iterations=8, num_workers=workers,
-            shard_backend="csr", engine="array",
         )
         assert arr_state.labels == ref_state.labels
         assert arr_state.srcs == ref_state.srcs
@@ -115,7 +124,6 @@ class TestSLPAEngines:
         ref.propagate()
         memories, _ = run_distributed_slpa(
             graph.copy(), seed=seed, iterations=8, num_workers=workers,
-            shard_backend="csr", engine="array",
         )
         assert memories == ref.memories
 
