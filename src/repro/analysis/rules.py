@@ -11,7 +11,7 @@ tests (see DESIGN.md "Static invariants" for the full mapping):
   :mod:`repro.obs`; the ``sys.modules`` booby-trap test catches an
   executed violation, this rule catches it at diff time.
 * **RPL003 resource discipline** — shared-memory segments, sockets, and
-  write handles in the transport/durability/replication planes must
+  write handles in the transport, runtime and durability modules must
   reach a release on *all* paths (``with``, ``try/finally``, or escape
   to a long-lived owner with a shutdown path); the SIGKILL tests assert
   ``/dev/shm`` stays clean, this rule asserts the code shape that makes
@@ -255,8 +255,8 @@ class ResourceDisciplineRule(Rule):
     title = "resource discipline: with / try-finally / owner escape"
     scope = (
         "distributed/transport.py",
+        "runtime.py",
         "service/durability.py",
-        "service/replication.py",
     )
 
     def _classify(self, ctx: ModuleContext, call: ast.Call) -> Optional[str]:
@@ -358,14 +358,18 @@ _REGISTRY_ONLY = {
     "repro.distributed.transport": {
         "PipeTransport", "SharedMemoryTransport", "SocketTransport",
     },
-    "repro.service.replication": {"PipeServiceWire", "TcpServiceWire"},
+    "repro.runtime": {"PipeWire", "TcpWire"},
 }
 
 #: Files allowed to name concrete component classes directly: the home
 #: modules themselves, the registry's lazy loaders, and package
 #: __init__ re-exports (public API surface).
-_REGISTRY_EXEMPT = ("distributed/transport.py", "service/replication.py",
+_REGISTRY_EXEMPT = ("distributed/transport.py", "runtime.py",
                     "api/registry.py")
+
+#: Fixed, non-pluggable uses of a registered class, by file: the BSP
+#: engine's control channel is always a pipe, whatever the data plane.
+_REGISTRY_FIXED = {"distributed/multiprocess.py": {"PipeWire"}}
 
 
 class ApiHygieneRule(Rule):
@@ -413,8 +417,9 @@ class ApiHygieneRule(Rule):
             concrete = _REGISTRY_ONLY.get(node.module or "")
             if not concrete:
                 continue
+            fixed = _REGISTRY_FIXED.get(rel, ())
             for alias in node.names:
-                if alias.name in concrete:
+                if alias.name in concrete and alias.name not in fixed:
                     yield self.finding(
                         ctx, node,
                         f"direct import of concrete component "

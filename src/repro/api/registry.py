@@ -20,8 +20,10 @@ Calling conventions per registry (what a resolved component *is*):
   arguments per engine), e.g. ``"shm"`` for the zero-copy
   shared-memory plane.
 * :data:`SERVICE_TRANSPORTS` — the replication control-plane
-  :class:`~repro.service.replication.ServiceWire` *class* (instantiated
-  with no arguments per supervisor); ships pickled WAL records and
+  :class:`~repro.runtime.Wire` *class* (instantiated with no arguments
+  per supervisor; the built-ins are :mod:`repro.runtime`'s
+  :class:`~repro.runtime.PipeWire` and :class:`~repro.runtime.TcpWire`,
+  which the BSP engine also runs on); ships pickled WAL records and
   query traffic between the supervisor and its primary/replica
   children.
 
@@ -159,17 +161,17 @@ TRANSPORTS.register_lazy("tcp", _load_tcp_transport)
 # ----------------------------------------------------------------------
 # Built-in service-plane (replication) wires.
 # ----------------------------------------------------------------------
-def _load_pipe_service_wire():
-    from repro.service.replication import PipeServiceWire
+def _load_pipe_wire():
+    from repro.runtime import PipeWire
 
-    return PipeServiceWire
-
-
-def _load_tcp_service_wire():
-    from repro.service.replication import TcpServiceWire
-
-    return TcpServiceWire
+    return PipeWire
 
 
-SERVICE_TRANSPORTS.register_lazy("pipe", _load_pipe_service_wire)
-SERVICE_TRANSPORTS.register_lazy("tcp", _load_tcp_service_wire)
+def _load_tcp_wire():
+    from repro.runtime import TcpWire
+
+    return TcpWire
+
+
+SERVICE_TRANSPORTS.register_lazy("pipe", _load_pipe_wire)
+SERVICE_TRANSPORTS.register_lazy("tcp", _load_tcp_wire)

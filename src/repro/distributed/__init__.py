@@ -51,9 +51,12 @@ keywords are shims onto it), every ``auto`` resolves through
 :func:`repro.api.plan.resolve_plan`, and named partitioners/transports
 are looked up in :mod:`repro.api.registry` —
 ``ExecutionConfig(multiprocess=True)`` routes the propagation wrappers
-through the multiprocess engine with identical results and stats.  A
-worker process that dies mid-run raises :class:`WorkerCrashedError`
-naming the dead worker instead of hanging the driver.
+through the multiprocess engine with identical results and stats.  The
+engine's control pipes, its tcp sockets, crash detection and shutdown
+escalation are :mod:`repro.runtime`, shared with the replicated service:
+a worker process that dies mid-run raises :class:`WorkerCrashedError`
+(a :class:`~repro.runtime.ChildCrashedError`) naming the dead worker
+instead of hanging the driver.
 
 **Fault tolerance** (``fault_tolerance=True`` on
 :class:`MultiprocessBSPEngine` or :class:`~repro.api.config.

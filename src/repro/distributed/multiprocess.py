@@ -27,11 +27,12 @@ its process; results come back via ``collect()``, so this backend suits
 the *propagation* programs (whose results are collected), not the
 in-place correction program.
 
-A worker that dies mid-run can never hang the driver: every wait polls
-process liveness and raises
-:class:`~repro.distributed.transport.WorkerCrashedError` naming the dead
-worker, and ``shutdown()`` releases pipes, sockets, and shared-memory
-segments on every exit path (idempotently, crash or no crash).
+A worker that dies mid-run can never hang the driver: the control pipes
+are a :class:`~repro.runtime.PipeWire`, whose every wait polls process
+liveness and raises :class:`~repro.runtime.WorkerCrashedError` naming the
+dead worker, and ``shutdown()`` releases pipes, sockets, and
+shared-memory segments on every exit path (idempotently, crash or no
+crash).
 
 Fault tolerance (``fault_tolerance=True``) turns that detection into
 supervised recovery:
@@ -60,7 +61,8 @@ failure fires exactly once.  ``recovery`` (a
 :class:`~repro.distributed.metrics.RecoveryStats`, also attached to
 ``stats.recovery``) counts checkpoints, respawns, and replayed
 supersteps; ``leaked_pids`` lists any process that survived the SIGKILL
-escalation in :meth:`~MultiprocessBSPEngine.shutdown`.
+escalation (:func:`~repro.runtime.stop_children`) in
+:meth:`~MultiprocessBSPEngine.shutdown`.
 
 Usage::
 
@@ -79,6 +81,7 @@ import signal
 import time
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -92,18 +95,16 @@ from repro.distributed.message_array import (
     route_columns,
 )
 from repro.distributed.metrics import CommStats, RecoveryStats
-from repro.distributed.transport import Transport, WorkerCrashedError, WorkerEndpoint
+from repro.distributed.transport import Transport, WorkerEndpoint
 from repro.distributed.worker import CSRShard
 from repro.graph.partition import Partitioner
+from repro.runtime import POLL_S, PipeWire, WorkerCrashedError, stop_children
 
 __all__ = ["MultiprocessBSPEngine", "WorkerCrashedError"]
 
 logger = logging.getLogger(__name__)
 
 ProgramFactory = Callable[[CSRShard], ArrayWorkerProgram]
-
-#: Seconds between liveness polls while the driver waits on a pipe.
-_POLL_S = 0.05
 
 #: Tag of every control reply a worker sends on its pipe.  Control replies
 #: must be distinguishable from stale data-plane messages (outbox headers,
@@ -344,15 +345,16 @@ class MultiprocessBSPEngine:
         self._max_restarts = max_restarts
         # Retained for respawns: the supervisor re-ships a dead worker's
         # shard and rebuilds its endpoint from the same factory/transport.
-        self._shards = list(shards)
+        self._shards = {shard.worker_id: shard for shard in shards}
+        self._worker_ids = list(self._shards)
         self._factory = factory
-        self._fault_plans: List[Optional[FaultPlan]] = [fault_plan] * len(
-            self._shards
+        self._fault_plans: Dict[int, Optional[FaultPlan]] = dict.fromkeys(
+            self._worker_ids, fault_plan
         )
         self._ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
-        self._connections: List[Optional[object]] = [None] * len(self._shards)
-        self._processes: List[Optional[object]] = [None] * len(self._shards)
-        self._worker_ids = [shard.worker_id for shard in self._shards]
+        # The control channel is always a pipe, whatever the data plane.
+        self._control = PipeWire(crash_error=WorkerCrashedError)
+        self._processes: Dict[int, object] = {}
         self._closed = False
         self._checkpoint: Optional[_Cut] = None
         self._superstep = 0
@@ -361,82 +363,45 @@ class MultiprocessBSPEngine:
         self._ctrl_token = 0
         self._last_max_supersteps = 100_000
         try:
+            self._control.bind(self._ctx)
             self._transport.bind(self._worker_ids, self._ctx)
-            for index in range(len(self._shards)):
-                self._spawn_worker(index)
-            for wid, process in zip(self._worker_ids, self._processes):
-                self._transport.attach(wid, process)
+            for wid in self._worker_ids:
+                self._spawn_worker(wid)
+            for wid in self._worker_ids:
+                self._transport.attach(wid, self._processes[wid])
         except BaseException:
             # A worker dying during the handshake (or any bind failure)
             # must not leak processes, sockets, or shm segments.
             self.shutdown()
             raise
 
-    def _spawn_worker(self, index: int) -> None:
-        shard = self._shards[index]
-        parent_conn, child_conn = self._ctx.Pipe()
+    def _spawn_worker(self, wid: int) -> None:
         process = self._ctx.Process(
             target=_worker_main,
             args=(
-                child_conn,
-                shard,
+                self._control.child_endpoint(wid),
+                self._shards[wid],
                 self._factory,
-                self._transport.worker_endpoint(shard.worker_id),
-                self._fault_plans[index],
+                self._transport.worker_endpoint(wid),
+                self._fault_plans[wid],
                 self.obs is not None,
             ),
             daemon=True,
         )
         process.start()
-        child_conn.close()
-        self._connections[index] = parent_conn
-        self._processes[index] = process
+        self._processes[wid] = process
+        self._control.attach(wid, process)
 
     # ------------------------------------------------------------------
     # Crash-aware control plane
     # ------------------------------------------------------------------
-    def _send(self, index: int, command) -> None:
-        try:
-            self._connections[index].send(command)
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            raise WorkerCrashedError(
-                self._worker_ids[index],
-                self._processes[index].exitcode,
-                "(control pipe closed)",
-            )
-
-    def _recv(self, index: int):
-        """Receive from one worker's pipe without ever blocking forever."""
-        conn = self._connections[index]
-        process = self._processes[index]
-        while not conn.poll(_POLL_S):
-            if not process.is_alive():
-                # One final poll: the worker may have replied just before
-                # dying and the message still sits in the pipe buffer.
-                if conn.poll(_POLL_S):
-                    break
-                raise WorkerCrashedError(
-                    self._worker_ids[index], process.exitcode
-                )
-        try:
-            return conn.recv()
-        except (EOFError, ConnectionResetError):
-            raise WorkerCrashedError(
-                self._worker_ids[index], process.exitcode, "(pipe truncated)"
-            )
-
     def _recv_outboxes(self) -> Dict[int, ArrayOutbox]:
         outboxes: Dict[int, ArrayOutbox] = {}
         try:
-            for i, wid in enumerate(self._worker_ids):
-                try:
-                    outboxes[wid] = self._transport.recv_outbox(
-                        wid, lambda i=i: self._recv(i)
-                    )
-                except ConnectionError:
-                    raise WorkerCrashedError(
-                        wid, self._processes[i].exitcode, "(data plane closed)"
-                    )
+            for wid in self._worker_ids:
+                outboxes[wid] = self._transport.recv_outbox(
+                    wid, partial(self._control.recv, wid)
+                )
         except Exception:
             # The exception's traceback pins this frame (and the partial
             # dict) until the caller is done with it; shm views held here
@@ -455,22 +420,17 @@ class MultiprocessBSPEngine:
         payloads; the first crash is raised after the loop.
         """
         crash: Optional[WorkerCrashedError] = None
-        for i, wid in enumerate(self._worker_ids):
+        for wid in self._worker_ids:
             try:
                 self._transport.send_inbox(
                     wid,
                     inboxes[wid],
-                    lambda header, i=i, s=superstep: self._send(
-                        i, ("step", s, header)
+                    lambda header, wid=wid: self._control.send(
+                        wid, ("step", superstep, header)
                     ),
                 )
             except WorkerCrashedError as exc:
                 crash = crash if crash is not None else exc
-            except ConnectionError:
-                if crash is None:
-                    crash = WorkerCrashedError(
-                        wid, self._processes[i].exitcode, "(data plane closed)"
-                    )
         if crash is not None:
             raise crash
 
@@ -494,8 +454,8 @@ class MultiprocessBSPEngine:
         self._superstep = 0
         self._stats_base = len(self.stats.per_superstep)
         obs = self.obs
-        for i in range(len(self._connections)):
-            self._send(i, ("start",))
+        for wid in self._worker_ids:
+            self._control.send(wid, ("start",))
         if obs is not None:
             barrier_start = time.time_ns()
         self._outboxes = self._recv_outboxes()
@@ -579,9 +539,9 @@ class MultiprocessBSPEngine:
             raise RuntimeError("engine already shut down")
         while True:
             try:
-                for i in range(len(self._connections)):
-                    self._send(i, ("collect",))
-                return [self._recv(i) for i in range(len(self._connections))]
+                for wid in self._worker_ids:
+                    self._control.send(wid, ("collect",))
+                return [self._control.recv(wid) for wid in self._worker_ids]
             except WorkerCrashedError as exc:
                 self._recover(exc)
                 # The restored cut may predate quiescence: replay to the
@@ -614,10 +574,10 @@ class MultiprocessBSPEngine:
         recorder of what actually executed, replays included.
         """
         obs = self.obs
-        for i in range(len(self._connections)):
-            self._send(i, ("trace",))
-        for i, wid in enumerate(self._worker_ids):
-            reply = self._recv(i)
+        for wid in self._worker_ids:
+            self._control.send(wid, ("trace",))
+        for wid in self._worker_ids:
+            reply = self._control.recv(wid)
             if not (
                 isinstance(reply, tuple)
                 and len(reply) == 4
@@ -637,9 +597,9 @@ class MultiprocessBSPEngine:
         obs = self.obs
         if obs is not None:
             checkpoint_start = time.time_ns()
-        for i in range(len(self._connections)):
-            self._send(i, ("snapshot", self._superstep))
-        replies = [self._recv(i) for i in range(len(self._connections))]
+        for wid in self._worker_ids:
+            self._control.send(wid, ("snapshot", self._superstep))
+        replies = [self._control.recv(wid) for wid in self._worker_ids]
         blobs: Dict[int, bytes] = {}
         torn: List[int] = []
         for wid, reply in zip(self._worker_ids, replies):
@@ -706,12 +666,10 @@ class MultiprocessBSPEngine:
             # cut owns materialised copies, so nothing is lost.
             self._outboxes = None
             logger.warning(
-                "recovering from %s: respawning worker(s) %s",
-                exc,
-                [self._worker_ids[index] for index in dead],
+                "recovering from %s: respawning worker(s) %s", exc, dead
             )
-            for index in dead:
-                self._respawn(index)
+            for wid in dead:
+                self._respawn(wid)
             try:
                 self._resync("reset" if self._checkpoint is None else "restore")
                 break
@@ -740,7 +698,7 @@ class MultiprocessBSPEngine:
             )
 
     def _await_dead(self, exc: WorkerCrashedError) -> List[int]:
-        """Indices of the dead workers; re-raises ``exc`` if there are none.
+        """Ids of the dead workers; re-raises ``exc`` if there are none.
 
         A pipe EOF can be observed microseconds before waitpid() sees the
         exit (the kernel closes fds before the zombie transition), so the
@@ -750,48 +708,43 @@ class MultiprocessBSPEngine:
         deadline = time.monotonic() + 5.0
         while True:
             dead = [
-                index
-                for index, process in enumerate(self._processes)
-                if process is None or not process.is_alive()
+                wid for wid in self._worker_ids
+                if not self._processes[wid].is_alive()
             ]
             if dead or time.monotonic() >= deadline:
                 break
-            time.sleep(_POLL_S)
+            time.sleep(POLL_S)
         if not dead:  # pragma: no cover - not a process death; cannot repair
             raise exc
         return dead
 
-    def _respawn(self, index: int) -> None:
-        wid = self._worker_ids[index]
+    def _respawn(self, wid: int) -> None:
         if self.recovery.workers_respawned >= self._max_restarts:
             raise WorkerCrashedError(
                 wid,
-                self._processes[index].exitcode,
+                self._processes[wid].exitcode,
                 f"(respawn budget exhausted: max_restarts={self._max_restarts})",
             )
         self.recovery.workers_respawned += 1
         obs = self.obs
         if obs is not None:
             respawn_start = time.time_ns()
-        self._processes[index].join(timeout=5)  # reap the corpse
-        try:
-            self._connections[index].close()
-        except OSError:  # pragma: no cover
-            pass
+        self._processes[wid].join(timeout=5)  # reap the corpse
+        self._control.detach(wid)
         self._transport.detach(wid)
-        plan = self._fault_plans[index]
+        plan = self._fault_plans[wid]
         if plan is not None:
             # Strip-on-respawn: a replacement worker is healthy, so every
             # scripted fault fires exactly once and replay terminates.
-            self._fault_plans[index] = plan.without_worker(wid)
-        self._spawn_worker(index)
-        self._transport.attach(wid, self._processes[index])
+            self._fault_plans[wid] = plan.without_worker(wid)
+        self._spawn_worker(wid)
+        self._transport.attach(wid, self._processes[wid])
         if obs is not None:
             obs.trace.record(
                 "engine.respawn", respawn_start, plane=_PLANE,
                 worker=wid, superstep=self._superstep,
             )
-        logger.info("respawned worker %d (%s)", wid, self._shards[index].describe())
+        logger.info("respawned worker %d (%s)", wid, self._shards[wid].describe())
 
     def _resync(self, verb: str) -> None:
         """Bring every worker to the same state via ``sync`` + restore/reset.
@@ -809,31 +762,26 @@ class MultiprocessBSPEngine:
         self._ctrl_token += 1
         token = self._ctrl_token
         cut = self._checkpoint
-        for index, wid in enumerate(self._worker_ids):
-            self._send(index, ("sync", token))
-            self._drain_until_ack(index, wid, "sync", token)
+        for wid in self._worker_ids:
+            self._control.send(wid, ("sync", token))
+            self._drain_until_ack(wid, "sync", token)
             if verb == "restore":
-                self._send(
-                    index, ("restore", cut.superstep, cut.blobs[wid], token)
+                self._control.send(
+                    wid, ("restore", cut.superstep, cut.blobs[wid], token)
                 )
-                self._drain_until_ack(index, wid, "restored", token)
+                self._drain_until_ack(wid, "restored", token)
             else:
-                self._send(index, ("reset", token))
-                self._drain_until_ack(index, wid, "reset", token)
+                self._control.send(wid, ("reset", token))
+                self._drain_until_ack(wid, "reset", token)
 
-    def _drain_until_ack(self, index: int, wid: int, kind: str, token: int) -> None:
+    def _drain_until_ack(self, wid: int, kind: str, token: int) -> None:
         for _ in range(_DRAIN_LIMIT):
-            msg = self._recv(index)
+            msg = self._control.recv(wid)
             if isinstance(msg, tuple) and len(msg) >= 3 and msg[0] == _CTRL:
                 if msg[1] == kind and msg[-1] == token:
                     return
                 continue  # control reply from an interrupted earlier phase
-            try:
-                self._transport.drain_stale(wid, msg)
-            except ConnectionError:
-                raise WorkerCrashedError(
-                    wid, self._processes[index].exitcode, "(died during drain)"
-                )
+            self._transport.drain_stale(wid, msg)
         raise RuntimeError(  # pragma: no cover - protocol violation
             f"worker {wid} never acknowledged {kind!r}"
         )
@@ -852,38 +800,12 @@ class MultiprocessBSPEngine:
         if self._closed:
             return
         self._closed = True
-        connections = [c for c in self._connections if c is not None]
-        processes = [p for p in self._processes if p is not None]
         try:
-            for conn in connections:
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, ConnectionResetError, OSError):
-                    pass  # worker already gone
-            for process in processes:
-                process.join(timeout=10)
+            self.leaked_pids += stop_children(
+                self._control, self._processes, join_s=10, kill_join_s=5
+            )
         finally:
-            for process in processes:
-                if process.is_alive():  # pragma: no cover - stuck worker
-                    process.terminate()
-                    process.join(timeout=5)
-            for process in processes:
-                if process.is_alive():  # pragma: no cover - ignored SIGTERM
-                    process.kill()
-                    process.join(timeout=5)
-            for process in processes:
-                if process.is_alive():
-                    self.leaked_pids.append(process.pid)
-                    logger.error(
-                        "worker process pid=%d survived the SIGKILL "
-                        "escalation; leaking it",
-                        process.pid,
-                    )
-            for conn in connections:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+            self._control.close()
             # Release outbox column views (shm: exported pointers into the
             # workers' segments) before closing the transport, or the
             # segments cannot be unmapped.

@@ -40,10 +40,11 @@ inbox within the superstep that delivered it — the contract the built-in
 array programs already satisfy.
 
 Crash safety: a worker that dies mid-superstep can never hang the driver.
-Control-pipe receives poll worker liveness and raise
-:class:`WorkerCrashedError` naming the dead worker; socket reads do the
-same.  Shared-memory segments and sockets are closed (and segments
-unlinked) on every exit path, including after ``terminate()``.
+The control pipes and the tcp sockets are :mod:`repro.runtime` wires,
+whose receives poll worker liveness and raise :class:`WorkerCrashedError`
+naming the dead worker.  Shared-memory segments and sockets are closed
+(and segments unlinked) on every exit path, including after
+``terminate()``.
 
 Observability: the engine sets :attr:`Transport.obs` (a
 :class:`repro.obs.Obs`) when the run is traced, and each transport
@@ -55,10 +56,6 @@ transport path touches :mod:`repro.obs`.
 
 from __future__ import annotations
 
-import os
-import pickle
-import socket
-import struct
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,7 +67,7 @@ from repro.distributed.message_array import (
     packed_nbytes,
     unpack_columns,
 )
-from repro.utils.backoff import JitteredBackoff
+from repro.runtime import POLL_S, SocketPeer, TcpWire, WorkerCrashedError
 
 __all__ = [
     "WorkerCrashedError",
@@ -80,35 +77,6 @@ __all__ = [
     "SharedMemoryTransport",
     "SocketTransport",
 ]
-
-#: Seconds between liveness polls while waiting on a worker.
-_POLL_S = 0.05
-
-#: Worker-side connect retries (exponential backoff from _CONNECT_DELAY_S,
-#: jittered — see SocketWorkerEndpoint.open): a respawned worker may dial
-#: in while the driver is still detaching its predecessor's socket, so the
-#: first attempt is allowed to fail.
-_CONNECT_ATTEMPTS = 6
-_CONNECT_DELAY_S = 0.05
-
-
-class WorkerCrashedError(RuntimeError):
-    """A worker process died while the driver was waiting on it.
-
-    Carries the dead worker's id and exit code so supervisors can act on
-    *which* shard was lost instead of hanging on a silent ``recv``.
-    """
-
-    def __init__(self, worker_id: int, exitcode: Optional[int] = None,
-                 detail: str = ""):
-        self.worker_id = worker_id
-        self.exitcode = exitcode
-        message = f"worker {worker_id} died"
-        if exitcode is not None:
-            message += f" with exit code {exitcode}"
-        if detail:
-            message += f" {detail}"
-        super().__init__(message)
 
 
 # ----------------------------------------------------------------------
@@ -452,86 +420,27 @@ class SharedMemoryWorkerEndpoint(WorkerEndpoint):
 # ----------------------------------------------------------------------
 # TCP transport
 # ----------------------------------------------------------------------
-def _recv_into_exact(sock, view: memoryview, alive: Callable[[], bool],
-                     who: str, on_stall: Optional[Callable[[], None]] = None,
-                     ) -> None:
-    """Fill ``view`` from ``sock``, polling ``alive`` on timeouts.
-
-    ``on_stall`` (observability hook) fires once per timed-out poll, i.e.
-    once per ``_POLL_S`` the read spent blocked on an unready peer.
-    """
-    got = 0
-    while got < len(view):
-        try:
-            n = sock.recv_into(view[got:])
-        except socket.timeout:
-            if not alive():
-                raise ConnectionError(f"{who} died mid-frame")
-            if on_stall is not None:
-                on_stall()
-            continue
-        if n == 0:
-            raise ConnectionError(f"{who} closed the connection mid-frame")
-        got += n
-
-
-def _recv_bytes_exact(sock, count: int, alive, who: str,
-                      on_stall=None) -> bytearray:
-    buf = bytearray(count)
-    _recv_into_exact(sock, memoryview(buf), alive, who, on_stall)
-    return buf
-
-
-def _send_all(sock, view: memoryview, alive: Callable[[], bool],
-              who: str, on_stall: Optional[Callable[[], None]] = None,
-              ) -> None:
-    """Push ``view`` down ``sock``, polling ``alive`` on timeouts.
-
-    ``sock.sendall`` forgets how much it wrote when it times out, so a
-    frame larger than the kernel buffer must be pushed ``send`` by
-    ``send`` — the peer may legitimately be busy draining another
-    worker's frame for much longer than one poll interval.  ``on_stall``
-    fires once per timed-out poll (see :func:`_recv_into_exact`).
-    """
-    sent = 0
-    while sent < len(view):
-        try:
-            sent += sock.send(view[sent:])
-        except socket.timeout:
-            if not alive():
-                raise ConnectionError(f"{who} died mid-frame")
-            if on_stall is not None:
-                on_stall()
-            continue
-
-
-def _send_frame(sock, columns: ArrayOutbox, alive: Callable[[], bool],
-                who: str, on_stall=None) -> None:
-    """One superstep payload: length-prefixed layout, then raw columns."""
-    layout = tuple(
-        (kind, int(columns[kind][0].shape[0])) for kind in sorted(columns)
+def _send_frame(peer: SocketPeer, columns: ArrayOutbox, on_stall=None) -> None:
+    """One superstep payload: the pickled layout as one message, then the
+    raw column bytes."""
+    kinds = sorted(columns)
+    peer.send(
+        tuple((kind, int(columns[kind][0].shape[0])) for kind in kinds),
+        on_stall,
     )
-    head = pickle.dumps(layout, protocol=pickle.HIGHEST_PROTOCOL)
-    _send_all(sock, memoryview(struct.pack("<Q", len(head)) + head),
-              alive, who, on_stall)
-    for kind in sorted(columns):
+    for kind in kinds:
         for col in columns[kind]:
             col = np.ascontiguousarray(col, dtype=np.int64)
-            _send_all(sock, col.view(np.uint8).data, alive, who, on_stall)
+            peer.send_all(col.view(np.uint8).data, on_stall)
 
 
-def _recv_frame(sock, alive, who: str, on_stall=None) -> ArrayOutbox:
-    (head_len,) = struct.unpack(
-        "<Q", _recv_bytes_exact(sock, 8, alive, who, on_stall)
-    )
-    layout = pickle.loads(_recv_bytes_exact(sock, head_len, alive, who, on_stall))
+def _recv_frame(peer: SocketPeer, on_stall=None) -> ArrayOutbox:
     out: ArrayOutbox = {}
-    for kind, rows in layout:
-        width = SCHEMAS[kind].width + 1
+    for kind, rows in peer.recv(on_stall):
         cols = []
-        for _ in range(width):
+        for _ in range(SCHEMAS[kind].width + 1):
             col = np.empty(rows, dtype=np.int64)
-            _recv_into_exact(sock, col.view(np.uint8).data, alive, who, on_stall)
+            peer.recv_into(col.view(np.uint8).data, on_stall)
             col.flags.writeable = False
             cols.append(col)
         out[kind] = tuple(cols)
@@ -541,81 +450,45 @@ def _recv_frame(sock, alive, who: str, on_stall=None) -> ArrayOutbox:
 class SocketTransport(Transport):
     """Framed columns over localhost TCP: the two-"host" data plane.
 
-    The driver listens on an ephemeral ``127.0.0.1`` port; every worker
-    process dials in and authenticates with a per-engine cookie, making
-    each worker group an independent "host" whose only shared state is
-    the wire.  Payloads are length-framed raw column bytes — the same
-    layout the shm transport packs — so promoting a worker group to a
-    genuinely remote machine is a matter of the address, not the format.
+    The connections are a :class:`~repro.runtime.TcpWire`: the driver
+    listens on an ephemeral port of ``host``, and every worker process
+    dials in and authenticates with the per-engine cookie, making each
+    worker group an independent "host" whose only shared state is the
+    wire.  Payloads are length-framed raw column bytes — the same layout
+    the shm transport packs — so promoting a worker group to a genuinely
+    remote machine is a matter of the address, not the format.
     """
 
     name = "tcp"
 
     def __init__(self, host: str = "127.0.0.1"):
-        self._host = host
-        self._listener = None
-        self._port: Optional[int] = None
-        self._cookie: bytes = b""
-        self._socks: Dict[int, socket.socket] = {}
-        self._processes: Dict[int, object] = {}
+        self._wire = TcpWire(host, crash_error=WorkerCrashedError)
 
     def bind(self, worker_ids, mp_context) -> None:
-        self._listener = socket.create_server((self._host, 0))
-        self._listener.settimeout(_POLL_S)
-        self._port = self._listener.getsockname()[1]
-        self._cookie = os.urandom(16)
+        self._wire.bind(mp_context)
 
     def worker_endpoint(self, worker_id: int) -> "SocketWorkerEndpoint":
-        return SocketWorkerEndpoint(
-            self._host, self._port, worker_id, self._cookie
-        )
+        return SocketWorkerEndpoint(self._wire.child_endpoint(worker_id))
 
     def attach(self, worker_id: int, process) -> None:
-        self._processes[worker_id] = process
-        while worker_id not in self._socks:
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                if not process.is_alive():
-                    raise WorkerCrashedError(
-                        worker_id, process.exitcode, "before connecting"
-                    )
-                continue
-            hello = _recv_bytes_exact(
-                sock, 24, lambda: True, "connecting worker"
-            )
-            if bytes(hello[:16]) != self._cookie:
-                sock.close()  # not ours: refuse cross-engine traffic
-                continue
-            (wid,) = struct.unpack("<q", hello[16:])
-            sock.settimeout(_POLL_S)
-            self._socks[wid] = sock
-
-    def _alive(self, worker_id: int) -> bool:
-        process = self._processes.get(worker_id)
-        return process is None or process.is_alive()
+        self._wire.attach(worker_id, process)
 
     def _stall_hook(self, direction: str):
-        """Per-poll stall hook charging ``_POLL_S`` to a counter (traced
+        """Per-poll stall hook charging ``POLL_S`` to a counter (traced
         runs only; ``None`` — the fast path — when tracing is off)."""
         if self.obs is None:
             return None
         counter = self.obs.metrics.counter(
             f"transport.tcp.{direction}_stall_seconds"
         )
-        return lambda: counter.inc(_POLL_S)
+        return lambda: counter.inc(POLL_S)
 
     def send_inbox(self, worker_id, payload, send_command) -> None:
         # Verb first: the worker must be draining the socket before a
-        # larger-than-buffer frame is pushed, or sendall would deadlock.
+        # larger-than-buffer frame is pushed, or the send would deadlock.
         send_command(None)
-        _send_frame(
-            self._socks[worker_id],
-            payload,
-            lambda: self._alive(worker_id),
-            f"worker {worker_id}",
-            on_stall=self._stall_hook("send"),
-        )
+        with self._wire.peer(worker_id) as peer:
+            _send_frame(peer, payload, self._stall_hook("send"))
         if self.obs is not None:
             self.obs.metrics.histogram("transport.tcp.inbox_bytes").observe(
                 _columns_nbytes(payload)
@@ -623,12 +496,8 @@ class SocketTransport(Transport):
 
     def recv_outbox(self, worker_id, recv_header) -> ArrayOutbox:
         recv_header()  # pipe ack: sequencing + crash detection
-        outbox = _recv_frame(
-            self._socks[worker_id],
-            lambda: self._alive(worker_id),
-            f"worker {worker_id}",
-            on_stall=self._stall_hook("recv"),
-        )
+        with self._wire.peer(worker_id) as peer:
+            outbox = _recv_frame(peer, self._stall_hook("recv"))
         if self.obs is not None:
             self.obs.metrics.histogram("transport.tcp.outbox_bytes").observe(
                 _columns_nbytes(outbox)
@@ -636,84 +505,39 @@ class SocketTransport(Transport):
         return outbox
 
     def detach(self, worker_id) -> None:
-        sock = self._socks.pop(worker_id, None)
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._processes.pop(worker_id, None)
+        self._wire.detach(worker_id)
 
     def drain_stale(self, worker_id, header) -> None:
         # A ``None`` header is an outbox ack: a frame is in (or still
         # entering) the socket.  Drain it so the survivor unblocks and the
         # stream realigns; any other stale message (a collect dict, a
         # control reply) carries no out-of-band payload.
-        if header is None and worker_id in self._socks:
-            _recv_frame(
-                self._socks[worker_id],
-                lambda: self._alive(worker_id),
-                f"worker {worker_id}",
-            )
+        if header is None:
+            with self._wire.peer(worker_id) as peer:
+                _recv_frame(peer)
 
     def close(self) -> None:
-        for sock in self._socks.values():
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._socks.clear()
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
+        self._wire.close()
 
 
 class SocketWorkerEndpoint(WorkerEndpoint):
-    def __init__(self, host: str, port: int, worker_id: int, cookie: bytes):
-        self._host = host
-        self._port = port
-        self._worker_id = worker_id
-        self._cookie = cookie
-        self._sock: Optional[socket.socket] = None
+    """Worker half: the :class:`~repro.runtime.TcpWire` child endpoint
+    carrying column frames."""
+
+    def __init__(self, peer):
+        self._peer = peer
 
     def open(self) -> None:
-        # Exponential backoff over a bounded retry budget: a respawned
-        # worker may dial in while the driver is still tearing down its
-        # predecessor's socket or busy inside the recovery barrier.  The
-        # schedule is jittered so simultaneously-respawned workers spread
-        # their redials instead of hammering the listener in lock-step;
-        # keying the jitter by (cookie, worker id) keeps each worker's
-        # delays reproducible run over run.
-        backoff = JitteredBackoff(
-            _CONNECT_DELAY_S,
-            attempts=_CONNECT_ATTEMPTS,
-            key=(self._cookie, self._worker_id, "tcp-reconnect"),
-        )
-
-        def dial():
-            self._sock = socket.create_connection((self._host, self._port))
-
-        backoff.retry(dial, exceptions=(OSError,))
-        self._sock.sendall(
-            self._cookie + struct.pack("<q", self._worker_id)
-        )
-        self._sock.settimeout(_POLL_S)
+        self._peer.open()
 
     def recv_inbox(self, header) -> ArrayOutbox:
-        return _recv_frame(self._sock, lambda: True, "driver")
+        return _recv_frame(self._peer)
 
     def send_outbox(self, payload, send_header) -> None:
         # Ack first (mirror of send_inbox): the driver reads the ack, then
         # drains the frame, so a big frame never wedges both ends.
         send_header(None)
-        # alive() is always true on the worker side: if the driver dies
-        # its end of the socket closes and send() raises instead.
-        _send_frame(self._sock, payload, lambda: True, "driver")
+        _send_frame(self._peer, payload)
 
     def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._sock = None
+        self._peer.close()

@@ -1,0 +1,495 @@
+"""Child-process runtime shared by the BSP engine and the replicated service.
+
+Two supervisors run their work in child processes:
+:class:`~repro.distributed.multiprocess.MultiprocessBSPEngine` (one worker
+per partition) and :class:`~repro.service.replication.ServiceSupervisor`
+(a primary plus read replicas).  Both talk to each child over a wire,
+must never hang on a child that died, and must stop every child at
+shutdown.  This module is the one copy of that machinery:
+
+* :class:`Wire` — the supervisor's channel to its children, keyed by
+  child id.  :class:`PipeWire` sends pickles over one
+  ``multiprocessing.Pipe`` per child; :class:`TcpWire` sends
+  length-prefixed pickles over localhost sockets, where each child dials
+  in (jittered exponential redial) and says a 24-byte hello: the
+  per-wire cookie plus its int64 child id.  ``recv`` polls the child's
+  liveness every :data:`POLL_S`, so a dead child raises instead of
+  hanging, and returns :data:`TIMEOUT` when an explicit timeout lapses.
+* :class:`SocketPeer` — one end of a framed socket: the ``send_all`` /
+  ``recv_into`` loops (liveness-polled, with an optional per-stall hook
+  and a first-byte deadline) and length-prefixed pickled messages on
+  top.  The BSP engine's tcp data plane frames its raw columns with it.
+* :class:`ChildCrashedError` — a child died; :class:`WorkerCrashedError`
+  is the BSP engine's subclass (it names the ``worker_id``), so
+  ``except ChildCrashedError`` catches a crash from either supervisor.
+* :func:`stop_children` — stop message, then SIGTERM, then SIGKILL; a
+  process that survives SIGKILL is returned and logged, never silently
+  abandoned.
+
+The bytes on the wires are the wire format: pickles over pipes; over tcp
+the hello, ``<Q``-length-prefixed pickles, and whatever raw byte views a
+caller pushes through :meth:`SocketPeer.send_all`.
+"""
+
+from __future__ import annotations
+
+import logging
+import os
+import pickle
+import select
+import socket
+import struct
+import time
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional
+
+from repro.utils.backoff import JitteredBackoff
+
+__all__ = [
+    "POLL_S",
+    "TIMEOUT",
+    "ChildCrashedError",
+    "WorkerCrashedError",
+    "Wire",
+    "PipeWire",
+    "TcpWire",
+    "SocketPeer",
+    "stop_children",
+]
+
+logger = logging.getLogger(__name__)
+
+#: Seconds between liveness polls while a supervisor waits on a child.
+POLL_S = 0.05
+
+#: Sentinel :meth:`Wire.recv` returns when its timeout lapses first
+#: (distinct from any picklable payload).
+TIMEOUT = object()
+
+#: Child-side redial budget: exponential backoff from _CONNECT_DELAY_S.  A
+#: respawned child may dial in while the supervisor is still detaching its
+#: predecessor, so the first attempt is allowed to fail.
+_CONNECT_ATTEMPTS = 6
+_CONNECT_DELAY_S = 0.05
+
+_LENGTH = struct.Struct("<Q")  #: message length prefix
+_CHILD_ID = struct.Struct("<q")  #: child id in the hello, after the cookie
+_COOKIE_BYTES = 16
+
+
+class ChildCrashedError(RuntimeError):
+    """A child process died while its supervisor waited on it.
+
+    Carries the child's id and exit code so a supervisor can act on
+    *which* child was lost instead of hanging on a silent ``recv``.
+    """
+
+    noun = "child"
+
+    def __init__(self, child_id: int, exitcode: Optional[int] = None,
+                 detail: str = ""):
+        self.child_id = child_id
+        self.exitcode = exitcode
+        message = f"{self.noun} {child_id} died"
+        if exitcode is not None:
+            message += f" with exit code {exitcode}"
+        if detail:
+            message += f" {detail}"
+        super().__init__(message)
+
+
+class WorkerCrashedError(ChildCrashedError):
+    """A BSP worker process died while the driver waited on it."""
+
+    noun = "worker"
+
+    @property
+    def worker_id(self) -> int:
+        return self.child_id
+
+
+# ----------------------------------------------------------------------
+# Wires
+# ----------------------------------------------------------------------
+class Wire:
+    """Supervisor-side channel to every child of one supervisor.
+
+    The supervisor calls :meth:`bind` once, then per child
+    :meth:`child_endpoint` (the picklable half handed to the process,
+    which calls ``open()`` inside the child and then ``send`` / ``recv`` /
+    ``close``) and :meth:`attach` once the process started.  Messages are
+    arbitrary pickles.  :meth:`send` and :meth:`recv` raise
+    ``crash_error`` (a :class:`ChildCrashedError` class) when the child
+    is gone; :meth:`recv` returns :data:`TIMEOUT` when an explicit
+    ``timeout`` lapses first.
+    """
+
+    def __init__(self, crash_error: type = ChildCrashedError):
+        self._crash_error = crash_error
+        self._processes: Dict[int, object] = {}
+
+    def bind(self, mp_context) -> None:
+        """Allocate supervisor-side resources before any child starts."""
+
+    def child_endpoint(self, cid: int):
+        raise NotImplementedError
+
+    def attach(self, cid: int, process) -> None:
+        """Complete the per-child handshake after ``process`` started."""
+        self._processes[cid] = process
+
+    def send(self, cid: int, message) -> None:
+        raise NotImplementedError
+
+    def recv(self, cid: int, timeout: Optional[float] = None):
+        raise NotImplementedError
+
+    def poll(self, cid: int) -> bool:
+        """Whether a message from ``cid`` is already waiting."""
+        raise NotImplementedError
+
+    def detach(self, cid: int) -> None:
+        """Release one child's connection state after its process died."""
+        self._processes.pop(cid, None)
+
+    def close(self) -> None:
+        """Release every supervisor-side resource (idempotent)."""
+
+    def _crashed(self, cid: int, detail: str = "") -> ChildCrashedError:
+        process = self._processes.get(cid)
+        return self._crash_error(cid, getattr(process, "exitcode", None), detail)
+
+
+class PipeWire(Wire):
+    """One ``multiprocessing.Pipe`` per child (the local default)."""
+
+    def __init__(self, crash_error: type = ChildCrashedError):
+        super().__init__(crash_error)
+        self._conns: Dict[int, object] = {}
+        self._child_conns: Dict[int, object] = {}
+        self._ctx = None
+
+    def bind(self, mp_context) -> None:
+        self._ctx = mp_context
+
+    def child_endpoint(self, cid: int) -> "PipeChildEndpoint":
+        parent_conn, child_conn = self._ctx.Pipe()
+        self._conns[cid] = parent_conn
+        self._child_conns[cid] = child_conn
+        return PipeChildEndpoint(child_conn)
+
+    def attach(self, cid: int, process) -> None:
+        super().attach(cid, process)
+        # Drop the supervisor's reference to the child half so an EOF is
+        # unambiguous: only the child holds that end now.
+        child_conn = self._child_conns.pop(cid, None)
+        if child_conn is not None:
+            child_conn.close()
+
+    def send(self, cid: int, message) -> None:
+        try:
+            self._conns[cid].send(message)
+        except OSError:
+            raise self._crashed(cid, "(control pipe closed)")
+
+    def recv(self, cid: int, timeout: Optional[float] = None):
+        conn = self._conns[cid]
+        process = self._processes.get(cid)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not conn.poll(POLL_S):
+            if process is not None and not process.is_alive():
+                # One final poll: the child may have replied just before
+                # dying and the message still sits in the pipe buffer.
+                if conn.poll(POLL_S):
+                    break
+                raise self._crashed(cid)
+            if deadline is not None and time.monotonic() >= deadline:
+                return TIMEOUT
+        try:
+            return conn.recv()
+        except (EOFError, ConnectionResetError):
+            raise self._crashed(cid, "(pipe truncated)")
+
+    def poll(self, cid: int) -> bool:
+        try:
+            return self._conns[cid].poll(0)
+        except (OSError, EOFError):  # pragma: no cover - racing a close
+            return False
+
+    def detach(self, cid: int) -> None:
+        super().detach(cid)
+        conn = self._conns.pop(cid, None)
+        if conn is not None:
+            conn.close()
+        self._child_conns.pop(cid, None)
+
+    def close(self) -> None:
+        for conns in (self._conns, self._child_conns):
+            for conn in conns.values():
+                conn.close()
+            conns.clear()
+        self._processes.clear()
+
+
+class PipeChildEndpoint:
+    """Child half of :class:`PipeWire`."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def open(self) -> None:
+        """Nothing to connect: the pipe exists before the child starts."""
+
+    def recv(self):
+        return self._conn.recv()
+
+    def send(self, message) -> None:
+        self._conn.send(message)
+
+    def close(self) -> None:
+        self._conn.close()
+
+
+class SocketPeer:
+    """One end of a framed socket: raw byte views and pickled messages.
+
+    The socket carries a :data:`POLL_S` timeout, so a blocked read or
+    write wakes up every poll to ask ``alive()`` whether the other side
+    still exists (``None``: never asked — a child whose supervisor died
+    sees the socket close instead).  A lost peer raises
+    :class:`ConnectionError`.
+    """
+
+    def __init__(self, sock: Optional[socket.socket] = None,
+                 who: str = "supervisor",
+                 alive: Optional[Callable[[], bool]] = None):
+        self.sock = sock
+        self.who = who
+        self.alive = alive
+
+    def send_all(self, view, on_stall: Optional[Callable[[], None]] = None
+                 ) -> None:
+        """Push the byte view ``view`` down the socket.
+
+        ``sock.sendall`` forgets how much it wrote when it times out, so a
+        frame larger than the kernel buffer is pushed ``send`` by ``send``
+        — the peer may legitimately be busy draining another child's frame
+        for much longer than one poll.  ``on_stall`` fires once per
+        timed-out poll.
+        """
+        sent = 0
+        while sent < len(view):
+            try:
+                sent += self.sock.send(view[sent:])
+            except socket.timeout:
+                if self.alive is not None and not self.alive():
+                    raise ConnectionError(f"{self.who} died mid-frame")
+                if on_stall is not None:
+                    on_stall()
+
+    def recv_into(self, view, on_stall: Optional[Callable[[], None]] = None,
+                  deadline: Optional[float] = None) -> bool:
+        """Fill the byte view ``view``; ``False`` only if ``deadline``
+        (monotonic) lapses before the first byte arrived.
+
+        Once a byte arrived the read commits: a mid-frame timeout would
+        desynchronise the stream.  ``on_stall`` is as in :meth:`send_all`.
+        """
+        got = 0
+        while got < len(view):
+            try:
+                n = self.sock.recv_into(view[got:])
+            except socket.timeout:
+                if self.alive is not None and not self.alive():
+                    raise ConnectionError(f"{self.who} died mid-frame")
+                if (got == 0 and deadline is not None
+                        and time.monotonic() >= deadline):
+                    return False
+                if on_stall is not None:
+                    on_stall()
+                continue
+            if n == 0:
+                raise ConnectionError(
+                    f"{self.who} closed the connection mid-frame"
+                )
+            got += n
+        return True
+
+    def send(self, message, on_stall=None) -> None:
+        """One ``<Q``-length-prefixed pickle."""
+        blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        self.send_all(memoryview(_LENGTH.pack(len(blob)) + blob), on_stall)
+
+    def recv(self, on_stall=None, deadline: Optional[float] = None):
+        """One message, or :data:`TIMEOUT` if ``deadline`` lapses first."""
+        head = bytearray(_LENGTH.size)
+        if not self.recv_into(memoryview(head), on_stall, deadline):
+            return TIMEOUT
+        body = bytearray(_LENGTH.unpack(head)[0])
+        self.recv_into(memoryview(body), on_stall)
+        return pickle.loads(body)
+
+    def close(self) -> None:
+        if self.sock is not None:
+            try:
+                self.sock.close()
+            except OSError:  # pragma: no cover
+                pass
+            self.sock = None
+
+
+class TcpWire(Wire):
+    """Length-prefixed pickles over localhost TCP with cookie auth.
+
+    The supervisor listens on an ephemeral port of ``host``; every child
+    dials in and authenticates with the per-wire cookie, so each child is
+    an independent "host" whose only shared state is the wire — moving
+    it to another machine is an address change, not a format one.
+    """
+
+    def __init__(self, host: str = "127.0.0.1",
+                 crash_error: type = ChildCrashedError):
+        super().__init__(crash_error)
+        self._host = host
+        self._listener: Optional[socket.socket] = None
+        self._port: Optional[int] = None
+        self._cookie = b""
+        self._peers: Dict[int, SocketPeer] = {}
+
+    def bind(self, mp_context) -> None:
+        self._listener = socket.create_server((self._host, 0))
+        self._listener.settimeout(POLL_S)
+        self._port = self._listener.getsockname()[1]
+        self._cookie = os.urandom(_COOKIE_BYTES)
+
+    def child_endpoint(self, cid: int) -> "TcpChildEndpoint":
+        return TcpChildEndpoint(self._host, self._port, cid, self._cookie)
+
+    def attach(self, cid: int, process) -> None:
+        super().attach(cid, process)
+        while cid not in self._peers:
+            try:
+                sock, _addr = self._listener.accept()
+            except socket.timeout:
+                if not process.is_alive():
+                    raise self._crashed(cid, "before connecting")
+                continue
+            hello = bytearray(_COOKIE_BYTES + _CHILD_ID.size)
+            SocketPeer(sock, "connecting child").recv_into(memoryview(hello))
+            if bytes(hello[:_COOKIE_BYTES]) != self._cookie:
+                sock.close()  # not ours: refuse cross-supervisor traffic
+                continue
+            (dialled,) = _CHILD_ID.unpack(hello[_COOKIE_BYTES:])
+            sock.settimeout(POLL_S)
+            self._peers[dialled] = SocketPeer(
+                sock, f"child {dialled}", lambda c=dialled: self._alive(c)
+            )
+
+    def _alive(self, cid: int) -> bool:
+        process = self._processes.get(cid)
+        return process is None or process.is_alive()
+
+    @contextmanager
+    def peer(self, cid: int) -> Iterator[SocketPeer]:
+        """Child ``cid``'s socket; a lost connection inside the block
+        raises the crash error."""
+        try:
+            yield self._peers[cid]
+        except OSError as exc:  # ConnectionError included
+            raise self._crashed(cid, "(socket closed)") from exc
+
+    def send(self, cid: int, message) -> None:
+        with self.peer(cid) as peer:
+            peer.send(message)
+
+    def recv(self, cid: int, timeout: Optional[float] = None):
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self.peer(cid) as peer:
+            return peer.recv(deadline=deadline)
+
+    def poll(self, cid: int) -> bool:
+        peer = self._peers.get(cid)
+        if peer is None:
+            return False
+        readable, _, _ = select.select([peer.sock], [], [], 0)
+        return bool(readable)
+
+    def detach(self, cid: int) -> None:
+        super().detach(cid)
+        peer = self._peers.pop(cid, None)
+        if peer is not None:
+            peer.close()
+
+    def close(self) -> None:
+        for peer in self._peers.values():
+            peer.close()
+        self._peers.clear()
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
+
+
+class TcpChildEndpoint(SocketPeer):
+    """Child half of :class:`TcpWire`: dials in from inside the child."""
+
+    def __init__(self, host: str, port: int, cid: int, cookie: bytes):
+        super().__init__()
+        self._address = (host, port)
+        self._cid = cid
+        self._cookie = cookie
+
+    def open(self) -> None:
+        # Jittered so simultaneously respawned children spread their
+        # redials instead of hammering the listener in lock-step; keying
+        # the jitter by (cookie, child id) keeps each child's delays
+        # reproducible run over run.
+        backoff = JitteredBackoff(
+            _CONNECT_DELAY_S,
+            attempts=_CONNECT_ATTEMPTS,
+            key=(self._cookie, self._cid, "reconnect"),
+        )
+
+        def dial():
+            self.sock = socket.create_connection(self._address)
+
+        backoff.retry(dial, exceptions=(OSError,))
+        self.sock.sendall(self._cookie + _CHILD_ID.pack(self._cid))
+        self.sock.settimeout(POLL_S)
+
+
+# ----------------------------------------------------------------------
+# Shutdown
+# ----------------------------------------------------------------------
+def stop_children(wire: Wire, processes: Dict[int, object], join_s: float,
+                  kill_join_s: float) -> List[int]:
+    """Stop every child: a ``("stop",)`` message, then SIGTERM, then SIGKILL.
+
+    ``processes`` maps child id to process.  Each child gets ``join_s``
+    seconds to exit after its stop message and ``kill_join_s`` after each
+    signal.  Returns the pids of processes that survive even SIGKILL
+    (uninterruptible sleep), each logged instead of silently abandoned.
+    """
+    for cid in processes:
+        try:
+            wire.send(cid, ("stop",))
+        except (ChildCrashedError, KeyError, OSError):
+            pass  # already gone
+    try:
+        for process in processes.values():
+            process.join(timeout=join_s)
+    finally:
+        for process in processes.values():
+            if process.is_alive():  # pragma: no cover - stuck child
+                process.terminate()
+                process.join(timeout=kill_join_s)
+        for process in processes.values():
+            if process.is_alive():  # pragma: no cover - ignored SIGTERM
+                process.kill()
+                process.join(timeout=kill_join_s)
+        leaked = [p.pid for p in processes.values() if p.is_alive()]
+        for pid in leaked:
+            logger.error(
+                "child process pid=%d survived the SIGKILL escalation; "
+                "leaking it", pid,
+            )
+    return leaked

@@ -41,7 +41,11 @@ A fourth plane, **replication** (``repro.service.replication``), runs the
 service as a supervised topology — one primary process plus N read
 replicas fed by shipped WAL records — so queries keep being answered
 through primary crashes (the freshest replica is promoted and replays
-its tail, bit-identically)::
+its tail, bit-identically).  The supervisor talks to its children over
+a :mod:`repro.runtime` wire (the same pipe/tcp wires the BSP engine
+uses); a dead child raises :class:`ChildCrashedError`, which the
+supervisor absorbs by respawning a replica or failing over the
+primary::
 
     from repro.service import ServiceSupervisor
 
@@ -63,12 +67,9 @@ from repro.service.ingest import DELETE, INSERT, BackpressureError, EditQueue
 from repro.service.replication import (
     ChildCrashedError,
     FailoverExhaustedError,
-    PipeServiceWire,
     ReplicatedClient,
     ReplicaLapsedError,
     ServiceSupervisor,
-    ServiceWire,
-    TcpServiceWire,
 )
 
 __all__ = [
@@ -85,9 +86,6 @@ __all__ = [
     "CorruptCheckpointError",
     "ServiceSupervisor",
     "ReplicatedClient",
-    "ServiceWire",
-    "PipeServiceWire",
-    "TcpServiceWire",
     "ChildCrashedError",
     "FailoverExhaustedError",
     "ReplicaLapsedError",

@@ -44,10 +44,12 @@ fallback to the primary — so no client query errors during a failover;
 at worst it is served stale (bounded by K batches) and counted.
 
 The control wire between supervisor and children is pluggable
-(:data:`repro.api.registry.SERVICE_TRANSPORTS`): ``pipe`` (one
-``multiprocessing.Pipe`` per child) or ``tcp`` (length-prefixed pickles
-over localhost sockets with per-supervisor cookie auth, the two-"host"
-shape of the BSP data plane's tcp transport).
+(:data:`repro.api.registry.SERVICE_TRANSPORTS`): ``pipe`` or ``tcp``,
+the :class:`~repro.runtime.PipeWire` / :class:`~repro.runtime.TcpWire`
+the BSP engine runs on too (one ``multiprocessing.Pipe`` per child, or
+length-prefixed pickles over localhost sockets with per-supervisor
+cookie auth).  A dead child surfaces as
+:class:`~repro.runtime.ChildCrashedError`.
 
 Replication requires ``strict_edits=True``: the supervisor's encoding of
 a batch must be byte-identical to the record the primary logs, which a
@@ -59,10 +61,7 @@ from __future__ import annotations
 import logging
 import multiprocessing as mp
 import os
-import pickle
 import signal
-import socket
-import struct
 import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, Union
@@ -75,6 +74,7 @@ from repro.core.detector import RSLPADetector
 from repro.distributed.faults import FaultPlan
 from repro.graph.adjacency import Graph
 from repro.graph.edits import EditBatch
+from repro.runtime import TIMEOUT, ChildCrashedError, Wire, stop_children
 from repro.service.durability import (
     CheckpointStore,
     encode_wal_record,
@@ -94,44 +94,14 @@ __all__ = [
     "ChildCrashedError",
     "FailoverExhaustedError",
     "ReplicaLapsedError",
-    "ServiceWire",
-    "ChildServiceEndpoint",
-    "PipeServiceWire",
-    "TcpServiceWire",
     "ServiceSupervisor",
     "ReplicatedClient",
 ]
 
 logger = logging.getLogger(__name__)
 
-#: Seconds between liveness polls while the supervisor waits on a child.
-_POLL_S = 0.05
-
 #: The child id of the initially-spawned primary (replicas use their rid).
 _PRIMARY_CID = -1
-
-#: Child-side reconnect budget (tcp): same shape as the BSP transport's.
-_CONNECT_ATTEMPTS = 6
-_CONNECT_DELAY_S = 0.05
-
-#: Sentinel returned by :meth:`ServiceWire.recv` when the timeout lapses
-#: without a message (distinct from any picklable payload).
-TIMEOUT = object()
-
-
-class ChildCrashedError(RuntimeError):
-    """A service child process died while the supervisor waited on it."""
-
-    def __init__(self, child: str, exitcode: Optional[int] = None,
-                 detail: str = ""):
-        self.child = str(child)
-        self.exitcode = exitcode
-        message = f"service child {child} died"
-        if exitcode is not None:
-            message += f" with exit code {exitcode}"
-        if detail:
-            message += f" {detail}"
-        super().__init__(message)
 
 
 class FailoverExhaustedError(RuntimeError):
@@ -140,359 +110,6 @@ class FailoverExhaustedError(RuntimeError):
 
 class ReplicaLapsedError(RuntimeError):
     """A replica missed its heartbeat window; the caller should re-route."""
-
-
-# ----------------------------------------------------------------------
-# Service wires (the supervisor <-> child control channel)
-# ----------------------------------------------------------------------
-class ServiceWire:
-    """Supervisor-side control channel: one instance, all children.
-
-    The supervisor calls :meth:`bind` once, then per child
-    :meth:`child_endpoint` (the picklable half handed to the process) and
-    :meth:`attach` after the process started.  Messages are arbitrary
-    pickles; :meth:`recv` never blocks past a dead child (it raises
-    :class:`ChildCrashedError`) and returns :data:`TIMEOUT` when an
-    explicit timeout lapses first.
-    """
-
-    name = "base"
-
-    def bind(self, mp_context) -> None:
-        """Allocate supervisor-side resources before any child starts."""
-
-    def child_endpoint(self, cid: int) -> "ChildServiceEndpoint":
-        raise NotImplementedError
-
-    def attach(self, cid: int, process) -> None:
-        """Complete the per-child handshake after ``process`` started."""
-
-    def send(self, cid: int, message) -> None:
-        raise NotImplementedError
-
-    def recv(self, cid: int, timeout: Optional[float] = None):
-        raise NotImplementedError
-
-    def poll(self, cid: int) -> bool:
-        """Whether a message from ``cid`` is already waiting."""
-        raise NotImplementedError
-
-    def detach(self, cid: int) -> None:
-        """Release one child's connection state after its process died."""
-
-    def close(self) -> None:
-        """Release every supervisor-side resource (idempotent)."""
-
-
-class ChildServiceEndpoint:
-    """Child-side control channel, constructed in the supervisor."""
-
-    def open(self) -> None:
-        """Connect inside the child process (before the first message)."""
-
-    def recv(self):
-        raise NotImplementedError
-
-    def send(self, message) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release child-side resources (idempotent)."""
-
-
-class PipeServiceWire(ServiceWire):
-    """One ``multiprocessing.Pipe`` per child (the local default)."""
-
-    name = "pipe"
-
-    def __init__(self):
-        self._conns: Dict[int, object] = {}
-        self._child_conns: Dict[int, object] = {}
-        self._processes: Dict[int, object] = {}
-        self._ctx = None
-
-    def bind(self, mp_context) -> None:
-        self._ctx = mp_context
-
-    def child_endpoint(self, cid: int) -> "PipeChildEndpoint":
-        parent_conn, child_conn = self._ctx.Pipe()
-        self._conns[cid] = parent_conn
-        self._child_conns[cid] = child_conn
-        return PipeChildEndpoint(child_conn)
-
-    def attach(self, cid: int, process) -> None:
-        self._processes[cid] = process
-        # Drop the supervisor's reference to the child half so an EOF is
-        # unambiguous: only the child holds that end now.
-        child_conn = self._child_conns.pop(cid, None)
-        if child_conn is not None:
-            child_conn.close()
-
-    def send(self, cid: int, message) -> None:
-        try:
-            self._conns[cid].send(message)
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            process = self._processes.get(cid)
-            raise ChildCrashedError(
-                cid, getattr(process, "exitcode", None), "(control pipe closed)"
-            )
-
-    def recv(self, cid: int, timeout: Optional[float] = None):
-        conn = self._conns[cid]
-        process = self._processes.get(cid)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not conn.poll(_POLL_S):
-            if process is not None and not process.is_alive():
-                # One final poll: the child may have replied just before
-                # dying and the message still sits in the pipe buffer.
-                if conn.poll(_POLL_S):
-                    break
-                raise ChildCrashedError(cid, process.exitcode)
-            if deadline is not None and time.monotonic() >= deadline:
-                return TIMEOUT
-        try:
-            return conn.recv()
-        except (EOFError, ConnectionResetError):
-            raise ChildCrashedError(
-                cid, getattr(process, "exitcode", None), "(pipe truncated)"
-            )
-
-    def poll(self, cid: int) -> bool:
-        try:
-            return self._conns[cid].poll(0)
-        except (OSError, EOFError):  # pragma: no cover - racing a close
-            return False
-
-    def detach(self, cid: int) -> None:
-        conn = self._conns.pop(cid, None)
-        if conn is not None:
-            conn.close()
-        self._child_conns.pop(cid, None)
-        self._processes.pop(cid, None)
-
-    def close(self) -> None:
-        for conns in (self._conns, self._child_conns):
-            for conn in conns.values():
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-            conns.clear()
-        self._processes.clear()
-
-
-class PipeChildEndpoint(ChildServiceEndpoint):
-    def __init__(self, conn):
-        self._conn = conn
-
-    def recv(self):
-        return self._conn.recv()
-
-    def send(self, message) -> None:
-        self._conn.send(message)
-
-    def close(self) -> None:
-        self._conn.close()
-
-
-def _sock_send_msg(sock, message, alive, who: str) -> None:
-    """One length-prefixed pickled message down ``sock``."""
-    blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    view = memoryview(struct.pack("<Q", len(blob)) + blob)
-    sent = 0
-    while sent < len(view):
-        try:
-            sent += sock.send(view[sent:])
-        except socket.timeout:
-            if not alive():
-                raise ConnectionError(f"{who} died mid-frame")
-            continue
-
-
-def _sock_recv_exact(sock, count: int, alive, who: str,
-                     deadline: Optional[float], started: bool):
-    """Read exactly ``count`` bytes; :data:`TIMEOUT` only before byte one.
-
-    Once the first byte of a frame arrived the read commits (a mid-frame
-    timeout would desynchronise the stream), so the deadline is honoured
-    only while ``started`` is still false and nothing has been read.
-    """
-    buf = bytearray(count)
-    view = memoryview(buf)
-    got = 0
-    while got < count:
-        try:
-            n = sock.recv_into(view[got:])
-        except socket.timeout:
-            if not alive():
-                raise ConnectionError(f"{who} died mid-frame")
-            if (not started and got == 0 and deadline is not None
-                    and time.monotonic() >= deadline):
-                return TIMEOUT
-            continue
-        if n == 0:
-            raise ConnectionError(f"{who} closed the connection mid-frame")
-        got += n
-    return buf
-
-
-def _sock_recv_msg(sock, alive, who: str, deadline: Optional[float] = None):
-    head = _sock_recv_exact(sock, 8, alive, who, deadline, started=False)
-    if head is TIMEOUT:
-        return TIMEOUT
-    (length,) = struct.unpack("<Q", head)
-    body = _sock_recv_exact(sock, length, alive, who, None, started=True)
-    return pickle.loads(bytes(body))
-
-
-class TcpServiceWire(ServiceWire):
-    """Length-prefixed pickles over localhost TCP with cookie auth.
-
-    The supervisor listens on an ephemeral ``127.0.0.1`` port; every
-    child dials in (with jittered exponential backoff, so a respawned
-    replica survives racing the supervisor's detach of its predecessor)
-    and authenticates with the per-supervisor cookie — the same
-    two-"host" shape as the BSP data plane's tcp transport, so promoting
-    replicas to another machine is an address change, not a format one.
-    """
-
-    name = "tcp"
-
-    def __init__(self, host: str = "127.0.0.1"):
-        self._host = host
-        self._listener = None
-        self._port: Optional[int] = None
-        self._cookie: bytes = b""
-        self._socks: Dict[int, socket.socket] = {}
-        self._processes: Dict[int, object] = {}
-
-    def bind(self, mp_context) -> None:
-        self._listener = socket.create_server((self._host, 0))
-        self._listener.settimeout(_POLL_S)
-        self._port = self._listener.getsockname()[1]
-        self._cookie = os.urandom(16)
-
-    def child_endpoint(self, cid: int) -> "TcpChildEndpoint":
-        return TcpChildEndpoint(self._host, self._port, cid, self._cookie)
-
-    def attach(self, cid: int, process) -> None:
-        self._processes[cid] = process
-        while cid not in self._socks:
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                if not process.is_alive():
-                    raise ChildCrashedError(
-                        cid, process.exitcode, "before connecting"
-                    )
-                continue
-            hello = _sock_recv_exact(
-                sock, 24, lambda: True, "connecting child", None, True
-            )
-            if bytes(hello[:16]) != self._cookie:
-                sock.close()  # not ours: refuse cross-supervisor traffic
-                continue
-            (dialled_cid,) = struct.unpack("<q", hello[16:])
-            sock.settimeout(_POLL_S)
-            self._socks[dialled_cid] = sock
-
-    def _alive(self, cid: int) -> bool:
-        process = self._processes.get(cid)
-        return process is None or process.is_alive()
-
-    def send(self, cid: int, message) -> None:
-        try:
-            _sock_send_msg(
-                self._socks[cid], message,
-                lambda: self._alive(cid), f"child {cid}",
-            )
-        except (ConnectionError, OSError):
-            process = self._processes.get(cid)
-            raise ChildCrashedError(
-                cid, getattr(process, "exitcode", None), "(socket closed)"
-            )
-
-    def recv(self, cid: int, timeout: Optional[float] = None):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        try:
-            return _sock_recv_msg(
-                self._socks[cid],
-                lambda: self._alive(cid), f"child {cid}",
-                deadline=deadline,
-            )
-        except (ConnectionError, OSError):
-            process = self._processes.get(cid)
-            raise ChildCrashedError(
-                cid, getattr(process, "exitcode", None), "(socket closed)"
-            )
-
-    def poll(self, cid: int) -> bool:
-        import select
-
-        sock = self._socks.get(cid)
-        if sock is None:
-            return False
-        readable, _, _ = select.select([sock], [], [], 0)
-        return bool(readable)
-
-    def detach(self, cid: int) -> None:
-        sock = self._socks.pop(cid, None)
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._processes.pop(cid, None)
-
-    def close(self) -> None:
-        for sock in self._socks.values():
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._socks.clear()
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-
-
-class TcpChildEndpoint(ChildServiceEndpoint):
-    def __init__(self, host: str, port: int, cid: int, cookie: bytes):
-        self._host = host
-        self._port = port
-        self._cid = cid
-        self._cookie = cookie
-        self._sock: Optional[socket.socket] = None
-
-    def open(self) -> None:
-        backoff = JitteredBackoff(
-            _CONNECT_DELAY_S,
-            attempts=_CONNECT_ATTEMPTS,
-            key=(self._cookie, self._cid, "service-reconnect"),
-        )
-
-        def dial():
-            self._sock = socket.create_connection((self._host, self._port))
-
-        backoff.retry(dial, exceptions=(OSError,))
-        self._sock.sendall(self._cookie + struct.pack("<q", self._cid))
-        self._sock.settimeout(_POLL_S)
-
-    def recv(self):
-        # alive() is always true child-side: a dead supervisor closes the
-        # socket and the read raises ConnectionError instead.
-        return _sock_recv_msg(self._sock, lambda: True, "supervisor")
-
-    def send(self, message) -> None:
-        _sock_send_msg(self._sock, message, lambda: True, "supervisor")
-
-    def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._sock = None
 
 
 # ----------------------------------------------------------------------
@@ -613,7 +230,7 @@ class _ReplicaRuntime:
 
 
 def _service_child_main(
-    endpoint: ChildServiceEndpoint,
+    endpoint,
     role: str,
     rid: int,
     graph: Optional[Graph],
@@ -863,10 +480,12 @@ class ServiceSupervisor:
             batch_size=self._cfg.batch_size, max_pending=self._cfg.max_pending
         )
         self._ctx = mp.get_context()
-        self._wire: ServiceWire = SERVICE_TRANSPORTS.resolve(
+        self._wire: Wire = SERVICE_TRANSPORTS.resolve(
             self.plan.service_transport
         )()
         self._processes: Dict[int, object] = {}
+        #: Pids that survived the SIGKILL escalation at shutdown.
+        self.leaked_pids: List[int] = []
         self._replicas: Dict[int, _ReplicaState] = {}
         self._primary_cid = _PRIMARY_CID
         self._buffer: Dict[int, str] = {}  #: seq -> shipped WAL line
@@ -1108,8 +727,15 @@ class ServiceSupervisor:
             self._pump(self._replicas[rid])
 
     def _pump(self, state: _ReplicaState) -> None:
-        """Ship this replica's pending records, one synchronous ack each."""
-        self._absorb(state)
+        """Ship this replica's pending records, one synchronous ack each.
+
+        A replica found dead — while idle or mid-ship — is respawned.
+        """
+        try:
+            self._absorb(state)
+        except ChildCrashedError:
+            self._spawn_replica(state.rid, respawn=True)
+            return
         guard = 0
         while guard < 10_000:  # defensive: every path below makes progress
             guard += 1
@@ -1418,25 +1044,21 @@ class ServiceSupervisor:
         return ReplicatedRunResult(cover=cover, stats=stats, plan=self.plan)
 
     def shutdown(self) -> None:
-        """Stop every child and release the wire (idempotent)."""
+        """Stop every child and release the wire (idempotent).
+
+        Escalates stop → SIGTERM → SIGKILL; a process that survives even
+        SIGKILL is reported in :attr:`leaked_pids` and logged.
+        """
         if self._closed:
             return
         self._closed = True
-        for cid, process in list(self._processes.items()):
-            try:
-                self._wire.send(cid, ("stop",))
-            except (ChildCrashedError, KeyError, OSError):
-                pass
-        for cid, process in list(self._processes.items()):
-            process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - stuck child
-                process.terminate()
-                process.join(timeout=1.0)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=1.0)
-        self._processes.clear()
-        self._wire.close()
+        try:
+            self.leaked_pids += stop_children(
+                self._wire, self._processes, join_s=2.0, kill_join_s=1.0
+            )
+        finally:
+            self._processes.clear()
+            self._wire.close()
 
     def _require_started(self) -> None:
         if not self._started:

@@ -11,9 +11,10 @@ caller-supplied key through :func:`repro.utils.rng.derive_rng`, so two
 retriers with different keys decorrelate while any single retrier
 replays the exact same delays run after run.
 
-Users: the TCP transport's worker reconnect
-(:class:`repro.distributed.transport.SocketWorkerEndpoint`, keyed by the
-engine cookie and worker id) and the replication layer's
+Users: the tcp wire's child redial
+(:class:`repro.runtime.TcpChildEndpoint`, keyed by the wire cookie and
+child id — the BSP engine's tcp data plane and the replicated service's
+tcp wire both dial through it) and the replication layer's
 :class:`~repro.service.replication.ReplicatedClient` (keyed by the
 service seed and request number).
 """

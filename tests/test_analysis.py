@@ -35,6 +35,7 @@ GRAPH = "src/repro/graph/snippet.py"
 DISTRIBUTED = "src/repro/distributed/snippet.py"
 SERVICE = "src/repro/service/snippet.py"
 TRANSPORT = "src/repro/distributed/transport.py"
+RUNTIME = "src/repro/runtime.py"
 DURABILITY = "src/repro/service/durability.py"
 
 
@@ -228,6 +229,7 @@ class TestResourceDisciplineRule:
                 sock.close()
         """
         assert rules_of(src, TRANSPORT) == ["RPL003"]
+        assert rules_of(src, RUNTIME) == ["RPL003"]
 
     def test_try_finally_release_accepted(self):
         src = """
@@ -363,6 +365,16 @@ class TestApiHygieneRule:
         # Home module, registry, and package __init__ re-exports are exempt.
         assert rules_of(src, "src/repro/api/registry.py") == []
         assert rules_of(src, "src/repro/distributed/__init__.py") == []
+        # The engine's control channel is a fixed PipeWire; nothing else
+        # may name a wire class outside the registry.
+        engine = "src/repro/distributed/multiprocess.py"
+        assert rules_of("from repro.runtime import PipeWire\n", engine) == []
+        assert rules_of("from repro.runtime import TcpWire\n", engine) == [
+            "RPL004"
+        ]
+        assert rules_of("from repro.runtime import PipeWire\n", SERVICE) == [
+            "RPL004"
+        ]
 
     def test_abstract_transport_types_importable_anywhere(self):
         src = "from repro.distributed.transport import Transport, WorkerEndpoint\n"

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api.config import AlgoConfig, ServicePlanConfig
 from repro.distributed.engine_array import ArrayBSPEngine
 from repro.distributed.faults import FaultPlan
 from repro.distributed.multiprocess import MultiprocessBSPEngine
@@ -24,6 +25,7 @@ from repro.distributed.transport import WorkerCrashedError
 from repro.distributed.worker import build_csr_shards
 from repro.graph.generators import ring_of_cliques
 from repro.graph.partition import HashPartitioner
+from repro.service import ServiceSupervisor
 
 SEED, ITERATIONS = 11, 6
 TRANSPORTS = ["pipe", "shm", "tcp"]
@@ -346,12 +348,25 @@ class TestPolicy:
             with pytest.raises(WorkerCrashedError, match="budget"):
                 engine.run()
 
-    def test_shutdown_reports_leaked_pids(self, caplog):
-        graph, part = _setup()
-        shards = build_csr_shards(graph, part)
-        factory = partial(FastSLPAPropagationProgram, seed=SEED, iterations=2)
-        engine = MultiprocessBSPEngine(shards, part, factory)
-        engine.run()
+    @pytest.mark.parametrize("supervisor", ["engine", "service"])
+    def test_shutdown_reports_leaked_pids(self, caplog, tmp_path, supervisor):
+        # Both supervisors share one stop -> SIGTERM -> SIGKILL escalation.
+        if supervisor == "engine":
+            graph, part = _setup()
+            shards = build_csr_shards(graph, part)
+            factory = partial(
+                FastSLPAPropagationProgram, seed=SEED, iterations=2
+            )
+            owner = MultiprocessBSPEngine(shards, part, factory)
+            owner.run()
+        else:
+            owner = ServiceSupervisor(
+                ring_of_cliques(3, 4), str(tmp_path),
+                ServicePlanConfig(
+                    algo=AlgoConfig(seed=SEED, iterations=ITERATIONS),
+                    replicas=1,
+                ),
+            ).start()
 
         class Unkillable:
             """A process handle SIGKILL never fells (uninterruptible sleep)."""
@@ -370,14 +385,15 @@ class TestPolicy:
             def kill(self):
                 pass
 
-        real = engine._processes[0]
-        engine._processes[0] = Unkillable()
+        real = owner._processes[0]
+        owner._processes[0] = Unkillable()
         try:
-            with caplog.at_level("ERROR", logger="repro.distributed.multiprocess"):
-                engine.shutdown()
+            with caplog.at_level("ERROR", logger="repro.runtime"):
+                owner.shutdown()
         finally:
-            real.join(timeout=10)  # reap the real worker ourselves
-        assert engine.leaked_pids == [424242]
+            real.join(timeout=10)  # reap the real child ourselves
+        assert not real.is_alive()
+        assert owner.leaked_pids == [424242]
         assert any("424242" in record.message for record in caplog.records)
 
 

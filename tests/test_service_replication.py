@@ -8,19 +8,19 @@ stable-id assignment of a failure-free run, while client queries keep
 being answered (stale serves allowed and counted, errors not).
 """
 
+import os
+import signal
+
 import pytest
 
 from repro.api.config import AlgoConfig, ServicePlanConfig
 from repro.api.plan import GraphCaps, resolve_service_plan
 from repro.distributed.faults import FaultPlan
+from repro.graph.edits import EditBatch
 from repro.graph.generators import ring_of_cliques
+from repro.runtime import PipeWire, TcpWire
 from repro.service import ServiceConfig
-from repro.service.replication import (
-    FailoverExhaustedError,
-    PipeServiceWire,
-    ServiceSupervisor,
-    TcpServiceWire,
-)
+from repro.service.replication import FailoverExhaustedError, ServiceSupervisor
 
 ITERATIONS = 30
 
@@ -120,8 +120,8 @@ class TestServicePlanResolution:
     def test_transports_registered(self):
         from repro.api.registry import SERVICE_TRANSPORTS
 
-        assert SERVICE_TRANSPORTS.resolve("pipe") is PipeServiceWire
-        assert SERVICE_TRANSPORTS.resolve("tcp") is TcpServiceWire
+        assert SERVICE_TRANSPORTS.resolve("pipe") is PipeWire
+        assert SERVICE_TRANSPORTS.resolve("tcp") is TcpWire
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +324,31 @@ class TestReplicaFaults:
         acked = [r["acked"] for r in stats["replicas"].values()]
         assert acked == [TOTAL_SEQS, TOTAL_SEQS]
         assert client.queries_served == 2 * len(EDITS)
+
+    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
+    def test_replica_killed_while_idle_is_respawned(self, tmp_path,
+                                                    transport):
+        # The replica dies between batches, so the next pump finds it dead
+        # while draining late acks, before any record ships.
+        sup = ServiceSupervisor(
+            ring_of_cliques(3, 4), str(tmp_path),
+            make_config(replicas=1, service_transport=transport),
+        ).start()
+        try:
+            sup.apply(EditBatch.build(insertions=[(0, 4), (0, 6)]))
+            victim = sup._processes[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            assert not victim.is_alive()
+            sup.apply(EditBatch.build(insertions=[(0, 7)], deletions=[(0, 1)]))
+            sup.client().communities_of(0)
+            assert sup.stats()["replica_respawns"] == 1
+            replica, _applied = sup.query_replica(
+                0, "snapshot", (), timeout=None
+            )
+            assert replica == sup.snapshot()
+        finally:
+            sup.shutdown()
 
     def test_dropped_wal_record_is_reshipped(self, tmp_path,
                                              baseline_snapshot):
