@@ -155,11 +155,10 @@ def _engine_sweep(sizes, iterations, workers=SWEEP_WORKERS):
             ("rslpa", run_distributed_rslpa),
             ("slpa", run_distributed_slpa),
         ):
-            kwargs = dict(seed=1, iterations=iterations, num_workers=workers)
-            if algo == "rslpa":
-                kwargs["state_format"] = "array"
             t0 = time.perf_counter()
-            result, stats = runner(graph.copy(), **kwargs)
+            result, stats = runner(
+                graph.copy(), seed=1, iterations=iterations, num_workers=workers
+            )
             wall_s = time.perf_counter() - t0
             # Equality oracle: the sequential engine, bit for bit.
             if algo == "rslpa":

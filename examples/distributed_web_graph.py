@@ -18,7 +18,13 @@ Run:  python examples/distributed_web_graph.py
 
 import time
 
-from repro import ExecutionConfig, WebGraphParams, generate_webgraph, plan_for
+from repro import (
+    ArrayLabelState,
+    ExecutionConfig,
+    WebGraphParams,
+    generate_webgraph,
+    plan_for,
+)
 from repro.distributed import (
     run_distributed_postprocess,
     run_distributed_rslpa,
@@ -46,7 +52,7 @@ def main() -> None:
     print(f"\n[1] distributed rSLPA, {NUM_WORKERS} workers, T={RSLPA_T}")
     # One declarative config; every "auto" is negotiated against the graph
     # and the resolved plan explains each choice before anything runs.
-    config = ExecutionConfig(num_workers=NUM_WORKERS, state_format="dict")
+    config = ExecutionConfig(num_workers=NUM_WORKERS)
     print(plan_for(graph, config).explain())
     t0 = time.perf_counter()
     state, rslpa_stats = run_distributed_rslpa(
@@ -72,8 +78,10 @@ def main() -> None:
     print("\n[3] incremental update: batch of 50 edits (half insert/half delete)")
     batch = random_edit_batch(graph, 50, seed=2)
     t0 = time.perf_counter()
-    graph, state, update_stats = run_distributed_update(
-        graph, state, batch, seed=5, batch_epoch=1, num_workers=NUM_WORKERS
+    # Algorithm 2 on workers repairs the dict form of the fitted state.
+    graph, repaired, update_stats = run_distributed_update(
+        graph, state.to_label_state(), batch, seed=5, batch_epoch=1,
+        num_workers=NUM_WORKERS,
     )
     print(f"  {update_stats.summary()}  ({time.perf_counter() - t0:.1f}s)")
     print(
@@ -84,7 +92,10 @@ def main() -> None:
     print("\n[4] distributed post-processing (hash-to-min components)")
     t0 = time.perf_counter()
     cover, cc_stats = run_distributed_postprocess(
-        graph, state, num_workers=NUM_WORKERS, step=0.01
+        graph,
+        ArrayLabelState.from_label_state(repaired),
+        num_workers=NUM_WORKERS,
+        step=0.01,
     )
     print(f"  CC stage: {cc_stats.summary()}  ({time.perf_counter() - t0:.1f}s)")
     sizes = cover.sizes()

@@ -43,8 +43,8 @@ def main() -> None:
 
     # --- static detection -------------------------------------------------
     # backend="fast" runs the vectorised CSR substrate; "reference" is the
-    # pure-Python propagator.  Both are bit-identical per seed ("auto", the
-    # default, picks fast whenever vertex ids are contiguous).
+    # pure-Python propagator.  Both are bit-identical per seed, for any
+    # vertex ids but -1 ("auto", the default, picks fast).
     detector = RSLPADetector(
         graph, seed=7, iterations=150, tau_step=0.005, backend="fast"
     )

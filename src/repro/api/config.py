@@ -5,9 +5,9 @@ Three frozen dataclasses describe a run before any negotiation happens:
 * :class:`AlgoConfig` — the algorithm itself (seed, horizon T, τ1 sweep
   step).  Identical values ⇒ bit-identical labels on every backend.
 * :class:`ExecutionConfig` — where and on what substrate the run executes:
-  the local backend, state export format, worker count, partitioner,
-  multiprocess flag, transport, fault tolerance, tracing.
-  Every field accepts ``"auto"``; :func:`repro.api.plan.resolve_plan`
+  the local backend, worker count, partitioner, multiprocess flag,
+  transport, fault tolerance, tracing.
+  Every field takes ``"auto"``; :func:`repro.api.plan.resolve_plan`
   turns the config plus the graph's capabilities into a concrete
   :class:`~repro.api.plan.RunPlan` with recorded provenance.
 * :class:`ServicePlanConfig` — a :class:`CommunityService` deployment:
@@ -43,14 +43,15 @@ __all__ = [
 DEFAULT_ITERATIONS = 200
 
 #: Built-in values per execution axis (``auto`` defers to plan resolution;
-#: ``transport`` additionally accepts any name registered in
-#: :data:`repro.api.registry.TRANSPORTS`).  ``engine`` and
-#: ``shard_backend`` name the one distributed substrate (columnar messages
-#: over CSR shards) and have no other value.
+#: ``transport`` may also name anything registered in
+#: :data:`repro.api.registry.TRANSPORTS`).  ``engine``, ``shard_backend``
+#: and ``state_format`` name the one distributed substrate (columnar
+#: messages over CSR shards, exporting an array state) and have no other
+#: value.
 BACKEND_CHOICES = ("auto", "fast", "reference")
 ENGINE_CHOICES = ("auto", "array")
 SHARD_BACKEND_CHOICES = ("auto", "csr")
-STATE_FORMAT_CHOICES = ("auto", "dict", "array")
+STATE_FORMAT_CHOICES = ("auto", "array")
 TRANSPORT_CHOICES = ("auto", "pipe", "shm", "tcp")
 #: Service-plane (primary → replica WAL shipping) transports; distinct
 #: from the BSP data plane because replicas exchange small pickled
@@ -58,10 +59,12 @@ TRANSPORT_CHOICES = ("auto", "pipe", "shm", "tcp")
 SERVICE_TRANSPORT_CHOICES = ("auto", "pipe", "tcp")
 
 
-#: Spellings of the deleted tuple plane and dict shards.
+#: Spellings of the deleted tuple plane, dict shards and dict export.
 _REMOVED_CHOICES = {
     ("engine", "reference"): "the tuple message plane",
     ("shard_backend", "dict"): "dict worker shards",
+    ("state_format", "dict"): "the dict LabelState export; call "
+    ".to_label_state() on the returned ArrayLabelState",
 }
 
 
@@ -70,8 +73,8 @@ def _check_choice(value: str, choices, name: str) -> None:
     if removed is not None:
         raise ValueError(
             f"{name}={value!r} ({removed}) was removed; every distributed "
-            f"run uses columnar messages over CSR shards, so {name} accepts "
-            f"{choices[0]!r} or {choices[1]!r}"
+            f"run uses columnar messages over CSR shards and returns an "
+            f"array state, so {name} takes {choices[0]!r} or {choices[1]!r}"
         )
     if value not in choices:
         pretty = ", ".join(repr(c) for c in choices[:-1])
@@ -108,9 +111,8 @@ class ExecutionConfig:
     Parameters
     ----------
     backend:
-        Local lifecycle substrate — ``"fast"`` (vectorised CSR/array),
-        ``"reference"`` (pure Python), or ``"auto"`` (fast whenever the
-        vertex ids are contiguous ``0..n-1``).
+        Local lifecycle substrate — ``"fast"`` (vectorised CSR/array, any
+        vertex ids), ``"reference"`` (pure Python), or ``"auto"`` (fast).
     num_workers:
         ``0`` runs locally; ``> 0`` runs on the simulated BSP cluster
         with that many workers.
@@ -121,10 +123,8 @@ class ExecutionConfig:
         Worker-shard adjacency storage; ``"auto"`` or ``"csr"`` (the one
         shard layout).
     state_format:
-        Distributed fit export — ``"array"``
-        (:class:`~repro.core.labels_array.ArrayLabelState`), ``"dict"``
-        (:class:`~repro.core.labels.LabelState`), or ``"auto"`` (follow
-        the resolved backend).
+        Distributed fit export; ``"auto"`` or ``"array"`` (the one
+        export, an :class:`~repro.core.labels_array.ArrayLabelState`).
     partitioner:
         A registered partitioner name (``"hash"``, ``"range"``, or a
         plugin registered in :data:`repro.api.registry.PARTITIONERS`), a

@@ -9,11 +9,8 @@ subcommand prints.
 
 The rules (asserted by ``tests/test_api_plan.py``):
 
-* ``backend="auto"`` → ``fast`` iff the vertex ids are contiguous
-  ``0..n-1`` (the array substrate's contract); ``fast`` on
-  non-contiguous ids is an error.
-* ``state_format="auto"`` → ``array`` iff the backend resolved to
-  ``fast``; ``array`` on non-contiguous ids is an error.
+* ``backend="auto"`` → ``fast`` for every graph (the array core runs any
+  vertex ids); ``reference`` runs only when asked for.
 * ``transport="auto"`` → ``shm`` for every multiprocess run (zero-copy
   columns), ``None`` otherwise; an explicit transport without
   ``multiprocess=True`` is an error.
@@ -56,8 +53,6 @@ __all__ = [
     "plan_for",
 ]
 
-_RELABEL_HINT = "repro.graph.relabel_to_integers"
-
 #: Resolver defaults for the fault-tolerance knobs (``None`` in the config).
 DEFAULT_CHECKPOINT_INTERVAL = 4
 DEFAULT_MAX_RESTARTS = 3
@@ -70,37 +65,18 @@ DEFAULT_HEARTBEAT_INTERVAL = 0.5
 class GraphCaps:
     """What plan resolution needs to know about a graph — nothing more.
 
-    ``contiguous_ids`` is the load-bearing capability: it gates the local
-    array substrate and the array state export.  A
-    :class:`~repro.graph.csr.CSRGraph` is contiguous by construction.
+    Sizes only — every substrate runs any vertex ids.  Partitioner
+    builders receive the caps (range-style ones size their blocks by
+    them).
     """
 
     num_vertices: int
     num_edges: int
-    contiguous_ids: bool
 
     @classmethod
     def of(cls, graph) -> "GraphCaps":
         """Probe a :class:`~repro.graph.adjacency.Graph` or CSR snapshot."""
-        from repro.graph.csr import CSRGraph
-
-        if isinstance(graph, CSRGraph):
-            return cls(
-                num_vertices=graph.num_vertices,
-                num_edges=graph.num_edges,
-                contiguous_ids=True,
-            )
-        n = graph.num_vertices
-        if n == 0:
-            contiguous = True
-        else:
-            ids = list(graph.vertices())  # ids are unique: min/max suffice
-            contiguous = min(ids) == 0 and max(ids) == n - 1
-        return cls(
-            num_vertices=n,
-            num_edges=graph.num_edges,
-            contiguous_ids=contiguous,
-        )
+        return cls(num_vertices=graph.num_vertices, num_edges=graph.num_edges)
 
 
 @dataclass(frozen=True)
@@ -129,7 +105,6 @@ class RunPlan:
     mode: str  # "local" | "distributed"
     backend: str  # "fast" | "reference"
     num_workers: int
-    state_format: Optional[str]  # "array" | "dict" | None (local)
     partitioner: Optional[str]  # registered name or instance repr
     multiprocess: bool
     caps: GraphCaps
@@ -163,7 +138,7 @@ class RunPlan:
         trace = ", trace=on" if self.trace else ""
         return (
             f"distributed fit on {workers}, backend={self.backend}, "
-            f"state_format={self.state_format}, partitioner={self.partitioner}"
+            f"partitioner={self.partitioner}"
             f"{transport}{fault}{trace}"
         )
 
@@ -192,27 +167,16 @@ def _decide(decisions, field, requested, value, reason) -> None:
 def resolve_plan(caps: GraphCaps, config: Optional[ExecutionConfig] = None) -> RunPlan:
     """Negotiate every ``"auto"`` in ``config`` against ``caps``.
 
-    Raises :class:`ValueError` for requests the graph cannot satisfy
-    (``backend="fast"`` or ``state_format="array"`` on non-contiguous
-    ids).
+    Raises :class:`ValueError` for inconsistent requests (e.g. a transport
+    without ``multiprocess=True``).
     """
     config = config if config is not None else ExecutionConfig()
     decisions = []
-    contiguous = caps.contiguous_ids
 
     # Local lifecycle substrate -------------------------------------------
-    if config.backend == "fast" and not contiguous:
-        raise ValueError(
-            "backend='fast' requires contiguous vertex ids 0..n-1; "
-            f"use {_RELABEL_HINT} or backend='reference'"
-        )
     if config.backend == "auto":
-        backend = "fast" if contiguous else "reference"
-        reason = (
-            "vertex ids are contiguous 0..n-1 (array-substrate contract)"
-            if contiguous
-            else "non-contiguous vertex ids need the dict substrate"
-        )
+        backend = "fast"
+        reason = "the array substrate runs any vertex ids"
     else:
         backend = config.backend
         reason = "explicitly requested"
@@ -229,28 +193,8 @@ def resolve_plan(caps: GraphCaps, config: Optional[ExecutionConfig] = None) -> R
         + ("" if distributed else " (0 = in-process fit)"),
     )
 
-    state_format = partitioner_name = None
+    partitioner_name = None
     if distributed:
-        # State export format ---------------------------------------------
-        if config.state_format == "auto":
-            state_format = "array" if backend == "fast" else "dict"
-            reason = (
-                "the fast backend consumes the native array export"
-                if state_format == "array"
-                else "the reference backend consumes the dict state"
-            )
-        else:
-            state_format = config.state_format
-            reason = "explicitly requested"
-        if state_format == "array" and not contiguous:
-            raise ValueError(
-                "state_format='array' requires contiguous vertex ids 0..n-1; "
-                f"use state_format='dict' or {_RELABEL_HINT}"
-            )
-        _decide(
-            decisions, "state_format", config.state_format, state_format, reason
-        )
-
         # Partitioner ------------------------------------------------------
         spec = config.partitioner
         if spec is None:
@@ -362,7 +306,6 @@ def resolve_plan(caps: GraphCaps, config: Optional[ExecutionConfig] = None) -> R
         mode=mode,
         backend=backend,
         num_workers=config.num_workers,
-        state_format=state_format,
         partitioner=partitioner_name,
         multiprocess=multiprocess,
         caps=caps,

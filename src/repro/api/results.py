@@ -71,7 +71,7 @@ class DetectionResult:
 class UpdateResult:
     """One applied edit batch (Correction Propagation)."""
 
-    report: Any  #: the :class:`~repro.core.incremental.UpdateReport`
+    report: Any  #: the :class:`~repro.core.incremental_fast.UpdateReport`
     state: Any  #: live label-state handle after the repair
     plan: RunPlan
     cover: Optional[Any] = None  #: re-extracted cover (only if requested)
@@ -82,7 +82,7 @@ class UpdateResult:
 class DistributedResult:
     """A raw cluster run: the merged state plus its communication bill."""
 
-    state: Any  #: merged label state in the plan's ``state_format``
+    state: Any  #: the merged :class:`~repro.core.labels_array.ArrayLabelState`
     comm_stats: Any  #: per-superstep :class:`~repro.distributed.metrics.CommStats`
     plan: RunPlan
     timings: Mapping[str, float] = field(default_factory=dict)

@@ -135,8 +135,8 @@ def add_execution_args(
         choices=("auto", "reference", "fast"),
         default="auto",
         help="lifecycle backend: 'fast' is the vectorised CSR/array "
-        "substrate, 'reference' the pure-Python engines (bit-identical "
-        "per seed); 'auto' picks fast when vertex ids are contiguous",
+        "substrate for any vertex ids, 'reference' the pure-Python "
+        "engines (bit-identical per seed); 'auto' picks fast",
     )
     parser.add_argument(
         "--trace",
@@ -228,7 +228,6 @@ def execution_config_from_args(args) -> ExecutionConfig:
     return ExecutionConfig(
         backend=args.backend,
         num_workers=getattr(args, "distributed", 0),
-        state_format=getattr(args, "state_format", "auto"),
         partitioner=getattr(args, "partitioner", None),
         multiprocess=getattr(args, "multiprocess", False),
         transport=getattr(args, "transport", "auto"),
@@ -679,12 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument("graph", help="edge-list file")
     add_execution_args(plan)
-    plan.add_argument(
-        "--state-format",
-        choices=("auto", "dict", "array"),
-        default="auto",
-        help="distributed state export format to resolve",
-    )
     plan.set_defaults(func=_cmd_plan)
 
     stats = sub.add_parser("stats", help="print normalised graph statistics")

@@ -15,10 +15,12 @@ The fast column chains without leaving numpy: ``FastPropagator`` runs on a
 CSR snapshot, ``to_array_state()`` exports its ``(T+1, n)`` matrices as an
 :class:`ArrayLabelState` (reverse records built by one argsort), and
 ``FastCorrectionPropagator`` repairs that state with O(η) vectorised passes
-per edit batch.  ``to_label_state()`` / ``ArrayLabelState.from_label_state``
+per edit batch.  Both columns take any vertex ids but −1 (``NO_SOURCE``):
+the array state carries a column → id array and every draw is keyed by
+the vertex id.  ``to_label_state()`` / ``ArrayLabelState.from_label_state``
 cross between the columns at any point; the reference column remains the
-semantic ground truth the tests compare against (and the only one that
-accepts non-contiguous vertex ids).
+semantic ground truth the tests compare against, and runs only when
+``backend="reference"`` is asked for.
 """
 
 from repro.core.communities import Cover
@@ -32,9 +34,9 @@ from repro.core.complexity import (
 )
 from repro.core.detector import RSLPADetector, detect_communities
 from repro.core.fast import FastPropagator
-from repro.core.incremental import CorrectionPropagator, UpdateReport
-from repro.core.incremental_fast import FastCorrectionPropagator
-from repro.core.labels import NO_SOURCE, LabelState
+from repro.core.incremental import CorrectionPropagator
+from repro.core.incremental_fast import FastCorrectionPropagator, UpdateReport
+from repro.core.labels import LabelState
 from repro.core.labels_array import ArrayLabelState
 from repro.core.postprocess import (
     PostprocessResult,
@@ -44,6 +46,7 @@ from repro.core.postprocess import (
     sweep_tau1,
     weak_threshold,
 )
+from repro.core.randomness import NO_SOURCE
 from repro.core.rslpa import ReferencePropagator
 from repro.core.serialize import (
     load_cover,

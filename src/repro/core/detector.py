@@ -17,13 +17,15 @@ Execution selection goes through the unified plan layer
 pair (individual keywords are thin shims that construct them), and every
 fit resolves one :class:`~repro.api.plan.RunPlan` via
 :func:`repro.api.plan.resolve_plan` — ``detector.plan().explain()`` says
-which substrate a fit would take and why.  The fast plan runs the whole
-lifecycle on the array substrate (:class:`~repro.core.fast.FastPropagator`
-→ :class:`~repro.core.incremental_fast.FastCorrectionPropagator`); the
-reference plan keeps the pure-Python
-:class:`~repro.core.rslpa.ReferencePropagator` +
+which substrate a fit would take and why.  The fast plan (``auto``'s
+choice for every graph) runs the whole lifecycle on the array substrate
+(:class:`~repro.core.fast.FastPropagator` →
+:class:`~repro.core.incremental_fast.FastCorrectionPropagator`) for any
+vertex ids; the reference plan, run only when asked for, keeps the
+pure-Python :class:`~repro.core.rslpa.ReferencePropagator` +
 :class:`~repro.core.incremental.CorrectionPropagator` pair.  Both are
-bit-identical per seed for fit *and* every subsequent update.
+bit-identical per seed for fit *and* every subsequent update.  Vertex id
+−1 is refused on both: label state reserves it as ``NO_SOURCE``.
 """
 
 from __future__ import annotations
@@ -32,17 +34,17 @@ from dataclasses import replace
 from typing import Iterable, List, Optional, Union
 
 from repro.api.config import DEFAULT_ITERATIONS, AlgoConfig, ExecutionConfig
-from repro.api.plan import GraphCaps, PlanDecision, RunPlan, resolve_plan
+from repro.api.plan import GraphCaps, RunPlan, resolve_plan
 from repro.core.communities import Cover
 from repro.core.fast import FastPropagator
-from repro.core.incremental import CorrectionPropagator, UpdateReport
-from repro.core.incremental_fast import FastCorrectionPropagator
+from repro.core.incremental import CorrectionPropagator
+from repro.core.incremental_fast import FastCorrectionPropagator, UpdateReport
 from repro.core.labels import LabelState
 from repro.core.labels_array import ArrayLabelState
 from repro.core.postprocess import PostprocessResult, extract_communities
+from repro.core.randomness import check_vertex_ids
 from repro.core.rslpa import ReferencePropagator
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
 from repro.graph.edits import EditBatch
 from repro.utils.validation import check_type
 
@@ -89,11 +91,10 @@ class RSLPADetector:
     iterations:
         The propagation horizon T (paper default 200 for rSLPA).
     backend:
-        ``"auto"`` (CSR-vectorised when ids are contiguous), ``"fast"``
-        (force the CSR substrate) or ``"reference"`` (pure-Python
-        propagator).  The choice covers the whole lifecycle — static fit
-        *and* incremental ``update`` — and both backends are bit-identical
-        per seed.
+        ``"auto"`` or ``"fast"`` (the CSR/array substrate, for any vertex
+        ids) or ``"reference"`` (pure-Python propagator).  The choice
+        covers the whole lifecycle — static fit *and* incremental
+        ``update`` — and both backends are bit-identical per seed.
     tau_step:
         Grid step of the τ1 entropy sweep (paper suggests 0.001).
     algo / execution:
@@ -149,13 +150,11 @@ class RSLPADetector:
         """
         return resolve_plan(GraphCaps.of(self.graph), execution or self.execution)
 
-    def _resolve_use_fast(self) -> bool:
-        return self.plan().use_fast
-
     def _install_corrector(self, state, use_fast: bool) -> None:
         """Install the corrector the plan's backend runs on, converting the
         state representation as needed (shared by the distributed-fit and
         restart paths)."""
+        check_vertex_ids(self.graph, "graph")
         if use_fast:
             astate = (
                 state
@@ -176,30 +175,15 @@ class RSLPADetector:
 
     def fit(self) -> "RSLPADetector":
         """Run Algorithm 1 from scratch on the current graph."""
+        check_vertex_ids(self.graph, "graph")
         # A local fit, whatever the config's worker count says: the recorded
         # plan must describe what actually ran.
         plan = self.plan(replace(self.execution, num_workers=0))
-        if plan.use_fast and self.graph.num_vertices == 0:
-            plan = replace(
-                plan,
-                backend="reference",
-                decisions=plan.decisions
-                + (
-                    PlanDecision(
-                        field="backend",
-                        requested=plan.requested.backend,
-                        value="reference",
-                        reason="empty graph: nothing for the array "
-                        "substrate to vectorise",
-                    ),
-                ),
-            )
         if plan.use_fast:
             # The whole lifecycle stays on the array substrate: one CSR
             # snapshot feeds the vectorised propagator, whose array export
-            # feeds the vectorised corrector — no dict round trip, and
-            # updates no longer downgrade to the reference corrector.
-            fast = FastPropagator(CSRGraph.from_graph(self.graph), seed=self.seed)
+            # feeds the vectorised corrector — no dict round trip.
+            fast = FastPropagator(self.graph, seed=self.seed)
             fast.propagate(self.iterations)
             self._corrector = FastCorrectionPropagator.from_fast_propagator(
                 fast, self.graph
@@ -296,55 +280,16 @@ class RSLPADetector:
     # ------------------------------------------------------------------
     # Dynamic maintenance
     # ------------------------------------------------------------------
-    def _downgrade_to_reference(self) -> None:
-        """Swap the array corrector for the reference one, state preserved.
-
-        Used by ``auto`` mode when a batch steps outside the array
-        substrate's contiguous-id contract; the batch epoch carries over so
-        the downgraded detector keeps making bit-identical decisions.
-        """
-        old = self._corrector
-        propagator = ReferencePropagator.from_state(
-            self.graph, self.seed, old.state.to_label_state()
-        )
-        self._corrector = CorrectionPropagator(propagator)
-        self._corrector.batch_epoch = old.batch_epoch
-        if self.last_plan is not None:
-            # Keep the plan provenance honest about the live substrate.
-            self.last_plan = replace(
-                self.last_plan,
-                backend="reference",
-                decisions=self.last_plan.decisions
-                + (
-                    PlanDecision(
-                        field="backend",
-                        requested="auto",
-                        value="reference",
-                        reason="an update batch stepped outside the "
-                        "contiguous-id contract; downgraded mid-lifecycle",
-                    ),
-                ),
-            )
-
     def update(self, batch: EditBatch) -> UpdateReport:
         """Incrementally apply an edit batch (Algorithm 2).
 
         Runs on whichever corrector ``fit`` installed — the vectorised
         array engine on the fast path, the event-driven reference engine
-        otherwise; both make bit-identical repairs.  With ``backend="auto"``
-        a batch that breaks the array substrate's contiguous-id contract
-        (new vertices with gap ids) downgrades the detector to the
-        reference corrector instead of failing; ``backend="fast"`` keeps
-        the hard error.
+        otherwise; both make bit-identical repairs, for any vertex ids.
         """
         self._require_fitted()
         check_type(batch, EditBatch, "batch")
-        if (
-            self.backend == "auto"
-            and isinstance(self._corrector, FastCorrectionPropagator)
-            and not self._corrector.accepts(batch)
-        ):
-            self._downgrade_to_reference()
+        check_vertex_ids(batch.touched_vertices(), "edit batch")
         report = self._corrector.apply_batch(batch)
         self._postprocess_cache = None
         self._label_state_cache = None

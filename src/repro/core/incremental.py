@@ -27,16 +27,10 @@ Figure 9 measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.labels import NO_SOURCE
-from repro.core.randomness import (
-    draw_keep_uniform,
-    draw_position,
-    draw_src_index,
-    slot_hash,
-)
+from repro.core.incremental_fast import UpdateReport
+from repro.core.randomness import NO_SOURCE, keep_lottery_uniform, repick_draw
 from repro.core.rslpa import ReferencePropagator
 from repro.graph.edits import EditBatch
 
@@ -46,82 +40,6 @@ __all__ = [
     "keep_lottery_uniform",
     "repick_draw",
 ]
-
-
-def keep_lottery_uniform(seed: int, vertex: int, iteration: int, batch_epoch: int) -> float:
-    """The Theorem-5 keep-lottery draw for a slot, fresh per batch.
-
-    Shared by the sequential corrector and the distributed program so both
-    make identical keep/switch decisions.
-    """
-    base = slot_hash(seed, vertex, iteration, 0)
-    return draw_keep_uniform(slot_hash(base, vertex, iteration, batch_epoch))
-
-
-def repick_draw(
-    seed: int, vertex: int, iteration: int, epoch: int, num_candidates: int
-) -> Tuple[int, int]:
-    """The (candidate index, position) pair for a repick at a given epoch."""
-    h = slot_hash(seed, vertex, iteration, epoch)
-    return draw_src_index(h, num_candidates), draw_position(h, iteration)
-
-
-@dataclass
-class UpdateReport:
-    """What one incremental update did — the measurable side of Section IV-D.
-
-    ``touched_labels`` is the paper's ``η``: the number of slots whose label
-    was re-drawn or whose value was corrected by the cascade.
-
-    With ``track_slots=False`` the report counts distinct touched slots
-    without materialising the ``touched_slots`` set (the benchmark fast
-    path).  The count is exact because the two note sources are disjoint: a
-    repicked slot is detached before the cascade starts, so it can never
-    also receive a cascaded correction, and each slot is repicked (and
-    notified) at most once per batch.
-    """
-
-    batch_size: int = 0
-    num_inserted: int = 0
-    num_deleted: int = 0
-    repicked: int = 0
-    keep_lotteries: int = 0
-    lottery_switches: int = 0
-    cascade_corrections: int = 0
-    value_changes: int = 0
-    touched_slots: Set[Tuple[int, int]] = field(default_factory=set, repr=False)
-    track_slots: bool = True
-    touched_count: int = 0
-
-    def note_touched(self, v: int, t: int) -> None:
-        """Record slot ``(v, t)`` as touched (set or counter, per mode)."""
-        if self.track_slots:
-            self.touched_slots.add((v, t))
-        else:
-            self.touched_count += 1
-
-    def note_touched_many(self, vs, t: int) -> None:
-        """Record every slot ``(v, t) for v in vs`` as touched."""
-        if self.track_slots:
-            self.touched_slots.update((int(v), t) for v in vs)
-        else:
-            self.touched_count += len(vs)
-
-    def note_touched_pairs(self, vs, ts) -> None:
-        """Record slots ``(vs[i], ts[i])`` as touched (paired arrays)."""
-        if self.track_slots:
-            self.touched_slots.update(
-                zip((int(v) for v in vs), (int(t) for t in ts))
-            )
-        else:
-            self.touched_count += len(vs)
-
-    @property
-    def touched_labels(self) -> int:
-        """η: distinct slots re-drawn or value-corrected."""
-        if self.track_slots:
-            return len(self.touched_slots)
-        return self.touched_count
 
 
 class CorrectionPropagator:

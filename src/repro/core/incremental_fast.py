@@ -26,24 +26,24 @@ Total per-batch cost is O(η) array work (plus O(batch) Python for the edit
 bookkeeping itself), and the result is **bit-identical** to the reference
 corrector for every seed, batch, and batch epoch — labels, provenance,
 epochs, and reports all match, which the test suite asserts slot for slot.
-
-The only contract difference: vertex ids must stay contiguous ``0..n-1``
-(new vertices extend the range; deleted ids may be re-inserted).  Graphs
-with arbitrary ids keep using the reference corrector.
+Vertex ids may be any int64 but −1: batch endpoints map to columns through
+the state's id lookup, candidate pools are sorted by vertex id, every draw
+is keyed by the vertex id, and reports name slots by vertex id.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
 from repro.core.fast import FastPropagator
-from repro.core.incremental import UpdateReport
-from repro.core.labels import NO_SOURCE
 from repro.core.labels_array import ArrayLabelState
 from repro.core.randomness import (
+    NO_SOURCE,
+    check_vertex_ids,
     draw_keep_uniform_array,
     draw_position_flex,
     draw_src_index_array,
@@ -52,30 +52,93 @@ from repro.core.randomness import (
 from repro.graph.adjacency import Graph
 from repro.graph.edits import EditBatch
 
-__all__ = ["FastCorrectionPropagator"]
+__all__ = ["FastCorrectionPropagator", "UpdateReport"]
 
-# (vertex, neighbour) pairs packed into one int64 key for the deleted-source
-# membership test; vertex ids are far below 2^31 so the halves cannot clash.
+# (column, neighbour column) pairs packed into one int64 key for the
+# deleted-source membership test; columns are far below 2^31 so the halves
+# cannot clash.
 _PAIR = np.int64(1) << np.int64(32)
 
-# Per-level pending notification buffers: lists of (vertices, values).
+# Per-level pending notification buffers: lists of (columns, values).
 _Pending = List[List[Tuple[np.ndarray, np.ndarray]]]
 
 
-def _sorted_pool(groups, counts: np.ndarray, total: int, n: int) -> np.ndarray:
+@dataclass
+class UpdateReport:
+    """What one incremental update did — the measurable side of Section IV-D.
+
+    ``touched_labels`` is the paper's ``η``: the number of slots whose label
+    was re-drawn or whose value was corrected by the cascade.
+
+    With ``track_slots=False`` the report counts distinct touched slots
+    without materialising the ``touched_slots`` set (the benchmark fast
+    path).  The count is exact because the two note sources are disjoint: a
+    repicked slot is detached before the cascade starts, so it can never
+    also receive a cascaded correction, and each slot is repicked (and
+    notified) at most once per batch.
+    """
+
+    batch_size: int = 0
+    num_inserted: int = 0
+    num_deleted: int = 0
+    repicked: int = 0
+    keep_lotteries: int = 0
+    lottery_switches: int = 0
+    cascade_corrections: int = 0
+    value_changes: int = 0
+    touched_slots: Set[Tuple[int, int]] = field(default_factory=set, repr=False)
+    track_slots: bool = True
+    touched_count: int = 0
+
+    def note_touched(self, v: int, t: int) -> None:
+        """Record slot ``(v, t)`` as touched (set or counter, per mode)."""
+        if self.track_slots:
+            self.touched_slots.add((v, t))
+        else:
+            self.touched_count += 1
+
+    def note_touched_many(self, vs, t: int) -> None:
+        """Record every slot ``(v, t) for v in vs`` as touched."""
+        if self.track_slots:
+            self.touched_slots.update((int(v), t) for v in vs)
+        else:
+            self.touched_count += len(vs)
+
+    def note_touched_pairs(self, vs, ts) -> None:
+        """Record slots ``(vs[i], ts[i])`` as touched (paired arrays)."""
+        if self.track_slots:
+            self.touched_slots.update(
+                zip((int(v) for v in vs), (int(t) for t in ts))
+            )
+        else:
+            self.touched_count += len(vs)
+
+    @property
+    def touched_labels(self) -> int:
+        """η: distinct slots re-drawn or value-corrected."""
+        if self.track_slots:
+            return len(self.touched_slots)
+        return self.touched_count
+
+
+def _sorted_pool(groups, counts: np.ndarray, total: int) -> np.ndarray:
     """Concatenate per-vertex neighbour groups and sort within each group.
 
     The :func:`repro.graph.csr.build_csr_arrays` idiom on a vertex subset:
     one C-level fromiter over chained sets, one combined-key
-    (``group * n + neighbour``) sort — no per-vertex Python sorting.
+    (``group * span + id - lo``) sort — no per-vertex Python sorting.
     """
     if total == 0:
         return np.empty(0, dtype=np.int64)
     flat = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=total)
     group_ids = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    key = group_ids * np.int64(n) + flat
+    lo = int(flat.min())
+    span = int(flat.max()) - lo + 1
+    if span * len(counts) >= 1 << 63:  # ids too far apart for one int64 key
+        return flat[np.lexsort((flat, group_ids))]
+    key = group_ids * np.int64(span) + (flat - lo)
     key.sort()
-    return key % np.int64(n)
+    return key % np.int64(span) + lo
 
 
 class FastCorrectionPropagator:
@@ -86,7 +149,7 @@ class FastCorrectionPropagator:
     :class:`UpdateReport` numbers) over the array substrate.  Typical
     hand-off from a fast static run::
 
-        fast = FastPropagator(CSRGraph.from_graph(graph), seed=7)
+        fast = FastPropagator(graph, seed=7)
         fast.propagate(200)
         corrector = FastCorrectionPropagator(graph, fast.to_array_state(), 7)
         corrector.apply_batch(batch)
@@ -124,15 +187,15 @@ class FastCorrectionPropagator:
     def apply_batch(self, batch: EditBatch) -> UpdateReport:
         """Apply a validated edit batch: mutate graph, repair label state.
 
-        Same semantics as the reference corrector; new endpoints must keep
-        the id range contiguous (checked before anything mutates).
+        Same semantics as the reference corrector: an inserted edge's new
+        endpoint gets a column (or its dead column back) whatever its id.
         """
         batch.validate_against(self.graph)
         state = self.state
         new_vertices = sorted(
             {e for edge in batch.insertions for e in edge if not self.graph.has_vertex(e)}
         )
-        self._check_new_ids(new_vertices)
+        check_vertex_ids(new_vertices, "edit batch")
         if state.needs_reindex():
             state.reindex()
         self.batch_epoch += 1
@@ -159,14 +222,13 @@ class FastCorrectionPropagator:
         touched = sorted(set(added) | set(removed))
         if not touched or t_max == 0:
             return report
-        tv = np.array(touched, dtype=np.int64)
+        tv_ids = np.array(touched, dtype=np.int64)
+        tv = state.columns(tv_ids)
         m = len(touched)
 
-        # Sorted candidate pools of the touched vertices, as one mini-CSR
-        # each: current neighbours and batch-added neighbours.  Built with
-        # the combined-key-sort idiom (one fromiter + one sort, no
-        # per-vertex Python sorting).
-        n_now = state.num_columns
+        # Candidate pools of the touched vertices, sorted by vertex id (the
+        # reference's sorted-neighbour order) and mapped to columns, as one
+        # mini-CSR each: current neighbours and batch-added neighbours.
         pool_counts = np.fromiter(
             (self.graph.degree(v) for v in touched), dtype=np.int64, count=m
         )
@@ -176,7 +238,6 @@ class FastCorrectionPropagator:
             (self.graph.neighbors_view(v) for v in touched),
             pool_counts,
             int(pool_indptr[-1]),
-            n_now,
         )
         a_counts = np.fromiter(
             (len(added.get(v, ())) for v in touched), dtype=np.int64, count=m
@@ -187,7 +248,6 @@ class FastCorrectionPropagator:
             (added.get(v, ()) for v in touched),
             a_counts,
             int(a_indptr[-1]),
-            n_now,
         )
 
         # --- 2. vectorised Category 1-3 classification ------------------
@@ -196,8 +256,12 @@ class FastCorrectionPropagator:
         no_src = src_sub == NO_SOURCE
         if batch.deletions:
             ndel = len(batch.deletions)
-            du = np.fromiter((e[0] for e in batch.deletions), np.int64, count=ndel)
-            dv = np.fromiter((e[1] for e in batch.deletions), np.int64, count=ndel)
+            du = state.columns(
+                np.fromiter((e[0] for e in batch.deletions), np.int64, count=ndel)
+            )
+            dv = state.columns(
+                np.fromiter((e[1] for e in batch.deletions), np.int64, count=ndel)
+            )
             removed_keys = np.concatenate([du * _PAIR + dv, dv * _PAIR + du])
             deleted_src = np.isin(tv[np.newaxis, :] * _PAIR + src_sub, removed_keys)
         else:
@@ -212,7 +276,7 @@ class FastCorrectionPropagator:
         lrow, lcol = np.nonzero(lottery_mask)
         if lrow.size:
             lts = lrow + 1
-            lvs = tv[lcol]
+            lvs = tv_ids[lcol]
             h = slot_hash_flex(
                 slot_hash_flex(self.seed, lvs, lts, 0), lvs, lts, self.batch_epoch
             )
@@ -232,7 +296,7 @@ class FastCorrectionPropagator:
         # Unify both repick families into one level-sorted slot list; each
         # slot carries its candidate range in the concatenated pool (the
         # added pool sits after the all-neighbours pool).
-        cand_flat = np.concatenate([pool_flat, a_flat])
+        cand_flat = state.columns(np.concatenate([pool_flat, a_flat]))
         rp_v = np.concatenate([tv[rep_all_col], tv[rep_add_col]])
         rp_t = np.concatenate([rep_all_t, rep_add_t])
         rp_off = np.concatenate(
@@ -253,7 +317,7 @@ class FastCorrectionPropagator:
             state.detach_slots(rp_v, rp_t)
             epochs_new = state.epochs[rp_t, rp_v] + 1
             state.epochs[rp_t, rp_v] = epochs_new
-            h = slot_hash_flex(self.seed, rp_v, rp_t, epochs_new)
+            h = slot_hash_flex(self.seed, state.ids_of(rp_v), rp_t, epochs_new)
             rp_idx = draw_src_index_array(h, rp_cnt)
             rp_pos = draw_position_flex(h, rp_t)
             has_mask = rp_cnt > 0
@@ -263,7 +327,7 @@ class FastCorrectionPropagator:
             state.srcs[rp_t, rp_v] = rp_src
             state.poss[rp_t, rp_v] = rp_pos
             rp_fallback = state.labels[0, rp_v]  # isolated slots: own label
-            report.note_touched_pairs(rp_v, rp_t)
+            report.note_touched_pairs(state.ids_of(rp_v), rp_t)
             level_bounds = np.searchsorted(rp_t, np.arange(1, t_max + 2))
 
         # --- 4. drain: cascade + repick value gathers, level by level ---
@@ -288,7 +352,7 @@ class FastCorrectionPropagator:
                     cvals = avals[changed]
                     state.labels[t, cv] = cvals
                     report.value_changes += len(cv)
-                    report.note_touched_many(cv, t)
+                    report.note_touched_many(state.ids_of(cv), t)
                     changed_vs.append(cv)
                     changed_vals.append(cvals)
             if rp_v.size:
@@ -330,7 +394,7 @@ class FastCorrectionPropagator:
         return report
 
     def remove_vertex(self, v: int) -> UpdateReport:
-        """Delete a vertex: incident-edge deletion batch, then drop the
+        """Delete a vertex: incident-edge deletion batch, then drop its
         column once nothing references it (same flow as the reference)."""
         if not self.graph.has_vertex(v):
             raise KeyError(f"vertex {v} not in graph")
@@ -345,49 +409,16 @@ class FastCorrectionPropagator:
         t_max = self.state.num_iterations
         if t_max:
             self.state.detach_slots(
-                np.full(t_max, v, dtype=np.int64),
+                np.repeat(self.state.columns([v]), t_max),
                 np.arange(1, t_max + 1, dtype=np.int64),
             )
         self.state.drop_vertex(v)
         self.graph.remove_vertex(v)
         return report
 
-    def accepts(self, batch: EditBatch) -> bool:
-        """Whether the array substrate can represent ``batch``'s vertex ids.
-
-        False iff the batch creates vertices that would leave a gap in the
-        contiguous ``0..n-1`` range — callers in ``auto`` mode use this to
-        downgrade to the reference corrector instead of failing.
-        """
-        new_vertices = sorted(
-            {e for edge in batch.insertions for e in edge if not self.graph.has_vertex(e)}
-        )
-        try:
-            self._check_new_ids(new_vertices)
-        except ValueError:
-            return False
-        return True
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _check_new_ids(self, new_vertices: List[int]) -> None:
-        """Reject id gaps before any mutation happens (clean failure)."""
-        state = self.state
-        ncols = state.num_columns
-        fresh = [v for v in new_vertices if v >= ncols]
-        if fresh != list(range(ncols, ncols + len(fresh))):
-            raise ValueError(
-                f"new vertex ids {fresh} do not extend the contiguous range "
-                f"0..{ncols - 1}; the array backend cannot represent id gaps "
-                "(use the reference corrector)"
-            )
-        clash = [v for v in new_vertices if v < ncols and state.has_vertex(v)]
-        if clash:
-            raise ValueError(
-                f"vertices {clash[:5]} exist in the label state but not the graph"
-            )
-
     def _notify(
         self,
         v_arr: np.ndarray,

@@ -20,13 +20,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.core.randomness import NO_SOURCE
 from repro.graph.adjacency import Graph
 
 __all__ = ["LabelState", "NO_SOURCE"]
-
-# Sentinel provenance for slots that did not fetch from a neighbour
-# (iteration 0, and the degree-0 fallback).
-NO_SOURCE = -1
 
 
 class LabelState:

@@ -2,14 +2,20 @@
 
 :class:`ArrayLabelState` stores what :class:`repro.core.labels.LabelState`
 stores — label sequences, provenance, epochs, reverse records — but as
-numpy arrays over contiguous vertex ids ``0..n-1``:
+numpy arrays over columns, one per vertex:
 
 * ``labels`` / ``srcs`` / ``poss`` / ``epochs`` are ``(T+1, n)`` int64
-  matrices (row ``t`` = iteration ``t``, column ``v`` = vertex ``v``),
-  exactly the layout :class:`repro.core.fast.FastPropagator` produces;
-* reverse records — "which slots fetched slot ``(v, t)``" — live in a
+  matrices (row ``t`` = iteration ``t``, column ``c`` = the vertex
+  ``ids[c]``), exactly the layout :class:`repro.core.fast.FastPropagator`
+  produces;
+* ``ids`` maps columns to vertex ids, which may be any int64 except the
+  ``NO_SOURCE`` sentinel (−1).  Label values are vertex ids; ``srcs``,
+  reverse-record keys and every gather use columns.  When the ids are
+  ``0..n-1`` the id → column lookup is the identity and nothing is
+  mapped; otherwise it is one binary search over the sorted ids;
+* reverse records — "which slots fetched slot ``(c, t)``" — live in a
   CSR-style flat structure: one receiver array sorted by source-slot key
-  ``v * (T+1) + t``, located by binary search, instead of a dict-of-set
+  ``c * (T+1) + t``, located by binary search, instead of a dict-of-set
   per slot.
 
 The reverse structure is maintained incrementally in O(η) per batch: a
@@ -31,10 +37,15 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.labels import NO_SOURCE, LabelState
+from repro.core.labels import LabelState
+from repro.core.randomness import NO_SOURCE, check_vertex_ids
 from repro.graph.adjacency import Graph
 
 __all__ = ["ArrayLabelState"]
+
+#: The id → column lookup: ``None`` while the ids are ``0..n-1`` (the
+#: identity), else ``(sorted ids, their columns)`` for a binary search.
+_IdIndex = Optional[Tuple[np.ndarray, np.ndarray]]
 
 
 def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -51,16 +62,35 @@ def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
 
 
+def _id_index(ids: np.ndarray) -> _IdIndex:
+    """Build the id → column lookup of a column → id array."""
+    if np.array_equal(ids, np.arange(len(ids))):
+        return None
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    if (sorted_ids[1:] == sorted_ids[:-1]).any():
+        raise ValueError("duplicate vertex ids")
+    return sorted_ids, order
+
+
+def _lookup(index: _IdIndex, ncols: int, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(columns, known)`` of the ids ``v``; unknown ids get a placeholder."""
+    if index is None:
+        return v, (v >= 0) & (v < ncols)
+    sorted_ids, order = index
+    at = np.minimum(np.searchsorted(sorted_ids, v), len(sorted_ids) - 1)
+    return order[at], sorted_ids[at] == v
+
+
 class ArrayLabelState:
     """Label sequences + provenance + reverse records as int64 matrices.
 
-    Construct via :meth:`from_matrices` (e.g. from a
-    :class:`~repro.core.fast.FastPropagator` run) or
-    :meth:`from_label_state`.  Vertex ids must be contiguous ``0..n-1``;
-    vertices added later must extend that range (gaps are rejected), and
-    dropped vertices leave a dead column that can be resurrected if the
-    same id is re-inserted — matching the dict state's semantics for the
-    delete-then-recreate cycle.
+    Construct via :meth:`from_matrices` (id-valued provenance, e.g. from
+    the distributed programs), :meth:`from_label_state`, or
+    :meth:`repro.core.fast.FastPropagator.to_array_state`.  Vertices added
+    later append a column, and dropped vertices leave a dead column that is
+    resurrected if the same id is re-inserted — matching the dict state's
+    semantics for the delete-then-recreate cycle.
     """
 
     __slots__ = (
@@ -69,6 +99,8 @@ class ArrayLabelState:
         "poss",
         "epochs",
         "alive",
+        "ids",
+        "_index",
         "_stride",
         "_rev_key",
         "_rev_tar",
@@ -87,7 +119,10 @@ class ArrayLabelState:
         poss: np.ndarray,
         epochs: np.ndarray,
         alive: Optional[np.ndarray] = None,
+        ids: Optional[np.ndarray] = None,
     ):
+        """Adopt matrices whose ``srcs`` hold columns; ``ids`` defaults to
+        ``0..n-1`` (where columns and ids coincide)."""
         self.labels = np.ascontiguousarray(labels, dtype=np.int64)
         self.srcs = np.ascontiguousarray(srcs, dtype=np.int64)
         self.poss = np.ascontiguousarray(poss, dtype=np.int64)
@@ -102,7 +137,14 @@ class ArrayLabelState:
         self.alive = np.ascontiguousarray(alive, dtype=bool)
         if self.alive.shape != (shape[1],):
             raise ValueError("alive mask length does not match the column count")
-        self._stride = shape[0]  # T + 1; slot key = v * stride + t
+        self.ids = np.ascontiguousarray(
+            np.arange(shape[1]) if ids is None else ids, dtype=np.int64
+        )
+        if self.ids.shape != (shape[1],):
+            raise ValueError("ids length does not match the column count")
+        check_vertex_ids(self.ids, "label state")
+        self._index = _id_index(self.ids)
+        self._stride = shape[0]  # T + 1; slot key = column * stride + t
         self._extras: Dict[int, Set[Tuple[int, int]]] = {}
         self._extra_count = 0
         self._dead_static = 0
@@ -118,66 +160,77 @@ class ArrayLabelState:
         srcs: np.ndarray,
         poss: np.ndarray,
         epochs: Optional[np.ndarray] = None,
+        ids=None,
     ) -> "ArrayLabelState":
-        """Adopt ``(T+1, n)`` matrices; epochs default to all-zero."""
+        """Adopt ``(T+1, n)`` matrices whose ``srcs`` hold vertex ids.
+
+        ``ids[c]`` is column ``c``'s vertex id (``None``: ``0..n-1``), and
+        epochs default to all-zero.  This is the one path that maps
+        id-valued provenance to columns; for ids ``0..n-1`` nothing is
+        mapped.
+        """
+        labels = np.asarray(labels, dtype=np.int64)
         if epochs is None:
-            epochs = np.zeros_like(np.asarray(labels, dtype=np.int64))
-        return cls(labels, srcs, poss, epochs)
+            epochs = np.zeros_like(labels)
+        if ids is not None:
+            ids = np.asarray(ids, dtype=np.int64)
+            index = _id_index(ids)
+            if index is not None:
+                srcs = np.array(srcs, dtype=np.int64)
+                has = srcs != NO_SOURCE
+                cols, known = _lookup(index, len(ids), srcs[has])
+                if not known.all():
+                    raise ValueError("srcs name vertices outside ids")
+                srcs[has] = cols
+        return cls(labels, srcs, poss, epochs, ids=ids)
 
     @classmethod
     def from_label_state(cls, state: LabelState) -> "ArrayLabelState":
-        """Convert a dict-backed state (ids must be contiguous ``0..n-1``)."""
+        """Convert a dict-backed state (any vertex ids; columns in id order)."""
         ids = sorted(state.vertices())
-        n = len(ids)
-        if ids != list(range(n)):
-            raise ValueError(
-                "ArrayLabelState requires contiguous vertex ids 0..n-1; "
-                "use repro.graph.io.relabel_to_integers first"
-            )
         t1 = state.num_iterations + 1
-        if n == 0:
+        if not ids:
             empty = np.empty((t1, 0), dtype=np.int64)
             return cls(empty, empty.copy(), empty.copy(), empty.copy())
-        labels = np.array([state.labels[v] for v in range(n)], dtype=np.int64).T
-        srcs = np.array([state.srcs[v] for v in range(n)], dtype=np.int64).T
-        poss = np.array([state.poss[v] for v in range(n)], dtype=np.int64).T
-        epochs = np.array([state.epochs[v] for v in range(n)], dtype=np.int64).T
-        return cls(labels, srcs, poss, epochs)
+        labels = np.array([state.labels[v] for v in ids], dtype=np.int64).T
+        srcs = np.array([state.srcs[v] for v in ids], dtype=np.int64).T
+        poss = np.array([state.poss[v] for v in ids], dtype=np.int64).T
+        epochs = np.array([state.epochs[v] for v in ids], dtype=np.int64).T
+        return cls.from_matrices(labels, srcs, poss, epochs, ids=ids)
 
     def to_label_state(self) -> LabelState:
         """Materialise the equivalent fully-recorded dict-backed state."""
         state = LabelState()
-        t_max = self.num_iterations
         live = np.nonzero(self.alive)[0]
-        ids = live.tolist()
-        labels_cols = self.labels[:, live].T.tolist()
-        srcs_cols = self.srcs[:, live].T.tolist()
-        poss_cols = self.poss[:, live].T.tolist()
-        epochs_cols = self.epochs[:, live].T.tolist()
-        for j, v in enumerate(ids):
-            state.labels[v] = labels_cols[j]
-            state.srcs[v] = srcs_cols[j]
-            state.poss[v] = poss_cols[j]
-            state.epochs[v] = epochs_cols[j]
-            state.receivers[v] = {}
+        vids = self.ids_of(live)
+        srcs = self.srcs[:, live]
+        if self._index is not None:
+            srcs = np.where(srcs != NO_SOURCE, self.ids[srcs], NO_SOURCE)
+        for name, matrix in (
+            ("labels", self.labels[:, live]),
+            ("srcs", srcs),
+            ("poss", self.poss[:, live]),
+            ("epochs", self.epochs[:, live]),
+        ):
+            getattr(state, name).update(zip(vids.tolist(), matrix.T.tolist()))
+        state.receivers.update((v, {}) for v in vids.tolist())
         if live.size:
-            row_idx, col_idx = np.nonzero(self.srcs[1:, live] != NO_SOURCE)
+            row_idx, col_idx = np.nonzero(srcs[1:] != NO_SOURCE)
             ks = row_idx + 1
-            tars = live[col_idx]
             for src, pos, tar, k in zip(
-                self.srcs[ks, tars].tolist(),
-                self.poss[ks, tars].tolist(),
-                tars.tolist(),
+                srcs[ks, col_idx].tolist(),
+                self.poss[ks, live[col_idx]].tolist(),
+                vids[col_idx].tolist(),
                 ks.tolist(),
             ):
                 state.receivers[src].setdefault(pos, set()).add((tar, k))
-        state.set_num_iterations(t_max)
+        state.set_num_iterations(self.num_iterations)
         return state
 
     def sequences_dict(self) -> Dict[int, List[int]]:
         """Vertex -> label sequence as plain lists (post-processing input)."""
         live = np.nonzero(self.alive)[0]
-        return dict(zip(live.tolist(), self.labels[:, live].T.tolist()))
+        return dict(zip(self.ids_of(live).tolist(), self.labels[:, live].T.tolist()))
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -195,21 +248,37 @@ class ArrayLabelState:
         """Allocated columns, including dead ones (ids ever seen)."""
         return self.labels.shape[1]
 
+    def columns(self, vertex_ids) -> np.ndarray:
+        """Columns of ``vertex_ids`` (live or dead); ``KeyError`` for an id
+        this state has never seen."""
+        v = np.asarray(vertex_ids, dtype=np.int64)
+        cols, known = _lookup(self._index, self.num_columns, v)
+        if not known.all():
+            raise KeyError(f"vertices {v[~known][:5].tolist()} have no label state")
+        return cols
+
+    def ids_of(self, cols: np.ndarray) -> np.ndarray:
+        """Vertex ids of the columns ``cols`` (``cols`` itself for ids 0..n-1)."""
+        return cols if self._index is None else self.ids[cols]
+
     def vertices(self) -> Iterator[int]:
-        return iter(np.nonzero(self.alive)[0].tolist())
+        return iter(self.ids_of(np.nonzero(self.alive)[0]).tolist())
 
     def has_vertex(self, v: int) -> bool:
-        return 0 <= v < self.num_columns and bool(self.alive[v])
+        cols, known = _lookup(self._index, self.num_columns, np.array([v], dtype=np.int64))
+        return bool(known[0]) and bool(self.alive[cols[0]])
 
     def slot_key(self, v: int, t: int) -> int:
-        return v * self._stride + t
+        return int(self.columns([v])[0]) * self._stride + t
 
     def receivers_of(self, v: int, t: int) -> Set[Tuple[int, int]]:
         """Who fetched slot ``(v, t)`` — a fresh set, like the dict state."""
+        if not self.has_vertex(v):
+            return set()
         _, tar, k = self.receivers_query(
             np.array([self.slot_key(v, t)], dtype=np.int64)
         )
-        return set(zip(tar.tolist(), k.tolist()))
+        return set(zip(self.ids_of(tar).tolist(), k.tolist()))
 
     # ------------------------------------------------------------------
     # Reverse-record structure
@@ -257,7 +326,8 @@ class ArrayLabelState:
         """Batched receiver lookup for an array of source-slot keys.
 
         Returns ``(owner, tar, k)``: record ``i`` says slot ``(tar[i],
-        k[i])`` fetched the slot behind ``keys[owner[i]]``.  Static hits are
+        k[i])`` (a column and a level) fetched the slot behind
+        ``keys[owner[i]]``.  Static hits are
         a binary search plus one flat gather; overlay hits are merged from
         the extras dict (bounded by the repicks since the last reindex).
         """
@@ -293,8 +363,9 @@ class ArrayLabelState:
         return owner, tar, k
 
     def detach_slots(self, vs: np.ndarray, ts: np.ndarray) -> None:
-        """Remove the reverse records of slots ``(vs[i], ts[i])`` and null
-        their provenance (vectorised :meth:`LabelState.detach_slot`).
+        """Remove the reverse records of slots ``(vs[i], ts[i])`` (columns
+        and levels) and null their provenance (vectorised
+        :meth:`LabelState.detach_slot`).
 
         Static records die via their O(1) ``rec_pos`` handle; overlay
         records are discarded from the extras dict (only slots repicked
@@ -331,7 +402,8 @@ class ArrayLabelState:
         self, src_arr: np.ndarray, pos_arr: np.ndarray, tar_arr: np.ndarray, ks
     ) -> None:
         """Register records ``(tar[i], ks[i])`` at source slots
-        ``(src[i], pos[i])``; ``ks`` may be a scalar level or a paired array.
+        ``(src[i], pos[i])`` (columns and levels); ``ks`` may be a scalar
+        level or a paired array.
 
         New records always land in the extras overlay (the static part is
         immutable between reindexes); the caller has already written the
@@ -354,38 +426,30 @@ class ArrayLabelState:
     def add_vertices(self, new_ids) -> None:
         """Create state for vertices added after propagation (fallback slots).
 
-        Ids below the current column count resurrect dead columns; ids at or
-        above it must exactly extend the contiguous range (the array
-        substrate's id contract — reject gaps loudly rather than silently
-        mis-indexing).
+        An id seen before resurrects its dead column; a new id appends a
+        column (in ascending id order).  The lookup stays the identity
+        while the ids stay ``0..n-1``.
         """
-        new_ids = list(new_ids)
-        if not new_ids:
+        new = np.array(sorted(new_ids), dtype=np.int64)
+        if not new.size:
             return
+        check_vertex_ids(new, "new vertices")
         ncols = self.num_columns
-        resurrect = [v for v in new_ids if 0 <= v < ncols]
-        fresh = sorted(v for v in new_ids if v >= ncols)
-        if any(v < 0 for v in new_ids):
-            raise ValueError(f"negative vertex id in {new_ids!r}")
-        for v in resurrect:
-            if self.alive[v]:
-                raise ValueError(f"vertex {v} already initialised")
-        if fresh:
-            if fresh != list(range(ncols, ncols + len(fresh))):
-                raise ValueError(
-                    f"new vertex ids {fresh} do not extend the contiguous "
-                    f"range 0..{ncols - 1}; the array backend cannot "
-                    "represent id gaps (use the reference corrector)"
-                )
-            k = len(fresh)
-            fresh_arr = np.array(fresh, dtype=np.int64)
+        cols, known = _lookup(self._index, ncols, new)
+        revive = cols[known]
+        if self.alive[revive].any():
+            raise ValueError(
+                f"vertices {new[known][self.alive[revive]].tolist()} already initialised"
+            )
+        fresh = new[~known]
+        if fresh.size:
+            k = fresh.size
             self.labels = np.concatenate(
-                [self.labels, np.broadcast_to(fresh_arr, (self._stride, k)).copy()],
-                axis=1,
+                [self.labels, np.broadcast_to(fresh, (self._stride, k))], axis=1
             )
             pad = np.full((self._stride, k), NO_SOURCE, dtype=np.int64)
             self.srcs = np.concatenate([self.srcs, pad], axis=1)
-            self.poss = np.concatenate([self.poss, pad.copy()], axis=1)
+            self.poss = np.concatenate([self.poss, pad], axis=1)
             self.epochs = np.concatenate(
                 [self.epochs, np.zeros((self._stride, k), dtype=np.int64)], axis=1
             )
@@ -393,12 +457,17 @@ class ArrayLabelState:
             self._rec_pos = np.concatenate(
                 [self._rec_pos, np.full((self._stride, k), -1, dtype=np.int64)], axis=1
             )
-        for v in resurrect:
-            self.labels[:, v] = v
-            self.srcs[:, v] = NO_SOURCE
-            self.poss[:, v] = NO_SOURCE
-            self.epochs[:, v] = 0
-            self.alive[v] = True
+            extends = self._index is None and np.array_equal(
+                fresh, np.arange(ncols, ncols + k)
+            )
+            self.ids = np.concatenate([self.ids, fresh])
+            if not extends:
+                self._index = _id_index(self.ids)
+        self.labels[:, revive] = self.ids[revive]
+        self.srcs[:, revive] = NO_SOURCE
+        self.poss[:, revive] = NO_SOURCE
+        self.epochs[:, revive] = 0
+        self.alive[revive] = True
 
     def drop_vertex(self, v: int) -> None:
         """Mark ``v`` dead (its column is kept for potential resurrection).
@@ -410,19 +479,20 @@ class ArrayLabelState:
         """
         if not self.has_vertex(v):
             raise KeyError(f"vertex {v} has no label state")
-        if (self.srcs[1:, v] != NO_SOURCE).any():
+        col = int(self.columns([v])[0])
+        if (self.srcs[1:, col] != NO_SOURCE).any():
             raise ValueError(
                 f"cannot drop vertex {v}: its slots still hold sources "
                 "(detach them first)"
             )
-        keys = v * np.int64(self._stride) + np.arange(self._stride, dtype=np.int64)
+        keys = col * np.int64(self._stride) + np.arange(self._stride, dtype=np.int64)
         _, tar, k = self.receivers_query(keys)
         if len(tar):
-            sample = sorted(zip(tar.tolist(), k.tolist()))[:5]
+            sample = sorted(zip(self.ids_of(tar).tolist(), k.tolist()))[:5]
             raise ValueError(
                 f"cannot drop vertex {v}: slots {sample} still fetch from it"
             )
-        self.alive[v] = False
+        self.alive[col] = False
 
     # ------------------------------------------------------------------
     # Validation

@@ -10,6 +10,9 @@ that function once with SplitMix64 mixing, in two exactly-matching forms:
 
 Because both forms compute the *same* bits, all engines produce identical
 label states for a given seed, which the test suite asserts directly.  The
+draws Correction Propagation composes from them (:func:`keep_lottery_uniform`,
+:func:`repick_draw`) and the provenance sentinel :data:`NO_SOURCE` live here
+too, so every engine takes them from one place.  The
 ``epoch`` field gives the incremental algorithm fresh randomness for a
 repicked slot without disturbing any other slot — the literal version of the
 paper's "pretend we used the same series of random numbers" argument
@@ -27,6 +30,10 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
+    "NO_SOURCE",
+    "check_vertex_ids",
+    "keep_lottery_uniform",
+    "repick_draw",
     "mix64",
     "mix64_array",
     "slot_hash",
@@ -42,6 +49,24 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
+
+#: Sentinel provenance for slots that did not fetch from a neighbour
+#: (iteration 0, and the degree-0 fallback).
+NO_SOURCE = -1
+
+
+def check_vertex_ids(vertices, what: str) -> None:
+    """Refuse vertex id :data:`NO_SOURCE` (−1) in ``vertices`` (any container).
+
+    Label state stores ``src = NO_SOURCE`` for a slot with no source, so a
+    slot that fetched from vertex −1 would read as a fallback slot.
+    """
+    if NO_SOURCE in vertices:
+        raise ValueError(
+            f"{what} has vertex id {NO_SOURCE}, which label state reserves "
+            f"as the NO_SOURCE sentinel; relabel the vertices "
+            f"(repro.graph.relabel_to_integers)"
+        )
 
 # Domain-separation constants (random 64-bit primes / odd constants).
 _C_VERTEX = 0xA24BAED4963EE407
@@ -127,7 +152,7 @@ def slot_hash_array(
 def slot_hash_flex(seed, vertices, iterations, epochs) -> np.ndarray:
     """Fully-broadcasting :func:`slot_hash`: every argument may be an array.
 
-    Unlike :func:`slot_hash_array` (scalar iteration/epoch), this accepts
+    Unlike :func:`slot_hash_array` (scalar iteration/epoch), this takes
     per-element iteration and epoch arrays — what the incremental engine
     needs, where each repicked slot sits at its own ``(v, t, epoch)`` — and
     an *array* seed, which lets the Theorem-5 keep lottery chain two hashes
@@ -177,9 +202,23 @@ def draw_position_flex(h: np.ndarray, iterations: np.ndarray) -> np.ndarray:
     return (_np_mix64(h ^ np.uint64(_C_POS)) % safe).astype(np.int64)
 
 
-def draw_src_pos(
-    seed: int, vertex: int, iteration: int, epoch: int, degree: int
+def keep_lottery_uniform(seed: int, vertex: int, iteration: int, batch_epoch: int) -> float:
+    """The Theorem-5 keep-lottery draw for a slot, fresh per batch.
+
+    Shared by the sequential corrector and the distributed program so both
+    make identical keep/switch decisions.
+    """
+    base = slot_hash(seed, vertex, iteration, 0)
+    return draw_keep_uniform(slot_hash(base, vertex, iteration, batch_epoch))
+
+
+def repick_draw(
+    seed: int, vertex: int, iteration: int, epoch: int, num_candidates: int
 ) -> Tuple[int, int]:
-    """Convenience: the (source index, position) pair for a slot."""
+    """The (candidate index, position) pair for a repick at a given epoch."""
     h = slot_hash(seed, vertex, iteration, epoch)
-    return draw_src_index(h, degree), draw_position(h, iteration)
+    return draw_src_index(h, num_candidates), draw_position(h, iteration)
+
+
+#: The (source index, position) pair of any slot: the same draw.
+draw_src_pos = repick_draw

@@ -8,9 +8,11 @@ provenance, epochs — in two interchangeable formats:
 * **JSON** (the original path): a :class:`LabelState` as a compact text
   document — portable, human-inspectable, id-agnostic.
 * **npz** (array-native): an :class:`ArrayLabelState`'s ``(T+1, n)``
-  matrices written directly with :func:`numpy.savez_compressed` — no
-  dict-state detour on either side, which is what the service layer's
-  checkpoints use (loading restores the matrices bit for bit).
+  matrices and its column → vertex id array written directly with
+  :func:`numpy.savez_compressed` — no dict-state detour on either side,
+  which is what the service layer's checkpoints use (loading restores the
+  matrices bit for bit).  Version 1 files have no id array and load as
+  ids ``0..n-1``.
 
 Reverse records are *not* stored in either format: they are a pure function
 of the provenance and are rebuilt on load (smaller files, no consistency
@@ -32,8 +34,9 @@ from typing import IO, Dict, Union
 import numpy as np
 
 from repro.core.communities import Cover
-from repro.core.labels import NO_SOURCE, LabelState
+from repro.core.labels import LabelState
 from repro.core.labels_array import ArrayLabelState
+from repro.core.randomness import NO_SOURCE
 
 __all__ = [
     "state_to_dict",
@@ -50,8 +53,9 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-#: Version of the array-native npz layout (independent of the JSON one).
-ARRAY_FORMAT_VERSION = 1
+#: Version of the array-native npz layout (independent of the JSON one);
+#: version 2 added the ``ids`` array.
+ARRAY_FORMAT_VERSION = 2
 
 ARRAY_FORMAT_NAME = "repro.array_label_state"
 
@@ -127,7 +131,7 @@ def state_from_dict(payload: dict) -> LabelState:
 
 
 def state_to_arrays(state: ArrayLabelState) -> Dict[str, np.ndarray]:
-    """The array-native payload: matrices plus a version/format header.
+    """The array-native payload: matrices, ids and a version/format header.
 
     Reverse records (the CSR-style receiver index) are deliberately absent —
     ``ArrayLabelState.__init__`` rebuilds them from the provenance matrices,
@@ -141,14 +145,16 @@ def state_to_arrays(state: ArrayLabelState) -> Dict[str, np.ndarray]:
         "poss": state.poss,
         "epochs": state.epochs,
         "alive": state.alive,
+        "ids": state.ids,
     }
 
 
 def state_from_arrays(arrays) -> ArrayLabelState:
     """Rebuild an :class:`ArrayLabelState` from :func:`state_to_arrays` output.
 
-    Accepts any mapping of name -> array (an ``NpzFile`` works directly).
-    Raises ``ValueError`` on format/version mismatches or missing arrays.
+    Accepts any mapping of name -> array (an ``NpzFile`` works directly);
+    a version-1 payload (no ``ids``) loads as ids ``0..n-1``.  Raises
+    ``ValueError`` on format/version mismatches or missing arrays.
     """
     try:
         fmt = str(arrays["format"])
@@ -157,12 +163,15 @@ def state_from_arrays(arrays) -> ArrayLabelState:
     if fmt != ARRAY_FORMAT_NAME:
         raise ValueError(f"not an array label-state payload: {fmt!r}")
     version = int(arrays["version"])
-    if version != ARRAY_FORMAT_VERSION:
+    if version not in (1, ARRAY_FORMAT_VERSION):
         raise ValueError(
             f"unsupported array-state version {version} "
-            f"(expected {ARRAY_FORMAT_VERSION})"
+            f"(expected 1 or {ARRAY_FORMAT_VERSION})"
         )
-    missing = [k for k in ("labels", "srcs", "poss", "epochs", "alive") if k not in arrays]
+    names = ("labels", "srcs", "poss", "epochs", "alive") + (
+        ("ids",) if version > 1 else ()
+    )
+    missing = [k for k in names if k not in arrays]
     if missing:
         raise ValueError(f"array label-state payload missing arrays: {missing}")
     return ArrayLabelState(
@@ -171,6 +180,7 @@ def state_from_arrays(arrays) -> ArrayLabelState:
         arrays["poss"],
         arrays["epochs"],
         alive=np.asarray(arrays["alive"], dtype=bool),
+        ids=arrays["ids"] if version > 1 else None,
     )
 
 
@@ -188,8 +198,8 @@ def save_state(state: AnyLabelState, target: Union[str, IO]) -> None:
     The format follows the target — a ``.npz`` path (or binary stream) gets
     the array-native npz layout, anything else the JSON document — and the
     state is converted as needed, so both :class:`LabelState` and
-    :class:`ArrayLabelState` round-trip through either format.  Note the
-    npz path inherits the array substrate's contiguous-id contract.
+    :class:`ArrayLabelState` round-trip through either format, for any
+    vertex ids.
     """
     if _wants_npz(target):
         if not isinstance(state, ArrayLabelState):

@@ -13,11 +13,12 @@ communication-cost experiments:
 * :func:`run_distributed_postprocess` — weights + τ2 locally per worker,
   τ1 sweep on the driver, communities via distributed hash-to-min CC.
 
-Every run shards the graph with :func:`build_csr_shards` (any vertex ids)
-and exchanges columnar messages on
+Every run shards the graph with :func:`build_csr_shards` (any vertex ids
+but −1, which label state reserves as ``NO_SOURCE``) and exchanges
+columnar messages on
 :class:`~repro.distributed.engine_array.ArrayBSPEngine`.  Execution
 selection is centralised: the per-call keywords (``num_workers`` /
-``state_format`` / ``partitioner``) are shims that build an
+``partitioner``) are shims that build an
 :class:`~repro.api.config.ExecutionConfig` (pass ``config=`` to supply one
 directly — it takes precedence), every ``auto`` is negotiated by
 :func:`repro.api.plan.resolve_plan`, and named partitioners come from
@@ -41,9 +42,10 @@ import numpy as np
 from repro.api.config import ExecutionConfig
 from repro.api.plan import GraphCaps, RunPlan, resolve_plan
 from repro.core.communities import Cover
-from repro.core.labels import NO_SOURCE, LabelState
+from repro.core.labels import LabelState
 from repro.core.labels_array import ArrayLabelState
 from repro.core.postprocess import attach_weak, edge_weights, sweep_tau1, weak_threshold
+from repro.core.randomness import NO_SOURCE, check_vertex_ids
 from repro.distributed.components import distributed_connected_components
 from repro.distributed.engine_array import ArrayBSPEngine
 from repro.distributed.metrics import CommStats
@@ -70,7 +72,6 @@ def _execution_config(
     config: Optional[ExecutionConfig],
     num_workers: int,
     partitioner: Optional[Union[str, Partitioner]],
-    state_format: str = "auto",
 ) -> ExecutionConfig:
     """The keyword shim: kwargs become a config unless one was passed.
 
@@ -82,11 +83,7 @@ def _execution_config(
         if config.num_workers == 0:
             config = replace(config, num_workers=num_workers)
         return config
-    return ExecutionConfig(
-        num_workers=num_workers,
-        partitioner=partitioner,
-        state_format=state_format,
-    )
+    return ExecutionConfig(num_workers=num_workers, partitioner=partitioner)
 
 
 def _obs_for(plan: RunPlan):
@@ -134,81 +131,27 @@ def _merge_collected_rslpa_state(collected: Dict[int, tuple], iterations: int) -
     return state
 
 
-def _merge_array_rslpa_state(programs, iterations: int) -> LabelState:
-    """Fully-recorded :class:`LabelState` from array-program matrices.
-
-    Produces exactly what :func:`_merge_collected_rslpa_state` builds from
-    per-vertex lists, but from the ``(T+1, n_local)`` matrices: sequence
-    dicts come from one ``tolist`` per matrix, and the reverse records from
-    one ``nonzero`` + ``lexsort`` group-split over all recorded slots
-    instead of a per-slot Python loop.
-    """
-    state = LabelState()
-    ids_parts, srcs_parts, poss_parts = [], [], []
-    for program in programs:
-        if program.n_local == 0:
-            continue
-        ids_parts.append(program.local_ids)
-        srcs_parts.append(program.srcs)
-        poss_parts.append(program.poss)
-        vids = program.local_ids.tolist()
-        state.labels.update(zip(vids, program.labels.T.tolist()))
-        state.srcs.update(zip(vids, program.srcs.T.tolist()))
-        state.poss.update(zip(vids, program.poss.T.tolist()))
-        state.epochs.update((v, [0] * (iterations + 1)) for v in vids)
-        state.receivers.update((v, {}) for v in vids)
-    if ids_parts:
-        ids = np.concatenate(ids_parts)
-        srcs_m = np.concatenate(srcs_parts, axis=1)[1:, :]
-        poss_m = np.concatenate(poss_parts, axis=1)[1:, :]
-        t_idx, v_idx = np.nonzero(srcs_m != NO_SOURCE)
-        if len(t_idx):
-            src = srcs_m[t_idx, v_idx]
-            pos = poss_m[t_idx, v_idx]
-            order = np.lexsort((t_idx, v_idx, pos, src))
-            src_s, pos_s = src[order], pos[order]
-            new_group = np.empty(len(order), dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (src_s[1:] != src_s[:-1]) | (pos_s[1:] != pos_s[:-1])
-            starts = np.flatnonzero(new_group).tolist()
-            starts.append(len(order))
-            src_l, pos_l = src_s.tolist(), pos_s.tolist()
-            pairs = list(
-                zip(ids[v_idx[order]].tolist(), (t_idx[order] + 1).tolist())
-            )
-            for a, b in zip(starts, starts[1:]):
-                state.receivers[src_l[a]][pos_l[a]] = set(pairs[a:b])
-    state.set_num_iterations(iterations)
-    return state
-
-
 def _assemble_array_rslpa_state(programs, iterations: int) -> ArrayLabelState:
     """:class:`ArrayLabelState` straight from array-program matrices.
 
     The array plane's native export: per-worker ``(T+1, n_local)`` matrices
-    scatter into global matrices by vertex id and the reverse records come
-    from the state's vectorised ``reindex`` — no per-vertex Python at all.
-    Requires contiguous vertex ids ``0..n-1`` (the array-state contract).
+    scatter into global matrices with columns in ascending vertex-id order
+    (so ids ``0..n-1`` give the identity layout), and the reverse records
+    come from the state's vectorised ``reindex`` — no per-vertex Python at
+    all.
     """
-    n = sum(program.n_local for program in programs)
-    parts = [program.local_ids for program in programs if program.n_local]
-    ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    if n and (int(ids.min()) < 0 or int(ids.max()) + 1 != n):
-        raise ValueError(
-            "state_format='array' requires contiguous vertex ids 0..n-1; "
-            "use state_format='dict' or repro.graph.relabel_to_integers"
-        )
-    shape = (iterations + 1, n)
+    programs = [program for program in programs if program.n_local]
+    ids = np.sort(np.concatenate([p.local_ids for p in programs])) if programs else None
+    shape = (iterations + 1, 0 if ids is None else len(ids))
     labels = np.empty(shape, dtype=np.int64)
     srcs = np.empty(shape, dtype=np.int64)
     poss = np.empty(shape, dtype=np.int64)
     for program in programs:
-        if program.n_local == 0:
-            continue
-        labels[:, program.local_ids] = program.labels
-        srcs[:, program.local_ids] = program.srcs
-        poss[:, program.local_ids] = program.poss
-    return ArrayLabelState.from_matrices(labels, srcs, poss)
+        cols = np.searchsorted(ids, program.local_ids)
+        labels[:, cols] = program.labels
+        srcs[:, cols] = program.srcs
+        poss[:, cols] = program.poss
+    return ArrayLabelState.from_matrices(labels, srcs, poss, ids=ids)
 
 
 def _run_multiprocess(plan: RunPlan, shards, part, program_cls, seed, iterations):
@@ -247,25 +190,23 @@ def run_distributed_rslpa(
     iterations: int = 200,
     num_workers: int = 4,
     partitioner: Optional[Union[str, Partitioner]] = None,
-    state_format: str = "dict",
     config: Optional[ExecutionConfig] = None,
-) -> Tuple[Union[LabelState, ArrayLabelState], CommStats]:
+) -> Tuple[ArrayLabelState, CommStats]:
     """Algorithm 1 on the simulated cluster; returns (state, comm stats).
 
-    The returned state is fully recorded (provenance + reverse records) and
-    bit-identical to a sequential :class:`ReferencePropagator` run, for a
-    :class:`Graph` with any vertex ids or a :class:`CSRGraph`, in-process
-    or on real OS processes (``config.multiprocess``).
-    ``state_format="array"`` returns an
-    :class:`~repro.core.labels_array.ArrayLabelState` (contiguous ids
-    required) — the columnar engine's native export, assembled without any
-    per-vertex Python, and what the fast incremental lifecycle consumes.
-    All ``auto`` negotiation happens in
+    The returned :class:`~repro.core.labels_array.ArrayLabelState` is fully
+    recorded (provenance + reverse records) and bit-identical to a
+    sequential :class:`ReferencePropagator` run, for a :class:`Graph` with
+    any vertex ids or a :class:`CSRGraph`, in-process or on real OS
+    processes (``config.multiprocess``); ``.to_label_state()`` gives the
+    dict form.  All ``auto`` negotiation happens in
     :func:`repro.api.plan.resolve_plan`; ``config=`` supplies the
     :class:`~repro.api.config.ExecutionConfig` directly and overrides the
     per-axis keywords.
     """
-    cfg = _execution_config(config, num_workers, partitioner, state_format)
+    if isinstance(graph, Graph):
+        check_vertex_ids(graph, "graph")
+    cfg = _execution_config(config, num_workers, partitioner)
     plan = resolve_plan(GraphCaps.of(graph), cfg)
     part = plan.build_partitioner()
     shards = build_csr_shards(graph, part)
@@ -275,9 +216,7 @@ def run_distributed_rslpa(
             plan, shards, part, FastRSLPAPropagationProgram, seed, iterations
         )
         state = _merge_collected_rslpa_state(collected, iterations)
-        if plan.state_format == "array":
-            return ArrayLabelState.from_label_state(state), stats
-        return state, stats
+        return ArrayLabelState.from_label_state(state), stats
 
     bsp = ArrayBSPEngine(shards, part)
     _attach_obs(bsp, plan)
@@ -286,9 +225,7 @@ def run_distributed_rslpa(
         for shard in shards
     ]
     bsp.run(programs)
-    if plan.state_format == "array":
-        return _assemble_array_rslpa_state(programs, iterations), bsp.stats
-    return _merge_array_rslpa_state(programs, iterations), bsp.stats
+    return _assemble_array_rslpa_state(programs, iterations), bsp.stats
 
 
 def run_distributed_slpa(
@@ -337,9 +274,6 @@ def run_distributed_update(
     the repaired state (same object, mutated), and communication stats.
     ``batch_epoch`` must count batches the same way the sequential
     :class:`CorrectionPropagator` does for the randomness to line up.
-    The plan is resolved against the *post-batch* capabilities, so a
-    request the batch invalidates (e.g. ``backend="fast"`` once the batch
-    adds a gap in the ids) fails before anything is mutated.
     """
     cfg = _execution_config(config, num_workers, partitioner)
     if cfg.multiprocess:
@@ -348,19 +282,11 @@ def run_distributed_update(
             "multiprocess workers cannot share it (use the in-process engine)"
         )
     batch.validate_against(graph)
-    # Resolve against the POST-batch graph: apply_batch edits the caller's
-    # graph (and the loop below pads the caller's state) in place, so a
-    # plan the batch would invalidate must fail before mutating anything.
-    post_ids = set(graph.vertices()) | set(batch.touched_vertices())
-    post_contiguous = not post_ids or (
-        min(post_ids) >= 0 and max(post_ids) + 1 == len(post_ids)
-    )
-    caps = GraphCaps(
-        num_vertices=len(post_ids),
-        num_edges=graph.num_edges,
-        contiguous_ids=post_contiguous,
-    )
-    plan = resolve_plan(caps, cfg)
+    check_vertex_ids(batch.touched_vertices(), "edit batch")
+    # Resolved before anything mutates, on the post-batch vertex count
+    # (range partitioners size their blocks by it).
+    post_vertices = len(set(graph.vertices()) | batch.touched_vertices())
+    plan = resolve_plan(GraphCaps(post_vertices, graph.num_edges), cfg)
     new_graph = apply_batch(graph, batch)
     added = batch.added_neighbors()
     removed = batch.removed_neighbors()
@@ -403,17 +329,19 @@ def run_distributed_update(
 
 def run_distributed_postprocess(
     graph: Graph,
-    state: LabelState,
+    state: ArrayLabelState,
     num_workers: int = 4,
     step: float = 0.001,
 ) -> Tuple[Cover, CommStats]:
     """Section III-B extraction with the CC stage on the cluster.
 
-    Edge weights and τ2 are cheap one-round aggregations (computed directly
-    here); the connected-components stage — the round-dominant part the
-    paper discusses — runs distributed, and its stats are returned.
+    Takes the :class:`~repro.core.labels_array.ArrayLabelState`
+    :func:`run_distributed_rslpa` returns.  Edge weights and τ2 are cheap
+    one-round aggregations (computed directly here); the
+    connected-components stage — the round-dominant part the paper
+    discusses — runs distributed, and its stats are returned.
     """
-    weights = edge_weights(graph, state.labels)
+    weights = edge_weights(graph, state.sequences_dict())
     tau2 = weak_threshold(graph, weights)
     tau1, _entropy, _curve = sweep_tau1(graph, weights, tau2, step=step)
     components, stats = distributed_connected_components(

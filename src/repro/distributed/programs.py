@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.core.incremental import keep_lottery_uniform, repick_draw
-from repro.core.labels import NO_SOURCE
+from repro.core.randomness import NO_SOURCE, keep_lottery_uniform, repick_draw
 from repro.distributed.engine_array import ArrayWorkerProgram
 from repro.distributed.message_array import ArrayInbox, ArrayMessageContext
 from repro.distributed.worker import CSRShard

@@ -27,9 +27,9 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.baselines.slpa import _SEND, _TIE
-from repro.core.labels import NO_SOURCE
 from repro.core.randomness import (
     _C_SRC,
+    NO_SOURCE,
     draw_position_array,
     draw_src_index_array,
     mix64_array,

@@ -21,8 +21,7 @@ from typing import List, Union
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
-from repro.graph.io import relabel_to_integers
+from repro.graph.csr import CSRGraph, snapshot_with_ids
 from repro.graph.partition import Partitioner, slice_csr
 
 __all__ = ["CSRShard", "build_csr_shards"]
@@ -102,19 +101,14 @@ def build_csr_shards(
     """Partition a graph into CSR-backed shards (array local adjacency).
 
     Accepts a ready :class:`CSRGraph` snapshot or a mutable :class:`Graph`
-    with any vertex ids.  A graph whose ids are not ``0..n-1`` is
-    snapshotted under its sorted-order relabelling (which keeps every
-    neighbour row ascending) and sliced back to its own ids.
+    with any vertex ids; the latter is snapshotted with
+    :func:`~repro.graph.csr.snapshot_with_ids` and sliced back to its own
+    ids.
     """
-    ids = None
-    if isinstance(graph, Graph) and graph.num_vertices:
-        vertices = list(graph.vertices())
-        if min(vertices) != 0 or max(vertices) != len(vertices) - 1:
-            graph, mapping = relabel_to_integers(graph)
-            ids = np.fromiter(mapping, dtype=np.int64, count=len(mapping))
+    csr, ids = snapshot_with_ids(graph)
     return [
         CSRShard(worker_id, local_ids, indptr, indices)
         for worker_id, (local_ids, indptr, indices) in enumerate(
-            slice_csr(CSRGraph.coerce(graph), partitioner, ids)
+            slice_csr(csr, partitioner, ids)
         )
     ]

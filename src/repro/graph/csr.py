@@ -26,14 +26,15 @@ edits before paying for a rebuild: it answers ``has_edge``/``degree``/
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.graph.adjacency import Graph, normalize_edge
 from repro.graph.edits import EditBatch
+from repro.graph.io import relabel_to_integers
 
-__all__ = ["CSRGraph", "CSRDelta", "build_csr_arrays"]
+__all__ = ["CSRGraph", "CSRDelta", "build_csr_arrays", "snapshot_with_ids"]
 
 Edge = Tuple[int, int]
 
@@ -95,6 +96,25 @@ def build_csr_arrays(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
     key = np.repeat(np.arange(n, dtype=np.int64), degrees) * np.int64(n) + unsorted
     key.sort()
     return indptr, key % np.int64(n)
+
+
+def snapshot_with_ids(
+    graph: Union[Graph, "CSRGraph"],
+) -> Tuple["CSRGraph", Optional[np.ndarray]]:
+    """Snapshot a graph with any vertex ids: ``(csr, ids)``.
+
+    Row ``r`` of ``csr`` is vertex ``ids[r]``, in ascending id order — a
+    monotone relabelling, so every neighbour row stays ascending by id too.
+    ``ids`` is ``None`` where rows already are the ids: a :class:`CSRGraph`
+    or a graph on ``0..n-1``.
+    """
+    if isinstance(graph, Graph) and graph.num_vertices:
+        vertices = list(graph.vertices())
+        if min(vertices) != 0 or max(vertices) != len(vertices) - 1:
+            graph, mapping = relabel_to_integers(graph)
+            ids = np.fromiter(mapping, dtype=np.int64, count=len(mapping))
+            return CSRGraph.from_graph(graph), ids
+    return CSRGraph.coerce(graph), None
 
 
 class CSRGraph:

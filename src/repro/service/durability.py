@@ -6,9 +6,11 @@ exactly the extracted cover) that the uninterrupted run would hold.  Two
 pieces make that possible:
 
 * **Checkpoints** — the full :class:`~repro.core.labels_array.ArrayLabelState`
-  written array-native with :func:`numpy.savez_compressed` (the
-  ``core.serialize`` npz layout), together with the graph's edge array and
-  the run metadata (seed, batch epoch, edits applied).  Writes go to a
+  (with its vertex ids, so any ids checkpoint) written array-native with
+  :func:`numpy.savez_compressed` (the ``core.serialize`` npz layout),
+  together with the graph's edge array and the run metadata (seed, batch
+  epoch, edits applied).  Version 1 checkpoints (no ids) still load, as
+  ids ``0..n-1``.  Writes go to a
   temp file and are published with ``os.replace``, so a crash mid-write
   never corrupts the latest good checkpoint.
 * **Write-ahead log** — every applied :class:`~repro.graph.edits.EditBatch`
@@ -61,7 +63,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro.service_checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 WAL_NAME = "wal.log"
 
 
@@ -252,7 +254,7 @@ class CheckpointStore:
             with np.load(path) as arrays:
                 if str(arrays["ckpt_format"]) != CHECKPOINT_FORMAT:
                     raise ValueError(f"{path} is not a service checkpoint")
-                if int(arrays["ckpt_version"]) != CHECKPOINT_VERSION:
+                if int(arrays["ckpt_version"]) not in (1, CHECKPOINT_VERSION):
                     raise ValueError(
                         f"{path}: unsupported checkpoint version "
                         f"{int(arrays['ckpt_version'])}"
@@ -270,8 +272,7 @@ class CheckpointStore:
             # copy, disk fault, or truncation can) surfaces as one typed
             # error the caller can catch to fall back an epoch.
             raise CorruptCheckpointError(path, epoch, exc) from exc
-        vertices = np.nonzero(state.alive)[0].tolist()
-        graph = Graph.from_edges(edges, vertices=vertices)
+        graph = Graph.from_edges(edges, vertices=state.vertices())
         return Checkpoint(state=state, graph=graph, **meta)
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ The service degrades gracefully rather than failing hard: a lazy
 re-extraction that raises keeps serving the last published index (the
 queries stay answerable, counted as ``stale_serves``), ingest bursts
 surface :class:`~repro.service.ingest.BackpressureError` with a
-``retry_after`` hint (and :meth:`submit` accepts a bounded-wait
+``retry_after`` hint (and :meth:`submit` takes a bounded-wait
 ``timeout=``), and when the detector ran on the supervised multiprocess
 engine its :class:`~repro.distributed.metrics.RecoveryStats` counters
 appear under ``stats()["recovery"]``.
@@ -30,7 +30,9 @@ appear under ``stats()["recovery"]``.
 The facade works unchanged over every engine the detector offers: local
 reference, the vectorised array substrate, or a :meth:`start`
 ``num_workers > 0`` distributed BSP fit — all bit-identical per seed, so
-the durability contract holds across them too.
+the durability contract holds across them too, for any vertex ids the
+detector takes (all but −1): checkpoints carry the ids, so a service
+keeps checkpointing whatever ids its batches create.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.api.config import (
 from repro.api.plan import RunPlan
 from repro.core.communities import Cover
 from repro.core.detector import RSLPADetector
-from repro.core.incremental import UpdateReport
+from repro.core.incremental_fast import UpdateReport
 from repro.core.labels_array import ArrayLabelState
 from repro.core.tracking import TransitionReport
 from repro.graph.adjacency import Graph
@@ -70,7 +72,7 @@ class ServiceConfig:
     This is the keyword-friendly (legacy) form of
     :class:`repro.api.config.ServicePlanConfig`; the two convert 1:1
     (:meth:`as_plan_config` / :func:`_flatten_plan_config`) and the
-    service accepts either.
+    service takes either.
 
     ``staleness_batches`` is K in the lazy re-extraction policy: a query
     finding K or more batches applied since the last extraction triggers
@@ -222,17 +224,10 @@ class CommunityService:
             if checkpoint_dir is not None
             else None
         )
-        if self.store is not None and not self._ids_contiguous():
-            raise ValueError(
-                "durability (checkpoint_dir) requires contiguous vertex ids "
-                "0..n-1 — checkpoints are array-native; use "
-                "repro.graph.relabel_to_integers first"
-            )
         self.obs = _service_obs(execution)
         if self.store is not None:
             self.store.obs = self.obs
         self._started = False
-        self.checkpoints_skipped = 0
         self.checkpoint_fallbacks = 0
         self.batches_applied = 0
         self.edits_applied = 0
@@ -366,7 +361,6 @@ class CommunityService:
         service.batches_since_extract = 0
         service.extractions = 0
         service.queries_served = 0
-        service.checkpoints_skipped = 0
         service.checkpoint_fallbacks = len(corrupt)
         service.stale_serves = 0
         service.refresh_failures = 0
@@ -477,15 +471,7 @@ class CommunityService:
             and self.config.checkpoint_every
             and epoch % self.config.checkpoint_every == 0
         ):
-            if self._checkpointable():
-                self.checkpoint()
-            else:
-                # A batch stepped outside the array id contract (auto mode
-                # downgraded the corrector).  Recovery stays exact — the WAL
-                # keeps every batch since the last good checkpoint and the
-                # replay re-downgrades the same way — but the WAL stops
-                # rotating; surface that in stats rather than crash ingest.
-                self.checkpoints_skipped += 1
+            self.checkpoint()
         if obs is not None:
             # The span covers WAL append + repair + any checkpoint; the
             # gauges publish the ingest plane's live operating point.
@@ -503,14 +489,6 @@ class CommunityService:
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
-    def _ids_contiguous(self) -> bool:
-        graph = self.detector.graph
-        return sorted(graph.vertices()) == list(range(graph.num_vertices))
-
-    def _checkpointable(self) -> bool:
-        """Whether the current state fits the array-native checkpoint layout."""
-        return self.detector.array_state is not None or self._ids_contiguous()
-
     def checkpoint(self) -> None:
         """Write a checkpoint of the current state (and rotate the WAL)."""
         self._require_started()
@@ -519,13 +497,6 @@ class CommunityService:
         state = self.detector.array_state
         if state is None:
             # Reference backend: checkpoints are array-native regardless.
-            if not self._ids_contiguous():
-                raise ValueError(
-                    "cannot checkpoint: vertex ids are no longer contiguous "
-                    "0..n-1 (array-native checkpoints cannot represent id "
-                    "gaps); recovery still works from the last checkpoint + "
-                    "WAL"
-                )
             state = ArrayLabelState.from_label_state(self.detector.label_state)
         self.store.write_checkpoint(
             state,
@@ -644,7 +615,6 @@ class CommunityService:
             payload["checkpoints"] = len(self.store.checkpoint_epochs())
             payload["latest_checkpoint_epoch"] = self.store.latest_epoch()
             payload["wal_records"] = self.store.wal_records()
-            payload["checkpoints_skipped"] = self.checkpoints_skipped
             payload["checkpoint_fallbacks"] = self.checkpoint_fallbacks
             payload["wal_discarded_records"] = self.wal_discarded_records
         recovery = getattr(

@@ -220,7 +220,6 @@ class _ReplicaRuntime:
         service.batches_since_extract = self.applied - self.last_refresh
         service.extractions = 0
         service.queries_served = 0
-        service.checkpoints_skipped = 0
         service.checkpoint_fallbacks = 0
         service.stale_serves = 0
         service.refresh_failures = 0

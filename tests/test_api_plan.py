@@ -2,13 +2,12 @@
 
 Three contracts are pinned here:
 
-1. **Matrix equivalence** — ``resolve_plan`` makes exactly the backend and
-   state-format choices the old scattered resolvers
-   (``detector._resolve_use_fast``, ``fit_distributed``'s state-format
-   pick) made, for every (backend × engine × shard_backend × contiguity ×
-   multiprocess) cell; the spellings of the removed tuple plane and dict
-   shards fail at config time, and no cell records an ``engine`` or
-   ``shard_backend`` decision.
+1. **Matrix equivalence** — ``resolve_plan`` makes exactly the backend
+   choice the oracle below makes (``fast`` unless ``reference`` is asked
+   for, whatever the vertex ids), for every (backend × engine ×
+   shard_backend × id layout × multiprocess) cell; the spellings of the
+   removed tuple plane and dict shards fail at config time, and no cell
+   records an ``engine``, ``shard_backend`` or ``state_format`` decision.
 2. **Shim round-trips** — every public keyword still works, maps onto the
    same ``RunPlan``, and produces bit-identical covers per seed.
 3. **Registry** — components resolve by name, plugins register uniformly,
@@ -36,29 +35,31 @@ from repro.core.detector import RSLPADetector
 from repro.distributed.worker import CSRShard, build_csr_shards
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
+from repro.graph.edits import EditBatch
 from repro.graph.partition import ContiguousPartitioner, HashPartitioner
 
 ITERATIONS = 25
 
 
-def oracle(backend, contiguous):
-    """The old scattered backend and state-format resolvers, replicated.
+def oracle(backend):
+    """Whether the local lifecycle runs on the array substrate: it runs
+    any vertex ids, so only an explicit ``reference`` avoids it."""
+    return backend != "reference"
 
-    Returns (use_fast, state_format) or raises ValueError exactly where the
-    old code paths did.
-    """
-    # detector._resolve_use_fast
-    if backend == "fast" and not contiguous:
-        raise ValueError("contiguous")
-    use_fast = backend == "fast" or (backend == "auto" and contiguous)
-    # detector.fit_distributed's state-format pick
-    sf = "array" if use_fast else "dict"
-    return use_fast, sf
+
+def layout_graph(contiguous):
+    """A 10-vertex ring on ids ``0..9``, or on the gappy ids ``3v + 7``."""
+    ids = list(range(10)) if contiguous else [3 * v + 7 for v in range(10)]
+    return Graph.from_edges(zip(ids, ids[1:] + ids[:1]))
 
 
 def substrate_decisions(plan):
-    """Plan decisions about the message plane or the shard layout."""
-    return {d.field for d in plan.decisions} & {"engine", "shard_backend"}
+    """Plan decisions about the message plane, shard layout or export."""
+    return {d.field for d in plan.decisions} & {
+        "engine",
+        "shard_backend",
+        "state_format",
+    }
 
 
 class TestResolutionMatrix:
@@ -77,9 +78,6 @@ class TestResolutionMatrix:
     def test_matches_old_resolvers(
         self, backend, engine, shard_backend, contiguous, multiprocess
     ):
-        caps = GraphCaps(
-            num_vertices=10, num_edges=20, contiguous_ids=contiguous
-        )
         kwargs = dict(
             backend=backend,
             num_workers=3,
@@ -92,26 +90,19 @@ class TestResolutionMatrix:
                 ExecutionConfig(**kwargs)
             return
         config = ExecutionConfig(**kwargs)
-        try:
-            use_fast, sf = oracle(backend, contiguous)
-        except ValueError:
-            with pytest.raises(ValueError, match="contiguous"):
-                resolve_plan(caps, config)
-            return
-        plan = resolve_plan(caps, config)
+        use_fast = oracle(backend)
+        plan = plan_for(layout_graph(contiguous), config)
         assert plan.use_fast == use_fast
         assert plan.backend == ("fast" if use_fast else "reference")
-        assert plan.state_format == sf
         assert plan.multiprocess == multiprocess
         assert plan.transport == ("shm" if multiprocess else None)
         assert plan.mode == "distributed"
         assert not substrate_decisions(plan)
 
     def test_local_plan_has_no_distributed_axes(self):
-        caps = GraphCaps(num_vertices=4, num_edges=3, contiguous_ids=True)
+        caps = GraphCaps(num_vertices=4, num_edges=3)
         plan = resolve_plan(caps, ExecutionConfig())
         assert plan.mode == "local"
-        assert plan.state_format is None
         assert plan.partitioner is None
         assert plan.transport is None
 
@@ -123,17 +114,18 @@ class TestResolutionMatrix:
         shards = build_csr_shards(csr, plan.build_partitioner())
         assert all(isinstance(shard, CSRShard) for shard in shards)
 
-    def test_explicit_array_state_format_needs_contiguous_ids(self):
-        caps = GraphCaps(num_vertices=4, num_edges=3, contiguous_ids=False)
-        with pytest.raises(ValueError, match="state_format='array'"):
-            resolve_plan(
-                caps,
+    def test_explicit_array_state_format_resolves_on_any_ids(self):
+        for contiguous in (True, False):
+            plan = plan_for(
+                layout_graph(contiguous),
                 ExecutionConfig(
                     backend="reference",
                     num_workers=2,
                     state_format="array",
                 ),
             )
+            assert plan.backend == "reference"
+            assert not substrate_decisions(plan)
 
     def test_invalid_choices_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="backend"):
@@ -148,19 +140,19 @@ class TestResolutionMatrix:
             ExecutionConfig(num_workers=-1)
 
     def test_explain_records_requested_and_reason(self):
-        caps = GraphCaps(num_vertices=10, num_edges=9, contiguous_ids=False)
-        plan = resolve_plan(caps, ExecutionConfig(num_workers=2))
+        plan = plan_for(layout_graph(False), ExecutionConfig(num_workers=2))
         text = plan.explain()
-        assert "auto -> reference" in text
-        assert "non-contiguous" in text
-        assert "auto -> dict" in text
+        assert "auto -> fast" in text
+        assert "any vertex ids" in text
+        assert "state_format" not in text
+        assert "(default) -> hash" in text
 
     def test_graph_caps_probe(self):
-        assert GraphCaps.of(Graph.from_edges([(0, 1), (1, 2)])).contiguous_ids
-        assert not GraphCaps.of(Graph.from_edges([(10, 20)])).contiguous_ids
-        assert GraphCaps.of(Graph()).contiguous_ids  # empty graph is trivial
+        assert GraphCaps.of(Graph.from_edges([(0, 1), (1, 2)])) == GraphCaps(3, 2)
+        assert GraphCaps.of(Graph.from_edges([(10, 20)])) == GraphCaps(2, 1)
+        assert GraphCaps.of(Graph()) == GraphCaps(0, 0)
         csr = CSRGraph.from_graph(Graph.from_edges([(0, 1)]))
-        assert GraphCaps.of(csr).contiguous_ids
+        assert GraphCaps.of(csr) == GraphCaps(2, 1)
 
 
 class TestDeprecationShims:
@@ -201,11 +193,13 @@ class TestDeprecationShims:
                 num_workers=3,
                 shard_backend="csr",
                 engine="array",
-                state_format="dict",
+                state_format="array",
             ),
         )
-        assert by_kwargs.labels == by_config.labels
-        assert by_kwargs.receivers == by_config.receivers
+        kwargs_state = by_kwargs.to_label_state()
+        config_state = by_config.to_label_state()
+        assert kwargs_state.labels == config_state.labels
+        assert kwargs_state.receivers == config_state.receivers
         assert stats_k.total_messages == stats_c.total_messages
         assert stats_k.total_bytes == stats_c.total_bytes
 
@@ -322,11 +316,18 @@ class TestResultObjects:
         assert detector2.comm_stats is not None
         assert detector.communities() == detector2.communities()
 
-    def test_empty_graph_fit_records_reference_plan(self):
+    def test_empty_graph_fit_records_fast_plan(self):
         detector = RSLPADetector(Graph(), iterations=5).fit()
-        assert detector.last_plan.backend == "reference"
-        assert detector.array_state is None
-        assert "empty graph" in detector.last_plan.explain()
+        assert detector.last_plan.backend == "fast"
+        assert detector.array_state.num_vertices == 0
+        # The empty state grows like any other: new ids append columns.
+        reference = RSLPADetector(Graph(), iterations=5, backend="reference").fit()
+        batch = EditBatch.build(insertions=[(4, 9)])
+        detector.update(batch)
+        reference.update(batch)
+        assert sorted(detector.array_state.vertices()) == [4, 9]
+        assert detector.label_state.labels == reference.label_state.labels
+        detector.array_state.validate(detector.graph)
 
     def test_service_config_round_trips_through_plan_config(self):
         from repro.service import ServiceConfig
@@ -390,7 +391,7 @@ class TestRegistry:
         assert registry.resolve("flaky") == "recovered"
 
     def test_builtin_partitioners_resolve(self):
-        caps = GraphCaps(num_vertices=8, num_edges=10, contiguous_ids=True)
+        caps = GraphCaps(num_vertices=8, num_edges=10)
         assert isinstance(
             PARTITIONERS.resolve("hash")(2, caps), HashPartitioner
         )
@@ -405,9 +406,7 @@ class TestRegistry:
             cliques_ring,
             seed=5,
             iterations=ITERATIONS,
-            config=ExecutionConfig(
-                num_workers=3, partitioner="range", state_format="dict"
-            ),
+            config=ExecutionConfig(num_workers=3, partitioner="range"),
         )
         by_instance, _ = run_distributed_rslpa(
             cliques_ring,
@@ -416,7 +415,7 @@ class TestRegistry:
             num_workers=3,
             partitioner=ContiguousPartitioner(3, cliques_ring.num_vertices),
         )
-        assert by_name.labels == by_instance.labels
+        assert (by_name.labels == by_instance.labels).all()
 
     def test_plugin_partitioner_round_trip(self, cliques_ring):
         from repro.distributed.cluster import run_distributed_rslpa
@@ -460,12 +459,11 @@ class TestMultiprocessPlan:
             cliques_ring,
             seed=4,
             iterations=15,
-            config=ExecutionConfig(
-                num_workers=2, multiprocess=True, state_format="dict"
-            ),
+            config=ExecutionConfig(num_workers=2, multiprocess=True),
         )
-        assert in_process.labels == multiproc.labels
-        assert in_process.receivers == multiproc.receivers
+        in_state, mp_state = in_process.to_label_state(), multiproc.to_label_state()
+        assert in_state.labels == mp_state.labels
+        assert in_state.receivers == mp_state.receivers
         assert stats_i.total_messages == stats_m.total_messages
 
     def test_multiprocess_update_rejected(self, cliques_ring):
@@ -524,7 +522,7 @@ class TestPlanCLI:
 class TestTransportResolution:
     """The transport axis: auto rules, plane gating, provenance."""
 
-    CAPS = GraphCaps(num_vertices=60, num_edges=200, contiguous_ids=True)
+    CAPS = GraphCaps(num_vertices=60, num_edges=200)
 
     def test_auto_prefers_shm_on_multiprocess_array(self):
         plan = resolve_plan(
@@ -596,31 +594,33 @@ class TestTransportResolution:
 class TestRemovedSubstrateAxes:
     """One message plane and one shard layout: nothing left to choose."""
 
-    CONTIGUOUS = GraphCaps(num_vertices=60, num_edges=200, contiguous_ids=True)
-    GAPPY = GraphCaps(num_vertices=60, num_edges=200, contiguous_ids=False)
+    CAPS = GraphCaps(num_vertices=60, num_edges=200)
 
     def test_removed_spellings_raise_naming_what_was_removed(self):
         with pytest.raises(ValueError, match="tuple message plane.*removed"):
             ExecutionConfig(engine="reference")
         with pytest.raises(ValueError, match="dict worker shards.*removed"):
             ExecutionConfig(shard_backend="dict")
+        with pytest.raises(ValueError, match="dict LabelState export.*removed"):
+            ExecutionConfig(state_format="dict")
 
     def test_dist_fit_spelling_still_resolves(self):
         config = ExecutionConfig(
             num_workers=2, multiprocess=True, transport="shm", engine="array",
             shard_backend="csr", state_format="array",
         )
-        plan = resolve_plan(self.CONTIGUOUS, config)
-        assert plan.transport == "shm" and plan.state_format == "array"
+        plan = resolve_plan(self.CAPS, config)
+        assert plan.transport == "shm"
         assert not substrate_decisions(plan)
         assert "engine" not in plan.explain()
         assert "shard_backend" not in plan.explain()
+        assert "state_format" not in plan.explain()
 
     @pytest.mark.parametrize("backend", ["auto", "reference"])
     def test_auto_transport_is_shm_for_every_multiprocess_run(self, backend):
-        for caps in (self.CONTIGUOUS, self.GAPPY):
-            plan = resolve_plan(
-                caps,
+        for contiguous in (True, False):
+            plan = plan_for(
+                layout_graph(contiguous),
                 ExecutionConfig(
                     backend=backend, num_workers=3, multiprocess=True
                 ),
@@ -631,7 +631,7 @@ class TestRemovedSubstrateAxes:
 class TestFaultToleranceResolution:
     """The fault-tolerance knobs: defaults, provenance, gating."""
 
-    CAPS = GraphCaps(num_vertices=60, num_edges=200, contiguous_ids=True)
+    CAPS = GraphCaps(num_vertices=60, num_edges=200)
 
     def test_off_by_default(self):
         plan = resolve_plan(

@@ -142,22 +142,27 @@ class TestUpdate:
         with open(ref_path) as ref, open(fast_path) as fast:
             assert json.load(ref) == json.load(fast)
 
-    def test_update_fast_backend_rejects_gappy_ids(self, tmp_path):
+    def test_update_fast_backend_accepts_gappy_ids(self, tmp_path):
         from repro.graph.adjacency import Graph
 
         gap_graph = str(tmp_path / "gap.txt")
         write_edge_list(Graph.from_edges([(10, 20), (20, 30)]), gap_graph)
-        state_path = str(tmp_path / "state.json")
-        code, _ = run_cli("detect", gap_graph, "--seed", "1", "-T", "10",
-                          "--backend", "reference", "--state", state_path)
-        assert code == 0
         edits_path = tmp_path / "edits.txt"
-        edits_path.write_text("+ 10 30\n")
-        code, _ = run_cli(
-            "update", state_path, gap_graph, str(edits_path),
-            "--seed", "1", "--backend", "fast",
-        )
-        assert code == 2  # clean CLI error, not a crash
+        edits_path.write_text("+ 10 30\n+ 30 45\n")
+        states = []
+        for backend in ("reference", "fast"):
+            state_path = str(tmp_path / f"state_{backend}.json")
+            code, _ = run_cli("detect", gap_graph, "--seed", "1", "-T", "10",
+                              "--backend", "reference", "--state", state_path)
+            assert code == 0
+            code, _ = run_cli(
+                "update", state_path, gap_graph, str(edits_path),
+                "--seed", "1", "--backend", backend,
+            )
+            assert code == 0
+            with open(state_path) as handle:
+                states.append(json.load(handle))
+        assert states[0] == states[1]
 
     def test_update_auto_falls_back_on_gap_vertex_batch(self, graph_file, tmp_path):
         auto_path = str(tmp_path / "state_auto.json")

@@ -41,15 +41,64 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="backend"):
             RSLPADetector(cliques_ring, backend="spark")
 
-    def test_fast_backend_requires_contiguous_ids(self):
-        g = Graph.from_edges([(10, 20)])
-        with pytest.raises(ValueError, match="contiguous"):
-            RSLPADetector(g, backend="fast", iterations=5).fit()
+    def test_fast_backend_handles_arbitrary_ids(self):
+        g = Graph.from_edges([(10, 20), (20, 30), (10, 30), (-4, 10)])
+        fast = RSLPADetector(g, backend="fast", iterations=20).fit()
+        ref = RSLPADetector(g, backend="reference", iterations=20).fit()
+        assert fast.array_state is not None
+        assert fast.label_state.labels == ref.label_state.labels
+        assert fast.label_state.srcs == ref.label_state.srcs
+        assert fast.label_state.receivers == ref.label_state.receivers
 
     def test_reference_backend_handles_arbitrary_ids(self):
         g = Graph.from_edges([(10, 20), (20, 30), (10, 30)])
         detector = RSLPADetector(g, backend="reference", iterations=20).fit()
         assert detector.label_state.num_iterations == 20
+
+
+#: The graph from the sentinel bug report: vertex -1 in a triangle.
+SENTINEL_EDGES = [(-1, 0), (0, 1), (1, -1), (1, 2), (2, 3), (3, 1)]
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["fit-fast", "fit-reference", "update-fast", "update-reference", "distributed"],
+)
+def test_vertex_id_minus_one_is_refused(path):
+    """Label state stores NO_SOURCE (-1) for a slot without a source, so
+    vertex -1 is refused with a ValueError before anything mutates."""
+    from repro.distributed import run_distributed_rslpa
+
+    if path == "distributed":
+        with pytest.raises(ValueError, match="NO_SOURCE"):
+            run_distributed_rslpa(
+                Graph.from_edges(SENTINEL_EDGES), seed=1, iterations=20,
+                num_workers=2,
+            )
+        return
+    kind, backend = path.split("-")
+    if kind == "fit":
+        detector = RSLPADetector(
+            Graph.from_edges(SENTINEL_EDGES), seed=1, iterations=20,
+            backend=backend,
+        )
+        with pytest.raises(ValueError, match="NO_SOURCE"):
+            detector.fit()
+        assert not detector.is_fitted
+        return
+    detector = RSLPADetector(
+        Graph.from_edges(e for e in SENTINEL_EDGES if -1 not in e),
+        seed=1,
+        iterations=20,
+        backend=backend,
+    ).fit()
+    graph_before = detector.graph.copy()
+    labels_before = detector.label_state.labels
+    with pytest.raises(ValueError, match="NO_SOURCE"):
+        detector.update(EditBatch.build(insertions=[(-1, 0), (0, 2)]))
+    assert detector.graph == graph_before
+    assert detector.label_state.labels == labels_before
+    detector.label_state.validate(detector.graph)
 
 
 class TestEngineEquivalence:

@@ -148,12 +148,29 @@ class TestBitIdentity:
 
 
 class TestContract:
-    def test_rejects_id_gap_before_mutating(self, cliques_ring):
+    def test_rejects_sentinel_id_before_mutating(self, cliques_ring):
         _, fast = make_pair(cliques_ring, seed=1)
         snapshot = fast.graph.copy()
-        with pytest.raises(ValueError, match="contiguous"):
-            fast.apply_batch(EditBatch.build(insertions=[(0, 99)]))
+        labels = fast.state.labels.copy()
+        with pytest.raises(ValueError, match="NO_SOURCE"):
+            fast.apply_batch(EditBatch.build(insertions=[(0, 99), (-1, 3)]))
         assert fast.graph == snapshot  # clean failure, nothing mutated
+        assert np.array_equal(fast.state.labels, labels)
+        assert fast.state.num_columns == cliques_ring.num_vertices
+
+    def test_far_apart_ids_match_reference(self):
+        """Ids too far apart for one combined sort key still sort by id."""
+        from repro.core.detector import RSLPADetector
+
+        big = 1 << 62
+        g = Graph.from_edges([(-big, -5), (-5, 3), (3, big), (big, -big)])
+        fast = RSLPADetector(g, seed=2, iterations=12, backend="fast").fit()
+        ref = RSLPADetector(g, seed=2, iterations=12, backend="reference").fit()
+        batch = EditBatch.build(insertions=[(-big, 3), (big - 1, -5)])
+        assert_reports_equal(ref.update(batch), fast.update(batch))
+        assert fast.label_state.labels == ref.label_state.labels
+        assert fast.label_state.receivers == ref.label_state.receivers
+        fast.array_state.validate(fast.graph)
 
     def test_rejects_invalid_batch_before_mutating(self, cliques_ring):
         _, fast = make_pair(cliques_ring, seed=1)
@@ -238,21 +255,20 @@ class TestDetectorIntegration:
         assert isinstance(fast.array_state, ArrayLabelState)
         assert ref.array_state is None
 
-    def test_auto_backend_downgrades_on_gap_ids(self, cliques_ring):
-        """auto must keep the pre-PR contract: a batch creating a vertex
-        with a non-contiguous id succeeds (reference fallback), and stays
-        bit-identical to a pure-reference detector across the switch."""
+    def test_auto_backend_stays_fast_on_gap_ids(self, cliques_ring):
+        """A batch creating a vertex with a gap id (or a negative one)
+        appends a column: auto keeps the array corrector, bit-identical to
+        a pure-reference detector."""
         from repro.core.detector import RSLPADetector
 
         auto = RSLPADetector(cliques_ring, seed=3, iterations=20, backend="auto").fit()
         ref = RSLPADetector(
             cliques_ring, seed=3, iterations=20, backend="reference"
         ).fit()
-        assert isinstance(auto._corrector, FastCorrectionPropagator)
         batches = [
-            EditBatch.build(insertions=[(0, 12)]),          # fast path
-            EditBatch.build(insertions=[(5, 100)]),         # gap id: downgrade
-            EditBatch.build(deletions=[(0, 1)], insertions=[(100, 7)]),
+            EditBatch.build(insertions=[(0, 12)]),
+            EditBatch.build(insertions=[(5, 100)]),         # gap id
+            EditBatch.build(deletions=[(0, 1)], insertions=[(100, 7), (-8, 2)]),
         ]
         for batch in batches:
             r_auto = auto.update(batch)
@@ -260,13 +276,27 @@ class TestDetectorIntegration:
             assert_reports_equal(r_ref, r_auto)
             assert auto.label_state.labels == ref.label_state.labels
             assert auto.label_state.epochs == ref.label_state.epochs
-        assert isinstance(auto._corrector, CorrectionPropagator)
-        assert auto.array_state is None
-        auto.label_state.validate(auto.graph)
+            assert auto.label_state.receivers == ref.label_state.receivers
+        assert isinstance(auto._corrector, FastCorrectionPropagator)
+        auto.array_state.validate(auto.graph)
 
-    def test_fast_backend_keeps_hard_error_on_gap_ids(self, cliques_ring):
+    def test_fast_backend_accepts_gap_ids(self, cliques_ring):
+        """backend='fast' takes a gap id like any other new vertex; the one
+        id it still refuses, before mutating anything, is -1 (NO_SOURCE)."""
         from repro.core.detector import RSLPADetector
 
         fast = RSLPADetector(cliques_ring, seed=3, iterations=10, backend="fast").fit()
-        with pytest.raises(ValueError, match="contiguous"):
-            fast.update(EditBatch.build(insertions=[(5, 100)]))
+        ref = RSLPADetector(
+            cliques_ring, seed=3, iterations=10, backend="reference"
+        ).fit()
+        batch = EditBatch.build(insertions=[(5, 100)])
+        assert_reports_equal(ref.update(batch), fast.update(batch))
+        assert fast.label_state.labels == ref.label_state.labels
+        assert fast.label_state.receivers == ref.label_state.receivers
+        assert isinstance(fast._corrector, FastCorrectionPropagator)
+        snapshot = fast.graph.copy()
+        labels = fast.array_state.labels.copy()
+        with pytest.raises(ValueError, match="NO_SOURCE"):
+            fast.update(EditBatch.build(insertions=[(-1, 3)]))
+        assert fast.graph == snapshot
+        assert np.array_equal(fast.array_state.labels, labels)

@@ -53,11 +53,17 @@ class TestRoundTrip:
         array_state = fast.to_array_state()
         assert_states_identical(propagated_state(cliques_ring), array_state)
 
-    def test_non_contiguous_ids_rejected(self):
-        g = Graph.from_edges([(0, 5)])
-        state = propagated_state(g, iterations=4)
-        with pytest.raises(ValueError, match="contiguous"):
-            ArrayLabelState.from_label_state(state)
+    def test_non_contiguous_ids_round_trip(self):
+        g = Graph.from_edges([(0, 5), (5, -3), (-3, 0), (5, 40)], vertices=[17])
+        state = propagated_state(g, iterations=8)
+        array_state = ArrayLabelState.from_label_state(state)
+        assert array_state.ids.tolist() == [-3, 0, 5, 17, 40]  # id order
+        assert_states_identical(state, array_state)
+        assert array_state.sequences_dict() == state.labels
+        for v in g.vertices():
+            for t in range(9):
+                assert array_state.receivers_of(v, t) == state.receivers_of(v, t)
+        array_state.validate(g)
 
     def test_empty_state_round_trips(self):
         array_state = ArrayLabelState.from_label_state(LabelState())
@@ -171,10 +177,17 @@ class TestVertexLifecycle:
         assert (array_state.srcs[:, 31] == NO_SOURCE).all()
         array_state.validate()
 
-    def test_add_vertices_rejects_gap(self, cliques_ring):
+    def test_add_vertices_appends_gap_ids(self, cliques_ring):
         array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
-        with pytest.raises(ValueError, match="contiguous"):
-            array_state.add_vertices([40])
+        array_state.add_vertices([40, -3])
+        assert array_state.ids.tolist() == list(range(30)) + [-3, 40]
+        assert array_state.has_vertex(40) and array_state.has_vertex(-3)
+        assert not array_state.has_vertex(35)
+        assert (array_state.labels[:, 31] == 40).all()
+        assert (array_state.srcs[:, 30] == NO_SOURCE).all()
+        array_state.validate()
+        with pytest.raises(ValueError, match="NO_SOURCE"):
+            array_state.add_vertices([-1])
 
     def test_add_existing_vertex_rejected(self, cliques_ring):
         array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))

@@ -210,6 +210,8 @@ class TestRSLPAEquality:
                 run_input, seed=seed, iterations=12,
                 partitioner=part, num_workers=part.num_partitions,
             )
+            arr_state.validate(graph)
+            arr_state = arr_state.to_label_state()
             assert arr_state.labels == ref_state.labels
             assert arr_state.srcs == ref_state.srcs
             assert arr_state.poss == ref_state.poss
@@ -245,14 +247,15 @@ class TestRSLPAEquality:
                 cliques_ring.copy(), seed=3, iterations=8,
                 config=ExecutionConfig(
                     num_workers=4, engine=engine, shard_backend=shards,
-                    state_format="dict",
+                    state_format=state_format,
                 ),
             )
             for engine in ("auto", "array")
             for shards in ("auto", "csr")
+            for state_format in ("auto", "array")
         ]
         for state, stats in runs[1:]:
-            assert state.labels == runs[0][0].labels
+            assert np.array_equal(state.labels, runs[0][0].labels)
             assert_stats_equal(stats, runs[0][1])
 
     def test_array_state_format(self, cliques_ring):
@@ -260,7 +263,8 @@ class TestRSLPAEquality:
         ref = ReferencePropagator(cliques_ring.copy(), seed=7)
         ref.propagate(15)
         astate, _ = run_distributed_rslpa(
-            cliques_ring.copy(), seed=7, iterations=15, state_format="array",
+            cliques_ring.copy(), seed=7, iterations=15,
+            config=ExecutionConfig(state_format="array"),
         )
         assert isinstance(astate, ArrayLabelState)
         exported = astate.to_label_state()
@@ -315,8 +319,11 @@ class TestRSLPAEquality:
             )
 
     def test_invalid_state_format_rejected(self, cliques_ring):
-        with pytest.raises(ValueError, match="state_format"):
-            run_distributed_rslpa(cliques_ring, state_format="parquet")
+        for spelling in ("parquet", "dict"):
+            with pytest.raises(ValueError, match="state_format"):
+                run_distributed_rslpa(
+                    cliques_ring, config=ExecutionConfig(state_format=spelling)
+                )
 
 
 class TestSLPAEquality:

@@ -22,7 +22,7 @@ class TestDistributedPostprocess:
             cliques_ring, state, num_workers=3, step=0.005
         )
         seq_result = extract_communities(
-            cliques_ring, state.labels, step=0.005
+            cliques_ring, state.sequences_dict(), step=0.005
         )
         assert dist_cover == seq_result.cover
         assert stats.supersteps >= 1
@@ -62,7 +62,7 @@ class TestCustomPartitioner:
         )
         ref = ReferencePropagator(cliques_ring.copy(), seed=3)
         ref.propagate(20)
-        assert state.labels == ref.state.labels
+        assert state.sequences_dict() == ref.state.labels
         # Clique-aligned blocks keep many fetches worker-local.
         assert stats.total_remote_messages < stats.total_messages
 

@@ -36,7 +36,8 @@ from repro.workloads.dynamic import random_edit_batch
 
 
 def sparse_ids(graph, scale=3, offset=7):
-    """``graph`` with every id ``v`` mapped to ``scale * v + offset``."""
+    """``graph`` with every id ``v`` mapped to ``scale * v + offset``
+    (pick an offset that keeps -1, the NO_SOURCE sentinel, out)."""
     return Graph.from_edges(
         [(scale * u + offset, scale * v + offset) for u, v in graph.edges()],
         vertices=[scale * v + offset for v in graph.vertices()],
@@ -79,6 +80,8 @@ class TestInProcessEquality:
         csr_state, csr_stats = run_distributed_rslpa(
             CSRGraph.from_graph(graph), seed=7, iterations=20, num_workers=4
         )
+        dict_state = dict_state.to_label_state()
+        csr_state = csr_state.to_label_state()
         assert csr_state.labels == dict_state.labels
         assert csr_state.srcs == dict_state.srcs
         assert csr_state.poss == dict_state.poss
@@ -92,7 +95,7 @@ class TestInProcessEquality:
         )
         ref = ReferencePropagator(graph.copy(), seed=7)
         ref.propagate(20)
-        assert state.labels == ref.state.labels
+        assert state.sequences_dict() == ref.state.labels
 
     def test_slpa_identical_on_lfr(self, small_lfr):
         graph = small_lfr.graph
@@ -109,6 +112,8 @@ class TestInProcessEquality:
         state, _ = run_distributed_rslpa(
             small_lfr.graph.copy(), seed=7, iterations=5, num_workers=3
         )
+        assert all(type(v) is int for v in state.vertices())
+        state = state.to_label_state()
         sample = next(iter(state.labels))
         assert all(type(x) is int for x in state.labels[sample])
         assert all(type(x) is int for x in state.srcs[sample])
@@ -132,7 +137,7 @@ class TestNonContiguousIds:
 
     @pytest.fixture
     def graph(self, sparse_random):
-        return sparse_ids(sparse_random)
+        return sparse_ids(sparse_random, offset=-32)  # negatives and gaps
 
     def test_shards_keep_global_ids(self, graph):
         shards = build_csr_shards(graph, HashPartitioner(3))
@@ -149,6 +154,8 @@ class TestNonContiguousIds:
         )
         ref = ReferencePropagator(graph.copy(), seed=5)
         ref.propagate(15)
+        state.validate(graph)
+        state = state.to_label_state()
         assert state.labels == ref.state.labels
         assert state.srcs == ref.state.srcs
         assert state.poss == ref.state.poss
@@ -189,7 +196,9 @@ class TestNonContiguousIds:
         cover, _ = run_distributed_postprocess(
             graph, state, num_workers=3, step=0.005
         )
-        assert cover == extract_communities(graph, state.labels, step=0.005).cover
+        ref = ReferencePropagator(graph.copy(), seed=11)
+        ref.propagate(60)
+        assert cover == extract_communities(graph, ref.state.labels, step=0.005).cover
 
     def test_multiprocess_auto_transport_is_shm_and_bit_identical(self, graph):
         config = ExecutionConfig(num_workers=2, multiprocess=True)
@@ -200,25 +209,29 @@ class TestNonContiguousIds:
         multiproc, stats_m = run_distributed_rslpa(
             graph.copy(), seed=2, iterations=10, config=config
         )
-        assert multiproc.labels == in_process.labels
-        assert multiproc.srcs == in_process.srcs
-        assert multiproc.poss == in_process.poss
-        assert multiproc.receivers == in_process.receivers
+        assert multiproc.ids.tolist() == in_process.ids.tolist()
+        for name in ("labels", "srcs", "poss", "epochs"):
+            assert (getattr(multiproc, name) == getattr(in_process, name)).all()
+        multiproc.validate(graph)
+        ref = ReferencePropagator(graph.copy(), seed=2)
+        ref.propagate(10)
+        assert multiproc.to_label_state().receivers == ref.state.receivers
         assert stats_m.per_superstep == stats_i.per_superstep
 
 
 class TestUpdateAtomicity:
     """A rejected update must leave the caller's graph/state untouched."""
 
-    def test_non_contiguous_batch_fails_before_mutation(self):
+    def test_sentinel_batch_fails_before_mutation(self):
         from repro.graph.edits import EditBatch
 
         graph = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
         state, _ = run_distributed_rslpa(graph.copy(), seed=1, iterations=6)
-        batch = EditBatch.build(insertions=[(0, 100)])
+        state = state.to_label_state()
+        batch = EditBatch.build(insertions=[(0, 100), (-1, 2)])
         edges_before = set(graph.edges())
         vertices_before = sorted(graph.vertices())
-        with pytest.raises(ValueError, match="contiguous"):
+        with pytest.raises(ValueError, match="NO_SOURCE"):
             run_distributed_update(
                 graph, state, batch, seed=1,
                 config=ExecutionConfig(num_workers=4, backend="fast"),

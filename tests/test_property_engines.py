@@ -74,6 +74,7 @@ class TestRSLPAEngines:
         state, _ = run_distributed_rslpa(
             graph.copy(), seed=seed, iterations=8, num_workers=workers
         )
+        state = state.to_label_state()
         assert state.labels == ref.state.labels
         assert state.receivers == ref.state.receivers
 
@@ -97,6 +98,7 @@ class TestRSLPAEngines:
         arr_state, arr_stats = run_distributed_rslpa(
             graph.copy(), seed=seed, iterations=8, num_workers=workers,
         )
+        arr_state = arr_state.to_label_state()
         assert arr_state.labels == ref_state.labels
         assert arr_state.srcs == ref_state.srcs
         assert arr_state.receivers == ref_state.receivers

@@ -2,24 +2,32 @@
 
 Two drivers push the same edit streams through
 :class:`CorrectionPropagator` and :class:`FastCorrectionPropagator` from
-the same seed:
+the same seed, on two id layouts — dense ``0..n-1``, and sparse
+(negative ids other than -1, gaps, births below the current maximum,
+delete-then-reinsert):
 
 * a deterministic 30+-batch torture stream mixing random edits, vertex
-  births, and isolation events (the ISSUE's headline property test);
+  births, isolation events and (sparse) vertex removals;
 * Hypothesis-generated batch plans, like ``test_property_incremental.py``
-  but asserting cross-engine label/src/pos/epoch equality and the full
-  ``validate()`` invariant set after every batch.
+  but asserting cross-engine equality and the full ``validate()``
+  invariant set after every batch.
+
+After every batch both engines must agree on labels, srcs, poss, epochs,
+reverse records, reports (``touched_slots`` included) and covers.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.fast import FastPropagator
 from repro.core.incremental import CorrectionPropagator
 from repro.core.incremental_fast import FastCorrectionPropagator
 from repro.core.labels_array import ArrayLabelState
+from repro.core.postprocess import extract_communities
 from repro.core.rslpa import ReferencePropagator
 from repro.graph.adjacency import Graph
 from repro.graph.edits import EditBatch
@@ -28,9 +36,15 @@ from repro.workloads.dynamic import random_edit_batch
 N = 14
 ITERATIONS = 12
 
+#: Vertex id of dense vertex ``v`` per layout (sparse never hits -1).
+LAYOUTS = {"dense": lambda v: v, "sparse": lambda v: 5 * v - 37}
 
-def fresh_pair(edges, seed, n=N, iterations=ITERATIONS):
-    g_ref = Graph.from_edges(edges, vertices=range(n))
+
+def fresh_pair(edges, seed, n=N, iterations=ITERATIONS, layout="dense"):
+    vid = LAYOUTS[layout]
+    g_ref = Graph.from_edges(
+        ((vid(u), vid(v)) for u, v in edges), vertices=map(vid, range(n))
+    )
     g_fast = g_ref.copy()
     ref = ReferencePropagator(g_ref, seed=seed)
     ref.propagate(iterations)
@@ -40,6 +54,11 @@ def fresh_pair(edges, seed, n=N, iterations=ITERATIONS):
     fast = FastCorrectionPropagator(
         g_fast, ArrayLabelState.from_label_state(fast_base.state), seed
     )
+    static = FastPropagator(g_fast, seed=seed)
+    static.propagate(iterations)
+    exported = static.to_array_state()
+    for name in ("labels", "srcs", "poss", "epochs", "ids"):
+        assert np.array_equal(getattr(exported, name), getattr(fast.state, name))
     return reference, fast
 
 
@@ -50,30 +69,43 @@ def assert_engines_agree(reference, fast):
     assert back.srcs == state.srcs
     assert back.poss == state.poss
     assert back.epochs == state.epochs
+    assert back.receivers == state.receivers
     assert reference.graph == fast.graph
+    fast.state.validate(fast.graph)
+    if reference.graph.num_vertices:
+        assert (
+            extract_communities(fast.graph, fast.state.sequences_dict()).cover
+            == extract_communities(reference.graph, state.labels).cover
+        )
 
 
 class TestThirtyBatchTortureStream:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_long_mixed_stream_stays_bit_identical(self, seed):
-        """30+ batches: random edits, vertex births, isolations, rebirths."""
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_long_mixed_stream_stays_bit_identical(self, layout, seed):
+        """30+ batches: random edits, vertex births, isolations, rebirths;
+        on sparse ids also removals, and births at any free id."""
         rng = random.Random(seed)
         start = [(u, v) for u in range(N) for v in range(u + 1, N) if rng.random() < 0.3]
-        reference, fast = fresh_pair(start, seed)
+        reference, fast = fresh_pair(start, seed, layout=layout)
         graph = reference.graph
         next_vertex = N
         applied = 0
         while applied < 32:
-            kind = rng.randrange(4)
+            kind = rng.randrange(4 if layout == "dense" else 5)
             if kind == 0 and graph.num_edges > 4:
                 batch = random_edit_batch(graph, rng.randrange(1, 7), seed=applied)
             elif kind == 1:
                 # Vertex birth: attach a brand-new id to 1-3 existing vertices.
+                if layout == "dense":
+                    new = next_vertex
+                    next_vertex += 1
+                else:  # any free id: gaps, negatives, below the maximum
+                    new = rng.choice(
+                        [v for v in range(-60, 120) if v != -1 and v not in graph]
+                    )
                 anchors = rng.sample(sorted(graph.vertices()), rng.randrange(1, 4))
-                batch = EditBatch.build(
-                    insertions=[(next_vertex, a) for a in anchors]
-                )
-                next_vertex += 1
+                batch = EditBatch.build(insertions=[(new, a) for a in anchors])
             elif kind == 2:
                 # Isolation: delete every incident edge of one vertex.
                 candidates = [v for v in graph.vertices() if graph.degree(v) > 0]
@@ -83,6 +115,15 @@ class TestThirtyBatchTortureStream:
                 batch = EditBatch.build(
                     deletions=[(victim, u) for u in graph.neighbors_view(victim)]
                 )
+            elif kind == 4:
+                # Vertex removal; a later birth may reinsert the id.
+                if graph.num_vertices <= 4:
+                    continue
+                victim = rng.choice(sorted(graph.vertices()))
+                assert reference.remove_vertex(victim) == fast.remove_vertex(victim)
+                assert_engines_agree(reference, fast)
+                applied += 1
+                continue
             else:
                 # Random insertions among existing ids.
                 pool = sorted(graph.vertices())
@@ -97,11 +138,8 @@ class TestThirtyBatchTortureStream:
                 continue
             r_ref = reference.apply_batch(batch)
             r_fast = fast.apply_batch(batch)
-            assert r_ref.touched_slots == r_fast.touched_slots
-            assert r_ref.repicked == r_fast.repicked
-            assert r_ref.value_changes == r_fast.value_changes
+            assert r_ref == r_fast  # every counter and the touched slots
             assert_engines_agree(reference, fast)
-            fast.state.validate(fast.graph)
             applied += 1
         assert applied >= 30
 
@@ -143,15 +181,18 @@ class TestHypothesisStreams:
     @given(batch_plans(), st.integers(0, 3))
     def test_engines_agree_after_every_batch(self, plan, seed):
         initial, steps = plan
-        reference, fast = fresh_pair(initial, seed)
-        for inserts, deletes in steps:
-            batch = realise_batch(reference.graph, inserts, deletes)
-            if not batch:
-                continue
-            reference.apply_batch(batch)
-            fast.apply_batch(batch)
-            assert_engines_agree(reference, fast)
-            fast.state.validate(fast.graph)
+        for layout, vid in sorted(LAYOUTS.items()):
+            reference, fast = fresh_pair(initial, seed, layout=layout)
+            for inserts, deletes in steps:
+                batch = realise_batch(
+                    reference.graph,
+                    {(vid(u), vid(v)) for u, v in inserts},
+                    {(vid(u), vid(v)) for u, v in deletes},
+                )
+                if not batch:
+                    continue
+                assert reference.apply_batch(batch) == fast.apply_batch(batch)
+                assert_engines_agree(reference, fast)
 
     @settings(
         max_examples=15,

@@ -40,9 +40,8 @@ def matrices(detector) -> ArrayLabelState:
 
 def assert_states_identical(da, db):
     sa, sb = matrices(da), matrices(db)
-    for name in ("labels", "srcs", "poss", "epochs"):
+    for name in ("labels", "srcs", "poss", "epochs", "alive", "ids"):
         assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
-    assert np.array_equal(sa.alive, sb.alive)
 
 
 class TestCheckpointStore:
@@ -62,6 +61,29 @@ class TestCheckpointStore:
         assert ckpt.graph == graph
         for name in ("labels", "srcs", "poss", "epochs"):
             assert np.array_equal(getattr(ckpt.state, name), getattr(state, name))
+
+    def test_version_1_state_and_checkpoint_load(self, cliques_ring, tmp_path):
+        """Files written before the id column load as ids 0..n-1."""
+        from repro.core.serialize import load_state, state_to_arrays
+
+        state, graph = self.fitted_state(cliques_ring)
+        v1 = {k: v for k, v in state_to_arrays(state).items() if k != "ids"}
+        v1["version"] = np.array(1, dtype=np.int64)
+        np.savez_compressed(tmp_path / "state-v1.npz", **v1)
+        loaded = load_state(str(tmp_path / "state-v1.npz"))
+        assert loaded.ids.tolist() == list(range(30))
+        assert loaded.to_label_state().receivers == state.to_label_state().receivers
+        store = CheckpointStore(tmp_path)
+        path = store.write_checkpoint(state, graph, seed=5, batch_epoch=4)
+        with np.load(path) as arrays:
+            payload = {k: arrays[k] for k in arrays.files if k != "ids"}
+        payload.update(version=v1["version"], ckpt_version=v1["version"])
+        np.savez_compressed(path, **payload)
+        ckpt = store.load_checkpoint()
+        assert ckpt.batch_epoch == 4 and ckpt.graph == graph
+        for name in ("labels", "srcs", "poss", "epochs", "ids"):
+            assert np.array_equal(getattr(ckpt.state, name), getattr(state, name))
+        ckpt.state.validate(ckpt.graph)
 
     def test_latest_checkpoint_wins_and_old_pruned(self, cliques_ring, tmp_path):
         state, graph = self.fitted_state(cliques_ring)
@@ -255,46 +277,70 @@ def test_crash_recovery_is_bit_identical(seed, backend, kill_after, checkpoint_e
 
 
 class TestDurabilityIdContract:
-    def test_non_contiguous_graph_rejected_at_construction(self, tmp_path):
+    def test_non_contiguous_graph_starts_durable(self, tmp_path):
+        """A service with a checkpoint dir starts on a graph whose ids are
+        not 0..n-1, writes its baseline checkpoint, and recovers from it."""
         from repro.graph.adjacency import Graph
 
-        graph = Graph.from_edges([(10, 20), (20, 30), (10, 30)])
-        with pytest.raises(ValueError, match="contiguous"):
-            CommunityService(
-                graph, seed=1, iterations=10, checkpoint_dir=str(tmp_path)
-            )
+        graph = Graph.from_edges([(10, 20), (20, 30), (10, 30), (30, -4)])
+        service = CommunityService(
+            graph,
+            seed=1,
+            iterations=10,
+            staleness_batches=0,
+            checkpoint_dir=str(tmp_path),
+        ).start()
+        assert service.store.latest_epoch() == 0
+        service.close()
+        recovered = CommunityService.recover(str(tmp_path), staleness_batches=0)
+        assert recovered.graph == graph
+        assert_states_identical(service.detector, recovered.detector)
+        assert recovered.cover() == service.cover()
 
-    def test_gap_vertex_batch_skips_checkpoint_but_recovery_stays_exact(
-        self, tmp_path
-    ):
-        """An auto-mode downgrade mid-ingest must not crash the service;
-        the WAL keeps the un-checkpointable tail and recovery replays it."""
-        graph = ring_of_cliques(4, 5)  # ids 0..19
+    def test_sparse_ids_checkpoint_and_recover(self, tmp_path):
+        """Any vertex ids checkpoint: a service on gappy ids whose batches
+        add gap, negative and below-the-maximum ids checkpoints every batch,
+        and recover() is bit-identical to it and to the reference engine."""
+        from repro.graph.adjacency import Graph
+
+        base = ring_of_cliques(4, 5)
+        graph = Graph.from_edges((3 * u + 7, 3 * v + 7) for u, v in base.edges())
+        batches = [
+            EditBatch.build(insertions=[(7, 500)]),  # gap id above the max
+            EditBatch.build(insertions=[(-5, 10), (-5, 500)]),  # negative id
+            EditBatch.build(insertions=[(8, 13)], deletions=[(7, 10)]),  # 8 < max
+            EditBatch.build(deletions=[(7, 500), (-5, 500)]),  # isolates 500
+        ]
         service = CommunityService(
             graph,
             seed=7,
             iterations=ITERATIONS,
-            backend="auto",
             batch_size=4,
             staleness_batches=0,
             checkpoint_every=1,
             checkpoint_dir=str(tmp_path),
         ).start()
-        service.apply(EditBatch.build(insertions=[(0, 25)]))  # id gap: 20..24
-        assert service.stats()["checkpoints_skipped"] == 1
-        assert service.store.latest_epoch() == 0  # baseline checkpoint only
-        service.apply(EditBatch.build(insertions=[(1, 26)]))
+        reference = RSLPADetector(
+            graph, seed=7, iterations=ITERATIONS, backend="reference"
+        ).fit()
+        for epoch, batch in enumerate(batches, start=1):
+            service.apply(batch)
+            reference.update(batch)
+            assert service.store.latest_epoch() == epoch
         service.close()
 
         recovered = CommunityService.recover(str(tmp_path), staleness_batches=0)
-        assert recovered.batches_applied == 2
-        # Gap ids cannot round-trip through the array helper: compare the
-        # dict-backed states directly.
-        sa = service.detector.label_state
-        sb = recovered.detector.label_state
-        for name in ("labels", "srcs", "poss", "epochs"):
-            assert getattr(sa, name) == getattr(sb, name), name
-        assert recovered.cover() == service.detector.communities()
+        assert recovered.batches_applied == len(batches)
+        assert_states_identical(service.detector, recovered.detector)
+        assert recovered.detector.label_state.receivers == (
+            reference.label_state.receivers
+        )
+        assert recovered.cover() == reference.communities()
+        # One epoch back: the retained older checkpoint plus the WAL tail
+        # replays to the same state.
+        service.store._checkpoint_path(len(batches)).unlink()
+        replayed = CommunityService.recover(str(tmp_path), staleness_batches=0)
+        assert_states_identical(service.detector, replayed.detector)
 
 
 class TestTornWALTail:

@@ -83,7 +83,7 @@ def baseline_snapshot(tmp_path_factory):
 # Plan resolution
 # ----------------------------------------------------------------------
 class TestServicePlanResolution:
-    CAPS = GraphCaps(num_vertices=12, num_edges=21, contiguous_ids=True)
+    CAPS = GraphCaps(num_vertices=12, num_edges=21)
 
     def test_defaults_resolved_with_provenance(self):
         plan = resolve_service_plan(self.CAPS, make_config())
