@@ -36,13 +36,16 @@ import numpy as np
 from benchmarks.bench_common import SCALE, banner, print_table, scaled
 from repro.baselines.slpa_fast import FastSLPA
 from repro.core.fast import FastPropagator
-from repro.core.rslpa import ReferencePropagator
 from repro.distributed.cluster import (
     run_distributed_rslpa,
     run_distributed_slpa,
     run_distributed_update,
 )
-from repro.distributed.engine_array import ArrayBSPEngine, ArrayWorkerProgram
+from repro.distributed.engine_array import (
+    ArrayBSPEngine,
+    ArrayWorkerProgram,
+    gather_columns,
+)
 from repro.distributed.faults import FaultPlan
 from repro.distributed.message_array import register_schema
 from repro.distributed.multiprocess import MultiprocessBSPEngine
@@ -375,6 +378,12 @@ def _cover(memories, tau=TRANSPORT_TAU):
     return {frozenset(c) for c in holders.values() if len(c) >= 2}
 
 
+def _memories(shards, results):
+    """Gathered SLPA memory columns as ``vertex -> memory list``."""
+    ids, columns = gather_columns(shards, results)
+    return dict(zip(ids.tolist(), columns["memory"].T.tolist()))
+
+
 def _slpa_reference(graph, part, iterations):
     shards = build_csr_shards(graph, part)
     engine = ArrayBSPEngine(shards, part)
@@ -382,9 +391,7 @@ def _slpa_reference(graph, part, iterations):
         [FastSLPAPropagationProgram(s, seed=7, iterations=iterations)
          for s in shards]
     )
-    memories = {}
-    for program in programs:
-        memories.update(program.collect())
+    memories = _memories(shards, [program.collect() for program in programs])
     return memories, engine.stats.per_superstep
 
 
@@ -397,10 +404,7 @@ def _slpa_transport_run(graph, part, transport, iterations):
         t0 = time.perf_counter()
         stats = engine.run()
         wall_s = time.perf_counter() - t0
-        results = engine.collect()
-    memories = {}
-    for result in results:
-        memories.update(result)
+        memories = _memories(shards, engine.collect())
     return memories, stats.per_superstep, wall_s
 
 
@@ -602,11 +606,12 @@ def test_correction_volume_scales_with_eta(benchmark, report):
     def run():
         for batch_size in scaled([4, 16, 64], [10, 100, 1000], [100, 1000]):
             g = graph.copy()
-            propagator = ReferencePropagator(g, seed=5)
+            propagator = FastPropagator(g, seed=5)
             propagator.propagate(20)
             batch = random_edit_batch(g, batch_size, seed=batch_size)
             _, _, stats = run_distributed_update(
-                g, propagator.state, batch, seed=5, batch_epoch=1, num_workers=4
+                g, propagator.to_array_state(), batch, seed=5, batch_epoch=1,
+                num_workers=4,
             )
             rows.append((batch_size, stats.total_messages, stats.supersteps))
         return rows
@@ -652,10 +657,7 @@ def _fault_slpa_run(graph, part, transport, iterations, *, fault_tolerance,
         t0 = time.perf_counter()
         stats = engine.run()
         wall_s = time.perf_counter() - t0
-        results = engine.collect()
-    memories = {}
-    for result in results:
-        memories.update(result)
+        memories = _memories(shards, engine.collect())
     return memories, stats.per_superstep, wall_s, engine.recovery
 
 

@@ -19,7 +19,6 @@ Run:  python examples/distributed_web_graph.py
 import time
 
 from repro import (
-    ArrayLabelState,
     ExecutionConfig,
     WebGraphParams,
     generate_webgraph,
@@ -78,10 +77,9 @@ def main() -> None:
     print("\n[3] incremental update: batch of 50 edits (half insert/half delete)")
     batch = random_edit_batch(graph, 50, seed=2)
     t0 = time.perf_counter()
-    # Algorithm 2 on workers repairs the dict form of the fitted state.
-    graph, repaired, update_stats = run_distributed_update(
-        graph, state.to_label_state(), batch, seed=5, batch_epoch=1,
-        num_workers=NUM_WORKERS,
+    # Algorithm 2 on workers repairs the fitted ArrayLabelState in place.
+    graph, state, update_stats = run_distributed_update(
+        graph, state, batch, seed=5, batch_epoch=1, num_workers=NUM_WORKERS,
     )
     print(f"  {update_stats.summary()}  ({time.perf_counter() - t0:.1f}s)")
     print(
@@ -92,10 +90,7 @@ def main() -> None:
     print("\n[4] distributed post-processing (hash-to-min components)")
     t0 = time.perf_counter()
     cover, cc_stats = run_distributed_postprocess(
-        graph,
-        ArrayLabelState.from_label_state(repaired),
-        num_workers=NUM_WORKERS,
-        step=0.01,
+        graph, state, num_workers=NUM_WORKERS, step=0.01
     )
     print(f"  CC stage: {cc_stats.summary()}  ({time.perf_counter() - t0:.1f}s)")
     sizes = cover.sizes()

@@ -133,7 +133,9 @@ class ExecutionConfig:
     multiprocess:
         Run distributed workers as real OS processes
         (:class:`~repro.distributed.multiprocess.MultiprocessBSPEngine`)
-        instead of the in-process simulator.  Propagation programs only.
+        instead of the in-process simulator; every distributed wrapper,
+        Correction Propagation included, runs there with bit-identical
+        results and stats.
     transport:
         Multiprocess data plane — ``"pipe"`` (payloads pickled over the
         control pipes), ``"shm"`` (zero-copy shared-memory column rings),

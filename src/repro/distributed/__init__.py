@@ -20,55 +20,28 @@ lexsort barrier, and delivers per-kind column inboxes to
 (:mod:`repro.distributed.programs_array`,
 :mod:`repro.distributed.programs`, :mod:`repro.distributed.components`).
 
-**Data transport** (``transport=`` on the multiprocess backend and
-:class:`~repro.api.config.ExecutionConfig`) — how superstep payloads move
-between the driver and real OS worker processes; in-process engines pass
-references and have no transport axis:
+**Results** — each program's ``collect()`` returns named columns over
+its shard's ``local_ids``, and :func:`gather_columns` scatters them into
+ascending-id arrays, whichever engine ran the programs.
 
-====================  ==================================================
-transport             payload path
-====================  ==================================================
-``pipe`` (reference)  pickled over the control pipes
-``shm`` (zero-copy)   packed int64 columns written in place into
-                      double-buffered ``multiprocessing.shared_memory``
-                      rings; the pipes carry only ``(segment, layout)``
-                      index headers and the reader maps read-only views
-``tcp`` (two hosts)   the same framed columns over localhost sockets
-                      (length-prefixed layout + ``sendall``/``recv_into``
-                      raw bytes)
-====================  ==================================================
-
-Every transport is bit-identical — same results, same per-superstep
-:class:`CommStats` counters — because all programs derive their
-randomness from the same counter-based slot hashes over the same
-ascending neighbour sequences, and routing/accounting always run on the
-driver before any transport touches the columns; ``transport="auto"``
-resolves to shared memory for every multiprocess run.
+**Processes** — :class:`MultiprocessBSPEngine` runs the same programs on
+real OS processes.  Its data transport (``pipe``, zero-copy ``shm``
+rings, or framed ``tcp``; :mod:`repro.distributed.transport`) never
+changes a result or a per-superstep :class:`CommStats` counter: routing
+and accounting run on the driver before any transport touches the
+columns.  A worker that dies raises :class:`WorkerCrashedError` (a
+:class:`~repro.runtime.ChildCrashedError`), and ``fault_tolerance=True``
+turns that into checkpoint/respawn/replay recovery with bit-identical
+results (:class:`RecoveryStats` counts the cost; :class:`FaultPlan`
+scripts failures for testing).
 
 Axis negotiation lives in one place: the cluster wrappers accept an
 :class:`~repro.api.config.ExecutionConfig` (``config=``; the per-axis
 keywords are shims onto it), every ``auto`` resolves through
-:func:`repro.api.plan.resolve_plan`, and named partitioners/transports
-are looked up in :mod:`repro.api.registry` —
-``ExecutionConfig(multiprocess=True)`` routes the propagation wrappers
-through the multiprocess engine with identical results and stats.  The
-engine's control pipes, its tcp sockets, crash detection and shutdown
-escalation are :mod:`repro.runtime`, shared with the replicated service:
-a worker process that dies mid-run raises :class:`WorkerCrashedError`
-(a :class:`~repro.runtime.ChildCrashedError`) naming the dead worker
-instead of hanging the driver.
-
-**Fault tolerance** (``fault_tolerance=True`` on
-:class:`MultiprocessBSPEngine` or :class:`~repro.api.config.
-ExecutionConfig`) upgrades that crash detection to supervised recovery:
-the driver checkpoints a consistent cut (CRC-validated program snapshots
-plus materialised outboxes) every ``checkpoint_interval`` supersteps,
-respawns dead workers, restores the cut on every worker, and replays —
-covers and per-superstep :class:`CommStats` stay bit-identical to a
-failure-free run because all randomness is counter-keyed inside the
-snapshot.  :class:`RecoveryStats` counts the cost; failures are scripted
-deterministically with a :class:`FaultPlan`
-(:mod:`repro.distributed.faults`) for testing.
+:func:`repro.api.plan.resolve_plan` (``transport="auto"`` is ``shm``),
+and named partitioners/transports are looked up in
+:mod:`repro.api.registry`; ``ExecutionConfig(multiprocess=True)`` runs
+every wrapper, Correction Propagation included, on processes.
 """
 
 from repro.distributed.cluster import (
@@ -81,7 +54,11 @@ from repro.distributed.components import (
     HashToMinProgram,
     distributed_connected_components,
 )
-from repro.distributed.engine_array import ArrayBSPEngine, ArrayWorkerProgram
+from repro.distributed.engine_array import (
+    ArrayBSPEngine,
+    ArrayWorkerProgram,
+    gather_columns,
+)
 from repro.distributed.message_array import (
     SCHEMAS,
     ArrayInbox,
@@ -104,7 +81,6 @@ from repro.distributed.programs import CorrectionPropagationProgram
 from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
     FastSLPAPropagationProgram,
-    shard_local_csr,
 )
 from repro.distributed.worker import CSRShard, build_csr_shards
 
@@ -113,9 +89,9 @@ __all__ = [
     "ArrayMessageContext",
     "ArrayInbox",
     "ArrayWorkerProgram",
+    "gather_columns",
     "CSRShard",
     "build_csr_shards",
-    "shard_local_csr",
     "MessageSchema",
     "SCHEMAS",
     "register_schema",

@@ -14,27 +14,26 @@ communication-cost experiments:
   τ1 sweep on the driver, communities via distributed hash-to-min CC.
 
 Every run shards the graph with :func:`build_csr_shards` (any vertex ids
-but −1, which label state reserves as ``NO_SOURCE``) and exchanges
-columnar messages on
-:class:`~repro.distributed.engine_array.ArrayBSPEngine`.  Execution
-selection is centralised: the per-call keywords (``num_workers`` /
-``partitioner``) are shims that build an
-:class:`~repro.api.config.ExecutionConfig` (pass ``config=`` to supply one
-directly — it takes precedence), every ``auto`` is negotiated by
+but −1, which label state reserves as ``NO_SOURCE``).  The per-call
+keywords (``num_workers`` / ``partitioner``) are shims that build an
+:class:`~repro.api.config.ExecutionConfig` (``config=`` supplies one
+directly and takes precedence), every ``auto`` is negotiated by
 :func:`repro.api.plan.resolve_plan`, and named partitioners come from
-:mod:`repro.api.registry`, so plugged-in partitioners resolve exactly like
-the built-ins.  ``config.multiprocess=True`` runs the propagation wrappers
-on real OS processes
-(:class:`~repro.distributed.multiprocess.MultiprocessBSPEngine`) with
-bit-identical results and stats; ``config.transport`` picks the data
-plane those processes exchange supersteps over (``auto`` resolves to the
-zero-copy shared-memory rings).
+:mod:`repro.api.registry`.  One result path serves every wrapper: the
+plan runs the programs on the in-process
+:class:`~repro.distributed.engine_array.ArrayBSPEngine` or, with
+``config.multiprocess``, on real OS processes (any ``config.transport``,
+optionally ``config.fault_tolerance``), and
+:func:`~repro.distributed.engine_array.gather_columns` scatters their
+``collect()`` columns into the ascending-id arrays each wrapper
+assembles its result from, bit-identically on either engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
+from time import time_ns
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -42,14 +41,16 @@ import numpy as np
 from repro.api.config import ExecutionConfig
 from repro.api.plan import GraphCaps, RunPlan, resolve_plan
 from repro.core.communities import Cover
-from repro.core.labels import LabelState
 from repro.core.labels_array import ArrayLabelState
 from repro.core.postprocess import attach_weak, edge_weights, sweep_tau1, weak_threshold
 from repro.core.randomness import NO_SOURCE, check_vertex_ids
 from repro.distributed.components import distributed_connected_components
-from repro.distributed.engine_array import ArrayBSPEngine
+from repro.distributed.engine_array import ArrayBSPEngine, gather_columns
 from repro.distributed.metrics import CommStats
-from repro.distributed.programs import CorrectionPropagationProgram
+from repro.distributed.programs import (
+    CorrectionPropagationProgram,
+    correction_slices,
+)
 from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
     FastSLPAPropagationProgram,
@@ -95,93 +96,44 @@ def _obs_for(plan: RunPlan):
     return Obs()
 
 
-def _attach_obs(bsp, plan: RunPlan) -> None:
-    """Wire tracing onto an in-process engine when the plan asks for it.
-
-    The engine records its spans through ``bsp.obs``; parking the same
-    context on ``bsp.stats.obs`` is what lets the result objects (and the
-    service) surface the trace without any signature changes.  The
-    multiprocess engine takes ``obs=`` at construction instead.
+def _run(plan: RunPlan, shards, part, factory, assemble):
+    """The one result path of every wrapper: run ``factory(shard)`` on each
+    shard on the plan's engine, scatter the programs' ``collect()`` columns
+    with :func:`gather_columns`, and return ``(assemble(ids, columns),
+    stats)`` (the gather and ``assemble`` are one ``cluster.gather`` span).
     """
-    obs = _obs_for(plan)
-    if obs is None:
-        return
-    obs.meta.setdefault("mode", "in-process")
-    obs.meta.setdefault("num_workers", plan.num_workers)
-    bsp.obs = obs
-    bsp.stats.obs = obs
+    if plan.multiprocess:
+        from repro.distributed.multiprocess import MultiprocessBSPEngine
 
-
-def _merge_collected_rslpa_state(collected: Dict[int, tuple], iterations: int) -> LabelState:
-    """Fully-recorded :class:`LabelState` from per-vertex collect() tuples
-    (the ``(labels, srcs, poss)`` lists multiprocess workers ship back)."""
-    state = LabelState()
-    for v, (labels, srcs, poss) in collected.items():
-        state.labels[v] = list(labels)
-        state.srcs[v] = list(srcs)
-        state.poss[v] = list(poss)
-        state.epochs[v] = [0] * len(labels)
-        state.receivers[v] = {}
-    for v, (labels, srcs, poss) in collected.items():
-        for t in range(1, len(labels)):
-            src = srcs[t]
-            if src != NO_SOURCE:
-                state.receivers[src].setdefault(poss[t], set()).add((v, t))
-    state.set_num_iterations(iterations)
-    return state
-
-
-def _assemble_array_rslpa_state(programs, iterations: int) -> ArrayLabelState:
-    """:class:`ArrayLabelState` straight from array-program matrices.
-
-    The array plane's native export: per-worker ``(T+1, n_local)`` matrices
-    scatter into global matrices with columns in ascending vertex-id order
-    (so ids ``0..n-1`` give the identity layout), and the reverse records
-    come from the state's vectorised ``reindex`` — no per-vertex Python at
-    all.
-    """
-    programs = [program for program in programs if program.n_local]
-    ids = np.sort(np.concatenate([p.local_ids for p in programs])) if programs else None
-    shape = (iterations + 1, 0 if ids is None else len(ids))
-    labels = np.empty(shape, dtype=np.int64)
-    srcs = np.empty(shape, dtype=np.int64)
-    poss = np.empty(shape, dtype=np.int64)
-    for program in programs:
-        cols = np.searchsorted(ids, program.local_ids)
-        labels[:, cols] = program.labels
-        srcs[:, cols] = program.srcs
-        poss[:, cols] = program.poss
-    return ArrayLabelState.from_matrices(labels, srcs, poss, ids=ids)
-
-
-def _run_multiprocess(plan: RunPlan, shards, part, program_cls, seed, iterations):
-    """Run a propagation program on real OS processes; returns (collected, stats)."""
-    from repro.distributed.multiprocess import MultiprocessBSPEngine
-
-    factory = partial(program_cls, seed=seed, iterations=iterations)
-    fault_kwargs = {}
-    if plan.fault_tolerance:
-        # resolve_plan already made both knobs concrete for fault-tolerant
-        # plans; the engine defaults only back-stop direct construction.
+        # resolve_plan made both knobs concrete for fault-tolerant plans.
         fault_kwargs = dict(
             fault_tolerance=True,
             checkpoint_interval=plan.checkpoint_interval,
             max_restarts=plan.max_restarts,
-        )
-    with MultiprocessBSPEngine(
-        shards,
-        part,
-        factory,
-        transport=plan.transport or "pipe",
-        obs=_obs_for(plan),
-        **fault_kwargs,
-    ) as engine:
-        engine.run()
-        results = engine.collect()
-    collected: Dict[int, tuple] = {}
-    for worker_result in results:
-        collected.update(worker_result)
-    return collected, engine.stats
+        ) if plan.fault_tolerance else {}
+        with MultiprocessBSPEngine(
+            shards, part, factory, transport=plan.transport or "pipe",
+            obs=_obs_for(plan), **fault_kwargs,
+        ) as engine:
+            engine.run()
+            collected = engine.collect()
+    else:
+        engine = ArrayBSPEngine(shards, part)
+        # The engine records through ``engine.obs``; the same context on
+        # ``engine.stats.obs`` is how result objects surface the trace.
+        engine.obs = engine.stats.obs = _obs_for(plan)
+        if engine.obs is not None:
+            engine.obs.meta.setdefault("mode", "in-process")
+            engine.obs.meta.setdefault("num_workers", plan.num_workers)
+        programs = engine.run([factory(shard) for shard in shards])
+        collected = [program.collect() for program in programs]
+    obs = engine.stats.obs
+    if obs is not None:
+        gather_start = time_ns()
+    result = assemble(*gather_columns(shards, collected))
+    if obs is not None:
+        obs.trace.record("cluster.gather", gather_start)
+    return result, engine.stats
 
 
 def run_distributed_rslpa(
@@ -209,23 +161,19 @@ def run_distributed_rslpa(
     cfg = _execution_config(config, num_workers, partitioner)
     plan = resolve_plan(GraphCaps.of(graph), cfg)
     part = plan.build_partitioner()
-    shards = build_csr_shards(graph, part)
 
-    if plan.multiprocess:
-        collected, stats = _run_multiprocess(
-            plan, shards, part, FastRSLPAPropagationProgram, seed, iterations
+    def assemble(ids, columns):
+        return ArrayLabelState.from_matrices(
+            columns["labels"], columns["srcs"], columns["poss"], ids=ids
         )
-        state = _merge_collected_rslpa_state(collected, iterations)
-        return ArrayLabelState.from_label_state(state), stats
 
-    bsp = ArrayBSPEngine(shards, part)
-    _attach_obs(bsp, plan)
-    programs = [
-        FastRSLPAPropagationProgram(shard, seed=seed, iterations=iterations)
-        for shard in shards
-    ]
-    bsp.run(programs)
-    return _assemble_array_rslpa_state(programs, iterations), bsp.stats
+    return _run(
+        plan,
+        build_csr_shards(graph, part),
+        part,
+        partial(FastRSLPAPropagationProgram, seed=seed, iterations=iterations),
+        assemble,
+    )
 
 
 def run_distributed_slpa(
@@ -240,91 +188,87 @@ def run_distributed_slpa(
     cfg = _execution_config(config, num_workers, partitioner)
     plan = resolve_plan(GraphCaps.of(graph), cfg)
     part = plan.build_partitioner()
-    shards = build_csr_shards(graph, part)
-    if plan.multiprocess:
-        return _run_multiprocess(
-            plan, shards, part, FastSLPAPropagationProgram, seed, iterations
-        )
-    bsp = ArrayBSPEngine(shards, part)
-    _attach_obs(bsp, plan)
-    programs = [
-        FastSLPAPropagationProgram(shard, seed=seed, iterations=iterations)
-        for shard in shards
-    ]
-    bsp.run(programs)
-    memories: Dict[int, List[int]] = {}
-    for program in programs:
-        memories.update(program.collect())
-    return memories, bsp.stats
+
+    def assemble(ids, columns):
+        return dict(zip(ids.tolist(), columns["memory"].T.tolist()))
+
+    return _run(
+        plan,
+        build_csr_shards(graph, part),
+        part,
+        partial(FastSLPAPropagationProgram, seed=seed, iterations=iterations),
+        assemble,
+    )
 
 
 def run_distributed_update(
     graph: Graph,
-    state: LabelState,
+    state: ArrayLabelState,
     batch: EditBatch,
     seed: int = 0,
     batch_epoch: int = 1,
     num_workers: int = 4,
     partitioner: Optional[Union[str, Partitioner]] = None,
     config: Optional[ExecutionConfig] = None,
-) -> Tuple[Graph, LabelState, CommStats]:
-    """Algorithm 2 on the simulated cluster.
+) -> Tuple[Graph, ArrayLabelState, CommStats]:
+    """Algorithm 2 on the cluster; returns (graph, state, comm stats).
 
-    Takes the *pre-batch* graph and label state; returns the updated graph,
-    the repaired state (same object, mutated), and communication stats.
-    ``batch_epoch`` must count batches the same way the sequential
-    :class:`CorrectionPropagator` does for the randomness to line up.
+    Takes the *pre-batch* graph and its
+    :class:`~repro.core.labels_array.ArrayLabelState`.  Each worker repairs
+    its shard's slice of the state
+    (:func:`~repro.distributed.programs.correction_slices`), in process
+    or on real OS processes (``config.multiprocess``, any transport, with
+    or without ``fault_tolerance``).  Only after the run succeeds are the
+    batch applied to ``graph`` and the repaired slots written back into
+    ``state`` (both mutated in place and returned), so a failed run leaves
+    the caller's graph and state as they were.  ``batch_epoch`` must count
+    batches the same way the sequential corrector does for the randomness
+    to line up.
     """
     cfg = _execution_config(config, num_workers, partitioner)
-    if cfg.multiprocess:
-        raise ValueError(
-            "run_distributed_update repairs the caller's state in place; "
-            "multiprocess workers cannot share it (use the in-process engine)"
-        )
     batch.validate_against(graph)
-    check_vertex_ids(batch.touched_vertices(), "edit batch")
+    touched = batch.touched_vertices()
+    check_vertex_ids(touched, "edit batch")
     # Resolved before anything mutates, on the post-batch vertex count
     # (range partitioners size their blocks by it).
-    post_vertices = len(set(graph.vertices()) | batch.touched_vertices())
+    post_vertices = len(set(graph.vertices()) | touched)
     plan = resolve_plan(GraphCaps(post_vertices, graph.num_edges), cfg)
-    new_graph = apply_batch(graph, batch)
-    added = batch.added_neighbors()
-    removed = batch.removed_neighbors()
-    for v in set(added) | set(removed):
-        if not state.has_vertex(v):
-            state.init_vertex(v)
-            for _ in range(state.num_iterations):
-                state.labels[v].append(v)
-                state.srcs[v].append(NO_SOURCE)
-                state.poss[v].append(NO_SOURCE)
-                state.epochs[v].append(0)
-
     part = plan.build_partitioner()
-    shards = build_csr_shards(new_graph, part)
-    programs = []
-    for shard in shards:
-        local = shard.vertices
-        programs.append(
-            CorrectionPropagationProgram(
-                shard,
-                seed=seed,
-                iterations=state.num_iterations,
-                labels={v: state.labels[v] for v in local},
-                srcs={v: state.srcs[v] for v in local},
-                poss={v: state.poss[v] for v in local},
-                epochs={v: state.epochs[v] for v in local},
-                receivers={v: state.receivers[v] for v in local},
-                added={v: s for v, s in added.items() if v in local},
-                removed={v: s for v, s in removed.items() if v in local},
-                batch_epoch=batch_epoch,
-            )
-        )
-    bsp = ArrayBSPEngine(shards, part)
-    _attach_obs(bsp, plan)
-    bsp.run(programs)
-    # Worker slices alias the state's own lists/dicts, so the state is
-    # already repaired in place; nothing to merge back.
-    return new_graph, state, bsp.stats
+    shards = build_csr_shards(apply_batch(graph.copy(), batch), part)
+    new_ids = sorted(v for v in touched if not state.has_vertex(v))
+
+    def write_back(ids, columns):
+        apply_batch(graph, batch)
+        if state.needs_reindex():
+            state.reindex()
+        state.add_vertices(new_ids)
+        cols = state.columns(ids)
+        # Every repick bumps its slot's epoch, so the epochs name exactly
+        # the slots whose record moved: detach the old, register the new.
+        ts, at = np.nonzero(columns["epochs"] != state.epochs[:, cols])
+        vs = cols[at]
+        state.detach_slots(vs, ts)
+        src = columns["srcs"][ts, at]
+        pos = columns["poss"][ts, at]
+        has = src != NO_SOURCE
+        src[has] = state.columns(src[has])
+        state.srcs[ts, vs] = src
+        state.poss[ts, vs] = pos
+        state.epochs[ts, vs] = columns["epochs"][ts, at]
+        state.register_slots(src[has], pos[has], vs[has], ts[has])
+        state.labels[:, cols] = columns["labels"]
+
+    factory = partial(
+        CorrectionPropagationProgram,
+        slices=correction_slices(state, shards, new_ids),
+        seed=seed,
+        iterations=state.num_iterations,
+        batch_epoch=batch_epoch,
+        added=batch.added_neighbors(),
+        removed=batch.removed_neighbors(),
+    )
+    _, stats = _run(plan, shards, part, factory, write_back)
+    return graph, state, stats
 
 
 def run_distributed_postprocess(

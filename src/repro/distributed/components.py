@@ -27,7 +27,11 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.distributed.engine_array import ArrayBSPEngine, ArrayWorkerProgram
+from repro.distributed.engine_array import (
+    ArrayBSPEngine,
+    ArrayWorkerProgram,
+    gather_columns,
+)
 from repro.distributed.message_array import ArrayInbox, ArrayMessageContext
 from repro.distributed.metrics import CommStats
 from repro.distributed.worker import CSRShard, build_csr_shards
@@ -85,8 +89,10 @@ class HashToMinProgram(ArrayWorkerProgram):
                 self._dirty.add(v)
         self._emit(ctx)
 
-    def collect(self) -> dict:
-        return {v: min(cluster) for v, cluster in self.clusters.items()}
+    def collect(self) -> Dict[str, np.ndarray]:
+        """The ``rep`` column: ``min(C_v)`` per local vertex."""
+        rep = [min(self.clusters[v]) for v in self.shard.local_ids.tolist()]
+        return {"rep": np.array(rep, dtype=np.int64)}
 
 
 def _filtered_adjacency(
@@ -133,13 +139,10 @@ def distributed_connected_components(
         part = partitioner or HashPartitioner(num_workers)
     shards = build_csr_shards(filtered, part)
     engine = ArrayBSPEngine(shards, part)
-    programs = [HashToMinProgram(shard) for shard in shards]
-    engine.run(programs)
-    representative: Dict[int, int] = {}
-    for program in programs:
-        representative.update(program.collect())
+    programs = engine.run([HashToMinProgram(shard) for shard in shards])
+    ids, columns = gather_columns(shards, [p.collect() for p in programs])
     groups: Dict[int, Set[int]] = {}
-    for v, rep in representative.items():
+    for v, rep in zip(ids.tolist(), columns["rep"].tolist()):
         groups.setdefault(rep, set()).add(v)
     components = sorted(groups.values(), key=lambda c: (-len(c), min(c)))
     return components, engine.stats

@@ -27,7 +27,9 @@ zero-overhead run.
 from __future__ import annotations
 
 from time import time_ns
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.distributed.message_array import (
     ArrayInbox,
@@ -39,7 +41,7 @@ from repro.distributed.metrics import CommStats
 from repro.distributed.worker import CSRShard
 from repro.graph.partition import Partitioner
 
-__all__ = ["ArrayWorkerProgram", "ArrayBSPEngine"]
+__all__ = ["ArrayWorkerProgram", "ArrayBSPEngine", "gather_columns"]
 
 
 class ArrayWorkerProgram:
@@ -73,8 +75,9 @@ class ArrayWorkerProgram:
         """
         raise NotImplementedError
 
-    def collect(self) -> dict:
-        """Return this worker's final local results (merged by the caller)."""
+    def collect(self) -> Dict[str, np.ndarray]:
+        """Named result arrays whose last axis follows ``shard.local_ids``
+        (see :func:`gather_columns`)."""
         return {}
 
     def snapshot(self) -> dict:
@@ -188,3 +191,20 @@ class ArrayBSPEngine:
                         superstep=superstep,
                     )
         return list(programs)
+
+
+def gather_columns(
+    shards: Sequence[CSRShard], collected: Sequence[Dict[str, np.ndarray]]
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """The one driver-side result scatter, for either engine.
+
+    ``collected[i]`` is ``shards[i]``'s :meth:`~ArrayWorkerProgram.collect`.
+    Returns the ascending vertex ids and, per name, every worker's array
+    joined along the last axis in that id order.
+    """
+    ids = np.concatenate([shard.local_ids for shard in shards])
+    order = np.argsort(ids, kind="stable")
+    return ids[order], {
+        name: np.concatenate([r[name] for r in collected], axis=-1)[..., order]
+        for name in collected[0]
+    }

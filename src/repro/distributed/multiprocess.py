@@ -10,22 +10,18 @@ Programs are :class:`~repro.distributed.engine_array.ArrayWorkerProgram`
 subclasses; outboxes are per-kind numpy columns and the driver barrier is
 the vectorised :func:`~repro.distributed.message_array.route_columns`.
 
-How the columns move is the *transport* (``transport=``, see
-:mod:`repro.distributed.transport` and
-:data:`repro.api.registry.TRANSPORTS`): ``"pipe"`` pickles payloads over
-the control pipes (the reference data plane), ``"shm"`` swaps them
-through double-buffered shared-memory rings with only index headers on
-the pipes, and ``"tcp"`` frames them over localhost sockets so worker
-groups behave like separate hosts.  Results and per-superstep
-:class:`CommStats` are bit-identical across all transports — routing
-happens on the driver before any transport touches the columns.
+How the columns move is the *transport* (``transport=``: ``"pipe"``,
+``"shm"`` or ``"tcp"``, see :mod:`repro.distributed.transport`).  Results
+and per-superstep :class:`CommStats` are bit-identical across all
+transports — routing happens on the driver before any transport touches
+the columns.
 
-Programs must be picklable (all programs in
-:mod:`repro.distributed.programs_array` are, as long as their state is
-builtins/ndarrays).  Mutations a program makes to its state stay inside
-its process; results come back via ``collect()``, so this backend suits
-the *propagation* programs (whose results are collected), not the
-in-place correction program.
+Programs and their factory must be picklable (every built-in one is).
+A program's state stays inside its process; its results come back via
+``collect()`` as the same named columns the in-process engine's programs
+return, so every program — Correction Propagation included — runs here
+unchanged and :func:`~repro.distributed.engine_array.gather_columns`
+assembles either engine's results.
 
 A worker that dies mid-run can never hang the driver: the control pipes
 are a :class:`~repro.runtime.PipeWire`, whose every wait polls process
@@ -68,7 +64,7 @@ Usage::
 
     with MultiprocessBSPEngine(shards, partitioner, factory) as engine:
         engine.run()
-        results = engine.collect()
+        ids, columns = gather_columns(shards, engine.collect())
 """
 
 from __future__ import annotations
@@ -534,7 +530,7 @@ class MultiprocessBSPEngine:
                 self._recover(exc)
 
     def collect(self) -> List[dict]:
-        """Gather each worker program's final results."""
+        """Each worker program's ``collect()`` columns, in shard order."""
         if self._closed:
             raise RuntimeError("engine already shut down")
         while True:

@@ -39,33 +39,24 @@ from repro.distributed.engine_array import ArrayWorkerProgram
 from repro.distributed.message_array import ArrayInbox, ArrayMessageContext
 from repro.distributed.worker import CSRShard
 
-__all__ = [
-    "FastRSLPAPropagationProgram",
-    "FastSLPAPropagationProgram",
-    "shard_local_csr",
-]
+__all__ = ["FastRSLPAPropagationProgram", "FastSLPAPropagationProgram"]
 
 
-def shard_local_csr(
-    shard: CSRShard,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shard's adjacency as ``(local_ids, indptr, indices)`` arrays.
+class _LocalStateProgram(ArrayWorkerProgram):
+    """Shared shard-local CSR plumbing for the array programs.
 
     ``local_ids`` is ascending (so destination rows resolve with one
     ``searchsorted``); row ``r`` of the CSR pair is the ascending global-id
     neighbour list of ``local_ids[r]``.
     """
-    return shard.local_ids, shard.indptr, shard.indices
-
-
-class _LocalStateProgram(ArrayWorkerProgram):
-    """Shared shard-local CSR plumbing for the array programs."""
 
     def __init__(self, shard: CSRShard, seed: int, iterations: int):
         super().__init__(shard)
         self.seed = seed
         self.iterations = iterations
-        self.local_ids, self.indptr, self.indices = shard_local_csr(shard)
+        self.local_ids, self.indptr, self.indices = (
+            shard.local_ids, shard.indptr, shard.indices
+        )
         self.degrees = np.diff(self.indptr)
         self.n_local = len(self.local_ids)
 
@@ -150,15 +141,9 @@ class FastRSLPAPropagationProgram(_LocalStateProgram):
         if advanced_t is not None and advanced_t < self.iterations:
             self._send_requests(ctx, advanced_t + 1)
 
-    def collect(self) -> dict:
-        """Per-vertex ``(labels, srcs, poss)`` lists, keyed by vertex id."""
-        label_seqs = self.labels.T.tolist()
-        src_seqs = self.srcs.T.tolist()
-        pos_seqs = self.poss.T.tolist()
-        return {
-            v: (label_seqs[r], src_seqs[r], pos_seqs[r])
-            for r, v in enumerate(self.local_ids.tolist())
-        }
+    def collect(self) -> Dict[str, np.ndarray]:
+        """The ``(T+1, n_local)`` label, source-id and position matrices."""
+        return {"labels": self.labels, "srcs": self.srcs, "poss": self.poss}
 
 
 class FastSLPAPropagationProgram(_LocalStateProgram):
@@ -269,9 +254,6 @@ class FastSLPAPropagationProgram(_LocalStateProgram):
         picked = rank_in_group == np.repeat(chosen_rank, winners_per_listener)
         return winner_row[picked], winner_label[picked]
 
-    def collect(self) -> Dict[int, list]:
-        """Per-vertex memory sequences, keyed by vertex id."""
-        memory_seqs = self.memory.T.tolist()
-        return {
-            v: memory_seqs[r] for r, v in enumerate(self.local_ids.tolist())
-        }
+    def collect(self) -> Dict[str, np.ndarray]:
+        """The ``(T+1, n_local)`` memory matrix."""
+        return {"memory": self.memory}

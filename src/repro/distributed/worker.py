@@ -64,6 +64,10 @@ class CSRShard:
         self.indices = _read_only(np.asarray(indices, dtype=np.int64))
         self._row_of = {v: r for r, v in enumerate(ids)}
 
+    def row(self, v: int) -> int:
+        """Local row of the owned vertex ``v`` (its ``local_ids`` index)."""
+        return self._row_of[v]
+
     def degree(self, v: int) -> int:
         r = self._row_of[v]
         return int(self.indptr[r + 1] - self.indptr[r])

@@ -9,11 +9,12 @@ so any directed multigraph edge list becomes a binary graph.
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, List, Tuple
 
 from repro.graph.adjacency import Graph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "read_edge_list",
@@ -72,7 +73,12 @@ def write_edge_list(graph: Graph, path: str, header: str = "") -> None:
 
 
 def to_networkx(graph: Graph) -> "nx.Graph":
-    """Convert to a networkx graph (for cross-validation and plotting)."""
+    """Convert to a networkx graph (for cross-validation and plotting).
+
+    networkx is an optional dependency, imported only here.
+    """
+    import networkx as nx
+
     nxg = nx.Graph()
     nxg.add_nodes_from(graph.vertices())
     nxg.add_edges_from(graph.edges())

@@ -13,15 +13,14 @@ decades.
   weighted-network binarization path.
 
 Both are sourced from networkx's bundled public-domain data and normalised
-through this library's own pipeline.
+through this library's own pipeline; networkx is an optional dependency,
+imported only when one of them is loaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
-
-import networkx as nx
 
 from repro.graph.adjacency import Graph
 from repro.graph.io import from_networkx
@@ -48,6 +47,8 @@ def karate_club() -> LabelledGraph:
     the instructor's faction (around vertex 0) from the president's
     (around vertex 33).
     """
+    import networkx as nx
+
     nxg = nx.karate_club_graph()
     graph = from_networkx(nxg)
     instructor = {
@@ -71,6 +72,8 @@ def les_miserables(keep_fraction: float = 0.6) -> LabelledGraph:
     ``factions`` is empty and the dataset is used for structure/pipeline
     tests rather than NMI scoring.
     """
+    import networkx as nx
+
     nxg = nx.les_miserables_graph()
     names = sorted(nxg.nodes())
     index = {name: i for i, name in enumerate(names)}

@@ -466,24 +466,37 @@ class TestMultiprocessPlan:
         assert in_state.receivers == mp_state.receivers
         assert stats_i.total_messages == stats_m.total_messages
 
-    def test_multiprocess_update_rejected(self, cliques_ring):
+    def test_multiprocess_update_matches_in_process(self, cliques_ring):
         from repro.distributed.cluster import (
             run_distributed_rslpa,
             run_distributed_update,
         )
         from repro.graph.edits import EditBatch
 
-        state, _ = run_distributed_rslpa(
-            cliques_ring, seed=4, iterations=10, num_workers=2
-        )
-        with pytest.raises(ValueError, match="in place"):
-            run_distributed_update(
-                cliques_ring,
-                state,
-                EditBatch.build(deletions=[(0, 1)]),
-                seed=4,
-                config=ExecutionConfig(num_workers=2, multiprocess=True),
+        batch = EditBatch.build(deletions=[(0, 1)], insertions=[(0, 100)])
+        runs = []
+        for multiprocess in (False, True):
+            graph = cliques_ring.copy()
+            state, _ = run_distributed_rslpa(
+                graph, seed=4, iterations=10, num_workers=2
             )
+            graph, state, stats = run_distributed_update(
+                graph,
+                state,
+                batch,
+                seed=4,
+                config=ExecutionConfig(num_workers=2, multiprocess=multiprocess),
+            )
+            state.validate(graph)
+            runs.append((state, stats))
+        (in_state, stats_i), (mp_state, stats_m) = runs
+        for name in ("ids", "labels", "srcs", "poss", "epochs"):
+            assert getattr(mp_state, name).tolist() == getattr(in_state, name).tolist()
+        assert (
+            mp_state.to_label_state().receivers
+            == in_state.to_label_state().receivers
+        )
+        assert stats_m.per_superstep == stats_i.per_superstep
 
 
 class TestPlanCLI:

@@ -18,6 +18,8 @@ from oracles.tuple_plane import (
     BSPEngine,
     RSLPAPropagationProgram,
     SLPAPropagationProgram,
+    as_columns,
+    merge_collected_rslpa_state,
     run_programs,
     run_update,
 )
@@ -27,12 +29,11 @@ from repro.core.incremental import CorrectionPropagator
 from repro.core.labels_array import ArrayLabelState
 from repro.core.rslpa import ReferencePropagator
 from repro.distributed.cluster import (
-    _merge_collected_rslpa_state,
     run_distributed_rslpa,
     run_distributed_slpa,
     run_distributed_update,
 )
-from repro.distributed.engine_array import ArrayBSPEngine
+from repro.distributed.engine_array import ArrayBSPEngine, gather_columns
 from repro.distributed.message_array import (
     SCHEMAS,
     ArrayInbox,
@@ -43,7 +44,6 @@ from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
     FastSLPAPropagationProgram,
-    shard_local_csr,
 )
 from repro.distributed.worker import build_csr_shards
 from repro.graph.adjacency import Graph
@@ -161,7 +161,7 @@ class TestShardLocalCSR:
         """CSR shards hold exactly the sorted adjacency lists of the graph."""
         graph = small_lfr.graph
         for shard in build_csr_shards(graph, HashPartitioner(4)):
-            ids, indptr, indices = shard_local_csr(shard)
+            ids, indptr, indices = shard.local_ids, shard.indptr, shard.indices
             assert ids.tolist() == sorted(shard.vertices)
             for r, v in enumerate(ids.tolist()):
                 row = indices[indptr[r] : indptr[r + 1]].tolist()
@@ -205,7 +205,7 @@ class TestRSLPAEquality:
                 RSLPAPropagationProgram, build_csr_shards(graph, part), part,
                 seed=seed, iterations=12,
             )
-            ref_state = _merge_collected_rslpa_state(collected, 12)
+            ref_state = merge_collected_rslpa_state(collected, 12)
             arr_state, arr_stats = run_distributed_rslpa(
                 run_input, seed=seed, iterations=12,
                 partitioner=part, num_workers=part.num_partitions,
@@ -220,7 +220,8 @@ class TestRSLPAEquality:
             assert_stats_equal(arr_stats, ref_stats)
 
     def test_program_collect_identical(self, small_lfr):
-        """Program-level oracle: same shard, both planes, same collect()."""
+        """Program-level oracle: same shard, both planes, same collect()
+        (the oracle's per-vertex lists laid out as the library's columns)."""
         graph = small_lfr.graph
         part = HashPartitioner(3)
         shards = build_csr_shards(graph, part)
@@ -233,12 +234,14 @@ class TestRSLPAEquality:
             for s in shards
         ]
         ArrayBSPEngine(shards, part).run(arr_programs)
-        for ref_p, arr_p in zip(ref_programs, arr_programs):
-            ref_collected = {
-                v: (list(l), list(s), list(p))
-                for v, (l, s, p) in ref_p.collect().items()
-            }
-            assert arr_p.collect() == ref_collected
+        for shard, ref_p, arr_p in zip(shards, ref_programs, arr_programs):
+            expected = as_columns(
+                ref_p.collect(), shard.local_ids, ("labels", "srcs", "poss")
+            )
+            collected = arr_p.collect()
+            assert collected.keys() == expected.keys()
+            for name, column in expected.items():
+                assert np.array_equal(collected[name], column), name
 
     def test_auto_prefers_array_on_csr_shards(self, cliques_ring):
         """The accepted spellings all resolve to the one substrate."""
@@ -367,7 +370,8 @@ def assert_batches_match(graph, part, seed, batch_size, epochs, iterations=15):
     corrector = CorrectionPropagator(seq_prop)
     ref_graph, ref_prop = fresh()
     arr_graph, arr_prop = fresh()
-    ref_state, arr_state = ref_prop.state, arr_prop.state
+    ref_state = ref_prop.state
+    arr_state = ArrayLabelState.from_label_state(arr_prop.state)
     for epoch in range(1, epochs + 1):
         batch = random_edit_batch(seq_graph, batch_size, seed=100 * seed + epoch)
         corrector.apply_batch(batch)
@@ -378,10 +382,11 @@ def assert_batches_match(graph, part, seed, batch_size, epochs, iterations=15):
             arr_graph, arr_state, batch, seed=seed, batch_epoch=epoch,
             num_workers=part.num_partitions, partitioner=part,
         )
-        assert arr_state.labels == corrector.state.labels, epoch
+        exported = arr_state.to_label_state()
+        assert exported.labels == corrector.state.labels, epoch
         assert ref_state.labels == corrector.state.labels, epoch
-        assert arr_state.epochs == corrector.state.epochs
-        assert arr_state.receivers == ref_state.receivers
+        assert exported.epochs == corrector.state.epochs
+        assert exported.receivers == ref_state.receivers
         assert_stats_equal(arr_stats, ref_stats)
 
 
@@ -417,14 +422,17 @@ class TestMultiprocessArrayPlane:
     """Array plane over real processes against the in-process tuple oracle
     (small worker counts for CI)."""
 
-    def _run(self, shards, part, factory):
+    def _run(self, shards, part, factory, tuple_merged, names):
+        """Gathered multiprocess columns, checked against the tuple
+        plane's merged per-vertex collect; returns the engine stats."""
         with MultiprocessBSPEngine(shards, part, factory) as eng:
             stats = eng.run()
-            results = eng.collect()
-        merged = {}
-        for result in results:
-            merged.update(result)
-        return merged, stats
+            ids, columns = gather_columns(shards, eng.collect())
+        expected = as_columns(tuple_merged, ids, names)
+        assert columns.keys() == expected.keys()
+        for name, column in expected.items():
+            assert np.array_equal(columns[name], column), name
+        return stats
 
     def test_rslpa_array_plane_matches_tuple_plane(self):
         graph = ring_of_cliques(3, 5)
@@ -433,11 +441,11 @@ class TestMultiprocessArrayPlane:
         tuple_merged, tuple_stats = run_programs(
             RSLPAPropagationProgram, shards, part, seed=5, iterations=10
         )
-        array_merged, array_stats = self._run(
+        array_stats = self._run(
             shards, part,
             partial(FastRSLPAPropagationProgram, seed=5, iterations=10),
+            tuple_merged, ("labels", "srcs", "poss"),
         )
-        assert array_merged == tuple_merged
         assert_stats_equal(array_stats, tuple_stats)
 
     def test_slpa_array_plane_matches_tuple_plane(self):
@@ -447,11 +455,11 @@ class TestMultiprocessArrayPlane:
         tuple_merged, tuple_stats = run_programs(
             SLPAPropagationProgram, shards, part, seed=2, iterations=8
         )
-        array_merged, array_stats = self._run(
+        array_stats = self._run(
             shards, part,
             partial(FastSLPAPropagationProgram, seed=2, iterations=8),
+            tuple_merged, ("memory",),
         )
-        assert array_merged == tuple_merged
         assert_stats_equal(array_stats, tuple_stats)
 
     def test_invalid_plane_rejected(self):

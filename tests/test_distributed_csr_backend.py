@@ -14,6 +14,7 @@ import pytest
 from repro.api import ExecutionConfig, plan_for
 from repro.baselines.slpa import SLPA
 from repro.core.incremental import CorrectionPropagator
+from repro.core.labels_array import ArrayLabelState
 from repro.core.postprocess import extract_communities
 from repro.core.rslpa import ReferencePropagator
 from repro.distributed.cluster import (
@@ -22,6 +23,7 @@ from repro.distributed.cluster import (
     run_distributed_slpa,
     run_distributed_update,
 )
+from repro.distributed.engine_array import gather_columns
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
@@ -176,7 +178,7 @@ class TestNonContiguousIds:
         dist_graph = graph.copy()
         dist_prop = ReferencePropagator(dist_graph, seed=4)
         dist_prop.propagate(15)
-        state = dist_prop.state
+        state = ArrayLabelState.from_label_state(dist_prop.state)
         for epoch in range(1, 4):
             batch = random_edit_batch(seq_prop.graph, 6, seed=epoch)
             corrector.apply_batch(batch)
@@ -184,8 +186,9 @@ class TestNonContiguousIds:
                 dist_graph, state, batch, seed=4, batch_epoch=epoch,
                 num_workers=3,
             )
-            assert state.labels == corrector.state.labels, epoch
-            assert state.epochs == corrector.state.epochs
+            exported = state.to_label_state()
+            assert exported.labels == corrector.state.labels, epoch
+            assert exported.epochs == corrector.state.epochs
         state.validate(dist_graph)
 
     def test_postprocess_matches_sequential_extraction(self):
@@ -227,7 +230,6 @@ class TestUpdateAtomicity:
 
         graph = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
         state, _ = run_distributed_rslpa(graph.copy(), seed=1, iterations=6)
-        state = state.to_label_state()
         batch = EditBatch.build(insertions=[(0, 100), (-1, 2)])
         edges_before = set(graph.edges())
         vertices_before = sorted(graph.vertices())
@@ -247,11 +249,8 @@ class TestMultiprocessEquality:
     def _run(self, shards, part, factory):
         with MultiprocessBSPEngine(shards, part, factory) as engine:
             engine.run()
-            results = engine.collect()
-        merged = {}
-        for result in results:
-            merged.update(result)
-        return merged
+            ids, columns = gather_columns(shards, engine.collect())
+        return ids.tolist(), {k: col.tolist() for k, col in columns.items()}
 
     def test_rslpa_multiprocess_dict_vs_csr(self):
         graph = ring_of_cliques(4, 5)

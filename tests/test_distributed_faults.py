@@ -12,20 +12,26 @@ import pickle
 import signal
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api.config import AlgoConfig, ServicePlanConfig
-from repro.distributed.engine_array import ArrayBSPEngine
+from repro.api.config import AlgoConfig, ExecutionConfig, ServicePlanConfig
+from repro.core.fast import FastPropagator
+from repro.distributed import multiprocess
+from repro.distributed.cluster import run_distributed_update
+from repro.distributed.engine_array import ArrayBSPEngine, gather_columns
 from repro.distributed.faults import FaultPlan
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import FastSLPAPropagationProgram
 from repro.distributed.transport import WorkerCrashedError
 from repro.distributed.worker import build_csr_shards
-from repro.graph.generators import ring_of_cliques
+from repro.graph.edits import EditBatch
+from repro.graph.generators import erdos_renyi, ring_of_cliques
 from repro.graph.partition import HashPartitioner
 from repro.service import ServiceSupervisor
+from repro.workloads.dynamic import random_edit_batch
 
 SEED, ITERATIONS = 11, 6
 TRANSPORTS = ["pipe", "shm", "tcp"]
@@ -102,6 +108,12 @@ def _step_tuples(stats):
     ]
 
 
+def _memories(shards, results):
+    """Gathered SLPA memory columns as ``vertex -> memory list``."""
+    ids, columns = gather_columns(shards, results)
+    return dict(zip(ids.tolist(), columns["memory"].T.tolist()))
+
+
 def _same(a, b):
     eq = a == b
     return eq.all() if hasattr(eq, "all") else bool(eq)
@@ -123,10 +135,10 @@ def _reference(graph, part):
             for s in shards
         ]
     )
-    memories = {}
-    for program in programs:
-        memories.update(program.collect())
-    return memories, _step_tuples(engine.stats)
+    return (
+        _memories(shards, [program.collect() for program in programs]),
+        _step_tuples(engine.stats),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -151,9 +163,7 @@ def _faulty_run(transport, fault_plan, checkpoint_interval=2, max_restarts=3):
         fault_plan=fault_plan,
     ) as engine:
         stats = engine.run()
-        memories = {}
-        for result in engine.collect():
-            memories.update(result)
+        memories = _memories(shards, engine.collect())
     return memories, _step_tuples(stats), engine.recovery
 
 
@@ -235,6 +245,128 @@ class TestCrashMatrix:
 
 
 # ----------------------------------------------------------------------
+# Correction Propagation under worker kills
+# ----------------------------------------------------------------------
+#: Supersteps of the failure-free 2-worker repair below (asserted by the
+#: reference fixture, so a change to the batch cannot silently shrink
+#: the sweep).
+CORRECTION_SUPERSTEPS = 6
+CORRECTION_ITERATIONS = 10
+CORRECTION_FIELDS = ("ids", "alive", "labels", "srcs", "poss", "epochs")
+
+
+def _correction_inputs():
+    """A fresh fitted (graph, state) and a batch whose cascade crosses
+    workers for several supersteps and creates vertex 90."""
+    graph = erdos_renyi(40, 0.1, seed=1)
+    fit = FastPropagator(graph, seed=SEED)
+    fit.propagate(CORRECTION_ITERATIONS)
+    edits = random_edit_batch(graph, 6, seed=2)
+    batch = EditBatch.build(
+        insertions=set(edits.insertions) | {(0, 90)}, deletions=edits.deletions
+    )
+    return graph, fit.to_array_state(), batch
+
+
+def _inject(monkeypatch, fault_plan):
+    """Script ``fault_plan`` into every engine the cluster wrappers build
+    (``run_distributed_update`` has no fault-injection knob)."""
+    monkeypatch.setattr(
+        multiprocess,
+        "MultiprocessBSPEngine",
+        partial(multiprocess.MultiprocessBSPEngine, fault_plan=fault_plan),
+    )
+
+
+def _correction_run(transport):
+    """One fault-tolerant 2-worker multiprocess repair; returns (state,
+    steps, recovery)."""
+    graph, state, batch = _correction_inputs()
+    config = ExecutionConfig(
+        num_workers=2, multiprocess=True, transport=transport,
+        fault_tolerance=True, checkpoint_interval=2,
+    )
+    _, state, stats = run_distributed_update(
+        graph, state, batch, seed=SEED, config=config
+    )
+    return state, _step_tuples(stats), stats.recovery
+
+
+@pytest.fixture(scope="module")
+def correction_reference():
+    """Failure-free run on the in-process engine: (state, steps)."""
+    graph, state, batch = _correction_inputs()
+    _, state, stats = run_distributed_update(
+        graph, state, batch, seed=SEED, config=ExecutionConfig(num_workers=2)
+    )
+    assert stats.supersteps == CORRECTION_SUPERSTEPS
+    return state, _step_tuples(stats)
+
+
+def _assert_same_state(got, ref):
+    for name in CORRECTION_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert got.to_label_state().receivers == ref.to_label_state().receivers
+
+
+CORRECTION_KILLS = [
+    ("pipe", w, s) for w in (0, 1) for s in range(CORRECTION_SUPERSTEPS + 1)
+] + [
+    (transport, 1, s)
+    for transport in ("shm", "tcp")
+    for s in (0, CORRECTION_SUPERSTEPS // 2, CORRECTION_SUPERSTEPS)
+]
+
+
+class TestCorrectionCrashMatrix:
+    """A fault-tolerant repair replays every kill bit-identically."""
+
+    @pytest.mark.parametrize("transport,worker,superstep", CORRECTION_KILLS)
+    def test_kill_everywhere_bit_identical(
+        self, transport, worker, superstep, correction_reference, monkeypatch
+    ):
+        ref_state, ref_steps = correction_reference
+        _inject(monkeypatch, FaultPlan(kill=(worker, superstep)))
+        state, steps, recovery = _correction_run(transport)
+        _assert_same_state(state, ref_state)
+        assert steps == ref_steps
+        assert recovery.recoveries == 1
+        assert recovery.workers_respawned == 1
+
+    def test_correction_kill_recovery_smoke(self, correction_reference, monkeypatch):
+        ref_state, ref_steps = correction_reference
+        _inject(monkeypatch, FaultPlan(kill=(1, 3)))
+        state, steps, recovery = _correction_run("pipe")
+        _assert_same_state(state, ref_state)
+        assert steps == ref_steps
+        assert recovery.recoveries == 1
+
+    @pytest.mark.parametrize("new_vertex", [False, True])
+    def test_failed_repair_leaves_state_alone(self, new_vertex, monkeypatch):
+        """Without fault tolerance a killed worker fails the repair, and
+        the caller's graph and state are exactly as they were."""
+        graph, state, batch = _correction_inputs()
+        if not new_vertex:
+            batch = EditBatch.build(
+                insertions=[e for e in batch.insertions if 90 not in e],
+                deletions=batch.deletions,
+            )
+        before = {name: getattr(state, name).copy() for name in CORRECTION_FIELDS}
+        receivers = state.to_label_state().receivers
+        edges, vertices = set(graph.edges()), set(graph.vertices())
+        _inject(monkeypatch, FaultPlan(kill=(1, 2)))
+        with pytest.raises(WorkerCrashedError):
+            run_distributed_update(
+                graph, state, batch, seed=SEED,
+                config=ExecutionConfig(num_workers=2, multiprocess=True),
+            )
+        for name, array in before.items():
+            assert np.array_equal(getattr(state, name), array), name
+        assert state.to_label_state().receivers == receivers
+        assert set(graph.edges()) == edges and set(graph.vertices()) == vertices
+
+
+# ----------------------------------------------------------------------
 # The other fault kinds
 # ----------------------------------------------------------------------
 class TestFaultKinds:
@@ -289,9 +421,7 @@ class TestFaultKinds:
         ) as engine:
             engine.run()
             os.kill(engine._processes[0].pid, signal.SIGKILL)
-            memories = {}
-            for result in engine.collect():
-                memories.update(result)
+            memories = _memories(shards, engine.collect())
             assert engine.recovery.recoveries == 1
         _assert_identical(memories, ref_memories)
 

@@ -12,11 +12,17 @@ import signal
 from collections import Counter
 from functools import partial
 
+import numpy as np
 import pytest
 
-from oracles.tuple_plane import SLPAPropagationProgram, run_programs
+from oracles.tuple_plane import SLPAPropagationProgram, run_programs, run_update
+from repro.api.config import ExecutionConfig
 from repro.baselines.slpa import SLPA
+from repro.core.fast import FastPropagator
+from repro.core.incremental_fast import FastCorrectionPropagator
 from repro.core.rslpa import ReferencePropagator
+from repro.distributed.cluster import run_distributed_update
+from repro.distributed.engine_array import gather_columns
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
@@ -24,8 +30,18 @@ from repro.distributed.programs_array import (
 )
 from repro.distributed.transport import WorkerCrashedError
 from repro.distributed.worker import build_csr_shards
-from repro.graph.generators import ring_of_cliques
+from repro.graph.adjacency import Graph
+from repro.graph.edits import EditBatch
+from repro.graph.generators import erdos_renyi, ring_of_cliques
 from repro.graph.partition import ContiguousPartitioner, HashPartitioner
+from repro.workloads.dynamic import random_edit_batch
+
+
+def _per_vertex(shards, results, name):
+    """The gathered ``name`` columns as ``vertex -> list`` (the sequential
+    engines' dict form)."""
+    ids, columns = gather_columns(shards, results)
+    return dict(zip(ids.tolist(), columns[name].T.tolist()))
 
 
 @pytest.fixture
@@ -42,12 +58,9 @@ class TestMultiprocessRSLPA:
         with MultiprocessBSPEngine(shards, part, factory) as engine:
             engine.run()
             results = engine.collect()
-        merged = {}
-        for result in results:
-            merged.update(result)
         ref = ReferencePropagator(graph.copy(), seed=5)
         ref.propagate(15)
-        assert {v: lab for v, (lab, _s, _p) in merged.items()} == ref.state.labels
+        assert _per_vertex(shards, results, "labels") == ref.state.labels
 
     def test_stats_match_in_process_engine(self, small_setup):
         graph, part, shards = small_setup
@@ -64,12 +77,9 @@ class TestMultiprocessSLPA:
         with MultiprocessBSPEngine(shards, part, factory) as engine:
             engine.run()
             results = engine.collect()
-        merged = {}
-        for result in results:
-            merged.update(result)
         ref = SLPA(graph.copy(), seed=2, iterations=12)
         ref.propagate()
-        assert merged == ref.memories
+        assert _per_vertex(shards, results, "memory") == ref.memories
 
 
 class TestLifecycle:
@@ -162,9 +172,7 @@ class TestTransportMatrix:
         ) as engine:
             stats = engine.run()
             results = engine.collect()
-        memories = {}
-        for result in results:
-            memories.update(result)
+        memories = _per_vertex(shards, results, "memory")
 
         assert memories == ref_memories
         assert _cover_from_memories(memories) == _cover_from_memories(ref_memories)
@@ -193,9 +201,7 @@ class TestTransportSmoke:
         ) as engine:
             stats = engine.run()
             results = engine.collect()
-        memories = {}
-        for result in results:
-            memories.update(result)
+        memories = _per_vertex(shards, results, "memory")
         assert memories == ref_memories
         assert stats.per_superstep == ref_steps
 
@@ -214,9 +220,7 @@ class TestTransportSmoke:
         ) as engine:
             engine.run()
             results = engine.collect()
-        memories = {}
-        for result in results:
-            memories.update(result)
+        memories = _per_vertex(shards, results, "memory")
         assert memories == ref_memories
         assert _shm_segments() <= before
 
@@ -260,3 +264,86 @@ class TestWorkerCrash:
                 os.kill(engine._processes[0].pid, signal.SIGKILL)
                 engine.run()
         assert _shm_segments() <= before
+
+
+# ----------------------------------------------------------------------
+# Correction Propagation on real processes: transport × partitioner × ids
+# ----------------------------------------------------------------------
+STATE_FIELDS = ("ids", "alive", "labels", "srcs", "poss", "epochs")
+
+
+def _correction_graph(ids):
+    """A sparse random graph; ``sparse`` maps ``v`` to ``5v - 23``, so the
+    ids have gaps and run negative without ever hitting -1."""
+    graph = erdos_renyi(50, 0.08, seed=17)
+    if ids == "dense":
+        return graph
+    return Graph.from_edges(
+        [(5 * u - 23, 5 * v - 23) for u, v in graph.edges()],
+        vertices=[5 * v - 23 for v in graph.vertices()],
+    )
+
+
+class TestCorrectionTransportMatrix:
+    """``run_distributed_update`` with ``multiprocess=True`` equals the
+    local array corrector after every batch, and its per-superstep
+    CommStats equal the in-process run's and the tuple oracle's."""
+
+    @pytest.mark.parametrize("ids", ["dense", "sparse"])
+    @pytest.mark.parametrize("partitioner", ["hash", "range"])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_matches_local_corrector(self, transport, partitioner, ids):
+        graph = _correction_graph(ids)
+        if partitioner == "hash":
+            part = HashPartitioner(3)
+        else:
+            part = ContiguousPartitioner(3, max(graph.vertices()) + 1)
+        fits = []
+        for _ in range(3):
+            g = graph.copy()
+            fit = FastPropagator(g, seed=3)
+            fit.propagate(12)
+            fits.append((g, fit))
+        local = FastCorrectionPropagator.from_fast_propagator(fits[0][1], fits[0][0])
+        mp_graph, mp_state = fits[1][0], fits[1][1].to_array_state()
+        in_graph, in_state = fits[2][0], fits[2][1].to_array_state()
+        oracle_graph = graph.copy()
+        oracle_state = fits[2][1].to_label_state()
+        for epoch in range(1, 5):
+            # Vertex 500 (2477 sparse) is new in batch 2: a column is born.
+            batch = random_edit_batch(local.graph, 6, seed=epoch)
+            if epoch == 2:
+                new = 500 if ids == "dense" else 5 * 500 - 23
+                batch = EditBatch.build(
+                    insertions=set(batch.insertions)
+                    | {(new, min(graph.vertices()))},
+                    deletions=batch.deletions,
+                )
+            local.apply_batch(batch)
+            config = ExecutionConfig(num_workers=3, partitioner=part)
+            mp_graph, mp_state, mp_stats = run_distributed_update(
+                mp_graph, mp_state, batch, seed=3, batch_epoch=epoch,
+                config=ExecutionConfig(
+                    num_workers=3, partitioner=part, multiprocess=True,
+                    transport=transport,
+                ),
+            )
+            in_graph, in_state, in_stats = run_distributed_update(
+                in_graph, in_state, batch, seed=3, batch_epoch=epoch,
+                config=config,
+            )
+            oracle_graph, oracle_state, oracle_stats = run_update(
+                oracle_graph, oracle_state, batch, 3, epoch, part
+            )
+            for name in STATE_FIELDS:
+                assert np.array_equal(
+                    getattr(mp_state, name), getattr(local.state, name)
+                ), (name, epoch)
+            assert (
+                mp_state.to_label_state().receivers
+                == local.state.to_label_state().receivers
+            )
+            assert mp_state.to_label_state().labels == oracle_state.labels
+            mp_state.validate(mp_graph)
+            assert mp_stats.per_superstep == in_stats.per_superstep
+            assert mp_stats.per_superstep == oracle_stats.per_superstep

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.slpa import SLPA
 from repro.core.incremental import CorrectionPropagator
+from repro.core.labels_array import ArrayLabelState
 from repro.core.rslpa import ReferencePropagator
 from repro.distributed.cluster import (
     run_distributed_rslpa,
@@ -107,12 +108,14 @@ class TestDistributedCorrection:
         ref = ReferencePropagator(g, seed=7)
         ref.propagate(25)
         _, dist_state, stats = run_distributed_update(
-            g, ref.state, batch, seed=7, batch_epoch=1, num_workers=workers
+            g, ArrayLabelState.from_label_state(ref.state), batch, seed=7,
+            batch_epoch=1, num_workers=workers,
         )
+        dist_state.validate(g)
+        dist_state = dist_state.to_label_state()
         assert dist_state.labels == seq_state.labels
         assert dist_state.srcs == seq_state.srcs
         assert dist_state.poss == seq_state.poss
-        dist_state.validate(g)
         assert stats.total_messages > 0 or workers == 1
 
     def test_repeated_batches_match_sequential(self, sparse_random):
@@ -124,7 +127,7 @@ class TestDistributedCorrection:
         dist_graph = sparse_random.copy()
         ref_dist = ReferencePropagator(dist_graph, seed=3)
         ref_dist.propagate(20)
-        dist_state = ref_dist.state
+        dist_state = ArrayLabelState.from_label_state(ref_dist.state)
 
         for epoch in range(1, 4):
             batch = random_edit_batch(seq_graph, 6, seed=epoch)
@@ -133,7 +136,7 @@ class TestDistributedCorrection:
                 dist_graph, dist_state, batch, seed=3,
                 batch_epoch=epoch, num_workers=3,
             )
-            assert dist_state.labels == seq_corrector.state.labels
+            assert dist_state.to_label_state().labels == seq_corrector.state.labels
 
     def test_new_vertex_through_distributed_update(self, cliques_ring):
         batch = EditBatch.build(insertions=[(100, 0), (100, 7)])
@@ -143,9 +146,10 @@ class TestDistributedCorrection:
         ref = ReferencePropagator(g, seed=5)
         ref.propagate(20)
         _, dist_state, _ = run_distributed_update(
-            g, ref.state, batch, seed=5, batch_epoch=1, num_workers=3
+            g, ArrayLabelState.from_label_state(ref.state), batch, seed=5,
+            batch_epoch=1, num_workers=3,
         )
-        assert dist_state.labels[100] == seq_state.labels[100]
+        assert dist_state.to_label_state().labels[100] == seq_state.labels[100]
 
     def test_message_volume_scales_with_batch_size(self, cliques_ring):
         def volume(batch_size):
@@ -154,7 +158,8 @@ class TestDistributedCorrection:
             ref.propagate(25)
             batch = random_edit_batch(g, batch_size, seed=1)
             _, _, stats = run_distributed_update(
-                g, ref.state, batch, seed=11, batch_epoch=1, num_workers=3
+                g, ArrayLabelState.from_label_state(ref.state), batch,
+                seed=11, batch_epoch=1, num_workers=3,
             )
             return stats.total_messages
 

@@ -14,6 +14,7 @@ third batch of a specific seed).
 import pytest
 
 from repro.core.incremental import CorrectionPropagator
+from repro.core.labels_array import ArrayLabelState
 from repro.core.rslpa import ReferencePropagator
 from repro.distributed.cluster import run_distributed_update
 from repro.graph.generators import erdos_renyi, ring_of_cliques
@@ -29,7 +30,9 @@ def paired_setup(graph, seed, iterations):
     dist_graph = graph.copy()
     ref_dist = ReferencePropagator(dist_graph, seed=seed)
     ref_dist.propagate(iterations)
-    return corrector, seq_graph, dist_graph, ref_dist.state
+    return corrector, seq_graph, dist_graph, ArrayLabelState.from_label_state(
+        ref_dist.state
+    )
 
 
 class TestLongBatchSequences:
@@ -48,10 +51,11 @@ class TestLongBatchSequences:
                 dist_graph, dist_state, batch, seed=3,
                 batch_epoch=epoch, num_workers=workers,
             )
-            assert dist_state.labels == corrector.state.labels, (
+            exported = dist_state.to_label_state()
+            assert exported.labels == corrector.state.labels, (
                 f"diverged at epoch {epoch} with {workers} workers"
             )
-            assert dist_state.epochs == corrector.state.epochs
+            assert exported.epochs == corrector.state.epochs
         dist_state.validate(dist_graph)
 
     def test_large_batches_on_dense_structure(self):
@@ -67,8 +71,8 @@ class TestLongBatchSequences:
                 dist_graph, dist_state, batch, seed=13,
                 batch_epoch=epoch, num_workers=3,
             )
-            assert dist_state.labels == corrector.state.labels
-        assert dist_state.receivers == corrector.state.receivers
+            assert dist_state.to_label_state().labels == corrector.state.labels
+        assert dist_state.to_label_state().receivers == corrector.state.receivers
 
     def test_alternating_grow_shrink(self):
         """Insert-heavy then delete-heavy batches exercise both category-3
@@ -89,5 +93,5 @@ class TestLongBatchSequences:
                 dist_graph, dist_state, batch, seed=7,
                 batch_epoch=epoch, num_workers=4,
             )
-            assert dist_state.labels == corrector.state.labels
+            assert dist_state.to_label_state().labels == corrector.state.labels
             dist_state.validate(dist_graph)

@@ -1,4 +1,5 @@
-"""Smoke tests: every example script must run cleanly end to end."""
+"""Smoke tests: every example script, and the README's Observability
+snippet, must run cleanly end to end."""
 
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 SCRIPTS = [
     "quickstart.py",
@@ -31,3 +33,21 @@ def test_example_runs(script):
         f"stderr:\n{result.stderr[-2000:]}"
     )
     assert result.stdout.strip(), f"{script} produced no output"
+
+
+def _readme_python_block(heading):
+    """The first ``python`` code block after ``heading`` in README.md."""
+    with open(README, encoding="utf-8") as handle:
+        section = handle.read().split(heading + "\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_observability_snippet_runs(tmp_path, monkeypatch):
+    from repro.graph.generators import ring_of_cliques
+
+    monkeypatch.chdir(tmp_path)
+    exec(
+        _readme_python_block("## Observability"),
+        {"graph": ring_of_cliques(4, 5)},
+    )
+    assert (tmp_path / "run.trace.json").is_file()

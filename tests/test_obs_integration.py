@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import AlgoConfig, ExecutionConfig
 from repro.api.run import run_distributed
+from repro.distributed.engine_array import gather_columns
 from repro.distributed.faults import FaultPlan
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import FastSLPAPropagationProgram
@@ -75,10 +76,8 @@ def _multiprocess_run(traced, fault_plan=None):
         obs=obs,
     ) as engine:
         stats = engine.run()
-        memories = {}
-        for result in engine.collect():
-            memories.update(result)
-    return memories, stats
+        ids, columns = gather_columns(shards, engine.collect())
+    return dict(zip(ids.tolist(), columns["memory"].T.tolist())), stats
 
 
 class TestMultiprocessTracing:
@@ -134,6 +133,26 @@ class TestMultiprocessTracing:
             assert eq.all() if hasattr(eq, "all") else eq
         assert _step_tuples(stats) == _step_tuples(ref_stats)
 
+    def test_traced_multiprocess_fit_attributes_result_assembly(self):
+        """A traced multiprocess run_distributed_rslpa records the driver's
+        gather of the workers' columns as one ``cluster.gather`` span."""
+        from repro.distributed.cluster import run_distributed_rslpa
+
+        traced, stats = run_distributed_rslpa(
+            ring_of_cliques(3, 5), seed=SEED, iterations=ITERATIONS,
+            config=ExecutionConfig(num_workers=2, multiprocess=True, trace=True),
+        )
+        totals = stats.obs.result().phase_totals()
+        assert SUPERSTEP_PHASES <= set(totals)
+        assert "cluster.gather" in totals
+        gathers = [s for s in stats.obs.result().spans if s.name == "cluster.gather"]
+        assert [s.worker for s in gathers] == [DRIVER]
+        plain, _ = run_distributed_rslpa(
+            ring_of_cliques(3, 5), seed=SEED, iterations=ITERATIONS,
+            config=ExecutionConfig(num_workers=2, multiprocess=True),
+        )
+        assert (traced.labels == plain.labels).all()
+
     def test_failure_free_trace_has_no_recovery_spans(self):
         _memories, stats = _multiprocess_run(traced=True)
         names = {span.name for span in stats.obs.result().spans}
@@ -161,6 +180,7 @@ class TestInProcessTracing:
         assert result is not None
         names = {span.name for span in result.spans}
         assert {"engine.compute", "engine.route"} <= names
+        assert "cluster.gather" in result.phase_totals()  # result assembly
         assert set(result.workers()) >= {DRIVER, 0, 1, 2}
         assert "plan" in result.meta and "timings" in result.meta
 

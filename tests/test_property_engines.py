@@ -14,13 +14,16 @@ bit-for-bit:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles.tuple_plane import RSLPAPropagationProgram, run_programs
+from oracles.tuple_plane import (
+    RSLPAPropagationProgram,
+    merge_collected_rslpa_state,
+    run_programs,
+)
 from repro.baselines.slpa import SLPA
 from repro.baselines.slpa_fast import FastSLPA
 from repro.core.fast import FastPropagator
 from repro.core.rslpa import ReferencePropagator
 from repro.distributed.cluster import (
-    _merge_collected_rslpa_state,
     run_distributed_rslpa,
     run_distributed_slpa,
 )
@@ -94,7 +97,7 @@ class TestRSLPAEngines:
             RSLPAPropagationProgram, build_csr_shards(graph, part), part,
             seed=seed, iterations=8,
         )
-        ref_state = _merge_collected_rslpa_state(collected, 8)
+        ref_state = merge_collected_rslpa_state(collected, 8)
         arr_state, arr_stats = run_distributed_rslpa(
             graph.copy(), seed=seed, iterations=8, num_workers=workers,
         )
