@@ -343,11 +343,7 @@ class RSLPADetector:
         self._require_fitted()
         if self._postprocess_cache is None:
             state = self._corrector.state
-            sequences = (
-                state.sequences_dict()
-                if isinstance(state, ArrayLabelState)
-                else state.labels
-            )
+            sequences = state if isinstance(state, ArrayLabelState) else state.labels
             self._postprocess_cache = extract_communities(
                 self.graph, sequences, step=self.tau_step
             )

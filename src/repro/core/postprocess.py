@@ -13,28 +13,45 @@ instead of SLPA's per-vertex thresholding:
    remaining isolated vertex to the communities of its strong neighbours —
    attachment to several communities is what creates *overlap*.
 
-The τ1 sweep is implemented with a union-find that adds edges in descending
-weight order and maintains the size histogram / entropy incrementally, so
-sweeping the full candidate grid costs ``O(E α(V) + #steps)``.
+Every stage runs on arrays over one canonical edge order, the ascending
+``(u, v)`` id pairs with ``u < v`` — the upper triangle of
+:func:`repro.graph.csr.snapshot_with_ids` (see :class:`WeightedEdges`) — so
+the result depends only on the graph's content, never on the order its
+edges were inserted in.
+
+The τ1 sweep adds edges in the stable descending-weight order to a
+union-find that maintains the size histogram / entropy incrementally.  Only
+the unions that succeed change the entropy, and those are exactly the
+maximum spanning forest for that order (Kruskal's algorithm), so the sweep
+finds the forest once, with a vectorised Borůvka that breaks ties by edge
+rank, and replays its ≤ n−1 edges: the same unions, hence the same floats,
+as a pass over every edge.  The strong components are the forest's prefix
+at τ1, and the weak attachment is one mask over the directed edges.  Past
+the ``O(m log m)`` sort, per-element Python runs only over the forest
+unions and the τ1 grid.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
-
-import math
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.communities import Cover
+from repro.core.labels_array import ArrayLabelState
 from repro.graph.adjacency import Graph
+from repro.graph.csr import snapshot_with_ids
+from repro.metrics.entropy import size_entropy_from_sizes
 from repro.utils.validation import check_positive
 
 __all__ = [
     "sequence_similarity",
+    "WeightedEdges",
     "edge_weights",
     "weak_threshold",
     "DisjointSetEntropy",
@@ -44,7 +61,8 @@ __all__ = [
     "PostprocessResult",
 ]
 
-Edge = Tuple[int, int]
+#: Label sequences: a live array state, or vertex -> sequence (any lengths).
+Sequences = Union[ArrayLabelState, Mapping[int, Sequence[int]]]
 
 
 def sequence_similarity(seq_a: Sequence[int], seq_b: Sequence[int]) -> float:
@@ -63,131 +81,213 @@ def sequence_similarity(seq_a: Sequence[int], seq_b: Sequence[int]) -> float:
     return hits / (len(seq_a) * len(seq_b))
 
 
-def edge_weights(
-    graph: Graph, sequences: Mapping[int, Sequence[int]]
-) -> Dict[Edge, float]:
-    """Similarity weight for every edge of ``graph``, keyed in ``graph.edges()`` order.
+@dataclass(frozen=True, eq=False)
+class WeightedEdges:
+    """A graph's edges in the canonical order, with their weights.
 
-    ``sequences`` maps vertex -> label sequence of ints (e.g.
+    Row ``r`` is the vertex ``ids[r]`` (ids ascending); edge ``e`` joins the
+    rows ``u[e] < v[e]``, edges are sorted by ``(u, v)``, and ``weights[e]``
+    is its float64 weight.
+    """
+
+    ids: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.ids)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The ``(m, 2)`` int64 id pairs, ascending."""
+        return np.column_stack((self.ids[self.u], self.ids[self.v]))
+
+    @cached_property
+    def forest(self) -> np.ndarray:
+        """The maximum spanning forest for the stable descending-weight order.
+
+        Edge indices of the unions Kruskal's algorithm makes when it takes
+        the edges in that order (ties by canonical position), in the order
+        it makes them; computed on first use.
+        """
+        order = np.argsort(-self.weights, kind="stable")
+        return order[_kruskal_forest(self.num_vertices, self.u[order], self.v[order])]
+
+
+def edge_weights(graph: Graph, sequences: Sequences) -> WeightedEdges:
+    """Every edge of ``graph`` in the canonical order, weighted ``P(l_u = l_v)``.
+
+    ``sequences`` is an :class:`~repro.core.labels_array.ArrayLabelState`,
+    whose ``(T+1, n)`` label matrix is read directly, or maps every vertex
+    to a non-empty label sequence of any length (e.g.
     ``LabelState.labels``).  Each weight is the integer collision count
     ``hits_uv = sum_l c_u(l) * c_v(l)`` divided by ``len_u * len_v`` in
     float64: the same correctly rounded division of the same integers as
     :func:`sequence_similarity`, so the floats are identical.  The counts
-    come from one run-length encoding per vertex and a vectorised merge
-    over all edges at once (:func:`_collision_counts`).
+    come from one dense label-count table per chunk of rows, gathered for
+    all edges at once (:func:`_collision_counts`).
     """
-    vertices = list(graph.vertices())
-    seqs = []
-    for v in vertices:
-        seq = sequences[v]
-        if not seq:
-            raise ValueError(f"vertex {v} has an empty label sequence")
-        seqs.append(seq)
-    edges = list(graph.edges())
-    if not edges:
-        return {}
+    csr, ids = snapshot_with_ids(graph)
+    n = csr.num_vertices
+    if ids is None:
+        ids = np.arange(n, dtype=np.int64)
+    flat, lengths = _sequences_of(sequences, ids)
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    upper = csr.indices > row
+    u, v = row[upper], csr.indices[upper]
+    if not u.size:
+        return WeightedEdges(ids, u, v, np.empty(0))
+    hits = _collision_counts(*_label_codes(flat, lengths), u, v)
+    return WeightedEdges(ids, u, v, hits / (lengths[u] * lengths[v]))
+
+
+def _sequences_of(
+    sequences: Sequences, ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The label sequences of the vertices ``ids``, concatenated in that
+    order, and their lengths."""
+    if isinstance(sequences, ArrayLabelState):
+        cols = sequences.columns(ids)
+        if not sequences.alive[cols].all():
+            raise KeyError("the label state has dropped a vertex of the graph")
+        matrix = sequences.labels[:, cols]
+        lengths = np.full(len(ids), matrix.shape[0], dtype=np.int64)
+        return matrix.T.ravel(), lengths
+    seqs = [sequences[v] for v in ids.tolist()]
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    row_u, row_v = _edge_rows(vertices, edges)
-    hits = _collision_counts(*_label_runs(seqs, lengths), row_u, row_v)
-    weights = hits / (lengths[row_u] * lengths[row_v])
-    del hits, row_u, row_v  # free the work arrays before the dict is built
-    return dict(zip(edges, weights.tolist()))
-
-
-def _edge_rows(vertices: List[int], edges: List[Edge]) -> Tuple[np.ndarray, np.ndarray]:
-    """Position in ``vertices`` of each edge's two ends (any int ids)."""
-    ids = np.fromiter(vertices, dtype=np.int64, count=len(vertices))
-    order = np.argsort(ids)
-    ends = np.fromiter(
-        chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
-    )
-    rows = order[np.searchsorted(ids[order], ends)]
-    return rows[0::2], rows[1::2]
-
-
-def _label_runs(
-    seqs: List[Sequence[int]], lengths: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Each sequence, sorted and run-length encoded into one padded row.
-
-    Row ``r`` holds the distinct labels of ``seqs[r]`` in ascending order
-    beside their multiplicities, then at least one ``sentinel`` label
-    (above every label) with count 0.  Labels are replaced by their rank
-    among all labels, so both tables fit int32.
-    """
-    n = len(seqs)
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        raise ValueError(f"vertex {ids[empty[0]]} has an empty label sequence")
     flat = np.fromiter(
         chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum())
     )
+    return flat, lengths
+
+
+def _label_codes(flat: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, int]:
+    """The sequences as one row of label codes per vertex, and the code count.
+
+    ``flat`` holds the sequences back to back, ``lengths`` their lengths.
+    Codes ``0..num_labels-1`` are the ranks of the distinct labels, and
+    rows shorter than the longest are padded with ``num_labels``.
+    """
     distinct, codes = np.unique(flat, return_inverse=True)
-    sentinel = distinct.size
-    width = int(lengths.max()) + 1
-    grid = np.full((n, width), sentinel, dtype=np.int32)
+    num_labels = distinct.size
+    width = int(lengths.max())
+    grid = np.full((len(lengths), width), num_labels, dtype=np.int64)
     grid[np.arange(width) < lengths[:, None]] = codes  # row-major, like codes
-    grid.sort(axis=1)
-    # Run index of every cell: a run starts wherever the label changes.
-    rank = np.zeros(grid.shape, dtype=np.int32)
-    rank[:, 1:] = grid[:, 1:] != grid[:, :-1]
-    np.cumsum(rank, axis=1, out=rank)
-    runs = int(rank[:, -1].max()) + 1
-    cell = rank + (np.arange(n) * runs)[:, None]
-    labels = np.full(n * runs, sentinel, dtype=np.int32)
-    labels[cell] = grid
-    counts = np.bincount(cell.ravel(), minlength=n * runs).astype(np.int32)
-    counts[labels == sentinel] = 0
-    return labels.reshape(n, runs), counts.reshape(n, runs), sentinel
+    return grid, num_labels
 
 
 def _collision_counts(
-    labels: np.ndarray,
-    counts: np.ndarray,
-    sentinel: int,
-    row_u: np.ndarray,
-    row_v: np.ndarray,
+    codes: np.ndarray, num_labels: int, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """``sum_l c_u(l) * c_v(l)`` for every edge ``(row_u[e], row_v[e])``.
+    """``sum_l c_u(l) * c_v(l)`` for every edge ``(u[e], v[e])``, ``u`` ascending.
 
-    A sorted merge of the two run rows of every edge at once: one cursor
-    per row, the lower label advances (both on a match), and an edge drops
-    out once either cursor reaches its row's sentinel.  With rows of at
-    most ``R`` runs this takes at most ``2R`` vectorised steps.
+    ``codes`` is :func:`_label_codes`' padded matrix.  The sum equals
+    ``sum_j c_u(L_v[j])`` over the slots ``j`` of ``v``, so each chunk of
+    edges writes the label counts of its rows ``u`` into a dense
+    ``(rows, num_labels + 1)`` table (the padding column stays 0) and sums,
+    per edge, the table cells of ``u`` at ``v``'s codes.  Chunks keep the
+    table and the gathered cells within ``max(2**18, codes.size)`` entries.
     """
-    runs = labels.shape[1]
-    labels, counts = labels.ravel(), counts.ravel()
-    cur_u, cur_v = row_u * runs, row_v * runs
-    edge = np.arange(row_u.size)
-    hits = np.zeros(row_u.size, dtype=np.int64)
-    while edge.size:
-        a, b = labels[cur_u], labels[cur_v]
-        live = (a != sentinel) & (b != sentinel)
-        if not live.all():
-            edge, cur_u, cur_v, a, b = (
-                edge[live], cur_u[live], cur_v[live], a[live], b[live]
-            )
-        match = np.flatnonzero(a == b)
-        hits[edge[match]] += (
-            counts[cur_u[match]].astype(np.int64) * counts[cur_v[match]]
-        )
-        cur_u += a <= b
-        cur_v += a >= b
+    n, width = codes.shape
+    stride = num_labels + 1
+    # Multiplicity of every slot's label within its row (0 for padding).
+    ordered = np.sort(codes, axis=1)
+    start = np.ones(ordered.shape, dtype=bool)
+    start[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    run = np.cumsum(start.ravel()) - 1
+    count = np.bincount(run)[run].reshape(ordered.shape)
+    count[ordered == num_labels] = 0
+    budget = max(1 << 18, codes.size)
+    max_rows, max_edges = max(1, budget // stride), max(1, budget // width)
+    table = np.zeros(min(n, max_rows) * stride, dtype=np.int64)
+    hits = np.empty(u.size, dtype=np.int64)
+    e0 = 0
+    while e0 < u.size:
+        r0 = int(u[e0])
+        e1 = min(int(np.searchsorted(u, r0 + max_rows)), e0 + max_edges)
+        r1 = int(u[e1 - 1]) + 1
+        cells = (np.arange(r1 - r0) * stride)[:, None] + ordered[r0:r1]
+        table[cells] = count[r0:r1]
+        at = ((u[e0:e1] - r0) * stride)[:, None] + ordered[v[e0:e1]]
+        hits[e0:e1] = table[at].sum(axis=1)
+        table[cells] = 0
+        e0 = e1
     return hits
 
 
-def weak_threshold(graph: Graph, weights: Mapping[Edge, float]) -> float:
+def weak_threshold(edges: WeightedEdges) -> float:
     """``τ2 = min_i max_j w_ij`` (Eq. 2) over vertices with neighbours.
 
     Degree-0 vertices have no incident weight and are excluded (they can
     never be attached anyway).  Returns 0.0 for an edgeless graph.
     """
-    best_per_vertex: Dict[int, float] = {}
-    for (u, v), w in weights.items():
-        if w > best_per_vertex.get(u, -1.0):
-            best_per_vertex[u] = w
-        if w > best_per_vertex.get(v, -1.0):
-            best_per_vertex[v] = w
-    if not best_per_vertex:
+    if not edges.weights.size:
         return 0.0
-    return min(best_per_vertex.values())
+    best = np.full(edges.num_vertices, -1.0)
+    np.maximum.at(best, edges.u, edges.weights)
+    np.maximum.at(best, edges.v, edges.weights)
+    return float(best[best >= 0.0].min())
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest row of every row's connected component over the edges
+    ``(u[i], v[i])`` on rows ``0..n-1``.
+
+    Min-label hooking with pointer jumping: each round hooks every tree
+    root onto the smallest root an edge joins it to, then flattens the
+    trees.  Labels only fall, and an edge inside one tree stays inside it,
+    so each round keeps only the edges that still join two trees.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while u.size:
+        lu, lv = label[u], label[v]
+        join = lu != lv
+        if not join.any():
+            break
+        u, v, lu, lv = u[join], v[join], lu[join], lv[join]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return label
+
+
+def _kruskal_forest(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Positions, ascending, of the edges Kruskal's algorithm keeps when it
+    takes the edges ``(u[i], v[i])`` on rows ``0..n-1`` in position order.
+
+    A vectorised Borůvka with the position as the (distinct) edge weight:
+    each round every component picks its lowest-position edge to another
+    component — an edge of the unique minimum spanning forest, by the cut
+    property — and the picked edges merge the components, so at most
+    ``log2(n)`` rounds run.
+    """
+    comp = np.arange(n, dtype=np.int64)
+    pos = np.arange(u.size, dtype=np.int64)
+    none = u.size
+    picked = []
+    while pos.size:
+        cu, cv = comp[u[pos]], comp[v[pos]]
+        cross = cu != cv
+        pos, cu, cv = pos[cross], cu[cross], cv[cross]
+        if not pos.size:
+            break
+        best = np.full(n, none, dtype=np.int64)
+        np.minimum.at(best, cu, pos)
+        np.minimum.at(best, cv, pos)
+        chosen = np.unique(best[best < none])
+        picked.append(chosen)
+        comp = _components(n, comp[u[chosen]], comp[v[chosen]])[comp]
+    if not picked:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(np.concatenate(picked))
 
 
 class DisjointSetEntropy:
@@ -198,10 +298,10 @@ class DisjointSetEntropy:
     unions: O(1) updates on top of near-O(1) DSU finds.
     """
 
-    def __init__(self, vertices: Iterable[int], num_vertices: Optional[int] = None):
+    def __init__(self, vertices: Iterable[int]):
         self.parent: Dict[int, int] = {v: v for v in vertices}
         self.size: Dict[int, int] = {v: 1 for v in self.parent}
-        self.n = num_vertices if num_vertices is not None else len(self.parent)
+        self.n = len(self.parent)
         check_positive(self.n, "num_vertices")
         self.entropy = 0.0
         self.num_components = len(self.parent)  # including singletons
@@ -234,53 +334,54 @@ class DisjointSetEntropy:
         self.num_components -= 1
         return True
 
-    def components(self, min_size: int = 1) -> List[Set[int]]:
-        """Materialise all components with at least ``min_size`` members."""
-        groups: Dict[int, Set[int]] = {}
-        for v in self.parent:
-            groups.setdefault(self.find(v), set()).add(v)
-        return [g for g in groups.values() if len(g) >= min_size]
 
-
-@dataclass
+@dataclass(eq=False)
 class PostprocessResult:
     """Everything the post-processing stage decided.
 
-    ``entropy_curve`` holds the swept (τ1 candidate, entropy) pairs so the
-    τ-selection ablation can plot the landscape.
+    ``edges`` holds the graph's edges as ascending ``(u, v)`` id pairs (an
+    ``(m, 2)`` int64 array) and ``weights`` their float64 weights, aligned
+    with it.  ``entropy_curve`` holds the swept (τ1 candidate, entropy)
+    pairs so the τ-selection ablation can plot the landscape.
     """
 
     cover: Cover
     tau1: float
     tau2: float
     entropy: float
-    weights: Dict[Edge, float] = field(repr=False, default_factory=dict)
+    edges: np.ndarray = field(
+        repr=False, default_factory=lambda: np.empty((0, 2), dtype=np.int64)
+    )
+    weights: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
     entropy_curve: List[Tuple[float, float]] = field(repr=False, default_factory=list)
     num_strong_communities: int = 0
     num_attached_vertices: int = 0
 
 
 def sweep_tau1(
-    graph: Graph,
-    weights: Mapping[Edge, float],
+    edges: WeightedEdges,
     tau2: float,
     step: float = 0.001,
 ) -> Tuple[float, float, List[Tuple[float, float]]]:
     """Find ``argmax_τ1 entropy`` over the grid ``[τ2, max w]`` (Eq. 1).
 
-    Scans thresholds *descending* while adding edges of weight >= τ to a
-    DSU, so the whole sweep performs each union exactly once.  Returns
-    ``(tau1, best_entropy, curve)``; ties prefer the **larger** τ1 (finer
-    communities carry at least as much information).
+    Scans thresholds *descending* while adding the edges of weight >= τ to
+    a DSU in the stable descending-weight order; only the spanning-forest
+    edges (:attr:`WeightedEdges.forest`) can merge, so only they are
+    replayed, each union exactly once.  Returns ``(tau1, best_entropy,
+    curve)``; ties prefer the **larger** τ1 (finer communities carry at
+    least as much information).
     """
     check_positive(step, "step")
-    if not weights:
+    if not edges.weights.size:
         return tau2, 0.0, []
-    sorted_edges = sorted(weights.items(), key=lambda kv: -kv[1])
-    max_w = sorted_edges[0][1]
+    forest = edges.forest
+    weights = edges.weights[forest].tolist()
+    max_w = weights[0]  # the heaviest edge is always the forest's first
     if max_w < tau2:
         return tau2, 0.0, []
-    dsu = DisjointSetEntropy(graph.vertices(), graph.num_vertices)
+    us, vs = edges.u[forest].tolist(), edges.v[forest].tolist()
+    dsu = DisjointSetEntropy(range(edges.num_vertices))
 
     # Descending grid: max_w, max_w - step, ..., down to tau2 inclusive.
     num_steps = max(0, int(math.floor((max_w - tau2) / step + 1e-9)))
@@ -292,9 +393,8 @@ def sweep_tau1(
     best_tau, best_entropy = grid[0], -1.0
     edge_idx = 0
     for tau in grid:
-        while edge_idx < len(sorted_edges) and sorted_edges[edge_idx][1] >= tau - 1e-12:
-            (u, v), _w = sorted_edges[edge_idx]
-            dsu.union(u, v)
+        while edge_idx < len(weights) and weights[edge_idx] >= tau - 1e-12:
+            dsu.union(us[edge_idx], vs[edge_idx])
             edge_idx += 1
         curve.append((tau, dsu.entropy))
         if dsu.entropy > best_entropy + 1e-12:
@@ -303,90 +403,93 @@ def sweep_tau1(
 
 
 def attach_weak(
-    graph: Graph,
-    weights: Mapping[Edge, float],
-    strong_components: Sequence[Set[int]],
+    edges: WeightedEdges,
+    community: np.ndarray,
     tau2: float,
-) -> Tuple[List[Set[int]], int]:
+) -> Tuple[List[List[int]], int]:
     """The strong communities with isolated vertices attached through τ2.
 
-    Every vertex outside the strong components joins the community of each
-    strong neighbour whose edge weight reaches ``tau2`` (Eq. 2); joining
-    several is what creates overlap.  Returns the communities (one per
-    strong component, in order) and the number of vertices attached.
+    ``community[r]`` is the strong community ``0..k-1`` of row ``r``, or −1
+    outside every strong component.  Every vertex outside joins the
+    community of each strong neighbour whose edge weight reaches ``tau2``
+    (Eq. 2); joining several is what creates overlap.  Returns the member
+    ids of each community, in community order, and the number of vertices
+    attached.
     """
-    strong_members: Set[int] = set()
-    community_of: Dict[int, int] = {}
-    communities: List[Set[int]] = []
-    for cid, component in enumerate(strong_components):
-        communities.append(set(component))
-        strong_members.update(component)
-        for v in component:
-            community_of[v] = cid
+    k = int(community.max(initial=-1)) + 1
+    stride = max(k, 1)
+    reach = edges.weights >= tau2 - 1e-12
+    src = np.concatenate((edges.u, edges.v))
+    dst = np.concatenate((edges.v, edges.u))
+    joins = np.concatenate((reach, reach)) & (community[src] < 0) & (community[dst] >= 0)
+    # One key per (vertex, community) pair, deduplicated.
+    attached, cids = np.divmod(np.unique(src[joins] * stride + community[dst[joins]]), stride)
+    strong = np.flatnonzero(community >= 0)
+    rows = np.concatenate((strong, attached))
+    cids = np.concatenate((community[strong], cids))
+    members = edges.ids[rows[np.argsort(cids, kind="stable")]].tolist()
+    bounds = np.cumsum(np.bincount(cids, minlength=k)).tolist()
+    communities = [members[a:b] for a, b in zip([0] + bounds, bounds)]
+    return communities, int(np.unique(attached).size)
 
-    attached = 0
-    for v in graph.vertices():
-        if v in strong_members:
-            continue
-        targets: Set[int] = set()
-        for u in graph.neighbors_view(v):
-            if u not in strong_members:
-                continue
-            edge = (u, v) if u < v else (v, u)
-            if weights[edge] >= tau2 - 1e-12:
-                targets.add(community_of[u])
-        if targets:
-            attached += 1
-            for cid in targets:
-                communities[cid].add(v)
-    return communities, attached
+
+def _strong_communities(edges: WeightedEdges, tau1: float) -> np.ndarray:
+    """Row -> strong community (``0..k-1`` by smallest member) or −1.
+
+    The components of the τ1-filtered graph are those of the spanning
+    forest's prefix of weight >= τ1; components of one vertex are not
+    communities.
+    """
+    n = edges.num_vertices
+    forest = edges.forest
+    prefix = forest[edges.weights[forest] >= tau1 - 1e-12]
+    label = _components(n, edges.u[prefix], edges.v[prefix])
+    strong = np.bincount(label, minlength=n) >= 2
+    index = np.full(n, -1, dtype=np.int64)
+    index[strong] = np.arange(np.count_nonzero(strong))
+    return index[label]
 
 
 def extract_communities(
     graph: Graph,
-    sequences: Mapping[int, Sequence[int]],
+    sequences: Sequences,
     step: float = 0.001,
     tau1: Optional[float] = None,
     tau2: Optional[float] = None,
 ) -> PostprocessResult:
     """Full post-processing pipeline: weights -> τ2 -> τ1 sweep -> cover.
 
+    ``sequences`` is an :class:`~repro.core.labels_array.ArrayLabelState`
+    or maps each vertex to its label sequence (see :func:`edge_weights`).
     ``tau1``/``tau2`` may be pinned (for ablations); by default they follow
     Eqs. 1 and 2.  Returns a :class:`PostprocessResult` whose cover contains
     the strong components (size >= 2) with weakly-attached isolated
-    vertices merged in.
+    vertices merged in.  A graph without edges (or without vertices) gives
+    an empty cover, entropy 0.0 and, unless pinned, τ1 = τ2 = 0.0.
     """
-    weights = edge_weights(graph, sequences)
-    resolved_tau2 = weak_threshold(graph, weights) if tau2 is None else tau2
+    edges = edge_weights(graph, sequences)
+    resolved_tau2 = weak_threshold(edges) if tau2 is None else tau2
     if tau1 is None:
-        resolved_tau1, entropy, curve = sweep_tau1(graph, weights, resolved_tau2, step)
+        resolved_tau1, entropy, curve = sweep_tau1(edges, resolved_tau2, step)
     else:
         resolved_tau1, curve = tau1, []
-        entropy = float("nan")
 
     # Strong pass: components of the τ1-filtered graph.
-    dsu = DisjointSetEntropy(graph.vertices(), graph.num_vertices)
-    for (u, v), w in weights.items():
-        if w >= resolved_tau1 - 1e-12:
-            dsu.union(u, v)
-    strong_components = dsu.components(min_size=2)
+    community = _strong_communities(edges, resolved_tau1)
+    sizes = np.bincount(community[community >= 0]).tolist()
     if tau1 is not None:
-        entropy = sum(
-            -(len(c) / graph.num_vertices) * math.log(len(c) / graph.num_vertices)
-            for c in strong_components
-        )
+        entropy = size_entropy_from_sizes(sizes, edges.num_vertices) if sizes else 0.0
     # Weak pass: attach isolated vertices through τ2 (Eq. 2).
-    communities, attached = attach_weak(
-        graph, weights, strong_components, resolved_tau2
-    )
+    communities, attached = attach_weak(edges, community, resolved_tau2)
 
     return PostprocessResult(
         cover=Cover(communities),
         tau1=resolved_tau1,
         tau2=resolved_tau2,
         entropy=entropy,
-        weights=weights,
+        edges=edges.edges,
+        weights=edges.weights,
         entropy_curve=curve,
-        num_strong_communities=len(strong_components),
+        num_strong_communities=len(sizes),
         num_attached_vertices=attached,
     )

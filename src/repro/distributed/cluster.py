@@ -280,17 +280,23 @@ def run_distributed_postprocess(
     """Section III-B extraction with the CC stage on the cluster.
 
     Takes the :class:`~repro.core.labels_array.ArrayLabelState`
-    :func:`run_distributed_rslpa` returns.  Edge weights and τ2 are cheap
-    one-round aggregations (computed directly here); the
-    connected-components stage — the round-dominant part the paper
-    discusses — runs distributed, and its stats are returned.
+    :func:`run_distributed_rslpa` returns.  Edge weights, τ2 and the τ1
+    sweep are the sequential stages of :mod:`repro.core.postprocess`
+    (cheap one-round aggregations); the connected-components stage — the
+    round-dominant part the paper discusses — runs distributed on the
+    τ1-filtered graph, and its stats are returned.
     """
-    weights = edge_weights(graph, state.sequences_dict())
-    tau2 = weak_threshold(graph, weights)
-    tau1, _entropy, _curve = sweep_tau1(graph, weights, tau2, step=step)
+    edges = edge_weights(graph, state)
+    tau2 = weak_threshold(edges)
+    tau1, _entropy, _curve = sweep_tau1(edges, tau2, step=step)
+    strong_edges = edges.edges[edges.weights >= tau1 - 1e-12]
+    filtered = Graph.from_edges(strong_edges.tolist(), vertices=edges.ids.tolist())
     components, stats = distributed_connected_components(
-        graph, num_workers=num_workers, weights=weights, tau=tau1
+        filtered, num_workers=num_workers
     )
+    community = np.full(edges.num_vertices, -1, dtype=np.int64)
     strong = [c for c in components if len(c) >= 2]
-    communities, _attached = attach_weak(graph, weights, strong, tau2)
+    for cid, members in enumerate(strong):
+        community[np.searchsorted(edges.ids, list(members))] = cid
+    communities, _attached = attach_weak(edges, community, tau2)
     return Cover(communities), stats

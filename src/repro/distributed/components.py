@@ -16,14 +16,13 @@ engine:
 Vertices only re-send when their cluster changed (delta sending), so the
 engine's message-quiescence rule doubles as convergence detection.
 
-Edge filtering (``weights``/``tau``) runs the algorithm on the subgraph of
-edges with weight >= τ — exactly what the distributed post-processing needs
-without materialising the filtered graph (Section V-B2).
+The distributed post-processing runs it on the τ1-filtered graph, whose
+edges are those of weight >= τ1 (Section V-B2).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -39,8 +38,6 @@ from repro.graph.adjacency import Graph
 from repro.graph.partition import HashPartitioner, Partitioner
 
 __all__ = ["HashToMinProgram", "distributed_connected_components"]
-
-Edge = Tuple[int, int]
 
 
 class HashToMinProgram(ArrayWorkerProgram):
@@ -95,29 +92,12 @@ class HashToMinProgram(ArrayWorkerProgram):
         return {"rep": np.array(rep, dtype=np.int64)}
 
 
-def _filtered_adjacency(
-    graph: Graph,
-    weights: Optional[Mapping[Edge, float]],
-    tau: Optional[float],
-) -> Graph:
-    """The τ-filtered subgraph (all vertices kept, weak edges dropped)."""
-    if weights is None or tau is None:
-        return graph
-    filtered = Graph.from_edges((), vertices=graph.vertices())
-    for (u, v), w in weights.items():
-        if w >= tau - 1e-12:
-            filtered.add_edge(u, v)
-    return filtered
-
-
 def distributed_connected_components(
     graph: Graph,
     num_workers: int = 4,
-    weights: Optional[Mapping[Edge, float]] = None,
-    tau: Optional[float] = None,
     partitioner: Optional[Union[str, Partitioner]] = None,
 ) -> Tuple[List[Set[int]], CommStats]:
-    """Components of the (optionally τ-filtered) graph, plus comm stats.
+    """Components of the graph, plus comm stats.
 
     Returns components sorted by (size desc, min vertex) — including
     singletons, so callers can apply the paper's ">= 2 vertices" rule.
@@ -127,7 +107,6 @@ def distributed_connected_components(
     resolution :func:`~repro.api.plan.resolve_plan` applies), or ``None``
     for the default hash partitioner.
     """
-    filtered = _filtered_adjacency(graph, weights, tau)
     if isinstance(partitioner, str):
         from repro.api.plan import GraphCaps
         from repro.api.registry import PARTITIONERS
@@ -137,7 +116,7 @@ def distributed_connected_components(
         )
     else:
         part = partitioner or HashPartitioner(num_workers)
-    shards = build_csr_shards(filtered, part)
+    shards = build_csr_shards(graph, part)
     engine = ArrayBSPEngine(shards, part)
     programs = engine.run([HashToMinProgram(shard) for shard in shards])
     ids, columns = gather_columns(shards, [p.collect() for p in programs])

@@ -19,9 +19,12 @@ once:
 
 The index is rebuilt wholesale per extraction and serves any number of
 queries in between — this is what decouples query latency from ingest
-batch size.  A refresh is dominated by the extraction it indexes; its edge
-weights are vectorised label-collision counts, bit-identical to the
-per-edge join (see :func:`repro.core.postprocess.edge_weights`).
+batch size.  A refresh runs the array-native extraction of
+:mod:`repro.core.postprocess` straight on the detector's label matrix:
+label-collision edge weights over one canonical edge order, a τ1 sweep
+that replays only the maximum spanning forest, and a vectorised weak
+attachment, bit-identical to the retired per-edge dict pipeline.  Beside
+it, a refresh pays for the stable-id matching and this rebuild.
 """
 
 from __future__ import annotations

@@ -126,6 +126,21 @@ class TestDetection:
         found = sorted(sorted(c) for c in cover)
         assert found == [sorted(range(c * 6, (c + 1) * 6)) for c in range(5)]
 
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    def test_empty_graph_gives_empty_cover(self, backend):
+        """No vertices, from the start or after removing every one: the
+        extraction returns an empty cover, as for a graph without edges."""
+        assert len(detect_communities(Graph(), iterations=5, backend=backend)) == 0
+        detector = RSLPADetector(
+            ring_of_cliques(3, 4), seed=1, iterations=10, backend=backend
+        ).fit()
+        for v in list(detector.graph.vertices()):
+            detector.remove_vertex(v)
+        result = detector.postprocess()
+        assert len(detector.communities()) == 0
+        assert (result.tau1, result.tau2, result.entropy) == (0.0, 0.0, 0.0)
+        assert result.entropy_curve == []
+
     def test_postprocess_cached_until_update(self, cliques_ring):
         detector = RSLPADetector(cliques_ring, seed=1, iterations=30).fit()
         first = detector.postprocess()

@@ -1,15 +1,17 @@
 """Tests for the post-processing stage (Section III-B)."""
 
 import math
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.postprocess as postprocess
+from oracles import postprocess as oracle
+from repro.core.fast import FastPropagator
 from repro.core.postprocess import (
     DisjointSetEntropy,
+    WeightedEdges,
     edge_weights,
     extract_communities,
     sequence_similarity,
@@ -18,7 +20,9 @@ from repro.core.postprocess import (
 )
 from repro.core.rslpa import ReferencePropagator
 from repro.graph.adjacency import Graph
-from repro.graph.generators import ring_of_cliques
+from repro.graph.generators import erdos_renyi, ring_of_cliques
+from repro.workloads.lfr import LFRParams, generate_lfr
+from repro.workloads.webgraph import WebGraphParams, generate_webgraph
 
 
 class TestSequenceSimilarity:
@@ -55,16 +59,21 @@ class TestSequenceSimilarity:
         assert sequence_similarity(a, a) >= 1.0 / len(a) - 1e-12
 
 
+def _items(weighted):
+    """``[((u, v), w), ...]`` of a :class:`WeightedEdges`, in its order."""
+    return list(zip(map(tuple, weighted.edges.tolist()), weighted.weights.tolist()))
+
+
 class TestEdgeWeights:
     def test_weights_for_all_edges(self, two_cliques_bridge):
         sequences = {v: [v % 3] for v in two_cliques_bridge.vertices()}
         weights = edge_weights(two_cliques_bridge, sequences)
-        assert set(weights) == set(two_cliques_bridge.edges())
+        assert [e for e, _w in _items(weights)] == sorted(two_cliques_bridge.edges())
 
     def test_intra_clique_weights_exceed_bridge(self, two_cliques_bridge):
         propagator = ReferencePropagator(two_cliques_bridge, seed=3)
         propagator.propagate(40)
-        weights = edge_weights(two_cliques_bridge, propagator.state.labels)
+        weights = dict(_items(edge_weights(two_cliques_bridge, propagator.state.labels)))
         intra = [w for (u, v), w in weights.items() if (u < 4) == (v < 4)]
         bridge = weights[(0, 4)]
         assert sum(intra) / len(intra) > bridge
@@ -77,15 +86,40 @@ class TestEdgeWeights:
             edge_weights(g, {0: [3], 1: [3], 7: []})
 
     def test_edgeless_graph(self):
-        assert edge_weights(Graph.from_edges((), vertices=[4]), {4: [1]}) == {}
+        weighted = edge_weights(Graph.from_edges((), vertices=[4]), {4: [1]})
+        assert _items(weighted) == []
+        assert weighted.edges.shape == (0, 2)
+
+    def test_array_state_equals_its_sequences(self, sparse_random):
+        fast = FastPropagator(sparse_random, seed=5)
+        fast.propagate(30)
+        state = fast.to_array_state()
+        got = edge_weights(sparse_random, state)
+        want = edge_weights(sparse_random, state.sequences_dict())
+        assert _items(got) == _items(want)
 
 
 def _oracle_weights(graph, sequences):
-    """One ``sequence_similarity`` per edge, in ``graph.edges()`` order."""
+    """One ``sequence_similarity`` per edge, in ascending ``(u, v)`` order."""
     return {
         (u, v): sequence_similarity(sequences[u], sequences[v])
-        for u, v in graph.edges()
+        for u, v in sorted(graph.edges())
     }
+
+
+def _weighted(graph, weights):
+    """Hand-made ``{(u, v): w}`` weights of ``graph`` as :class:`WeightedEdges`."""
+    ids = np.array(sorted(graph.vertices()), dtype=np.int64)
+    edges = sorted(weights)
+    rows = np.searchsorted(ids, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    return WeightedEdges(
+        ids, rows[:, 0], rows[:, 1], np.array([weights[e] for e in edges], dtype=float)
+    )
+
+
+def _canonical(graph):
+    """``graph`` rebuilt with vertices and edges inserted in ascending order."""
+    return Graph.from_edges(sorted(graph.edges()), vertices=sorted(graph.vertices()))
 
 
 @st.composite
@@ -107,35 +141,167 @@ def _labelled_graph(draw):
 
 
 class TestEdgeWeightsOracle:
-    """The collision-count kernel equals the per-edge ``Counter`` join."""
+    """The collision-count kernel equals the per-edge ``Counter`` join, and
+    the array pipeline equals the retired dict pipeline
+    (``tests/oracles/postprocess.py``) bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(_labelled_graph())
     def test_equals_sequence_similarity_in_edge_order(self, case):
         graph, sequences = case
         got = edge_weights(graph, sequences)
-        assert list(got.items()) == list(_oracle_weights(graph, sequences).items())
+        assert _items(got) == list(_oracle_weights(graph, sequences).items())
 
     @settings(max_examples=60, deadline=None)
     @given(_labelled_graph())
     def test_extraction_bit_identical(self, case):
         graph, sequences = case
         got = extract_communities(graph, sequences, step=0.01)
-        with mock.patch.object(postprocess, "edge_weights", _oracle_weights):
-            want = extract_communities(graph, sequences, step=0.01)
-        assert list(got.weights.items()) == list(want.weights.items())
+        want = oracle.extract_communities(graph, sequences, step=0.01)
+        got_fields, want_fields = oracle.comparable(got), oracle.comparable(want)
+        assert got_fields[:2] == want_fields[:2]  # edges, weights
         assert (got.tau1, got.tau2) == (want.tau1, want.tau2)
         assert got.entropy == want.entropy
         assert got.entropy_curve == want.entropy_curve
         assert got.cover.communities == want.cover.communities
         assert got.num_attached_vertices == want.num_attached_vertices
+        assert got_fields == want_fields
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _labelled_graph(),
+        st.one_of(st.none(), st.floats(0.0, 1.0)),
+        st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    def test_pinned_extraction_bit_identical(self, case, tau1, tau2):
+        """With τ1 pinned the entropy is a sum over the strong components:
+        the library adds them in ascending order of their smallest id, the
+        oracle in ``graph.vertices()`` order, so the oracle gets the graph
+        with its vertices inserted in ascending order."""
+        graph, sequences = case
+        got = extract_communities(graph, sequences, step=0.01, tau1=tau1, tau2=tau2)
+        want = oracle.extract_communities(
+            _canonical(graph), sequences, step=0.01, tau1=tau1, tau2=tau2
+        )
+        assert oracle.comparable(got) == oracle.comparable(want)
 
     def test_rslpa_sequences(self, sparse_random):
         propagator = ReferencePropagator(sparse_random, seed=5)
         propagator.propagate(30)
         labels = propagator.state.labels
         got = edge_weights(sparse_random, labels)
-        assert list(got.items()) == list(_oracle_weights(sparse_random, labels).items())
+        assert _items(got) == list(_oracle_weights(sparse_random, labels).items())
+
+    @pytest.mark.parametrize(
+        "n, p, labels, lengths",
+        [(1200, 0.008, 1200, (10, 11)), (2000, 0.01, 4, (100, 151))],
+        ids=["many_labels_row_chunks", "few_labels_edge_chunks"],
+    )
+    def test_chunked_tables(self, n, p, labels, lengths):
+        """Graphs big enough that the count table is built in many chunks,
+        bounded by rows (many distinct labels) or by edges (long rows of few
+        labels, unequal lengths), equal the oracle's weights."""
+        graph = erdos_renyi(n, p, seed=3)
+        rng = np.random.default_rng(4)
+        sequences = {
+            v: rng.integers(0, labels, size=rng.integers(*lengths)).tolist()
+            for v in graph.vertices()
+        }
+        got = edge_weights(graph, sequences)
+        assert _items(got) == list(oracle.edge_weights(graph, sequences).items())
+
+
+def _webgraph(n, seed):
+    return generate_webgraph(WebGraphParams(n=n, avg_out_degree=6.0), seed=seed).graph
+
+
+def _lfr(n, seed):
+    return generate_lfr(
+        LFRParams(n=n, avg_degree=10, max_degree=24, mu=0.2,
+                  overlap_fraction=0.1, overlap_membership=2),
+        seed=seed,
+    ).graph
+
+
+def _sparse_ids(graph):
+    """``graph`` under the id map ``v -> 3v - 500`` (gaps, negative ids)."""
+    return Graph.from_edges(
+        ((3 * u - 500, 3 * v - 500) for u, v in graph.edges()),
+        vertices=(3 * v - 500 for v in graph.vertices()),
+    )
+
+
+class TestRSLPAOracle:
+    """rSLPA states on webgraph, LFR and sparse-id graphs: the array
+    pipeline, fed the live :class:`ArrayLabelState`, equals the oracle fed
+    the state's sequences, with τ1/τ2 free and pinned."""
+
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            lambda: _webgraph(400, 1),
+            lambda: _webgraph(300, 2),
+            lambda: _lfr(300, 3),
+            lambda: _sparse_ids(_webgraph(250, 4)),
+            lambda: _sparse_ids(_lfr(250, 5)),
+        ],
+        ids=["webgraph_400", "webgraph_300", "lfr_300", "sparse_webgraph", "sparse_lfr"],
+    )
+    def test_bit_identical(self, make_graph):
+        graph = make_graph()
+        fast = FastPropagator(graph, seed=9)
+        fast.propagate(25)
+        state = fast.to_array_state()
+        sequences = state.sequences_dict()
+        for tau1, tau2 in ((None, None), (0.05, None), (None, 0.2), (0.03, 0.01)):
+            got = extract_communities(graph, state, step=0.002, tau1=tau1, tau2=tau2)
+            want = oracle.extract_communities(
+                _canonical(graph), sequences, step=0.002, tau1=tau1, tau2=tau2
+            )
+            assert oracle.comparable(got) == oracle.comparable(want), (tau1, tau2)
+
+
+@st.composite
+def _two_insertion_orders(draw):
+    """The same graph and label sequences, built once with sorted vertices
+    and edges and once with the vertices reversed and the edges shuffled
+    (each drawn either way round): a random labelled graph or a small
+    webgraph with rSLPA sequences."""
+    if draw(st.booleans()):
+        graph, sequences = draw(_labelled_graph())
+    else:
+        graph = _webgraph(draw(st.integers(60, 120)), draw(st.integers(0, 10**6)))
+        fast = FastPropagator(graph, seed=draw(st.integers(0, 2**31 - 1)))
+        fast.propagate(20)
+        sequences = fast.to_array_state().sequences_dict()
+    edges = sorted(graph.edges())
+    vertices = sorted(graph.vertices())
+    shuffled = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    first = Graph.from_edges(edges, vertices=vertices)
+    second = Graph.from_edges(
+        [(v, u) if flip else (u, v) for (u, v), flip in zip(shuffled, flips)],
+        vertices=vertices[::-1],
+    )
+    return first, second, sequences
+
+
+class TestContentOnly:
+    @settings(max_examples=40, deadline=None)
+    @given(_two_insertion_orders())
+    def test_insertion_order_does_not_matter(self, case):
+        """The whole result depends only on the graph's content."""
+        first, second, sequences = case
+        a = extract_communities(first, sequences, step=0.005)
+        b = extract_communities(second, sequences, step=0.005)
+        assert a.entropy_curve == b.entropy_curve
+        assert np.array_equal(a.edges, b.edges)
+        assert np.array_equal(a.weights, b.weights)
+        assert (a.tau1, a.tau2, a.entropy) == (b.tau1, b.tau2, b.entropy)
+        assert a.cover.communities == b.cover.communities
+        assert (a.num_strong_communities, a.num_attached_vertices) == (
+            b.num_strong_communities, b.num_attached_vertices
+        )
 
 
 class TestWeakThreshold:
@@ -143,14 +309,20 @@ class TestWeakThreshold:
         g = Graph.from_edges([(0, 1), (1, 2)])
         weights = {(0, 1): 0.9, (1, 2): 0.2}
         # max per vertex: 0 -> .9, 1 -> .9, 2 -> .2; min = .2
-        assert weak_threshold(g, weights) == pytest.approx(0.2)
+        got = weak_threshold(_weighted(g, weights))
+        assert got == pytest.approx(0.2)
+        assert got == oracle.weak_threshold(g, weights)
 
     def test_ignores_isolated_vertices(self):
         g = Graph.from_edges([(0, 1)], vertices=[9])
-        assert weak_threshold(g, {(0, 1): 0.7}) == pytest.approx(0.7)
+        got = weak_threshold(_weighted(g, {(0, 1): 0.7}))
+        assert got == pytest.approx(0.7)
+        assert got == oracle.weak_threshold(g, {(0, 1): 0.7})
 
     def test_edgeless_graph(self):
-        assert weak_threshold(Graph.from_edges((), vertices=[0]), {}) == 0.0
+        g = Graph.from_edges((), vertices=[0])
+        assert weak_threshold(_weighted(g, {})) == 0.0
+        assert oracle.weak_threshold(g, {}) == 0.0
 
 
 class TestDisjointSetEntropy:
@@ -171,15 +343,18 @@ class TestDisjointSetEntropy:
         assert dsu.num_components == 3
 
     def test_matches_direct_computation(self):
-        dsu = DisjointSetEntropy(range(10))
+        dsu, ref = DisjointSetEntropy(range(10)), oracle.DisjointSetEntropy(range(10))
         for u, v in [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8)]:
             dsu.union(u, v)
-        sizes = [len(c) for c in dsu.components(min_size=2)]
+            ref.union(u, v)
+        sizes = [len(c) for c in ref.components(min_size=2)]
         direct = -sum((s / 10) * math.log(s / 10) for s in sizes)
         assert dsu.entropy == pytest.approx(direct)
+        assert dsu.entropy == ref.entropy
 
     def test_components_min_size_filter(self):
-        dsu = DisjointSetEntropy(range(5))
+        """The oracle's DSU keeps ``components`` for its strong pass."""
+        dsu = oracle.DisjointSetEntropy(range(5))
         dsu.union(0, 1)
         assert len(dsu.components(min_size=2)) == 1
         assert len(dsu.components(min_size=1)) == 4
@@ -189,24 +364,47 @@ class TestSweepTau1:
     def test_finds_clique_separating_threshold(self, cliques_ring):
         propagator = ReferencePropagator(cliques_ring, seed=11)
         propagator.propagate(40)
-        weights = edge_weights(cliques_ring, propagator.state.labels)
-        tau2 = weak_threshold(cliques_ring, weights)
-        tau1, entropy, curve = sweep_tau1(cliques_ring, weights, tau2, step=0.005)
+        labels = propagator.state.labels
+        weights = edge_weights(cliques_ring, labels)
+        tau2 = weak_threshold(weights)
+        tau1, entropy, curve = sweep_tau1(weights, tau2, step=0.005)
         assert entropy > 0
-        assert tau2 <= tau1 <= max(weights.values()) + 1e-9
+        assert tau2 <= tau1 <= weights.weights.max() + 1e-9
         assert len(curve) > 1
+        want = oracle.edge_weights(cliques_ring, labels)
+        assert tau2 == oracle.weak_threshold(cliques_ring, want)
+        assert (tau1, entropy, curve) == oracle.sweep_tau1(
+            cliques_ring, want, tau2, step=0.005
+        )
 
     def test_curve_thresholds_descend(self, cliques_ring):
         propagator = ReferencePropagator(cliques_ring, seed=11)
         propagator.propagate(30)
-        weights = edge_weights(cliques_ring, propagator.state.labels)
-        _, _, curve = sweep_tau1(cliques_ring, weights, 0.0, step=0.01)
+        labels = propagator.state.labels
+        weights = edge_weights(cliques_ring, labels)
+        _, _, curve = sweep_tau1(weights, 0.0, step=0.01)
         taus = [tau for tau, _ in curve]
         assert taus == sorted(taus, reverse=True)
+        want = oracle.edge_weights(cliques_ring, labels)
+        assert curve == oracle.sweep_tau1(cliques_ring, want, 0.0, step=0.01)[2]
 
     def test_empty_weights(self):
         g = Graph.from_edges((), vertices=[0, 1])
-        assert sweep_tau1(g, {}, 0.0) == (0.0, 0.0, [])
+        assert sweep_tau1(_weighted(g, {}), 0.0) == (0.0, 0.0, [])
+        assert oracle.sweep_tau1(g, {}, 0.0) == (0.0, 0.0, [])
+
+    def test_replays_only_the_spanning_forest(self, cliques_ring):
+        """The forest's unions, in its order, are exactly the unions that
+        succeed when every edge is added in the stable descending order."""
+        propagator = ReferencePropagator(cliques_ring, seed=11)
+        propagator.propagate(30)
+        weights = edge_weights(cliques_ring, propagator.state.labels)
+        dsu = DisjointSetEntropy(range(weights.num_vertices))
+        order = np.argsort(-weights.weights, kind="stable")
+        kept = [e for e in order.tolist()
+                if dsu.union(int(weights.u[e]), int(weights.v[e]))]
+        assert weights.forest.tolist() == kept
+        assert len(kept) == weights.num_vertices - 1  # the ring is connected
 
 
 class TestExtractCommunities:
@@ -261,7 +459,21 @@ class TestExtractCommunities:
     def test_result_metadata_consistent(self, cliques_ring):
         propagator = ReferencePropagator(cliques_ring, seed=11)
         propagator.propagate(40)
-        result = extract_communities(cliques_ring, propagator.state.labels, step=0.01)
+        labels = propagator.state.labels
+        result = extract_communities(cliques_ring, labels, step=0.01)
         assert result.num_strong_communities >= 1
-        assert set(result.weights) == set(cliques_ring.edges())
+        assert [tuple(e) for e in result.edges.tolist()] == sorted(cliques_ring.edges())
+        assert len(result.weights) == len(result.edges)
         assert result.tau2 <= result.tau1 + 1e-9
+        assert oracle.comparable(result) == oracle.comparable(
+            oracle.extract_communities(cliques_ring, labels, step=0.01)
+        )
+
+    def test_empty_graph(self):
+        """No vertices: an empty cover, as for a graph without edges."""
+        for tau1 in (None, 0.5):
+            result = extract_communities(Graph(), {}, tau1=tau1)
+            assert len(result.cover) == 0
+            assert (result.tau2, result.entropy, result.entropy_curve) == (0.0, 0.0, [])
+            assert result.tau1 == (0.0 if tau1 is None else tau1)
+            assert result.edges.shape == (0, 2) and result.weights.size == 0

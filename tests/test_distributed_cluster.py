@@ -1,13 +1,19 @@
 """Tests for the high-level distributed wrappers (cluster.py)."""
 
+import numpy as np
+import pytest
 
 from repro.core.detector import RSLPADetector
+from repro.core.labels_array import ArrayLabelState
 from repro.core.postprocess import extract_communities
+from repro.core.randomness import NO_SOURCE
 from repro.core.rslpa import ReferencePropagator
+from repro.distributed import cluster
 from repro.distributed.cluster import (
     run_distributed_postprocess,
     run_distributed_rslpa,
 )
+from repro.graph.adjacency import Graph
 from repro.graph.generators import ring_of_cliques
 from repro.graph.partition import ContiguousPartitioner
 
@@ -52,6 +58,68 @@ class TestDistributedPostprocess:
         cover, _ = run_distributed_postprocess(g, state, num_workers=2)
         assert all(99 not in c for c in cover)
 
+
+
+def _state(sequences):
+    """A hand-made :class:`ArrayLabelState` holding ``sequences`` (equal
+    lengths, no provenance)."""
+    ids = sorted(sequences)
+    labels = np.array([sequences[v] for v in ids]).T
+    return ArrayLabelState.from_matrices(
+        labels, np.full_like(labels, NO_SOURCE), np.zeros_like(labels), ids=ids
+    )
+
+
+#: (edges, label sequences, components Hash-to-Min finds, cover).
+FILTER_CASES = {
+    # Weights 1, 0, 1: τ1 = 1 drops the middle edge.
+    "split": (
+        [(0, 1), (1, 2), (2, 3)], {0: [1], 1: [1], 2: [2], 3: [2]},
+        [[0, 1], [2, 3]], [[0, 1], [2, 3]],
+    ),
+    # Weights 1, 1, 1: τ1 = 1 keeps the edges of weight exactly τ1.
+    "keeps_ties": (
+        [(0, 1), (1, 2), (2, 3)], {v: [1] for v in range(4)},
+        [[0, 1, 2, 3]], [[0, 1, 2, 3]],
+    ),
+    # Weights 1, 0.5: τ1 = 0.5, the lightest weight, keeps every edge.
+    "keeps_everything": (
+        [(0, 1), (2, 3)], {0: [1, 1], 1: [1, 1], 2: [2, 3], 3: [2, 3]},
+        [[0, 1], [2, 3]], [[0, 1], [2, 3]],
+    ),
+    # Two paths of weight 0.5 joined by a 0.25 bridge, and a 0.25 pair:
+    # τ1 = 0.5 drops the bridge and the pair, whose ends stay singletons
+    # and, being each other's only neighbours, are attached nowhere.
+    "filtered_singletons": (
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7)],
+        {0: [1, 2], 1: [1, 2], 2: [1, 2], 3: [1, 3], 4: [1, 3], 5: [1, 3],
+         6: [6, 7], 7: [6, 8]},
+        [[0, 1, 2], [3, 4, 5], [6], [7]], [[0, 1, 2], [3, 4, 5]],
+    ),
+}
+
+
+class TestStrongFilter:
+    """Hash-to-Min runs on the τ1-filtered graph: every vertex, and only
+    the edges of weight >= τ1."""
+
+    @pytest.mark.parametrize("case", sorted(FILTER_CASES))
+    def test_components_and_cover(self, case, monkeypatch):
+        edges, sequences, want_components, want_cover = FILTER_CASES[case]
+        graph = Graph.from_edges(edges)
+        found = []
+
+        def spy(filtered, **kwargs):
+            components, stats = cc(filtered, **kwargs)
+            found.extend(sorted(c) for c in components)
+            return components, stats
+
+        cc = cluster.distributed_connected_components
+        monkeypatch.setattr(cluster, "distributed_connected_components", spy)
+        cover, _ = run_distributed_postprocess(graph, _state(sequences), num_workers=2)
+        assert found == want_components
+        assert sorted(sorted(c) for c in cover) == want_cover
+        assert cover == extract_communities(graph, sequences).cover
 
 class TestCustomPartitioner:
     def test_contiguous_partitioner_accepted(self, cliques_ring):

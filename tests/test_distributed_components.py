@@ -5,10 +5,7 @@ import math
 import pytest
 
 from oracles.tuple_plane import HashToMinProgram, run_programs
-from repro.distributed.components import (
-    _filtered_adjacency,
-    distributed_connected_components,
-)
+from repro.distributed.components import distributed_connected_components
 from repro.distributed.worker import build_csr_shards
 from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi, ring_of_cliques
@@ -49,26 +46,6 @@ class TestCorrectness:
         assert stats.supersteps <= 3 * int(math.log2(n)) + 4
 
 
-class TestWeightFiltering:
-    def test_threshold_splits_graph(self):
-        g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-        weights = {(0, 1): 0.9, (1, 2): 0.1, (2, 3): 0.9}
-        found, _ = components_of(g, num_workers=2, weights=weights, tau=0.5)
-        assert found == [[0, 1], [2, 3]]
-
-    def test_threshold_zero_keeps_everything(self):
-        g = Graph.from_edges([(0, 1), (1, 2)])
-        weights = {(0, 1): 0.2, (1, 2): 0.3}
-        found, _ = components_of(g, num_workers=2, weights=weights, tau=0.0)
-        assert found == [[0, 1, 2]]
-
-    def test_filtered_vertices_remain_as_singletons(self):
-        g = Graph.from_edges([(0, 1)])
-        weights = {(0, 1): 0.1}
-        found, _ = components_of(g, num_workers=2, weights=weights, tau=0.9)
-        assert found == [[0], [1]]
-
-
 class TestEfficiency:
     def test_rounds_grow_slowly_with_size(self):
         """Rounds stay logarithmic-ish across a 16x size increase."""
@@ -83,33 +60,28 @@ def _path(n):
     return Graph.from_edges([(i, i + 1) for i in range(n - 1)])
 
 
-#: Every graph the tests above run, plus a non-contiguous-id graph:
-#: (graph factory, workers, weights, tau).
+#: Every graph the tests above run, plus a non-contiguous-id graph and
+#: τ-filtered graphs (every vertex kept, light edges dropped), as the
+#: distributed post-processing passes them: (graph factory, workers).
 ORACLE_CASES = {
-    "sparse_random": (lambda: erdos_renyi(60, 0.06, seed=17), 3, None, None),
-    "sparse_random_1": (lambda: erdos_renyi(60, 0.06, seed=17), 1, None, None),
-    "sparse_random_5": (lambda: erdos_renyi(60, 0.06, seed=17), 5, None, None),
-    "cliques_ring": (lambda: ring_of_cliques(5, 6), 4, None, None),
-    "isolated": (lambda: Graph.from_edges([(0, 1)], vertices=[7, 8]), 2, None, None),
-    "long_path": (lambda: _path(64), 4, None, None),
-    "path_16": (lambda: _path(16), 3, None, None),
-    "path_256": (lambda: _path(256), 3, None, None),
-    "threshold_split": (
-        lambda: Graph.from_edges([(0, 1), (1, 2), (2, 3)]), 2,
-        {(0, 1): 0.9, (1, 2): 0.1, (2, 3): 0.9}, 0.5,
-    ),
-    "threshold_zero": (
-        lambda: Graph.from_edges([(0, 1), (1, 2)]), 2,
-        {(0, 1): 0.2, (1, 2): 0.3}, 0.0,
-    ),
-    "threshold_all": (lambda: Graph.from_edges([(0, 1)]), 2, {(0, 1): 0.1}, 0.9),
+    "sparse_random": (lambda: erdos_renyi(60, 0.06, seed=17), 3),
+    "sparse_random_1": (lambda: erdos_renyi(60, 0.06, seed=17), 1),
+    "sparse_random_5": (lambda: erdos_renyi(60, 0.06, seed=17), 5),
+    "cliques_ring": (lambda: ring_of_cliques(5, 6), 4),
+    "isolated": (lambda: Graph.from_edges([(0, 1)], vertices=[7, 8]), 2),
+    "long_path": (lambda: _path(64), 4),
+    "path_16": (lambda: _path(16), 3),
+    "path_256": (lambda: _path(256), 3),
+    "threshold_split": (lambda: Graph.from_edges([(0, 1), (2, 3)]), 2),
+    "threshold_zero": (lambda: Graph.from_edges([(0, 1), (1, 2)]), 2),
+    "threshold_all": (lambda: Graph.from_edges((), vertices=[0, 1]), 2),
     "sparse_ids": (
         lambda: Graph.from_edges(
             [(3 * u + 7, 3 * v + 7) for u, v in ring_of_cliques(4, 5).edges()]
             + [(1000, 1003), (1003, 1009)],
             vertices=[2, 500],
         ),
-        3, None, None,
+        3,
     ),
 }
 
@@ -119,13 +91,11 @@ class TestTupleOracle:
     def test_same_components_in_same_supersteps(self, case):
         """The one-row-per-member protocol finds the tuple plane's
         components in the same number of supersteps."""
-        make_graph, workers, weights, tau = ORACLE_CASES[case]
+        make_graph, workers = ORACLE_CASES[case]
         graph = make_graph()
-        found, stats = components_of(
-            graph, num_workers=workers, weights=weights, tau=tau
-        )
+        found, stats = components_of(graph, num_workers=workers)
         part = HashPartitioner(workers)
-        shards = build_csr_shards(_filtered_adjacency(graph, weights, tau), part)
+        shards = build_csr_shards(graph, part)
         representative, oracle_stats = run_programs(HashToMinProgram, shards, part)
         groups = {}
         for v, rep in representative.items():
