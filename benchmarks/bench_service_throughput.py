@@ -17,6 +17,11 @@ that absorbed the promotion, against the median batch) and query
 availability (client queries answered throughout — stale serves and
 re-routes counted, errors fatal).
 
+The ingest rows leave checkpoints off, so a ``checkpoint`` section prices
+them on their own: the median wall time of ``CommunityService.checkpoint()``
+(label matrices, edge column, npz write and fsync, pruning, WAL rotation)
+and of ``CheckpointStore.load_checkpoint()``, and the checkpoint's size.
+
 Records ``BENCH_service.json``.
 
 Run:  PYTHONPATH=src:. python -m pytest benchmarks/bench_service_throughput.py -q
@@ -28,6 +33,8 @@ import statistics
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from benchmarks.bench_common import SCALE, banner, print_table, scaled
 from repro.api.config import AlgoConfig, ServicePlanConfig
@@ -53,6 +60,9 @@ STALENESS_SWEEP = scaled([1, 4, 16], [1, 4, 16], [1, 4, 16, 64])
 REPLICA_SWEEP = scaled([1, 2], [1, 2, 3], [1, 2, 3, 4])
 REPLICATION_GRAPH_N = scaled(1_200, 2_500, 5_000)
 REPLICATION_BATCHES = scaled(10, 14, 20)
+# Checkpoint section: timed checkpoint + load pairs, each after two batches.
+CHECKPOINT_REPS = scaled(7, 7, 9)
+CHECKPOINT_BATCH = scaled(1000, 1000, 10_000)
 
 
 def _build_service(graph, batch_size, staleness, checkpoint_dir=None):
@@ -117,6 +127,59 @@ def _ingest_sweep(graph, batch_sizes, edits_total, num_queries):
             }
         )
     return rows
+
+
+def _checkpoint_section(graph, reps, batch_size):
+    """Median checkpoint write and load times, and the checkpoint's bytes.
+
+    Two batches go into the WAL before every timed checkpoint, so each one
+    publishes a new epoch, prunes the oldest file and rotates a real log.
+    Every load must return the service's label matrices bit for bit.
+    """
+    write_s, load_s = [], []
+    with tempfile.TemporaryDirectory() as state_dir:
+        service = _build_service(
+            graph, batch_size, staleness=10**9, checkpoint_dir=state_dir
+        )
+        try:
+            stream = EditStream(graph, batch_size=batch_size, seed=41)
+            batches = stream.take(2 * reps)
+            for rep in range(reps):
+                for batch in batches[2 * rep:2 * rep + 2]:
+                    service.apply(batch)
+                t0 = time.perf_counter()
+                service.checkpoint()
+                write_s.append(time.perf_counter() - t0)
+                t0 = time.perf_counter()
+                ckpt = service.store.load_checkpoint()
+                load_s.append(time.perf_counter() - t0)
+                state = service.detector.array_state
+                assert ckpt.batch_epoch == service.batches_applied
+                assert all(
+                    np.array_equal(getattr(ckpt.state, name), getattr(state, name))
+                    for name in ("labels", "srcs", "poss", "epochs", "alive", "ids")
+                )
+            latest = sorted(Path(state_dir).glob("checkpoint-*.npz"))[-1]
+            size = latest.stat().st_size
+        finally:
+            service.close()
+    return {
+        "reps": reps,
+        "batch_size": batch_size,
+        "write_ms": statistics.median(write_s) * 1e3,
+        "load_ms": statistics.median(load_s) * 1e3,
+        "bytes": size,
+    }
+
+
+def _report_checkpoint(report, row):
+    report("")
+    print_table(
+        report,
+        ["checkpoint reps", "write (ms, median)", "load (ms, median)", "bytes"],
+        [(row["reps"], round(row["write_ms"], 1), round(row["load_ms"], 1),
+          row["bytes"])],
+    )
 
 
 def _staleness_sweep(graph, staleness_values, num_batches=20, queries_per_batch=50):
@@ -313,6 +376,9 @@ def test_service_throughput(benchmark, report, webgraph):
             graph, BATCH_SIZES, EDITS_TOTAL, NUM_QUERIES
         )
         results["staleness"] = _staleness_sweep(graph, STALENESS_SWEEP)
+        results["checkpoint"] = _checkpoint_section(
+            graph, CHECKPOINT_REPS, CHECKPOINT_BATCH
+        )
         results["replication"] = _replication_sweep(
             replication_graph, REPLICA_SWEEP,
             transports=("pipe", "tcp"),
@@ -330,6 +396,7 @@ def test_service_throughput(benchmark, report, webgraph):
         ingest_rows,
         staleness_rows,
     )
+    _report_checkpoint(report, results["checkpoint"])
     report(
         f"replication graph: |V|={replication_graph.num_vertices}, "
         f"|E|={replication_graph.num_edges}; primary killed mid-stream"
@@ -380,8 +447,8 @@ def test_service_throughput(benchmark, report, webgraph):
 
 def test_service_smoke(benchmark, report):
     """Scaled-down sweep for CI (`pytest benchmarks -k smoke`): exercises the
-    full ingest/query/staleness paths plus WAL-priced ingest in seconds,
-    without the timing-based shape gates."""
+    full ingest/query/staleness paths plus WAL-priced ingest and the
+    checkpoint section in seconds, without the timing-based shape gates."""
     graph = generate_webgraph(
         WebGraphParams(n=1500, avg_out_degree=8.0), seed=7
     ).graph
@@ -394,6 +461,7 @@ def test_service_smoke(benchmark, report):
         results["staleness"] = _staleness_sweep(
             graph, [1, 4], num_batches=6, queries_per_batch=10
         )
+        results["checkpoint"] = _checkpoint_section(graph, reps=3, batch_size=100)
         results["replication"] = _replication_sweep(
             graph, [2], num_batches=6, batch_size=50, queries_per_batch=5
         )
@@ -407,8 +475,10 @@ def test_service_smoke(benchmark, report):
         results["ingest"],
         results["staleness"],
     )
+    _report_checkpoint(report, results["checkpoint"])
     _report_replication(report, results["replication"])
     assert len(results["ingest"]) == 2
+    assert results["checkpoint"]["bytes"] > 0
     assert all(row["extractions"] >= 1 for row in results["staleness"])
     assert results["replication"][0]["failovers"] == 1
     assert results["replication"][0]["queries"] == 6 * 5

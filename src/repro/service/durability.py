@@ -6,13 +6,15 @@ exactly the extracted cover) that the uninterrupted run would hold.  Two
 pieces make that possible:
 
 * **Checkpoints** — the full :class:`~repro.core.labels_array.ArrayLabelState`
-  (with its vertex ids, so any ids checkpoint) written array-native with
-  :func:`numpy.savez_compressed` (the ``core.serialize`` npz layout),
-  together with the graph's edge array and the run metadata (seed, batch
-  epoch, edits applied).  Version 1 checkpoints (no ids) still load, as
-  ids ``0..n-1``.  Writes go to a
-  temp file and are published with ``os.replace``, so a crash mid-write
-  never corrupts the latest good checkpoint.
+  (with its vertex ids, so any ids checkpoint) written array-native by
+  :func:`repro.core.serialize.write_npz` (the ``core.serialize`` npz layout,
+  deflated at zlib level 1), together with the graph's edge array — the
+  ascending ``(u, v)`` pairs of its CSR snapshot — and the run metadata
+  (seed, batch epoch, edits applied).  Version 1 checkpoints (no ids)
+  still load, as ids ``0..n-1``.  Writes go to a temp file and are
+  published with ``os.replace``, so a crash mid-write never corrupts the
+  latest good checkpoint; a temp file such a crash leaves behind is
+  deleted by the next checkpoint.
 * **Write-ahead log** — every applied :class:`~repro.graph.edits.EditBatch`
   is appended (fsynced, CRC-tagged JSON lines) *before* the in-memory
   apply.  Because every random draw in Correction Propagation is keyed by
@@ -23,7 +25,8 @@ pieces make that possible:
 A torn tail (the record being written when the process died) fails its CRC
 and is discarded; everything before it replays.  On checkpoint the WAL is
 rotated down to the records newer than the *oldest retained* checkpoint
-epoch and older checkpoint files are pruned, so disk usage stays bounded
+epoch (the surviving lines are copied verbatim) and older checkpoint files
+are pruned, so disk usage stays bounded
 by ``keep`` checkpoints + ``keep`` WAL windows — and, crucially, every
 retained checkpoint has a complete WAL tail, so recovery can fall back to
 an older checkpoint (a torn latest file raises
@@ -45,13 +48,19 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.labels_array import ArrayLabelState
-from repro.core.serialize import state_from_arrays, state_to_arrays
+from repro.core.serialize import (
+    read_npz,
+    state_from_arrays,
+    state_to_arrays,
+    write_npz,
+)
 from repro.graph.adjacency import Graph
+from repro.graph.csr import snapshot_with_ids
 from repro.graph.edits import EditBatch
 
 __all__ = [
@@ -68,7 +77,8 @@ WAL_NAME = "wal.log"
 
 
 class CorruptCheckpointError(RuntimeError):
-    """A checkpoint file failed to load: torn write, bad zip, missing keys.
+    """A checkpoint file failed to load: torn write, bad zip, missing keys,
+    or bytes that no longer decode (a flipped bit anywhere in the file).
 
     Carries the offending ``path`` and ``epoch`` so recovery code can fall
     back to an older retained checkpoint (the WAL keeps every retained
@@ -158,7 +168,8 @@ class CheckpointStore:
     """
 
     #: Observability context (:class:`repro.obs.Obs`) the service attaches
-    #: when traced; records WAL fsync latency and checkpoint write time.
+    #: when traced; records WAL fsync latency and a ``service.checkpoint``
+    #: span plus a write-time histogram over each whole checkpoint.
     #: ``None`` (the default) keeps the durability path metric-free.
     obs = None
 
@@ -207,38 +218,47 @@ class CheckpointStore:
         edits_applied: int = 0,
     ) -> Path:
         """Atomically publish a checkpoint, rotate the WAL, prune old files."""
-        edges = sorted(graph.edges())
+        obs = self.obs
+        if obs is not None:
+            start = time.time_ns()
+        # The CSR snapshot's upper triangle is sorted(graph.edges()): the
+        # ascending (u, v) pairs with u < v, rows relabelled monotonically.
+        csr, ids = snapshot_with_ids(graph)
+        edges = np.stack(csr.edge_array(), axis=1)
         arrays = state_to_arrays(state)
         arrays.update(
             ckpt_format=np.array(CHECKPOINT_FORMAT),
             ckpt_version=np.array(CHECKPOINT_VERSION, dtype=np.int64),
-            edges=np.array(edges, dtype=np.int64).reshape(len(edges), 2),
+            edges=edges if ids is None else ids[edges],
             seed=np.array(seed, dtype=np.int64),
             batch_epoch=np.array(batch_epoch, dtype=np.int64),
             edits_applied=np.array(edits_applied, dtype=np.int64),
         )
         final = self._checkpoint_path(batch_epoch)
         tmp = final.with_suffix(".npz.tmp")
-        obs = self.obs
-        if obs is not None:
-            write_start = time.perf_counter()
         with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            write_npz(handle, arrays)
             handle.flush()
             os.fsync(handle.fileno())
-        if obs is not None:
-            obs.metrics.histogram("service.checkpoint_write_seconds").observe(
-                time.perf_counter() - write_start
-            )
         with self._lock:
             os.replace(tmp, final)
             for epoch in self.checkpoint_epochs()[: -self.keep]:
                 self._checkpoint_path(epoch).unlink(missing_ok=True)
+            # Temp files of writes a crash cut short are never published.
+            for stale in self.directory.glob("checkpoint-*.npz.tmp"):
+                stale.unlink(missing_ok=True)
             # Rotate down to the *oldest retained* checkpoint, not the one
             # just written: every surviving checkpoint keeps its full
             # replay tail, so recovery can fall back past a corrupt latest
             # file and still reach the identical state.
             self._rotate_wal(self.checkpoint_epochs()[0])
+        if obs is not None:
+            end = time.time_ns()
+            obs.trace.record("service.checkpoint", start, plane="service",
+                             superstep=batch_epoch, end_ns=end)
+            obs.metrics.histogram("service.checkpoint_write_seconds").observe(
+                (end - start) * 1e-9
+            )
         return final
 
     def load_checkpoint(self, epoch: Optional[int] = None) -> Checkpoint:
@@ -251,26 +271,29 @@ class CheckpointStore:
                 )
         path = self._checkpoint_path(epoch)
         try:
-            with np.load(path) as arrays:
-                if str(arrays["ckpt_format"]) != CHECKPOINT_FORMAT:
-                    raise ValueError(f"{path} is not a service checkpoint")
-                if int(arrays["ckpt_version"]) not in (1, CHECKPOINT_VERSION):
-                    raise ValueError(
-                        f"{path}: unsupported checkpoint version "
-                        f"{int(arrays['ckpt_version'])}"
-                    )
-                state = state_from_arrays(arrays)
-                edges = [tuple(edge) for edge in arrays["edges"].tolist()]
-                meta = {
-                    key: int(arrays[key])
-                    for key in ("seed", "batch_epoch", "edits_applied")
-                }
+            arrays = read_npz(path)
+            if str(arrays["ckpt_format"]) != CHECKPOINT_FORMAT:
+                raise ValueError(f"{path} is not a service checkpoint")
+            if int(arrays["ckpt_version"]) not in (1, CHECKPOINT_VERSION):
+                raise ValueError(
+                    f"{path}: unsupported checkpoint version "
+                    f"{int(arrays['ckpt_version'])}"
+                )
+            state = state_from_arrays(arrays)
+            edges = [tuple(edge) for edge in arrays["edges"].tolist()]
+            meta = {
+                key: int(arrays[key])
+                for key in ("seed", "batch_epoch", "edits_applied")
+            }
         except FileNotFoundError:
             raise
-        except (zipfile.BadZipFile, KeyError, EOFError, OSError) as exc:
-            # A torn write (crash mid-publish never does this, but a torn
-            # copy, disk fault, or truncation can) surfaces as one typed
-            # error the caller can catch to fall back an epoch.
+        except (zipfile.BadZipFile, zlib.error, RuntimeError, KeyError,
+                EOFError, OSError, ValueError) as exc:
+            # A torn copy, disk fault or flipped byte surfaces as one typed
+            # error the caller can catch to fall back an epoch: zipfile
+            # rejects a bad header or CRC (RuntimeError: an unknown method
+            # or the encryption flag), zlib a bad stream, and numpy or
+            # state_from_arrays a member that decodes to the wrong thing.
             raise CorruptCheckpointError(path, epoch, exc) from exc
         graph = Graph.from_edges(edges, vertices=state.vertices())
         return Checkpoint(state=state, graph=graph, **meta)
@@ -302,42 +325,59 @@ class CheckpointStore:
                     time.perf_counter() - fsync_start
                 )
 
+    def _intact_records(self) -> Iterator[Tuple[int, EditBatch, str]]:
+        """Each intact WAL record as ``(epoch, batch, line)``, in order.
+
+        Stops at the first torn or corrupt line — by the write-ahead
+        ordering everything after it was never applied — and counts the
+        lines cut off there (the torn one included) in
+        :attr:`last_discarded_records`.  Call under the lock.
+        """
+        self.last_discarded_records = 0
+        if not self.wal_path.exists():
+            return
+        with open(self.wal_path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+        for position, line in enumerate(lines):
+            record = parse_wal_line(line)
+            if record is None:
+                self.last_discarded_records = len(lines) - position
+                return
+            yield record[0], record[1], line
+
     def read_wal(self, after_epoch: int = -1) -> List[Tuple[int, EditBatch]]:
         """All intact WAL records with epoch > ``after_epoch``, in order.
 
-        Reading stops at the first torn or corrupt record — by the
-        write-ahead ordering everything after it was never applied.  The
-        number of lines discarded that way (the torn one included) is
-        kept in :attr:`last_discarded_records`.
+        Reading stops at the first torn or corrupt record; the number of
+        lines discarded that way is kept in :attr:`last_discarded_records`.
         """
         with self._lock:
-            self.last_discarded_records = 0
-            if not self.wal_path.exists():
-                return []
-            records: List[Tuple[int, EditBatch]] = []
-            with open(self.wal_path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-            for position, line in enumerate(lines):
-                record = parse_wal_line(line)
-                if record is None:
-                    self.last_discarded_records = len(lines) - position
-                    break
-                epoch, batch = record
-                if epoch > after_epoch:
-                    records.append((epoch, batch))
-            return records
+            return [
+                (epoch, batch)
+                for epoch, batch, _line in self._intact_records()
+                if epoch > after_epoch
+            ]
 
     def _rotate_wal(self, checkpoint_epoch: int) -> None:
-        """Drop WAL records the oldest retained checkpoint made redundant."""
+        """Drop WAL records the oldest retained checkpoint made redundant.
+
+        The survivors' lines are copied as read: the encoder is canonical,
+        so they are the bytes :func:`encode_wal_record` would write.
+        """
         with self._lock:
-            survivors = self.read_wal(after_epoch=checkpoint_epoch)
+            survivors = [
+                # A record cut just short of its newline still parses;
+                # end it, so the next append starts a line of its own.
+                line if line.endswith("\n") else line + "\n"
+                for epoch, _batch, line in self._intact_records()
+                if epoch > checkpoint_epoch
+            ]
             if self._wal_handle is not None:
                 self._wal_handle.close()
                 self._wal_handle = None
             tmp = self.wal_path.with_suffix(".log.tmp")
             with open(tmp, "w", encoding="utf-8") as handle:
-                for epoch, batch in survivors:
-                    handle.write(encode_wal_record(epoch, batch))
+                handle.writelines(survivors)
                 handle.flush()
                 # The replace() below must not publish an un-synced tail,
                 # and appends must stay blocked until it lands.

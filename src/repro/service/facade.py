@@ -166,11 +166,12 @@ def _normalise_config(
 def _service_obs(execution: ExecutionConfig):
     """A fresh observability context when ``execution.trace`` asks for one.
 
-    The service plane records ``service.*`` spans (apply, extract) and
-    metrics (queue depth, coalescing ratio, staleness at serve time, WAL
-    fsync latency) into the same context the engines use, so one exported
-    trace covers ingest, repair, and query; ``None`` (tracing off) keeps
-    every service path free of :mod:`repro.obs` calls.
+    The service plane records ``service.*`` spans (apply, extract,
+    checkpoint) and metrics (queue depth, coalescing ratio, staleness at
+    serve time, WAL fsync and checkpoint write latency) into the same
+    context the engines use, so one exported trace covers ingest, repair,
+    durability and query; ``None`` (tracing off) keeps every service path
+    free of :mod:`repro.obs` calls.
     """
     if not execution.trace:
         return None
@@ -304,8 +305,8 @@ class CommunityService:
         loss is logged and surfaced as ``wal_discarded_records`` in
         :meth:`stats`.
 
-        A corrupt checkpoint *file* (torn copy, disk fault) raises
-        :class:`~repro.service.durability.CorruptCheckpointError` — but
+        A corrupt checkpoint *file* (torn copy, disk fault, flipped byte)
+        raises :class:`~repro.service.durability.CorruptCheckpointError` — but
         only after falling back through every older retained checkpoint:
         the WAL keeps each retained checkpoint's full tail, so recovering
         from an older epoch replays to the exact same state.  The number

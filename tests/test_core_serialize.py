@@ -166,6 +166,26 @@ class TestArrayStateNpz:
             assert np.array_equal(getattr(rebuilt, name), getattr(array_state, name))
         assert np.array_equal(rebuilt.alive, array_state.alive)
 
+    def test_npz_layout_matches_numpy_writer(self, array_state, tmp_path):
+        """The one writer keeps numpy's container: the same deflated
+        ``<name>.npy`` members, dtypes and shapes as savez_compressed."""
+        import zipfile
+
+        import numpy as np
+
+        from repro.core.serialize import state_to_arrays
+
+        ours, numpys = tmp_path / "ours.npz", tmp_path / "numpy.npz"
+        save_state(array_state, str(ours))
+        np.savez_compressed(numpys, **state_to_arrays(array_state))
+        with zipfile.ZipFile(ours) as a, zipfile.ZipFile(numpys) as b:
+            assert a.namelist() == b.namelist()
+            assert {i.compress_type for i in a.infolist()} == {zipfile.ZIP_DEFLATED}
+        with np.load(ours) as a, np.load(numpys) as b:
+            for name in b.files:
+                assert a[name].dtype == b[name].dtype, name
+                assert np.array_equal(a[name], b[name]), name
+
     def test_label_state_converts_through_npz(self, state, tmp_path):
         path = str(tmp_path / "state.npz")
         save_state(state, path)

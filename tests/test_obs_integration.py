@@ -227,7 +227,7 @@ class TestServiceTracing:
         cover, stats, result = self._drive(True, tmp_path, "on")
         assert result is not None
         names = {span.name for span in result.spans}
-        assert {"service.apply", "service.extract"} <= names
+        assert {"service.apply", "service.extract", "service.checkpoint"} <= names
 
         metrics = stats["metrics"]
         counters = metrics["counters"]
@@ -240,6 +240,14 @@ class TestServiceTracing:
             metrics["histograms"]["service.wal_fsync_seconds"]["count"]
             >= stats["batches_applied"]
         )
+        # One timed checkpoint per batch (checkpoint_every=1) plus start()'s
+        # baseline, each a span and a histogram sample.
+        checkpoints = 1 + stats["batches_applied"]
+        assert (
+            metrics["histograms"]["service.checkpoint_write_seconds"]["count"]
+            == checkpoints
+        )
+        assert [s.name for s in result.spans].count("service.checkpoint") == checkpoints
         # The duplicate (0, 7) offer coalesced; the gauge exposes the ratio.
         assert metrics["gauges"]["service.coalesce_ratio"] == pytest.approx(
             1 / 6

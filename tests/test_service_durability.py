@@ -7,8 +7,14 @@ identical to the run that was never interrupted — per-seed label matrices
 and extracted cover alike, on both backends.
 """
 
+import io
+import random
+import shutil
+import struct
 import tempfile
 import threading
+import zipfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.detector import RSLPADetector
 from repro.core.labels_array import ArrayLabelState
+from repro.graph.adjacency import Graph
 from repro.graph.edits import EditBatch
 from repro.graph.generators import ring_of_cliques
 from repro.service import CommunityService
@@ -38,10 +45,25 @@ def matrices(detector) -> ArrayLabelState:
     return state
 
 
+STATE_ARRAYS = ("labels", "srcs", "poss", "epochs", "alive", "ids")
+
+
 def assert_states_identical(da, db):
     sa, sb = matrices(da), matrices(db)
-    for name in ("labels", "srcs", "poss", "epochs", "alive", "ids"):
+    for name in STATE_ARRAYS:
         assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
+
+
+#: Graph layouts a checkpoint must round-trip: contiguous ids, sparse and
+#: negative ids with isolated vertices, and no vertices at all.
+GRAPH_LAYOUTS = {
+    "contiguous": lambda: ring_of_cliques(5, 6),
+    "sparse_negative_isolated": lambda: Graph.from_edges(
+        [(-7, 3), (3, 100), (-7, 100), (100, 250), (250, 9), (9, -2)],
+        vertices=[-7, -3, -2, 3, 9, 42, 100, 250],
+    ),
+    "empty": Graph,
+}
 
 
 class TestCheckpointStore:
@@ -51,39 +73,70 @@ class TestCheckpointStore:
         ).fit()
         return detector.array_state, detector.graph
 
-    def test_checkpoint_roundtrip(self, cliques_ring, tmp_path):
-        state, graph = self.fitted_state(cliques_ring)
+    @pytest.mark.parametrize("layout", sorted(GRAPH_LAYOUTS))
+    def test_checkpoint_roundtrip(self, layout, tmp_path):
+        state, graph = self.fitted_state(GRAPH_LAYOUTS[layout]())
         store = CheckpointStore(tmp_path)
-        store.write_checkpoint(state, graph, seed=5, batch_epoch=0)
+        path = store.write_checkpoint(state, graph, seed=5, batch_epoch=0,
+                                      edits_applied=11)
+        # The edge column is read off the CSR snapshot; it must be the
+        # ascending (u, v) list the checkpoint format has always stored.
+        with np.load(path) as arrays:
+            edges = arrays["edges"]
+        expected = np.array(sorted(graph.edges()), dtype=np.int64)
+        assert edges.dtype == np.int64
+        assert np.array_equal(edges, expected.reshape(-1, 2))
         ckpt = store.load_checkpoint()
-        assert ckpt.seed == 5
-        assert ckpt.batch_epoch == 0
+        assert (ckpt.seed, ckpt.batch_epoch, ckpt.edits_applied) == (5, 0, 11)
         assert ckpt.graph == graph
-        for name in ("labels", "srcs", "poss", "epochs"):
+        for name in STATE_ARRAYS:
             assert np.array_equal(getattr(ckpt.state, name), getattr(state, name))
 
-    def test_version_1_state_and_checkpoint_load(self, cliques_ring, tmp_path):
-        """Files written before the id column load as ids 0..n-1."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_numpy_written_state_and_checkpoint_load(self, cliques_ring,
+                                                     tmp_path, version):
+        """Files numpy's own writer made (every file written before the
+        level-1 writer) load bit for bit; version 1 files, from before the
+        id column, load as ids 0..n-1."""
         from repro.core.serialize import load_state, state_to_arrays
 
         state, graph = self.fitted_state(cliques_ring)
-        v1 = {k: v for k, v in state_to_arrays(state).items() if k != "ids"}
-        v1["version"] = np.array(1, dtype=np.int64)
-        np.savez_compressed(tmp_path / "state-v1.npz", **v1)
-        loaded = load_state(str(tmp_path / "state-v1.npz"))
+        arrays = state_to_arrays(state)
+        if version == 1:
+            del arrays["ids"]
+            arrays["version"] = np.array(1, dtype=np.int64)
+        np.savez_compressed(tmp_path / "state.npz", **arrays)
+        loaded = load_state(str(tmp_path / "state.npz"))
+        for name in STATE_ARRAYS:
+            assert np.array_equal(getattr(loaded, name), getattr(state, name))
         assert loaded.ids.tolist() == list(range(30))
         assert loaded.to_label_state().receivers == state.to_label_state().receivers
         store = CheckpointStore(tmp_path)
         path = store.write_checkpoint(state, graph, seed=5, batch_epoch=4)
-        with np.load(path) as arrays:
-            payload = {k: arrays[k] for k in arrays.files if k != "ids"}
-        payload.update(version=v1["version"], ckpt_version=v1["version"])
+        with np.load(path) as written:
+            payload = {k: written[k] for k in written.files}
+        if version == 1:
+            del payload["ids"]
+            payload.update(version=arrays["version"], ckpt_version=arrays["version"])
         np.savez_compressed(path, **payload)
         ckpt = store.load_checkpoint()
         assert ckpt.batch_epoch == 4 and ckpt.graph == graph
-        for name in ("labels", "srcs", "poss", "epochs", "ids"):
+        for name in STATE_ARRAYS:
             assert np.array_equal(getattr(ckpt.state, name), getattr(state, name))
         ckpt.state.validate(ckpt.graph)
+
+    def test_checkpoint_removes_orphaned_temp_files(self, cliques_ring, tmp_path):
+        # A crash between open(tmp) and os.replace leaves the temp file;
+        # the next checkpoint must delete it with the pruned checkpoints.
+        state, graph = self.fitted_state(cliques_ring)
+        store = CheckpointStore(tmp_path, keep=2)
+        orphan = tmp_path / "checkpoint-0000000004.npz.tmp"
+        orphan.write_bytes(b"PK torn")
+        store.write_checkpoint(state, graph, seed=5, batch_epoch=6)
+        assert not orphan.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint-0000000006.npz", "wal.log",
+        ]
 
     def test_latest_checkpoint_wins_and_old_pruned(self, cliques_ring, tmp_path):
         state, graph = self.fitted_state(cliques_ring)
@@ -135,13 +188,30 @@ class TestCheckpointStore:
         # First record fails its CRC: nothing after it may replay either.
         assert store.read_wal() == []
 
-    def test_checkpoint_rotates_wal(self, cliques_ring, tmp_path):
+    @pytest.mark.parametrize("damage", [None, "crc_failed", "cut_newline"])
+    def test_checkpoint_rotates_wal(self, cliques_ring, tmp_path, damage):
         state, graph = self.fitted_state(cliques_ring)
-        store = CheckpointStore(tmp_path)
-        for epoch in (1, 2, 3):
+        store = CheckpointStore(tmp_path, keep=1)
+        for epoch in range(1, 6):
             store.append_wal(epoch, EditBatch.build(insertions=[(0, epoch + 30)]))
-        store.write_checkpoint(state, graph, seed=5, batch_epoch=2)
-        assert [e for e, _ in store.read_wal()] == [3]
+        store.close()
+        lines = store.wal_path.read_text().splitlines(keepends=True)
+        survivors, kept = lines[1:], [2, 3, 4, 5]
+        if damage == "crc_failed":
+            # A record in the middle fails its CRC: it and everything
+            # after it were never applied, so the copy ends there.
+            torn = lines[2].replace('"epoch":3', '"epoch":9')
+            store.wal_path.write_text("".join(lines[:2] + [torn] + lines[3:]))
+            survivors, kept = lines[1:2], [2]
+        elif damage == "cut_newline":
+            # The last append stopped just short of its newline.
+            store.wal_path.write_text("".join(lines)[:-1])
+        store.write_checkpoint(state, graph, seed=5, batch_epoch=1)
+        # The survivors are the original lines, byte for byte.
+        assert store.wal_path.read_bytes() == "".join(survivors).encode()
+        assert store.last_discarded_records == (3 if damage == "crc_failed" else 0)
+        store.append_wal(9, EditBatch.build(insertions=[(0, 39)]))
+        assert [e for e, _ in store.read_wal()] == kept + [9]
 
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="keep"):
@@ -460,17 +530,45 @@ class TestCorruptCheckpointFallback:
             service.apply(batch)
         return service
 
-    def corrupt_checkpoint(self, store, epoch):
-        path = store._checkpoint_path(epoch)
-        payload = path.read_bytes()
-        path.write_bytes(payload[: len(payload) // 2])  # torn copy
+    @staticmethod
+    def corrupt_checkpoint(store, epoch, damage="truncate"):
+        """Damage one checkpoint file so it can no longer load its state.
 
-    def test_fallback_recovers_bit_identically(self, tmp_path):
+        ``truncate`` tears the copy in half.  ``flip`` flips a seeded byte
+        inside the label matrix's deflate stream, short of its last byte
+        (whose padding bits may be unused).  ``short_header`` rewrites the
+        file with stored members and makes the ``srcs`` npy header ask for
+        int32, half the member's bytes, leaving the CRC stale: a reader
+        that stops where the header says never reaches the CRC check.
+        """
+        path = store._checkpoint_path(epoch)
+        payload = bytearray(path.read_bytes())
+        if damage == "truncate":
+            del payload[len(payload) // 2:]
+        elif damage == "short_header":
+            with np.load(path) as arrays:
+                stored = io.BytesIO()
+                np.savez(stored, **{k: arrays[k] for k in arrays.files})
+            payload = bytearray(stored.getvalue())
+            at = payload.index(b"'descr': '<i8'", payload.index(b"srcs.npy"))
+            payload[at + len(b"'descr': '<i")] = ord("4")
+        else:
+            with zipfile.ZipFile(path) as archive:
+                info = archive.getinfo("labels.npy")
+            # Local header: 30 fixed bytes, then the name and extra field.
+            name_len, extra_len = struct.unpack_from("<HH", payload, info.header_offset + 26)
+            start = info.header_offset + 30 + name_len + extra_len
+            rng = random.Random(epoch)
+            payload[start + rng.randrange(info.compress_size - 1)] ^= rng.randrange(1, 256)
+        path.write_bytes(bytes(payload))
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip", "short_header"])
+    def test_fallback_recovers_bit_identically(self, tmp_path, damage):
         # Checkpoints at 2, 4, 6; corrupt the latest so recovery falls
         # back to epoch 4 and replays 5..6 from the retained WAL tail.
         service = self.run_service(tmp_path, num_batches=6)
         service.close()
-        self.corrupt_checkpoint(service.store, 6)
+        self.corrupt_checkpoint(service.store, 6, damage)
         recovered = CommunityService.recover(str(tmp_path),
                                              staleness_batches=0)
         assert recovered.batches_applied == 6
@@ -479,24 +577,53 @@ class TestCorruptCheckpointFallback:
         assert_states_identical(service.detector, recovered.detector)
         assert recovered.cover() == service.cover()
 
-    def test_fallback_two_epochs_deep(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["truncate", "flip", "short_header"])
+    def test_fallback_two_epochs_deep(self, tmp_path, damage):
         service = self.run_service(tmp_path, num_batches=6)
         service.close()
-        self.corrupt_checkpoint(service.store, 6)
-        self.corrupt_checkpoint(service.store, 4)
+        self.corrupt_checkpoint(service.store, 6, damage)
+        self.corrupt_checkpoint(service.store, 4, damage)
         recovered = CommunityService.recover(str(tmp_path),
                                              staleness_batches=0)
         assert recovered.batches_applied == 6
         assert recovered.checkpoint_fallbacks == 2
         assert_states_identical(service.detector, recovered.detector)
 
-    def test_every_checkpoint_corrupt_raises(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["truncate", "flip", "short_header"])
+    def test_every_checkpoint_corrupt_raises(self, tmp_path, damage):
         service = self.run_service(tmp_path, num_batches=6)
         service.close()
         for epoch in service.store.checkpoint_epochs():
-            self.corrupt_checkpoint(service.store, epoch)
+            self.corrupt_checkpoint(service.store, epoch, damage)
         with pytest.raises(CorruptCheckpointError):
             CommunityService.recover(str(tmp_path))
+
+    def test_seeded_byte_flips_recover_bit_identically(self, tmp_path):
+        """Flip any one byte of the latest checkpoint: recovery either
+        never notices (the byte does not matter) or falls back one epoch,
+        and lands on the uninterrupted run's exact state either way."""
+        service = self.run_service(tmp_path / "run", num_batches=6)
+        service.close()
+        truth = service.cover()
+        original = service.store._checkpoint_path(6).read_bytes()
+        rng = random.Random(19)
+        fallbacks = Counter()
+        for trial in range(40):
+            position = rng.randrange(len(original))
+            flipped = bytearray(original)
+            flipped[position] ^= rng.randrange(1, 256)
+            copy = tmp_path / f"flip-{trial}"
+            shutil.copytree(tmp_path / "run", copy)
+            (copy / "checkpoint-0000000006.npz").write_bytes(bytes(flipped))
+            recovered = CommunityService.recover(str(copy), staleness_batches=0)
+            assert recovered.checkpoint_fallbacks in (0, 1), position
+            assert recovered.batches_applied == 6, position
+            assert_states_identical(service.detector, recovered.detector)
+            assert recovered.cover() == truth, position
+            recovered.close()
+            fallbacks[recovered.checkpoint_fallbacks] += 1
+        # The seeded flips exercised both outcomes.
+        assert fallbacks[0] and fallbacks[1], fallbacks
 
 
 class TestRotationRace:
