@@ -163,8 +163,9 @@ class CheckpointStore:
 
     Layout: ``checkpoint-<epoch>.npz`` (zero-padded batch epochs) and one
     ``wal.log``.  The store is an inert file manager — the replay policy
-    (which records to apply, in what order) lives in
-    :meth:`CommunityService.recover`.
+    (which checkpoint to load, which records to apply, in what order)
+    lives in the service's one restore, ``CommunityService._restore``,
+    which both :meth:`CommunityService.recover` and every read replica run.
     """
 
     #: Observability context (:class:`repro.obs.Obs`) the service attaches

@@ -40,7 +40,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from time import time_ns
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.api.config import (
     DEFAULT_ITERATIONS,
@@ -204,15 +204,36 @@ class CommunityService:
         **overrides,
     ):
         cfg, execution = _normalise_config(config, overrides)
-        self.config = cfg
-        self.execution = execution
-        self.detector = RSLPADetector(
+        detector = RSLPADetector(
             graph,
             algo=AlgoConfig(
                 seed=cfg.seed, iterations=cfg.iterations, tau_step=cfg.tau_step
             ),
             execution=execution,
         )
+        store = (
+            CheckpointStore(checkpoint_dir, keep=cfg.keep_checkpoints)
+            if checkpoint_dir is not None
+            else None
+        )
+        self._setup(cfg, execution, detector, store)
+
+    def _setup(
+        self,
+        cfg: ServiceConfig,
+        execution: ExecutionConfig,
+        detector: RSLPADetector,
+        store: Optional[CheckpointStore],
+        *,
+        started: bool = False,
+        batches_applied: int = 0,
+        edits_applied: int = 0,
+        checkpoint_fallbacks: int = 0,
+    ) -> None:
+        """Set every field; shared by :meth:`__init__` and :meth:`_restore`."""
+        self.config = cfg
+        self.execution = execution
+        self.detector = detector
         self.queue = EditQueue(
             batch_size=cfg.batch_size, max_pending=cfg.max_pending
         )
@@ -220,25 +241,20 @@ class CommunityService:
             match_threshold=cfg.match_threshold,
             drift_tolerance=cfg.drift_tolerance,
         )
-        self.store = (
-            CheckpointStore(checkpoint_dir, keep=cfg.keep_checkpoints)
-            if checkpoint_dir is not None
-            else None
-        )
+        self.store = store
         self.obs = _service_obs(execution)
-        if self.store is not None:
-            self.store.obs = self.obs
-        self._started = False
-        self.checkpoint_fallbacks = 0
-        self.batches_applied = 0
-        self.edits_applied = 0
+        if store is not None:
+            store.obs = self.obs
+        self._started = started
+        self.checkpoint_fallbacks = checkpoint_fallbacks
+        self.batches_applied = batches_applied
+        self.edits_applied = edits_applied
         self.batches_since_extract = 0
         self.extractions = 0
         self.queries_served = 0
         self.wal_discarded_records = 0
         self.stale_serves = 0
         self.refresh_failures = 0
-        self.last_report: Optional[UpdateReport] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -293,12 +309,12 @@ class CommunityService:
     ) -> "CommunityService":
         """Restore a service from its checkpoint directory.
 
-        Loads the latest checkpoint, replays the WAL tail through
-        ``detector.update``, and re-extracts — the result is bit-identical
-        (label matrices and cover) to the state the crashed service held
-        after its last durably-applied batch.  The seed is taken from the
-        checkpoint; other config (backend, staleness, batching) may differ
-        from the original run without affecting the recovered state.
+        Loads the latest checkpoint, replays the WAL tail, and re-extracts
+        — the result is bit-identical (label matrices and cover) to the
+        state the crashed service held after its last durably-applied
+        batch.  The seed is taken from the checkpoint; other config
+        (backend, staleness, batching) may differ from the original run
+        without affecting the recovered state.
 
         A torn WAL tail (the crash interrupted an append) is discarded —
         by write-ahead ordering those records were never applied — but the
@@ -312,6 +328,24 @@ class CommunityService:
         from an older epoch replays to the exact same state.  The number
         of files skipped that way is surfaced as ``checkpoint_fallbacks``
         in :meth:`stats`.
+        """
+        service = cls._restore(checkpoint_dir, config, **overrides)
+        service.refresh()
+        return service
+
+    @classmethod
+    def _restore(
+        cls,
+        checkpoint_dir: str,
+        config: Optional[Union[ServiceConfig, ServicePlanConfig]] = None,
+        **overrides,
+    ) -> "CommunityService":
+        """:meth:`recover` without its closing extraction: the one restore.
+
+        Loads the newest checkpoint that loads (falling back through older
+        ones) and replays the intact WAL tail through :meth:`_replay`.
+        The index is left unpublished: :meth:`recover` extracts, and a
+        read replica installs its primary's exported index instead.
         """
         cfg, execution = _normalise_config(config, overrides)
         store = CheckpointStore(checkpoint_dir, keep=cfg.keep_checkpoints)
@@ -335,10 +369,7 @@ class CommunityService:
             # failure — it names the file the operator should inspect.
             raise corrupt[0]
         cfg = replace(cfg, seed=ckpt.seed, iterations=ckpt.iterations)
-        service = cls.__new__(cls)
-        service.config = cfg
-        service.execution = execution
-        service.detector = RSLPADetector.from_state(
+        detector = RSLPADetector.from_state(
             ckpt.graph,
             ckpt.state,
             ckpt.seed,
@@ -346,46 +377,61 @@ class CommunityService:
             tau_step=cfg.tau_step,
             batch_epoch=ckpt.batch_epoch,
         )
-        service.queue = EditQueue(
-            batch_size=cfg.batch_size, max_pending=cfg.max_pending
+        service = cls.__new__(cls)
+        service._setup(
+            cfg,
+            execution,
+            detector,
+            store,
+            started=True,
+            batches_applied=ckpt.batch_epoch,
+            edits_applied=ckpt.edits_applied,
+            checkpoint_fallbacks=len(corrupt),
         )
-        service.index = MembershipIndex(
-            match_threshold=cfg.match_threshold,
-            drift_tolerance=cfg.drift_tolerance,
-        )
-        service.store = store
-        service.obs = _service_obs(execution)
-        store.obs = service.obs
-        service._started = True
-        service.batches_applied = ckpt.batch_epoch
-        service.edits_applied = ckpt.edits_applied
-        service.batches_since_extract = 0
-        service.extractions = 0
-        service.queries_served = 0
-        service.checkpoint_fallbacks = len(corrupt)
-        service.stale_serves = 0
-        service.refresh_failures = 0
-        service.last_report = None
-        for epoch, batch in store.read_wal(after_epoch=ckpt.batch_epoch):
-            if epoch != service.batches_applied + 1:
-                raise ValueError(
-                    f"WAL does not continue from checkpoint: expected epoch "
-                    f"{service.batches_applied + 1}, found {epoch}"
-                )
-            service.last_report = service.detector.update(batch)
-            service.batches_applied = epoch
-            service.edits_applied += batch.size
-        service.wal_discarded_records = store.last_discarded_records
-        if service.wal_discarded_records:
-            logger.warning(
-                "recovery discarded %d torn WAL record(s); by write-ahead "
-                "ordering they were never applied, so the recovered state "
-                "is still exact as of batch epoch %d",
-                service.wal_discarded_records,
-                service.batches_applied,
-            )
-        service.refresh()
+        for epoch, batch in service._wal_tail():
+            service._replay(epoch, batch)
         return service
+
+    def _wal_tail(self) -> List[Tuple[int, EditBatch]]:
+        """The intact logged records past ``batches_applied``, in order.
+
+        A torn tail the read cut off is counted in
+        ``wal_discarded_records`` and logged; by write-ahead ordering it
+        was never applied.
+        """
+        records = self.store.read_wal(after_epoch=self.batches_applied)
+        self.wal_discarded_records = self.store.last_discarded_records
+        if self.wal_discarded_records:
+            logger.warning(
+                "discarded %d torn WAL record(s); by write-ahead ordering "
+                "they were never applied, so the state replayed to batch "
+                "epoch %d is still exact",
+                self.wal_discarded_records,
+                records[-1][0] if records else self.batches_applied,
+            )
+        return records
+
+    def _replay(self, epoch: int, batch: EditBatch) -> Optional[UpdateReport]:
+        """Apply one logged record at the next batch epoch.
+
+        The only code that advances the state: recovery, a replica's
+        bootstrap, shipping and promotion, and :meth:`_apply` (right after
+        its WAL append) all land here.  A record at or below
+        ``batches_applied`` is a no-op (``None``); a gap raises.
+        """
+        if epoch <= self.batches_applied:
+            return None
+        if epoch != self.batches_applied + 1:
+            raise ValueError(
+                f"WAL does not continue from batch epoch "
+                f"{self.batches_applied}: expected epoch "
+                f"{self.batches_applied + 1}, found {epoch}"
+            )
+        report = self.detector.update(batch)
+        self.batches_applied = epoch
+        self.edits_applied += batch.size
+        self.batches_since_extract += 1
+        return report
 
     def _require_started(self) -> None:
         if not self._started:
@@ -462,11 +508,7 @@ class CommunityService:
         epoch = self.batches_applied + 1
         if self.store is not None:
             self.store.append_wal(epoch, batch)
-        report = self.detector.update(batch)
-        self.batches_applied = epoch
-        self.edits_applied += batch.size
-        self.batches_since_extract += 1
-        self.last_report = report
+        report = self._replay(epoch, batch)
         if (
             self.store is not None
             and self.config.checkpoint_every
@@ -525,6 +567,20 @@ class CommunityService:
         if obs is not None:
             obs.trace.record("service.extract", extract_start, plane="service")
         return report
+
+    def _export_index(self) -> Tuple[Dict[str, object], int]:
+        """The published index and the batch epoch it was extracted at."""
+        return (
+            self.index.export_state(),
+            self.batches_applied - self.batches_since_extract,
+        )
+
+    def _install_index(self, exported: Tuple[Dict[str, object], int]) -> None:
+        """Publish another service's :meth:`_export_index` as this one's,
+        so later extractions continue its stable-id trajectory."""
+        state, extracted_at = exported
+        self.index.install_state(state)
+        self.batches_since_extract = self.batches_applied - extracted_at
 
     def _maybe_refresh(self) -> None:
         if self.index.generation == 0:

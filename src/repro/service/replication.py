@@ -7,10 +7,12 @@ crashes by running it as a small supervised topology:
 * a **primary** child process owns the authoritative
   :class:`~repro.service.facade.CommunityService` (ingest, WAL,
   checkpoints);
-* N **read replicas** rebuild the same detector state from the shared
-  :class:`~repro.service.durability.CheckpointStore` checkpoint plus the
-  CRC-tagged WAL records the supervisor ships record-by-record, and serve
-  membership queries from their own :class:`MembershipIndex`;
+* N **read replicas** are restored services: each rebuilds the primary's
+  state from the shared :class:`~repro.service.durability.CheckpointStore`
+  with the restore :meth:`CommunityService.recover` runs (falling back
+  past a corrupt checkpoint), installs the primary's exported index, then
+  follows the CRC-tagged WAL records the supervisor ships record by
+  record, and serves membership queries from its own index;
 * the **supervisor** (this process) windows edits, commits each batch to
   the primary, fans the resulting WAL record out to the replicas, and —
   when the primary dies — promotes the freshest replica (highest applied
@@ -70,16 +72,11 @@ from repro.api.config import ServicePlanConfig
 from repro.api.plan import GraphCaps, ServiceRunPlan, resolve_service_plan
 from repro.api.registry import SERVICE_TRANSPORTS
 from repro.api.results import ReplicatedRunResult
-from repro.core.detector import RSLPADetector
 from repro.distributed.faults import FaultPlan
 from repro.graph.adjacency import Graph
 from repro.graph.edits import EditBatch
 from repro.runtime import TIMEOUT, ChildCrashedError, Wire, stop_children
-from repro.service.durability import (
-    CheckpointStore,
-    encode_wal_record,
-    parse_wal_line,
-)
+from repro.service.durability import encode_wal_record, parse_wal_line
 from repro.service.facade import (
     CommunityService,
     ServiceConfig,
@@ -115,11 +112,6 @@ class ReplicaLapsedError(RuntimeError):
 # ----------------------------------------------------------------------
 # Child process main loop
 # ----------------------------------------------------------------------
-def _refresh_grid(cfg: ServiceConfig) -> int:
-    """K of the fixed extraction grid (refresh after every K-th batch)."""
-    return max(1, cfg.staleness_batches)
-
-
 def _index_payload(index: MembershipIndex, kind: str, args: tuple):
     """Answer one query against an index, bypassing any lazy refresh."""
     if kind == "communities_of":
@@ -133,99 +125,14 @@ def _index_payload(index: MembershipIndex, kind: str, args: tuple):
     raise ValueError(f"unknown query kind {kind!r}")
 
 
-class _ReplicaRuntime:
-    """A replica child's state: detector + index following the primary."""
-
-    def __init__(self, cfg: ServiceConfig, checkpoint_dir: str,
-                 index_state, last_refresh: int, lines: List[str]):
-        store = CheckpointStore(checkpoint_dir, keep=cfg.keep_checkpoints)
-        try:
-            ckpt = store.load_checkpoint()
-        finally:
-            store.close()
-        self.cfg = cfg
-        self.checkpoint_dir = checkpoint_dir
-        self.detector = RSLPADetector.from_state(
-            ckpt.graph,
-            ckpt.state,
-            ckpt.seed,
-            backend=cfg.backend,
-            tau_step=cfg.tau_step,
-            batch_epoch=ckpt.batch_epoch,
-        )
-        self.index = MembershipIndex(
-            match_threshold=cfg.match_threshold,
-            drift_tolerance=cfg.drift_tolerance,
-        )
-        self.index.install_state(index_state)
-        self.applied = ckpt.batch_epoch
-        self.edits_applied = ckpt.edits_applied
-        self.last_refresh = last_refresh
-        self.grid = _refresh_grid(cfg)
-        for line in lines:
-            record = parse_wal_line(line)
-            if record is not None:
-                self.apply(record[0], record[1])
-
-    def apply(self, seq: int, batch: EditBatch) -> bool:
-        """Apply one in-order record; idempotent below ``applied``."""
-        if seq <= self.applied:
-            return False
-        if seq != self.applied + 1:
-            raise ValueError(
-                f"replica gap: expected seq {self.applied + 1}, got {seq}"
-            )
-        self.detector.update(batch)
-        self.applied = seq
-        self.edits_applied += batch.size
-        return True
-
-    def maybe_refresh(self, seq: int) -> None:
-        """Refresh on the fixed grid — and only past the bootstrap point,
-        so a replica never re-extracts at a grid point the shipped index
-        state already absorbed (the id trajectory must match the
-        primary's exactly)."""
-        if seq % self.grid == 0 and seq > self.last_refresh:
-            self.index.update(self.detector.communities())
-            self.last_refresh = seq
-
-    def promote(self) -> Tuple[CommunityService, int]:
-        """Become the primary: replay the on-disk WAL tail, assemble a
-        full service around this runtime's detector and index."""
-        store = CheckpointStore(
-            self.checkpoint_dir, keep=self.cfg.keep_checkpoints
-        )
-        replayed = 0
-        for epoch, batch in store.read_wal(after_epoch=self.applied):
-            if self.apply(epoch, batch):
-                replayed += 1
-                self.maybe_refresh(epoch)
-        cfg = self.cfg
-        service = CommunityService.__new__(CommunityService)
-        service.config = cfg
-        from repro.api.config import ExecutionConfig
-
-        service.execution = ExecutionConfig(backend=cfg.backend)
-        service.obs = _service_obs(service.execution)
-        store.obs = service.obs
-        service.detector = self.detector
-        service.queue = EditQueue(
-            batch_size=cfg.batch_size, max_pending=cfg.max_pending
-        )
-        service.index = self.index
-        service.store = store
-        service._started = True
-        service.batches_applied = self.applied
-        service.edits_applied = self.edits_applied
-        service.batches_since_extract = self.applied - self.last_refresh
-        service.extractions = 0
-        service.queries_served = 0
-        service.checkpoint_fallbacks = 0
-        service.stale_serves = 0
-        service.refresh_failures = 0
-        service.wal_discarded_records = store.last_discarded_records
-        service.last_report = None
-        return service, replayed
+def _follow(service: CommunityService, seq: int, batch: EditBatch,
+            grid: int) -> bool:
+    """Apply one logged record on a replica, then refresh on the fixed
+    grid as the primary did; ``False`` if the record was already applied."""
+    fresh = service._replay(seq, batch) is not None
+    if fresh and seq % grid == 0:
+        service.refresh()
+    return fresh
 
 
 def _service_child_main(
@@ -237,29 +144,29 @@ def _service_child_main(
     checkpoint_dir: str,
     fault_plan: Optional[FaultPlan],
 ) -> None:
-    """Child-process loop: primary or replica, switching role on promote."""
+    """Child-process loop: primary or replica, switching role on promote.
+
+    A replica is a restored :class:`CommunityService` serving its
+    primary's exported index; it follows shipped records until promoted.
+    """
     faults = fault_plan if fault_plan is not None else FaultPlan()
-    grid = _refresh_grid(cfg)
+    # The fixed extraction grid: primary and replicas alike refresh after
+    # every K-th batch, so their stable-id trajectories match.
+    grid = max(1, cfg.staleness_batches)
     service: Optional[CommunityService] = None
-    runtime: Optional[_ReplicaRuntime] = None
     try:
         endpoint.open()
         if role == "primary":
             service = CommunityService(
                 graph, config=cfg, checkpoint_dir=checkpoint_dir
             ).start()
-            endpoint.send(
-                ("ready", 0, service.index.export_state(), 0)
-            )
         else:
             message = endpoint.recv()
             if message[0] != "bootstrap":  # pragma: no cover - protocol
                 raise ValueError(f"replica expected bootstrap, got {message!r}")
-            _verb, index_state, last_refresh, lines = message
-            runtime = _ReplicaRuntime(
-                cfg, checkpoint_dir, index_state, last_refresh, lines
-            )
-            endpoint.send(("ready", runtime.applied, None, runtime.last_refresh))
+            service = CommunityService._restore(checkpoint_dir, cfg)
+            service._install_index(message[1])
+        endpoint.send(("ready", service.batches_applied))
         while True:
             message = endpoint.recv()
             verb = message[0]
@@ -267,24 +174,14 @@ def _service_child_main(
                 break
             if verb == "query":
                 _verb, token, kind, args = message
-                if role == "primary":
-                    index, applied = service.index, service.batches_applied
-                else:
-                    index, applied = runtime.index, runtime.applied
+                applied = service.batches_applied
                 try:
                     if kind == "stats":
-                        if role == "primary":
-                            payload = service.stats()
-                        else:
-                            payload = {
-                                "role": "replica",
-                                "applied": runtime.applied,
-                                "index_generation": runtime.index.generation,
-                            }
+                        payload = dict(service.stats(), role=role)
                     elif kind == "status":
                         payload = applied
                     else:
-                        payload = _index_payload(index, kind, args)
+                        payload = _index_payload(service.index, kind, args)
                     endpoint.send(("resp", token, True, payload, applied))
                 except Exception as exc:
                     endpoint.send(("resp", token, False, exc, applied))
@@ -329,27 +226,26 @@ def _service_child_main(
             elif verb == "wal" and role == "replica":
                 _verb, seq, line = message
                 record = parse_wal_line(line)
-                if record is None or (
-                    seq > runtime.applied + 1
-                ):
+                if record is None or seq > service.batches_applied + 1:
                     # Corrupt in transit or a gap: ask for a re-ship from
                     # the last record this replica durably applied.
-                    endpoint.send(("nack", runtime.applied))
+                    endpoint.send(("nack", service.batches_applied))
                     continue
-                fresh = runtime.apply(seq, record[1])
+                fresh = _follow(service, seq, record[1], grid)
                 if fresh and faults.should_kill_replica(rid, seq):
                     os.kill(os.getpid(), signal.SIGKILL)
-                if fresh:
-                    runtime.maybe_refresh(seq)
                 stall = faults.heartbeat_stall_seconds(rid, seq)
                 if fresh and stall:
                     time.sleep(stall)
-                endpoint.send(("ack", seq, runtime.applied))
+                endpoint.send(("ack", seq, service.batches_applied))
             elif verb == "promote" and role == "replica":
                 _verb, token, new_plan = message
                 faults = new_plan if new_plan is not None else FaultPlan()
-                service, replayed = runtime.promote()
-                runtime = None
+                # Replay what the dead primary logged but never shipped.
+                replayed = sum(
+                    _follow(service, epoch, batch, grid)
+                    for epoch, batch in service._wal_tail()
+                )
                 role = "primary"
                 endpoint.send(
                     ("promoted", token, service.batches_applied, replayed)
@@ -357,9 +253,7 @@ def _service_child_main(
             elif verb == "export_index" and role == "primary":
                 _verb, token = message
                 endpoint.send(
-                    ("resp", token, True,
-                     (service.index.export_state(),
-                      service.batches_applied - service.batches_since_extract),
+                    ("resp", token, True, service._export_index(),
                      service.batches_applied)
                 )
             else:  # pragma: no cover - protocol violation
@@ -490,8 +384,6 @@ class ServiceSupervisor:
         self._buffer: Dict[int, str] = {}  #: seq -> shipped WAL line
         self._committed_seq = 0
         self._latest_ckpt_epoch = 0
-        self._bootstrap_index_state = None
-        self._bootstrap_last_refresh = 0
         self._token = 0
         self._started = False
         self._closed = False
@@ -519,9 +411,7 @@ class ServiceSupervisor:
         self._wire.bind(self._ctx)
         try:
             self._spawn_child(self._primary_cid, "primary", rid=-1)
-            ready = self._wire.recv(self._primary_cid)
-            self._bootstrap_index_state = ready[2]
-            self._bootstrap_last_refresh = ready[3]
+            self._wire.recv(self._primary_cid)  # ready: fit + checkpoint 0
             for rid in range(self.plan.replicas):
                 self._spawn_replica(rid, respawn=False)
         except BaseException:
@@ -530,8 +420,7 @@ class ServiceSupervisor:
         self._started = True
         return self
 
-    def _spawn_child(self, cid: int, role: str, rid: int,
-                     fault_plan: Optional[FaultPlan] = None) -> None:
+    def _spawn_child(self, cid: int, role: str, rid: int) -> None:
         endpoint = self._wire.child_endpoint(cid)
         process = self._ctx.Process(
             target=_service_child_main,
@@ -542,7 +431,7 @@ class ServiceSupervisor:
                 self._graph if role == "primary" else None,
                 self._cfg,
                 self._checkpoint_dir,
-                fault_plan if fault_plan is not None else self._fault_plan,
+                self._fault_plan,
             ),
             daemon=True,
         )
@@ -553,61 +442,44 @@ class ServiceSupervisor:
     def _spawn_replica(self, rid: int, respawn: bool) -> None:
         """Spawn (or respawn) replica ``rid`` and bootstrap it.
 
-        A respawned replica is healthy (its scripted faults are
-        stripped) and bootstraps from the latest shared-disk checkpoint
-        plus the supervisor's buffered tail — the same recipe as initial
-        spawn, so the code path is exercised constantly, not only in
-        disasters.
+        The replica restores its service from the shared checkpoint and
+        WAL exactly as :meth:`CommunityService.recover` does (falling back
+        past a corrupt checkpoint), then installs the live primary's
+        exported index, so it lands on the current stable-id trajectory
+        (stable ids are path-dependent).  A respawned replica is healthy
+        (its scripted faults are stripped) and takes the same path as an
+        initial spawn, so the code path is exercised constantly, not only
+        in disasters.
         """
-        state = self._replicas.get(rid)
-        if state is None:
-            state = _ReplicaState(rid)
-            self._replicas[rid] = state
-        plan = self._fault_plan
         if respawn:
             self._wire.detach(rid)
             old = self._processes.pop(rid, None)
             if old is not None:
                 old.join(timeout=1.0)
-            state.respawns += 1
+            self._replicas[rid].respawns += 1
             self.replica_respawns += 1
-            plan = plan.without_replica(rid)
-            self._fault_plan = plan
-        if respawn and self._bootstrap_index_state is not None:
-            # Re-export the primary's index state so the replacement
-            # lands on the current id trajectory, not the start-of-run
-            # one (stable ids are path-dependent).
-            try:
-                index_state, last_refresh = self._request_primary_export()
-                self._bootstrap_index_state = index_state
-                self._bootstrap_last_refresh = last_refresh
-            except ChildCrashedError:
-                self._handle_primary_crash(in_flight=None)
-                index_state, last_refresh = self._request_primary_export()
-                self._bootstrap_index_state = index_state
-                self._bootstrap_last_refresh = last_refresh
-        self._spawn_child(rid, "replica", rid=rid, fault_plan=plan)
-        lines = [
-            self._buffer[seq]
-            for seq in sorted(self._buffer)
-            if seq <= self._committed_seq
-        ]
-        self._wire.send(
-            rid,
-            ("bootstrap", self._bootstrap_index_state,
-             self._bootstrap_last_refresh, lines),
-        )
+            self._fault_plan = self._fault_plan.without_replica(rid)
+        exported = self._request_primary_export()
+        self._spawn_child(rid, "replica", rid=rid)
+        self._wire.send(rid, ("bootstrap", exported))
         ready = self._wire.recv(rid)
+        state = self._replicas.setdefault(rid, _ReplicaState(rid))
         state.acked = ready[1]
         state.shipped = max(state.acked, self._committed_seq)
         state.pending.clear()
         state.stalled = False
 
     def _request_primary_export(self) -> Tuple[object, int]:
-        payload, _applied = self._query_child(
-            self._primary_cid, "export_index", (), timeout=None
-        )
-        return payload
+        """The primary's exported index and its extraction epoch, failing
+        over first if the primary is found dead."""
+        while True:
+            try:
+                payload, _applied = self._query_child(
+                    self._primary_cid, "export_index", (), timeout=None
+                )
+                return payload
+            except ChildCrashedError:
+                self._handle_primary_crash(in_flight=None)
 
     # ------------------------------------------------------------------
     # Ingest

@@ -7,13 +7,10 @@ identical to the run that was never interrupted — per-seed label matrices
 and extracted cover alike, on both backends.
 """
 
-import io
 import random
 import shutil
-import struct
 import tempfile
 import threading
-import zipfile
 from collections import Counter
 
 import numpy as np
@@ -530,45 +527,14 @@ class TestCorruptCheckpointFallback:
             service.apply(batch)
         return service
 
-    @staticmethod
-    def corrupt_checkpoint(store, epoch, damage="truncate"):
-        """Damage one checkpoint file so it can no longer load its state.
-
-        ``truncate`` tears the copy in half.  ``flip`` flips a seeded byte
-        inside the label matrix's deflate stream, short of its last byte
-        (whose padding bits may be unused).  ``short_header`` rewrites the
-        file with stored members and makes the ``srcs`` npy header ask for
-        int32, half the member's bytes, leaving the CRC stale: a reader
-        that stops where the header says never reaches the CRC check.
-        """
-        path = store._checkpoint_path(epoch)
-        payload = bytearray(path.read_bytes())
-        if damage == "truncate":
-            del payload[len(payload) // 2:]
-        elif damage == "short_header":
-            with np.load(path) as arrays:
-                stored = io.BytesIO()
-                np.savez(stored, **{k: arrays[k] for k in arrays.files})
-            payload = bytearray(stored.getvalue())
-            at = payload.index(b"'descr': '<i8'", payload.index(b"srcs.npy"))
-            payload[at + len(b"'descr': '<i")] = ord("4")
-        else:
-            with zipfile.ZipFile(path) as archive:
-                info = archive.getinfo("labels.npy")
-            # Local header: 30 fixed bytes, then the name and extra field.
-            name_len, extra_len = struct.unpack_from("<HH", payload, info.header_offset + 26)
-            start = info.header_offset + 30 + name_len + extra_len
-            rng = random.Random(epoch)
-            payload[start + rng.randrange(info.compress_size - 1)] ^= rng.randrange(1, 256)
-        path.write_bytes(bytes(payload))
-
     @pytest.mark.parametrize("damage", ["truncate", "flip", "short_header"])
-    def test_fallback_recovers_bit_identically(self, tmp_path, damage):
+    def test_fallback_recovers_bit_identically(self, tmp_path, damage,
+                                               corrupt_checkpoint):
         # Checkpoints at 2, 4, 6; corrupt the latest so recovery falls
         # back to epoch 4 and replays 5..6 from the retained WAL tail.
         service = self.run_service(tmp_path, num_batches=6)
         service.close()
-        self.corrupt_checkpoint(service.store, 6, damage)
+        corrupt_checkpoint(service.store, 6, damage)
         recovered = CommunityService.recover(str(tmp_path),
                                              staleness_batches=0)
         assert recovered.batches_applied == 6
@@ -578,11 +544,12 @@ class TestCorruptCheckpointFallback:
         assert recovered.cover() == service.cover()
 
     @pytest.mark.parametrize("damage", ["truncate", "flip", "short_header"])
-    def test_fallback_two_epochs_deep(self, tmp_path, damage):
+    def test_fallback_two_epochs_deep(self, tmp_path, damage,
+                                      corrupt_checkpoint):
         service = self.run_service(tmp_path, num_batches=6)
         service.close()
-        self.corrupt_checkpoint(service.store, 6, damage)
-        self.corrupt_checkpoint(service.store, 4, damage)
+        corrupt_checkpoint(service.store, 6, damage)
+        corrupt_checkpoint(service.store, 4, damage)
         recovered = CommunityService.recover(str(tmp_path),
                                              staleness_batches=0)
         assert recovered.batches_applied == 6
@@ -590,11 +557,12 @@ class TestCorruptCheckpointFallback:
         assert_states_identical(service.detector, recovered.detector)
 
     @pytest.mark.parametrize("damage", ["truncate", "flip", "short_header"])
-    def test_every_checkpoint_corrupt_raises(self, tmp_path, damage):
+    def test_every_checkpoint_corrupt_raises(self, tmp_path, damage,
+                                             corrupt_checkpoint):
         service = self.run_service(tmp_path, num_batches=6)
         service.close()
         for epoch in service.store.checkpoint_epochs():
-            self.corrupt_checkpoint(service.store, epoch, damage)
+            corrupt_checkpoint(service.store, epoch, damage)
         with pytest.raises(CorruptCheckpointError):
             CommunityService.recover(str(tmp_path))
 

@@ -19,7 +19,7 @@ from repro.distributed.faults import FaultPlan
 from repro.graph.edits import EditBatch
 from repro.graph.generators import ring_of_cliques
 from repro.runtime import PipeWire, TcpWire
-from repro.service import ServiceConfig
+from repro.service import CheckpointStore, ServiceConfig
 from repro.service.replication import FailoverExhaustedError, ServiceSupervisor
 
 ITERATIONS = 30
@@ -347,6 +347,44 @@ class TestReplicaFaults:
                 0, "snapshot", (), timeout=None
             )
             assert replica == sup.snapshot()
+        finally:
+            sup.shutdown()
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_respawn_past_corrupt_checkpoint_smoke(
+        self, tmp_path, baseline_snapshot, corrupt_checkpoint, damage
+    ):
+        # Two batches leave checkpoints 0 and 2.  With 2 damaged, the
+        # respawned replica must fall back to checkpoint 0 and replay the
+        # retained WAL tail, as recover() does.
+        sup = ServiceSupervisor(
+            ring_of_cliques(3, 4), str(tmp_path), make_config()
+        ).start()
+        try:
+            half = len(EDITS) // 2
+            for op, u, v in EDITS[:half]:
+                sup.submit(op, u, v)
+            store = CheckpointStore(tmp_path)
+            assert store.checkpoint_epochs() == [0, 2]
+            corrupt_checkpoint(store, 2, damage)
+            victim = sup._processes[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            # A fresh client reads replica 0 first, which finds it dead.
+            client = sup.client()
+            client.communities_of(0)
+            for op, u, v in EDITS[half:]:
+                sup.submit(op, u, v)
+                client.communities_of(0)
+                client.overlap(0, 1)
+            assert sup.stats()["replica_respawns"] >= 1
+            replica, _applied = sup.query_replica(
+                0, "snapshot", (), timeout=None
+            )
+            assert replica == sup.snapshot() == baseline_snapshot
+            stats, _applied = sup.query_replica(0, "stats", (), timeout=None)
+            assert stats["role"] == "replica"
+            assert stats["checkpoint_fallbacks"] == 1
         finally:
             sup.shutdown()
 
