@@ -13,9 +13,9 @@ incremental repair    :class:`CorrectionPropagator`  :class:`FastCorrectionPropa
 
 The fast column chains without leaving numpy: ``FastPropagator`` runs on a
 CSR snapshot, ``to_array_state()`` exports its ``(T+1, n)`` matrices as an
-:class:`ArrayLabelState` (reverse records built by one argsort), and
-``FastCorrectionPropagator`` repairs that state with O(η) vectorised passes
-per edit batch.  Both columns take any vertex ids but −1 (``NO_SOURCE``):
+:class:`ArrayLabelState`, and ``FastCorrectionPropagator`` repairs that
+state with O(η) vectorised passes per edit batch (its first repair builds
+the reverse records, by one argsort).  Both columns take any vertex ids but −1 (``NO_SOURCE``):
 the array state carries a column → id array and every draw is keyed by
 the vertex id.  ``to_label_state()`` / ``ArrayLabelState.from_label_state``
 cross between the columns at any point; the reference column remains the

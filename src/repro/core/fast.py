@@ -112,9 +112,9 @@ class FastPropagator:
     def to_array_state(self) -> ArrayLabelState:
         """Export an :class:`~repro.core.labels_array.ArrayLabelState`.
 
-        The label and provenance matrices are adopted as-is (copied), and
-        the reverse records are built by one argsort over source-slot keys,
-        so a fast static run hands over to
+        The label and provenance matrices are adopted as-is (copied); the
+        reverse records are left to the first repair, which builds them
+        from the provenance.  So a fast static run hands over to
         :class:`~repro.core.incremental_fast.FastCorrectionPropagator`
         without ever leaving the array substrate.
         """

@@ -52,18 +52,14 @@ class CorrectionPropagator:
     batches draw fresh lotteries, while the per-slot epoch feeds repick
     randomness so that a slot repicked twice in one batch lifetime gets
     independent draws.
-
-    ``track_slots=False`` switches the reports to the counting fast path
-    (η without the per-slot set; see :class:`UpdateReport`).
     """
 
-    def __init__(self, propagator: ReferencePropagator, track_slots: bool = True):
+    def __init__(self, propagator: ReferencePropagator):
         self.propagator = propagator
         self.graph = propagator.graph
         self.state = propagator.state
         self.seed = propagator.seed
         self.batch_epoch = 0
-        self.track_slots = track_slots
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -81,7 +77,6 @@ class CorrectionPropagator:
             batch_size=batch.size,
             num_inserted=len(batch.insertions),
             num_deleted=len(batch.deletions),
-            track_slots=self.track_slots,
         )
 
         added = batch.added_neighbors()
@@ -161,6 +156,8 @@ class CorrectionPropagator:
 
         # notifications[t] = {vertex: corrected value}
         notifications: Dict[int, Dict[int, int]] = {}
+        # Touched slots, noted into the report once, after the drain.
+        touched: List[Tuple[int, int]] = []
 
         for t in range(1, t_max + 1):
             # 3a. cascade corrections arriving at iteration t.
@@ -172,19 +169,23 @@ class CorrectionPropagator:
                         continue
                     self.state.set_label(v, t, new_label)
                     report.value_changes += 1
-                    report.note_touched(v, t)
+                    touched.append((v, t))
                     self._notify_receivers(v, t, new_label, notifications)
             # 3b. repicks at iteration t (read post-correction upstream).
             for v in pending_repick_all.get(t, ()):
                 self._execute_repick(v, t, None, report, notifications)
+                touched.append((v, t))
             for v, added_nbrs in pending_repick_added.get(t, ()):
                 self._execute_repick(v, t, added_nbrs, report, notifications)
+                touched.append((v, t))
 
         if notifications:
             leftover = sorted(notifications)[:3]
             raise AssertionError(
                 f"correction propagation left pending notifications at {leftover}"
             )
+        if touched:
+            report.note_touched(*zip(*touched))
         return report
 
     # ------------------------------------------------------------------
@@ -211,7 +212,6 @@ class CorrectionPropagator:
         old_label = state.labels[v][t]
         epoch = state.epochs[v][t] + 1
         report.repicked += 1
-        report.note_touched(v, t)
         if len(candidates) == 0:
             # Vertex is now isolated: fall back to its own initial label.
             state.replace_pick(v, t, state.labels[v][0], NO_SOURCE, NO_SOURCE, epoch)
@@ -255,11 +255,7 @@ class CorrectionPropagator:
         incident = EditBatch.build(
             deletions=[(v, u) for u in self.graph.neighbors_view(v)]
         )
-        report = (
-            self.apply_batch(incident)
-            if incident
-            else UpdateReport(track_slots=self.track_slots)
-        )
+        report = self.apply_batch(incident) if incident else UpdateReport()
         # After the batch no slot sources from v (all its edges are gone and
         # every dependent slot was repicked), but v's own slots may still
         # hold sources — detach them so the reverse maps clear.

@@ -2,7 +2,7 @@
 
 :class:`FastCorrectionPropagator` repairs an
 :class:`~repro.core.labels_array.ArrayLabelState` after an edit batch with
-the same three-phase structure as the reference
+the same structure as the reference
 :class:`~repro.core.incremental.CorrectionPropagator`, but each phase is a
 handful of numpy passes instead of per-slot Python loops:
 
@@ -19,23 +19,41 @@ handful of numpy passes instead of per-slot Python loops:
 3. **Drain** — the cascade runs one iteration level at a time: arrived
    corrections and the level's repick value gathers are batched
    gather/scatters (upstream rows are final by then), and one notification
-   query per level fans out through the CSR-style reverse index grouped by
-   destination level.
+   query per level fans out through the sorted reverse-record runs,
+   grouped by destination level.
+4. **Register** — the batch's new reverse records are appended to the
+   state's overlay run in one pass.
 
-Total per-batch cost is O(η) array work (plus O(batch) Python for the edit
-bookkeeping itself), and the result is **bit-identical** to the reference
-corrector for every seed, batch, and batch epoch — labels, provenance,
-epochs, and reports all match, which the test suite asserts slot for slot.
-Vertex ids may be any int64 but −1: batch endpoints map to columns through
-the state's id lookup, candidate pools are sorted by vertex id, every draw
-is keyed by the vertex id, and reports name slots by vertex id.
+The state's reverse records are built at the top of the first repair,
+before it writes any provenance: a build later in the batch would already
+hold the batch's own new records and send cascade corrections the
+reference never sends.  Later repairs compact the record runs at the same
+point when they have grown (see :mod:`repro.core.labels_array`).
+
+Total per-batch cost is O(η) array work, plus the overlay copy and the
+amortised compaction (see :meth:`ArrayLabelState.needs_compaction`) and
+O(batch) Python for the edit bookkeeping itself, with no Python per
+reverse record; the result is
+**bit-identical** to the reference corrector for every seed, batch, and
+batch epoch — labels, provenance, epochs, and reports all match, which the
+test suite asserts slot for slot.  Vertex ids may be any int64 but −1:
+batch endpoints map to columns through the state's id lookup, candidate
+pools are sorted by vertex id, every draw is keyed by the vertex id, and
+reports name slots by vertex id.
+
+A traced service hands its observability context to the corrector
+(:attr:`FastCorrectionPropagator.obs`), which then records the four phases
+as ``core.incremental_fast.{classify,detach,drain,register}`` spans and
+the record build and compaction as
+``core.labels_array.{build_records,compact}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import List, Set, Tuple
+from time import time_ns
+from typing import List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -63,19 +81,21 @@ _PAIR = np.int64(1) << np.int64(32)
 _Pending = List[List[Tuple[np.ndarray, np.ndarray]]]
 
 
-@dataclass
+@dataclass(eq=False)
 class UpdateReport:
     """What one incremental update did — the measurable side of Section IV-D.
 
     ``touched_labels`` is the paper's ``η``: the number of slots whose label
-    was re-drawn or whose value was corrected by the cascade.
-
-    With ``track_slots=False`` the report counts distinct touched slots
-    without materialising the ``touched_slots`` set (the benchmark fast
-    path).  The count is exact because the two note sources are disjoint: a
+    was re-drawn or whose value was corrected by the cascade.  It is a
+    count, and exact, because the two note sources are disjoint: a
     repicked slot is detached before the cascade starts, so it can never
     also receive a cascaded correction, and each slot is repicked (and
     notified) at most once per batch.
+
+    The touched slots themselves are kept as the (vertex id, level) arrays
+    the correctors note; :attr:`touched_slots` builds the set of pairs
+    only when it is read.  Two reports are equal when their counters and
+    their touched-slot sets are.
     """
 
     batch_size: int = 0
@@ -86,39 +106,45 @@ class UpdateReport:
     lottery_switches: int = 0
     cascade_corrections: int = 0
     value_changes: int = 0
-    touched_slots: Set[Tuple[int, int]] = field(default_factory=set, repr=False)
-    track_slots: bool = True
-    touched_count: int = 0
+    touched_labels: int = 0
+    _touched: List[Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
-    def note_touched(self, v: int, t: int) -> None:
-        """Record slot ``(v, t)`` as touched (set or counter, per mode)."""
-        if self.track_slots:
-            self.touched_slots.add((v, t))
-        else:
-            self.touched_count += 1
-
-    def note_touched_many(self, vs, t: int) -> None:
-        """Record every slot ``(v, t) for v in vs`` as touched."""
-        if self.track_slots:
-            self.touched_slots.update((int(v), t) for v in vs)
-        else:
-            self.touched_count += len(vs)
-
-    def note_touched_pairs(self, vs, ts) -> None:
-        """Record slots ``(vs[i], ts[i])`` as touched (paired arrays)."""
-        if self.track_slots:
-            self.touched_slots.update(
-                zip((int(v) for v in vs), (int(t) for t in ts))
-            )
-        else:
-            self.touched_count += len(vs)
+    def note_touched(
+        self, ids: Sequence[int], levels: Union[int, Sequence[int]]
+    ) -> None:
+        """Record slots ``(ids[i], levels[i])`` as touched; ``levels`` may
+        be one level for all of them.  Kept as given until read."""
+        self._touched.append((ids, levels))
+        self.touched_labels += len(ids)
 
     @property
-    def touched_labels(self) -> int:
-        """η: distinct slots re-drawn or value-corrected."""
-        if self.track_slots:
-            return len(self.touched_slots)
-        return self.touched_count
+    def touched_slots(self) -> Set[Tuple[int, int]]:
+        """The touched slots as ``(vertex id, level)`` pairs."""
+        slots: Set[Tuple[int, int]] = set()
+        for ids, levels in self._touched:
+            ids = np.asarray(ids, dtype=np.int64)
+            levels = np.broadcast_to(np.asarray(levels, dtype=np.int64), ids.shape)
+            slots.update(zip(ids.tolist(), levels.tolist()))
+        return slots
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UpdateReport):
+            return NotImplemented
+        return all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+            if f.compare
+        ) and self.touched_slots == other.touched_slots
+
+
+def _lap(obs, name: str, start: int) -> int:
+    """Record span ``name`` from ``start`` until now; returns now, the
+    next phase's start."""
+    end = time_ns()
+    obs.trace.record(name, start, plane="core", end_ns=end)
+    return end
 
 
 def _sorted_pool(groups, counts: np.ndarray, total: int) -> np.ndarray:
@@ -155,31 +181,29 @@ class FastCorrectionPropagator:
         corrector.apply_batch(batch)
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        state: ArrayLabelState,
-        seed: int,
-        track_slots: bool = True,
-    ):
+    #: Observability context (:class:`repro.obs.Obs`) a traced service
+    #: attaches, as it does to its checkpoint store: each repair then
+    #: records its phases as ``core.incremental_fast.*`` spans and the
+    #: state's record build and compaction as ``core.labels_array.*``
+    #: spans.  ``None`` (the default) keeps the repair free of
+    #: :mod:`repro.obs` calls.
+    obs = None
+
+    def __init__(self, graph: Graph, state: ArrayLabelState, seed: int):
         if set(graph.vertices()) != set(state.vertices()):
             raise ValueError("label state vertices do not match the graph")
         self.graph = graph
         self.state = state
         self.seed = seed
         self.batch_epoch = 0
-        self.track_slots = track_slots
 
     @classmethod
     def from_fast_propagator(
-        cls,
-        propagator: FastPropagator,
-        graph: Graph,
-        track_slots: bool = True,
+        cls, propagator: FastPropagator, graph: Graph
     ) -> "FastCorrectionPropagator":
         """Adopt a finished static run: export its array state and pair it
         with the mutable graph that future batches will edit."""
-        return cls(graph, propagator.to_array_state(), propagator.seed, track_slots)
+        return cls(graph, propagator.to_array_state(), propagator.seed)
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -196,14 +220,24 @@ class FastCorrectionPropagator:
             {e for edge in batch.insertions for e in edge if not self.graph.has_vertex(e)}
         )
         check_vertex_ids(new_vertices, "edit batch")
-        if state.needs_reindex():
+        obs = self.obs
+        if obs is not None:
+            t0 = time_ns()
+        # Built here, before this batch writes any provenance: a build
+        # later in the batch would already hold the batch's new records.
+        if not state.has_records:
             state.reindex()
+            if obs is not None:
+                t0 = _lap(obs, "core.labels_array.build_records", t0)
+        elif state.needs_compaction():
+            state.compact()
+            if obs is not None:
+                t0 = _lap(obs, "core.labels_array.compact", t0)
         self.batch_epoch += 1
         report = UpdateReport(
             batch_size=batch.size,
             num_inserted=len(batch.insertions),
             num_deleted=len(batch.deletions),
-            track_slots=self.track_slots,
         )
 
         added = batch.added_neighbors()
@@ -306,6 +340,8 @@ class FastCorrectionPropagator:
         order = np.argsort(rp_t, kind="stable")
         rp_v, rp_t = rp_v[order], rp_t[order]
         rp_off, rp_cnt = rp_off[order], rp_cnt[order]
+        if obs is not None:
+            t0 = _lap(obs, "core.incremental_fast.classify", t0)
 
         # --- 3. detach every slot scheduled for a repick, then pre-draw -
         # Hashes, candidate indices, positions, epochs, and provenance are
@@ -327,8 +363,10 @@ class FastCorrectionPropagator:
             state.srcs[rp_t, rp_v] = rp_src
             state.poss[rp_t, rp_v] = rp_pos
             rp_fallback = state.labels[0, rp_v]  # isolated slots: own label
-            report.note_touched_pairs(state.ids_of(rp_v), rp_t)
+            report.note_touched(state.ids_of(rp_v), rp_t)
             level_bounds = np.searchsorted(rp_t, np.arange(1, t_max + 2))
+        if obs is not None:
+            t0 = _lap(obs, "core.incremental_fast.detach", t0)
 
         # --- 4. drain: cascade + repick value gathers, level by level ---
         pending: _Pending = [[] for _ in range(t_max + 1)]
@@ -352,7 +390,7 @@ class FastCorrectionPropagator:
                     cvals = avals[changed]
                     state.labels[t, cv] = cvals
                     report.value_changes += len(cv)
-                    report.note_touched_many(state.ids_of(cv), t)
+                    report.note_touched(state.ids_of(cv), t)
                     changed_vs.append(cv)
                     changed_vals.append(cvals)
             if rp_v.size:
@@ -384,6 +422,9 @@ class FastCorrectionPropagator:
                     pending,
                 )
 
+        if obs is not None:
+            t0 = _lap(obs, "core.incremental_fast.drain", t0)
+
         # --- 5. register the new reverse records (batch-end flush) ------
         # Safe to defer: a record created this batch points a receiver at a
         # level the drain has already passed, so no in-batch query needs it.
@@ -391,6 +432,8 @@ class FastCorrectionPropagator:
             state.register_slots(
                 rp_src[has_mask], rp_pos[has_mask], rp_v[has_mask], rp_t[has_mask]
             )
+        if obs is not None:
+            _lap(obs, "core.incremental_fast.register", t0)
         return report
 
     def remove_vertex(self, v: int) -> UpdateReport:
@@ -401,11 +444,7 @@ class FastCorrectionPropagator:
         incident = EditBatch.build(
             deletions=[(v, u) for u in self.graph.neighbors_view(v)]
         )
-        report = (
-            self.apply_batch(incident)
-            if incident
-            else UpdateReport(track_slots=self.track_slots)
-        )
+        report = self.apply_batch(incident) if incident else UpdateReport()
         t_max = self.state.num_iterations
         if t_max:
             self.state.detach_slots(
@@ -441,10 +480,10 @@ class FastCorrectionPropagator:
         k_sorted = k[order]
         tar_sorted = tar[order]
         val_sorted = vals[owner[order]]
-        levels, starts = np.unique(k_sorted, return_index=True)
-        stops = np.append(starts[1:], len(k_sorted))
-        for level, lo, hi in zip(levels.tolist(), starts.tolist(), stops.tolist()):
-            pending[level].append((tar_sorted[lo:hi], val_sorted[lo:hi]))
+        bounds = (np.flatnonzero(k_sorted[1:] != k_sorted[:-1]) + 1).tolist()
+        starts, stops = [0, *bounds], [*bounds, len(k_sorted)]
+        for lo, hi in zip(starts, stops):
+            pending[int(k_sorted[lo])].append((tar_sorted[lo:hi], val_sorted[lo:hi]))
 
     def __repr__(self) -> str:
         return (

@@ -13,18 +13,32 @@ numpy arrays over columns, one per vertex:
   reverse-record keys and every gather use columns.  When the ids are
   ``0..n-1`` the id → column lookup is the identity and nothing is
   mapped; otherwise it is one binary search over the sorted ids;
-* reverse records — "which slots fetched slot ``(c, t)``" — live in a
-  CSR-style flat structure: one receiver array sorted by source-slot key
-  ``c * (T+1) + t``, located by binary search, instead of a dict-of-set
-  per slot.
+* reverse records — "which slots fetched slot ``(c, t)``" — are int64
+  ``(key, tar, k)`` columns searched by binary search over the sorted
+  source-slot keys ``c * (T+1) + t``, in two runs: the *static* run,
+  stored in key order, and one *overlay* run holding the records
+  registered since the last compaction, stored in arrival order beside
+  its sorted keys.  Each record has a tombstone bit and an O(1) handle
+  ``rec_pos[k, tar]``: its index in the static run (``>= 0``), ``-2 - i``
+  for record ``i`` of the overlay run, or ``-1`` (no record).
 
-The reverse structure is maintained incrementally in O(η) per batch: a
-repicked slot kills its old record via an O(1) ``rec_pos`` handle (an
-``alive`` mask over the flat array) and registers its new record in a small
-``extras`` overlay keyed by source slot.  When the overlay plus the dead
-entries outgrow the static part, :meth:`reindex` rebuilds the flat arrays
-from the provenance matrices in a few vectorised passes — amortised, never
-per-slot Python work.
+The records are built lazily.  A new state holds only its matrices; the
+first repair builds the records (:meth:`reindex`: one ``nonzero`` and one
+argsort over the n·T slots) before it writes any provenance, so a fit's
+export, a distributed gather and write-back, a checkpoint load and a
+replica bootstrap never pay for them.  On a state without records,
+:meth:`detach_slots` and :meth:`register_slots` write only the matrices.
+
+Once built, the records follow every repair in array passes, with no
+Python per record: a detached slot tombstones its record through its
+handle, new records are appended to the overlay run (their keys sorted
+and inserted into its sorted keys, so only the new records get handles),
+and a query binary-searches both runs.  An append still copies the
+overlay's sorted keys once, so :meth:`needs_compaction` asks for a
+:meth:`compact` once those copies and the static tombstones add up to the
+static run's length; the compaction merges the live records of the two
+runs into a new static run — a stable argsort over two sorted runs
+instead of a rebuild from the matrices.
 
 Both representations are freely convertible (:meth:`from_label_state` /
 :meth:`to_label_state`) and the test suite asserts the round trip is exact,
@@ -46,6 +60,11 @@ __all__ = ["ArrayLabelState"]
 #: The id → column lookup: ``None`` while the ids are ``0..n-1`` (the
 #: identity), else ``(sorted ids, their columns)`` for a binary search.
 _IdIndex = Optional[Tuple[np.ndarray, np.ndarray]]
+
+#: Reverse records as parallel ``(key, tar, k)`` columns.
+_Records = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -82,6 +101,102 @@ def _lookup(index: _IdIndex, ncols: int, v: np.ndarray) -> Tuple[np.ndarray, np.
     return order[at], sorted_ids[at] == v
 
 
+class _Run:
+    """One run of reverse records with tombstone bits, searchable by key.
+
+    Record ``i`` says slot ``(tar[i], k[i])`` fetched a slot; ``alive[i]``
+    is cleared when the record is detached and ``dead`` counts the cleared
+    bits.  ``key`` holds the records' source-slot keys sorted, and
+    ``at[j]`` is the record behind ``key[j]``, or ``at`` is ``None`` when
+    the records are stored in key order (the static run).  The overlay run
+    only appends records, so a record's index never changes; ``moved``
+    counts the sorted entries its appends have copied.
+    """
+
+    __slots__ = ("key", "at", "tar", "k", "alive", "dead", "moved")
+
+    def __init__(
+        self,
+        key: np.ndarray,
+        tar: np.ndarray,
+        k: np.ndarray,
+        at: Optional[np.ndarray] = None,
+    ):
+        self.key, self.at, self.tar, self.k = key, at, tar, k
+        self.alive = np.ones(len(tar), dtype=bool)
+        self.dead = 0
+        self.moved = 0
+
+    @classmethod
+    def sorted_from(cls, *parts: _Records) -> "_Run":
+        """The records of ``parts`` as one run in key order: a stable
+        argsort by key, which merges already-sorted parts in linear time."""
+        key, tar, k = (np.concatenate(column) for column in zip(*parts))
+        order = np.argsort(key, kind="stable")
+        return cls(key[order], tar[order], k[order])
+
+    @classmethod
+    def appendable(cls) -> "_Run":
+        """An empty run that :meth:`append` grows (the overlay)."""
+        return cls(_EMPTY, _EMPTY, _EMPTY, at=_EMPTY)
+
+    def __len__(self) -> int:
+        return len(self.tar)
+
+    def live(self) -> _Records:
+        """The live records as ``(key, tar, k)`` columns, sorted by key."""
+        if self.at is None:
+            if not self.dead:
+                return self.key, self.tar, self.k
+            keep = self.alive
+            return self.key[keep], self.tar[keep], self.k[keep]
+        keep = self.alive[self.at]
+        rec = self.at[keep]
+        return self.key[keep], self.tar[rec], self.k[rec]
+
+    def kill(self, rec: np.ndarray) -> None:
+        self.alive[rec] = False
+        self.dead += len(rec)
+
+    def append(self, key: np.ndarray, tar: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Add records in any key order; returns their indices.
+
+        The new keys are sorted and inserted into ``key`` at their binary
+        search positions, so an append copies the run once and sorts only
+        the new records.
+        """
+        first = len(self)
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        where = np.searchsorted(self.key, sorted_key, side="right")
+        self.moved += len(self.key)
+        self.key = np.insert(self.key, where, sorted_key)
+        self.at = np.insert(self.at, where, first + order)
+        self.tar = np.concatenate([self.tar, tar])
+        self.k = np.concatenate([self.k, k])
+        self.alive = np.concatenate([self.alive, np.ones(len(key), dtype=bool)])
+        return np.arange(first, len(self), dtype=np.int64)
+
+    def hits(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(owner, rec)``: live record ``rec[i]`` has key ``keys[owner[i]]``
+        (``keys`` ascending, which keeps the binary searches cache-friendly)."""
+        # One binary-search call covers both bounds: for integer slot keys,
+        # the right bound of ``key`` is the left bound of ``key + 1``.
+        bounds = np.searchsorted(self.key, np.concatenate([keys, keys + 1]))
+        left, right = bounds[: len(keys)], bounds[len(keys):]
+        counts = right - left
+        rec = _expand_ranges(left, counts)
+        if not len(rec):
+            return _EMPTY, _EMPTY
+        owner = np.repeat(np.arange(len(keys), dtype=np.int64), counts)
+        if self.at is not None:
+            rec = self.at[rec]
+        if self.dead:
+            live = self.alive[rec]
+            owner, rec = owner[live], rec[live]
+        return owner, rec
+
+
 class ArrayLabelState:
     """Label sequences + provenance + reverse records as int64 matrices.
 
@@ -102,14 +217,9 @@ class ArrayLabelState:
         "ids",
         "_index",
         "_stride",
-        "_rev_key",
-        "_rev_tar",
-        "_rev_k",
-        "_rev_alive",
+        "_static",
+        "_overlay",
         "_rec_pos",
-        "_extras",
-        "_extra_count",
-        "_dead_static",
     )
 
     def __init__(
@@ -122,7 +232,8 @@ class ArrayLabelState:
         ids: Optional[np.ndarray] = None,
     ):
         """Adopt matrices whose ``srcs`` hold columns; ``ids`` defaults to
-        ``0..n-1`` (where columns and ids coincide)."""
+        ``0..n-1`` (where columns and ids coincide).  The reverse records
+        stay unbuilt until :meth:`reindex` or the first query."""
         self.labels = np.ascontiguousarray(labels, dtype=np.int64)
         self.srcs = np.ascontiguousarray(srcs, dtype=np.int64)
         self.poss = np.ascontiguousarray(poss, dtype=np.int64)
@@ -145,10 +256,9 @@ class ArrayLabelState:
         check_vertex_ids(self.ids, "label state")
         self._index = _id_index(self.ids)
         self._stride = shape[0]  # T + 1; slot key = column * stride + t
-        self._extras: Dict[int, Set[Tuple[int, int]]] = {}
-        self._extra_count = 0
-        self._dead_static = 0
-        self.reindex()
+        self._static: Optional[_Run] = None
+        self._overlay: Optional[_Run] = None
+        self._rec_pos: Optional[np.ndarray] = None  # None: records unbuilt
 
     # ------------------------------------------------------------------
     # Construction / conversion
@@ -283,42 +393,56 @@ class ArrayLabelState:
     # ------------------------------------------------------------------
     # Reverse-record structure
     # ------------------------------------------------------------------
+    @property
+    def has_records(self) -> bool:
+        """Whether the reverse records are built (see :meth:`reindex`)."""
+        return self._rec_pos is not None
+
     def reindex(self) -> None:
-        """Rebuild the static reverse CSR from the provenance matrices.
+        """Build the reverse records from the provenance matrices.
 
-        Fully vectorised (nonzero + one argsort); clears the extras overlay
-        and the dead-entry debt.  Called at construction and whenever the
-        overlay outgrows the static part (see :meth:`needs_reindex`).
+        One ``nonzero`` and one argsort over the n·T slots give the static
+        run; the overlay starts empty.  A repair calls this before it
+        writes any provenance, the first time it meets the state; a query
+        on a state without records calls it too.
         """
-        if self._stride > 1 and self.num_columns:
-            sub = self.srcs[1:] != NO_SOURCE
-            if not self.alive.all():
-                sub &= self.alive[np.newaxis, :]
-            row_idx, tar = np.nonzero(sub)
-            ks = row_idx + 1
-            keys = self.srcs[ks, tar] * np.int64(self._stride) + self.poss[ks, tar]
-            order = np.argsort(keys, kind="stable")
-            self._rev_key = keys[order]
-            self._rev_tar = tar[order].astype(np.int64, copy=False)
-            self._rev_k = ks[order].astype(np.int64, copy=False)
-        else:
-            self._rev_key = np.empty(0, dtype=np.int64)
-            self._rev_tar = np.empty(0, dtype=np.int64)
-            self._rev_k = np.empty(0, dtype=np.int64)
-        self._rev_alive = np.ones(len(self._rev_key), dtype=bool)
+        sub = self.srcs[1:] != NO_SOURCE
+        if not self.alive.all():
+            sub &= self.alive[np.newaxis, :]
+        row_idx, tar = np.nonzero(sub)
+        ks = row_idx + 1
+        keys = self.srcs[ks, tar] * np.int64(self._stride) + self.poss[ks, tar]
         self._rec_pos = np.full(self.labels.shape, -1, dtype=np.int64)
-        if len(self._rev_key):
-            self._rec_pos[self._rev_k, self._rev_tar] = np.arange(
-                len(self._rev_key), dtype=np.int64
-            )
-        self._extras = {}
-        self._extra_count = 0
-        self._dead_static = 0
+        self._install(_Run.sorted_from((keys, tar, ks)))
 
-    def needs_reindex(self) -> bool:
-        """True when the delta overlay justifies an amortised rebuild."""
-        debt = self._extra_count + self._dead_static
-        return debt > max(1024, len(self._rev_key) // 2)
+    def compact(self) -> None:
+        """Merge the live records of both runs into one static run.
+
+        Both runs give their live records in key order, so one stable
+        argsort merges them in linear time; every live record gets a fresh
+        static handle, which overwrites every handle into the old runs.
+        """
+        self._install(_Run.sorted_from(self._static.live(), self._overlay.live()))
+
+    def _install(self, static: _Run) -> None:
+        self._static = static
+        self._overlay = _Run.appendable()
+        self._rec_pos[static.k, static.tar] = np.arange(len(static), dtype=np.int64)
+
+    def needs_compaction(self) -> bool:
+        """True when a :meth:`compact` pays for itself (never on a state
+        without records).
+
+        A compaction is one pass over the static run.  Until it runs, each
+        overlay append copies the overlay once more, and each static
+        tombstone is dead weight that queries filter out.  Compacting once
+        the copies and the tombstones exceed the static run's length keeps
+        the amortised cost per batch within a constant factor of the best
+        schedule, for small and large batches alike.
+        """
+        if self._rec_pos is None:
+            return False
+        return self._overlay.moved + self._static.dead > len(self._static)
 
     def receivers_query(
         self, keys: np.ndarray
@@ -327,74 +451,44 @@ class ArrayLabelState:
 
         Returns ``(owner, tar, k)``: record ``i`` says slot ``(tar[i],
         k[i])`` (a column and a level) fetched the slot behind
-        ``keys[owner[i]]``.  Static hits are
-        a binary search plus one flat gather; overlay hits are merged from
-        the extras dict (bounded by the repicks since the last reindex).
+        ``keys[owner[i]]``.  One binary search per run plus one flat
+        gather each; the order within a key is unspecified.
         """
-        # One binary-search call covers both bounds: for integer slot keys,
-        # the right bound of ``key`` is the left bound of ``key + 1``.
-        bounds = np.searchsorted(
-            self._rev_key, np.concatenate([keys, keys + 1])
-        ).astype(np.int64)
-        left, right = bounds[: len(keys)], bounds[len(keys):]
-        counts = right - left
-        owner = np.repeat(np.arange(len(keys), dtype=np.int64), counts)
-        flat = _expand_ranges(left, counts)
-        live = self._rev_alive[flat]
-        owner = owner[live]
-        tar = self._rev_tar[flat[live]]
-        k = self._rev_k[flat[live]]
-        if self._extra_count:
-            ex_owner: List[int] = []
-            ex_tar: List[int] = []
-            ex_k: List[int] = []
-            extras = self._extras
-            for i, key in enumerate(keys.tolist()):
-                bucket = extras.get(key)
-                if bucket:
-                    for tt, kk in bucket:
-                        ex_owner.append(i)
-                        ex_tar.append(tt)
-                        ex_k.append(kk)
-            if ex_owner:
-                owner = np.concatenate([owner, np.array(ex_owner, dtype=np.int64)])
-                tar = np.concatenate([tar, np.array(ex_tar, dtype=np.int64)])
-                k = np.concatenate([k, np.array(ex_k, dtype=np.int64)])
-        return owner, tar, k
+        if self._rec_pos is None:
+            self.reindex()
+        static, overlay = self._static, self._overlay
+        order = np.argsort(keys)
+        keys = keys[order]
+        owner, rec = static.hits(keys)
+        o_owner, o_rec = overlay.hits(keys)
+        return (
+            order[np.concatenate([owner, o_owner])],
+            np.concatenate([static.tar[rec], overlay.tar[o_rec]]),
+            np.concatenate([static.k[rec], overlay.k[o_rec]]),
+        )
 
     def detach_slots(self, vs: np.ndarray, ts: np.ndarray) -> None:
         """Remove the reverse records of slots ``(vs[i], ts[i])`` (columns
-        and levels) and null their provenance (vectorised
+        and levels, no slot twice) and null their provenance (vectorised
         :meth:`LabelState.detach_slot`).
 
-        Static records die via their O(1) ``rec_pos`` handle; overlay
-        records are discarded from the extras dict (only slots repicked
-        since the last reindex take that path).
+        Each record is tombstoned through its O(1) handle, in whichever
+        run it lives; without records only the matrices change.
         """
         vs = np.asarray(vs, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.int64)
-        pos = self._rec_pos[ts, vs]
-        static = pos >= 0
-        if static.any():
-            self._rev_alive[pos[static]] = False
-            self._dead_static += int(static.sum())
-            self._rec_pos[ts[static], vs[static]] = -1
-        for i in np.nonzero(~static)[0].tolist():
-            v, t = int(vs[i]), int(ts[i])
-            src = int(self.srcs[t, v])
-            if src == NO_SOURCE:
-                continue
-            key = src * self._stride + int(self.poss[t, v])
-            bucket = self._extras.get(key)
-            if bucket is None or (v, t) not in bucket:
+        if self._rec_pos is not None:
+            pos = self._rec_pos[ts, vs]
+            lost = (pos == -1) & (self.srcs[ts, vs] != NO_SOURCE)
+            if lost.any():
+                v, t = int(vs[lost][0]), int(ts[lost][0])
                 raise ValueError(
-                    f"record inconsistency: ({v}, {t}) not registered at "
-                    f"source slot key {key}"
+                    f"record inconsistency: ({v}, {t}) has a source but no "
+                    "registered record"
                 )
-            bucket.discard((v, t))
-            if not bucket:
-                del self._extras[key]
-            self._extra_count -= 1
+            self._static.kill(pos[pos >= 0])
+            self._overlay.kill(-2 - pos[pos <= -2])
+            self._rec_pos[ts, vs] = -1
         self.srcs[ts, vs] = NO_SOURCE
         self.poss[ts, vs] = NO_SOURCE
 
@@ -405,20 +499,18 @@ class ArrayLabelState:
         ``(src[i], pos[i])`` (columns and levels); ``ks`` may be a scalar
         level or a paired array.
 
-        New records always land in the extras overlay (the static part is
-        immutable between reindexes); the caller has already written the
-        matching provenance into ``srcs``/``poss``.
+        The caller has already written the matching provenance into
+        ``srcs``/``poss``, so without records there is nothing to do.
+        Otherwise the new records are appended to the overlay run, and
+        only their handles are written.
         """
-        keys = (src_arr * np.int64(self._stride) + pos_arr).tolist()
-        extras = self._extras
-        ks_list = (
-            [int(ks)] * len(keys)
-            if np.isscalar(ks)
-            else np.asarray(ks).tolist()
-        )
-        for key, tar, k in zip(keys, tar_arr.tolist(), ks_list):
-            extras.setdefault(key, set()).add((tar, k))
-        self._extra_count += len(keys)
+        if self._rec_pos is None:
+            return
+        tar_arr = np.asarray(tar_arr, dtype=np.int64)
+        keys = np.asarray(src_arr, dtype=np.int64) * np.int64(self._stride) + pos_arr
+        ks = np.broadcast_to(np.asarray(ks, dtype=np.int64), keys.shape)
+        rec = self._overlay.append(keys, tar_arr, ks)
+        self._rec_pos[ks, tar_arr] = -2 - rec
 
     # ------------------------------------------------------------------
     # Vertex lifecycle
@@ -454,9 +546,11 @@ class ArrayLabelState:
                 [self.epochs, np.zeros((self._stride, k), dtype=np.int64)], axis=1
             )
             self.alive = np.concatenate([self.alive, np.ones(k, dtype=bool)])
-            self._rec_pos = np.concatenate(
-                [self._rec_pos, np.full((self._stride, k), -1, dtype=np.int64)], axis=1
-            )
+            if self._rec_pos is not None:
+                self._rec_pos = np.concatenate(
+                    [self._rec_pos, np.full((self._stride, k), -1, dtype=np.int64)],
+                    axis=1,
+                )
             extends = self._index is None and np.array_equal(
                 fresh, np.arange(ncols, ncols + k)
             )
@@ -500,70 +594,96 @@ class ArrayLabelState:
     def validate(self, graph: Optional[Graph] = None) -> None:
         """Assert the full invariant set (raises ``AssertionError``).
 
-        Checks the array-specific reverse structure — every slot with a
-        source owns exactly one live record, static handles agree with the
-        matrices, overlay buckets match — then delegates the semantic
+        With records built, checks the two-run structure first — every
+        slot with a source owns exactly one live record with its source
+        key, handles point at their records and nowhere else, each run is
+        sorted and counts its tombstones — then delegates the semantic
         invariants (provenance values, edge existence) to
         :meth:`LabelState.validate` on the converted state.
         """
-        stride = self._stride
-        expected: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        live_cols = np.nonzero(self.alive)[0]
-        if live_cols.size and stride > 1:
-            row_idx, col_idx = np.nonzero(self.srcs[1:, live_cols] != NO_SOURCE)
-            ks = row_idx + 1
-            tars = live_cols[col_idx]
-            for tar, k, src, pos in zip(
-                tars.tolist(),
-                ks.tolist(),
-                self.srcs[ks, tars].tolist(),
-                self.poss[ks, tars].tolist(),
-            ):
-                expected[(tar, k)] = (src, pos)
-        seen: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for flat in np.nonzero(self._rev_alive)[0].tolist():
-            tar, k = int(self._rev_tar[flat]), int(self._rev_k[flat])
-            key = int(self._rev_key[flat])
-            if (tar, k) in seen:
-                raise AssertionError(f"duplicate live record for slot ({tar}, {k})")
-            seen[(tar, k)] = (key // stride, key % stride)
-            if self._rec_pos[k, tar] != flat:
-                raise AssertionError(
-                    f"rec_pos[{k}, {tar}] = {self._rec_pos[k, tar]} != {flat}"
-                )
-        extra_total = 0
-        for key, bucket in self._extras.items():
-            for tar, k in bucket:
-                extra_total += 1
-                if (tar, k) in seen:
-                    raise AssertionError(
-                        f"slot ({tar}, {k}) recorded both statically and in extras"
-                    )
-                seen[(tar, k)] = (key // stride, key % stride)
-                if self._rec_pos[k, tar] != -1:
-                    raise AssertionError(
-                        f"extras record ({tar}, {k}) shadowed by rec_pos "
-                        f"{self._rec_pos[k, tar]}"
-                    )
-        if extra_total != self._extra_count:
-            raise AssertionError(
-                f"extras count drift: {extra_total} records vs "
-                f"counter {self._extra_count}"
-            )
-        if seen != expected:
-            missing = sorted(set(expected) - set(seen))[:5]
-            spurious = sorted(set(seen) - set(expected))[:5]
-            mismatched = sorted(
-                s for s in set(seen) & set(expected) if seen[s] != expected[s]
-            )[:5]
-            raise AssertionError(
-                f"reverse records disagree with provenance: missing={missing}, "
-                f"spurious={spurious}, mismatched={mismatched}"
-            )
+        if self._rec_pos is not None:
+            self._validate_records()
         self.to_label_state().validate(graph)
 
+    def _validate_records(self) -> None:
+        stride, ncols = self._stride, self.num_columns
+
+        def slots_of(values) -> List[Tuple[int, int]]:
+            return [(int(s % ncols), int(s // ncols)) for s in values[:5]]
+
+        # Expected: one record per live slot with a source, keyed by it.
+        sub = self.srcs != NO_SOURCE
+        sub[0] = False
+        sub &= self.alive[np.newaxis, :]
+        e_k, e_tar = np.nonzero(sub)
+        e_slot = e_k * ncols + e_tar
+        e_key = self.srcs[e_k, e_tar] * stride + self.poss[e_k, e_tar]
+        # Actual: the live records of both runs, with the handle each
+        # should have (static index i, or -2 - i in the overlay).
+        runs = {"static": self._static, "overlay": self._overlay}
+        record_keys = {}
+        for name, run in runs.items():
+            if run.at is None:
+                record_keys[name] = run.key
+            elif not np.array_equal(np.sort(run.at), np.arange(len(run))):
+                raise AssertionError(f"{name} run's key order misses records")
+            else:
+                record_keys[name] = np.empty_like(run.key)
+                record_keys[name][run.at] = run.key
+        recs = {name: np.flatnonzero(run.alive) for name, run in runs.items()}
+        a_tar = np.concatenate([runs[n].tar[r] for n, r in recs.items()])
+        a_k = np.concatenate([runs[n].k[r] for n, r in recs.items()])
+        a_key = np.concatenate([record_keys[n][r] for n, r in recs.items()])
+        a_handle = np.concatenate([recs["static"], -2 - recs["overlay"]])
+        a_slot = a_k * ncols + a_tar
+        slots, counts = np.unique(a_slot, return_counts=True)
+        if (counts > 1).any():
+            raise AssertionError(
+                f"duplicate live record for slot {slots_of(slots[counts > 1])[0]}"
+            )
+        e_order, a_order = np.argsort(e_slot), np.argsort(a_slot)
+        e_slot, e_key = e_slot[e_order], e_key[e_order]
+        if not (
+            np.array_equal(e_slot, a_slot[a_order])
+            and np.array_equal(e_key, a_key[a_order])
+        ):
+            both = np.intersect1d(e_slot, a_slot)
+            wrong = both[
+                e_key[np.searchsorted(e_slot, both)]
+                != a_key[a_order][np.searchsorted(a_slot[a_order], both)]
+            ]
+            raise AssertionError(
+                "reverse records disagree with provenance: "
+                f"missing={slots_of(np.setdiff1d(e_slot, a_slot))}, "
+                f"spurious={slots_of(np.setdiff1d(a_slot, e_slot))}, "
+                f"mismatched={slots_of(wrong)}"
+            )
+        handle = self._rec_pos[a_k, a_tar]
+        bad = np.flatnonzero(handle != a_handle)
+        if bad.size:
+            i = bad[0]
+            raise AssertionError(
+                f"rec_pos[{a_k[i]}, {a_tar[i]}] = {handle[i]} != {a_handle[i]}"
+            )
+        stale = np.count_nonzero(self._rec_pos != -1) - len(a_slot)
+        if stale:
+            raise AssertionError(f"{stale} handle(s) point at no live record")
+        for name, run in runs.items():
+            if (np.diff(run.key) < 0).any():
+                raise AssertionError(f"{name} run is not sorted by key")
+            if run.dead != len(run) - len(recs[name]):
+                raise AssertionError(
+                    f"{name} run counts {run.dead} tombstones, holds "
+                    f"{len(run) - len(recs[name])}"
+                )
+
     def __repr__(self) -> str:
+        if self._rec_pos is None:
+            records = "unbuilt"
+        else:
+            runs = (self._static, self._overlay)
+            records = sum(len(run) - run.dead for run in runs)
         return (
             f"ArrayLabelState(|V|={self.num_vertices}, T={self.num_iterations}, "
-            f"records={int(self._rev_alive.sum()) + self._extra_count})"
+            f"records={records})"
         )

@@ -146,9 +146,10 @@ def state_from_dict(payload: dict) -> LabelState:
 def state_to_arrays(state: ArrayLabelState) -> Dict[str, np.ndarray]:
     """The array-native payload: matrices, ids and a version/format header.
 
-    Reverse records (the CSR-style receiver index) are deliberately absent —
-    ``ArrayLabelState.__init__`` rebuilds them from the provenance matrices,
-    so the payload cannot go inconsistent.
+    Reverse records are deliberately absent: they are a function of the
+    provenance matrices, which the loaded state's first repair rebuilds
+    them from (``ArrayLabelState.reindex``), so the payload cannot go
+    inconsistent and a load never pays for them.
     """
     return {
         "format": np.array(ARRAY_FORMAT_NAME),

@@ -146,8 +146,9 @@ def run_distributed_rslpa(
 ) -> Tuple[ArrayLabelState, CommStats]:
     """Algorithm 1 on the simulated cluster; returns (state, comm stats).
 
-    The returned :class:`~repro.core.labels_array.ArrayLabelState` is fully
-    recorded (provenance + reverse records) and bit-identical to a
+    The returned :class:`~repro.core.labels_array.ArrayLabelState` carries
+    the full provenance (its reverse records are built by the first repair
+    that needs them) and is bit-identical to a
     sequential :class:`ReferencePropagator` run, for a :class:`Graph` with
     any vertex ids or a :class:`CSRGraph`, in-process or on real OS
     processes (``config.multiprocess``); ``.to_label_state()`` gives the
@@ -239,8 +240,8 @@ def run_distributed_update(
 
     def write_back(ids, columns):
         apply_batch(graph, batch)
-        if state.needs_reindex():
-            state.reindex()
+        if state.needs_compaction():
+            state.compact()
         state.add_vertices(new_ids)
         cols = state.columns(ids)
         # Every repick bumps its slot's epoch, so the epochs name exactly

@@ -23,7 +23,11 @@ pieces make that possible:
   exact post-crash state on either backend.
 
 A torn tail (the record being written when the process died) fails its CRC
-and is discarded; everything before it replays.  On checkpoint the WAL is
+and is discarded; everything before it replays.  A store cuts the log back
+to that intact prefix before its first append, so a record it appends never
+lands behind a torn line, where every later read would stop short of it;
+only writers append, so a reader (a replica, which may see the primary's
+in-flight append as a torn line) never cuts.  On checkpoint the WAL is
 rotated down to the records newer than the *oldest retained* checkpoint
 epoch (the surviving lines are copied verbatim) and older checkpoint files
 are pruned, so disk usage stays bounded
@@ -48,7 +52,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -185,10 +189,15 @@ class CheckpointStore:
         # racing _rotate_wal's close/replace could land its record in the
         # just-unlinked file and silently lose it.
         self._lock = threading.RLock()
-        #: Records dropped by the last :meth:`read_wal` because a torn or
-        #: corrupt line cut the log — by write-ahead ordering they were
+        #: Records dropped by the last scan of the log (a :meth:`read_wal`,
+        #: a rotation, or the cut before the first append) because a torn
+        #: or corrupt line cut it — by write-ahead ordering they were
         #: never applied, but recovery should still surface the loss.
         self.last_discarded_records = 0
+        # Whether the log is known to hold only intact records, each ending
+        # its line: set by the cut before the first append, and kept by
+        # every rotation, which rewrites the log from its intact records.
+        self._wal_intact = False
 
     # ------------------------------------------------------------------
     # Checkpoints
@@ -310,6 +319,8 @@ class CheckpointStore:
         """Durably append one applied batch (call *before* the apply)."""
         with self._lock:
             if self._wal_handle is None:
+                if not self._wal_intact:
+                    self._cut_torn_tail()
                 self._wal_handle = open(self.wal_path, "a", encoding="utf-8")
             self._wal_handle.write(encode_wal_record(epoch, batch))
             self._wal_handle.flush()
@@ -326,38 +337,66 @@ class CheckpointStore:
                     time.perf_counter() - fsync_start
                 )
 
-    def _intact_records(self) -> Iterator[Tuple[int, EditBatch, str]]:
-        """Each intact WAL record as ``(epoch, batch, line)``, in order.
+    def _scan_wal(self) -> Tuple[List[Tuple[int, EditBatch, bytes]], int]:
+        """The intact WAL records as ``(epoch, batch, line)``, in order,
+        and the byte length of that intact prefix.
 
-        Stops at the first torn or corrupt line — by the write-ahead
-        ordering everything after it was never applied — and counts the
-        lines cut off there (the torn one included) in
+        The scan stops at the first torn or corrupt line — by the
+        write-ahead ordering everything from there on was never applied —
+        and counts the lines cut off there (the torn one included) in
         :attr:`last_discarded_records`.  Call under the lock.
         """
         self.last_discarded_records = 0
         if not self.wal_path.exists():
-            return
-        with open(self.wal_path, "r", encoding="utf-8") as handle:
+            return [], 0
+        with open(self.wal_path, "rb") as handle:
             lines = handle.readlines()
+        records: List[Tuple[int, EditBatch, bytes]] = []
+        intact = 0
         for position, line in enumerate(lines):
-            record = parse_wal_line(line)
+            try:
+                record = parse_wal_line(line.decode("utf-8"))
+            except UnicodeDecodeError:
+                record = None
             if record is None:
                 self.last_discarded_records = len(lines) - position
-                return
-            yield record[0], record[1], line
+                break
+            records.append((record[0], record[1], line))
+            intact += len(line)
+        return records, intact
 
     def read_wal(self, after_epoch: int = -1) -> List[Tuple[int, EditBatch]]:
         """All intact WAL records with epoch > ``after_epoch``, in order.
 
         Reading stops at the first torn or corrupt record; the number of
         lines discarded that way is kept in :attr:`last_discarded_records`.
+        A read never changes the file.
         """
         with self._lock:
-            return [
-                (epoch, batch)
-                for epoch, batch, _line in self._intact_records()
-                if epoch > after_epoch
-            ]
+            records, _intact = self._scan_wal()
+        return [
+            (epoch, batch) for epoch, batch, _line in records if epoch > after_epoch
+        ]
+
+    def _cut_torn_tail(self) -> None:
+        """Cut the log back to its intact prefix: truncate it at the first
+        bad line, end a last record that lost only its newline, and fsync.
+
+        The first append of a store runs this, so only a writer (a
+        recovered service, a promoted replica) ever cuts.  Call under the
+        lock.
+        """
+        records, intact = self._scan_wal()
+        unended = bool(records) and not records[-1][2].endswith(b"\n")
+        if self.last_discarded_records or unended:
+            with open(self.wal_path, "r+b") as handle:
+                handle.truncate(intact)
+                if unended:
+                    handle.seek(intact)
+                    handle.write(b"\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+        self._wal_intact = True
 
     def _rotate_wal(self, checkpoint_epoch: int) -> None:
         """Drop WAL records the oldest retained checkpoint made redundant.
@@ -369,15 +408,15 @@ class CheckpointStore:
             survivors = [
                 # A record cut just short of its newline still parses;
                 # end it, so the next append starts a line of its own.
-                line if line.endswith("\n") else line + "\n"
-                for epoch, _batch, line in self._intact_records()
+                line if line.endswith(b"\n") else line + b"\n"
+                for epoch, _batch, line in self._scan_wal()[0]
                 if epoch > checkpoint_epoch
             ]
             if self._wal_handle is not None:
                 self._wal_handle.close()
                 self._wal_handle = None
             tmp = self.wal_path.with_suffix(".log.tmp")
-            with open(tmp, "w", encoding="utf-8") as handle:
+            with open(tmp, "wb") as handle:
                 handle.writelines(survivors)
                 handle.flush()
                 # The replace() below must not publish an un-synced tail,
@@ -385,6 +424,7 @@ class CheckpointStore:
                 # repro-lint: disable=RPL005 -- tmp must be durable before replace() publishes it
                 os.fsync(handle.fileno())
             os.replace(tmp, self.wal_path)
+            self._wal_intact = True
 
     def wal_records(self) -> int:
         """Number of intact records currently in the WAL."""

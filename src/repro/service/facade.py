@@ -169,9 +169,11 @@ def _service_obs(execution: ExecutionConfig):
     The service plane records ``service.*`` spans (apply, extract,
     checkpoint) and metrics (queue depth, coalescing ratio, staleness at
     serve time, WAL fsync and checkpoint write latency) into the same
-    context the engines use, so one exported trace covers ingest, repair,
-    durability and query; ``None`` (tracing off) keeps every service path
-    free of :mod:`repro.obs` calls.
+    context the engines use, and hands it to its checkpoint store and its
+    detector's corrector (the repair's ``core.incremental_fast.*`` and
+    ``core.labels_array.*`` spans), so one exported trace covers ingest,
+    repair, durability and query; ``None`` (tracing off) keeps every
+    service path free of :mod:`repro.obs` calls.
     """
     if not execution.trace:
         return None
@@ -427,6 +429,10 @@ class CommunityService:
                 f"{self.batches_applied}: expected epoch "
                 f"{self.batches_applied + 1}, found {epoch}"
             )
+        # The repair traces into this service's context.  Handed over here,
+        # the one point every apply, restore, replica and promotion passes,
+        # whichever path installed the corrector.
+        self.detector._corrector.obs = self.obs
         report = self.detector.update(batch)
         self.batches_applied = epoch
         self.edits_applied += batch.size

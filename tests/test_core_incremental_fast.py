@@ -133,18 +133,70 @@ class TestBitIdentity:
         apply_both(reference, fast, batch)
         fast.state.validate(fast.graph)
 
-    def test_forced_reindex_mid_stream(self, sparse_random, monkeypatch):
-        # Shrink the overlay budget so the stream crosses several rebuilds.
+    def test_forced_compaction_mid_stream(self, sparse_random, monkeypatch):
+        # Shrink the overlay budget so the stream crosses several merges.
+        compactions = []
         monkeypatch.setattr(
             ArrayLabelState,
-            "needs_reindex",
-            lambda self: (self._extra_count + self._dead_static) > 8,
+            "needs_compaction",
+            lambda self: self.has_records
+            and len(self._overlay) + self._static.dead > 8,
         )
+        original = ArrayLabelState.compact
+
+        def counted(self):
+            compactions.append(len(self._overlay) + self._static.dead)
+            original(self)
+
+        monkeypatch.setattr(ArrayLabelState, "compact", counted)
         reference, fast = make_pair(sparse_random, seed=6, iterations=15)
         for step in range(12):
             batch = random_edit_batch(reference.graph, 6, seed=100 + step)
             apply_both(reference, fast, batch)
+            fast.state.validate(fast.graph)
+        assert len(compactions) >= 8
+
+    def test_first_repair_builds_the_records(self, cliques_ring):
+        reference, fast = make_pair(cliques_ring, seed=2)
+        assert not fast.state.has_records
+        apply_both(reference, fast, EditBatch.build(insertions=[(0, 12)]))
+        assert fast.state.has_records
         fast.state.validate(fast.graph)
+
+    def test_slot_repicked_in_consecutive_batches(self, cliques_ring):
+        """Overlay -> overlay detach: a slot whose record the first batch
+        registered in the overlay run is repicked again by the second."""
+        reference, fast = make_pair(cliques_ring, seed=8)
+        apply_both(reference, fast, EditBatch.build(insertions=[(0, 12), (5, 20)]))
+        state = fast.state
+        # A repicked slot that fetched from a neighbour: its record is in
+        # the overlay run, and deleting its source edge repicks it again.
+        ts, vs = np.nonzero(state._rec_pos <= -2)
+        v, t = int(vs[0]), int(ts[0])
+        src = int(state.srcs[t, v])
+        first = -2 - int(state._rec_pos[t, v])  # its overlay record
+        assert state.epochs[t, v] == 1
+        apply_both(reference, fast, EditBatch.build(deletions=[(v, src)]))
+        assert state.epochs[t, v] == 2  # repicked in both batches
+        assert not state._overlay.alive[first]  # tombstoned in the overlay
+        assert -2 - int(state._rec_pos[t, v]) > first  # a newer record
+        state.validate(fast.graph)
+
+    def test_remove_vertex_with_overlay_records(self, cliques_ring):
+        reference, fast = make_pair(cliques_ring, seed=4)
+        apply_both(
+            reference, fast, EditBatch.build(insertions=[(7, 14), (7, 21), (7, 27)])
+        )
+        state = fast.state
+        col = int(state.columns([7])[0])
+        assert (state._rec_pos[:, col] <= -2).any()  # 7's own slots
+        r_ref = reference.remove_vertex(7)
+        r_fast = fast.remove_vertex(7)
+        assert_reports_equal(r_ref, r_fast)
+        assert_bit_identical(reference, fast)
+        assert not state.has_vertex(7)
+        assert (state._rec_pos[:, col] == -1).all()
+        state.validate(fast.graph)
 
 
 class TestContract:
@@ -193,37 +245,37 @@ class TestContract:
         assert np.array_equal(fast.state.labels, before)
 
 
-class TestTrackSlots:
-    def test_counting_mode_matches_set_mode(self, sparse_random):
-        g_set, g_count = sparse_random.copy(), sparse_random.copy()
-        set_pair = make_pair(g_set, seed=2, iterations=15)[1]
-        count_static = FastPropagator(CSRGraph.from_graph(g_count), seed=2)
-        count_static.propagate(15)
-        counting = FastCorrectionPropagator.from_fast_propagator(
-            count_static, g_count, track_slots=False
-        )
+class TestReportSlots:
+    def test_touched_count_is_the_slot_set_size(self, sparse_random):
+        reference, fast = make_pair(sparse_random, seed=2, iterations=15)
         for step in range(5):
-            batch = random_edit_batch(set_pair.graph, 7, seed=step)
-            r_set = set_pair.apply_batch(batch)
-            r_count = counting.apply_batch(batch)
-            assert r_count.touched_slots == set()
-            assert r_count.touched_labels == r_set.touched_labels
+            batch = random_edit_batch(reference.graph, 7, seed=step)
+            r_ref, r_fast = apply_both(reference, fast, batch)
+            for report in (r_ref, r_fast):
+                assert report.touched_labels == len(report.touched_slots)
+                assert report.touched_labels >= report.repicked
 
-    def test_reference_counting_mode_matches_too(self, sparse_random):
-        tracked = CorrectionPropagator(
-            ReferencePropagator(sparse_random.copy(), seed=3)
-        )
-        tracked.propagator.propagate(15)
-        counting = CorrectionPropagator(
-            ReferencePropagator(sparse_random.copy(), seed=3), track_slots=False
-        )
-        counting.propagator.propagate(15)
-        for step in range(5):
-            batch = random_edit_batch(tracked.graph, 7, seed=40 + step)
-            r_tracked = tracked.apply_batch(batch)
-            r_counting = counting.apply_batch(batch)
-            assert r_counting.touched_slots == set()
-            assert r_counting.touched_labels == r_tracked.touched_labels
+    def test_touched_slots_are_built_when_read(self):
+        report = UpdateReport()
+        assert report.touched_slots == set() and report.touched_labels == 0
+        report.note_touched(np.array([4, -9]), np.array([1, 3]))
+        report.note_touched([7], 2)  # one level for every slot
+        assert report.touched_labels == 3
+        assert report.touched_slots == {(4, 1), (-9, 3), (7, 2)}
+        assert report.touched_slots == report.touched_slots  # a fresh set
+
+    def test_equality_compares_counters_and_touched_slots(self):
+        def report(slots, **counts):
+            r = UpdateReport(**counts)
+            for v, t in slots:
+                r.note_touched([v], t)
+            return r
+
+        a = report([(4, 1), (7, 2)], repicked=1)
+        assert a == report([(7, 2), (4, 1)], repicked=1)  # a set: any order
+        assert a != report([(4, 1), (7, 3)], repicked=1)  # same count, other slot
+        assert a != report([(4, 1), (7, 2)], repicked=2)
+        assert a != (4, 1)
 
 
 class TestDetectorIntegration:

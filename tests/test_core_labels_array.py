@@ -2,8 +2,11 @@
 
 The central contract: :class:`ArrayLabelState` and :class:`LabelState` are
 the same mathematical object in two layouts, and every mutation primitive
-(detach, register, vertex lifecycle, reindex) preserves the record/
-provenance bijection that :meth:`validate` asserts.
+(detach, register, vertex lifecycle, reindex, compact) preserves the
+record/provenance bijection that :meth:`validate` asserts.  The reverse
+records live in two sorted runs (static and overlay) with tombstones and
+``_rec_pos`` handles, and stay unbuilt until a repair or a query needs
+them.
 """
 
 import numpy as np
@@ -21,6 +24,23 @@ def propagated_state(graph, seed=11, iterations=25) -> LabelState:
     propagator = ReferencePropagator(graph, seed=seed)
     propagator.propagate(iterations)
     return propagator.state
+
+
+def record_set(array_state: ArrayLabelState):
+    """The live reverse records of both runs as ``(key, tar, k)`` triples."""
+    records = set()
+    for run in (array_state._static, array_state._overlay):
+        records.update(zip(*(column.tolist() for column in run.live())))
+    return records
+
+
+def first_sourced_slot(array_state: ArrayLabelState):
+    return next(
+        (v, t)
+        for v in range(30)
+        for t in range(1, 26)
+        if array_state.srcs[t, v] != NO_SOURCE
+    )
 
 
 def assert_states_identical(dict_state: LabelState, array_state: ArrayLabelState):
@@ -121,50 +141,188 @@ class TestReverseRecords:
     def test_reindex_preserves_everything(self, cliques_ring):
         state = propagated_state(cliques_ring)
         array_state = ArrayLabelState.from_label_state(state)
-        # Churn some records into the extras overlay, then force a rebuild.
-        v, t = next(
-            (v, t)
-            for v in range(30)
-            for t in range(1, 26)
-            if array_state.srcs[t, v] != NO_SOURCE
-        )
+        array_state.reindex()
+        # Churn a record into the overlay run, then force a rebuild.
+        v, t = first_sourced_slot(array_state)
         src, pos = int(array_state.srcs[t, v]), int(array_state.poss[t, v])
         array_state.detach_slots(np.array([v]), np.array([t]))
         array_state.srcs[t, v] = src
         array_state.poss[t, v] = pos
         array_state.register_slots(np.array([src]), np.array([pos]), np.array([v]), t)
+        assert len(array_state._overlay) == 1
+        assert array_state._rec_pos[t, v] == -2  # overlay index 0
+        assert array_state._static.dead == 1
         array_state.reindex()
-        assert array_state._extra_count == 0
+        assert len(array_state._overlay) == 0
+        assert array_state._static.dead == 0
         assert_states_identical(state, array_state)
         array_state.validate(cliques_ring)
 
     def test_validate_catches_spurious_record(self, cliques_ring):
         array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
+        array_state.reindex()
         # Register a second record for a slot that already owns one.
-        v, t = next(
-            (v, t)
-            for v in range(30)
-            for t in range(1, 26)
-            if array_state.srcs[t, v] != NO_SOURCE
-        )
+        v, t = first_sourced_slot(array_state)
         array_state.register_slots(
             np.array([array_state.srcs[t, v]]),
             np.array([array_state.poss[t, v]]),
             np.array([v]),
             t,
         )
-        with pytest.raises(AssertionError, match="both statically and in extras"):
+        with pytest.raises(AssertionError, match="duplicate live record"):
             array_state.validate()
 
-    def test_validate_catches_killed_record(self, cliques_ring):
+    def test_validate_catches_killed_static_record(self, cliques_ring):
         array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
-        flat = int(np.nonzero(array_state._rev_alive)[0][0])
-        array_state._rev_alive[flat] = False  # record lost, provenance kept
-        array_state._rec_pos[
-            array_state._rev_k[flat], array_state._rev_tar[flat]
-        ] = -1
+        array_state.reindex()
+        static = array_state._static
+        flat = int(np.flatnonzero(static.alive)[0])
+        static.kill(np.array([flat]))  # record lost, provenance kept
+        array_state._rec_pos[static.k[flat], static.tar[flat]] = -1
         with pytest.raises(AssertionError, match="missing"):
             array_state.validate()
+
+    def test_validate_catches_killed_overlay_record(self, cliques_ring):
+        array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
+        array_state.reindex()
+        v, t = first_sourced_slot(array_state)
+        src, pos = array_state.srcs[t, v], array_state.poss[t, v]
+        array_state.detach_slots(np.array([v]), np.array([t]))
+        array_state.srcs[t, v], array_state.poss[t, v] = src, pos
+        array_state.register_slots(np.array([src]), np.array([pos]), np.array([v]), t)
+        array_state.validate()
+        array_state._overlay.kill(np.array([0]))
+        array_state._rec_pos[t, v] = -1
+        with pytest.raises(AssertionError, match="missing"):
+            array_state.validate()
+
+    def test_validate_catches_a_wrong_handle(self, cliques_ring):
+        array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
+        array_state.reindex()
+        v, t = first_sourced_slot(array_state)
+        array_state._rec_pos[t, v] += 1
+        with pytest.raises(AssertionError, match="rec_pos"):
+            array_state.validate()
+
+    def test_merge_compaction_equals_a_fresh_build(self, sparse_random):
+        from repro.core.incremental_fast import FastCorrectionPropagator
+        from repro.workloads.dynamic import random_edit_batch
+
+        graph = sparse_random.copy()
+        fast = FastPropagator(graph, seed=5)
+        fast.propagate(15)
+        corrector = FastCorrectionPropagator(graph, fast.to_array_state(), 5)
+        for step in range(4):
+            corrector.apply_batch(random_edit_batch(graph, 6, seed=20 + step))
+        state = corrector.state
+        # Both runs hold live records, and both hold tombstones.
+        assert len(state._overlay) and state._static.dead
+        before = record_set(state)
+        fresh = ArrayLabelState(
+            state.labels, state.srcs, state.poss, state.epochs,
+            alive=state.alive, ids=state.ids,
+        )
+        fresh.reindex()
+        assert record_set(fresh) == before
+        state.compact()
+        assert len(state._overlay) == 0 and state._static.dead == 0
+        assert record_set(state) == before
+        assert np.array_equal(state._static.key, fresh._static.key)
+        state.validate(graph)
+
+
+class TestLazyRecords:
+    def test_new_state_has_no_records(self, cliques_ring):
+        array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
+        assert not array_state.has_records
+        assert "unbuilt" in repr(array_state)
+        assert not array_state.needs_compaction()
+
+    def test_validate_leaves_records_unbuilt(self, cliques_ring):
+        array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
+        array_state.validate(cliques_ring)
+        assert not array_state.has_records
+
+    def test_validate_without_records_still_checks_provenance(self, cliques_ring):
+        array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
+        v, t = first_sourced_slot(array_state)
+        array_state.poss[t, v] = t  # a source at the slot's own level
+        with pytest.raises(AssertionError):
+            array_state.validate(cliques_ring)
+
+    def test_query_builds_records(self, cliques_ring):
+        state = propagated_state(cliques_ring)
+        array_state = ArrayLabelState.from_label_state(state)
+        assert array_state.receivers_of(0, 3) == state.receivers_of(0, 3)
+        assert array_state.has_records
+        array_state.validate(cliques_ring)
+
+    def test_detach_and_register_without_records_write_matrices(self, cliques_ring):
+        state = propagated_state(cliques_ring)
+        array_state = ArrayLabelState.from_label_state(state)
+        v, t = first_sourced_slot(array_state)
+        src, pos = int(array_state.srcs[t, v]), int(array_state.poss[t, v])
+        array_state.detach_slots(np.array([v]), np.array([t]))
+        assert array_state.srcs[t, v] == NO_SOURCE
+        assert not array_state.has_records
+        array_state.srcs[t, v], array_state.poss[t, v] = src, pos
+        array_state.register_slots(np.array([src]), np.array([pos]), np.array([v]), t)
+        assert not array_state.has_records
+        assert_states_identical(state, array_state)
+        array_state.validate(cliques_ring)
+
+    def test_fit_export_has_no_records(self, cliques_ring):
+        from repro.core.detector import RSLPADetector
+
+        fast = FastPropagator(cliques_ring, seed=11)
+        fast.propagate(10)
+        assert not fast.to_array_state().has_records
+        detector = RSLPADetector(cliques_ring, seed=11, iterations=10).fit()
+        assert not detector.array_state.has_records
+
+    def test_distributed_fit_has_no_records(self, cliques_ring):
+        from repro.distributed import run_distributed_rslpa
+
+        state, _ = run_distributed_rslpa(
+            cliques_ring.copy(), seed=3, iterations=8, num_workers=2
+        )
+        assert not state.has_records
+        state.validate(cliques_ring)
+
+    def test_checkpoint_load_has_no_records(self, cliques_ring, tmp_path):
+        from repro.service.durability import CheckpointStore
+
+        fast = FastPropagator(cliques_ring, seed=11)
+        fast.propagate(10)
+        state = fast.to_array_state()
+        state.reindex()
+        store = CheckpointStore(tmp_path)
+        store.write_checkpoint(state, cliques_ring, seed=11, batch_epoch=0)
+        loaded = store.load_checkpoint().state
+        assert not loaded.has_records
+        assert np.array_equal(loaded.srcs, state.srcs)
+        store.close()
+
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    def test_distributed_update_write_back(self, sparse_random, prebuilt):
+        """The write-back keeps an unbuilt state unbuilt, and keeps a
+        built one consistent."""
+        from repro.distributed import run_distributed_update
+        from repro.workloads.dynamic import random_edit_batch
+
+        graph = sparse_random.copy()
+        fast = FastPropagator(graph, seed=4)
+        fast.propagate(12)
+        state = fast.to_array_state()
+        if prebuilt:
+            state.reindex()
+        for epoch in range(1, 4):
+            batch = random_edit_batch(graph, 6, seed=epoch)
+            graph, state, _ = run_distributed_update(
+                graph, state, batch, seed=4, batch_epoch=epoch, num_workers=2
+            )
+            assert state.has_records == prebuilt
+            state.validate(graph)
 
 
 class TestVertexLifecycle:
@@ -213,10 +371,34 @@ class TestVertexLifecycle:
         assert array_state.num_columns == 2  # resurrected, not re-allocated
         array_state.validate()
 
-    def test_needs_reindex_flips_with_churn(self, cliques_ring):
+    def test_needs_compaction_flips_with_churn(self, cliques_ring):
         array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
-        assert not array_state.needs_reindex()
-        # The policy is debt-based; simulate heavy churn via the counters
-        # (past both the static-fraction and the absolute floor).
-        array_state._extra_count = 1025 + len(array_state._rev_key)
-        assert array_state.needs_reindex()
+        array_state.reindex()
+        assert not array_state.needs_compaction()
+        # Simulate heavy churn via the static tombstone count.
+        array_state._static.dead = len(array_state._static) + 1
+        assert array_state.needs_compaction()
+
+    def test_needs_compaction_counts_overlay_copies(self, cliques_ring):
+        """Each append copies the overlay once more; once the copies pass
+        the static run's length, a compaction pays for itself."""
+        array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
+        array_state.reindex()
+        v, t = first_sourced_slot(array_state)
+        src, pos = int(array_state.srcs[t, v]), int(array_state.poss[t, v])
+        static = len(array_state._static)
+        appends = 0
+        while not array_state.needs_compaction():
+            array_state.detach_slots(np.array([v]), np.array([t]))
+            array_state.srcs[t, v], array_state.poss[t, v] = src, pos
+            array_state.register_slots(
+                np.array([src]), np.array([pos]), np.array([v]), t
+            )
+            appends += 1
+        # Append i copies i - 1 entries: the flip comes after ~sqrt(2 S).
+        assert appends * (appends - 1) // 2 + 1 > static
+        assert (appends - 1) * (appends - 2) // 2 + 1 <= static
+        array_state.validate()
+        array_state.compact()
+        assert not array_state.needs_compaction()
+        array_state.validate()

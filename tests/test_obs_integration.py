@@ -261,6 +261,39 @@ class TestServiceTracing:
         assert plain_cover == cover
 
 
+    def test_repair_phases_inside_service_apply_smoke(self, tmp_path):
+        """A traced service's repair records its four phases, once per
+        batch and inside that batch's ``service.apply`` span, and the
+        first repair records the record build."""
+        from repro.api.config import ServicePlanConfig
+        from repro.service import CommunityService
+
+        service = CommunityService(
+            ring_of_cliques(4, 5),
+            config=ServicePlanConfig(
+                algo=AlgoConfig(seed=SEED, iterations=ITERATIONS),
+                execution=ExecutionConfig(trace=True),
+                batch_size=2,
+            ),
+        ).start()
+        for u, v in ((0, 7), (1, 9), (3, 12), (5, 16)):
+            service.submit_insert(u, v)
+        spans = service.trace_result().spans
+        service.close()
+        applies = [s for s in spans if s.name == "service.apply"]
+        assert len(applies) == 2
+        phases = ("classify", "detach", "drain", "register")
+        for phase in phases:
+            inner = [s for s in spans if s.name == f"core.incremental_fast.{phase}"]
+            assert len(inner) == len(applies), phase
+            for span, outer in zip(inner, applies):
+                assert outer.ts_ns <= span.ts_ns
+                assert span.ts_ns + span.dur_ns <= outer.ts_ns + outer.dur_ns
+        builds = [s for s in spans if s.name == "core.labels_array.build_records"]
+        assert len(builds) == 1
+        assert applies[0].ts_ns <= builds[0].ts_ns < applies[1].ts_ns
+
+
 class TestReplicationTracing:
     def test_failover_run_records_commit_ship_failover(self, tmp_path):
         from repro.api.config import ServicePlanConfig

@@ -290,26 +290,48 @@ class TestServiceRecovery:
 @given(
     seed=st.integers(min_value=0, max_value=4),
     backend=st.sampled_from(["fast", "reference"]),
-    kill_after=st.integers(min_value=0, max_value=6),
-    checkpoint_every=st.integers(min_value=1, max_value=3),
+    kill_after=st.integers(min_value=0, max_value=5),
+    more=st.integers(min_value=1, max_value=3),
+    checkpoint_every=st.integers(min_value=0, max_value=3),
 )
-def test_crash_recovery_is_bit_identical(seed, backend, kill_after, checkpoint_every):
-    """Kill after an arbitrary batch: recover() == the uninterrupted run.
+def test_crash_recovery_is_bit_identical(
+    seed, backend, kill_after, more, checkpoint_every
+):
+    """Crash, recover, apply, tear, recover, apply, recover: each recovery
+    equals the uninterrupted run at the epoch it lands on.
 
-    The property quantifies over seeds, backends, kill points, and
-    checkpoint cadences (so the replayed WAL tail length varies from zero
-    to everything-since-start).
+    The first crash comes after an arbitrary batch.  The second tears the
+    last logged record, so that recovery lands one batch back (or on a
+    checkpoint written at that batch); the rest of the stream then
+    applies, and the last recovery must hold all of it.  The property
+    quantifies over seeds, backends, crash points and checkpoint cadences
+    (0: only the baseline), so the replayed WAL tail length varies from
+    zero to everything-since-start.
     """
     total_batches = 6
+    tear_at = min(total_batches, kill_after + more)
     graph = ring_of_cliques(4, 5)
-
-    # The uninterrupted run, stopped at the kill point for comparison.
-    reference = RSLPADetector(
-        graph, seed=seed, iterations=ITERATIONS, backend=backend
-    ).fit()
     batches = EditStream(graph, batch_size=3, seed=seed + 100).take(total_batches)
-    for batch in batches[:kill_after]:
-        reference.update(batch)
+
+    def truth(epoch):
+        """The uninterrupted run after ``epoch`` batches."""
+        detector = RSLPADetector(
+            graph, seed=seed, iterations=ITERATIONS, backend=backend
+        ).fit()
+        for batch in batches[:epoch]:
+            detector.update(batch)
+        return detector
+
+    def recover(tmp_dir, epoch):
+        recovered = CommunityService.recover(
+            tmp_dir, backend=backend, staleness_batches=0,
+            checkpoint_every=checkpoint_every,
+        )
+        assert recovered.batches_applied == epoch
+        reference = truth(epoch)
+        assert_states_identical(reference, recovered.detector)
+        assert recovered.cover() == reference.communities()
+        return recovered
 
     with tempfile.TemporaryDirectory() as tmp_dir:
         service = CommunityService(
@@ -326,21 +348,23 @@ def test_crash_recovery_is_bit_identical(seed, backend, kill_after, checkpoint_e
             service.apply(batch)
         service.close()  # the process dies here; only the files survive
 
-        recovered = CommunityService.recover(
-            tmp_dir, backend=backend, staleness_batches=0
-        )
-        assert recovered.batches_applied == kill_after
-        assert_states_identical(reference, recovered.detector)
-        assert recovered.cover() == reference.communities()
-
-        # And the recovered service keeps absorbing the rest of the stream
-        # exactly as the uninterrupted run would.
-        for batch in batches[kill_after:]:
-            reference.update(batch)
+        recovered = recover(tmp_dir, kill_after)
+        for batch in batches[kill_after:tear_at]:
             recovered.apply(batch)
-        assert_states_identical(reference, recovered.detector)
-        assert recovered.cover() == reference.communities()
         recovered.close()
+        # The crash cut the last append short: its record is torn.
+        wal = recovered.store.wal_path
+        wal.write_bytes(wal.read_bytes()[:-10])
+        checkpoints = recovered.store.checkpoint_epochs()
+        landed = tear_at if tear_at in checkpoints else tear_at - 1
+
+        recovered = recover(tmp_dir, landed)
+        assert recovered.wal_discarded_records == 1
+        for batch in batches[landed:]:
+            recovered.apply(batch)
+        recovered.close()
+
+        recover(tmp_dir, total_batches).close()
 
 
 class TestDurabilityIdContract:
@@ -461,6 +485,66 @@ class TestTornWALTail:
             assert_states_identical(truth.detector, recovered.detector)
             assert recovered.cover() == truth.cover()
             truth.close()
+
+    def test_batch_applied_after_torn_tail_survives_recovery(self, tmp_path):
+        """Recover past a torn record 3, apply one batch (acknowledged as
+        epoch 3), recover again: the acknowledged batch must still be
+        there, because the first append cut the torn line away."""
+        service = self.run_service(tmp_path, num_batches=3, checkpoint_every=0)
+        service.close()
+        wal = service.store.wal_path
+        wal.write_bytes(wal.read_bytes()[:-10])  # record 3 loses 10 bytes
+        recovered = CommunityService.recover(
+            str(tmp_path), staleness_batches=0, checkpoint_every=0
+        )
+        assert recovered.batches_applied == 2
+        assert recovered.wal_discarded_records == 1
+        third = EditStream(ring_of_cliques(5, 6), batch_size=4, seed=13).take(3)[2]
+        recovered.apply(third)
+        assert recovered.batches_applied == 3
+        recovered.close()
+        again = CommunityService.recover(
+            str(tmp_path), staleness_batches=0, checkpoint_every=0
+        )
+        assert again.batches_applied == 3
+        assert again.wal_discarded_records == 0
+        assert_states_identical(recovered.detector, again.detector)
+        assert_states_identical(service.detector, again.detector)
+        again.close()
+
+    def test_first_append_ends_an_unended_record(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        for epoch in (1, 2):
+            store.append_wal(epoch, EditBatch.build(insertions=[(0, epoch + 30)]))
+        store.close()
+        store.wal_path.write_bytes(store.wal_path.read_bytes()[:-1])
+        writer = CheckpointStore(tmp_path)
+        assert [e for e, _ in writer.read_wal()] == [1, 2]
+        writer.append_wal(3, EditBatch.build(insertions=[(0, 33)]))
+        assert [e for e, _ in writer.read_wal()] == [1, 2, 3]
+        assert writer.last_discarded_records == 0
+        writer.close()
+
+    def test_undecodable_line_is_discarded_like_a_torn_one(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        for epoch in (1, 2):
+            store.append_wal(epoch, EditBatch.build(insertions=[(0, epoch + 30)]))
+        store.close()
+        first, second = store.wal_path.read_bytes().splitlines(keepends=True)
+        store.wal_path.write_bytes(first + b"\xff" + second[1:])
+        assert [e for e, _ in store.read_wal()] == [1]
+        assert store.last_discarded_records == 1
+
+    def test_reads_never_cut(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.append_wal(1, EditBatch.build(insertions=[(0, 31)]))
+        store.close()
+        torn = store.wal_path.read_bytes() + b'{"epoch":2,"ins"'
+        store.wal_path.write_bytes(torn)
+        reader = CheckpointStore(tmp_path)
+        assert [e for e, _ in reader.read_wal()] == [1]
+        assert reader.last_discarded_records == 1
+        assert store.wal_path.read_bytes() == torn
 
     def test_intact_wal_discards_nothing(self, tmp_path):
         service = self.run_service(tmp_path, num_batches=5)

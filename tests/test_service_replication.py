@@ -19,7 +19,7 @@ from repro.distributed.faults import FaultPlan
 from repro.graph.edits import EditBatch
 from repro.graph.generators import ring_of_cliques
 from repro.runtime import PipeWire, TcpWire
-from repro.service import CheckpointStore, ServiceConfig
+from repro.service import CheckpointStore, CommunityService, ServiceConfig
 from repro.service.replication import FailoverExhaustedError, ServiceSupervisor
 
 ITERATIONS = 30
@@ -387,6 +387,39 @@ class TestReplicaFaults:
             assert stats["checkpoint_fallbacks"] == 1
         finally:
             sup.shutdown()
+
+    def test_promoted_replica_cuts_torn_wal_tail_smoke(
+        self, tmp_path, baseline_snapshot
+    ):
+        # The primary dies while appending record 3: part of the record is
+        # on disk.  The promoted replica appends record 3 again; unless its
+        # first append cuts the torn line away, the record lands behind it
+        # and a recovery from disk stops at epoch 2.
+        sup = ServiceSupervisor(
+            ring_of_cliques(3, 4), str(tmp_path),
+            make_config(checkpoint_every=TOTAL_SEQS + 1),
+            fault_plan=FaultPlan(kill_primary=(3, "recv")),
+        ).start()
+        try:
+            half = len(EDITS) // 2
+            for op, u, v in EDITS[:half]:
+                sup.submit(op, u, v)
+            with open(CheckpointStore(tmp_path).wal_path, "ab") as wal:
+                wal.write(b'{"epoch":3,"ins":[[0,8]')
+            for op, u, v in EDITS[half:]:
+                sup.submit(op, u, v)
+            snapshot = sup.snapshot()
+            stats = sup.stats()
+        finally:
+            sup.shutdown()
+        assert stats["failovers"] == 1
+        assert stats["committed_seq"] == TOTAL_SEQS
+        assert snapshot == baseline_snapshot
+        recovered = CommunityService.recover(str(tmp_path))
+        assert recovered.batches_applied == TOTAL_SEQS
+        assert recovered.wal_discarded_records == 0
+        assert set(recovered.cover()) == set(snapshot.values())
+        recovered.close()
 
     def test_dropped_wal_record_is_reshipped(self, tmp_path,
                                              baseline_snapshot):
