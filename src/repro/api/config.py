@@ -243,11 +243,13 @@ class ServicePlanConfig:
 
     def __post_init__(self):
         from repro.api.registry import SERVICE_TRANSPORTS as service_registry
+        from repro.core.tracking import check_matcher
 
         check_type(self.algo, AlgoConfig, "algo")
         check_type(self.execution, ExecutionConfig, "execution")
         check_type(self.batch_size, int, "batch_size")
         check_positive(self.batch_size, "batch_size")
+        check_matcher(self.match_threshold, self.drift_tolerance)
         check_type(self.replicas, int, "replicas")
         if self.replicas < 0:
             raise ValueError(f"replicas must be >= 0, got {self.replicas}")

@@ -26,9 +26,10 @@ maximum spanning forest for that order (Kruskal's algorithm), so the sweep
 finds the forest once, with a vectorised Borůvka that breaks ties by edge
 rank, and replays its ≤ n−1 edges: the same unions, hence the same floats,
 as a pass over every edge.  The strong components are the forest's prefix
-at τ1, and the weak attachment is one mask over the directed edges.  Past
-the ``O(m log m)`` sort, per-element Python runs only over the forest
-unions and the τ1 grid.
+at τ1, and the weak attachment is two masks over the edges whose
+(community, vertex) pairs become the :class:`~repro.core.communities.Cover`
+arrays directly.  Past the ``O(m log m)`` sort, per-element Python runs
+only over the forest unions and the τ1 grid.
 """
 
 from __future__ import annotations
@@ -406,31 +407,27 @@ def attach_weak(
     edges: WeightedEdges,
     community: np.ndarray,
     tau2: float,
-) -> Tuple[List[List[int]], int]:
+) -> Tuple[Cover, int]:
     """The strong communities with isolated vertices attached through τ2.
 
     ``community[r]`` is the strong community ``0..k-1`` of row ``r``, or −1
     outside every strong component.  Every vertex outside joins the
     community of each strong neighbour whose edge weight reaches ``tau2``
-    (Eq. 2); joining several is what creates overlap.  Returns the member
-    ids of each community, in community order, and the number of vertices
-    attached.
+    (Eq. 2); joining several is what creates overlap.  Returns the cover,
+    built straight from the ``(community, vertex)`` pairs, and the number
+    of vertices attached.
     """
-    k = int(community.max(initial=-1)) + 1
-    stride = max(k, 1)
     reach = edges.weights >= tau2 - 1e-12
-    src = np.concatenate((edges.u, edges.v))
-    dst = np.concatenate((edges.v, edges.u))
-    joins = np.concatenate((reach, reach)) & (community[src] < 0) & (community[dst] >= 0)
-    # One key per (vertex, community) pair, deduplicated.
-    attached, cids = np.divmod(np.unique(src[joins] * stride + community[dst[joins]]), stride)
+    cu, cv = community[edges.u], community[edges.v]
+    u_joins = reach & (cu < 0) & (cv >= 0)
+    v_joins = reach & (cv < 0) & (cu >= 0)
+    attached = np.concatenate((edges.u[u_joins], edges.v[v_joins]))
     strong = np.flatnonzero(community >= 0)
     rows = np.concatenate((strong, attached))
-    cids = np.concatenate((community[strong], cids))
-    members = edges.ids[rows[np.argsort(cids, kind="stable")]].tolist()
-    bounds = np.cumsum(np.bincount(cids, minlength=k)).tolist()
-    communities = [members[a:b] for a, b in zip([0] + bounds, bounds)]
-    return communities, int(np.unique(attached).size)
+    cids = np.concatenate((community[strong], cv[u_joins], cu[v_joins]))
+    # A vertex joining one community over several edges counts once.
+    cover = Cover.from_pairs(cids, edges.ids[rows])
+    return cover, int(np.count_nonzero(np.bincount(attached)))
 
 
 def _strong_communities(edges: WeightedEdges, tau1: float) -> np.ndarray:
@@ -480,10 +477,10 @@ def extract_communities(
     if tau1 is not None:
         entropy = size_entropy_from_sizes(sizes, edges.num_vertices) if sizes else 0.0
     # Weak pass: attach isolated vertices through τ2 (Eq. 2).
-    communities, attached = attach_weak(edges, community, resolved_tau2)
+    cover, attached = attach_weak(edges, community, resolved_tau2)
 
     return PostprocessResult(
-        cover=Cover(communities),
+        cover=cover,
         tau1=resolved_tau1,
         tau2=resolved_tau2,
         entropy=entropy,

@@ -299,5 +299,5 @@ def run_distributed_postprocess(
     strong = [c for c in components if len(c) >= 2]
     for cid, members in enumerate(strong):
         community[np.searchsorted(edges.ids, list(members))] = cid
-    communities, _attached = attach_weak(edges, community, tau2)
-    return Cover(communities), stats
+    cover, _attached = attach_weak(edges, community, tau2)
+    return cover, stats

@@ -13,12 +13,14 @@ story in ``distributed/``):
   duplicates absorb, ``max_pending`` backpressures), each window paid for
   once by Correction Propagation via ``detector.update``.
 * **Query plane** (``repro.service.index``) — :class:`MembershipIndex`
-  inverts the latest extraction into ``vertex -> stable community ids``
-  and ``stable id -> members`` maps, with identity carried across
-  extractions by :func:`repro.core.tracking.assign_stable_ids`.  Queries
-  are dictionary lookups against this cached extraction; a max-staleness
-  policy (re-extract lazily after K batches, or on demand) keeps query
-  latency decoupled from ingest volume.
+  inverts the latest extraction, which arrives as CSR arrays, into a
+  ``vertex -> stable community ids`` map, with identity carried across
+  extractions by :func:`repro.core.tracking.assign_stable_ids` (a join
+  over the two covers' membership columns).  Queries are dictionary
+  lookups against this cached extraction; a max-staleness policy
+  (re-extract lazily after K batches, or on demand) keeps query latency
+  decoupled from ingest volume.  A replica installs its primary's index
+  from the exported arrays.
 * **Durability plane** (``repro.service.durability``) —
   :class:`CheckpointStore` persists array-native npz checkpoints of the
   label state plus a CRC-tagged write-ahead log of applied batches;

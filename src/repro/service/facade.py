@@ -169,11 +169,13 @@ def _service_obs(execution: ExecutionConfig):
     The service plane records ``service.*`` spans (apply, extract,
     checkpoint) and metrics (queue depth, coalescing ratio, staleness at
     serve time, WAL fsync and checkpoint write latency) into the same
-    context the engines use, and hands it to its checkpoint store and its
-    detector's corrector (the repair's ``core.incremental_fast.*`` and
-    ``core.labels_array.*`` spans), so one exported trace covers ingest,
-    repair, durability and query; ``None`` (tracing off) keeps every
-    service path free of :mod:`repro.obs` calls.
+    context the engines use, and hands it to its checkpoint store, its
+    membership index (a refresh's ``core.tracking.match`` and
+    ``service.index.build`` spans) and its detector's corrector (the
+    repair's ``core.incremental_fast.*`` and ``core.labels_array.*``
+    spans), so one exported trace covers ingest, repair, durability,
+    extraction and query; ``None`` (tracing off) keeps every service path
+    free of :mod:`repro.obs` calls.
     """
     if not execution.trace:
         return None
@@ -245,6 +247,7 @@ class CommunityService:
         )
         self.store = store
         self.obs = _service_obs(execution)
+        self.index.obs = self.obs
         if store is not None:
             store.obs = self.obs
         self._started = started
@@ -559,7 +562,13 @@ class CommunityService:
     # Query plane
     # ------------------------------------------------------------------
     def refresh(self) -> Optional[TransitionReport]:
-        """Re-extract now and rebuild the index (the on-demand path)."""
+        """Re-extract now and rebuild the index (the on-demand path).
+
+        Traced, the ``service.extract`` span holds the extraction
+        (``core.postprocess.extract_communities``) and the index update
+        (``service.index.update``, split into the stable-id match and the
+        map build).
+        """
         self._require_started()
         obs = self.obs
         if obs is not None:
@@ -567,11 +576,24 @@ class CommunityService:
             obs.metrics.histogram("service.staleness_at_extract").observe(
                 self.batches_since_extract
             )
-        report = self.index.update(self.detector.communities())
+        cover = self.detector.communities()
+        if obs is not None:
+            index_start = time_ns()
+            obs.trace.record(
+                "core.postprocess.extract_communities", extract_start,
+                plane="core", end_ns=index_start,
+            )
+        report = self.index.update(cover)
         self.extractions += 1
         self.batches_since_extract = 0
         if obs is not None:
-            obs.trace.record("service.extract", extract_start, plane="service")
+            end = time_ns()
+            obs.trace.record(
+                "service.index.update", index_start, plane="service", end_ns=end
+            )
+            obs.trace.record(
+                "service.extract", extract_start, plane="service", end_ns=end
+            )
         return report
 
     def _export_index(self) -> Tuple[Dict[str, object], int]:

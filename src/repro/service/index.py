@@ -9,30 +9,36 @@ once:
   one with :func:`repro.core.tracking.assign_stable_ids` (maximum-Jaccard
   matching, the Greene et al. protocol), so a community keeps its id while
   it drifts, survives merges/splits by closest continuation, and retired
-  ids are never reused.  The matcher scores only the community pairs that
-  share a vertex, through an inverted vertex -> community map; a disjoint
-  pair has Jaccard 0 and can never clear the positive threshold, so the
-  ids are the same as an all-pairs scan's.
-* **Inverted maps** — the cover is unpacked into ``vertex -> (stable ids)``
-  and ``stable id -> members`` dictionaries, so membership queries are
-  O(memberships) lookups rather than cover scans.
+  ids are never reused.  The matcher is a join over the two covers'
+  membership columns: it counts only the community pairs that share a
+  vertex, and a disjoint pair has Jaccard 0 and can never clear the
+  positive threshold, so the ids are the same as an all-pairs scan's.
+* **Inverted maps** — one builder, shared by :meth:`MembershipIndex.update`
+  and :meth:`MembershipIndex.install_state`, turns the cover's
+  vertex → community CSR into a ``vertex -> (stable ids)`` dict of tuples
+  and a ``stable id -> position`` dict, so a membership query is one dict
+  lookup; ``members`` reads the cover's frozenset view.
 
 The index is rebuilt wholesale per extraction and serves any number of
 queries in between — this is what decouples query latency from ingest
 batch size.  A refresh runs the array-native extraction of
-:mod:`repro.core.postprocess` straight on the detector's label matrix:
-label-collision edge weights over one canonical edge order, a τ1 sweep
-that replays only the maximum spanning forest, and a vectorised weak
-attachment, bit-identical to the retired per-edge dict pipeline.  Beside
-it, a refresh pays for the stable-id matching and this rebuild.
+:mod:`repro.core.postprocess` straight on the detector's label matrix,
+which hands over the cover as CSR arrays; beside it, a refresh pays for
+the stable-id join and this rebuild, and no per-community frozenset or
+dict is made on the way.  :meth:`MembershipIndex.export_state` ships the
+cover as its two arrays (a :class:`~repro.core.communities.Cover` pickles
+as them), which is what a replica's bootstrap and respawn install.
 """
 
 from __future__ import annotations
 
+from time import time_ns
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.core.communities import Cover
-from repro.core.tracking import TransitionReport, assign_stable_ids
+import numpy as np
+
+from repro.core.communities import Cover, tuples_by_vertex
+from repro.core.tracking import TransitionReport, assign_stable_ids, check_matcher
 
 __all__ = ["MembershipIndex"]
 
@@ -48,14 +54,19 @@ class MembershipIndex:
     [0, 1, 2]
     """
 
+    #: Observability context (:class:`repro.obs.Obs`) a traced service
+    #: hands over: each :meth:`update` then records its two phases as
+    #: ``core.tracking.match`` and ``service.index.build`` spans.  ``None``
+    #: (the default) keeps the index free of :mod:`repro.obs` calls.
+    obs = None
+
     def __init__(self, match_threshold: float = 0.3, drift_tolerance: float = 0.1):
+        check_matcher(match_threshold, drift_tolerance)
         self.match_threshold = match_threshold
         self.drift_tolerance = drift_tolerance
-        self._cover: Cover = Cover([])
         self._ids: Tuple[int, ...] = ()
         self._next_id = 0
-        self._members: Dict[int, FrozenSet[int]] = {}
-        self._vertex: Dict[int, Tuple[int, ...]] = {}
+        self._build(Cover([]))
         #: Number of update() calls absorbed so far.
         self.generation = 0
         #: The transition report of the latest update (None before the 2nd).
@@ -70,6 +81,9 @@ class MembershipIndex:
         The first update seeds the id space (ids 0..k-1 in cover order) and
         returns ``None``; later updates carry ids across via the matcher.
         """
+        obs = self.obs
+        if obs is not None:
+            start = time_ns()
         first = self.generation == 0
         self._ids, self._next_id, report = assign_stable_ids(
             self._cover,
@@ -79,18 +93,29 @@ class MembershipIndex:
             match_threshold=self.match_threshold,
             drift_tolerance=self.drift_tolerance,
         )
-        self._cover = cover
-        members: Dict[int, FrozenSet[int]] = {}
-        vertex: Dict[int, list] = {}
-        for cid, community in zip(self._ids, cover):
-            members[cid] = community
-            for v in community:
-                vertex.setdefault(v, []).append(cid)
-        self._members = members
-        self._vertex = {v: tuple(sorted(cids)) for v, cids in vertex.items()}
+        if obs is not None:
+            matched = time_ns()
+            obs.trace.record("core.tracking.match", start, plane="core", end_ns=matched)
+        self._build(cover)
+        if obs is not None:
+            obs.trace.record("service.index.build", matched, plane="service")
         self.generation += 1
         self.last_transition = None if first else report
         return self.last_transition
+
+    def _build(self, cover: Cover) -> None:
+        """Index ``cover``, whose community ``c`` has stable id ``self._ids[c]``."""
+        self._cover = cover
+        self._position: Dict[int, int] = dict(zip(self._ids, range(len(self._ids))))
+        vertices, offsets, communities = cover.by_vertex()
+        ids = np.asarray(self._ids, dtype=np.int64)[communities]
+        # A vertex's communities ascend by position; its stable ids need not.
+        counts = np.diff(offsets)
+        multi = np.flatnonzero(np.repeat(counts > 1, counts))
+        if multi.size:
+            owner = np.repeat(np.arange(counts.size), counts)[multi]
+            ids[multi] = ids[multi][np.lexsort((ids[multi], owner))]
+        self._vertex = tuples_by_vertex(vertices, offsets, ids)
 
     def export_state(self) -> Dict[str, object]:
         """Everything that shapes future id assignment, picklable.
@@ -100,10 +125,12 @@ class MembershipIndex:
         would mint a different id trajectory than its primary.  Shipping
         this snapshot and :meth:`install_state`-ing it puts the replica on
         the primary's trajectory: identical covers then yield identical
-        ids forever after.
+        ids forever after.  The ``"cover"`` is the indexed
+        :class:`~repro.core.communities.Cover`, which pickles as its two
+        member arrays.
         """
         return {
-            "cover": [frozenset(c) for c in self._cover],
+            "cover": self._cover,
             "ids": self._ids,
             "next_id": self._next_id,
             "generation": self.generation,
@@ -111,18 +138,10 @@ class MembershipIndex:
 
     def install_state(self, state: Dict[str, object]) -> None:
         """Adopt an :meth:`export_state` snapshot (rebuilds the query maps)."""
-        self._cover = Cover(state["cover"])
         self._ids = tuple(state["ids"])
         self._next_id = int(state["next_id"])
         self.generation = int(state["generation"])
-        members: Dict[int, FrozenSet[int]] = {}
-        vertex: Dict[int, list] = {}
-        for cid, community in zip(self._ids, self._cover):
-            members[cid] = community
-            for v in community:
-                vertex.setdefault(v, []).append(cid)
-        self._members = members
-        self._vertex = {v: tuple(sorted(cids)) for v, cids in vertex.items()}
+        self._build(Cover(state["cover"]))
         self.last_transition = None
 
     # ------------------------------------------------------------------
@@ -135,7 +154,7 @@ class MembershipIndex:
 
     def community_ids(self) -> Tuple[int, ...]:
         """All live stable ids, sorted."""
-        return tuple(sorted(self._members))
+        return tuple(sorted(self._ids))
 
     def communities_of(self, vertex: int) -> Tuple[int, ...]:
         """Stable ids of the communities containing ``vertex`` (sorted)."""
@@ -144,7 +163,7 @@ class MembershipIndex:
     def members(self, cid: int) -> FrozenSet[int]:
         """Members of stable community ``cid``; KeyError if dead/unknown."""
         try:
-            return self._members[cid]
+            return self._cover[self._position[cid]]
         except KeyError:
             raise KeyError(f"no live community with stable id {cid}") from None
 
@@ -158,13 +177,13 @@ class MembershipIndex:
 
     def snapshot(self) -> Dict[int, FrozenSet[int]]:
         """A ``stable id -> members`` copy (drift diffing, reporting)."""
-        return dict(self._members)
+        return dict(zip(self._ids, self._cover.communities))
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._ids)
 
     def __repr__(self) -> str:
         return (
             f"MembershipIndex(generation={self.generation}, "
-            f"communities={len(self._members)}, next_id={self._next_id})"
+            f"communities={len(self._ids)}, next_id={self._next_id})"
         )

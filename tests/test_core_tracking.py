@@ -1,13 +1,12 @@
 """Tests for community evolution tracking."""
 
 from typing import Dict, List, Tuple
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.tracking as tracking
+from oracles import tracking as oracle
 from repro.core.communities import Cover
 from repro.core.detector import RSLPADetector
 from repro.core.tracking import (
@@ -217,10 +216,11 @@ def _oracle_match_covers(old, new, match_threshold=0.3, drift_tolerance=0.1):
 
 @st.composite
 def _cover_pair(draw):
-    """Two covers over at most 30 vertices, drawn so that equal-Jaccard
-    ties, identical communities (within and across covers) and empty covers
-    all occur.  Half the draws build communities from equal-sized blocks of
-    vertices, where Jaccard values are ratios of block counts and tie often.
+    """Two lists of communities over at most 30 vertices, drawn so that
+    equal-Jaccard ties, identical communities (within and across covers)
+    and empty covers all occur.  Half the draws build communities from
+    equal-sized blocks of vertices, where Jaccard values are ratios of
+    block counts and tie often.
     """
     block = draw(st.sampled_from([1, 1, 2, 3]))
     universe = draw(st.integers(1, 30 // block))
@@ -232,42 +232,58 @@ def _cover_pair(draw):
     pick = st.one_of(st.sampled_from(pool), community)
     old = draw(st.lists(pick, max_size=12))
     new = draw(st.lists(pick, max_size=12))
-    return Cover(old), Cover(new)
+    return old, new
 
 
 _thresholds = st.sampled_from([0.05, 0.2, 0.3, 0.5, 0.99])
 _drifts = st.sampled_from([0.0, 0.1, 0.5])
 
 
+def _oracle_events(old, new, threshold=0.3, drift=0.1):
+    return oracle.match_covers(
+        oracle.Cover(old), oracle.Cover(new), threshold, drift
+    ).events
+
+
 class TestMatchCoversOracle:
-    """The overlap-only matcher equals the all-pairs scan exactly."""
+    """The membership join equals the retired Counter matcher, and both
+    the all-pairs scan, exactly."""
 
     @settings(max_examples=300, deadline=None)
     @given(_cover_pair(), _thresholds, _drifts, st.data())
-    def test_events_and_stable_ids_equal_all_pairs_scan(
-        self, covers, threshold, drift, data
+    def test_events_and_stable_ids_equal_oracle(
+        self, communities, threshold, drift, data
     ):
-        old, new = covers
+        old, new = communities
+        n_old = len(oracle.Cover(old))
         old_ids = data.draw(
-            st.lists(st.integers(0, 99), min_size=len(old), max_size=len(old),
+            st.lists(st.integers(0, 99), min_size=n_old, max_size=n_old,
                      unique=True)
         )
-        got = assign_stable_ids(old, old_ids, new, 100, threshold, drift)
-        with mock.patch.object(tracking, "match_covers", _oracle_match_covers):
-            want = assign_stable_ids(old, old_ids, new, 100, threshold, drift)
+        got = assign_stable_ids(
+            Cover(old), old_ids, Cover(new), 100, threshold, drift
+        )
+        want = oracle.assign_stable_ids(
+            oracle.Cover(old), old_ids, oracle.Cover(new), 100, threshold, drift
+        )
         assert got[2].events == want[2].events
         assert got[:2] == want[:2]
-        assert match_covers(old, new, threshold, drift).events == want[2].events
+        assert (
+            match_covers(Cover(old), Cover(new), threshold, drift).events
+            == want[2].events
+            == _oracle_match_covers(Cover(old), Cover(new), threshold, drift).events
+        )
 
     def test_forward_tie_goes_to_the_lowest_index(self):
         # Old {0, 1, 2} has Jaccard 1/4 with both new communities.  The
         # larger one (index 0) holds only vertices that come after vertex 0,
         # which is in index 1, so the scan order must not pick the winner:
         # the lower index wins and old 0 grows instead of merging with old 1.
-        old = Cover([{0, 1, 2}, {0, 9}])
-        new = Cover([{1, 2, 10, 11, 12, 13, 14}, {0, 9}])
-        report = match_covers(old, new, match_threshold=0.2)
-        assert report.events == _oracle_match_covers(old, new, 0.2).events
+        old = [{0, 1, 2}, {0, 9}]
+        new = [{1, 2, 10, 11, 12, 13, 14}, {0, 9}]
+        report = match_covers(Cover(old), Cover(new), match_threshold=0.2)
+        assert report.events == _oracle_events(old, new, 0.2)
+        assert report.events == _oracle_match_covers(Cover(old), Cover(new), 0.2).events
         assert report.events == [
             CommunityEvent("grown", (0,), (0,), 0.25),
             CommunityEvent("continued", (1,), (1,), 1.0),
@@ -276,10 +292,11 @@ class TestMatchCoversOracle:
     def test_backward_tie_goes_to_the_lowest_index(self):
         # {0, 1, 4, 5} has Jaccard 1/3 with both old communities; its best
         # old match is the lower index, which makes old 0 the one that split.
-        old = Cover([{0, 1, 2, 3}, {4, 5, 6, 7}])
-        new = Cover([{0, 1, 4, 5}, {2, 3}, {6, 7}])
-        report = match_covers(old, new, match_threshold=0.3)
-        assert report.events == _oracle_match_covers(old, new, 0.3).events
+        old = [{0, 1, 2, 3}, {4, 5, 6, 7}]
+        new = [{0, 1, 4, 5}, {2, 3}, {6, 7}]
+        report = match_covers(Cover(old), Cover(new), match_threshold=0.3)
+        assert report.events == _oracle_events(old, new, 0.3)
+        assert report.events == _oracle_match_covers(Cover(old), Cover(new), 0.3).events
         assert [(e.kind, e.before, e.after) for e in report.events] == [
             ("split", (0,), (0, 1)),
             ("shrunk", (1,), (2,)),

@@ -293,6 +293,58 @@ class TestServiceTracing:
         assert len(builds) == 1
         assert applies[0].ts_ns <= builds[0].ts_ns < applies[1].ts_ns
 
+    def test_refresh_phases_nest_inside_service_extract_smoke(self, tmp_path):
+        """A traced refresh explains itself: inside each ``service.extract``
+        sit the extraction and the index update, the update split into the
+        stable-id match and the map build; their self times fit inside the
+        refresh, and the trace survives a save/load round trip."""
+        from repro.api.config import ServicePlanConfig
+        from repro.obs import TraceResult
+        from repro.service import CommunityService
+
+        service = CommunityService(
+            ring_of_cliques(4, 5),
+            config=ServicePlanConfig(
+                algo=AlgoConfig(seed=SEED, iterations=ITERATIONS),
+                execution=ExecutionConfig(trace=True),
+                batch_size=2,
+                staleness_batches=1,
+            ),
+        ).start()
+        for u, v in ((0, 7), (1, 9), (3, 12), (5, 16)):
+            service.submit_insert(u, v)
+        service.communities_of(0)  # K=1: a lazy refresh
+        service.refresh()
+        path = tmp_path / "refresh.trace.json"
+        service.trace_result().save(str(path))
+        extractions = service.extractions
+        service.close()
+        loaded = TraceResult.load(str(path))
+        validate_chrome_trace(loaded.to_chrome_trace())
+
+        def inside(outer, name):
+            found = [
+                s for s in loaded.spans
+                if s.name == name and outer.ts_ns <= s.ts_ns
+                and s.ts_ns + s.dur_ns <= outer.ts_ns + outer.dur_ns
+            ]
+            assert len(found) == 1, name
+            return found[0]
+
+        extracts = [s for s in loaded.spans if s.name == "service.extract"]
+        assert len(extracts) == extractions == 3
+        for extract in extracts:
+            cover = inside(extract, "core.postprocess.extract_communities")
+            update = inside(extract, "service.index.update")
+            match = inside(update, "core.tracking.match")
+            build = inside(update, "service.index.build")
+            assert cover.ts_ns + cover.dur_ns <= update.ts_ns
+            assert match.ts_ns + match.dur_ns <= build.ts_ns
+            update_self = update.dur_ns - match.dur_ns - build.dur_ns
+            assert update_self >= 0
+            selves = cover.dur_ns + update_self + match.dur_ns + build.dur_ns
+            assert selves <= extract.dur_ns
+
 
 class TestReplicationTracing:
     def test_failover_run_records_commit_ship_failover(self, tmp_path):

@@ -1,10 +1,22 @@
 """Tests for the query-plane membership index and stable-id assignment."""
 
+import pickle
+import random
+from unittest import mock
+
 import pytest
 
+from oracles import tracking as oracle
+from repro.api.config import ServicePlanConfig
 from repro.core.communities import Cover
+from repro.core.detector import RSLPADetector
 from repro.core.tracking import assign_stable_ids
+from repro.graph.generators import ring_of_cliques
+from repro.service import CommunityService
 from repro.service.index import MembershipIndex
+from repro.service.replication import ServiceSupervisor
+from repro.workloads.dynamic import EditStream
+from repro.workloads.webgraph import WebGraphParams, generate_webgraph
 
 
 class TestAssignStableIds:
@@ -114,3 +126,123 @@ class TestMembershipIndex:
         assert index.last_transition is None
         index.update(Cover([{0, 1, 2, 3, 4, 5}]))
         assert index.last_transition.of_kind("grown")
+
+    def test_export_ships_the_cover_as_arrays(self):
+        index = MembershipIndex()
+        index.update(Cover([{0, 1, 2}, {2, 3}]))
+        index.update(Cover([{0, 1, 2, 5}, {2, 3}, {8, 9}]))
+        payload = pickle.dumps(index.export_state())
+        assert b"frozenset" not in payload
+        clone = MembershipIndex()
+        clone.install_state(pickle.loads(payload))
+        assert clone.snapshot() == index.snapshot()
+        assert clone.communities_of(2) == index.communities_of(2)
+        later = Cover([{0, 1, 2, 5, 6}, {8, 9, 10}])
+        assert clone.update(later).events == index.update(later).events
+        assert clone.snapshot() == index.snapshot()
+
+    def test_install_accepts_frozenset_covers(self):
+        index = MembershipIndex()
+        index.install_state(
+            {"cover": [frozenset({2, 3}), frozenset({0, 1, 2})],
+             "ids": (4, 7), "next_id": 8, "generation": 3}
+        )
+        assert index.communities_of(2) == (4, 7)
+        assert index.members(4) == frozenset({0, 1, 2})
+
+
+# ----------------------------------------------------------------------
+# Matcher thresholds are checked when the index is built, before any fit
+# ----------------------------------------------------------------------
+BAD_THRESHOLDS = [
+    ({"match_threshold": 1.5}, "match_threshold"),
+    ({"match_threshold": 0.0}, "match_threshold"),
+    ({"drift_tolerance": 1.0}, "drift_tolerance"),
+]
+
+
+class TestMatcherThresholds:
+    @pytest.mark.parametrize("bad,name", BAD_THRESHOLDS)
+    def test_index_rejects(self, bad, name):
+        with pytest.raises(ValueError, match=name):
+            MembershipIndex(**bad)
+
+    @pytest.mark.parametrize("bad,name", BAD_THRESHOLDS)
+    def test_plan_config_rejects(self, bad, name):
+        with pytest.raises(ValueError, match=name):
+            ServicePlanConfig(**bad)
+
+    @pytest.mark.parametrize("bad,name", BAD_THRESHOLDS)
+    def test_service_rejects_before_any_fit(self, bad, name):
+        with mock.patch.object(RSLPADetector, "fit") as fit:
+            with pytest.raises(ValueError, match=name):
+                CommunityService(ring_of_cliques(3, 4), seed=1, iterations=5, **bad)
+        fit.assert_not_called()
+
+    def test_supervisor_rejects_before_any_child(self, tmp_path):
+        # Before, this surfaced only as a dead primary child.
+        with pytest.raises(ValueError, match="match_threshold"):
+            ServiceSupervisor(
+                ring_of_cliques(3, 4), str(tmp_path), replicas=1,
+                match_threshold=1.5,
+            )
+
+
+# ----------------------------------------------------------------------
+# The array index against the retired frozenset index, over a stream
+# ----------------------------------------------------------------------
+def _assert_same_index(got, want, vertices, rng):
+    assert got.export_state()["ids"] == want.export_state()["ids"]
+    assert got.export_state()["next_id"] == want.export_state()["next_id"]
+    assert got.generation == want.generation
+    assert got.community_ids() == want.community_ids()
+    assert len(got) == len(want)
+    assert got.snapshot() == want.snapshot()
+    absent = max(vertices) + 1
+    for v in vertices + [absent]:
+        assert got.communities_of(v) == want.communities_of(v)
+    for cid in want.community_ids():
+        assert got.members(cid) == want.members(cid)
+    for _ in range(50):
+        u, v = rng.choice(vertices), rng.choice(vertices + [absent])
+        assert got.overlap(u, v) == want.overlap(u, v)
+
+
+def _stream_graph(name, small_lfr):
+    if name == "webgraph":
+        return generate_webgraph(WebGraphParams(n=300, avg_out_degree=6.0), seed=7).graph
+    return small_lfr.graph
+
+
+class TestIndexAgainstOracle:
+    @pytest.mark.parametrize("name", ["webgraph", "small_lfr"])
+    def test_stream_of_refreshes_equals_oracle_index(self, name, small_lfr):
+        graph = _stream_graph(name, small_lfr)
+        service = CommunityService(
+            graph, seed=3, iterations=20, staleness_batches=1
+        ).start()
+        want = oracle.MembershipIndex()
+        rng = random.Random(name)
+        clone = None
+        for batch in [None] + EditStream(graph, batch_size=20, seed=5).take(30):
+            if batch is not None:
+                service.apply(batch)
+                service.communities_of(0)  # K=1: this query refreshes
+            got = service.index
+            cover = oracle.Cover(got.cover.communities)
+            assert cover.communities == got.cover.communities
+            report = want.update(cover)
+            if report is None:
+                assert got.last_transition is None
+            else:
+                assert got.last_transition.events == report.events
+            vertices = sorted(service.graph.vertices())
+            _assert_same_index(got, want, vertices, rng)
+            if clone is not None:
+                # The previous round's round trip continues the trajectory.
+                clone.update(got.cover)
+                _assert_same_index(clone, want, vertices, rng)
+            clone = MembershipIndex()
+            clone.install_state(pickle.loads(pickle.dumps(got.export_state())))
+            _assert_same_index(clone, want, vertices, rng)
+        assert service.extractions == 31

@@ -10,6 +10,7 @@ being answered (stale serves allowed and counted, errors not).
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -224,6 +225,35 @@ class TestReplicationSmoke:
         # Queries were served by replicas, none errored.
         assert client.queries_served == 2 * len(EDITS)
         assert client.primary_fallbacks == 0
+
+    def test_replica_bootstrapped_from_array_export_serves_primary_snapshot_smoke(
+        self, tmp_path
+    ):
+        """A replica bootstrapped from the primary's exported index (the
+        cover ships as arrays) serves the primary's snapshot, from the
+        bootstrap on and after each committed batch."""
+        sup = ServiceSupervisor(
+            ring_of_cliques(3, 4), str(tmp_path), make_config(replicas=1)
+        ).start()
+        try:
+            for step, (op, u, v) in enumerate(EDITS):
+                if step % 2 == 0:  # before each batch, then after the last
+                    self._assert_replica_matches(sup)
+                sup.submit(op, u, v)
+            self._assert_replica_matches(sup)
+        finally:
+            sup.shutdown()
+
+    @staticmethod
+    def _assert_replica_matches(sup):
+        deadline = time.monotonic() + 30.0
+        while True:
+            snapshot, applied = sup.query_replica(0, "snapshot", (), timeout=5.0)
+            if applied >= sup.committed_seq or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert applied == sup.committed_seq
+        assert snapshot == sup.snapshot()
 
     def test_kill_primary_failover_smoke(self, tmp_path, baseline_snapshot):
         snapshot, stats, client = run_supervised(
