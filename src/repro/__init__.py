@@ -55,7 +55,6 @@ from repro.core import (
     extract_communities,
 )
 from repro.graph import (
-    CSRDelta,
     CSRGraph,
     EditBatch,
     Graph,
@@ -103,7 +102,6 @@ __all__ = [
     # graph substrate
     "Graph",
     "CSRGraph",
-    "CSRDelta",
     "EditBatch",
     "apply_batch",
     "diff_graphs",

@@ -283,7 +283,11 @@ def _kruskal_forest(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         best = np.full(n, none, dtype=np.int64)
         np.minimum.at(best, cu, pos)
         np.minimum.at(best, cv, pos)
-        chosen = np.unique(best[best < none])
+        # Sort and keep each run's first: np.unique would hash.
+        chosen = np.sort(best[best < none])
+        first = np.ones(chosen.size, dtype=bool)
+        first[1:] = chosen[1:] != chosen[:-1]
+        chosen = chosen[first]
         picked.append(chosen)
         comp = _components(n, comp[u[chosen]], comp[v[chosen]])[comp]
     if not picked:

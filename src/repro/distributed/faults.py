@@ -1,363 +1,182 @@
-"""Deterministic fault injection for the multiprocess BSP engine.
+"""Deterministic fault injection for both child-process planes.
 
 Fault-tolerance code is only trustworthy if its failure paths run in CI,
 and failure paths only run in CI if failures can be *scripted*.  A
-:class:`FaultPlan` is that script: a declarative, picklable description of
-which worker misbehaves at which superstep, handed to
-:class:`~repro.distributed.multiprocess.MultiprocessBSPEngine` (and from
-there to every worker process), so tests and benchmarks can replay the
-exact same failure on every run.
+:class:`FaultPlan` is that script: an immutable, picklable table of
+:class:`Event` rows ``(action, child, step, phase)``, handed to
+:class:`~repro.distributed.multiprocess.MultiprocessBSPEngine` or
+:class:`~repro.service.replication.ServiceSupervisor` (and from there to
+every child process), so tests and benchmarks replay the exact same
+failure on every run.
 
-Five fault kinds, all keyed by ``(worker_id, superstep)`` — superstep 0
-is the ``start`` barrier, superstep ``s >= 1`` the ``step`` verb for
-superstep ``s``:
+Both planes are message loops over *stepped verbs*, and a step is the
+verb's number: the engine's superstep (0 is the ``start`` barrier,
+``s >= 1`` the ``step`` verb of superstep ``s``) and the service's WAL
+sequence number (the primary's ``apply`` and a replica's ``wal``).  A
+child is a worker id, a replica id, or :data:`PRIMARY`, the role of
+whichever process is the service primary (promotion moves the role from
+one process to another).  Every stepped verb has the same two seams,
+where :func:`repro.runtime.fire_faults` SIGKILLs the child or sleeps:
 
-``kill``
-    The worker SIGKILLs itself on receiving the verb, before touching its
-    inbox — the hard-crash case (OOM killer, machine loss).
-``drop_send``
-    The worker computes its superstep but exits before its outbox moves,
-    simulating a transport send that never completes.  To the driver this
-    is indistinguishable from a crash (by design: a half-sent superstep
-    must never be half-applied).
-``stall``
-    The worker sleeps for the given seconds before computing — the
-    slow-worker / GC-pause case.  The driver's liveness polling must wait
-    it out, not misdiagnose it as a crash.
-``delay``
-    The worker sleeps *after* computing but before sending, widening the
-    window in which other workers' crashes are detected mid-barrier.
-``torn_snapshot``
-    The worker truncates the checkpoint blob it returns for that
-    superstep (keeping the CRC of the intact blob), simulating a torn
-    checkpoint write; the driver must reject the whole cut and keep the
-    previous one.
+``recv``
+    The verb arrived and no work is done yet.
+``reply``
+    The work is done and the reply is not sent yet.  A service child
+    reaches it only after a fresh apply: an idempotent re-send, a
+    failed validation or a replica's nack skips it.
 
-The plan only *decides*; the worker loop performs the actions, so the
-decisions stay unit-testable in-process.  Supervised recovery respawns a
-dead worker with :meth:`without_worker` applied — a respawned worker is
-healthy, which is what makes every scripted kill terminate instead of
-re-firing on replay forever.
+The BSP worker loop (``_worker_main`` in
+:mod:`repro.distributed.multiprocess`) fires both seams around its
+``start`` and ``step`` verbs, the service child loop
+(``_service_child_main`` in :mod:`repro.service.replication`) around the
+primary's ``apply`` and a replica's ``wal``.  Two phases belong to one
+plane each and are read where they act: the worker loop's ``snapshot``
+reply (the worker truncates the checkpoint blob it returns, keeping the
+CRC of the intact blob, so the driver rejects the whole cut) and the
+service supervisor's ``ship`` of a WAL record (it drops that shipped
+copy once, so the replica's gap detection must nack).
 
-The same script drives the *service plane*
-(:mod:`repro.service.replication`), keyed by WAL sequence number instead
-of superstep:
+Seven keywords build the table; each takes one site tuple or a list of
+them:
 
-``kill_primary``
-    ``(seq, phase)`` — the primary SIGKILLs itself at batch ``seq``,
-    either on ``"recv"`` (before the WAL append: the batch is lost in
-    flight and must be re-sent to the promoted primary) or ``"applied"``
-    (after WAL append + apply, before acking: the promoted replica must
-    replay it from the shipped/on-disk tail).  A bare int means
-    ``"applied"``.
-``kill_replica``
-    ``(replica_id, seq)`` — the replica SIGKILLs itself after applying
-    shipped record ``seq``; the supervisor must respawn it and the client
-    must re-route around it meanwhile.
-``drop_wal_record``
-    ``(replica_id, seq)`` — the shipped copy of record ``seq`` to that
-    replica is dropped once in transit; the replica's gap detection must
-    nack and the supervisor re-ship.
-``stall_heartbeat``
-    ``(replica_id, seq, seconds)`` — the replica stops heartbeating (and
-    answering queries) for ``seconds`` after applying ``seq``; the client
-    must re-route to a live peer instead of erroring.
+====================  ========================  =========================
+keyword               site                      event (action @ phase)
+====================  ========================  =========================
+``kill``              ``(child, step)``         kill @ recv
+``drop_send``         ``(child, step)``         kill @ reply
+``stall``             ``(child, step, s)``      stall @ recv (sleep ``s``)
+``delay``             ``(child, step, s)``      stall @ reply (sleep ``s``)
+``torn_snapshot``     ``(child, step)``         tear @ snapshot
+``drop_wal_record``   ``(child, step)``         drop @ ship
+``kill_primary``      ``(seq, "recv")``         kill @ recv of PRIMARY
+                      ``(seq, "applied")``      kill @ reply of PRIMARY
+====================  ========================  =========================
 
-Promotion and respawn strip the fired fault with
-:meth:`without_kill_primary` / :meth:`without_replica`, the service-plane
-mirror of :meth:`without_worker`.
+So a kill or a stall scripted for a worker id fires on the replica with
+that id too.  A kill at ``recv`` is the hard crash (OOM killer, machine
+loss); a kill at ``reply`` is a send that never completes, which the
+supervisor cannot tell from a crash (by design: a half-sent step must
+never be half-applied).  A stall is the slow-child / GC-pause case: the
+supervisor must wait it out, or on the service mark the replica lapsed
+and re-route, and never misdiagnose it as a crash.
+
+The plan only *decides*; the child loops act, so the decisions stay
+unit-testable in-process.  A supervisor strips a respawned child's
+events (``plan.without(child=...)``: a replacement child is healthy),
+and a fired primary kill or ship drop (``plan.without(event=...)``), so
+every scripted failure fires exactly once and replay terminates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
 
-__all__ = ["FaultPlan"]
+__all__ = ["Event", "FaultPlan", "PRIMARY"]
 
-Site = Tuple[int, int]  # (worker_id, superstep)
+#: The child id of the service primary's role, whichever process holds it.
+PRIMARY = -1
+
+#: ``kill_primary``'s phase names -> the seams they strike.
+_PRIMARY_PHASES = {"recv": "recv", "applied": "reply"}
+
+#: keyword -> (action, phase, site fields); kill_primary's phase is in its site.
+_KEYWORDS = {
+    "kill": ("kill", "recv", ("child", "step")),
+    "drop_send": ("kill", "reply", ("child", "step")),
+    "stall": ("stall", "recv", ("child", "step", "seconds")),
+    "delay": ("stall", "reply", ("child", "step", "seconds")),
+    "torn_snapshot": ("tear", "snapshot", ("child", "step")),
+    "drop_wal_record": ("drop", "ship", ("child", "step")),
+    "kill_primary": ("kill", None, ("seq", "phase")),
+}
 
 
-def _check_site(site, kind: str) -> Site:
-    try:
-        worker, superstep = site
-    except (TypeError, ValueError):
+class Event(NamedTuple):
+    """One scripted fault: ``action`` strikes ``child`` at ``phase`` of
+    stepped verb ``step``; a stall sleeps ``seconds``."""
+
+    action: str
+    child: int
+    step: int
+    phase: str
+    seconds: float = 0.0
+
+
+def _event(keyword: str, site) -> Event:
+    action, phase, fields = _KEYWORDS[keyword]
+    if not isinstance(site, tuple) or len(site) != len(fields):
         raise ValueError(
-            f"{kind} fault must be a (worker_id, superstep) pair, got {site!r}"
+            f"{keyword} fault must be a ({', '.join(fields)}) tuple, got {site!r}"
         )
-    worker, superstep = int(worker), int(superstep)
-    if worker < 0 or superstep < 0:
-        raise ValueError(
-            f"{kind} fault needs worker_id >= 0 and superstep >= 0, "
-            f"got ({worker}, {superstep})"
-        )
-    return (worker, superstep)
-
-
-def _sites(single, many: Iterable, kind: str) -> FrozenSet[Site]:
-    sites = [_check_site(site, kind) for site in many]
-    if single is not None:
-        sites.append(_check_site(single, kind))
-    return frozenset(sites)
-
-
-PRIMARY_PHASES = ("recv", "applied")
-
-
-def _check_primary_site(spec, kind: str) -> Tuple[int, str]:
-    if isinstance(spec, int):
-        spec = (spec, "applied")
-    try:
-        seq, phase = spec
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{kind} fault must be a seq or a (seq, phase) pair, got {spec!r}"
-        )
-    seq = int(seq)
-    if seq < 1:
-        raise ValueError(f"{kind} fault needs seq >= 1, got {seq}")
-    if phase not in PRIMARY_PHASES:
-        raise ValueError(
-            f"{kind} phase must be one of {PRIMARY_PHASES}, got {phase!r}"
-        )
-    return (seq, phase)
-
-
-def _primary_sites(single, many: Iterable, kind: str) -> FrozenSet[Tuple[int, str]]:
-    sites = [_check_primary_site(spec, kind) for spec in many]
-    if single is not None:
-        sites.append(_check_primary_site(single, kind))
-    return frozenset(sites)
-
-
-def _timed_sites(single, many: Iterable, kind: str) -> Dict[Site, float]:
-    timed: Dict[Site, float] = {}
-    entries = list(many)
-    if single is not None:
-        entries.append(single)
-    for entry in entries:
-        try:
-            worker, superstep, seconds = entry
-        except (TypeError, ValueError):
+    if phase is None:  # kill_primary: the site names the phase
+        step, when = site
+        child = PRIMARY
+        if when not in _PRIMARY_PHASES:
             raise ValueError(
-                f"{kind} fault must be a (worker_id, superstep, seconds) "
-                f"triple, got {entry!r}"
+                f"{keyword} phase must be one of {tuple(_PRIMARY_PHASES)}, "
+                f"got {when!r}"
             )
-        site = _check_site((worker, superstep), kind)
-        seconds = float(seconds)
-        if seconds < 0:
-            raise ValueError(f"{kind} seconds must be >= 0, got {seconds}")
-        timed[site] = seconds  # one duration per site: last spec wins
-    return timed
+        phase = _PRIMARY_PHASES[when]
+    else:
+        child, step = site[:2]
+    child, step = int(child), int(step)
+    seconds = float(site[2]) if len(fields) == 3 else 0.0
+    if (child < 0 and child != PRIMARY) or step < 0:
+        raise ValueError(
+            f"{keyword} fault needs child >= 0 (or PRIMARY) and step >= 0, "
+            f"got ({child}, {step})"
+        )
+    if seconds < 0:
+        raise ValueError(f"{keyword} seconds must be >= 0, got {seconds}")
+    return Event(action, child, step, phase, seconds)
 
 
+@dataclass(frozen=True, init=False)
 class FaultPlan:
-    """A deterministic failure script for one multiprocess run.
+    """A deterministic failure script: a sorted table of :class:`Event` rows.
 
-    Singular keywords (``kill=``, ``drop_send=``, ``stall=``, ``delay=``,
-    ``torn_snapshot=``) take one fault spec; their plural forms take any
-    iterable of specs.  Instances are immutable in spirit, picklable (they
-    cross the process boundary with the worker arguments), and comparable
-    by value.
+    Each keyword takes one site tuple or a list of them (see the module
+    docstring for the table).  Plans are immutable, picklable (they cross
+    the process boundary with every child's arguments), comparable and
+    hashable by value, and false when empty.
 
-    >>> plan = FaultPlan(kill=(1, 3), stall=(0, 2, 0.1))
-    >>> plan.should_kill(1, 3), plan.should_kill(1, 2)
-    (True, False)
-    >>> plan.without_worker(1).should_kill(1, 3)
-    False
+    >>> plan = FaultPlan(kill=(1, 3), stall=[(0, 2, 0.1)])
+    >>> plan.at(1, 3, "recv")
+    (Event(action='kill', child=1, step=3, phase='recv', seconds=0.0),)
+    >>> plan.without(child=1).at(1, 3, "recv")
+    ()
     """
 
-    __slots__ = (
-        "kills",
-        "drop_sends",
-        "stalls",
-        "delays",
-        "torn_snapshots",
-        "kill_primaries",
-        "kill_replicas",
-        "drop_wal_records",
-        "stall_heartbeats",
-    )
+    events: Tuple[Event, ...]
 
-    def __init__(
-        self,
-        kill: Optional[Site] = None,
-        kills: Iterable[Site] = (),
-        drop_send: Optional[Site] = None,
-        drop_sends: Iterable[Site] = (),
-        stall=None,
-        stalls: Iterable = (),
-        delay=None,
-        delays: Iterable = (),
-        torn_snapshot: Optional[Site] = None,
-        torn_snapshots: Iterable[Site] = (),
-        kill_primary=None,
-        kill_primaries: Iterable = (),
-        kill_replica: Optional[Site] = None,
-        kill_replicas: Iterable[Site] = (),
-        drop_wal_record: Optional[Site] = None,
-        drop_wal_records: Iterable[Site] = (),
-        stall_heartbeat=None,
-        stall_heartbeats: Iterable = (),
-    ):
-        self.kills = _sites(kill, kills, "kill")
-        self.drop_sends = _sites(drop_send, drop_sends, "drop_send")
-        self.stalls = _timed_sites(stall, stalls, "stall")
-        self.delays = _timed_sites(delay, delays, "delay")
-        self.torn_snapshots = _sites(torn_snapshot, torn_snapshots, "torn_snapshot")
-        # Service plane: sites are (seq, phase) for the primary and
-        # (replica_id, seq) for replicas.
-        self.kill_primaries = _primary_sites(
-            kill_primary, kill_primaries, "kill_primary"
-        )
-        self.kill_replicas = _sites(kill_replica, kill_replicas, "kill_replica")
-        self.drop_wal_records = _sites(
-            drop_wal_record, drop_wal_records, "drop_wal_record"
-        )
-        self.stall_heartbeats = _timed_sites(
-            stall_heartbeat, stall_heartbeats, "stall_heartbeat"
-        )
+    def __init__(self, kill=None, drop_send=None, stall=None, delay=None,
+                 torn_snapshot=None, drop_wal_record=None, kill_primary=None):
+        table = set()
+        for keyword, sites in (
+            ("kill", kill), ("drop_send", drop_send), ("stall", stall),
+            ("delay", delay), ("torn_snapshot", torn_snapshot),
+            ("drop_wal_record", drop_wal_record), ("kill_primary", kill_primary),
+        ):
+            if sites is not None:
+                for site in sites if isinstance(sites, list) else [sites]:
+                    table.add(_event(keyword, site))
+        object.__setattr__(self, "events", tuple(sorted(table)))
 
-    # ------------------------------------------------------------------
-    # Decisions (the worker loop performs the matching actions)
-    # ------------------------------------------------------------------
-    def should_kill(self, worker_id: int, superstep: int) -> bool:
-        return (worker_id, superstep) in self.kills
+    def at(self, child: int, step: int, phase: str) -> Tuple[Event, ...]:
+        """The events scripted for ``child`` at ``phase`` of ``step``, in
+        table order (a kill before a stall)."""
+        return tuple(e for e in self.events if e[1:4] == (child, step, phase))
 
-    def should_drop_send(self, worker_id: int, superstep: int) -> bool:
-        return (worker_id, superstep) in self.drop_sends
-
-    def stall_seconds(self, worker_id: int, superstep: int) -> float:
-        return self.stalls.get((worker_id, superstep), 0.0)
-
-    def delay_seconds(self, worker_id: int, superstep: int) -> float:
-        return self.delays.get((worker_id, superstep), 0.0)
-
-    def should_tear_snapshot(self, worker_id: int, superstep: int) -> bool:
-        return (worker_id, superstep) in self.torn_snapshots
-
-    # -- service plane --------------------------------------------------
-    def should_kill_primary(self, seq: int, phase: str) -> bool:
-        return (seq, phase) in self.kill_primaries
-
-    def should_kill_replica(self, replica_id: int, seq: int) -> bool:
-        return (replica_id, seq) in self.kill_replicas
-
-    def should_drop_wal_record(self, replica_id: int, seq: int) -> bool:
-        return (replica_id, seq) in self.drop_wal_records
-
-    def heartbeat_stall_seconds(self, replica_id: int, seq: int) -> float:
-        return self.stall_heartbeats.get((replica_id, seq), 0.0)
-
-    # ------------------------------------------------------------------
-    # Plan algebra
-    # ------------------------------------------------------------------
-    def without_worker(self, worker_id: int) -> "FaultPlan":
-        """The plan with every fault of ``worker_id`` removed.
-
-        Supervised recovery hands this to the replacement process, so a
-        scripted failure fires exactly once: a respawned worker is healthy.
-        """
-        keep = lambda site: site[0] != worker_id  # noqa: E731
-        return self._replace(
-            kills=frozenset(filter(keep, self.kills)),
-            drop_sends=frozenset(filter(keep, self.drop_sends)),
-            stalls={s: t for s, t in self.stalls.items() if keep(s)},
-            delays={s: t for s, t in self.delays.items() if keep(s)},
-            torn_snapshots=frozenset(filter(keep, self.torn_snapshots)),
-        )
-
-    def without_kill_primary(self, seq: int, phase: str) -> "FaultPlan":
-        """The plan with the one fired primary kill removed.
-
-        The supervisor hands this to the promoted primary, so each
-        scripted primary kill fires exactly once even when ``max_failovers``
-        scripts several in a row.
-        """
-        return self._replace(
-            kill_primaries=self.kill_primaries - {(int(seq), phase)}
-        )
-
-    def without_replica(self, replica_id: int) -> "FaultPlan":
-        """The plan with every fault of replica ``replica_id`` removed.
-
-        Applied on respawn (a replacement replica is healthy) and on
-        promotion (the promoted process stops being that replica).
-        """
-        keep = lambda site: site[0] != replica_id  # noqa: E731
-        return self._replace(
-            kill_replicas=frozenset(filter(keep, self.kill_replicas)),
-            drop_wal_records=frozenset(filter(keep, self.drop_wal_records)),
-            stall_heartbeats={
-                s: t for s, t in self.stall_heartbeats.items() if keep(s)
-            },
-        )
-
-    def _replace(self, **slots) -> "FaultPlan":
-        """A copy with the given slots swapped (already-validated values)."""
-        clone = FaultPlan()
-        for slot in self.__slots__:
-            object.__setattr__(clone, slot, slots.get(slot, getattr(self, slot)))
-        return clone
+    def without(self, child: Optional[int] = None,
+                event: Optional[Event] = None) -> "FaultPlan":
+        """The plan minus every event of ``child``, or minus one fired
+        ``event``."""
+        plan = FaultPlan()
+        object.__setattr__(plan, "events", tuple(
+            e for e in self.events if e.child != child and e != event
+        ))
+        return plan
 
     def __bool__(self) -> bool:
-        return bool(
-            self.kills
-            or self.drop_sends
-            or self.stalls
-            or self.delays
-            or self.torn_snapshots
-            or self.kill_primaries
-            or self.kill_replicas
-            or self.drop_wal_records
-            or self.stall_heartbeats
-        )
-
-    def _key(self):
-        return (
-            self.kills,
-            self.drop_sends,
-            tuple(sorted(self.stalls.items())),
-            tuple(sorted(self.delays.items())),
-            self.torn_snapshots,
-            self.kill_primaries,
-            self.kill_replicas,
-            self.drop_wal_records,
-            tuple(sorted(self.stall_heartbeats.items())),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FaultPlan):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    # __slots__ classes need explicit pickle support (no __dict__).
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
-
-    def __repr__(self) -> str:
-        parts = []
-        for label, sites in (
-            ("kills", self.kills),
-            ("drop_sends", self.drop_sends),
-            ("torn_snapshots", self.torn_snapshots),
-            ("kill_primaries", self.kill_primaries),
-            ("kill_replicas", self.kill_replicas),
-            ("drop_wal_records", self.drop_wal_records),
-        ):
-            if sites:
-                parts.append(f"{label}={sorted(sites)}")
-        for label, timed in (
-            ("stalls", self.stalls),
-            ("delays", self.delays),
-            ("stall_heartbeats", self.stall_heartbeats),
-        ):
-            if timed:
-                parts.append(f"{label}={sorted(timed.items())}")
-        return f"FaultPlan({', '.join(parts)})"
+        return bool(self.events)

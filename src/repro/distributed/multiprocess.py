@@ -71,9 +71,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing as mp
-import os
 import pickle
-import signal
 import time
 import zlib
 from dataclasses import dataclass
@@ -94,7 +92,13 @@ from repro.distributed.metrics import CommStats, RecoveryStats
 from repro.distributed.transport import Transport, WorkerEndpoint
 from repro.distributed.worker import CSRShard
 from repro.graph.partition import Partitioner
-from repro.runtime import POLL_S, PipeWire, WorkerCrashedError, stop_children
+from repro.runtime import (
+    POLL_S,
+    PipeWire,
+    WorkerCrashedError,
+    fire_faults,
+    stop_children,
+)
 
 __all__ = ["MultiprocessBSPEngine", "WorkerCrashedError"]
 
@@ -122,7 +126,7 @@ def _worker_main(
     shard: CSRShard,
     factory: ProgramFactory,
     endpoint: WorkerEndpoint,
-    fault_plan: Optional[FaultPlan] = None,
+    faults: FaultPlan,
     trace: bool = False,
 ) -> None:
     """Child-process loop: execute one program over commands from the driver.
@@ -134,7 +138,6 @@ def _worker_main(
     verb and cleared.  ``time.time_ns()`` is the shared timebase, so the
     shipped spans align with the driver's on one wall clock.
     """
-    faults = fault_plan if fault_plan is not None else FaultPlan()
     wid = shard.worker_id
     obs = None
     if trace:
@@ -161,14 +164,8 @@ def _worker_main(
                         "engine.barrier_wait", idle_start, plane=_PLANE,
                         worker=wid, superstep=superstep,
                     )
-                # Fault seams, in failure order: a kill strikes before the
-                # inbox is touched, a stall delays the compute, a delay or
-                # dropped send strikes between compute and transport.
-                if faults.should_kill(wid, superstep):
-                    os.kill(os.getpid(), signal.SIGKILL)
-                stall = faults.stall_seconds(wid, superstep)
-                if stall:
-                    time.sleep(stall)
+                # The recv seam: before the inbox is touched.
+                fire_faults(faults, wid, superstep, "recv")
                 if obs is not None:
                     compute_start = time.time_ns()
                 ctx = ArrayMessageContext()
@@ -191,16 +188,8 @@ def _worker_main(
                         "engine.pack", pack_start, plane=_PLANE,
                         worker=wid, superstep=superstep, end_ns=send_start,
                     )
-                delay = faults.delay_seconds(wid, superstep)
-                if delay:
-                    time.sleep(delay)
-                if faults.should_drop_send(wid, superstep):
-                    # A dropped transport send is indistinguishable from a
-                    # crash to the driver — by design: a half-sent
-                    # superstep must never be half-applied.
-                    endpoint.close()
-                    conn.close()
-                    os._exit(3)
+                # The reply seam: computed, nothing sent on any transport.
+                fire_faults(faults, wid, superstep, "reply")
                 endpoint.send_outbox(payload, conn.send)
                 if obs is not None:
                     obs.trace.record(
@@ -227,7 +216,7 @@ def _worker_main(
                     program.snapshot(), protocol=pickle.HIGHEST_PROTOCOL
                 )
                 crc = zlib.crc32(blob)
-                if faults.should_tear_snapshot(wid, superstep):
+                if faults.at(wid, superstep, "snapshot"):
                     blob = blob[: len(blob) // 2]  # torn write: fails its CRC
                 conn.send((_CTRL, "snap", superstep, blob, crc))
             elif verb == "sync":
@@ -344,9 +333,7 @@ class MultiprocessBSPEngine:
         self._shards = {shard.worker_id: shard for shard in shards}
         self._worker_ids = list(self._shards)
         self._factory = factory
-        self._fault_plans: Dict[int, Optional[FaultPlan]] = dict.fromkeys(
-            self._worker_ids, fault_plan
-        )
+        self._fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self._ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
         # The control channel is always a pipe, whatever the data plane.
         self._control = PipeWire(crash_error=WorkerCrashedError)
@@ -379,7 +366,7 @@ class MultiprocessBSPEngine:
                 self._shards[wid],
                 self._factory,
                 self._transport.worker_endpoint(wid),
-                self._fault_plans[wid],
+                self._fault_plan,
                 self.obs is not None,
             ),
             daemon=True,
@@ -728,11 +715,9 @@ class MultiprocessBSPEngine:
         self._processes[wid].join(timeout=5)  # reap the corpse
         self._control.detach(wid)
         self._transport.detach(wid)
-        plan = self._fault_plans[wid]
-        if plan is not None:
-            # Strip-on-respawn: a replacement worker is healthy, so every
-            # scripted fault fires exactly once and replay terminates.
-            self._fault_plans[wid] = plan.without_worker(wid)
+        # Strip-on-respawn: a replacement worker is healthy, so every
+        # scripted fault fires exactly once and replay terminates.
+        self._fault_plan = self._fault_plan.without(child=wid)
         self._spawn_worker(wid)
         self._transport.attach(wid, self._processes[wid])
         if obs is not None:

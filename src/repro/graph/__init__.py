@@ -13,19 +13,17 @@ roles (the two-representation architecture):
   contiguous ids ``0..n-1``).  This is the substrate for **compute**: the
   vectorised engines (``FastPropagator``, ``FastSLPA``), distributed shard
   slicing (:func:`slice_csr`) and the benchmarks all scan its arrays.
-  Construction is vectorised, and :meth:`CSRGraph.with_edits` (or a
-  :class:`CSRDelta` overlay) re-snapshots after an edit batch in O(m)
-  array ops.
+  Construction is vectorised.
 
-Typical flow: mutate a :class:`Graph` (or stage a :class:`CSRDelta`),
-snapshot with :meth:`CSRGraph.from_graph` / :meth:`CSRDelta.snapshot`, and
-hand the snapshot to whichever engine or shard slicer needs array speed.
+Typical flow: mutate a :class:`Graph`, snapshot it with
+:meth:`CSRGraph.from_graph`, and hand the snapshot to whichever engine or
+shard slicer needs array speed.
 Both representations describe the same binary graph and round-trip
 losslessly (``CSRGraph.from_graph(g).to_graph() == g``).
 """
 
 from repro.graph.adjacency import Graph, normalize_edge
-from repro.graph.csr import CSRDelta, CSRGraph, build_csr_arrays
+from repro.graph.csr import CSRGraph, build_csr_arrays
 from repro.graph.edits import EditBatch, apply_batch, diff_graphs
 from repro.graph.generators import (
     chung_lu,
@@ -61,7 +59,6 @@ __all__ = [
     "Graph",
     "normalize_edge",
     "CSRGraph",
-    "CSRDelta",
     "build_csr_arrays",
     "EditBatch",
     "apply_batch",

@@ -11,16 +11,9 @@ The library keeps two graph representations with distinct roles:
   (:func:`repro.graph.partition.slice_csr`), and every future batch engine.
 
 Construction is fully vectorised (``np.fromiter`` + ``np.lexsort`` +
-``np.bincount`` — no per-vertex Python loops), and :meth:`CSRGraph.with_edits`
-re-snapshots after an edit batch in O(m) array operations, so dynamic
-workloads can stay on the array substrate between batches.  The neighbour
-order inside a row is ascending, matching the sorted-adjacency contract the
+``np.bincount`` — no per-vertex Python loops).  The neighbour order inside
+a row is ascending, matching the sorted-adjacency contract the
 counter-based randomness (and hence the determinism tests) relies on.
-
-:class:`CSRDelta` is the lightweight overlay for callers that accumulate
-edits before paying for a rebuild: it answers ``has_edge``/``degree``/
-``neighbors`` against base + pending edits and materialises a fresh
-:class:`CSRGraph` on :meth:`CSRDelta.snapshot`.
 """
 
 from __future__ import annotations
@@ -31,10 +24,9 @@ from typing import Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graph.adjacency import Graph, normalize_edge
-from repro.graph.edits import EditBatch
 from repro.graph.io import relabel_to_integers
 
-__all__ = ["CSRGraph", "CSRDelta", "build_csr_arrays", "snapshot_with_ids"]
+__all__ = ["CSRGraph", "build_csr_arrays", "snapshot_with_ids"]
 
 Edge = Tuple[int, int]
 
@@ -122,9 +114,8 @@ class CSRGraph:
 
     Vertex ids are contiguous ``0..n-1``; each undirected edge is stored in
     both directions and every row of ``indices`` is ascending.  Instances
-    are cheap to slice (:func:`repro.graph.partition.slice_csr`), cheap to
-    rebuild after edits (:meth:`with_edits`), and picklable (they ship to
-    multiprocess workers as-is).
+    are cheap to slice (:func:`repro.graph.partition.slice_csr`) and
+    picklable (they ship to multiprocess workers as-is).
     """
 
     __slots__ = ("indptr", "indices")
@@ -237,55 +228,6 @@ class CSRGraph:
         return np.flatnonzero(self.degrees == 0).tolist()
 
     # ------------------------------------------------------------------
-    # Edits
-    # ------------------------------------------------------------------
-    def with_edits(self, batch: EditBatch) -> "CSRGraph":
-        """A new snapshot with ``batch`` applied, in O(m) array operations.
-
-        Mirrors :func:`repro.graph.edits.apply_batch` semantics: insertions
-        must be absent, deletions present (``ValueError`` otherwise).
-        Inserted edges may mention new vertex ids; the snapshot grows to
-        ``max id + 1``.
-        """
-        ins = sorted(batch.insertions)
-        dels = sorted(batch.deletions)
-        n_new = self.num_vertices
-        if ins:
-            n_new = max(n_new, max(max(u, v) for u, v in ins) + 1)
-        src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
-        dst = self.indices
-        keys = _edge_keys(src, dst, n_new)
-
-        if dels:
-            da = np.array([e[0] for e in dels], dtype=np.int64)
-            db = np.array([e[1] for e in dels], dtype=np.int64)
-            del_keys = np.concatenate(
-                [_edge_keys(da, db, n_new), _edge_keys(db, da, n_new)]
-            )
-            drop = np.isin(keys, del_keys)
-            if int(drop.sum()) != len(del_keys):
-                missing = [
-                    e for e in dels
-                    if not (self.has_vertex(e[0]) and self.has_edge(*e))
-                ]
-                raise ValueError(f"deletions not present: {missing[:5]}")
-            src, dst, keys = src[~drop], dst[~drop], keys[~drop]
-
-        if ins:
-            ia = np.array([e[0] for e in ins], dtype=np.int64)
-            ib = np.array([e[1] for e in ins], dtype=np.int64)
-            ins_keys = _edge_keys(ia, ib, n_new)
-            present = np.isin(ins_keys, keys)
-            if present.any():
-                bad = [ins[i] for i in np.flatnonzero(present).tolist()]
-                raise ValueError(f"insertions already present: {bad[:5]}")
-            src = np.concatenate([src, ia, ib])
-            dst = np.concatenate([dst, ib, ia])
-
-        indptr, indices = _csr_from_directed(n_new, src, dst)
-        return CSRGraph(indptr, indices, validate=False)
-
-    # ------------------------------------------------------------------
     # Invariants / protocol
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
@@ -331,119 +273,3 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(|V|={self.num_vertices}, |E|={self.num_edges})"
-
-
-class CSRDelta:
-    """A mutable edit overlay on top of an immutable :class:`CSRGraph`.
-
-    Accumulates edge insertions/deletions without touching the base arrays;
-    reads (``has_edge`` / ``degree`` / ``neighbors``) see base + pending
-    edits, and :meth:`snapshot` materialises a fresh :class:`CSRGraph` in
-    one O(m) rebuild.  This is the cheap path for dynamic workloads that
-    alternate small edit batches with array-speed compute.
-    """
-
-    def __init__(self, base: CSRGraph):
-        self.base = base
-        self._inserted: set = set()
-        self._deleted: set = set()
-
-    # ------------------------------------------------------------------
-    # Staging
-    # ------------------------------------------------------------------
-    def add_edge(self, u: int, v: int) -> bool:
-        """Stage an insertion; returns True if it changes the overlay graph."""
-        edge = normalize_edge(u, v)
-        if edge in self._deleted:
-            self._deleted.discard(edge)
-            return True
-        if self.has_edge(u, v):
-            return False
-        self._inserted.add(edge)
-        return True
-
-    def remove_edge(self, u: int, v: int) -> bool:
-        """Stage a deletion; returns True if the edge existed in the overlay."""
-        edge = normalize_edge(u, v)
-        if edge in self._inserted:
-            self._inserted.discard(edge)
-            return True
-        if not self.base.has_edge(*edge) or edge in self._deleted:
-            return False
-        self._deleted.add(edge)
-        return True
-
-    def apply(self, batch: EditBatch) -> None:
-        """Stage a whole batch (cancelling pairs compose as in ``merged_with``)."""
-        for u, v in sorted(batch.deletions):
-            self.remove_edge(u, v)
-        for u, v in sorted(batch.insertions):
-            self.add_edge(u, v)
-
-    @property
-    def pending(self) -> EditBatch:
-        """The net staged edits as an :class:`EditBatch`."""
-        return EditBatch(
-            insertions=frozenset(self._inserted), deletions=frozenset(self._deleted)
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self._inserted or self._deleted)
-
-    # ------------------------------------------------------------------
-    # Overlay-aware reads
-    # ------------------------------------------------------------------
-    @property
-    def num_vertices(self) -> int:
-        grown = max((max(u, v) + 1 for u, v in self._inserted), default=0)
-        return max(self.base.num_vertices, grown)
-
-    @property
-    def num_edges(self) -> int:
-        return self.base.num_edges + len(self._inserted) - len(self._deleted)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        edge = normalize_edge(u, v)
-        if edge in self._inserted:
-            return True
-        if edge in self._deleted:
-            return False
-        return self.base.has_edge(*edge)
-
-    def degree(self, v: int) -> int:
-        base_deg = self.base.degree(v) if self.base.has_vertex(v) else 0
-        gained = sum(1 for e in self._inserted if v in e)
-        lost = sum(1 for e in self._deleted if v in e)
-        return base_deg + gained - lost
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Ascending neighbour array of ``v`` under the overlay."""
-        base = (
-            set(self.base.neighbors(v).tolist()) if self.base.has_vertex(v) else set()
-        )
-        for a, b in self._inserted:
-            if a == v:
-                base.add(b)
-            elif b == v:
-                base.add(a)
-        for a, b in self._deleted:
-            if a == v:
-                base.discard(b)
-            elif b == v:
-                base.discard(a)
-        return np.array(sorted(base), dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Materialisation
-    # ------------------------------------------------------------------
-    def snapshot(self) -> CSRGraph:
-        """Rebuild: a fresh :class:`CSRGraph` with all staged edits applied."""
-        if not self:
-            return self.base
-        return self.base.with_edits(self.pending)
-
-    def __repr__(self) -> str:
-        return (
-            f"CSRDelta(base={self.base!r}, +{len(self._inserted)}, "
-            f"-{len(self._deleted)})"
-        )

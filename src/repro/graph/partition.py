@@ -22,7 +22,7 @@ from repro.core.randomness import mix64, mix64_array
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_positive, check_type
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (csr imports edits)
+if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -52,13 +52,8 @@ class Partitioner:
         it with pure array ops (it sits on the hot routing path of the
         columnar BSP engine, which gathers the owner of every message
         destination in one call per superstep).  The base implementation
-        dispatches through the legacy :meth:`owners_array` name so PR-1
-        subclasses that overrode *that* keep their vectorised form.
+        is the generic per-element fallback over :meth:`owner`.
         """
-        return self.owners_array(vertices)
-
-    def owners_array(self, vertices: np.ndarray) -> np.ndarray:
-        """Legacy name of :meth:`owner_array`; generic per-element fallback."""
         return np.fromiter(
             (self.owner(int(v)) for v in vertices),
             dtype=np.int64,

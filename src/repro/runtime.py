@@ -25,6 +25,9 @@ shutdown.  This module is the one copy of that machinery:
 * :func:`stop_children` — stop message, then SIGTERM, then SIGKILL; a
   process that survives SIGKILL is returned and logged, never silently
   abandoned.
+* :func:`fire_faults` — the one place a child acts out a scripted
+  :class:`~repro.distributed.faults.FaultPlan`: both child loops call it
+  at the ``recv`` and ``reply`` seams of every stepped verb.
 
 The bytes on the wires are the wire format: pickles over pipes; over tcp
 the hello, ``<Q``-length-prefixed pickles, and whatever raw byte views a
@@ -37,6 +40,7 @@ import logging
 import os
 import pickle
 import select
+import signal
 import socket
 import struct
 import time
@@ -54,6 +58,7 @@ __all__ = [
     "PipeWire",
     "TcpWire",
     "SocketPeer",
+    "fire_faults",
     "stop_children",
 ]
 
@@ -493,3 +498,21 @@ def stop_children(wire: Wire, processes: Dict[int, object], join_s: float,
                 "leaking it", pid,
             )
     return leaked
+
+
+# ----------------------------------------------------------------------
+# Fault injection
+# ----------------------------------------------------------------------
+def fire_faults(plan, child: int, step: int, phase: str) -> None:
+    """Act out ``plan``'s events for ``child`` at one seam of a child loop.
+
+    ``plan`` is a :class:`~repro.distributed.faults.FaultPlan`, ``step``
+    the stepped verb's superstep or WAL sequence number and ``phase``
+    ``"recv"`` or ``"reply"``.  A kill SIGKILLs this process on the
+    spot; a stall sleeps its seconds.  The empty plan returns at once.
+    """
+    for event in plan.at(child, step, phase):
+        if event.action == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif event.action == "stall":
+            time.sleep(event.seconds)

@@ -29,13 +29,17 @@ from the primary's exported index state so stable-id trajectories match.
 A run with scripted primary kills therefore converges to the *bit
 identical* cover and stable-id assignment of a failure-free run.
 
-Failures are scripted with the service-plane faults of
-:class:`~repro.distributed.faults.FaultPlan` (``kill_primary``,
-``kill_replica``, ``drop_wal_record``, ``stall_heartbeat``), mirroring
-the BSP engine's crash-matrix discipline: a promotion strips the fired
-primary kill (:meth:`FaultPlan.without_kill_primary`), a respawn strips
-the replica's faults (:meth:`FaultPlan.without_replica`), so every
-scripted fault fires exactly once.
+Failures are scripted with the same
+:class:`~repro.distributed.faults.FaultPlan` events the BSP engine
+takes: both child loops fire them through
+:func:`~repro.runtime.fire_faults` at the ``recv`` and ``reply`` seams
+of every stepped verb (the primary's ``apply``, a replica's ``wal``,
+keyed by WAL sequence number; the primary is the role-named child
+:data:`~repro.distributed.faults.PRIMARY`), and the supervisor drops
+shipped records at the ``ship`` phase itself.  A promotion strips the
+fired primary kill and the promoted replica's events, a respawn strips
+the replica's events, and a fired ship drop is stripped too
+(:meth:`FaultPlan.without`), so every scripted fault fires exactly once.
 
 Queries go through :class:`ReplicatedClient`: per-request timeout,
 retry with jittered exponential backoff
@@ -62,8 +66,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing as mp
-import os
-import signal
 import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, Union
@@ -72,10 +74,16 @@ from repro.api.config import ServicePlanConfig
 from repro.api.plan import GraphCaps, ServiceRunPlan, resolve_service_plan
 from repro.api.registry import SERVICE_TRANSPORTS
 from repro.api.results import ReplicatedRunResult
-from repro.distributed.faults import FaultPlan
+from repro.distributed.faults import PRIMARY, FaultPlan
 from repro.graph.adjacency import Graph
 from repro.graph.edits import EditBatch
-from repro.runtime import TIMEOUT, ChildCrashedError, Wire, stop_children
+from repro.runtime import (
+    TIMEOUT,
+    ChildCrashedError,
+    Wire,
+    fire_faults,
+    stop_children,
+)
 from repro.service.durability import encode_wal_record, parse_wal_line
 from repro.service.facade import (
     CommunityService,
@@ -142,14 +150,16 @@ def _service_child_main(
     graph: Optional[Graph],
     cfg: ServiceConfig,
     checkpoint_dir: str,
-    fault_plan: Optional[FaultPlan],
+    faults: FaultPlan,
 ) -> None:
     """Child-process loop: primary or replica, switching role on promote.
 
     A replica is a restored :class:`CommunityService` serving its
     primary's exported index; it follows shipped records until promoted.
+    The primary's ``apply`` and a replica's ``wal`` are the stepped verbs
+    (the step is the WAL sequence number): each fires the plan's faults
+    at ``recv``, and at ``reply`` after a fresh apply.
     """
-    faults = fault_plan if fault_plan is not None else FaultPlan()
     # The fixed extraction grid: primary and replicas alike refresh after
     # every K-th batch, so their stable-id trajectories match.
     grid = max(1, cfg.staleness_batches)
@@ -187,8 +197,7 @@ def _service_child_main(
                     endpoint.send(("resp", token, False, exc, applied))
             elif verb == "apply" and role == "primary":
                 _verb, seq, line = message
-                if faults.should_kill_primary(seq, "recv"):
-                    os.kill(os.getpid(), signal.SIGKILL)
+                fire_faults(faults, PRIMARY, seq, "recv")
                 if seq <= service.batches_applied:
                     # Idempotent replay after a failover re-send: the
                     # record is already durable (the promotion replayed
@@ -214,8 +223,7 @@ def _service_child_main(
                     except (ValueError, KeyError) as exc:
                         error = exc
                 if error is None:
-                    if faults.should_kill_primary(seq, "applied"):
-                        os.kill(os.getpid(), signal.SIGKILL)
+                    fire_faults(faults, PRIMARY, seq, "reply")
                     if seq % grid == 0:
                         service.refresh()
                 endpoint.send(
@@ -225,22 +233,18 @@ def _service_child_main(
                 )
             elif verb == "wal" and role == "replica":
                 _verb, seq, line = message
+                fire_faults(faults, rid, seq, "recv")
                 record = parse_wal_line(line)
                 if record is None or seq > service.batches_applied + 1:
                     # Corrupt in transit or a gap: ask for a re-ship from
                     # the last record this replica durably applied.
                     endpoint.send(("nack", service.batches_applied))
                     continue
-                fresh = _follow(service, seq, record[1], grid)
-                if fresh and faults.should_kill_replica(rid, seq):
-                    os.kill(os.getpid(), signal.SIGKILL)
-                stall = faults.heartbeat_stall_seconds(rid, seq)
-                if fresh and stall:
-                    time.sleep(stall)
+                if _follow(service, seq, record[1], grid):
+                    fire_faults(faults, rid, seq, "reply")
                 endpoint.send(("ack", seq, service.batches_applied))
             elif verb == "promote" and role == "replica":
-                _verb, token, new_plan = message
-                faults = new_plan if new_plan is not None else FaultPlan()
+                _verb, token, faults = message
                 # Replay what the dead primary logged but never shipped.
                 replayed = sum(
                     _follow(service, epoch, batch, grid)
@@ -297,8 +301,8 @@ class ServiceSupervisor:
     :class:`EditQueue` semantics), labels each drained batch with the
     next WAL sequence number, commits it to the primary, and ships the
     acknowledged record to every replica.  ``fault_plan`` scripts
-    deterministic service-plane failures; see the module docstring for
-    the failover protocol.
+    deterministic failures (:mod:`repro.distributed.faults`); see the
+    module docstring for the failover protocol.
     """
 
     def __init__(
@@ -368,7 +372,6 @@ class ServiceSupervisor:
         self._fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan()
         )
-        self._fired_drops: set = set()
         self._queue = EditQueue(
             batch_size=self._cfg.batch_size, max_pending=self._cfg.max_pending
         )
@@ -458,7 +461,7 @@ class ServiceSupervisor:
                 old.join(timeout=1.0)
             self._replicas[rid].respawns += 1
             self.replica_respawns += 1
-            self._fault_plan = self._fault_plan.without_replica(rid)
+            self._fault_plan = self._fault_plan.without(child=rid)
         exported = self._request_primary_export()
         self._spawn_child(rid, "replica", rid=rid)
         self._wire.send(rid, ("bootstrap", exported))
@@ -624,12 +627,11 @@ class ServiceSupervisor:
                 # missing records.
                 self._spawn_replica(state.rid, respawn=True)
                 return
-            drop_site = (state.rid, seq)
-            if (self._fault_plan.should_drop_wal_record(*drop_site)
-                    and drop_site not in self._fired_drops):
-                # Scripted in-transit loss: the supervisor believes the
-                # record shipped; the replica's gap detection must nack.
-                self._fired_drops.add(drop_site)
+            drops = self._fault_plan.at(state.rid, seq, "ship")
+            if drops:
+                # Scripted in-transit loss, once: the supervisor believes
+                # the record shipped; the replica's gap detection must nack.
+                self._fault_plan = self._fault_plan.without(event=drops[0])
                 state.shipped = max(state.shipped, seq)
                 continue
             obs = self.obs
@@ -732,17 +734,19 @@ class ServiceSupervisor:
         promoted = max(sorted(statuses), key=lambda rid: statuses[rid])
         # Strip the fired kill so the promoted primary cannot re-fire it.
         # Exactly this record was in flight when the crash happened, so
-        # the fired site is whichever phase is scripted at its seq (a
-        # "recv" kill fires before an "applied" one could).
+        # the fired event is the first primary kill at its seq (a recv
+        # kill fires before a reply one could).
+        plan = self._fault_plan
         if in_flight is not None:
-            seq = in_flight[0]
-            for phase in ("recv", "applied"):
-                if self._fault_plan.should_kill_primary(seq, phase):
-                    self._fault_plan = self._fault_plan.without_kill_primary(
-                        seq, phase
-                    )
-                    break
-        plan = self._fault_plan.without_replica(promoted)
+            kills = [
+                event for phase in ("recv", "reply")
+                for event in plan.at(PRIMARY, in_flight[0], phase)
+                if event.action == "kill"
+            ]
+            if kills:
+                plan = plan.without(event=kills[0])
+        # The promoted process stops being replica ``promoted``.
+        plan = plan.without(child=promoted)
         self._fault_plan = plan
         token = self._next_token()
         self._wire.send(promoted, ("promote", token, plan))

@@ -22,7 +22,7 @@ from repro.core.fast import FastPropagator
 from repro.distributed import multiprocess
 from repro.distributed.cluster import run_distributed_update
 from repro.distributed.engine_array import ArrayBSPEngine, gather_columns
-from repro.distributed.faults import FaultPlan
+from repro.distributed.faults import PRIMARY, Event, FaultPlan
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import FastSLPAPropagationProgram
 from repro.distributed.transport import WorkerCrashedError
@@ -32,6 +32,7 @@ from repro.graph.generators import erdos_renyi, ring_of_cliques
 from repro.graph.partition import HashPartitioner
 from repro.service import ServiceSupervisor
 from repro.workloads.dynamic import random_edit_batch
+from test_service_replication import EDITS, TOTAL_SEQS, run_supervised
 
 SEED, ITERATIONS = 11, 6
 TRANSPORTS = ["pipe", "shm", "tcp"]
@@ -41,42 +42,72 @@ TRANSPORTS = ["pipe", "shm", "tcp"]
 # FaultPlan unit tests (no processes involved)
 # ----------------------------------------------------------------------
 class TestFaultPlan:
-    def test_singular_and_plural_specs_merge(self):
-        plan = FaultPlan(kill=(1, 3), kills=[(0, 2), (1, 3)])
-        assert plan.kills == frozenset({(0, 2), (1, 3)})
-        assert plan.should_kill(1, 3) and plan.should_kill(0, 2)
-        assert not plan.should_kill(1, 2)
+    def test_one_site_and_a_list_of_sites(self):
+        one = FaultPlan(kill=(1, 3))
+        assert one.events == (Event("kill", 1, 3, "recv"),)
+        many = FaultPlan(kill=[(0, 2), (1, 3), (1, 3)])
+        assert many.at(1, 3, "recv") == one.events
+        assert many.at(0, 2, "recv") == (Event("kill", 0, 2, "recv"),)
+        assert many.at(1, 2, "recv") == ()
+        assert len(many.events) == 2  # a repeated site is one event
 
-    def test_timed_faults_default_to_zero(self):
-        plan = FaultPlan(stall=(0, 2, 0.25), delays=[(1, 3, 0.5)])
-        assert plan.stall_seconds(0, 2) == 0.25
-        assert plan.stall_seconds(0, 3) == 0.0
-        assert plan.delay_seconds(1, 3) == 0.5
-        assert plan.delay_seconds(0, 0) == 0.0
-
-    def test_invalid_site_rejected(self):
-        with pytest.raises(ValueError, match="pair"):
-            FaultPlan(kill=3)
-        with pytest.raises(ValueError, match=">= 0"):
-            FaultPlan(drop_send=(-1, 2))
-        with pytest.raises(ValueError, match="triple"):
-            FaultPlan(stall=(0, 2))
-        with pytest.raises(ValueError, match="seconds"):
-            FaultPlan(delay=(0, 2, -0.1))
-
-    def test_without_worker_strips_only_that_worker(self):
+    def test_each_keyword_is_one_action_at_one_phase(self):
         plan = FaultPlan(
-            kills=[(0, 1), (1, 2)],
+            kill=(0, 1), drop_send=(0, 2), stall=(1, 1, 0.25),
+            delay=(1, 2, 0.5), torn_snapshot=(0, 3), drop_wal_record=(1, 4),
+            kill_primary=[(5, "recv"), (6, "applied")],
+        )
+        assert set(plan.events) == {
+            Event("kill", 0, 1, "recv"),
+            Event("kill", 0, 2, "reply"),
+            Event("stall", 1, 1, "recv", 0.25),
+            Event("stall", 1, 2, "reply", 0.5),
+            Event("tear", 0, 3, "snapshot"),
+            Event("drop", 1, 4, "ship"),
+            Event("kill", PRIMARY, 5, "recv"),
+            Event("kill", PRIMARY, 6, "reply"),
+        }
+        assert plan.at(1, 1, "reply") == ()  # a site is (child, step, phase)
+
+    def test_events_at_one_site_fire_kill_first(self):
+        plan = FaultPlan(stall=(0, 2, 0.1), kill=(0, 2))
+        assert [e.action for e in plan.at(0, 2, "recv")] == ["kill", "stall"]
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"kill": 3}, r"kill fault must be a \(child, step\) tuple, got 3"),
+        ({"kill": [1, 3]}, r"kill fault must be a \(child, step\) tuple, got 1"),
+        ({"torn_snapshot": (0, 1, 2)}, "torn_snapshot fault must be a"),
+        ({"stall": (0, 2)},
+         r"stall fault must be a \(child, step, seconds\) tuple"),
+        ({"kill_primary": 2},
+         r"kill_primary fault must be a \(seq, phase\) tuple, got 2"),
+        ({"drop_send": (-2, 2)},
+         r"drop_send fault needs child >= 0 \(or PRIMARY\) and step >= 0, "
+         r"got \(-2, 2\)"),
+        ({"drop_wal_record": (0, -1)}, "drop_wal_record fault needs"),
+        ({"delay": (0, 2, -0.1)}, "delay seconds must be >= 0, got -0.1"),
+        ({"kill_primary": (2, "sideways")},
+         r"kill_primary phase must be one of \('recv', 'applied'\), "
+         "got 'sideways'"),
+    ])
+    def test_validation_messages(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FaultPlan(**kwargs)
+
+    def test_without_child_strips_only_that_child(self):
+        plan = FaultPlan(
+            kill=[(0, 1), (1, 2)],
             drop_send=(1, 4),
             stall=(1, 3, 0.2),
             torn_snapshot=(0, 2),
+            kill_primary=(2, "recv"),
         )
-        stripped = plan.without_worker(1)
-        assert stripped.should_kill(0, 1)
-        assert not stripped.should_kill(1, 2)
-        assert not stripped.should_drop_send(1, 4)
-        assert stripped.stall_seconds(1, 3) == 0.0
-        assert stripped.should_tear_snapshot(0, 2)
+        stripped = plan.without(child=1)
+        assert {e.child for e in stripped.events} == {0, PRIMARY}
+        assert stripped.at(0, 1, "recv") and stripped.at(0, 2, "snapshot")
+        assert stripped.at(PRIMARY, 2, "recv")
+        assert plan.at(1, 2, "recv")  # the original is untouched
+        assert not FaultPlan(kill=(1, 2)).without(child=1)
 
     def test_pickle_roundtrip_and_value_equality(self):
         plan = FaultPlan(kill=(1, 3), stall=(0, 2, 0.1), torn_snapshot=(0, 4))
@@ -84,12 +115,18 @@ class TestFaultPlan:
         assert clone == plan
         assert hash(clone) == hash(plan)
         assert clone != FaultPlan(kill=(1, 3))
+        # Equal by value however the sites were spelled or ordered.
+        assert FaultPlan(kill=[(1, 3), (0, 2)]) == FaultPlan(kill=[(0, 2), (1, 3)])
+        assert FaultPlan(kill=(1, 3)) == FaultPlan(kill=[(1, 3)])
+        assert FaultPlan(kill=[(1, 3), (0, 2)]).without(child=0) == FaultPlan(
+            kill=(1, 3)
+        )
 
-    def test_bool_and_repr(self):
+    def test_truthiness(self):
         assert not FaultPlan()
-        plan = FaultPlan(kill=(1, 0))
-        assert plan
-        assert "kills=[(1, 0)]" in repr(plan)
+        assert not FaultPlan(kill=[])
+        assert FaultPlan(kill=(1, 0))
+        assert FaultPlan(drop_wal_record=(0, 1))
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +510,7 @@ class TestPolicy:
             fault_tolerance=True,
             checkpoint_interval=2,
             max_restarts=1,
-            fault_plan=FaultPlan(kills=[(0, 1), (1, 4)]),
+            fault_plan=FaultPlan(kill=[(0, 1), (1, 4)]),
         ) as engine:
             with pytest.raises(WorkerCrashedError, match="budget"):
                 engine.run()
@@ -528,40 +565,94 @@ class TestPolicy:
 
 
 # ----------------------------------------------------------------------
-# Chaos: random fault plans must never break bit-identity
+# Chaos: one fault plan over both planes must never break bit-identity
 # ----------------------------------------------------------------------
+# A site (child, step) strikes worker ``child`` at superstep ``step`` of
+# the fit and replica ``child`` at WAL seq ``step`` of the service (seqs
+# run 1..TOTAL_SEQS there; the other steps fire in the fit only).
 sites = st.tuples(st.integers(0, 1), st.integers(0, ITERATIONS))
+# Stalls stay far below the service's 0.5 s heartbeat, so none lapses.
+timed_sites = st.tuples(
+    st.integers(0, 1), st.integers(0, ITERATIONS), st.floats(0.0, 0.05)
+)
 fault_plans = st.builds(
     FaultPlan,
-    kills=st.lists(sites, max_size=2, unique=True),
-    drop_sends=st.lists(sites, max_size=1, unique=True),
-    stalls=st.lists(
+    kill=st.lists(sites, max_size=2, unique=True),
+    drop_send=st.lists(sites, max_size=1),
+    stall=st.lists(timed_sites, max_size=1),
+    delay=st.lists(timed_sites, max_size=1),
+    torn_snapshot=st.lists(sites, max_size=1),
+    drop_wal_record=st.lists(sites, max_size=1),
+    # At most max_failovers (= replicas = 2) primary kills.  Replica kills
+    # respawn at once, so no election finds every replica dead.
+    kill_primary=st.lists(
         st.tuples(
-            st.integers(0, 1),
-            st.integers(0, ITERATIONS),
-            st.floats(0.0, 0.05),
+            st.integers(1, TOTAL_SEQS), st.sampled_from(["recv", "applied"])
         ),
-        max_size=1,
+        max_size=2,
+        unique=True,
     ),
-    torn_snapshots=st.lists(sites, max_size=1, unique=True),
+)
+
+#: One plan with every keyword, survivable on both planes.
+BOTH_PLANES = FaultPlan(
+    kill=(1, 3),
+    drop_send=(0, 2),
+    stall=(0, 1, 0.05),
+    delay=(1, 4, 0.05),
+    torn_snapshot=(0, 4),
+    drop_wal_record=(1, 2),
+    kill_primary=(3, "applied"),
 )
 
 
+@pytest.fixture(scope="module")
+def service_reference(tmp_path_factory):
+    """The failure-free 2-replica supervised run's snapshot."""
+    snapshot, stats, _client = run_supervised(
+        tmp_path_factory.mktemp("service-reference")
+    )
+    assert stats["failovers"] == 0
+    return snapshot
+
+
 class TestChaos:
+    @staticmethod
+    def _check_both_planes(plan, interval, reference, service_reference,
+                           state_dir):
+        ref_memories, ref_steps = reference
+        memories, steps, recovery = _faulty_run(
+            "pipe", plan, checkpoint_interval=interval, max_restarts=16
+        )
+        _assert_identical(memories, ref_memories)
+        assert steps == ref_steps
+        crashes = sum(
+            event.action == "kill" and event.child != PRIMARY
+            for event in plan.events
+        )
+        assert recovery.recoveries <= crashes
+        assert recovery.workers_respawned <= crashes
+        snapshot, _stats, client = run_supervised(state_dir, plan)
+        assert snapshot == service_reference
+        assert client.queries_served == 2 * len(EDITS)
+
+    def test_one_plan_over_both_planes_smoke(
+        self, reference, service_reference, tmp_path
+    ):
+        self._check_both_planes(
+            BOTH_PLANES, 2, reference, service_reference, tmp_path
+        )
+
     @settings(
         max_examples=8,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(plan=fault_plans, interval=st.integers(1, 3))
-    def test_random_fault_plans_stay_bit_identical(self, plan, interval):
-        graph, part = _setup()
-        ref_memories, ref_steps = _reference(graph, part)
-        memories, steps, recovery = _faulty_run(
-            "pipe", plan, checkpoint_interval=interval, max_restarts=16
+    def test_random_plans_over_both_planes(
+        self, plan, interval, reference, service_reference, tmp_path_factory
+    ):
+        self._check_both_planes(
+            plan, interval, reference, service_reference,
+            tmp_path_factory.mktemp("chaos"),
         )
-        _assert_identical(memories, ref_memories)
-        assert steps == ref_steps
-        crashes = len(plan.kills) + len(plan.drop_sends)
-        assert recovery.recoveries <= crashes
-        assert recovery.workers_respawned <= crashes

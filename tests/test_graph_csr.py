@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRDelta, CSRGraph, build_csr_arrays
-from repro.graph.edits import EditBatch, apply_batch
+from repro.graph.csr import CSRGraph, build_csr_arrays
+from repro.graph.edits import apply_batch
 from repro.graph.generators import erdos_renyi, planted_partition, ring_of_cliques
 from repro.graph.partition import ContiguousPartitioner, HashPartitioner, slice_csr
 from repro.workloads.dynamic import random_edit_batch
@@ -75,16 +75,6 @@ class TestRoundTrip:
     def test_graph_csr_graph_is_identity(self, graph):
         assert CSRGraph.from_graph(graph).to_graph() == graph
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_post_edit_snapshot_round_trips(self, seed):
-        graph = erdos_renyi(40, 0.1, seed=seed)
-        csr = CSRGraph.from_graph(graph)
-        batch = random_edit_batch(graph, size=12, seed=seed)
-        edited = apply_batch(graph.copy(), batch)
-        snapshot = csr.with_edits(batch)
-        snapshot.check_invariants()
-        assert snapshot.to_graph() == edited
-
     def test_edges_enumerated_once_in_canonical_form(self, cliques_ring):
         csr = CSRGraph.from_graph(cliques_ring)
         edges = list(csr.edges())
@@ -92,65 +82,6 @@ class TestRoundTrip:
         assert len(set(edges)) == len(edges)
         assert all(u < v for u, v in edges)
         assert set(edges) == set(cliques_ring.edges())
-
-
-class TestWithEdits:
-    def test_insertion_grows_vertex_set(self):
-        csr = CSRGraph.from_graph(Graph.from_edges([(0, 1)]))
-        grown = csr.with_edits(EditBatch.build(insertions=[(2, 4)]))
-        assert grown.num_vertices == 5
-        assert grown.has_edge(2, 4)
-        assert grown.degree(3) == 0
-
-    def test_rejects_missing_deletion(self):
-        csr = CSRGraph.from_graph(Graph.from_edges([(0, 1)]))
-        with pytest.raises(ValueError, match="deletions not present"):
-            csr.with_edits(EditBatch.build(deletions=[(0, 2)]))
-
-    def test_rejects_duplicate_insertion(self):
-        csr = CSRGraph.from_graph(Graph.from_edges([(0, 1)]))
-        with pytest.raises(ValueError, match="insertions already present"):
-            csr.with_edits(EditBatch.build(insertions=[(1, 0)]))
-
-    def test_empty_batch_is_identity(self, cliques_ring):
-        csr = CSRGraph.from_graph(cliques_ring)
-        assert csr.with_edits(EditBatch.empty()) == csr
-
-
-class TestCSRDelta:
-    def test_overlay_reads(self):
-        base = CSRGraph.from_graph(ring_of_cliques(3, 4))
-        delta = CSRDelta(base)
-        assert not delta
-        delta.remove_edge(0, 1)
-        delta.add_edge(0, 11)
-        assert not delta.has_edge(0, 1)
-        assert delta.has_edge(0, 11)
-        assert delta.degree(0) == base.degree(0)  # one lost, one gained
-        assert delta.num_edges == base.num_edges
-        assert 11 in delta.neighbors(0).tolist()
-        assert 1 not in delta.neighbors(0).tolist()
-
-    def test_snapshot_equals_with_edits(self):
-        graph = erdos_renyi(30, 0.15, seed=4)
-        base = CSRGraph.from_graph(graph)
-        batch = random_edit_batch(graph, size=8, seed=9)
-        delta = CSRDelta(base)
-        delta.apply(batch)
-        assert delta.pending == batch
-        assert delta.snapshot() == base.with_edits(batch)
-
-    def test_cancelling_pairs_drop_out(self):
-        base = CSRGraph.from_graph(Graph.from_edges([(0, 1), (1, 2)]))
-        delta = CSRDelta(base)
-        delta.remove_edge(0, 1)
-        delta.add_edge(0, 1)
-        assert not delta
-        assert delta.snapshot() is base
-
-    def test_noop_snapshot_returns_base(self):
-        base = CSRGraph.from_graph(Graph.from_edges([(0, 1)]))
-        assert CSRDelta(base).snapshot() is base
 
 
 class TestSliceCSR:
@@ -186,10 +117,9 @@ class TestSliceCSR:
 
     def test_post_edit_snapshot_shards_cover_new_edges(self):
         graph = erdos_renyi(40, 0.1, seed=1)
-        csr = CSRGraph.from_graph(graph)
         batch = random_edit_batch(graph, size=10, seed=2)
-        snapshot = csr.with_edits(batch)
         edited = apply_batch(graph.copy(), batch)
+        snapshot = CSRGraph.from_graph(edited)
         shards = slice_csr(snapshot, HashPartitioner(4))
         covered = set()
         for local_ids, indptr, indices in shards:

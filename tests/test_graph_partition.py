@@ -77,11 +77,6 @@ class TestOwnerArray:
         part = HashPartitioner(3)
         assert part.owner_array(np.empty(0, dtype=np.int64)).tolist() == []
 
-    def test_deprecated_alias(self):
-        part = HashPartitioner(3)
-        ids = np.arange(50, dtype=np.int64)
-        assert part.owners_array(ids).tolist() == part.owner_array(ids).tolist()
-
 
 class TestContiguousPartitioner:
     def test_blocks_are_contiguous(self):

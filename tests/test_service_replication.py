@@ -16,7 +16,7 @@ import pytest
 
 from repro.api.config import AlgoConfig, ServicePlanConfig
 from repro.api.plan import GraphCaps, resolve_service_plan
-from repro.distributed.faults import FaultPlan
+from repro.distributed.faults import PRIMARY, Event, FaultPlan
 from repro.graph.edits import EditBatch
 from repro.graph.generators import ring_of_cliques
 from repro.runtime import PipeWire, TcpWire
@@ -129,37 +129,46 @@ class TestServicePlanResolution:
 # FaultPlan service-plane faults
 # ----------------------------------------------------------------------
 class TestServiceFaults:
-    def test_bare_int_kill_primary_means_applied_phase(self):
-        plan = FaultPlan(kill_primary=3)
-        assert plan.should_kill_primary(3, "applied")
-        assert not plan.should_kill_primary(3, "recv")
-
-    def test_kill_primary_phases_are_distinct_sites(self):
-        plan = FaultPlan(kill_primaries=[(2, "recv"), (2, "applied")])
-        stripped = plan.without_kill_primary(2, "recv")
-        assert not stripped.should_kill_primary(2, "recv")
-        assert stripped.should_kill_primary(2, "applied")
-
-    def test_without_replica_strips_all_fault_kinds(self):
-        plan = FaultPlan(
-            kill_replica=(1, 2),
-            drop_wal_record=(1, 3),
-            stall_heartbeat=(1, 4, 0.5),
+    def test_kill_primary_phases_are_primary_events(self):
+        plan = FaultPlan(kill_primary=[(2, "recv"), (3, "applied")])
+        assert plan.at(PRIMARY, 2, "recv") == (Event("kill", PRIMARY, 2, "recv"),)
+        assert plan.at(PRIMARY, 3, "reply") == (
+            Event("kill", PRIMARY, 3, "reply"),
         )
-        stripped = plan.without_replica(1)
+        assert plan.at(PRIMARY, 2, "reply") == ()
+        assert plan.at(0, 2, "recv") == ()  # the role, not replica 0
+        # "applied" is the reply seam: the same event drop_send scripts.
+        assert FaultPlan(kill_primary=(3, "applied")) == FaultPlan(
+            drop_send=(PRIMARY, 3)
+        )
+
+    def test_strip_one_fired_primary_kill_keeps_its_other_phase(self):
+        plan = FaultPlan(kill_primary=[(2, "recv"), (2, "applied")])
+        (fired,) = plan.at(PRIMARY, 2, "recv")
+        stripped = plan.without(event=fired)
+        assert stripped.at(PRIMARY, 2, "recv") == ()
+        assert stripped.at(PRIMARY, 2, "reply")
+        assert plan.at(PRIMARY, 2, "recv")  # the original is untouched
+
+    def test_replica_keywords_are_the_worker_events(self):
+        # One spelling for both planes: replica 1 at WAL seq 2.
+        plan = FaultPlan(
+            kill=(1, 2), drop_send=(1, 3), stall=(1, 4, 0.5), delay=(1, 5, 0.5),
+            drop_wal_record=(1, 6),
+        )
+        assert [e.phase for e in plan.events] == [
+            "ship", "recv", "reply", "recv", "reply",
+        ]
+        stripped = plan.without(child=1)
         assert not stripped
-        assert plan.should_kill_replica(1, 2)  # original untouched
+        assert plan.at(1, 6, "ship")  # the original is untouched
 
     def test_invalid_primary_phase_rejected(self):
         with pytest.raises(ValueError, match="phase"):
             FaultPlan(kill_primary=(2, "sideways"))
 
-    def test_primary_seq_must_be_positive(self):
-        with pytest.raises(ValueError, match="seq >= 1"):
-            FaultPlan(kill_primary=(0, "recv"))
-
     def test_service_faults_count_toward_truthiness(self):
-        assert FaultPlan(kill_primary=2)
+        assert FaultPlan(kill_primary=(2, "applied"))
         assert FaultPlan(drop_wal_record=(0, 1))
         assert not FaultPlan()
 
@@ -322,7 +331,7 @@ class TestKillPrimaryMatrix:
                                              baseline_snapshot):
         snapshot, stats, client = run_supervised(
             tmp_path,
-            FaultPlan(kill_primaries=[(2, "applied"), (3, "recv")]),
+            FaultPlan(kill_primary=[(2, "applied"), (3, "recv")]),
         )
         assert snapshot == baseline_snapshot
         assert stats["failovers"] == 2
@@ -333,7 +342,7 @@ class TestKillPrimaryMatrix:
         with pytest.raises(FailoverExhaustedError, match="max_failovers"):
             run_supervised(
                 tmp_path,
-                FaultPlan(kill_primaries=[(1, "applied"), (2, "applied")]),
+                FaultPlan(kill_primary=[(1, "applied"), (2, "applied")]),
                 max_failovers=1,
             )
 
@@ -345,7 +354,7 @@ class TestReplicaFaults:
     def test_kill_replica_respawns_bit_identical(self, tmp_path,
                                                  baseline_snapshot):
         snapshot, stats, client = run_supervised(
-            tmp_path, FaultPlan(kill_replica=(1, 2))
+            tmp_path, FaultPlan(drop_send=(1, 2))
         )
         assert snapshot == baseline_snapshot
         assert stats["replica_respawns"] == 1
@@ -466,7 +475,7 @@ class TestReplicaFaults:
                                                  baseline_snapshot):
         snapshot, stats, client = run_supervised(
             tmp_path,
-            FaultPlan(stall_heartbeat=(0, 2, 0.6)),
+            FaultPlan(delay=(0, 2, 0.6)),
             heartbeat_interval=0.15,
         )
         assert snapshot == baseline_snapshot
@@ -485,12 +494,57 @@ class TestReplicaFaults:
             tmp_path,
             FaultPlan(
                 kill_primary=(3, "applied"),
-                kill_replica=(1, 1),
+                drop_send=(1, 1),
                 drop_wal_record=(0, 2),
             ),
         )
         assert snapshot == baseline_snapshot
         assert stats["failovers"] == 1
+        assert client.queries_served == 2 * len(EDITS)
+
+
+# ----------------------------------------------------------------------
+# Cross-plane injection: the BSP worker keywords strike replicas too
+# ----------------------------------------------------------------------
+class TestCrossPlaneFaults:
+    """``kill``, ``drop_send`` and ``stall`` script a worker's superstep
+    in the BSP engine and, with the same site, a replica's WAL seq here."""
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(kill=(0, 2)),  # on receiving record 2
+        FaultPlan(drop_send=(0, 2)),  # after applying it, before the ack
+    ], ids=["kill", "drop_send"])
+    def test_replica_kill_respawns_bit_identical(self, tmp_path,
+                                                 baseline_snapshot, plan):
+        snapshot, stats, client = run_supervised(tmp_path, plan)
+        assert snapshot == baseline_snapshot
+        assert stats["replica_respawns"] == 1
+        assert stats["replicas"][0]["respawns"] == 1
+        acked = [r["acked"] for r in stats["replicas"].values()]
+        assert acked == [TOTAL_SEQS, TOTAL_SEQS]
+        assert client.queries_served == 2 * len(EDITS)
+
+    def test_replica_stall_lapses_and_reroutes(self, tmp_path,
+                                               baseline_snapshot):
+        sup = ServiceSupervisor(
+            ring_of_cliques(3, 4), str(tmp_path),
+            make_config(heartbeat_interval=0.15),
+            fault_plan=FaultPlan(stall=(0, 2, 0.6)),
+        ).start()
+        try:
+            client = sup.client()
+            for op, u, v in EDITS:
+                committed = sup.submit(op, u, v)
+                if committed == 2:
+                    # Replica 0 sleeps on receiving record 2: it missed
+                    # the heartbeat and queries go to replica 1 meanwhile.
+                    assert sup.live_replicas() == [1]
+                client.communities_of(0)
+                client.overlap(0, 1)
+            snapshot = sup.snapshot()
+        finally:
+            sup.shutdown()
+        assert snapshot == baseline_snapshot
         assert client.queries_served == 2 * len(EDITS)
 
 
