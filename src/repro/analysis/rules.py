@@ -355,9 +355,7 @@ class ResourceDisciplineRule(Rule):
 #: Concrete component classes that must be resolved through
 #: repro.api.registry, keyed by their home module.
 _REGISTRY_ONLY = {
-    "repro.distributed.transport": {
-        "PipeTransport", "SharedMemoryTransport", "SocketTransport",
-    },
+    "repro.distributed.transport": {"SharedMemoryTransport"},
     "repro.runtime": {"PipeWire", "TcpWire"},
 }
 
@@ -366,10 +364,6 @@ _REGISTRY_ONLY = {
 #: __init__ re-exports (public API surface).
 _REGISTRY_EXEMPT = ("distributed/transport.py", "runtime.py",
                     "api/registry.py")
-
-#: Fixed, non-pluggable uses of a registered class, by file: the BSP
-#: engine's control channel is always a pipe, whatever the data plane.
-_REGISTRY_FIXED = {"distributed/multiprocess.py": {"PipeWire"}}
 
 
 class ApiHygieneRule(Rule):
@@ -417,9 +411,8 @@ class ApiHygieneRule(Rule):
             concrete = _REGISTRY_ONLY.get(node.module or "")
             if not concrete:
                 continue
-            fixed = _REGISTRY_FIXED.get(rel, ())
             for alias in node.names:
-                if alias.name in concrete and alias.name not in fixed:
+                if alias.name in concrete:
                     yield self.finding(
                         ctx, node,
                         f"direct import of concrete component "

@@ -53,9 +53,9 @@ ENGINE_CHOICES = ("auto", "array")
 SHARD_BACKEND_CHOICES = ("auto", "csr")
 STATE_FORMAT_CHOICES = ("auto", "array")
 TRANSPORT_CHOICES = ("auto", "pipe", "shm", "tcp")
-#: Service-plane (primary → replica WAL shipping) transports; distinct
-#: from the BSP data plane because replicas exchange small pickled
-#: control records, not packed label columns.
+#: Service-plane (primary → replica WAL shipping) wires; no ``shm``,
+#: which packs only the BSP engine's column payloads — replicas exchange
+#: small pickled control records.
 SERVICE_TRANSPORT_CHOICES = ("auto", "pipe", "tcp")
 
 
@@ -137,11 +137,13 @@ class ExecutionConfig:
         Correction Propagation included, runs there with bit-identical
         results and stats.
     transport:
-        Multiprocess data plane — ``"pipe"`` (payloads pickled over the
-        control pipes), ``"shm"`` (zero-copy shared-memory column rings),
-        ``"tcp"`` (framed columns over localhost sockets), a plugin
-        registered in :data:`repro.api.registry.TRANSPORTS`, or
-        ``"auto"`` (shm).  Only meaningful with ``multiprocess=True``.
+        The multiprocess engine's wire, one per worker, carrying verbs
+        and column payloads alike — ``"pipe"`` (pickles over a pipe),
+        ``"shm"`` (a pipe whose columns travel through zero-copy
+        shared-memory rings), ``"tcp"`` (pickles over localhost sockets,
+        column bytes out of band), a plugin registered in
+        :data:`repro.api.registry.TRANSPORTS`, or ``"auto"`` (shm).  Only
+        meaningful with ``multiprocess=True``.
     fault_tolerance:
         Supervise the multiprocess engine: checkpoint a consistent cut
         every ``checkpoint_interval`` supersteps and transparently
@@ -180,7 +182,7 @@ class ExecutionConfig:
 
         _check_choice(self.backend, BACKEND_CHOICES, "backend")
         _check_choice(self.engine, ENGINE_CHOICES, "engine")
-        if self.transport not in transport_registry:  # plugin data planes too
+        if self.transport not in transport_registry:  # plugin wires too
             _check_choice(self.transport, TRANSPORT_CHOICES, "transport")
         _check_choice(self.shard_backend, SHARD_BACKEND_CHOICES, "shard_backend")
         _check_choice(self.state_format, STATE_FORMAT_CHOICES, "state_format")

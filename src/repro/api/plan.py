@@ -222,7 +222,7 @@ def resolve_plan(caps: GraphCaps, config: Optional[ExecutionConfig] = None) -> R
                 "workers run as real OS processes (driver is the barrier)",
             )
 
-    # Multiprocess data plane ---------------------------------------------
+    # Multiprocess wire ---------------------------------------------------
     transport = None
     multiprocess = config.multiprocess and distributed
     if multiprocess:
@@ -236,9 +236,10 @@ def resolve_plan(caps: GraphCaps, config: Optional[ExecutionConfig] = None) -> R
         _decide(decisions, "transport", config.transport, transport, reason)
     elif config.transport != "auto":
         raise ValueError(
-            f"transport={config.transport!r} selects the multiprocess data "
-            f"plane and requires multiprocess=True with num_workers > 0; "
-            f"the in-process engines exchange messages by reference"
+            f"transport={config.transport!r} selects the multiprocess "
+            f"workers' wire and requires multiprocess=True with "
+            f"num_workers > 0; the in-process engines exchange messages "
+            f"by reference"
         )
 
     # Fault tolerance ------------------------------------------------------

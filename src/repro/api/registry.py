@@ -15,17 +15,20 @@ Calling conventions per registry (what a resolved component *is*):
 * :data:`PARTITIONERS` — a builder ``f(num_workers, caps) -> Partitioner``
   (``caps`` is the :class:`~repro.api.plan.GraphCaps`, so range-style
   partitioners can size themselves to the graph).
-* :data:`TRANSPORTS` — the multiprocess data-plane :class:`~repro.
-  distributed.transport.Transport` *class* (instantiated with no
-  arguments per engine), e.g. ``"shm"`` for the zero-copy
-  shared-memory plane.
+* :data:`TRANSPORTS` — the multiprocess BSP engine's
+  :class:`~repro.runtime.Wire` *class* (instantiated per engine with
+  ``crash_error=WorkerCrashedError``); its one wire per worker carries
+  command verbs and column payloads alike.  ``"pipe"`` is
+  :class:`~repro.runtime.PipeWire`, ``"tcp"`` is
+  :class:`~repro.runtime.TcpWire`, and ``"shm"`` is :class:`~repro.
+  distributed.transport.SharedMemoryTransport`, a ``PipeWire`` whose
+  column payloads travel through zero-copy shared-memory rings.
 * :data:`SERVICE_TRANSPORTS` — the replication control-plane
   :class:`~repro.runtime.Wire` *class* (instantiated with no arguments
-  per supervisor; the built-ins are :mod:`repro.runtime`'s
-  :class:`~repro.runtime.PipeWire` and :class:`~repro.runtime.TcpWire`,
-  which the BSP engine also runs on); ships pickled WAL records and
-  query traffic between the supervisor and its primary/replica
-  children.
+  per supervisor; the built-ins are the same
+  :class:`~repro.runtime.PipeWire` and :class:`~repro.runtime.TcpWire`);
+  ships pickled WAL records and query traffic between the supervisor
+  and its primary/replica children.
 
 Built-ins are registered lazily (the loader imports on first resolve), so
 importing :mod:`repro.api` never drags in the distributed machinery.
@@ -133,33 +136,7 @@ PARTITIONERS.register("range", build_range_partitioner)
 
 
 # ----------------------------------------------------------------------
-# Built-in multiprocess data-plane transports.
-# ----------------------------------------------------------------------
-def _load_pipe_transport():
-    from repro.distributed.transport import PipeTransport
-
-    return PipeTransport
-
-
-def _load_shm_transport():
-    from repro.distributed.transport import SharedMemoryTransport
-
-    return SharedMemoryTransport
-
-
-def _load_tcp_transport():
-    from repro.distributed.transport import SocketTransport
-
-    return SocketTransport
-
-
-TRANSPORTS.register_lazy("pipe", _load_pipe_transport)
-TRANSPORTS.register_lazy("shm", _load_shm_transport)
-TRANSPORTS.register_lazy("tcp", _load_tcp_transport)
-
-
-# ----------------------------------------------------------------------
-# Built-in service-plane (replication) wires.
+# Built-in wires: the BSP engine's transports and the service's wires.
 # ----------------------------------------------------------------------
 def _load_pipe_wire():
     from repro.runtime import PipeWire
@@ -173,5 +150,14 @@ def _load_tcp_wire():
     return TcpWire
 
 
+def _load_shm_transport():
+    from repro.distributed.transport import SharedMemoryTransport
+
+    return SharedMemoryTransport
+
+
+TRANSPORTS.register_lazy("pipe", _load_pipe_wire)
+TRANSPORTS.register_lazy("shm", _load_shm_transport)
+TRANSPORTS.register_lazy("tcp", _load_tcp_wire)
 SERVICE_TRANSPORTS.register_lazy("pipe", _load_pipe_wire)
 SERVICE_TRANSPORTS.register_lazy("tcp", _load_tcp_wire)

@@ -185,9 +185,10 @@ def add_execution_args(
         "--transport",
         default="auto",
         metavar="NAME",
-        help="multiprocess data plane: 'pipe' (pickle over the control "
-        "pipes), 'shm' (zero-copy shared-memory column rings), 'tcp' "
-        "(framed columns over localhost sockets), a plugin from "
+        help="the multiprocess workers' wire: 'pipe' (pickles over a "
+        "pipe), 'shm' (a pipe whose columns travel through zero-copy "
+        "shared-memory rings), 'tcp' (pickles over localhost sockets, "
+        "column bytes out of band), a plugin from "
         "repro.api.registry.TRANSPORTS, or 'auto' (shm); requires "
         "--multiprocess",
     )

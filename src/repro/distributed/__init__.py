@@ -25,11 +25,13 @@ its shard's ``local_ids``, and :func:`gather_columns` scatters them into
 ascending-id arrays, whichever engine ran the programs.
 
 **Processes** — :class:`MultiprocessBSPEngine` runs the same programs on
-real OS processes.  Its data transport (``pipe``, zero-copy ``shm``
-rings, or framed ``tcp``; :mod:`repro.distributed.transport`) never
-changes a result or a per-superstep :class:`CommStats` counter: routing
-and accounting run on the driver before any transport touches the
-columns.  A worker that dies raises :class:`WorkerCrashedError` (a
+real OS processes, over one wire per worker that carries command verbs
+and column payloads alike.  Its transport (pickles on a ``pipe``,
+zero-copy ``shm`` rings, or ``tcp`` sockets with out-of-band column
+bytes; :mod:`repro.distributed.transport`) never changes a result or a
+per-superstep :class:`CommStats` counter: routing and accounting run on
+the driver before any wire touches the columns.  A worker that dies
+raises :class:`WorkerCrashedError` (a
 :class:`~repro.runtime.ChildCrashedError`), and ``fault_tolerance=True``
 turns that into checkpoint/respawn/replay recovery with bit-identical
 results (:class:`RecoveryStats` counts the cost; :class:`FaultPlan`
@@ -70,13 +72,7 @@ from repro.distributed.message_array import (
 from repro.distributed.faults import FaultPlan
 from repro.distributed.metrics import CommStats, RecoveryStats, SuperstepStats
 from repro.distributed.multiprocess import MultiprocessBSPEngine
-from repro.distributed.transport import (
-    PipeTransport,
-    SharedMemoryTransport,
-    SocketTransport,
-    Transport,
-    WorkerCrashedError,
-)
+from repro.distributed.transport import SharedMemoryTransport, WorkerCrashedError
 from repro.distributed.programs import CorrectionPropagationProgram
 from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
@@ -106,10 +102,7 @@ __all__ = [
     "HashToMinProgram",
     "distributed_connected_components",
     "MultiprocessBSPEngine",
-    "Transport",
-    "PipeTransport",
     "SharedMemoryTransport",
-    "SocketTransport",
     "WorkerCrashedError",
     "run_distributed_rslpa",
     "run_distributed_slpa",

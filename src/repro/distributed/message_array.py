@@ -235,8 +235,9 @@ class ArrayInbox:
     def materialize(self) -> "ArrayInbox":
         """An inbox whose columns are owned copies.
 
-        Transport-delivered inboxes may be views into shared memory that
-        a later superstep rewrites (see :mod:`repro.distributed.transport`);
+        Inboxes delivered by the ``shm`` transport are views into shared
+        memory that a later superstep rewrites (see
+        :mod:`repro.distributed.transport`);
         a program that wants to keep columns beyond the superstep that
         delivered them copies here first.
         """

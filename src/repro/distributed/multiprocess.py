@@ -2,19 +2,21 @@
 
 The in-process engines simulate the cluster deterministically; this backend
 demonstrates the same programs running with *real* parallelism, one OS
-process per worker, a control pipe per worker, and the driver acting as
-the synchronisation barrier — the closest single-machine analogue to the
+process per worker, one wire per worker, and the driver acting as the
+synchronisation barrier — the closest single-machine analogue to the
 paper's 7-node Spark deployment.
 
 Programs are :class:`~repro.distributed.engine_array.ArrayWorkerProgram`
 subclasses; outboxes are per-kind numpy columns and the driver barrier is
 the vectorised :func:`~repro.distributed.message_array.route_columns`.
 
-How the columns move is the *transport* (``transport=``: ``"pipe"``,
-``"shm"`` or ``"tcp"``, see :mod:`repro.distributed.transport`).  Results
-and per-superstep :class:`CommStats` are bit-identical across all
-transports — routing happens on the driver before any transport touches
-the columns.
+The *transport* (``transport=``: ``"pipe"``, ``"shm"`` or ``"tcp"``, see
+:mod:`repro.distributed.transport`) names the :mod:`repro.runtime` wire
+class, resolved through :data:`repro.api.registry.TRANSPORTS`; each
+worker's one wire carries its command verbs and its column payloads
+alike.  Results and per-superstep :class:`CommStats` are bit-identical
+across all transports — routing happens on the driver before any wire
+touches the columns.
 
 Programs and their factory must be picklable (every built-in one is).
 A program's state stays inside its process; its results come back via
@@ -23,12 +25,11 @@ return, so every program — Correction Propagation included — runs here
 unchanged and :func:`~repro.distributed.engine_array.gather_columns`
 assembles either engine's results.
 
-A worker that dies mid-run can never hang the driver: the control pipes
-are a :class:`~repro.runtime.PipeWire`, whose every wait polls process
-liveness and raises :class:`~repro.runtime.WorkerCrashedError` naming the
-dead worker, and ``shutdown()`` releases pipes, sockets, and
-shared-memory segments on every exit path (idempotently, crash or no
-crash).
+A worker that dies mid-run can never hang the driver: every wait on the
+wire polls process liveness and raises
+:class:`~repro.runtime.WorkerCrashedError` naming the dead worker, and
+``shutdown()`` releases pipes, sockets, and shared-memory segments on
+every exit path (idempotently, crash or no crash).
 
 Fault tolerance (``fault_tolerance=True``) turns that detection into
 supervised recovery:
@@ -40,7 +41,7 @@ supervised recovery:
   superstep's outboxes and the :class:`CommStats` length, held
   driver-side, which survives any worker death;
 * on :class:`WorkerCrashedError` the driver respawns the dead worker
-  (re-shipping its shard, rebuilding its transport endpoint — the TCP
+  (re-shipping its shard, rebuilding its wire endpoint — the tcp
   endpoint redials with exponential backoff), restores the last cut on
   *all* workers through a deadlock-free ``sync``/``restore`` drain
   protocol, rewinds :class:`CommStats`, and replays;
@@ -75,8 +76,7 @@ import pickle
 import time
 import zlib
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -86,19 +86,13 @@ from repro.distributed.message_array import (
     ArrayInbox,
     ArrayMessageContext,
     ArrayOutbox,
+    packed_nbytes,
     route_columns,
 )
 from repro.distributed.metrics import CommStats, RecoveryStats
-from repro.distributed.transport import Transport, WorkerEndpoint
 from repro.distributed.worker import CSRShard
 from repro.graph.partition import Partitioner
-from repro.runtime import (
-    POLL_S,
-    PipeWire,
-    WorkerCrashedError,
-    fire_faults,
-    stop_children,
-)
+from repro.runtime import POLL_S, WorkerCrashedError, fire_faults, stop_children
 
 __all__ = ["MultiprocessBSPEngine", "WorkerCrashedError"]
 
@@ -106,15 +100,15 @@ logger = logging.getLogger(__name__)
 
 ProgramFactory = Callable[[CSRShard], ArrayWorkerProgram]
 
-#: Tag of every control reply a worker sends on its pipe.  Control replies
-#: must be distinguishable from stale data-plane messages (outbox headers,
-#: collect dicts) while the recovery protocol drains an interrupted
-#: barrier — no transport produces a tuple starting with this sentinel.
+#: Tag of every control reply a worker sends on its wire.  Control replies
+#: must be distinguishable from stale payload messages (outboxes, collect
+#: dicts) while the recovery protocol drains an interrupted barrier — no
+#: payload is a tuple starting with this sentinel.
 _CTRL = "__ctrl__"
 
 #: Upper bound on stale messages drained per worker during recovery; a
-#: worker can owe at most a handful (one outbox header, one snapshot or
-#: collect reply, acks of an interrupted earlier recovery).
+#: worker can owe at most a handful (one outbox, one snapshot or collect
+#: reply, acks of an interrupted earlier recovery).
 _DRAIN_LIMIT = 64
 
 #: The ``plane`` attribute of every engine span (the columnar plane).
@@ -122,14 +116,16 @@ _PLANE = "array"
 
 
 def _worker_main(
-    conn,
+    endpoint,
     shard: CSRShard,
     factory: ProgramFactory,
-    endpoint: WorkerEndpoint,
     faults: FaultPlan,
     trace: bool = False,
 ) -> None:
     """Child-process loop: execute one program over commands from the driver.
+
+    ``endpoint`` is the child half of the engine's wire; every command
+    arrives and every reply leaves through it.
 
     With ``trace=True`` the worker keeps its own flight recorder and
     metrics registry (:class:`repro.obs.Obs`): per-superstep
@@ -150,15 +146,15 @@ def _worker_main(
         while True:
             if obs is not None:
                 idle_start = time.time_ns()
-            command = conn.recv()
+            command = endpoint.recv()
             verb = command[0]
             if verb in ("start", "step"):
                 if verb == "start":
-                    superstep, header = 0, None
+                    superstep, inbox = 0, None
                 else:
-                    _verb, superstep, header = command
+                    _verb, superstep, inbox = command
                 if obs is not None:
-                    # Time blocked in conn.recv() waiting for the barrier
+                    # Time blocked in endpoint.recv() waiting for the barrier
                     # to release this superstep.
                     obs.trace.record(
                         "engine.barrier_wait", idle_start, plane=_PLANE,
@@ -169,11 +165,9 @@ def _worker_main(
                 if obs is not None:
                     compute_start = time.time_ns()
                 ctx = ArrayMessageContext()
-                inbox = None
                 if verb == "start":
                     program.on_start(ctx)
                 else:
-                    inbox = endpoint.recv_inbox(header)
                     program.on_superstep(ctx, superstep, ArrayInbox(inbox))
                 if obs is not None:
                     pack_start = time.time_ns()
@@ -188,9 +182,9 @@ def _worker_main(
                         "engine.pack", pack_start, plane=_PLANE,
                         worker=wid, superstep=superstep, end_ns=send_start,
                     )
-                # The reply seam: computed, nothing sent on any transport.
+                # The reply seam: computed, nothing sent yet.
                 fire_faults(faults, wid, superstep, "reply")
-                endpoint.send_outbox(payload, conn.send)
+                endpoint.send(payload)
                 if obs is not None:
                     obs.trace.record(
                         "engine.transport_send", send_start, plane=_PLANE,
@@ -199,17 +193,17 @@ def _worker_main(
                 # Drop the inbox views before the next iteration: shm inbox
                 # columns alias a ring slot, and lingering references would
                 # keep the mapping pinned past endpoint.close().
-                inbox = ctx = payload = None
+                command = inbox = ctx = payload = None
             elif verb == "trace":
                 # Ship-and-clear this worker's recordings.  The reply is a
                 # >= 3 tuple tagged _CTRL, so an interrupted fetch drains
                 # safely through _drain_until_ack during recovery.
                 if obs is not None:
-                    conn.send(
+                    endpoint.send(
                         (_CTRL, "trace", obs.trace.take(), obs.metrics.snapshot())
                     )
                 else:  # tracing off: reply empty rather than desync
-                    conn.send((_CTRL, "trace", [], {}))
+                    endpoint.send((_CTRL, "trace", [], {}))
             elif verb == "snapshot":
                 _verb, superstep = command
                 blob = pickle.dumps(
@@ -218,25 +212,24 @@ def _worker_main(
                 crc = zlib.crc32(blob)
                 if faults.at(wid, superstep, "snapshot"):
                     blob = blob[: len(blob) // 2]  # torn write: fails its CRC
-                conn.send((_CTRL, "snap", superstep, blob, crc))
+                endpoint.send((_CTRL, "snap", superstep, blob, crc))
             elif verb == "sync":
-                conn.send((_CTRL, "sync", command[1]))
+                endpoint.send((_CTRL, "sync", command[1]))
             elif verb == "restore":
                 _verb, _superstep, blob, token = command
                 program.restore(pickle.loads(blob))
-                conn.send((_CTRL, "restored", token))
+                endpoint.send((_CTRL, "restored", token))
             elif verb == "reset":
                 program = factory(shard)
-                conn.send((_CTRL, "reset", command[1]))
+                endpoint.send((_CTRL, "reset", command[1]))
             elif verb == "collect":
-                conn.send(program.collect())
+                endpoint.send(program.collect())
             elif verb == "stop":
                 break
             else:  # pragma: no cover - protocol violation
                 raise ValueError(f"unknown command {verb!r}")
     finally:
         endpoint.close()
-        conn.close()
 
 
 @dataclass
@@ -271,7 +264,7 @@ class MultiprocessBSPEngine:
         partitioner: Partitioner,
         factory: ProgramFactory,
         mp_context: Optional[str] = None,
-        transport: Union[str, Transport] = "pipe",
+        transport: str = "pipe",
         fault_tolerance: bool = False,
         checkpoint_interval: int = 4,
         max_restarts: int = 3,
@@ -290,10 +283,9 @@ class MultiprocessBSPEngine:
                 f"shard worker_ids {worker_ids} must be the partition "
                 f"indices 0..{partitioner.num_partitions - 1}"
             )
-        if isinstance(transport, str):
-            from repro.api.registry import TRANSPORTS
+        from repro.api.registry import TRANSPORTS
 
-            transport = TRANSPORTS.resolve(transport)()
+        wire_class = TRANSPORTS.resolve(transport)
         if not isinstance(checkpoint_interval, int) or checkpoint_interval < 1:
             raise ValueError(
                 f"checkpoint_interval must be an int >= 1, "
@@ -311,32 +303,31 @@ class MultiprocessBSPEngine:
         self.recovery = RecoveryStats()
         # The observability context (None = off).  It rides on the stats
         # object like the recovery ledger, so the cluster wrappers and
-        # the service surface the recorded run for free; the transport
-        # gets the same reference for its driver-side byte/stall metrics.
+        # the service surface the recorded run for free.
         self.obs = obs
         # One stats object carries both planes of accounting, so the
         # cluster wrappers and the service see recovery counters for free.
         self.stats = CommStats(recovery=self.recovery, obs=obs)
         self.leaked_pids: List[int] = []
         self._transport = transport
-        transport.obs = obs
+        self._segment_grows = 0  # the wire's count at the last record
         if obs is not None:
             obs.meta.setdefault("mode", "multiprocess")
             obs.meta.setdefault("plane", _PLANE)
-            obs.meta.setdefault("transport", transport.name)
+            obs.meta.setdefault("transport", transport)
             obs.meta.setdefault("num_workers", len(shards))
         self._fault_tolerance = bool(fault_tolerance)
         self._checkpoint_interval = checkpoint_interval
         self._max_restarts = max_restarts
         # Retained for respawns: the supervisor re-ships a dead worker's
-        # shard and rebuilds its endpoint from the same factory/transport.
+        # shard and rebuilds its endpoint from the same factory and wire.
         self._shards = {shard.worker_id: shard for shard in shards}
         self._worker_ids = list(self._shards)
         self._factory = factory
         self._fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self._ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
-        # The control channel is always a pipe, whatever the data plane.
-        self._control = PipeWire(crash_error=WorkerCrashedError)
+        # One wire per worker carries verbs and payloads alike.
+        self._wire = wire_class(crash_error=WorkerCrashedError)
         self._processes: Dict[int, object] = {}
         self._closed = False
         self._checkpoint: Optional[_Cut] = None
@@ -346,12 +337,13 @@ class MultiprocessBSPEngine:
         self._ctrl_token = 0
         self._last_max_supersteps = 100_000
         try:
-            self._control.bind(self._ctx)
-            self._transport.bind(self._worker_ids, self._ctx)
+            self._wire.bind(self._ctx)
+            # Every worker starts before the first attach, so tcp workers
+            # dial in in parallel.
             for wid in self._worker_ids:
                 self._spawn_worker(wid)
             for wid in self._worker_ids:
-                self._transport.attach(wid, self._processes[wid])
+                self._wire.attach(wid, self._processes[wid])
         except BaseException:
             # A worker dying during the handshake (or any bind failure)
             # must not leak processes, sockets, or shm segments.
@@ -362,10 +354,9 @@ class MultiprocessBSPEngine:
         process = self._ctx.Process(
             target=_worker_main,
             args=(
-                self._control.child_endpoint(wid),
+                self._wire.child_endpoint(wid),
                 self._shards[wid],
                 self._factory,
-                self._transport.worker_endpoint(wid),
                 self._fault_plan,
                 self.obs is not None,
             ),
@@ -373,49 +364,58 @@ class MultiprocessBSPEngine:
         )
         process.start()
         self._processes[wid] = process
-        self._control.attach(wid, process)
 
     # ------------------------------------------------------------------
-    # Crash-aware control plane
+    # Crash-aware wire
     # ------------------------------------------------------------------
     def _recv_outboxes(self) -> Dict[int, ArrayOutbox]:
         outboxes: Dict[int, ArrayOutbox] = {}
         try:
             for wid in self._worker_ids:
-                outboxes[wid] = self._transport.recv_outbox(
-                    wid, partial(self._control.recv, wid)
-                )
+                outboxes[wid] = self._wire.recv(wid)
         except Exception:
             # The exception's traceback pins this frame (and the partial
             # dict) until the caller is done with it; shm views held here
             # would block segment reaping during recovery/shutdown.
             outboxes.clear()
             raise
+        if self.obs is not None:
+            self._record_payloads("outbox", outboxes)
         return outboxes
 
     def _send_inboxes(self, inboxes, superstep: int) -> None:
-        """Ship every inbox, completing sends to survivors before raising.
+        """Ship every inbox as one ``step`` message per worker.
 
-        A naive fail-fast here can deadlock recovery on the tcp transport:
-        a survivor that received its ``step`` verb but not its frame would
-        block in a socket read and never see the restore verb.  So one
-        worker's death never prevents the others from getting their full
-        payloads; the first crash is raised after the loop.
+        A crash raises at once.  That is safe for recovery: each worker
+        gets its verb and its payload as one message, so a survivor has
+        either the whole superstep (and answers it before the ``sync``
+        ack that recovery drains up to) or nothing, and is idle on its
+        wire either way.
         """
-        crash: Optional[WorkerCrashedError] = None
         for wid in self._worker_ids:
-            try:
-                self._transport.send_inbox(
-                    wid,
-                    inboxes[wid],
-                    lambda header, wid=wid: self._control.send(
-                        wid, ("step", superstep, header)
-                    ),
-                )
-            except WorkerCrashedError as exc:
-                crash = crash if crash is not None else exc
-        if crash is not None:
-            raise crash
+            self._wire.send(wid, ("step", superstep, inboxes[wid]))
+        if self.obs is not None:
+            self._record_payloads("inbox", inboxes)
+
+    def _record_payloads(self, direction: str, payloads) -> None:
+        """Traced runs: every ``transport.<name>.*`` metric, recorded here.
+
+        One ``<direction>_bytes`` sample per worker payload, and the
+        growth of the wire's shared-memory rings (shm only) as
+        ``segment_grows``.
+        """
+        metrics = self.obs.metrics
+        histogram = metrics.histogram(
+            f"transport.{self._transport}.{direction}_bytes"
+        )
+        for columns in payloads.values():
+            histogram.observe(packed_nbytes(columns))
+        grows = getattr(self._wire, "segment_grows", 0)
+        if grows > self._segment_grows:
+            metrics.counter(f"transport.{self._transport}.segment_grows").inc(
+                grows - self._segment_grows
+            )
+            self._segment_grows = grows
 
     # ------------------------------------------------------------------
     # Superstep loop
@@ -438,7 +438,7 @@ class MultiprocessBSPEngine:
         self._stats_base = len(self.stats.per_superstep)
         obs = self.obs
         for wid in self._worker_ids:
-            self._control.send(wid, ("start",))
+            self._wire.send(wid, ("start",))
         if obs is not None:
             barrier_start = time.time_ns()
         self._outboxes = self._recv_outboxes()
@@ -523,8 +523,8 @@ class MultiprocessBSPEngine:
         while True:
             try:
                 for wid in self._worker_ids:
-                    self._control.send(wid, ("collect",))
-                return [self._control.recv(wid) for wid in self._worker_ids]
+                    self._wire.send(wid, ("collect",))
+                return [self._wire.recv(wid) for wid in self._worker_ids]
             except WorkerCrashedError as exc:
                 self._recover(exc)
                 # The restored cut may predate quiescence: replay to the
@@ -558,9 +558,9 @@ class MultiprocessBSPEngine:
         """
         obs = self.obs
         for wid in self._worker_ids:
-            self._control.send(wid, ("trace",))
+            self._wire.send(wid, ("trace",))
         for wid in self._worker_ids:
-            reply = self._control.recv(wid)
+            reply = self._wire.recv(wid)
             if not (
                 isinstance(reply, tuple)
                 and len(reply) == 4
@@ -581,8 +581,8 @@ class MultiprocessBSPEngine:
         if obs is not None:
             checkpoint_start = time.time_ns()
         for wid in self._worker_ids:
-            self._control.send(wid, ("snapshot", self._superstep))
-        replies = [self._control.recv(wid) for wid in self._worker_ids]
+            self._wire.send(wid, ("snapshot", self._superstep))
+        replies = [self._wire.recv(wid) for wid in self._worker_ids]
         blobs: Dict[int, bytes] = {}
         torn: List[int] = []
         for wid, reply in zip(self._worker_ids, replies):
@@ -643,9 +643,9 @@ class MultiprocessBSPEngine:
             restore_start = time.time_ns()
         while True:
             self.recovery.recoveries += 1
-            # Drop the live outboxes before touching the transport: shm
-            # outbox columns are views pinning the dead worker's segments,
-            # and detach cannot reap a segment with exported pointers.  The
+            # Drop the live outboxes before touching the wire: shm outbox
+            # columns are views pinning the dead worker's segments, and
+            # detach cannot reap a segment with exported pointers.  The
             # cut owns materialised copies, so nothing is lost.
             self._outboxes = None
             logger.warning(
@@ -713,13 +713,12 @@ class MultiprocessBSPEngine:
         if obs is not None:
             respawn_start = time.time_ns()
         self._processes[wid].join(timeout=5)  # reap the corpse
-        self._control.detach(wid)
-        self._transport.detach(wid)
+        self._wire.detach(wid)
         # Strip-on-respawn: a replacement worker is healthy, so every
         # scripted fault fires exactly once and replay terminates.
         self._fault_plan = self._fault_plan.without(child=wid)
         self._spawn_worker(wid)
-        self._transport.attach(wid, self._processes[wid])
+        self._wire.attach(wid, self._processes[wid])
         if obs is not None:
             obs.trace.record(
                 "engine.respawn", respawn_start, plane=_PLANE,
@@ -731,38 +730,40 @@ class MultiprocessBSPEngine:
         """Bring every worker to the same state via ``sync`` + restore/reset.
 
         Per worker, in order: a tiny ``sync`` verb (never blocks the
-        driver), a drain of everything stale up to its ack — outbox
-        headers and their out-of-band frames, snapshot and collect
-        replies, acks of an interrupted earlier recovery — and only then
-        the ``restore``/``reset`` verb.  Sequencing the payload-bearing
-        verb after the sync ack means the worker is provably idle in
-        ``conn.recv`` when the (possibly larger-than-pipe-buffer)
-        snapshot blob is sent, so the two sides can never deadlock
-        pushing at each other.
+        driver), a drain of everything stale up to its ack — an outbox,
+        snapshot and collect replies, acks of an interrupted earlier
+        recovery — and only then the ``restore``/``reset`` verb.
+        Sequencing the payload-bearing verb after the sync ack means the
+        worker is provably idle on its wire when the (possibly
+        larger-than-buffer) snapshot blob is sent, so the two sides can
+        never deadlock pushing at each other.
         """
         self._ctrl_token += 1
         token = self._ctrl_token
         cut = self._checkpoint
         for wid in self._worker_ids:
-            self._control.send(wid, ("sync", token))
+            self._wire.send(wid, ("sync", token))
             self._drain_until_ack(wid, "sync", token)
             if verb == "restore":
-                self._control.send(
+                self._wire.send(
                     wid, ("restore", cut.superstep, cut.blobs[wid], token)
                 )
                 self._drain_until_ack(wid, "restored", token)
             else:
-                self._control.send(wid, ("reset", token))
+                self._wire.send(wid, ("reset", token))
                 self._drain_until_ack(wid, "reset", token)
 
     def _drain_until_ack(self, wid: int, kind: str, token: int) -> None:
+        """Drop ``wid``'s messages up to its ``kind`` ack for ``token``:
+        a stale outbox or collect reply, or a control reply of an
+        interrupted earlier phase."""
         for _ in range(_DRAIN_LIMIT):
-            msg = self._control.recv(wid)
-            if isinstance(msg, tuple) and len(msg) >= 3 and msg[0] == _CTRL:
-                if msg[1] == kind and msg[-1] == token:
-                    return
-                continue  # control reply from an interrupted earlier phase
-            self._transport.drain_stale(wid, msg)
+            msg = self._wire.recv(wid)
+            if (
+                isinstance(msg, tuple) and len(msg) >= 3 and msg[0] == _CTRL
+                and msg[1] == kind and msg[-1] == token
+            ):
+                return
         raise RuntimeError(  # pragma: no cover - protocol violation
             f"worker {wid} never acknowledged {kind!r}"
         )
@@ -783,18 +784,17 @@ class MultiprocessBSPEngine:
         self._closed = True
         try:
             self.leaked_pids += stop_children(
-                self._control, self._processes, join_s=10, kill_join_s=5
+                self._wire, self._processes, join_s=10, kill_join_s=5
             )
         finally:
-            self._control.close()
             # Release outbox column views (shm: exported pointers into the
-            # workers' segments) before closing the transport, or the
-            # segments cannot be unmapped.
+            # workers' segments) before closing the wire, or the segments
+            # cannot be unmapped.
             self._outboxes = None
             self._checkpoint = None
             # Always last: reaps shm segments / sockets even when workers
             # were terminated and their own close() never ran.
-            self._transport.close()
+            self._wire.close()
 
     def __enter__(self) -> "MultiprocessBSPEngine":
         return self

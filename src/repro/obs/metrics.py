@@ -135,7 +135,7 @@ class MetricsRegistry:
 
     # -- snapshot / merge ----------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """A plain-dict view: picklable for the control pipe, JSON-able
+        """A plain-dict view: picklable for a worker's wire, JSON-able
         for :meth:`TraceResult.save`, and the input of :meth:`merge`."""
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},

@@ -6,7 +6,7 @@ is a bounded ring buffer of :class:`Span` tuples — name (the
 superstep, wall-clock start, duration.  Every process that records spans
 uses ``time.time_ns()`` as the timebase, so driver and worker spans from
 one run align on a common wall clock without any offset negotiation;
-per-worker recorders ship their buffers over the existing control pipes
+per-worker recorders ship their buffers over the engine's worker wires
 and fold into the driver's recorder at the barrier
 (:meth:`TraceRecorder.merge`).
 

@@ -3,22 +3,23 @@
 Two supervisors run their work in child processes:
 :class:`~repro.distributed.multiprocess.MultiprocessBSPEngine` (one worker
 per partition) and :class:`~repro.service.replication.ServiceSupervisor`
-(a primary plus read replicas).  Both talk to each child over a wire,
+(a primary plus read replicas).  Both talk to each child over one wire,
 must never hang on a child that died, and must stop every child at
 shutdown.  This module is the one copy of that machinery:
 
 * :class:`Wire` — the supervisor's channel to its children, keyed by
-  child id.  :class:`PipeWire` sends pickles over one
-  ``multiprocessing.Pipe`` per child; :class:`TcpWire` sends
-  length-prefixed pickles over localhost sockets, where each child dials
-  in (jittered exponential redial) and says a 24-byte hello: the
-  per-wire cookie plus its int64 child id.  ``recv`` polls the child's
-  liveness every :data:`POLL_S`, so a dead child raises instead of
-  hanging, and returns :data:`TIMEOUT` when an explicit timeout lapses.
-* :class:`SocketPeer` — one end of a framed socket: the ``send_all`` /
-  ``recv_into`` loops (liveness-polled, with an optional per-stall hook
-  and a first-byte deadline) and length-prefixed pickled messages on
-  top.  The BSP engine's tcp data plane frames its raw columns with it.
+  child id; one wire carries every message to and from a child, command
+  verbs and payloads alike.  :class:`PipeWire` sends pickles over one
+  ``multiprocessing.Pipe`` per child; :class:`TcpWire` sends them over
+  localhost sockets, where each child dials in (jittered exponential
+  redial) and says a 24-byte hello: the per-wire cookie plus its int64
+  child id.  ``recv`` polls the child's liveness every :data:`POLL_S`,
+  so a dead child raises instead of hanging, and returns :data:`TIMEOUT`
+  when an explicit timeout lapses.
+* :class:`SocketPeer` — one end of a message socket: liveness-polled
+  ``send_all`` / ``recv_into`` loops (with a first-byte deadline) and
+  protocol-5 pickles on top, whose contiguous buffers (numpy column
+  arrays) travel out of band, straight from and into their own memory.
 * :class:`ChildCrashedError` — a child died; :class:`WorkerCrashedError`
   is the BSP engine's subclass (it names the ``worker_id``), so
   ``except ChildCrashedError`` catches a crash from either supervisor.
@@ -30,8 +31,10 @@ shutdown.  This module is the one copy of that machinery:
   at the ``recv`` and ``reply`` seams of every stepped verb.
 
 The bytes on the wires are the wire format: pickles over pipes; over tcp
-the hello, ``<Q``-length-prefixed pickles, and whatever raw byte views a
-caller pushes through :meth:`SocketPeer.send_all`.
+the hello, then per message a ``<QQ`` header (pickle length, buffer
+count), one ``<Q`` length per out-of-band buffer, the pickle, and the
+buffers' raw bytes.  Both tcp ends set ``TCP_NODELAY``: a message is
+several writes, and none of them may wait out Nagle and a delayed ACK.
 """
 
 from __future__ import annotations
@@ -77,9 +80,13 @@ TIMEOUT = object()
 _CONNECT_ATTEMPTS = 6
 _CONNECT_DELAY_S = 0.05
 
-_LENGTH = struct.Struct("<Q")  #: message length prefix
+_HEAD = struct.Struct("<QQ")  #: message head: pickle length, buffer count
+_LENGTH = struct.Struct("<Q")  #: one out-of-band buffer's length
 _CHILD_ID = struct.Struct("<q")  #: child id in the hello, after the cookie
 _COOKIE_BYTES = 16
+
+#: Set on both ends of every tcp connection (see the module docstring).
+_NODELAY = (socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 class ChildCrashedError(RuntimeError):
@@ -178,6 +185,13 @@ class PipeWire(Wire):
         self._ctx = mp_context
 
     def child_endpoint(self, cid: int) -> "PipeChildEndpoint":
+        # Every supervisor starts a child before it asks for the next
+        # endpoint, so the child halves handed out so far belong to
+        # started children: drop them before this child forks, or it
+        # would inherit them and a dead sibling's pipe would never report
+        # EOF or a broken pipe.  This lets a supervisor start all its
+        # children before it attaches the first.
+        self._release_child_halves()
         parent_conn, child_conn = self._ctx.Pipe()
         self._conns[cid] = parent_conn
         self._child_conns[cid] = child_conn
@@ -187,15 +201,18 @@ class PipeWire(Wire):
         super().attach(cid, process)
         # Drop the supervisor's reference to the child half so an EOF is
         # unambiguous: only the child holds that end now.
-        child_conn = self._child_conns.pop(cid, None)
-        if child_conn is not None:
-            child_conn.close()
+        self._release_child_halves()
+
+    def _release_child_halves(self) -> None:
+        for conn in self._child_conns.values():
+            conn.close()
+        self._child_conns.clear()
 
     def send(self, cid: int, message) -> None:
         try:
             self._conns[cid].send(message)
         except OSError:
-            raise self._crashed(cid, "(control pipe closed)")
+            raise self._crashed(cid, "(pipe closed)")
 
     def recv(self, cid: int, timeout: Optional[float] = None):
         conn = self._conns[cid]
@@ -226,13 +243,12 @@ class PipeWire(Wire):
         conn = self._conns.pop(cid, None)
         if conn is not None:
             conn.close()
-        self._child_conns.pop(cid, None)
 
     def close(self) -> None:
-        for conns in (self._conns, self._child_conns):
-            for conn in conns.values():
-                conn.close()
-            conns.clear()
+        for conn in self._conns.values():
+            conn.close()
+        self._conns.clear()
+        self._release_child_halves()
         self._processes.clear()
 
 
@@ -256,7 +272,7 @@ class PipeChildEndpoint:
 
 
 class SocketPeer:
-    """One end of a framed socket: raw byte views and pickled messages.
+    """One end of a message socket: raw byte views and pickled messages.
 
     The socket carries a :data:`POLL_S` timeout, so a blocked read or
     write wakes up every poll to ask ``alive()`` whether the other side
@@ -272,15 +288,13 @@ class SocketPeer:
         self.who = who
         self.alive = alive
 
-    def send_all(self, view, on_stall: Optional[Callable[[], None]] = None
-                 ) -> None:
+    def send_all(self, view) -> None:
         """Push the byte view ``view`` down the socket.
 
         ``sock.sendall`` forgets how much it wrote when it times out, so a
-        frame larger than the kernel buffer is pushed ``send`` by ``send``
-        — the peer may legitimately be busy draining another child's frame
-        for much longer than one poll.  ``on_stall`` fires once per
-        timed-out poll.
+        message larger than the kernel buffer is pushed ``send`` by
+        ``send`` — the peer may legitimately be busy draining another
+        child's message for much longer than one poll.
         """
         sent = 0
         while sent < len(view):
@@ -288,17 +302,14 @@ class SocketPeer:
                 sent += self.sock.send(view[sent:])
             except socket.timeout:
                 if self.alive is not None and not self.alive():
-                    raise ConnectionError(f"{self.who} died mid-frame")
-                if on_stall is not None:
-                    on_stall()
+                    raise ConnectionError(f"{self.who} died mid-message")
 
-    def recv_into(self, view, on_stall: Optional[Callable[[], None]] = None,
-                  deadline: Optional[float] = None) -> bool:
+    def recv_into(self, view, deadline: Optional[float] = None) -> bool:
         """Fill the byte view ``view``; ``False`` only if ``deadline``
         (monotonic) lapses before the first byte arrived.
 
-        Once a byte arrived the read commits: a mid-frame timeout would
-        desynchronise the stream.  ``on_stall`` is as in :meth:`send_all`.
+        Once a byte arrived the read commits: a mid-message timeout would
+        desynchronise the stream.
         """
         got = 0
         while got < len(view):
@@ -306,33 +317,52 @@ class SocketPeer:
                 n = self.sock.recv_into(view[got:])
             except socket.timeout:
                 if self.alive is not None and not self.alive():
-                    raise ConnectionError(f"{self.who} died mid-frame")
+                    raise ConnectionError(f"{self.who} died mid-message")
                 if (got == 0 and deadline is not None
                         and time.monotonic() >= deadline):
                     return False
-                if on_stall is not None:
-                    on_stall()
                 continue
             if n == 0:
                 raise ConnectionError(
-                    f"{self.who} closed the connection mid-frame"
+                    f"{self.who} closed the connection mid-message"
                 )
             got += n
         return True
 
-    def send(self, message, on_stall=None) -> None:
-        """One ``<Q``-length-prefixed pickle."""
-        blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        self.send_all(memoryview(_LENGTH.pack(len(blob)) + blob), on_stall)
+    def send(self, message) -> None:
+        """One protocol-5 pickle, its contiguous buffers out of band.
 
-    def recv(self, on_stall=None, deadline: Optional[float] = None):
-        """One message, or :data:`TIMEOUT` if ``deadline`` lapses first."""
-        head = bytearray(_LENGTH.size)
-        if not self.recv_into(memoryview(head), on_stall, deadline):
+        The head, the buffer lengths and the pickle go in one write; each
+        buffer's bytes are then sent from its own memory, uncopied.
+        """
+        buffers = []
+        blob = pickle.dumps(message, protocol=5, buffer_callback=buffers.append)
+        views = [buffer.raw() for buffer in buffers]
+        head = _HEAD.pack(len(blob), len(views)) + b"".join(
+            _LENGTH.pack(view.nbytes) for view in views
+        )
+        self.send_all(memoryview(head + blob))
+        for view in views:
+            self.send_all(view)
+
+    def recv(self, deadline: Optional[float] = None):
+        """One message, or :data:`TIMEOUT` if ``deadline`` lapses first.
+
+        Each out-of-band buffer is received into its own bytearray, which
+        the unpickled arrays then share instead of copying.
+        """
+        head = bytearray(_HEAD.size)
+        if not self.recv_into(memoryview(head), deadline):
             return TIMEOUT
-        body = bytearray(_LENGTH.unpack(head)[0])
-        self.recv_into(memoryview(body), on_stall)
-        return pickle.loads(body)
+        size, count = _HEAD.unpack(head)
+        body = memoryview(bytearray(_LENGTH.size * count + size))
+        self.recv_into(body)
+        lengths, blob = body[:_LENGTH.size * count], body[_LENGTH.size * count:]
+        buffers = []
+        for (length,) in _LENGTH.iter_unpack(lengths):
+            buffers.append(bytearray(length))
+            self.recv_into(memoryview(buffers[-1]))
+        return pickle.loads(blob, buffers=buffers)
 
     def close(self) -> None:
         if self.sock is not None:
@@ -344,7 +374,7 @@ class SocketPeer:
 
 
 class TcpWire(Wire):
-    """Length-prefixed pickles over localhost TCP with cookie auth.
+    """Pickles over localhost TCP with cookie auth.
 
     The supervisor listens on an ephemeral port of ``host``; every child
     dials in and authenticates with the per-wire cookie, so each child is
@@ -385,6 +415,7 @@ class TcpWire(Wire):
                 sock.close()  # not ours: refuse cross-supervisor traffic
                 continue
             (dialled,) = _CHILD_ID.unpack(hello[_COOKIE_BYTES:])
+            sock.setsockopt(*_NODELAY)
             sock.settimeout(POLL_S)
             self._peers[dialled] = SocketPeer(
                 sock, f"child {dialled}", lambda c=dialled: self._alive(c)
@@ -395,7 +426,7 @@ class TcpWire(Wire):
         return process is None or process.is_alive()
 
     @contextmanager
-    def peer(self, cid: int) -> Iterator[SocketPeer]:
+    def _peer(self, cid: int) -> Iterator[SocketPeer]:
         """Child ``cid``'s socket; a lost connection inside the block
         raises the crash error."""
         try:
@@ -404,13 +435,13 @@ class TcpWire(Wire):
             raise self._crashed(cid, "(socket closed)") from exc
 
     def send(self, cid: int, message) -> None:
-        with self.peer(cid) as peer:
+        with self._peer(cid) as peer:
             peer.send(message)
 
     def recv(self, cid: int, timeout: Optional[float] = None):
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self.peer(cid) as peer:
-            return peer.recv(deadline=deadline)
+        with self._peer(cid) as peer:
+            return peer.recv(deadline)
 
     def poll(self, cid: int) -> bool:
         peer = self._peers.get(cid)
@@ -458,6 +489,7 @@ class TcpChildEndpoint(SocketPeer):
             self.sock = socket.create_connection(self._address)
 
         backoff.retry(dial, exceptions=(OSError,))
+        self.sock.setsockopt(*_NODELAY)
         self.sock.sendall(self._cookie + _CHILD_ID.pack(self._cid))
         self.sock.settimeout(POLL_S)
 

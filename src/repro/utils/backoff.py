@@ -13,8 +13,8 @@ replays the exact same delays run after run.
 
 Users: the tcp wire's child redial
 (:class:`repro.runtime.TcpChildEndpoint`, keyed by the wire cookie and
-child id — the BSP engine's tcp data plane and the replicated service's
-tcp wire both dial through it) and the replication layer's
+child id — the BSP engine's and the replicated service's tcp wires both
+dial through it) and the replication layer's
 :class:`~repro.service.replication.ReplicatedClient` (keyed by the
 service seed and request number).
 """

@@ -365,20 +365,13 @@ class TestApiHygieneRule:
         # Home module, registry, and package __init__ re-exports are exempt.
         assert rules_of(src, "src/repro/api/registry.py") == []
         assert rules_of(src, "src/repro/distributed/__init__.py") == []
-        # The engine's control channel is a fixed PipeWire; nothing else
-        # may name a wire class outside the registry.
+        # The engine resolves its wire through TRANSPORTS like everyone
+        # else: no file outside the registry may name a wire class.
         engine = "src/repro/distributed/multiprocess.py"
-        assert rules_of("from repro.runtime import PipeWire\n", engine) == []
-        assert rules_of("from repro.runtime import TcpWire\n", engine) == [
-            "RPL004"
-        ]
-        assert rules_of("from repro.runtime import PipeWire\n", SERVICE) == [
-            "RPL004"
-        ]
-
-    def test_abstract_transport_types_importable_anywhere(self):
-        src = "from repro.distributed.transport import Transport, WorkerEndpoint\n"
-        assert rules_of(src, DISTRIBUTED) == []
+        for wire in ("PipeWire", "TcpWire"):
+            src = f"from repro.runtime import {wire}\n"
+            assert rules_of(src, engine) == ["RPL004"]
+            assert rules_of(src, SERVICE) == ["RPL004"]
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,13 @@ from repro.api.config import AlgoConfig, ExecutionConfig, ServicePlanConfig
 from repro.core.fast import FastPropagator
 from repro.distributed import multiprocess
 from repro.distributed.cluster import run_distributed_update
-from repro.distributed.engine_array import ArrayBSPEngine, gather_columns
+from repro.distributed.engine_array import (
+    ArrayBSPEngine,
+    ArrayWorkerProgram,
+    gather_columns,
+)
 from repro.distributed.faults import PRIMARY, Event, FaultPlan
+from repro.distributed.message_array import register_schema
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import FastSLPAPropagationProgram
 from repro.distributed.transport import WorkerCrashedError
@@ -254,6 +259,96 @@ class TestKillRecovery:
         assert steps == ref_steps
         assert recovery.recoveries == 2
         assert recovery.workers_respawned == 2
+
+
+# ----------------------------------------------------------------------
+# Recovery while a payload larger than the kernel buffers is in flight
+# ----------------------------------------------------------------------
+#: Test-only wide schema: 7 fields + dst = 64 bytes a row, so each
+#: worker's outbox is 8 MiB a superstep — larger than a pipe's buffer and
+#: than Linux's default maximum socket send buffer (``tcp_wmem``, 4 MiB).
+BIG_KIND = "fbig"
+BIG_FIELDS = ("a", "b", "c", "d", "e", "f", "g")
+register_schema(BIG_KIND, BIG_FIELDS)
+BIG_ROWS = (8 << 20) // (8 * (len(BIG_FIELDS) + 1))
+BIG_SUPERSTEPS = 3
+
+
+class BigRelayProgram(ArrayWorkerProgram):
+    """Re-emits 8 MiB of columns every superstep, addressed across every
+    vertex, and folds each inbox into a per-vertex checksum."""
+
+    def __init__(self, shard, num_vertices):
+        super().__init__(shard)
+        self.num_vertices = num_vertices
+        self.checksum = np.zeros(len(shard.local_ids), dtype=np.int64)
+
+    def _send(self, ctx, superstep):
+        dst = np.arange(BIG_ROWS, dtype=np.int64) % self.num_vertices
+        salt = 1000 * superstep + self.shard.worker_id
+        ctx.send_columns(
+            BIG_KIND, dst,
+            *(dst * (k + 2) + salt for k in range(len(BIG_FIELDS))),
+        )
+
+    def on_start(self, ctx):
+        self._send(ctx, 0)
+
+    def on_superstep(self, ctx, superstep, inbox):
+        dst, *fields = inbox.columns(BIG_KIND)
+        np.add.at(
+            self.checksum,
+            np.searchsorted(self.shard.local_ids, dst),
+            sum(fields),
+        )
+        if superstep < BIG_SUPERSTEPS:
+            self._send(ctx, superstep)
+
+    def collect(self):
+        return {"checksum": self.checksum}
+
+
+def _big_relay_run(transport=None, fault_plan=None):
+    """(gathered checksums, superstep stats, recovery) of a 2-worker relay;
+    ``transport=None`` runs it on the in-process engine."""
+    graph, part = _setup()
+    shards = build_csr_shards(graph, part)
+    factory = partial(BigRelayProgram, num_vertices=graph.num_vertices)
+    if transport is None:
+        engine = ArrayBSPEngine(shards, part)
+        programs = engine.run([factory(shard) for shard in shards])
+        results = [program.collect() for program in programs]
+        return gather_columns(shards, results), _step_tuples(engine.stats), None
+    with MultiprocessBSPEngine(
+        shards, part, factory, transport=transport, fault_tolerance=True,
+        checkpoint_interval=2, fault_plan=fault_plan,
+    ) as engine:
+        stats = engine.run()
+        results = engine.collect()
+    return gather_columns(shards, results), _step_tuples(stats), engine.recovery
+
+
+class TestLargePayloadRecovery:
+    @pytest.mark.parametrize("fault", ["kill", "drop_send"])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_kill_with_payload_beyond_kernel_buffers_smoke(
+        self, transport, fault
+    ):
+        # Worker 0 dies at superstep 2, at recv (``kill``) or at reply
+        # (``drop_send``), while worker 1 pushes its 8 MiB outbox: that
+        # message is still in flight when recovery drains worker 1.
+        (ref_ids, ref_columns), ref_steps, _ = _big_relay_run()
+        assert ref_steps[0][3] >= 2 * (8 << 20)  # bytes routed a superstep
+        before = _shm_segments()
+        (ids, columns), steps, recovery = _big_relay_run(
+            transport, FaultPlan(**{fault: (0, 2)})
+        )
+        assert np.array_equal(ids, ref_ids)
+        assert np.array_equal(columns["checksum"], ref_columns["checksum"])
+        assert steps == ref_steps
+        assert recovery.recoveries == 1
+        assert recovery.workers_respawned == 1
+        assert _shm_segments() <= before
 
 
 # Crash at every superstep on the reference transport; the cheaper spot

@@ -110,6 +110,7 @@ class TestMultiprocessTracing:
         snap = result.metrics
         assert snap["histograms"]["transport.shm.inbox_bytes"]["count"] > 0
         assert snap["histograms"]["transport.shm.outbox_bytes"]["count"] > 0
+        assert snap["counters"]["transport.shm.segment_grows"] > 0
 
         # The export is a valid Chrome trace even after JSON encoding.
         payload = json.loads(json.dumps(result.to_chrome_trace()))
