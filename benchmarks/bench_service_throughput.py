@@ -18,9 +18,12 @@ availability (client queries answered throughout — stale serves and
 re-routes counted, errors fatal).
 
 The ingest rows leave checkpoints off, so a ``checkpoint`` section prices
-them on their own: the median wall time of ``CommunityService.checkpoint()``
-(label matrices, edge column, npz write and fsync, pruning, WAL rotation)
-and of ``CheckpointStore.load_checkpoint()``, and the checkpoint's size.
+them on their own: the wall time of ``CommunityService.checkpoint()``
+(label matrices, edge column, npz write and fsync, pruning, WAL rotation),
+of ``CheckpointStore.load_checkpoint()`` and of the restore that builds a
+detector from the loaded state and edge column
+(``RSLPADetector.from_state``), each as a median with every rep kept, and
+the checkpoint's size.
 
 Records ``BENCH_service.json``.
 
@@ -38,6 +41,7 @@ import numpy as np
 
 from benchmarks.bench_common import SCALE, banner, print_table, scaled
 from repro.api.config import AlgoConfig, ServicePlanConfig
+from repro.core.detector import RSLPADetector
 from repro.distributed.faults import FaultPlan
 from repro.service import CommunityService, ServiceSupervisor
 from repro.workloads.dynamic import EditStream
@@ -134,9 +138,10 @@ def _checkpoint_section(graph, reps, batch_size):
 
     Two batches go into the WAL before every timed checkpoint, so each one
     publishes a new epoch, prunes the oldest file and rotates a real log.
-    Every load must return the service's label matrices bit for bit.
+    Every load must return the service's label matrices bit for bit, and
+    every restore the service's cover.
     """
-    write_s, load_s = [], []
+    write_s, load_s, restore_s = [], [], []
     with tempfile.TemporaryDirectory() as state_dir:
         service = _build_service(
             graph, batch_size, staleness=10**9, checkpoint_dir=state_dir
@@ -153,6 +158,12 @@ def _checkpoint_section(graph, reps, batch_size):
                 t0 = time.perf_counter()
                 ckpt = service.store.load_checkpoint()
                 load_s.append(time.perf_counter() - t0)
+                t0 = time.perf_counter()
+                restored = RSLPADetector.from_state(
+                    ckpt.edges, ckpt.state, ckpt.seed, batch_epoch=ckpt.batch_epoch
+                )
+                restore_s.append(time.perf_counter() - t0)
+                assert restored.communities() == service.detector.communities()
                 state = service.detector.array_state
                 assert ckpt.batch_epoch == service.batches_applied
                 assert all(
@@ -168,6 +179,10 @@ def _checkpoint_section(graph, reps, batch_size):
         "batch_size": batch_size,
         "write_ms": statistics.median(write_s) * 1e3,
         "load_ms": statistics.median(load_s) * 1e3,
+        "restore_ms": statistics.median(restore_s) * 1e3,
+        "write_ms_reps": [round(t * 1e3, 2) for t in write_s],
+        "load_ms_reps": [round(t * 1e3, 2) for t in load_s],
+        "restore_ms_reps": [round(t * 1e3, 2) for t in restore_s],
         "bytes": size,
     }
 
@@ -176,9 +191,10 @@ def _report_checkpoint(report, row):
     report("")
     print_table(
         report,
-        ["checkpoint reps", "write (ms, median)", "load (ms, median)", "bytes"],
+        ["checkpoint reps", "write (ms, median)", "load (ms, median)",
+         "restore (ms, median)", "bytes"],
         [(row["reps"], round(row["write_ms"], 1), round(row["load_ms"], 1),
-          row["bytes"])],
+          round(row["restore_ms"], 1), row["bytes"])],
     )
 
 

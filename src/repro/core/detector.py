@@ -31,14 +31,20 @@ bit-identical per seed for fit *and* every subsequent update.  Vertex id
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.api.config import DEFAULT_ITERATIONS, AlgoConfig, ExecutionConfig
 from repro.api.plan import GraphCaps, RunPlan, resolve_plan
 from repro.core.communities import Cover
 from repro.core.fast import FastPropagator
 from repro.core.incremental import CorrectionPropagator
-from repro.core.incremental_fast import FastCorrectionPropagator, UpdateReport
+from repro.core.incremental_fast import (
+    FastCorrectionPropagator,
+    LiveGraph,
+    UpdateReport,
+)
 from repro.core.labels import LabelState
 from repro.core.labels_array import ArrayLabelState
 from repro.core.postprocess import PostprocessResult, extract_communities
@@ -85,7 +91,9 @@ class RSLPADetector:
     ----------
     graph:
         The graph to monitor.  The detector takes ownership of a private
-        copy, so the caller's graph is never mutated by updates.
+        copy, so the caller's graph is never mutated by updates.  On the
+        fast path a fit hands the live graph to its corrector's array
+        adjacency; :attr:`graph` then builds a :class:`Graph` on each read.
     seed:
         Randomness seed (counter-based; identical results per seed).
     iterations:
@@ -120,7 +128,9 @@ class RSLPADetector:
         self.algo, self.execution = _shim_configs(
             seed, iterations, tau_step, backend, algo, execution
         )
-        self.graph = graph.copy()
+        #: The dict graph: the input until a fast fit hands the live graph
+        #: to its corrector, and the reference corrector's live graph.
+        self._graph: Optional[Graph] = graph.copy()
         self.seed = self.algo.seed
         self.iterations = self.algo.iterations
         self.tau_step = self.algo.tau_step
@@ -142,54 +152,102 @@ class RSLPADetector:
     def is_fitted(self) -> bool:
         return self._corrector is not None
 
+    @property
+    def graph(self) -> Graph:
+        """The live graph (read-only by convention).
+
+        On the fast path a fitted detector keeps it as its corrector's
+        array adjacency, and each read builds a new :class:`Graph` from
+        it (O(m)); :meth:`graph_caps`, :meth:`has_edges`,
+        :meth:`validate_batch` and :meth:`edge_array` read the adjacency
+        instead.
+        """
+        if self._graph is None:
+            return self._corrector.graph
+        return self._graph
+
+    def graph_caps(self) -> GraphCaps:
+        """The live graph's vertex and edge counts."""
+        if self._graph is None:
+            return GraphCaps(
+                num_vertices=self._corrector.state.num_vertices,
+                num_edges=self._corrector.adjacency.num_edges,
+            )
+        return GraphCaps.of(self._graph)
+
+    def has_edges(self, edges: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Whether each ``(u, v)`` id pair of ``edges`` is a live edge."""
+        if self._graph is None:
+            return self._corrector.has_edges(edges)
+        return np.array([self._graph.has_edge(u, v) for u, v in edges], dtype=bool)
+
+    def validate_batch(self, batch: EditBatch) -> None:
+        """Raise ``ValueError`` unless ``batch`` applies cleanly to the live
+        graph (insertions absent, deletions present)."""
+        if self._graph is None:
+            self._corrector.validate_batch(batch)
+        else:
+            batch.validate_against(self._graph)
+
+    def edge_array(self) -> np.ndarray:
+        """The live graph's edges as ascending ``(u, v)`` id pairs with
+        ``u < v``, an ``(m, 2)`` int64 array (a checkpoint's edge column)."""
+        if self._graph is None:
+            return self._corrector.edge_array()
+        edges = np.array(sorted(self._graph.edges()), dtype=np.int64)
+        return edges.reshape(-1, 2)
+
     def plan(self, execution: Optional[ExecutionConfig] = None) -> RunPlan:
         """Resolve the execution plan against the current graph.
 
         All negotiation lives in :func:`repro.api.plan.resolve_plan`; this
         is the detector's view of it (``detector.plan().explain()``).
         """
-        return resolve_plan(GraphCaps.of(self.graph), execution or self.execution)
+        return resolve_plan(self.graph_caps(), execution or self.execution)
 
-    def _install_corrector(self, state, use_fast: bool) -> None:
-        """Install the corrector the plan's backend runs on, converting the
-        state representation as needed (shared by the distributed-fit and
-        restart paths)."""
-        check_vertex_ids(self.graph, "graph")
+    def _install_corrector(self, graph: LiveGraph, state, use_fast: bool) -> None:
+        """Install the corrector the plan's backend runs on over ``graph``
+        (a :class:`Graph`, or its edges as an ``(m, 2)`` id-pair array),
+        converting the state representation as needed (shared by the
+        distributed-fit and restart paths)."""
         if use_fast:
             astate = (
                 state
                 if isinstance(state, ArrayLabelState)
                 else ArrayLabelState.from_label_state(state)
             )
-            self._corrector = FastCorrectionPropagator(self.graph, astate, self.seed)
+            self._corrector = FastCorrectionPropagator(graph, astate, self.seed)
+            self._graph = None
         else:
+            if not isinstance(graph, Graph):
+                graph = Graph.from_edges(map(tuple, graph.tolist()), state.vertices())
+            check_vertex_ids(graph, "graph")
             lstate = (
                 state.to_label_state()
                 if isinstance(state, ArrayLabelState)
                 else state
             )
-            propagator = ReferencePropagator.from_state(
-                self.graph, self.seed, lstate
-            )
+            propagator = ReferencePropagator.from_state(graph, self.seed, lstate)
             self._corrector = CorrectionPropagator(propagator)
+            self._graph = graph
 
     def fit(self) -> "RSLPADetector":
         """Run Algorithm 1 from scratch on the current graph."""
-        check_vertex_ids(self.graph, "graph")
+        graph = self.graph
+        check_vertex_ids(graph, "graph")
         # A local fit, whatever the config's worker count says: the recorded
         # plan must describe what actually ran.
         plan = self.plan(replace(self.execution, num_workers=0))
         if plan.use_fast:
             # The whole lifecycle stays on the array substrate: one CSR
             # snapshot feeds the vectorised propagator, whose array export
-            # feeds the vectorised corrector — no dict round trip.
-            fast = FastPropagator(self.graph, seed=self.seed)
+            # and snapshot become the corrector's state and live graph.
+            fast = FastPropagator(graph, seed=self.seed)
             fast.propagate(self.iterations)
-            self._corrector = FastCorrectionPropagator.from_fast_propagator(
-                fast, self.graph
-            )
+            self._corrector = FastCorrectionPropagator.from_fast_propagator(fast)
+            self._graph = None
         else:
-            propagator = ReferencePropagator(self.graph, seed=self.seed)
+            propagator = ReferencePropagator(graph, seed=self.seed)
             propagator.propagate(self.iterations)
             self._corrector = CorrectionPropagator(propagator)
         self.comm_stats = None  # a local fit has no communication counters
@@ -226,13 +284,14 @@ class RSLPADetector:
             partitioner=partitioner if partitioner is not None else cfg.partitioner,
         )
         plan = self.plan(run_cfg)
+        graph = self.graph
         state, stats = run_distributed_rslpa(
-            self.graph,  # read-only for the wrapper: shards snapshot/copy
+            graph,  # read-only for the wrapper: shards snapshot/copy
             seed=self.seed,
             iterations=self.iterations,
             config=run_cfg,
         )
-        self._install_corrector(state, plan.use_fast)
+        self._install_corrector(graph, state, plan.use_fast)
         self.comm_stats = stats
         self.last_plan = plan
         self._postprocess_cache = None
@@ -242,7 +301,7 @@ class RSLPADetector:
     @classmethod
     def from_state(
         cls,
-        graph: Graph,
+        graph: Union[Graph, np.ndarray],
         state: Union[LabelState, ArrayLabelState],
         seed: int,
         backend: str = "auto",
@@ -255,22 +314,26 @@ class RSLPADetector:
         representation — it is converted to whatever the chosen ``backend``
         runs on) comes back as a fitted detector whose ``update`` /
         ``communities`` lifecycle continues exactly where it left off.
-        ``seed`` and ``batch_epoch`` must match the original run for the
-        correction lotteries to keep drawing the same numbers; ``state`` is
-        adopted (mutated by future updates), not copied.
+        ``graph`` is a :class:`Graph` or its edges as an ``(m, 2)`` id-pair
+        array, like a checkpoint's edge column (the state's live vertices
+        are then the vertex set).  ``seed`` and ``batch_epoch`` must match
+        the original run for the correction lotteries to keep drawing the
+        same numbers; ``state`` is adopted (mutated by future updates), not
+        copied.
         """
         check_type(batch_epoch, int, "batch_epoch")
+        if isinstance(graph, Graph):
+            graph = graph.copy()
         detector = cls(
-            graph,
+            Graph(),  # the live graph comes with the state, below
             seed=seed,
             iterations=state.num_iterations,
             backend=backend,
             tau_step=tau_step,
         )
-        plan = detector.plan()
-        detector._install_corrector(state, plan.use_fast)
+        detector._install_corrector(graph, state, detector.plan().use_fast)
         detector._corrector.batch_epoch = batch_epoch
-        detector.last_plan = plan
+        detector.last_plan = detector.plan()
         return detector
 
     def _require_fitted(self) -> None:
@@ -289,7 +352,10 @@ class RSLPADetector:
         """
         self._require_fitted()
         check_type(batch, EditBatch, "batch")
-        check_vertex_ids(batch.touched_vertices(), "edit batch")
+        if self._graph is not None:
+            # The fast corrector refuses -1 among a batch's new vertices
+            # itself; a live vertex is never -1.
+            check_vertex_ids(batch.touched_vertices(), "edit batch")
         report = self._corrector.apply_batch(batch)
         self._postprocess_cache = None
         self._label_state_cache = None
@@ -339,13 +405,20 @@ class RSLPADetector:
         return state
 
     def postprocess(self) -> PostprocessResult:
-        """Run (or reuse) the Section III-B extraction on the current state."""
+        """Run (or reuse) the Section III-B extraction on the current state.
+
+        On the fast path it reads the corrector's adjacency and the array
+        state directly, with no graph snapshot.
+        """
         self._require_fitted()
         if self._postprocess_cache is None:
             state = self._corrector.state
-            sequences = state if isinstance(state, ArrayLabelState) else state.labels
+            if self._graph is None:
+                graph, sequences = self._corrector.adjacency, state
+            else:
+                graph, sequences = self._graph, state.labels
             self._postprocess_cache = extract_communities(
-                self.graph, sequences, step=self.tau_step
+                graph, sequences, step=self.tau_step
             )
         return self._postprocess_cache
 
@@ -355,7 +428,11 @@ class RSLPADetector:
 
     def __repr__(self) -> str:
         status = f"T={self.iterations}" if self.is_fitted else "unfitted"
-        return f"RSLPADetector(seed={self.seed}, {status}, graph={self.graph!r})"
+        caps = self.graph_caps()
+        return (
+            f"RSLPADetector(seed={self.seed}, {status}, "
+            f"graph=Graph(|V|={caps.num_vertices}, |E|={caps.num_edges}))"
+        )
 
 
 def detect_communities(

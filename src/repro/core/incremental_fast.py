@@ -4,13 +4,21 @@
 :class:`~repro.core.labels_array.ArrayLabelState` after an edit batch with
 the same structure as the reference
 :class:`~repro.core.incremental.CorrectionPropagator`, but each phase is a
-handful of numpy passes instead of per-slot Python loops:
+handful of numpy passes instead of per-slot Python loops.  It also owns the
+live graph, as one :class:`~repro.graph.csr.EdgeKeys` adjacency over the
+state's columns (sorted directed keys ``col_u·2³² + col_v`` plus
+``indptr``), built once and advanced by every batch:
 
+0. **Merge** — one binary search of the batch's keys validates it, then
+   one delete and one insert merge it into the adjacency (no re-sort).
+   The touched vertices' candidate pools are ``indptr`` ranges of the
+   merged rows, and their batch-added neighbours the batch's sorted
+   inserted keys.
 1. **Classification** — every touched ``(v, t)`` slot is sorted into the
-   paper's Categories 1–3 at once: deleted-source slots via one
-   ``np.isin`` over ``(vertex, source)`` pair keys, Theorem-5 keep
-   lotteries via the broadcasting counter-hash kernels (bit-identical to
-   the scalar draws the reference engine makes).
+   paper's Categories 1–3 at once: deleted-source slots via one compare
+   of the provenance against the batch's deleted ``(vertex, neighbour)``
+   pairs, Theorem-5 keep lotteries via the broadcasting counter-hash
+   kernels (bit-identical to the scalar draws the reference engine makes).
 2. **Detach + pre-draw** — all scheduled repicks drop their reverse
    records through the state's O(1) record handles, then every repick's
    hash, candidate, position, epoch, and provenance is drawn and scattered
@@ -38,11 +46,20 @@ reverse record; the result is
 batch epoch — labels, provenance, epochs, and reports all match, which the
 test suite asserts slot for slot.  Vertex ids may be any int64 but −1:
 batch endpoints map to columns through the state's id lookup, candidate
-pools are sorted by vertex id, every draw is keyed by the vertex id, and
-reports name slots by vertex id.
+pools are in vertex id order (a row's column order, or, once a vertex is
+born below the largest id, the order of one ``argsort(ids)``
+permutation), every draw is keyed by the vertex id, and reports name
+slots by vertex id.
+
+The extraction (:func:`repro.core.postprocess.extract_communities` over
+:attr:`FastCorrectionPropagator.adjacency` and the state) and the
+service's checkpoints (:meth:`FastCorrectionPropagator.edge_array`) read
+the adjacency too; a :class:`~repro.graph.adjacency.Graph` of the live
+graph is an export built on demand (:attr:`FastCorrectionPropagator.graph`).
 
 A traced service hands its observability context to the corrector
 (:attr:`FastCorrectionPropagator.obs`), which then records the four phases
+(the merge inside ``classify``)
 as ``core.incremental_fast.{classify,detach,drain,register}`` spans and
 the record build and compaction as
 ``core.labels_array.{build_records,compact}``.
@@ -68,14 +85,20 @@ from repro.core.randomness import (
     slot_hash_flex,
 )
 from repro.graph.adjacency import Graph
+from repro.graph.csr import EdgeKeys, id_order
 from repro.graph.edits import EditBatch
 
 __all__ = ["FastCorrectionPropagator", "UpdateReport"]
 
-# (column, neighbour column) pairs packed into one int64 key for the
-# deleted-source membership test; columns are far below 2^31 so the halves
-# cannot clash.
-_PAIR = np.int64(1) << np.int64(32)
+# Pairs of non-negative values below 2^31 (columns, ranks, group indices)
+# packed into one int64 key for a sort by (first, second).
+_SHIFT = np.int64(32)
+_LOW = (np.int64(1) << _SHIFT) - np.int64(1)
+
+#: What a corrector takes as its live graph: a :class:`Graph`, an
+#: ``(m, 2)`` array of id pairs, or an :class:`EdgeKeys` over the state's
+#: columns.
+LiveGraph = Union[Graph, np.ndarray, EdgeKeys]
 
 # Per-level pending notification buffers: lists of (columns, values).
 _Pending = List[List[Tuple[np.ndarray, np.ndarray]]]
@@ -139,6 +162,11 @@ class UpdateReport:
         ) and self.touched_slots == other.touched_slots
 
 
+def _first(pairs: np.ndarray) -> List[Tuple[int, int]]:
+    """The first few of an error's edges, as the reference reports them."""
+    return sorted(map(tuple, pairs.tolist()))[:5]
+
+
 def _lap(obs, name: str, start: int) -> int:
     """Record span ``name`` from ``start`` until now; returns now, the
     next phase's start."""
@@ -147,24 +175,31 @@ def _lap(obs, name: str, start: int) -> int:
     return end
 
 
-def _sorted_pool(groups, counts: np.ndarray, total: int) -> np.ndarray:
-    """Concatenate per-vertex neighbour groups and sort within each group.
+def _pairs(edges, count: int) -> np.ndarray:
+    """``count`` edges as a ``(count, 2)`` int64 id array."""
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * count)
+    return flat.reshape(-1, 2)
 
-    The :func:`repro.graph.csr.build_csr_arrays` idiom on a vertex subset:
-    one C-level fromiter over chained sets, one combined-key
-    (``group * span + id - lo``) sort — no per-vertex Python sorting.
-    """
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    flat = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=total)
-    group_ids = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    lo = int(flat.min())
-    span = int(flat.max()) - lo + 1
-    if span * len(counts) >= 1 << 63:  # ids too far apart for one int64 key
-        return flat[np.lexsort((flat, group_ids))]
-    key = group_ids * np.int64(span) + (flat - lo)
+
+def _sort_pairs(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(a[i], b[i])`` sorted by ``(a, b)``."""
+    key = (a << _SHIFT) | b
     key.sort()
-    return key % np.int64(span) + lo
+    return key >> _SHIFT, key & _LOW
+
+
+def _adjacency(graph: LiveGraph, state: ArrayLabelState) -> EdgeKeys:
+    """The live graph over ``state``'s columns, from any :data:`LiveGraph`."""
+    if isinstance(graph, EdgeKeys):
+        return graph
+    if isinstance(graph, Graph):
+        if set(graph.vertices()) != set(state.vertices()):
+            raise ValueError("label state vertices do not match the graph")
+        graph = _pairs(graph.edges(), graph.num_edges)
+    cols, live = state.live_columns(np.asarray(graph, dtype=np.int64).reshape(-1, 2))
+    if not live.all():
+        raise ValueError("label state vertices do not match the graph")
+    return EdgeKeys.from_pairs(cols, state.num_columns)
 
 
 class FastCorrectionPropagator:
@@ -177,8 +212,16 @@ class FastCorrectionPropagator:
 
         fast = FastPropagator(graph, seed=7)
         fast.propagate(200)
-        corrector = FastCorrectionPropagator(graph, fast.to_array_state(), 7)
+        corrector = FastCorrectionPropagator.from_fast_propagator(fast)
         corrector.apply_batch(batch)
+
+    The corrector owns the live graph, as the :class:`EdgeKeys` adjacency
+    :attr:`adjacency` over the state's columns: built once (from the fit's
+    CSR snapshot, a :class:`Graph`, or an ``(m, 2)`` id-pair edge array such
+    as a checkpoint's) and advanced by each batch's sorted merge.  The
+    repair's candidate pools, the extraction (:attr:`adjacency` with the
+    state) and the checkpoints (:meth:`edge_array`) read it;
+    :attr:`graph` builds a :class:`Graph` from it on demand.
     """
 
     #: Observability context (:class:`repro.obs.Obs`) a traced service
@@ -189,36 +232,80 @@ class FastCorrectionPropagator:
     #: :mod:`repro.obs` calls.
     obs = None
 
-    def __init__(self, graph: Graph, state: ArrayLabelState, seed: int):
-        if set(graph.vertices()) != set(state.vertices()):
-            raise ValueError("label state vertices do not match the graph")
-        self.graph = graph
+    def __init__(self, graph: LiveGraph, state: ArrayLabelState, seed: int):
+        self.adjacency = _adjacency(graph, state)
         self.state = state
         self.seed = seed
         self.batch_epoch = 0
 
     @classmethod
     def from_fast_propagator(
-        cls, propagator: FastPropagator, graph: Graph
+        cls, propagator: FastPropagator
     ) -> "FastCorrectionPropagator":
-        """Adopt a finished static run: export its array state and pair it
-        with the mutable graph that future batches will edit."""
-        return cls(graph, propagator.to_array_state(), propagator.seed)
+        """Adopt a finished static run: export its array state, and take
+        the live graph from its CSR snapshot, whose rows are the columns."""
+        return cls(
+            EdgeKeys.from_csr(propagator.csr),
+            propagator.to_array_state(),
+            propagator.seed,
+        )
+
+    # ------------------------------------------------------------------
+    # The live graph
+    # ------------------------------------------------------------------
+    @property
+    def graph(self) -> Graph:
+        """The live graph as a new :class:`Graph` (an O(m) export)."""
+        return Graph.from_edges(
+            map(tuple, self.edge_array().tolist()), vertices=self.state.vertices()
+        )
+
+    def edge_array(self) -> np.ndarray:
+        """The live graph's edges as ascending ``(u, v)`` id pairs with
+        ``u < v``, an ``(m, 2)`` int64 array."""
+        ids, u, v = self.adjacency.canonical(self.state.ids, self.state.alive)
+        return np.column_stack((ids[u], ids[v]))
+
+    def has_edges(self, edges) -> np.ndarray:
+        """Whether each ``(u, v)`` id pair of ``edges`` is a live edge."""
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        cols, live = self.state.live_columns(pairs)
+        both = live.all(axis=1)
+        found = np.zeros(len(pairs), dtype=bool)
+        found[both] = self.adjacency.contains(cols[both])
+        return found
+
+    def validate_batch(self, batch: EditBatch) -> None:
+        """Raise ``ValueError`` unless ``batch`` applies cleanly: its
+        insertions absent from the live graph, its deletions present."""
+        self._validate(
+            _pairs(batch.insertions, len(batch.insertions)),
+            _pairs(batch.deletions, len(batch.deletions)),
+        )
+
+    def _validate(self, ins: np.ndarray, dels: np.ndarray) -> None:
+        bad = ins[self.has_edges(ins)]
+        if len(bad):
+            raise ValueError(f"insertions already present: {_first(bad)}")
+        bad = dels[~self.has_edges(dels)]
+        if len(bad):
+            raise ValueError(f"deletions not present: {_first(bad)}")
 
     # ------------------------------------------------------------------
     # Public entry points
     # ------------------------------------------------------------------
     def apply_batch(self, batch: EditBatch) -> UpdateReport:
-        """Apply a validated edit batch: mutate graph, repair label state.
+        """Apply a validated edit batch: advance the graph, repair the state.
 
         Same semantics as the reference corrector: an inserted edge's new
         endpoint gets a column (or its dead column back) whatever its id.
         """
-        batch.validate_against(self.graph)
         state = self.state
-        new_vertices = sorted(
-            {e for edge in batch.insertions for e in edge if not self.graph.has_vertex(e)}
-        )
+        ins = _pairs(batch.insertions, len(batch.insertions))
+        dels = _pairs(batch.deletions, len(batch.deletions))
+        self._validate(ins, dels)
+        _, live = state.live_columns(ins.ravel())
+        new_vertices = sorted(set(ins.ravel()[~live].tolist()))
         check_vertex_ids(new_vertices, "edit batch")
         obs = self.obs
         if obs is not None:
@@ -236,70 +323,64 @@ class FastCorrectionPropagator:
         self.batch_epoch += 1
         report = UpdateReport(
             batch_size=batch.size,
-            num_inserted=len(batch.insertions),
-            num_deleted=len(batch.deletions),
+            num_inserted=len(ins),
+            num_deleted=len(dels),
         )
 
-        added = batch.added_neighbors()
-        removed = batch.removed_neighbors()
-
-        # --- 1. mutate the graph; create/resurrect endpoint columns -----
-        for v in new_vertices:
-            self.graph.add_vertex(v)
-        for u, v in batch.deletions:
-            self.graph.remove_edge(u, v)
-        for u, v in batch.insertions:
-            self.graph.add_edge(u, v)
+        # --- 1. create/resurrect endpoint columns; merge the batch ------
         state.add_vertices(new_vertices)
+        ins_cols, del_cols = state.columns(ins), state.columns(dels)
+        self.adjacency.apply(del_cols, ins_cols, state.num_columns)
 
         t_max = state.num_iterations
-        touched = sorted(set(added) | set(removed))
-        if not touched or t_max == 0:
+        if not batch or t_max == 0:
             return report
-        tv_ids = np.array(touched, dtype=np.int64)
-        tv = state.columns(tv_ids)
-        m = len(touched)
+        # The touched vertices and the candidate pools go in vertex id
+        # order (the reference's sorted-neighbour order): through the
+        # columns' id ranks when the columns do not ascend by id.
+        order = id_order(state.ids)
+        rank = None
+        if order is not None:
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order), dtype=np.int64)
+        ends = np.concatenate((ins_cols.ravel(), del_cols.ravel()))
+        touched = np.sort(ends if rank is None else rank[ends])
+        touched = touched[np.concatenate(([True], touched[1:] != touched[:-1]))]
+        tv = touched if order is None else order[touched]
+        tv_ids = state.ids_of(tv)
+        m = len(tv)
 
-        # Candidate pools of the touched vertices, sorted by vertex id (the
-        # reference's sorted-neighbour order) and mapped to columns, as one
-        # mini-CSR each: current neighbours and batch-added neighbours.
-        pool_counts = np.fromiter(
-            (self.graph.degree(v) for v in touched), dtype=np.int64, count=m
-        )
+        # Candidate pools of the touched vertices, as column mini-CSRs:
+        # current neighbours (adjacency rows) and batch-added neighbours
+        # (the inserted pairs in both directions, grouped by source).
+        pool_flat, pool_counts = self.adjacency.neighbors(tv)
+        if rank is not None:
+            group = np.repeat(np.arange(m, dtype=np.int64), pool_counts)
+            pool_flat = order[_sort_pairs(group, rank[pool_flat])[1]]
         pool_indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(pool_counts, out=pool_indptr[1:])
-        pool_flat = _sorted_pool(
-            (self.graph.neighbors_view(v) for v in touched),
-            pool_counts,
-            int(pool_indptr[-1]),
-        )
-        a_counts = np.fromiter(
-            (len(added.get(v, ())) for v in touched), dtype=np.int64, count=m
-        )
-        a_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(a_counts, out=a_indptr[1:])
-        a_flat = _sorted_pool(
-            (added.get(v, ()) for v in touched),
-            a_counts,
-            int(a_indptr[-1]),
-        )
+        a_src = np.concatenate((ins_cols[:, 0], ins_cols[:, 1]))
+        a_dst = np.concatenate((ins_cols[:, 1], ins_cols[:, 0]))
+        if rank is None:
+            a_src, a_flat = _sort_pairs(a_src, a_dst)
+        else:
+            a_src, a_flat = _sort_pairs(rank[a_src], rank[a_dst])
+            a_flat = order[a_flat]
+        a_indptr = np.searchsorted(a_src, np.append(touched, touched[-1] + 1))
+        a_counts = np.diff(a_indptr)
 
         # --- 2. vectorised Category 1-3 classification ------------------
         # (T, m) provenance snapshot of the touched columns, rows 1..T.
         src_sub = state.srcs[1:, tv]
         no_src = src_sub == NO_SOURCE
-        if batch.deletions:
-            ndel = len(batch.deletions)
-            du = state.columns(
-                np.fromiter((e[0] for e in batch.deletions), np.int64, count=ndel)
-            )
-            dv = state.columns(
-                np.fromiter((e[1] for e in batch.deletions), np.int64, count=ndel)
-            )
-            removed_keys = np.concatenate([du * _PAIR + dv, dv * _PAIR + du])
-            deleted_src = np.isin(tv[np.newaxis, :] * _PAIR + src_sub, removed_keys)
-        else:
-            deleted_src = np.zeros_like(no_src)
+        # Slots whose source is a deleted neighbour: one compare per level
+        # and deleted (vertex, neighbour) pair, in both directions.
+        d_src = np.concatenate((del_cols[:, 0], del_cols[:, 1]))
+        d_dst = np.concatenate((del_cols[:, 1], del_cols[:, 0]))
+        hit_t, hit = np.nonzero(state.srcs[1:, d_src] == d_dst)
+        d_at = np.searchsorted(touched, d_src if rank is None else rank[d_src])
+        deleted_src = np.zeros_like(no_src)
+        deleted_src[hit_t, d_at[hit]] = True
         gained = (a_counts > 0)[np.newaxis, :]
         repick_all_mask = deleted_src | (no_src & gained)
         lottery_mask = ~no_src & ~deleted_src & gained
@@ -330,7 +411,7 @@ class FastCorrectionPropagator:
         # Unify both repick families into one level-sorted slot list; each
         # slot carries its candidate range in the concatenated pool (the
         # added pool sits after the all-neighbours pool).
-        cand_flat = state.columns(np.concatenate([pool_flat, a_flat]))
+        cand_flat = np.concatenate([pool_flat, a_flat])
         rp_v = np.concatenate([tv[rep_all_col], tv[rep_add_col]])
         rp_t = np.concatenate([rep_all_t, rep_add_t])
         rp_off = np.concatenate(
@@ -439,20 +520,20 @@ class FastCorrectionPropagator:
     def remove_vertex(self, v: int) -> UpdateReport:
         """Delete a vertex: incident-edge deletion batch, then drop its
         column once nothing references it (same flow as the reference)."""
-        if not self.graph.has_vertex(v):
+        cols, live = self.state.live_columns([v])
+        if not live[0]:
             raise KeyError(f"vertex {v} not in graph")
+        neighbors, _ = self.adjacency.neighbors(cols)
         incident = EditBatch.build(
-            deletions=[(v, u) for u in self.graph.neighbors_view(v)]
+            deletions=[(v, u) for u in self.state.ids_of(neighbors).tolist()]
         )
         report = self.apply_batch(incident) if incident else UpdateReport()
         t_max = self.state.num_iterations
         if t_max:
             self.state.detach_slots(
-                np.repeat(self.state.columns([v]), t_max),
-                np.arange(1, t_max + 1, dtype=np.int64),
+                np.repeat(cols, t_max), np.arange(1, t_max + 1, dtype=np.int64)
             )
         self.state.drop_vertex(v)
-        self.graph.remove_vertex(v)
         return report
 
     # ------------------------------------------------------------------

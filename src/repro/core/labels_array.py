@@ -367,6 +367,16 @@ class ArrayLabelState:
             raise KeyError(f"vertices {v[~known][:5].tolist()} have no label state")
         return cols
 
+    def live_columns(self, vertex_ids) -> Tuple[np.ndarray, np.ndarray]:
+        """``(columns, live)`` of ``vertex_ids``: whether each is a live
+        vertex, and its column if so (0 for an id that is not)."""
+        v = np.asarray(vertex_ids, dtype=np.int64)
+        cols, known = _lookup(self._index, self.num_columns, v)
+        cols = np.where(known, cols, 0)
+        live = known.copy()
+        live[known] = self.alive[cols[known]]
+        return cols, live
+
     def ids_of(self, cols: np.ndarray) -> np.ndarray:
         """Vertex ids of the columns ``cols`` (``cols`` itself for ids 0..n-1)."""
         return cols if self._index is None else self.ids[cols]
@@ -375,8 +385,7 @@ class ArrayLabelState:
         return iter(self.ids_of(np.nonzero(self.alive)[0]).tolist())
 
     def has_vertex(self, v: int) -> bool:
-        cols, known = _lookup(self._index, self.num_columns, np.array([v], dtype=np.int64))
-        return bool(known[0]) and bool(self.alive[cols[0]])
+        return bool(self.live_columns([v])[1][0])
 
     def slot_key(self, v: int, t: int) -> int:
         return int(self.columns([v])[0]) * self._stride + t

@@ -14,10 +14,14 @@ instead of SLPA's per-vertex thresholding:
    attachment to several communities is what creates *overlap*.
 
 Every stage runs on arrays over one canonical edge order, the ascending
-``(u, v)`` id pairs with ``u < v`` — the upper triangle of
-:func:`repro.graph.csr.snapshot_with_ids` (see :class:`WeightedEdges`) — so
-the result depends only on the graph's content, never on the order its
-edges were inserted in.
+``(u, v)`` id pairs with ``u < v`` (see :class:`WeightedEdges`), so the
+result depends only on the graph's content, never on the order its edges
+were inserted in.  A fast detector's live graph is the repair's
+:class:`~repro.graph.csr.EdgeKeys` adjacency over the label state's
+columns, and that order is its mask ``col_u < col_v`` (re-sorted by id
+only once a vertex is born below the largest id); a :class:`Graph` is
+snapshotted (:func:`repro.graph.csr.snapshot_with_ids`) for its upper
+triangle.
 
 The τ1 sweep adds edges in the stable descending-weight order to a
 union-find that maintains the size histogram / entropy incrementally.  Only
@@ -46,7 +50,7 @@ import numpy as np
 from repro.core.communities import Cover
 from repro.core.labels_array import ArrayLabelState
 from repro.graph.adjacency import Graph
-from repro.graph.csr import snapshot_with_ids
+from repro.graph.csr import CSRGraph, EdgeKeys, snapshot_with_ids
 from repro.metrics.entropy import size_entropy_from_sizes
 from repro.utils.validation import check_positive
 
@@ -64,6 +68,11 @@ __all__ = [
 
 #: Label sequences: a live array state, or vertex -> sequence (any lengths).
 Sequences = Union[ArrayLabelState, Mapping[int, Sequence[int]]]
+
+#: A graph to extract from: a :class:`Graph` or :class:`CSRGraph` with any
+#: vertex ids, or an :class:`EdgeKeys` adjacency over the columns of the
+#: :class:`ArrayLabelState` that comes with it.
+Graphlike = Union[Graph, CSRGraph, EdgeKeys]
 
 
 def sequence_similarity(seq_a: Sequence[int], seq_b: Sequence[int]) -> float:
@@ -117,31 +126,45 @@ class WeightedEdges:
         return order[_kruskal_forest(self.num_vertices, self.u[order], self.v[order])]
 
 
-def edge_weights(graph: Graph, sequences: Sequences) -> WeightedEdges:
+def edge_weights(graph: Graphlike, sequences: Sequences) -> WeightedEdges:
     """Every edge of ``graph`` in the canonical order, weighted ``P(l_u = l_v)``.
 
     ``sequences`` is an :class:`~repro.core.labels_array.ArrayLabelState`,
     whose ``(T+1, n)`` label matrix is read directly, or maps every vertex
     to a non-empty label sequence of any length (e.g.
-    ``LabelState.labels``).  Each weight is the integer collision count
-    ``hits_uv = sum_l c_u(l) * c_v(l)`` divided by ``len_u * len_v`` in
-    float64: the same correctly rounded division of the same integers as
-    :func:`sequence_similarity`, so the floats are identical.  The counts
+    ``LabelState.labels``); an :class:`EdgeKeys` ``graph`` takes the
+    array state whose columns it is over.  Each weight is the integer
+    collision count ``hits_uv = sum_l c_u(l) * c_v(l)`` divided by
+    ``len_u * len_v`` in float64: the same correctly rounded division of
+    the same integers as :func:`sequence_similarity`, so the floats are
+    identical.  The counts
     come from one dense label-count table per chunk of rows, gathered for
     all edges at once (:func:`_collision_counts`).
     """
-    csr, ids = snapshot_with_ids(graph)
-    n = csr.num_vertices
-    if ids is None:
-        ids = np.arange(n, dtype=np.int64)
+    ids, u, v = _canonical_edges(graph, sequences)
     flat, lengths = _sequences_of(sequences, ids)
-    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-    upper = csr.indices > row
-    u, v = row[upper], csr.indices[upper]
     if not u.size:
         return WeightedEdges(ids, u, v, np.empty(0))
     hits = _collision_counts(*_label_codes(flat, lengths), u, v)
     return WeightedEdges(ids, u, v, hits / (lengths[u] * lengths[v]))
+
+
+def _canonical_edges(
+    graph: Graphlike, sequences: Sequences
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``graph``'s vertex ids, ascending, and each of its edges once as
+    positions ``u < v`` into them, sorted by ``(u, v)``."""
+    if isinstance(graph, EdgeKeys):
+        if not isinstance(sequences, ArrayLabelState):
+            raise TypeError("an EdgeKeys graph needs its columns' ArrayLabelState")
+        return graph.canonical(sequences.ids, sequences.alive)
+    csr, ids = snapshot_with_ids(graph)
+    n = csr.num_vertices
+    if ids is None:
+        ids = np.arange(n, dtype=np.int64)
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    upper = csr.indices > row
+    return ids, row[upper], csr.indices[upper]
 
 
 def _sequences_of(
@@ -452,7 +475,7 @@ def _strong_communities(edges: WeightedEdges, tau1: float) -> np.ndarray:
 
 
 def extract_communities(
-    graph: Graph,
+    graph: Graphlike,
     sequences: Sequences,
     step: float = 0.001,
     tau1: Optional[float] = None,

@@ -19,7 +19,7 @@ before the event pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,13 +48,14 @@ def check_matcher(match_threshold: float, drift_tolerance: float) -> None:
         raise ValueError(f"drift_tolerance must be in [0, 1), got {drift_tolerance}")
 
 
-@dataclass(frozen=True)
-class CommunityEvent:
+class CommunityEvent(NamedTuple):
     """One lifecycle event between two consecutive extractions.
 
     ``kind`` is one of ``continued``, ``grown``, ``shrunk``, ``born``,
     ``died``, ``merged``, ``split``.  ``before``/``after`` hold the indices
-    of the involved communities in the old/new cover.
+    of the involved communities in the old/new cover.  A named tuple: a
+    transition builds one per community, and a frozen dataclass costs ~10x
+    as much to construct.
     """
 
     kind: str

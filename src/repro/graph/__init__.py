@@ -1,29 +1,29 @@
-"""Graph substrate: dynamic binary graphs, CSR snapshots, edits, partitioning.
+"""Graph substrate: dynamic binary graphs, array graphs, edits, partitioning.
 
-The library deliberately keeps **two graph representations** with distinct
-roles (the two-representation architecture):
+Three graph types, each with one role:
 
 * :class:`Graph` (``repro.graph.adjacency``) — *mutable* dict-of-set
-  adjacency.  This is the substrate for **edits**: O(1) edge insert/delete/
-  lookup, vertex insertion/deletion, the dynamic workloads and the
-  incremental Correction Propagation all mutate it freely.  Vertex ids are
-  arbitrary integers.
+  adjacency over arbitrary integer ids: the library's input and export
+  type.  Callers build one and pass it in; the dynamic workloads and the
+  reference engines edit it in place.
 * :class:`CSRGraph` (``repro.graph.csr``) — an *immutable* compressed
   sparse row **snapshot** (sorted ``indptr``/``indices`` arrays over
-  contiguous ids ``0..n-1``).  This is the substrate for **compute**: the
+  contiguous ids ``0..n-1``), the substrate for **compute**: the
   vectorised engines (``FastPropagator``, ``FastSLPA``), distributed shard
-  slicing (:func:`slice_csr`) and the benchmarks all scan its arrays.
-  Construction is vectorised.
+  slicing (:func:`slice_csr`) and the benchmarks scan its arrays.
+* :class:`EdgeKeys` (``repro.graph.csr``) — the CSR layout as sorted
+  directed edge keys ``u·2³² + v``, advanced in place by one sorted merge
+  per edit batch: the **live graph** of the vectorised Correction
+  Propagation (over its label state's columns), which the extraction, the
+  service's checkpoints and the repair's candidate pools read.  A fast
+  detector or service builds a :class:`Graph` from it only on demand.
 
-Typical flow: mutate a :class:`Graph`, snapshot it with
-:meth:`CSRGraph.from_graph`, and hand the snapshot to whichever engine or
-shard slicer needs array speed.
-Both representations describe the same binary graph and round-trip
-losslessly (``CSRGraph.from_graph(g).to_graph() == g``).
+Construction is vectorised throughout.  A :class:`Graph` and its snapshot
+round-trip losslessly (``CSRGraph.from_graph(g).to_graph() == g``).
 """
 
 from repro.graph.adjacency import Graph, normalize_edge
-from repro.graph.csr import CSRGraph, build_csr_arrays
+from repro.graph.csr import CSRGraph, EdgeKeys, build_csr_arrays
 from repro.graph.edits import EditBatch, apply_batch, diff_graphs
 from repro.graph.generators import (
     chung_lu,
@@ -59,6 +59,7 @@ __all__ = [
     "Graph",
     "normalize_edge",
     "CSRGraph",
+    "EdgeKeys",
     "build_csr_arrays",
     "EditBatch",
     "apply_batch",

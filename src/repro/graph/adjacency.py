@@ -1,11 +1,14 @@
 """Dynamic undirected binary graph.
 
 The paper operates on *binary graphs*: undirected, unweighted, no self-loops,
-no parallel edges (Section I).  :class:`Graph` is the substrate every other
-subsystem builds on: adjacency sets with O(1) edge insert/delete/lookup, plus
+no parallel edges (Section I).  :class:`Graph` is the library's input and
+export type: adjacency sets with O(1) edge insert/delete/lookup, plus
 vertex-level operations used by the dynamic workloads (Section IV premises:
 vertex insertion behaves like a vertex whose old neighbours were all removed;
-vertex deletion like removing all incident edges).
+vertex deletion like removing all incident edges).  The reference engines
+edit one in place; the fast path keeps its live graph as an array
+adjacency (:class:`repro.graph.csr.EdgeKeys`) and builds a :class:`Graph`
+from it on demand.
 """
 
 from __future__ import annotations

@@ -1,18 +1,22 @@
-"""Compressed sparse row graph snapshots — the shared compute substrate.
+"""Array graphs over rows ``0..n-1`` — the compute substrate.
 
-The library keeps two graph representations with distinct roles:
+Two array types live here, beside the dict-of-sets
+:class:`repro.graph.adjacency.Graph` that callers build and pass in:
 
-* :class:`repro.graph.adjacency.Graph` — mutable dict-of-set adjacency, the
-  substrate for *edits* (O(1) edge insert/delete, the dynamic workloads);
-* :class:`CSRGraph` — an immutable array snapshot (sorted ``indptr`` /
-  ``indices``), the substrate for *compute*: the vectorised engines
+* :class:`CSRGraph` — an immutable snapshot (sorted ``indptr`` /
+  ``indices``), what the static engines scan
   (:class:`repro.core.fast.FastPropagator`,
-  :class:`repro.baselines.slpa_fast.FastSLPA`), distributed shard slicing
-  (:func:`repro.graph.partition.slice_csr`), and every future batch engine.
+  :class:`repro.baselines.slpa_fast.FastSLPA`) and distributed shards are
+  cut from (:func:`repro.graph.partition.slice_csr`);
+* :class:`EdgeKeys` — the same layout with each row folded into its keys,
+  so an edit batch advances it by one sorted merge.  The incremental
+  repair (:class:`repro.core.incremental_fast.FastCorrectionPropagator`)
+  keeps the live graph in one, over the label state's columns; the
+  extraction, the checkpoints and the repair's candidate pools read it.
 
-Construction is fully vectorised (``np.fromiter`` + ``np.lexsort`` +
-``np.bincount`` — no per-vertex Python loops).  The neighbour order inside
-a row is ascending, matching the sorted-adjacency contract the
+Construction is fully vectorised (``np.fromiter`` + one combined-key sort
++ ``np.bincount`` — no per-vertex Python loops).  The neighbour order
+inside a row is ascending, matching the sorted-adjacency contract the
 counter-based randomness (and hence the determinism tests) relies on.
 """
 
@@ -26,9 +30,14 @@ import numpy as np
 from repro.graph.adjacency import Graph, normalize_edge
 from repro.graph.io import relabel_to_integers
 
-__all__ = ["CSRGraph", "build_csr_arrays", "snapshot_with_ids"]
+__all__ = ["CSRGraph", "EdgeKeys", "build_csr_arrays", "id_order", "snapshot_with_ids"]
 
 Edge = Tuple[int, int]
+
+# Directed edge (u, v) as one int64 key u * 2^32 + v: rows stay far below
+# 2^31, so the key order is the (u, v) order.
+_SHIFT = np.int64(32)
+_LOW = (np.int64(1) << _SHIFT) - np.int64(1)
 
 
 def _edge_keys(u: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:
@@ -107,6 +116,22 @@ def snapshot_with_ids(
             ids = np.fromiter(mapping, dtype=np.int64, count=len(mapping))
             return CSRGraph.from_graph(graph), ids
     return CSRGraph.coerce(graph), None
+
+
+def id_order(ids: np.ndarray) -> Optional[np.ndarray]:
+    """The rows ``0..n-1`` sorted by their ids ``ids`` (``argsort(ids)``),
+    or ``None`` when the rows already ascend by id (the identity)."""
+    if (ids[1:] > ids[:-1]).all():
+        return None
+    return np.argsort(ids, kind="stable")
+
+
+def _directed_keys(pairs: np.ndarray) -> np.ndarray:
+    """Both directions of the row pairs ``pairs`` (``(k, 2)``) as sorted keys."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    keys = np.concatenate(((u << _SHIFT) | v, (v << _SHIFT) | u))
+    keys.sort()
+    return keys
 
 
 class CSRGraph:
@@ -273,3 +298,116 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(|V|={self.num_vertices}, |E|={self.num_edges})"
+
+
+class EdgeKeys:
+    """An undirected graph over rows ``0..n-1`` as sorted directed edge keys.
+
+    Each edge ``{u, v}`` is stored in both directions, as the int64 keys
+    ``u·2³² + v``, sorted, so the neighbours of row ``u`` are the low halves
+    of ``keys[indptr[u]:indptr[u + 1]]``, ascending: the :class:`CSRGraph`
+    layout with the row folded into each key.  That makes an edit batch one
+    sorted merge (:meth:`apply`, no re-sort) and an edge test one binary
+    search (:meth:`contains`).  Which rows are vertices is the owner's to
+    say; a row without keys is isolated or unused.
+    """
+
+    __slots__ = ("keys", "indptr")
+
+    def __init__(self, keys: np.ndarray, indptr: np.ndarray):
+        self.keys = keys
+        self.indptr = indptr
+
+    @classmethod
+    def from_csr(cls, csr: CSRGraph) -> "EdgeKeys":
+        """The keys of a snapshot's rows (already in key order)."""
+        rows = np.repeat(np.arange(csr.num_vertices, dtype=np.int64), csr.degrees)
+        return cls((rows << _SHIFT) | csr.indices, csr.indptr.copy())
+
+    @classmethod
+    def from_pairs(cls, pairs: np.ndarray, num_rows: int) -> "EdgeKeys":
+        """The graph on ``num_rows`` rows whose edges are the row pairs
+        ``pairs`` (``(m, 2)``, each edge once, either direction)."""
+        keys = _directed_keys(pairs)
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys >> _SHIFT, minlength=num_rows), out=indptr[1:])
+        return cls(keys, indptr)
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.keys) // 2
+
+    def contains(self, pairs: np.ndarray) -> np.ndarray:
+        """Whether each row pair of ``pairs`` (``(k, 2)``) is an edge."""
+        keys = (pairs[:, 0] << _SHIFT) | pairs[:, 1]
+        at = np.searchsorted(self.keys, keys)
+        found = at < len(self.keys)
+        found[found] = self.keys[at[found]] == keys[found]
+        return found
+
+    def neighbors(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The neighbours of ``rows`` back to back, each row's ascending,
+        and how many each row has."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        at = np.repeat(starts - offsets, counts) + np.arange(
+            int(counts.sum()), dtype=np.int64
+        )
+        return self.keys[at] & _LOW, counts
+
+    def apply(self, deleted: np.ndarray, inserted: np.ndarray, num_rows: int) -> None:
+        """Advance by one edit batch, in place.
+
+        ``deleted`` and ``inserted`` are ``(k, 2)`` row pairs, each edge
+        once: all present and all absent respectively.  New rows up to
+        ``num_rows`` join without edges.  One delete and one insert at
+        ``searchsorted`` positions keep the keys sorted, and the row
+        pointers move by the per-row degree deltas.
+        """
+        deleted, inserted = _directed_keys(deleted), _directed_keys(inserted)
+        keys = np.delete(self.keys, np.searchsorted(self.keys, deleted))
+        keys = np.insert(keys, np.searchsorted(keys, inserted), inserted)
+        indptr = np.empty(num_rows + 1, dtype=np.int64)
+        indptr[: len(self.indptr)] = self.indptr
+        indptr[len(self.indptr) :] = self.indptr[-1]
+        delta = np.bincount(inserted >> _SHIFT, minlength=num_rows) - np.bincount(
+            deleted >> _SHIFT, minlength=num_rows
+        )
+        indptr[1:] += np.cumsum(delta)
+        self.keys, self.indptr = keys, indptr
+
+    def canonical(
+        self, ids: np.ndarray, alive: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The graph in id order: ``(vertex ids, u, v)``.
+
+        ``ids[r]`` names row ``r`` and ``alive`` marks the rows that are
+        vertices.  The vertex ids come back ascending, and each edge once as
+        positions ``u < v`` into them, sorted by ``(u, v)``: the ascending
+        ``(id, id)`` pairs of :func:`snapshot_with_ids`' upper triangle.
+        When every row is a vertex and the rows ascend by id, ``u`` and
+        ``v`` are rows and this is the mask ``u < v`` over the keys;
+        otherwise one :func:`id_order` permutation maps rows to positions.
+        """
+        order = id_order(ids)
+        rows = np.flatnonzero(alive) if order is None else order[alive[order]]
+        src, dst = self.keys >> _SHIFT, self.keys & _LOW
+        if order is not None or len(rows) < len(ids):
+            position = np.zeros(len(ids), dtype=np.int64)
+            position[rows] = np.arange(len(rows), dtype=np.int64)
+            src, dst = position[src], position[dst]
+        upper = src < dst
+        u, v = src[upper], dst[upper]
+        if order is not None:
+            key = (u << _SHIFT) | v
+            key.sort()
+            u, v = key >> _SHIFT, key & _LOW
+        return ids[rows], u, v
+
+    def __repr__(self) -> str:
+        return f"EdgeKeys(rows={self.num_rows}, |E|={self.num_edges})"

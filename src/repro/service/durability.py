@@ -8,10 +8,13 @@ pieces make that possible:
 * **Checkpoints** — the full :class:`~repro.core.labels_array.ArrayLabelState`
   (with its vertex ids, so any ids checkpoint) written array-native by
   :func:`repro.core.serialize.write_npz` (the ``core.serialize`` npz layout,
-  deflated at zlib level 1), together with the graph's edge array — the
-  ascending ``(u, v)`` pairs of its CSR snapshot — and the run metadata
-  (seed, batch epoch, edits applied).  Version 1 checkpoints (no ids)
-  still load, as ids ``0..n-1``.  Writes go to a temp file and are
+  deflated at zlib level 1), together with the graph's edge column — the
+  ascending ``(u, v)`` id pairs with ``u < v``, which a fast service reads
+  off its repair's array adjacency — and the run metadata (seed, batch
+  epoch, edits applied).  A load hands the edge column back as it is, and
+  the restore builds the adjacency from it (no tuples, no dict graph).
+  Version 1 checkpoints (no ids) still load, as ids ``0..n-1``.  Writes go
+  to a temp file and are
   published with ``os.replace``, so a crash mid-write never corrupts the
   latest good checkpoint; a temp file such a crash leaves behind is
   deleted by the next checkpoint.
@@ -63,8 +66,6 @@ from repro.core.serialize import (
     state_to_arrays,
     write_npz,
 )
-from repro.graph.adjacency import Graph
-from repro.graph.csr import snapshot_with_ids
 from repro.graph.edits import EditBatch
 
 __all__ = [
@@ -101,10 +102,12 @@ class CorruptCheckpointError(RuntimeError):
 
 @dataclass
 class Checkpoint:
-    """One recovered checkpoint: state + graph + the run metadata."""
+    """One recovered checkpoint: the state, the graph's edges as ascending
+    ``(u, v)`` id pairs (an ``(m, 2)`` int64 array; the state's live
+    vertices are the vertex set), and the run metadata."""
 
     state: ArrayLabelState
-    graph: Graph
+    edges: np.ndarray
     seed: int
     batch_epoch: int
     edits_applied: int
@@ -222,24 +225,25 @@ class CheckpointStore:
     def write_checkpoint(
         self,
         state: ArrayLabelState,
-        graph: Graph,
+        edges: np.ndarray,
         seed: int,
         batch_epoch: int,
         edits_applied: int = 0,
     ) -> Path:
-        """Atomically publish a checkpoint, rotate the WAL, prune old files."""
+        """Atomically publish a checkpoint, rotate the WAL, prune old files.
+
+        ``edges`` is the graph's edge column: the ascending ``(u, v)`` id
+        pairs with ``u < v``, an ``(m, 2)`` int64 array (what
+        ``RSLPADetector.edge_array`` returns).
+        """
         obs = self.obs
         if obs is not None:
             start = time.time_ns()
-        # The CSR snapshot's upper triangle is sorted(graph.edges()): the
-        # ascending (u, v) pairs with u < v, rows relabelled monotonically.
-        csr, ids = snapshot_with_ids(graph)
-        edges = np.stack(csr.edge_array(), axis=1)
         arrays = state_to_arrays(state)
         arrays.update(
             ckpt_format=np.array(CHECKPOINT_FORMAT),
             ckpt_version=np.array(CHECKPOINT_VERSION, dtype=np.int64),
-            edges=edges if ids is None else ids[edges],
+            edges=edges,
             seed=np.array(seed, dtype=np.int64),
             batch_epoch=np.array(batch_epoch, dtype=np.int64),
             edits_applied=np.array(edits_applied, dtype=np.int64),
@@ -290,7 +294,9 @@ class CheckpointStore:
                     f"{int(arrays['ckpt_version'])}"
                 )
             state = state_from_arrays(arrays)
-            edges = [tuple(edge) for edge in arrays["edges"].tolist()]
+            edges = arrays["edges"]
+            if edges.dtype != np.int64 or edges.ndim != 2 or edges.shape[1] != 2:
+                raise ValueError(f"{path}: edge column is {edges.dtype} {edges.shape}")
             meta = {
                 key: int(arrays[key])
                 for key in ("seed", "batch_epoch", "edits_applied")
@@ -305,8 +311,7 @@ class CheckpointStore:
             # or the encryption flag), zlib a bad stream, and numpy or
             # state_from_arrays a member that decodes to the wrong thing.
             raise CorruptCheckpointError(path, epoch, exc) from exc
-        graph = Graph.from_edges(edges, vertices=state.vertices())
-        return Checkpoint(state=state, graph=graph, **meta)
+        return Checkpoint(state=state, edges=edges, **meta)
 
     # ------------------------------------------------------------------
     # Write-ahead log

@@ -266,7 +266,9 @@ class CommunityService:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> Graph:
-        """The live graph (the detector's private copy; read-only)."""
+        """The live graph (read-only).  On the fast backend each read
+        builds it from the repair's array adjacency (O(m)); the service's
+        own paths read the adjacency instead."""
         return self.detector.graph
 
     def plan(self) -> RunPlan:
@@ -375,7 +377,7 @@ class CommunityService:
             raise corrupt[0]
         cfg = replace(cfg, seed=ckpt.seed, iterations=ckpt.iterations)
         detector = RSLPADetector.from_state(
-            ckpt.graph,
+            ckpt.edges,
             ckpt.state,
             ckpt.seed,
             backend=cfg.backend,
@@ -497,13 +499,15 @@ class CommunityService:
         if not batch:
             return None
         if not self.config.strict_edits:
-            graph = self.detector.graph
+            ins, dels = list(batch.insertions), list(batch.deletions)
+            present_ins = self.detector.has_edges(ins)
+            present_dels = self.detector.has_edges(dels)
             batch = EditBatch(
                 insertions=frozenset(
-                    e for e in batch.insertions if not graph.has_edge(*e)
+                    e for e, present in zip(ins, present_ins) if not present
                 ),
                 deletions=frozenset(
-                    e for e in batch.deletions if graph.has_edge(*e)
+                    e for e, present in zip(dels, present_dels) if present
                 ),
             )
             if not batch:
@@ -513,7 +517,7 @@ class CommunityService:
             apply_start = time_ns()
         # Validate before logging: the WAL must only ever contain batches
         # that are guaranteed to apply (write-ahead implies replay-ahead).
-        batch.validate_against(self.detector.graph)
+        self.detector.validate_batch(batch)
         epoch = self.batches_applied + 1
         if self.store is not None:
             self.store.append_wal(epoch, batch)
@@ -552,7 +556,7 @@ class CommunityService:
             state = ArrayLabelState.from_label_state(self.detector.label_state)
         self.store.write_checkpoint(
             state,
-            self.detector.graph,
+            self.detector.edge_array(),
             seed=self.config.seed,
             batch_epoch=self.batches_applied,
             edits_applied=self.edits_applied,
@@ -675,11 +679,11 @@ class CommunityService:
 
     def stats(self) -> Dict[str, object]:
         """A JSON-serialisable operational snapshot."""
-        graph = self.detector.graph
+        caps = self.detector.graph_caps()
         payload: Dict[str, object] = {
             "started": self._started,
-            "vertices": graph.num_vertices,
-            "edges": graph.num_edges,
+            "vertices": caps.num_vertices,
+            "edges": caps.num_edges,
             "pending_edits": self.queue.pending,
             "batches_applied": self.batches_applied,
             "edits_applied": self.edits_applied,

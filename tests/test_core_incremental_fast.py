@@ -42,7 +42,7 @@ def make_pair(graph: Graph, seed: int = 0, iterations: int = 25):
     fast_static = FastPropagator(CSRGraph.from_graph(g_fast), seed=seed)
     fast_static.propagate(iterations)
     reference = CorrectionPropagator(ref)
-    fast = FastCorrectionPropagator.from_fast_propagator(fast_static, g_fast)
+    fast = FastCorrectionPropagator.from_fast_propagator(fast_static)
     return reference, fast
 
 

@@ -213,7 +213,7 @@ class TestReverseRecords:
         fast.propagate(15)
         corrector = FastCorrectionPropagator(graph, fast.to_array_state(), 5)
         for step in range(4):
-            corrector.apply_batch(random_edit_batch(graph, 6, seed=20 + step))
+            corrector.apply_batch(random_edit_batch(corrector.graph, 6, seed=20 + step))
         state = corrector.state
         # Both runs hold live records, and both hold tombstones.
         assert len(state._overlay) and state._static.dead
@@ -228,7 +228,7 @@ class TestReverseRecords:
         assert len(state._overlay) == 0 and state._static.dead == 0
         assert record_set(state) == before
         assert np.array_equal(state._static.key, fresh._static.key)
-        state.validate(graph)
+        state.validate(corrector.graph)
 
 
 class TestLazyRecords:
@@ -297,7 +297,8 @@ class TestLazyRecords:
         state = fast.to_array_state()
         state.reindex()
         store = CheckpointStore(tmp_path)
-        store.write_checkpoint(state, cliques_ring, seed=11, batch_epoch=0)
+        edges = np.array(sorted(cliques_ring.edges()), dtype=np.int64)
+        store.write_checkpoint(state, edges, seed=11, batch_epoch=0)
         loaded = store.load_checkpoint().state
         assert not loaded.has_records
         assert np.array_equal(loaded.srcs, state.srcs)

@@ -304,7 +304,7 @@ class TestCorrectionTransportMatrix:
             fit = FastPropagator(g, seed=3)
             fit.propagate(12)
             fits.append((g, fit))
-        local = FastCorrectionPropagator.from_fast_propagator(fits[0][1], fits[0][0])
+        local = FastCorrectionPropagator.from_fast_propagator(fits[0][1])
         mp_graph, mp_state = fits[1][0], fits[1][1].to_array_state()
         in_graph, in_state = fits[2][0], fits[2][1].to_array_state()
         oracle_graph = graph.copy()

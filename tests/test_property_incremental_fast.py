@@ -13,7 +13,9 @@ delete-then-reinsert):
   invariant set after every batch.
 
 After every batch both engines must agree on labels, srcs, poss, epochs,
-reverse records, reports (``touched_slots`` included) and covers.
+reverse records, reports (``touched_slots`` included) and covers, and the
+fast engine's array adjacency on the graph: its :class:`Graph` export, its
+checkpoint edge column and the extraction read straight off it.
 """
 
 import random
@@ -71,12 +73,16 @@ def assert_engines_agree(reference, fast):
     assert back.epochs == state.epochs
     assert back.receivers == state.receivers
     assert reference.graph == fast.graph
+    expected_edges = [list(e) for e in sorted(reference.graph.edges())]
+    assert fast.edge_array().tolist() == expected_edges
     fast.state.validate(fast.graph)
     if reference.graph.num_vertices:
+        expected = extract_communities(reference.graph, state.labels).cover
         assert (
             extract_communities(fast.graph, fast.state.sequences_dict()).cover
-            == extract_communities(reference.graph, state.labels).cover
+            == expected
         )
+        assert extract_communities(fast.adjacency, fast.state).cover == expected
 
 
 class TestThirtyBatchTortureStream:
@@ -89,8 +95,28 @@ class TestThirtyBatchTortureStream:
         start = [(u, v) for u in range(N) for v in range(u + 1, N) if rng.random() < 0.3]
         reference, fast = fresh_pair(start, seed, layout=layout)
         graph = reference.graph
+        vid = LAYOUTS[layout]
+        # Scripted first: a vertex removed, then re-inserted (its dead
+        # column comes back); on sparse ids also births at a negative id
+        # below every other and at a free id below the largest, which take
+        # the columns out of id order.
+        victim = vid(3)
+        assert reference.remove_vertex(victim) == fast.remove_vertex(victim)
+        assert_engines_agree(reference, fast)
+        scripted = [EditBatch.build(insertions=[(victim, vid(0)), (victim, vid(7))])]
+        if layout == "sparse":
+            low, gap = vid(0) - 5, vid(N - 2) + 1
+            scripted += [
+                EditBatch.build(insertions=[(low, vid(1)), (low, victim)]),
+                EditBatch.build(insertions=[(gap, low), (gap, vid(N - 1))]),
+            ]
+        for batch in scripted:
+            assert reference.apply_batch(batch) == fast.apply_batch(batch)
+            assert_engines_agree(reference, fast)
+        if layout == "sparse":
+            assert not (np.diff(fast.state.ids) > 0).all()
         next_vertex = N
-        applied = 0
+        applied = 1 + len(scripted)
         while applied < 32:
             kind = rng.randrange(4 if layout == "dense" else 5)
             if kind == 0 and graph.num_edges > 4:

@@ -68,26 +68,75 @@ class TestCheckpointStore:
         detector = RSLPADetector(
             graph, seed=seed, iterations=ITERATIONS, backend="fast"
         ).fit()
-        return detector.array_state, detector.graph
+        return detector.array_state, detector.edge_array()
 
     @pytest.mark.parametrize("layout", sorted(GRAPH_LAYOUTS))
     def test_checkpoint_roundtrip(self, layout, tmp_path):
-        state, graph = self.fitted_state(GRAPH_LAYOUTS[layout]())
+        graph = GRAPH_LAYOUTS[layout]()
+        state, edges = self.fitted_state(graph)
         store = CheckpointStore(tmp_path)
-        path = store.write_checkpoint(state, graph, seed=5, batch_epoch=0,
+        path = store.write_checkpoint(state, edges, seed=5, batch_epoch=0,
                                       edits_applied=11)
-        # The edge column is read off the CSR snapshot; it must be the
-        # ascending (u, v) list the checkpoint format has always stored.
+        # The edge column must be the ascending (u, v) list the checkpoint
+        # format has always stored, and a load hands it back as it is.
         with np.load(path) as arrays:
             edges = arrays["edges"]
-        expected = np.array(sorted(graph.edges()), dtype=np.int64)
+        expected = np.array(sorted(graph.edges()), dtype=np.int64).reshape(-1, 2)
         assert edges.dtype == np.int64
-        assert np.array_equal(edges, expected.reshape(-1, 2))
+        assert np.array_equal(edges, expected)
         ckpt = store.load_checkpoint()
         assert (ckpt.seed, ckpt.batch_epoch, ckpt.edits_applied) == (5, 0, 11)
-        assert ckpt.graph == graph
+        assert ckpt.edges.dtype == np.int64
+        assert np.array_equal(ckpt.edges, expected)
         for name in STATE_ARRAYS:
             assert np.array_equal(getattr(ckpt.state, name), getattr(state, name))
+        restored = RSLPADetector.from_state(ckpt.edges, ckpt.state, ckpt.seed)
+        assert restored.graph == graph
+
+    @pytest.mark.parametrize("layout", ["contiguous", "sparse_negative_isolated"])
+    def test_roundtrip_after_births_and_a_rebirth(self, layout, tmp_path):
+        """Checkpoints of a stream that removes a vertex, gives birth at a
+        negative id below every other and at an id below the largest, then
+        re-inserts the removed id: each edge column is the reference
+        graph's ascending edge list, and the restore rebuilds that graph
+        and its cover."""
+        graph = GRAPH_LAYOUTS[layout]()
+        fast, ref = (
+            RSLPADetector(graph, seed=5, iterations=ITERATIONS, backend=backend).fit()
+            for backend in ("fast", "reference")
+        )
+        vertices = sorted(graph.vertices())
+        victim, low = vertices[2], vertices[0] - 7
+        gap = vertices[-1] - 1 if layout == "contiguous" else 200
+        steps = [
+            None,  # remove the victim
+            EditBatch.build(insertions=[(low, vertices[1]), (low, vertices[3])]),
+            EditBatch.build(insertions=[(gap, low), (gap, vertices[-1])])
+            if layout != "contiguous" else EditBatch.build(insertions=[(low, gap)]),
+            EditBatch.build(insertions=[(victim, low), (victim, vertices[4])]),
+        ]
+        store = CheckpointStore(tmp_path)
+        for epoch, batch in enumerate(steps, start=1):
+            if batch is None:
+                assert fast.remove_vertex(victim) == ref.remove_vertex(victim)
+            else:
+                assert fast.update(batch) == ref.update(batch)
+            store.write_checkpoint(
+                fast.array_state, fast.edge_array(), seed=5, batch_epoch=epoch
+            )
+            ckpt = store.load_checkpoint()
+            expected = [list(e) for e in sorted(ref.graph.edges())]
+            assert ckpt.edges.tolist() == expected
+            assert fast.graph == ref.graph
+            restored = RSLPADetector.from_state(
+                ckpt.edges, ckpt.state, ckpt.seed, batch_epoch=epoch
+            )
+            assert restored.graph == ref.graph
+            assert restored.edge_array().tolist() == expected
+            assert_states_identical(restored, fast)
+            assert restored.label_state.labels == ref.label_state.labels
+            assert restored.communities() == ref.communities()
+        assert not (np.diff(fast.array_state.ids) > 0).all()
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_numpy_written_state_and_checkpoint_load(self, cliques_ring,
@@ -97,7 +146,7 @@ class TestCheckpointStore:
         id column, load as ids 0..n-1."""
         from repro.core.serialize import load_state, state_to_arrays
 
-        state, graph = self.fitted_state(cliques_ring)
+        state, edges = self.fitted_state(cliques_ring)
         arrays = state_to_arrays(state)
         if version == 1:
             del arrays["ids"]
@@ -109,7 +158,7 @@ class TestCheckpointStore:
         assert loaded.ids.tolist() == list(range(30))
         assert loaded.to_label_state().receivers == state.to_label_state().receivers
         store = CheckpointStore(tmp_path)
-        path = store.write_checkpoint(state, graph, seed=5, batch_epoch=4)
+        path = store.write_checkpoint(state, edges, seed=5, batch_epoch=4)
         with np.load(path) as written:
             payload = {k: written[k] for k in written.files}
         if version == 1:
@@ -117,29 +166,30 @@ class TestCheckpointStore:
             payload.update(version=arrays["version"], ckpt_version=arrays["version"])
         np.savez_compressed(path, **payload)
         ckpt = store.load_checkpoint()
-        assert ckpt.batch_epoch == 4 and ckpt.graph == graph
+        assert ckpt.batch_epoch == 4
+        assert ckpt.edges.tolist() == [list(e) for e in sorted(cliques_ring.edges())]
         for name in STATE_ARRAYS:
             assert np.array_equal(getattr(ckpt.state, name), getattr(state, name))
-        ckpt.state.validate(ckpt.graph)
+        ckpt.state.validate(cliques_ring)
 
     def test_checkpoint_removes_orphaned_temp_files(self, cliques_ring, tmp_path):
         # A crash between open(tmp) and os.replace leaves the temp file;
         # the next checkpoint must delete it with the pruned checkpoints.
-        state, graph = self.fitted_state(cliques_ring)
+        state, edges = self.fitted_state(cliques_ring)
         store = CheckpointStore(tmp_path, keep=2)
         orphan = tmp_path / "checkpoint-0000000004.npz.tmp"
         orphan.write_bytes(b"PK torn")
-        store.write_checkpoint(state, graph, seed=5, batch_epoch=6)
+        store.write_checkpoint(state, edges, seed=5, batch_epoch=6)
         assert not orphan.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "checkpoint-0000000006.npz", "wal.log",
         ]
 
     def test_latest_checkpoint_wins_and_old_pruned(self, cliques_ring, tmp_path):
-        state, graph = self.fitted_state(cliques_ring)
+        state, edges = self.fitted_state(cliques_ring)
         store = CheckpointStore(tmp_path, keep=2)
         for epoch in (0, 3, 7):
-            store.write_checkpoint(state, graph, seed=5, batch_epoch=epoch)
+            store.write_checkpoint(state, edges, seed=5, batch_epoch=epoch)
         assert store.checkpoint_epochs() == [3, 7]
         assert store.load_checkpoint().batch_epoch == 7
 
@@ -187,7 +237,7 @@ class TestCheckpointStore:
 
     @pytest.mark.parametrize("damage", [None, "crc_failed", "cut_newline"])
     def test_checkpoint_rotates_wal(self, cliques_ring, tmp_path, damage):
-        state, graph = self.fitted_state(cliques_ring)
+        state, edges = self.fitted_state(cliques_ring)
         store = CheckpointStore(tmp_path, keep=1)
         for epoch in range(1, 6):
             store.append_wal(epoch, EditBatch.build(insertions=[(0, epoch + 30)]))
@@ -203,7 +253,7 @@ class TestCheckpointStore:
         elif damage == "cut_newline":
             # The last append stopped just short of its newline.
             store.wal_path.write_text("".join(lines)[:-1])
-        store.write_checkpoint(state, graph, seed=5, batch_epoch=1)
+        store.write_checkpoint(state, edges, seed=5, batch_epoch=1)
         # The survivors are the original lines, byte for byte.
         assert store.wal_path.read_bytes() == "".join(survivors).encode()
         assert store.last_discarded_records == (3 if damage == "crc_failed" else 0)
@@ -715,7 +765,7 @@ class TestRotationRace:
             while thread.is_alive() and store.wal_records() < reached:
                 pass  # busy-poll; contends the store lock on purpose
             store.write_checkpoint(
-                detector.array_state, cliques_ring, seed=5,
+                detector.array_state, detector.edge_array(), seed=5,
                 batch_epoch=rotation_epoch,
             )
         thread.join()
@@ -738,7 +788,7 @@ class TestRotationRace:
         store = CheckpointStore(tmp_path, keep=1)
         for epoch in (1, 2):
             store.append_wal(epoch, EditBatch.build(insertions=[(0, epoch + 30)]))
-        store.write_checkpoint(detector.array_state, cliques_ring, seed=5,
+        store.write_checkpoint(detector.array_state, detector.edge_array(), seed=5,
                                batch_epoch=2)
         store.append_wal(3, EditBatch.build(insertions=[(0, 33)]))
         assert [e for e, _ in store.read_wal()] == [3]

@@ -292,3 +292,66 @@ class TestDegradation:
     def test_stats_have_no_recovery_section_in_process(self, cliques_ring):
         service = make_service(cliques_ring).start()
         assert "recovery" not in service.stats()
+
+
+class TestArrayGraphHotPaths:
+    """Once started, the service keeps its live graph as the repair's array
+    adjacency: no ingest, refresh, checkpoint, stats call or recovery
+    snapshots a Graph or builds one."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "sparse"])
+    def test_stream_never_builds_a_graph(
+        self, cliques_ring, layout, tmp_path, monkeypatch
+    ):
+        from repro.graph.adjacency import Graph
+        from repro.graph.csr import CSRGraph
+
+        vid = (lambda v: v) if layout == "contiguous" else (lambda v: 3 * v - 41)
+        graph = Graph.from_edges(
+            ((vid(u), vid(v)) for u, v in cliques_ring.edges()),
+            vertices=map(vid, cliques_ring.vertices()),
+        )
+        batches = EditStream(graph, batch_size=6, seed=5).take(12)
+        # Births above the largest id; on sparse ids also a negative id
+        # below every other and a gap id below the largest.
+        births = [(30, 2), (31, 9)] if layout == "contiguous" else [
+            (-77, vid(2)), (vid(5) + 1, vid(9))
+        ]
+        births = EditBatch.build(insertions=births)
+        batches[3] = batches[3].merged_with(births)
+        service = make_service(
+            graph, staleness_batches=1, checkpoint_every=4,
+            checkpoint_dir=str(tmp_path / "main"),
+        ).start()
+        lenient = make_service(graph, strict_edits=False).start()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a service path built or snapshotted a Graph")
+
+        monkeypatch.setattr(CSRGraph, "from_graph", classmethod(refuse))
+        monkeypatch.setattr(Graph, "from_edges", classmethod(refuse))
+        for i, batch in enumerate(batches):
+            service.apply(batch)
+            service.communities_of(vid(i))
+            service.stats()
+            service.plan()
+        edge = next(iter(batches[0].insertions))
+        assert lenient.apply(EditBatch.build(insertions=[edge])) is not None
+        assert lenient.apply(EditBatch.build(insertions=[edge])) is None
+        assert service.extractions == 13 and service.refresh_failures == 0
+        assert service.store.checkpoint_epochs() == [8, 12]
+        recovered = CommunityService.recover(str(tmp_path / "main"))
+        assert recovered.batches_applied == 12
+        assert recovered.index.cover.communities == service.index.cover.communities
+        monkeypatch.undo()
+        for name in ("labels", "srcs", "poss", "epochs", "alive", "ids"):
+            assert np.array_equal(
+                getattr(recovered.detector.array_state, name),
+                getattr(service.detector.array_state, name),
+            ), name
+        assert recovered.graph == service.graph
+        reference = make_service(graph, backend="reference").start()
+        for batch in batches:
+            reference.apply(batch)
+        assert service.graph == reference.graph
+        assert reference.cover().communities == service.index.cover.communities
