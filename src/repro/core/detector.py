@@ -47,7 +47,11 @@ from repro.core.incremental_fast import (
 )
 from repro.core.labels import LabelState
 from repro.core.labels_array import ArrayLabelState
-from repro.core.postprocess import PostprocessResult, extract_communities
+from repro.core.postprocess import (
+    CountsRecord,
+    PostprocessResult,
+    extract_communities,
+)
 from repro.core.randomness import check_vertex_ids
 from repro.core.rslpa import ReferencePropagator
 from repro.graph.adjacency import Graph
@@ -114,6 +118,12 @@ class RSLPADetector:
     Everything after ``iterations`` is keyword-only.
     """
 
+    #: Observability context (:class:`repro.obs.Obs`) a traced service
+    #: attaches: each extraction then records its stages as
+    #: ``core.postprocess.*`` spans.  ``None`` (the default) keeps the
+    #: extraction free of :mod:`repro.obs` calls.
+    obs = None
+
     def __init__(
         self,
         graph: Graph,
@@ -139,6 +149,9 @@ class RSLPADetector:
             Union[CorrectionPropagator, FastCorrectionPropagator]
         ] = None
         self._postprocess_cache: Optional[PostprocessResult] = None
+        #: The last fast-path extraction's collision counts, carried over
+        #: to the next (dropped by every fit).
+        self._counts_record: Optional[CountsRecord] = None
         self._label_state_cache: Optional[LabelState] = None
         #: CommStats of the last fit_distributed() run (None for local fits).
         self.comm_stats = None
@@ -253,6 +266,7 @@ class RSLPADetector:
         self.comm_stats = None  # a local fit has no communication counters
         self.last_plan = plan
         self._postprocess_cache = None
+        self._counts_record = None
         self._label_state_cache = None
         return self
 
@@ -295,6 +309,7 @@ class RSLPADetector:
         self.comm_stats = stats
         self.last_plan = plan
         self._postprocess_cache = None
+        self._counts_record = None
         self._label_state_cache = None
         return self
 
@@ -408,17 +423,26 @@ class RSLPADetector:
         """Run (or reuse) the Section III-B extraction on the current state.
 
         On the fast path it reads the corrector's adjacency and the array
-        state directly, with no graph snapshot.
+        state directly, with no graph snapshot, and hands over the
+        :class:`~repro.core.postprocess.CountsRecord` of its last
+        extraction, so only the edges whose labels a repair changed since
+        are counted again.  A fit starts a new record.
         """
         self._require_fitted()
         if self._postprocess_cache is None:
             state = self._corrector.state
             if self._graph is None:
                 graph, sequences = self._corrector.adjacency, state
+                if self._counts_record is None:
+                    self._counts_record = CountsRecord()
             else:
                 graph, sequences = self._graph, state.labels
             self._postprocess_cache = extract_communities(
-                graph, sequences, step=self.tau_step
+                graph,
+                sequences,
+                step=self.tau_step,
+                record=self._counts_record,
+                obs=self.obs,
             )
         return self._postprocess_cache
 

@@ -23,17 +23,32 @@ only once a vertex is born below the largest id); a :class:`Graph` is
 snapshotted (:func:`repro.graph.csr.snapshot_with_ids`) for its upper
 triangle.
 
+Each weight is an integer collision count over a product of lengths.  The
+counts compare label *codes*: an :class:`ArrayLabelState`'s labels are
+vertex ids, so their columns code them; any other labels are ranked with
+``np.unique``.  A refresh rarely changes most vertices' labels, so a
+:class:`CountsRecord` keeps one extraction's counts, and the next counts
+afresh only the edges that are new or have an end whose codes changed.
+
 The τ1 sweep adds edges in the stable descending-weight order to a
 union-find that maintains the size histogram / entropy incrementally.  Only
 the unions that succeed change the entropy, and those are exactly the
 maximum spanning forest for that order (Kruskal's algorithm), so the sweep
 finds the forest once, with a vectorised Borůvka that breaks ties by edge
 rank, and replays its ≤ n−1 edges: the same unions, hence the same floats,
-as a pass over every edge.  The strong components are the forest's prefix
-at τ1, and the weak attachment is two masks over the edges whose
-(community, vertex) pairs become the :class:`~repro.core.communities.Cover`
-arrays directly.  Past the ``O(m log m)`` sort, per-element Python runs
-only over the forest unions and the τ1 grid.
+as a pass over every edge.  When every sequence has the same length the
+order is an integer radix sort of the counts.  The strong components are
+the forest's prefix at τ1, and the weak attachment is two masks over the
+edges whose (community, vertex) pairs become the
+:class:`~repro.core.communities.Cover` arrays directly.  Past the
+``O(m log m)`` sort, per-element Python runs only over the forest unions
+and the τ1 grid.
+
+Given an ``obs`` (a traced service's), :func:`extract_communities` records
+its stages as the spans ``core.postprocess.edge_weights``, ``.sweep_tau1``
+(τ2, the forest and the replay, with ``core.postprocess.forest`` inside)
+and ``.strong_attach``, and counts ``core.postprocess.edges`` and
+``.recounted_edges``.
 """
 
 from __future__ import annotations
@@ -43,7 +58,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from time import time_ns
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +73,7 @@ from repro.utils.validation import check_positive
 __all__ = [
     "sequence_similarity",
     "WeightedEdges",
+    "CountsRecord",
     "edge_weights",
     "weak_threshold",
     "DisjointSetEntropy",
@@ -97,13 +114,16 @@ class WeightedEdges:
 
     Row ``r`` is the vertex ``ids[r]`` (ids ascending); edge ``e`` joins the
     rows ``u[e] < v[e]``, edges are sorted by ``(u, v)``, and ``weights[e]``
-    is its float64 weight.
+    is its float64 weight.  ``hits`` holds the integer collision counts
+    when every sequence has the same length, so that each weight is
+    ``hits[e] / length²``; it is ``None`` for sequences of mixed lengths.
     """
 
     ids: np.ndarray
     u: np.ndarray
     v: np.ndarray
     weights: np.ndarray
+    hits: Optional[np.ndarray] = None
 
     @property
     def num_vertices(self) -> int:
@@ -122,11 +142,112 @@ class WeightedEdges:
         the edges in that order (ties by canonical position), in the order
         it makes them; computed on first use.
         """
-        order = np.argsort(-self.weights, kind="stable")
+        order = self._descending_order()
         return order[_kruskal_forest(self.num_vertices, self.u[order], self.v[order])]
 
+    def _descending_order(self) -> np.ndarray:
+        """The edges in the stable descending-weight order.
 
-def edge_weights(graph: Graphlike, sequences: Sequences) -> WeightedEdges:
+        With one sequence length, weight order is hits order (distinct
+        counts below ``2**16`` give distinct weights, ``1 / length²``
+        apart), so the order is the stable ascending order of
+        ``max(hits) − hits``: a radix sort once that fits uint16.
+        """
+        hits = self.hits
+        if hits is not None and hits.size:
+            top = int(hits.max())
+            if top < 1 << 16:
+                return np.argsort((top - hits).astype(np.uint16), kind="stable")
+        return np.argsort(-self.weights, kind="stable")
+
+
+class CountsRecord:
+    """One extraction's collision counts, carried over to the next.
+
+    A fast detector keeps one between refreshes and hands it to
+    :func:`edge_weights`, which reads it and then overwrites it with its
+    own counts.  The record holds the row ids, the canonical edge keys
+    ``u·n + v`` over those ``n`` rows, each edge's hits and the
+    label-column codes they were counted from, the last three at the
+    narrowest dtype that holds them (uint32, uint16 and uint16 at T=30
+    with fewer than 65,536 vertices and columns).  An edge's hits depend
+    only on the codes of its two rows, so an edge the record holds whose
+    rows' codes did not change keeps its hits, however many repairs ran in
+    between.  Only label-column codes are kept: they have no padding, and
+    a label keeps its code from one extraction to the next.  A record
+    whose ids or code matrix shape (hence T) differ is not used.
+    ``recounted`` is how many edges the last call counted afresh.
+    """
+
+    __slots__ = ("ids", "keys", "hits", "codes", "recounted")
+
+    def __init__(self):
+        self.ids: Optional[np.ndarray] = None  # nothing to carry over
+        self.keys = self.hits = self.codes = None
+        self.recounted = 0
+
+    def count(
+        self,
+        ids: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+        codes: np.ndarray,
+        num_labels: int,
+        by_column: bool,
+    ) -> np.ndarray:
+        """The hits of the edges ``(u, v)``; then this record holds them.
+
+        ``ids``, ``u`` and ``v`` are :func:`_canonical_edges`' output and
+        ``codes`` / ``num_labels`` / ``by_column`` :func:`_label_codes`'.
+        Edges the record holds whose rows' codes match the record's take
+        its hits, found by one ``searchsorted`` of their keys;
+        :func:`_collision_counts` counts the rest.
+        """
+        n = len(ids)
+        keys = (u * n + v).astype(_unsigned(n * n))
+        hits = np.empty(len(keys), dtype=np.int64)
+        recount = np.ones(len(keys), dtype=bool)
+        if (
+            by_column
+            and self.ids is not None
+            and codes.shape == self.codes.shape
+            and np.array_equal(ids, self.ids)
+        ):
+            changed = (codes != self.codes).any(axis=1)
+            at = np.searchsorted(self.keys, keys)
+            held = at < len(self.keys)
+            held[held] = self.keys[at[held]] == keys[held]
+            kept = held & ~changed[u] & ~changed[v]
+            hits[kept] = self.hits[at[kept]]
+            recount = ~kept
+        self.recounted = int(np.count_nonzero(recount))
+        if self.recounted:
+            hits[recount] = _collision_counts(
+                codes, num_labels, u[recount], v[recount]
+            )
+        if by_column:
+            self.ids, self.keys = ids, keys
+            self.codes = codes.astype(_unsigned(num_labels))
+            self.hits = hits.astype(_unsigned(int(hits.max()) if hits.size else 0))
+        else:
+            self.ids = self.keys = self.hits = self.codes = None
+        return hits
+
+
+def _unsigned(top: int) -> type:
+    """The narrowest of uint8, uint16 and uint32 that holds ``0..top``,
+    else int64."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def edge_weights(
+    graph: Graphlike,
+    sequences: Sequences,
+    record: Optional[CountsRecord] = None,
+) -> WeightedEdges:
     """Every edge of ``graph`` in the canonical order, weighted ``P(l_u = l_v)``.
 
     ``sequences`` is an :class:`~repro.core.labels_array.ArrayLabelState`,
@@ -137,15 +258,25 @@ def edge_weights(graph: Graphlike, sequences: Sequences) -> WeightedEdges:
     collision count ``hits_uv = sum_l c_u(l) * c_v(l)`` divided by
     ``len_u * len_v`` in float64: the same correctly rounded division of
     the same integers as :func:`sequence_similarity`, so the floats are
-    identical.  The counts
-    come from one dense label-count table per chunk of rows, gathered for
-    all edges at once (:func:`_collision_counts`).
+    identical.  The counts compare label codes (:func:`_label_codes`: an
+    array state's label columns) and come from one dense label-count
+    table per chunk of rows, gathered for all edges at once
+    (:func:`_collision_counts`).  Given the ``record`` of an earlier
+    extraction, only the edges it cannot vouch for are counted
+    (:meth:`CountsRecord.count`), and the record then holds this call's
+    counts.
     """
     ids, u, v = _canonical_edges(graph, sequences)
-    flat, lengths = _sequences_of(sequences, ids)
-    if not u.size:
-        return WeightedEdges(ids, u, v, np.empty(0))
-    hits = _collision_counts(*_label_codes(flat, lengths), u, v)
+    codes, num_labels, lengths, by_column = _label_codes(sequences, ids)
+    if record is not None:
+        hits = record.count(ids, u, v, codes, num_labels, by_column)
+    elif u.size:
+        hits = _collision_counts(codes, num_labels, u, v)
+    else:
+        hits = np.empty(0, dtype=np.int64)
+    if lengths.size and lengths.min() == lengths.max():
+        length = int(lengths[0])
+        return WeightedEdges(ids, u, v, hits / (length * length), hits)
     return WeightedEdges(ids, u, v, hits / (lengths[u] * lengths[v]))
 
 
@@ -167,42 +298,43 @@ def _canonical_edges(
     return ids, row[upper], csr.indices[upper]
 
 
-def _sequences_of(
+def _label_codes(
     sequences: Sequences, ids: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The label sequences of the vertices ``ids``, concatenated in that
-    order, and their lengths."""
+) -> Tuple[np.ndarray, int, np.ndarray, bool]:
+    """The label sequences of the vertices ``ids`` as one row of codes each.
+
+    Returns ``(codes, num_labels, lengths, by_column)``: codes lie in
+    ``0..num_labels-1``, rows shorter than the longest are padded with
+    ``num_labels``, and ``lengths`` are the sequence lengths.  An array
+    state's labels are vertex ids, so its id → column lookup codes them
+    (``by_column``); a label that names no column (a hand-built state)
+    and a ``Mapping``'s sequences take the ranks of the distinct labels.
+    """
     if isinstance(sequences, ArrayLabelState):
         cols = sequences.columns(ids)
         if not sequences.alive[cols].all():
             raise KeyError("the label state has dropped a vertex of the graph")
-        matrix = sequences.labels[:, cols]
-        lengths = np.full(len(ids), matrix.shape[0], dtype=np.int64)
-        return matrix.T.ravel(), lengths
-    seqs = [sequences[v] for v in ids.tolist()]
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    empty = np.flatnonzero(lengths == 0)
-    if empty.size:
-        raise ValueError(f"vertex {ids[empty[0]]} has an empty label sequence")
-    flat = np.fromiter(
-        chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum())
-    )
-    return flat, lengths
-
-
-def _label_codes(flat: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, int]:
-    """The sequences as one row of label codes per vertex, and the code count.
-
-    ``flat`` holds the sequences back to back, ``lengths`` their lengths.
-    Codes ``0..num_labels-1`` are the ranks of the distinct labels, and
-    rows shorter than the longest are padded with ``num_labels``.
-    """
-    distinct, codes = np.unique(flat, return_inverse=True)
+        labels = sequences.labels.T[cols]
+        lengths = np.full(len(ids), labels.shape[1], dtype=np.int64)
+        try:
+            return sequences.columns(labels), sequences.num_columns, lengths, True
+        except KeyError:
+            flat = labels.ravel()
+    else:
+        seqs = [sequences[v] for v in ids.tolist()]
+        lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+        empty = np.flatnonzero(lengths == 0)
+        if empty.size:
+            raise ValueError(f"vertex {ids[empty[0]]} has an empty label sequence")
+        flat = np.fromiter(
+            chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum())
+        )
+    distinct, ranks = np.unique(flat, return_inverse=True)
     num_labels = distinct.size
-    width = int(lengths.max())
-    grid = np.full((len(lengths), width), num_labels, dtype=np.int64)
-    grid[np.arange(width) < lengths[:, None]] = codes  # row-major, like codes
-    return grid, num_labels
+    width = int(lengths.max()) if lengths.size else 0
+    codes = np.full((len(lengths), width), num_labels, dtype=np.int64)
+    codes[np.arange(width) < lengths[:, None]] = ranks  # row-major, like ranks
+    return codes, num_labels, lengths, False
 
 
 def _collision_counts(
@@ -215,7 +347,9 @@ def _collision_counts(
     edges writes the label counts of its rows ``u`` into a dense
     ``(rows, num_labels + 1)`` table (the padding column stays 0) and sums,
     per edge, the table cells of ``u`` at ``v``'s codes.  Chunks keep the
-    table and the gathered cells within ``max(2**18, codes.size)`` entries.
+    table and the gathered cells within ``max(2**18, codes.size)`` entries,
+    and the table takes the narrowest dtype that holds a row's length, so
+    its gathers stay in cache.
     """
     n, width = codes.shape
     stride = num_labels + 1
@@ -228,7 +362,7 @@ def _collision_counts(
     count[ordered == num_labels] = 0
     budget = max(1 << 18, codes.size)
     max_rows, max_edges = max(1, budget // stride), max(1, budget // width)
-    table = np.zeros(min(n, max_rows) * stride, dtype=np.int64)
+    table = np.zeros(min(n, max_rows) * stride, dtype=_unsigned(width))
     hits = np.empty(u.size, dtype=np.int64)
     e0 = 0
     while e0 < u.size:
@@ -238,7 +372,7 @@ def _collision_counts(
         cells = (np.arange(r1 - r0) * stride)[:, None] + ordered[r0:r1]
         table[cells] = count[r0:r1]
         at = ((u[e0:e1] - r0) * stride)[:, None] + ordered[v[e0:e1]]
-        hits[e0:e1] = table[at].sum(axis=1)
+        hits[e0:e1] = table[at].sum(axis=1, dtype=np.int64)
         table[cells] = 0
         e0 = e1
     return hits
@@ -319,46 +453,52 @@ def _kruskal_forest(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class DisjointSetEntropy:
-    """Union-find tracking the Eq. 1 entropy of components with size >= 2.
+    """Union-find over the rows ``0..n-1`` tracking the Eq. 1 entropy of
+    components with size >= 2.
 
     Components of size 1 are "isolated vertices" in the paper's terminology
-    and contribute nothing.  ``entropy`` is maintained incrementally under
-    unions: O(1) updates on top of near-O(1) DSU finds.
+    and contribute nothing.  ``parent`` and ``size`` are Python lists
+    indexed by row; finds halve paths and unions go by size.  Which row
+    ends up a root may differ from another union-find's, but the component
+    sizes, hence every entropy term, do not, and ``entropy`` is maintained
+    with the same float operations in the same order under every union.
     """
 
-    def __init__(self, vertices: Iterable[int]):
-        self.parent: Dict[int, int] = {v: v for v in vertices}
-        self.size: Dict[int, int] = {v: 1 for v in self.parent}
-        self.n = len(self.parent)
+    def __init__(self, rows: range):
+        self.n = len(rows)
         check_positive(self.n, "num_vertices")
+        if rows != range(self.n):
+            raise ValueError("DisjointSetEntropy takes the rows range(n)")
+        self.parent: List[int] = list(rows)
+        self.size: List[int] = [1] * self.n
         self.entropy = 0.0
-        self.num_components = len(self.parent)  # including singletons
-
-    def _term(self, size: int) -> float:
-        if size < 2:
-            return 0.0
-        p = size / self.n
-        return -p * math.log(p)
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:  # path compression
-            self.parent[v], v = root, self.parent[v]
-        return root
+        self.num_components = self.n  # including singletons
 
     def union(self, u: int, v: int) -> bool:
-        """Merge the components of ``u`` and ``v``; returns True if merged."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
+        """Merge the components of ``u`` and ``v``; returns True if merged.
+
+        The finds and the entropy terms ``-p·log(p)`` are written inline:
+        the τ1 sweep calls this once per forest edge.
+        """
+        parent = self.parent
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             return False
-        if self.size[ru] < self.size[rv]:
-            ru, rv = rv, ru
-        self.entropy -= self._term(self.size[ru]) + self._term(self.size[rv])
-        self.size[ru] += self.size[rv]
-        self.parent[rv] = ru
-        self.entropy += self._term(self.size[ru])
+        size, n = self.size, self.n
+        a, b = size[u], size[v]
+        if a < b:
+            u, v = v, u
+        merged = a + b
+        size[u] = merged
+        parent[v] = u
+        # Singletons contribute 0; the merged component has >= 2 members.
+        self.entropy -= (0.0 if a < 2 else -(a / n) * math.log(a / n)) + (
+            0.0 if b < 2 else -(b / n) * math.log(b / n)
+        )
+        self.entropy += -(merged / n) * math.log(merged / n)
         self.num_components -= 1
         return True
 
@@ -394,9 +534,12 @@ def sweep_tau1(
     """Find ``argmax_τ1 entropy`` over the grid ``[τ2, max w]`` (Eq. 1).
 
     Scans thresholds *descending* while adding the edges of weight >= τ to
-    a DSU in the stable descending-weight order; only the spanning-forest
-    edges (:attr:`WeightedEdges.forest`) can merge, so only they are
-    replayed, each union exactly once.  Returns ``(tau1, best_entropy,
+    a :class:`DisjointSetEntropy` in the stable descending-weight order;
+    only the spanning-forest edges (:attr:`WeightedEdges.forest`) can
+    merge, so only they are replayed, each union exactly once.  The
+    forest's weights descend, so each grid point admits a prefix of it:
+    one ``searchsorted`` finds every prefix, and the curve reads the
+    entropy after that many unions.  Returns ``(tau1, best_entropy,
     curve)``; ties prefer the **larger** τ1 (finer communities carry at
     least as much information).
     """
@@ -404,29 +547,32 @@ def sweep_tau1(
     if not edges.weights.size:
         return tau2, 0.0, []
     forest = edges.forest
-    weights = edges.weights[forest].tolist()
-    max_w = weights[0]  # the heaviest edge is always the forest's first
+    weights = edges.weights[forest]
+    max_w = float(weights[0])  # the heaviest edge is always the forest's first
     if max_w < tau2:
         return tau2, 0.0, []
-    us, vs = edges.u[forest].tolist(), edges.v[forest].tolist()
-    dsu = DisjointSetEntropy(range(edges.num_vertices))
 
     # Descending grid: max_w, max_w - step, ..., down to tau2 inclusive.
     num_steps = max(0, int(math.floor((max_w - tau2) / step + 1e-9)))
     grid = [max_w - k * step for k in range(num_steps + 1)]
     if grid[-1] > tau2 + 1e-12:
         grid.append(tau2)
+    # Edges admitted at each grid point: those of weight >= tau - 1e-12.
+    admitted = np.searchsorted(-weights, -(np.array(grid) - 1e-12), side="right")
+    replayed = forest[: admitted[-1]]
+    dsu = DisjointSetEntropy(range(edges.num_vertices))
+    entropies = [0.0]
+    for u, v in zip(edges.u[replayed].tolist(), edges.v[replayed].tolist()):
+        dsu.union(u, v)
+        entropies.append(dsu.entropy)
 
     curve: List[Tuple[float, float]] = []
     best_tau, best_entropy = grid[0], -1.0
-    edge_idx = 0
-    for tau in grid:
-        while edge_idx < len(weights) and weights[edge_idx] >= tau - 1e-12:
-            dsu.union(us[edge_idx], vs[edge_idx])
-            edge_idx += 1
-        curve.append((tau, dsu.entropy))
-        if dsu.entropy > best_entropy + 1e-12:
-            best_tau, best_entropy = tau, dsu.entropy
+    for tau, k in zip(grid, admitted.tolist()):
+        entropy = entropies[k]
+        curve.append((tau, entropy))
+        if entropy > best_entropy + 1e-12:
+            best_tau, best_entropy = tau, entropy
     return best_tau, best_entropy, curve
 
 
@@ -480,6 +626,9 @@ def extract_communities(
     step: float = 0.001,
     tau1: Optional[float] = None,
     tau2: Optional[float] = None,
+    *,
+    record: Optional[CountsRecord] = None,
+    obs=None,
 ) -> PostprocessResult:
     """Full post-processing pipeline: weights -> τ2 -> τ1 sweep -> cover.
 
@@ -490,13 +639,30 @@ def extract_communities(
     the strong components (size >= 2) with weakly-attached isolated
     vertices merged in.  A graph without edges (or without vertices) gives
     an empty cover, entropy 0.0 and, unless pinned, τ1 = τ2 = 0.0.
+    ``record`` carries collision counts over between calls (see
+    :class:`CountsRecord`); ``obs`` (a :class:`repro.obs.Obs`) records the
+    stages as ``core.postprocess.*`` spans and counters, and ``None``
+    keeps the extraction free of :mod:`repro.obs` calls.
     """
-    edges = edge_weights(graph, sequences)
+    if obs is not None:
+        start = time_ns()
+    edges = edge_weights(graph, sequences, record)
+    if obs is not None:
+        obs.trace.record("core.postprocess.edge_weights", start, plane="core")
+        start = time_ns()
     resolved_tau2 = weak_threshold(edges) if tau2 is None else tau2
+    if obs is not None:
+        # Traced, the forest is timed on its own before the sweep reads it.
+        forest_start = time_ns()
+        edges.forest
+        obs.trace.record("core.postprocess.forest", forest_start, plane="core")
     if tau1 is None:
         resolved_tau1, entropy, curve = sweep_tau1(edges, resolved_tau2, step)
     else:
         resolved_tau1, curve = tau1, []
+    if obs is not None:
+        obs.trace.record("core.postprocess.sweep_tau1", start, plane="core")
+        start = time_ns()
 
     # Strong pass: components of the τ1-filtered graph.
     community = _strong_communities(edges, resolved_tau1)
@@ -505,6 +671,13 @@ def extract_communities(
         entropy = size_entropy_from_sizes(sizes, edges.num_vertices) if sizes else 0.0
     # Weak pass: attach isolated vertices through τ2 (Eq. 2).
     cover, attached = attach_weak(edges, community, resolved_tau2)
+    if obs is not None:
+        obs.trace.record("core.postprocess.strong_attach", start, plane="core")
+        num_edges = len(edges.weights)
+        obs.metrics.counter("core.postprocess.edges").inc(num_edges)
+        obs.metrics.counter("core.postprocess.recounted_edges").inc(
+            num_edges if record is None else record.recounted
+        )
 
     return PostprocessResult(
         cover=cover,

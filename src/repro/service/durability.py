@@ -129,16 +129,18 @@ def _wal_crc(epoch: int, ins: List[List[int]], dels: List[List[int]]) -> int:
 def encode_wal_record(epoch: int, batch: EditBatch) -> str:
     """One WAL line; the single encoder append, rotation, and the
     replication plane's record shipping all use, so every copy of a record
-    re-passes its CRC wherever it is read."""
-    ins = [list(e) for e in sorted(batch.insertions)]
-    dels = [list(e) for e in sorted(batch.deletions)]
-    record = {
-        "epoch": epoch,
-        "ins": ins,
-        "del": dels,
-        "crc": _wal_crc(epoch, ins, dels),
-    }
-    return json.dumps(record, separators=(",", ":")) + "\n"
+    re-passes its CRC wherever it is read.
+
+    Each edge list is sorted and dumped once, and both the CRC body (the
+    sorted-keys form :func:`_wal_crc` checks) and the line are built from
+    those strings: ``{"epoch":…,"ins":…,"del":…,"crc":…}``.
+    """
+    stamp = json.dumps(epoch)
+    ins = json.dumps(sorted(batch.insertions), separators=(",", ":"))
+    dels = json.dumps(sorted(batch.deletions), separators=(",", ":"))
+    body = f'{{"del":{dels},"epoch":{stamp},"ins":{ins}}}'
+    crc = zlib.crc32(body.encode("utf-8"))
+    return f'{{"epoch":{stamp},"ins":{ins},"del":{dels},"crc":{crc}}}\n'
 
 
 def parse_wal_line(line: str) -> Optional[Tuple[int, EditBatch]]:

@@ -247,6 +247,7 @@ class CommunityService:
         )
         self.store = store
         self.obs = _service_obs(execution)
+        self.detector.obs = self.obs
         self.index.obs = self.obs
         if store is not None:
             store.obs = self.obs
@@ -569,7 +570,8 @@ class CommunityService:
         """Re-extract now and rebuild the index (the on-demand path).
 
         Traced, the ``service.extract`` span holds the extraction
-        (``core.postprocess.extract_communities``) and the index update
+        (``core.postprocess.extract_communities``, split into its stages
+        when it is not cached) and the index update
         (``service.index.update``, split into the stable-id match and the
         map build).
         """

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.postprocess as postprocess
 from oracles import postprocess as oracle
+from repro.core.detector import RSLPADetector
 from repro.core.fast import FastPropagator
+from repro.core.labels_array import ArrayLabelState
 from repro.core.postprocess import (
+    CountsRecord,
     DisjointSetEntropy,
     WeightedEdges,
     edge_weights,
@@ -18,9 +22,13 @@ from repro.core.postprocess import (
     sweep_tau1,
     weak_threshold,
 )
+from repro.core.randomness import NO_SOURCE
 from repro.core.rslpa import ReferencePropagator
 from repro.graph.adjacency import Graph
+from repro.graph.edits import EditBatch
 from repro.graph.generators import erdos_renyi, ring_of_cliques
+from repro.service import CommunityService
+from repro.workloads.dynamic import EditStream
 from repro.workloads.lfr import LFRParams, generate_lfr
 from repro.workloads.webgraph import WebGraphParams, generate_webgraph
 
@@ -97,6 +105,24 @@ class TestEdgeWeights:
         got = edge_weights(sparse_random, state)
         want = edge_weights(sparse_random, state.sequences_dict())
         assert _items(got) == _items(want)
+
+    def test_labels_naming_no_column(self):
+        """A hand-built state whose labels name ids without a column (8,
+        -5, 10**12) is coded by ``np.unique`` instead, and its record keeps
+        nothing to carry over."""
+        sequences = {0: [1, 2, 8], 1: [1, 2, 8], 2: [8, 8, -5],
+                     5: [10**12, 5, 5], 7: [7, 7, 10**12]}
+        ids = sorted(sequences)
+        labels = np.array([sequences[v] for v in ids]).T
+        state = ArrayLabelState.from_matrices(
+            labels, np.full_like(labels, NO_SOURCE), np.zeros_like(labels), ids=ids
+        )
+        graph = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 5), (5, 7)])
+        record = CountsRecord()
+        got = edge_weights(graph, state, record)
+        assert _items(got) == list(_oracle_weights(graph, sequences).items())
+        assert _items(got) == _items(edge_weights(graph, sequences))
+        assert record.recounted == graph.num_edges and record.ids is None
 
 
 def _oracle_weights(graph, sequences):
@@ -352,6 +378,12 @@ class TestDisjointSetEntropy:
         assert dsu.entropy == pytest.approx(direct)
         assert dsu.entropy == ref.entropy
 
+    def test_rows_must_be_a_range(self):
+        with pytest.raises(ValueError, match="range"):
+            DisjointSetEntropy([0, 1, 2])
+        with pytest.raises(ValueError, match="range"):
+            DisjointSetEntropy(range(1, 4))
+
     def test_components_min_size_filter(self):
         """The oracle's DSU keeps ``components`` for its strong pass."""
         dsu = oracle.DisjointSetEntropy(range(5))
@@ -392,6 +424,23 @@ class TestSweepTau1:
         g = Graph.from_edges((), vertices=[0, 1])
         assert sweep_tau1(_weighted(g, {}), 0.0) == (0.0, 0.0, [])
         assert oracle.sweep_tau1(g, {}, 0.0) == (0.0, 0.0, [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.lists(st.integers(0, 300), max_size=80),
+    )
+    def test_integer_order_is_the_weight_order(self, length, draws):
+        """With one sequence length the radix order of the counts is the
+        stable descending order of the float weights, ties included."""
+        hits = np.array([h % (length * length + 1) for h in draws], dtype=np.int64)
+        n = len(hits) + 1
+        edges = WeightedEdges(
+            np.arange(n), np.zeros(len(hits), dtype=np.int64),
+            np.arange(1, n), hits / (length * length), hits,
+        )
+        want = np.argsort(-edges.weights, kind="stable")
+        assert edges._descending_order().tolist() == want.tolist()
 
     def test_replays_only_the_spanning_forest(self, cliques_ring):
         """The forest's unions, in its order, are exactly the unions that
@@ -477,3 +526,130 @@ class TestExtractCommunities:
             assert (result.tau2, result.entropy, result.entropy_curve) == (0.0, 0.0, [])
             assert result.tau1 == (0.0 if tau1 is None else tau1)
             assert result.edges.shape == (0, 2) and result.weights.size == 0
+
+
+def _spy_collision_counts(monkeypatch):
+    """Record the number of edges each ``_collision_counts`` call counts."""
+    counted = []
+    real = postprocess._collision_counts
+
+    def spy(codes, num_labels, u, v):
+        counted.append(u.size)
+        return real(codes, num_labels, u, v)
+
+    monkeypatch.setattr(postprocess, "_collision_counts", spy)
+    return counted
+
+
+#: Vertex id of dense vertex ``v`` per id layout (sparse never hits -1).
+LAYOUTS = {"dense": lambda v: v, "sparse": lambda v: 5 * v - 37}
+STREAM_N = 16
+
+_stream_edge = st.tuples(
+    st.integers(0, STREAM_N - 1), st.integers(0, STREAM_N - 1)
+).filter(lambda e: e[0] < e[1])
+
+
+@st.composite
+def _edit_streams(draw):
+    """A start graph, random edit batches, and where in the stream a vertex
+    is removed (then re-inserted a batch later) and two vertices are born,
+    the second below the largest id."""
+    initial = draw(st.sets(_stream_edge, min_size=8, max_size=40))
+    edits = draw(st.lists(
+        st.tuples(st.sets(_stream_edge, max_size=5), st.sets(_stream_edge, max_size=5)),
+        min_size=3, max_size=8,
+    ))
+    victim = draw(st.integers(0, STREAM_N - 1))
+    removal_at = draw(st.integers(0, len(edits)))
+    birth_at = draw(st.integers(0, len(edits)))
+    return initial, edits, victim, removal_at, birth_at
+
+
+def _stream_batches(detector, plan, vid):
+    """Yield after each update of ``detector`` along ``plan``."""
+    _initial, edits, victim, removal_at, birth_at = plan
+    for i, (inserts, deletes) in enumerate(edits + [(set(), set())]):
+        if i == removal_at and detector.graph_caps().num_vertices > 4:
+            anchors = sorted(detector.graph.neighbors_view(vid(victim)))[:2]
+            detector.remove_vertex(vid(victim))
+            yield
+            anchors = anchors or sorted(detector.graph.vertices())[:2]
+            detector.update(EditBatch.build(
+                insertions=[(vid(victim), a) for a in anchors]
+            ))
+            yield
+        if i == birth_at:
+            top = max(detector.graph.vertices())
+            anchors = sorted(detector.graph.vertices())[:2]
+            for new in (top + 5, top + 2):  # the second below the largest
+                detector.update(EditBatch.build(insertions=[(new, a) for a in anchors]))
+                yield
+        graph = detector.graph
+        ins = {(vid(u), vid(v)) for u, v in inserts}
+        ins = {e for e in ins if e[0] in graph and e[1] in graph and not graph.has_edge(*e)}
+        dels = {(vid(u), vid(v)) for u, v in deletes}
+        dels = {e for e in dels if graph.has_edge(*e) and e not in ins}
+        if ins or dels:
+            detector.update(EditBatch(insertions=frozenset(ins), deletions=frozenset(dels)))
+            yield
+
+
+class TestCarriedCounts:
+    """A fast detector carries its collision counts over from one extraction
+    to the next (:class:`CountsRecord`): only the edges whose ends' labels
+    changed since are counted again, and the result stays bit-identical."""
+
+    def test_one_edit_recounts_under_half_the_edges(self, monkeypatch):
+        """Guard: a K=1 service's refresh after a 1-edit batch counts fewer
+        than half of the edges afresh, and still equals a fresh extraction."""
+        graph = generate_webgraph(WebGraphParams(n=400, avg_out_degree=6.0), seed=1).graph
+        service = CommunityService(graph, seed=3, iterations=30, staleness_batches=1)
+        service.start()
+        counted = _spy_collision_counts(monkeypatch)
+        for batch in EditStream(graph, batch_size=1, seed=2).take(3):
+            service.apply(batch)
+            service.communities_of(0)  # K=1: the query refreshes
+            state = service.detector.array_state
+            num_edges = service.detector.graph_caps().num_edges
+            assert counted and counted[-1] < num_edges / 2
+            fresh = extract_communities(service.graph, state)
+            assert oracle.comparable(service.detector.postprocess()) == (
+                oracle.comparable(fresh)
+            )
+        service.close()
+
+    def test_refit_drops_the_record(self, monkeypatch):
+        detector = RSLPADetector(ring_of_cliques(6, 5), seed=4, iterations=20).fit()
+        detector.postprocess()
+        counted = _spy_collision_counts(monkeypatch)
+        detector.fit()
+        detector.postprocess()
+        assert counted == [detector.graph_caps().num_edges]
+
+    @settings(max_examples=20, deadline=None)
+    @given(_edit_streams(), st.sampled_from([1, 3]), st.integers(0, 3))
+    def test_carried_counts_equal_fresh_and_oracle(self, plan, staleness, seed):
+        """Random edit streams with a vertex removed and re-inserted and a
+        birth below the largest id, extracted every K batches, on dense and
+        sparse ids: each extraction with the carried-over counts equals a
+        fresh one without them and the oracle's."""
+        for layout, vid in sorted(LAYOUTS.items()):
+            graph = Graph.from_edges(
+                ((vid(u), vid(v)) for u, v in plan[0]),
+                vertices=map(vid, range(STREAM_N)),
+            )
+            detector = RSLPADetector(graph, seed=seed, iterations=12).fit()
+            detector.postprocess()
+            for applied, _ in enumerate(_stream_batches(detector, plan, vid), start=1):
+                if applied % staleness:
+                    continue
+                got = detector.postprocess()
+                state = detector.array_state
+                live = detector.graph
+                fresh = extract_communities(live, state)
+                want = oracle.extract_communities(
+                    _canonical(live), state.sequences_dict()
+                )
+                assert oracle.comparable(got) == oracle.comparable(fresh), layout
+                assert oracle.comparable(got) == oracle.comparable(want), layout

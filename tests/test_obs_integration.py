@@ -298,7 +298,10 @@ class TestServiceTracing:
         """A traced refresh explains itself: inside each ``service.extract``
         sit the extraction and the index update, the update split into the
         stable-id match and the map build; their self times fit inside the
-        refresh, and the trace survives a save/load round trip."""
+        refresh, and the trace survives a save/load round trip.  An
+        extraction that runs (not the detector's cached result) splits
+        into its stages in order, the forest inside the τ1 sweep, and
+        counts its edges and the edges it counted afresh."""
         from repro.api.config import ServicePlanConfig
         from repro.obs import TraceResult
         from repro.service import CommunityService
@@ -332,8 +335,17 @@ class TestServiceTracing:
             assert len(found) == 1, name
             return found[0]
 
+        def end(span):
+            return span.ts_ns + span.dur_ns
+
+        stages = (
+            "core.postprocess.edge_weights",
+            "core.postprocess.sweep_tau1",
+            "core.postprocess.strong_attach",
+        )
         extracts = [s for s in loaded.spans if s.name == "service.extract"]
         assert len(extracts) == extractions == 3
+        ran = 0
         for extract in extracts:
             cover = inside(extract, "core.postprocess.extract_communities")
             update = inside(extract, "service.index.update")
@@ -345,6 +357,19 @@ class TestServiceTracing:
             assert update_self >= 0
             selves = cover.dur_ns + update_self + match.dur_ns + build.dur_ns
             assert selves <= extract.dur_ns
+            if any(s.name in stages and cover.ts_ns <= s.ts_ns and end(s) <= end(cover)
+                   for s in loaded.spans):
+                weights, sweep, attach = (inside(cover, name) for name in stages)
+                forest = inside(sweep, "core.postprocess.forest")
+                assert end(weights) <= sweep.ts_ns <= forest.ts_ns
+                assert end(forest) <= end(sweep) <= attach.ts_ns
+                ran += 1
+        # start() and the lazy refresh extract; the explicit refresh after
+        # it, with no batch in between, reuses the detector's result.
+        assert ran == 2
+        counters = loaded.metrics["counters"]
+        edges = counters["core.postprocess.edges"]
+        assert 0 < counters["core.postprocess.recounted_edges"] <= edges
 
 
 class TestReplicationTracing:

@@ -11,6 +11,7 @@ import random
 import shutil
 import tempfile
 import threading
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -624,6 +625,20 @@ class TestWalRecordCodec:
         a = EditBatch.build(insertions=[(0, 5), (2, 3)])
         b = EditBatch.build(insertions=[(2, 3), (0, 5)])
         assert encode_wal_record(3, a) == encode_wal_record(3, b)
+
+    def test_line_layout_and_crc_body(self):
+        """The line is the record's fields in order, and the CRC covers the
+        sorted-keys dump of epoch, insertions and deletions."""
+        batch = EditBatch.build(insertions=[(2, 3), (0, 5)], deletions=[(1, 4)])
+        body = '{"del":[[1,4]],"epoch":7,"ins":[[0,5],[2,3]]}'
+        crc = zlib.crc32(body.encode("utf-8"))
+        assert encode_wal_record(7, batch) == (
+            f'{{"epoch":7,"ins":[[0,5],[2,3]],"del":[[1,4]],"crc":{crc}}}\n'
+        )
+        empty = encode_wal_record(0, EditBatch.build())
+        crc = zlib.crc32(b'{"del":[],"epoch":0,"ins":[]}')
+        assert empty == f'{{"epoch":0,"ins":[],"del":[],"crc":{crc}}}\n'
+        assert parse_wal_line(empty) == (0, EditBatch.build())
 
     def test_flipped_payload_fails_crc(self):
         line = encode_wal_record(7, EditBatch.build(insertions=[(0, 5)]))
