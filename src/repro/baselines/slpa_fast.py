@@ -6,37 +6,78 @@ randomness), but one iteration costs a handful of numpy passes over the
 directed-edge arrays instead of a Python loop over every (listener, speaker)
 pair.  The test-suite asserts bit-equality with the reference SLPA.
 
-The plurality mode per listener is computed without Python loops:
+The plurality mode per listener is computed without Python loops, by
+:func:`plurality`, the one kernel this engine and the distributed
+:class:`~repro.distributed.programs_array.FastSLPAPropagationProgram`
+share:
 
 1. every directed edge (speaker -> listener) carries its spoken label;
 2. ``lexsort`` groups (listener, label) runs; run lengths are the vote
-   counts;
-3. a per-run score ``count * 2^20 + tiebreak_hash`` is lex-sorted within each
-   listener, and the last run per listener wins — the tiebreak hash matches
-   the reference implementation's uniform pick among maximal labels only in
-   *distribution*, so bit-equality with the reference engine is guaranteed by
-   sharing the exact same tie-break draw (see ``_tie_break``).
+   counts, and the runs with a listener's most votes are its winners;
+3. the winners, in ascending label order, are indexed by the reference
+   engine's own tie-break draw, so the pick is bit-identical to it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.baselines.slpa import _SEND, _TIE, DEFAULT_ITERATIONS, DEFAULT_THRESHOLD
 from repro.core.communities import Cover
 from repro.core.randomness import (
-    _C_SRC,
-    _np_mix64,
     draw_position_array,
+    draw_src_index_array,
     slot_hash_array,
 )
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
 from repro.utils.validation import check_positive, check_probability, check_type
 
-__all__ = ["FastSLPA", "fast_slpa_detect"]
+__all__ = ["FastSLPA", "fast_slpa_detect", "plurality"]
+
+
+def plurality(
+    rows: np.ndarray, labels: np.ndarray, ids: np.ndarray, seed: int, t: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each listener row's plurality label at iteration ``t``.
+
+    Row ``rows[e]`` heard ``labels[e]``.  A tie among a row's most-voted
+    labels breaks as in :class:`repro.baselines.slpa.SLPA`: the winners
+    in ascending label order, indexed by ``draw_src_index(slot_hash(seed
+    ^ TIE, ids[row], t, 0), #winners)``.  Returns the rows that heard
+    anything, ascending, and their picked labels.
+    """
+    if rows.size == 0:
+        return rows, labels
+    order = np.lexsort((labels, rows))
+    sorted_row, sorted_label = rows[order], labels[order]
+    new_run = np.ones(len(order), dtype=bool)
+    new_run[1:] = (sorted_row[1:] != sorted_row[:-1]) | (
+        sorted_label[1:] != sorted_label[:-1]
+    )
+    run_starts = np.flatnonzero(new_run)
+    run_row, run_label = sorted_row[run_starts], sorted_label[run_starts]
+    run_counts = np.diff(np.append(run_starts, len(order)))
+
+    # Max votes per row; the runs that reach it win.
+    first_run = np.ones(len(run_starts), dtype=bool)
+    first_run[1:] = run_row[1:] != run_row[:-1]
+    max_per_row = np.maximum.reduceat(run_counts, np.flatnonzero(first_run))
+    winners = np.flatnonzero(run_counts == max_per_row[np.cumsum(first_run) - 1])
+    winner_row, winner_label = run_row[winners], run_label[winners]
+
+    # Rank each winner within its row (runs are label-sorted per row).
+    first_winner = np.ones(len(winners), dtype=bool)
+    first_winner[1:] = winner_row[1:] != winner_row[:-1]
+    row_start = np.flatnonzero(first_winner)
+    per_row = np.diff(np.append(row_start, len(winners)))
+    rank = np.arange(len(winners)) - np.repeat(row_start, per_row)
+
+    tie_h = slot_hash_array(seed ^ _TIE, ids[winner_row[row_start]], t, 0)
+    picked = rank == np.repeat(draw_src_index_array(tie_h, per_row), per_row)
+    return winner_row[picked], winner_label[picked]
 
 
 class FastSLPA:
@@ -68,6 +109,7 @@ class FastSLPA:
         # Directed-edge arrays: listeners[e] receives from speakers[e].
         self.listeners = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
         self.speakers = self.indices
+        self._vertex_rows = np.arange(self.n, dtype=np.int64)  # tie-hash keys
         self.zero_degree = degrees == 0
         self.memory = np.arange(self.n, dtype=np.int64)[np.newaxis, :].copy()
         self._t = 0
@@ -78,11 +120,6 @@ class FastSLPA:
     @property
     def num_iterations(self) -> int:
         return self._t
-
-    def _tie_break(self, listeners_with_ties: np.ndarray, t: int) -> np.ndarray:
-        """The reference tie-break draw (index into the sorted winner list)."""
-        # Matches slpa.SLPA: h = slot_hash(seed ^ _TIE, listener, t, 0).
-        return slot_hash_array(self.seed ^ _TIE, listeners_with_ties, t, 0)
 
     def propagate(self, iterations: Optional[int] = None) -> np.ndarray:
         remaining = self.iterations if iterations is None else iterations
@@ -95,61 +132,9 @@ class FastSLPA:
             spoken = self.memory[pos, self.speakers]
 
             # --- plurality selection per listener --------------------------
-            order = np.lexsort((spoken, self.listeners))
-            sorted_listener = self.listeners[order]
-            sorted_label = spoken[order]
-            new_run = np.empty(len(order), dtype=bool)
-            if len(order):
-                new_run[0] = True
-                new_run[1:] = (sorted_listener[1:] != sorted_listener[:-1]) | (
-                    sorted_label[1:] != sorted_label[:-1]
-                )
-            run_starts = np.flatnonzero(new_run)
-            run_listener = sorted_listener[run_starts]
-            run_label = sorted_label[run_starts]
-            run_counts = np.diff(np.append(run_starts, len(order)))
-
-            # Max votes per listener.
-            listener_first_run = np.empty(len(run_starts), dtype=bool)
-            if len(run_starts):
-                listener_first_run[0] = True
-                listener_first_run[1:] = run_listener[1:] != run_listener[:-1]
-            group_starts = np.flatnonzero(listener_first_run)
-            max_per_group = np.maximum.reduceat(run_counts, group_starts) if len(
-                group_starts
-            ) else np.array([], dtype=run_counts.dtype)
-            group_index = np.cumsum(listener_first_run) - 1
-            is_winner = run_counts == max_per_group[group_index]
-
-            # Winners per listener, in ascending label order (runs are label
-            # sorted within a listener): rank each winner within its group.
-            winner_rows = np.flatnonzero(is_winner)
-            winner_listener = run_listener[winner_rows]
-            winner_label = run_label[winner_rows]
-            # Group boundaries among winners.
-            first_winner = np.empty(len(winner_rows), dtype=bool)
-            if len(winner_rows):
-                first_winner[0] = True
-                first_winner[1:] = winner_listener[1:] != winner_listener[:-1]
-            winner_group_start = np.flatnonzero(first_winner)
-            winners_per_listener = np.diff(
-                np.append(winner_group_start, len(winner_rows))
+            picked_listeners, picked_labels = plurality(
+                self.listeners, spoken, self._vertex_rows, self.seed, t
             )
-            rank_in_group = np.arange(len(winner_rows)) - np.repeat(
-                winner_group_start, winners_per_listener
-            )
-
-            # Reference tie-break: index = mix(h_tie) % num_winners.
-            unique_listeners = winner_listener[winner_group_start]
-            tie_h = self._tie_break(unique_listeners, t)
-            # draw_src_index(h, k) vectorised: mix64(h ^ C_SRC) % k.
-            chosen_rank = (
-                _np_mix64(tie_h ^ np.uint64(_C_SRC))
-                % winners_per_listener.astype(np.uint64)
-            ).astype(np.int64)
-            picked_mask = rank_in_group == np.repeat(chosen_rank, winners_per_listener)
-            picked_labels = winner_label[picked_mask]
-            picked_listeners = winner_listener[picked_mask]
 
             new_row = self.memory[0].copy()  # degree-0 fallback: own label
             new_row[picked_listeners] = picked_labels

@@ -173,9 +173,10 @@ class CountsRecord:
     with fewer than 65,536 vertices and columns).  An edge's hits depend
     only on the codes of its two rows, so an edge the record holds whose
     rows' codes did not change keeps its hits, however many repairs ran in
-    between.  Only label-column codes are kept: they have no padding, and
-    a label keeps its code from one extraction to the next.  A record
-    whose ids or code matrix shape (hence T) differ is not used.
+    between.  Rows are matched by id, so a vertex birth or removal costs
+    only the edges it touches.  Only label-column codes are kept: they
+    have no padding, and a label keeps its code from one extraction to the
+    next.  A record whose code width (T+1) differs is not used.
     ``recounted`` is how many edges the last call counted afresh.
     """
 
@@ -200,8 +201,8 @@ class CountsRecord:
         ``ids``, ``u`` and ``v`` are :func:`_canonical_edges`' output and
         ``codes`` / ``num_labels`` / ``by_column`` :func:`_label_codes`'.
         Edges the record holds whose rows' codes match the record's take
-        its hits, found by one ``searchsorted`` of their keys;
-        :func:`_collision_counts` counts the rest.
+        its hits (:meth:`_held`), found by one ``searchsorted`` of their
+        keys; :func:`_collision_counts` counts the rest.
         """
         n = len(ids)
         keys = (u * n + v).astype(_unsigned(n * n))
@@ -210,15 +211,11 @@ class CountsRecord:
         if (
             by_column
             and self.ids is not None
-            and codes.shape == self.codes.shape
-            and np.array_equal(ids, self.ids)
+            and self.ids.size
+            and codes.shape[1] == self.codes.shape[1]
         ):
-            changed = (codes != self.codes).any(axis=1)
-            at = np.searchsorted(self.keys, keys)
-            held = at < len(self.keys)
-            held[held] = self.keys[at[held]] == keys[held]
-            kept = held & ~changed[u] & ~changed[v]
-            hits[kept] = self.hits[at[kept]]
+            kept, held_hits = self._held(ids, u, v, codes)
+            hits[kept] = held_hits
             recount = ~kept
         self.recounted = int(np.count_nonzero(recount))
         if self.recounted:
@@ -232,6 +229,25 @@ class CountsRecord:
         else:
             self.ids = self.keys = self.hits = self.codes = None
         return hits
+
+    def _held(
+        self, ids: np.ndarray, u: np.ndarray, v: np.ndarray, codes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Which edges ``(u, v)`` over the rows ``ids`` the record holds
+        with both rows' codes unchanged (a mask), and their hits.
+
+        One ``searchsorted`` maps each row to the record's row of its id;
+        a row whose id the record lacks matches no code row.
+        """
+        row = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
+        same = (self.ids[row] == ids) & (codes == self.codes[row]).all(axis=1)
+        kept = same[u] & same[v]
+        keys = (row[u[kept]] * len(self.ids) + row[v[kept]]).astype(self.keys.dtype)
+        at = np.searchsorted(self.keys, keys)
+        held = at < len(self.keys)
+        held[held] = self.keys[at[held]] == keys[held]
+        kept[kept] = held
+        return kept, self.hits[at[held]]
 
 
 def _unsigned(top: int) -> type:

@@ -58,8 +58,12 @@ failure fires exactly once.  ``recovery`` (a
 :class:`~repro.distributed.metrics.RecoveryStats`, also attached to
 ``stats.recovery``) counts checkpoints, respawns, and replayed
 supersteps; ``leaked_pids`` lists any process that survived the SIGKILL
-escalation (:func:`~repro.runtime.stop_children`) in
+escalation (:meth:`~repro.runtime.Wire.stop`) in
 :meth:`~MultiprocessBSPEngine.shutdown`.
+
+The engine holds no process of its own: its :class:`~repro.runtime.Wire`
+is the one table of worker processes, and the wire starts, finds dead
+(``dead``), respawns (``restart``) and stops them.
 
 Usage::
 
@@ -71,7 +75,6 @@ Usage::
 from __future__ import annotations
 
 import logging
-import multiprocessing as mp
 import pickle
 import time
 import zlib
@@ -92,7 +95,7 @@ from repro.distributed.message_array import (
 from repro.distributed.metrics import CommStats, RecoveryStats
 from repro.distributed.worker import CSRShard
 from repro.graph.partition import Partitioner
-from repro.runtime import POLL_S, WorkerCrashedError, fire_faults, stop_children
+from repro.runtime import WorkerCrashedError, fire_faults
 
 __all__ = ["MultiprocessBSPEngine", "WorkerCrashedError"]
 
@@ -106,10 +109,13 @@ ProgramFactory = Callable[[CSRShard], ArrayWorkerProgram]
 #: payload is a tuple starting with this sentinel.
 _CTRL = "__ctrl__"
 
-#: Upper bound on stale messages drained per worker during recovery; a
-#: worker can owe at most a handful (one outbox, one snapshot or collect
-#: reply, acks of an interrupted earlier recovery).
+#: Upper bound on the messages a worker sends until a recovery ack; it
+#: can owe at most a handful of stale ones (one outbox, one snapshot or
+#: collect reply, acks of an interrupted earlier recovery).
 _DRAIN_LIMIT = 64
+
+#: Seconds a crash waits for the dead worker's exit to become reapable.
+_DEATH_GRACE_S = 5.0
 
 #: The ``plane`` attribute of every engine span (the columnar plane).
 _PLANE = "array"
@@ -197,7 +203,7 @@ def _worker_main(
             elif verb == "trace":
                 # Ship-and-clear this worker's recordings.  The reply is a
                 # >= 3 tuple tagged _CTRL, so an interrupted fetch drains
-                # safely through _drain_until_ack during recovery.
+                # safely through the recovery's await_reply.
                 if obs is not None:
                     endpoint.send(
                         (_CTRL, "trace", obs.trace.take(), obs.metrics.snapshot())
@@ -263,7 +269,6 @@ class MultiprocessBSPEngine:
         shards: Sequence[CSRShard],
         partitioner: Partitioner,
         factory: ProgramFactory,
-        mp_context: Optional[str] = None,
         transport: str = "pipe",
         fault_tolerance: bool = False,
         checkpoint_interval: int = 4,
@@ -325,10 +330,9 @@ class MultiprocessBSPEngine:
         self._worker_ids = list(self._shards)
         self._factory = factory
         self._fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        self._ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
-        # One wire per worker carries verbs and payloads alike.
+        # One wire per worker carries verbs and payloads alike; the wire
+        # also holds the worker processes.
         self._wire = wire_class(crash_error=WorkerCrashedError)
-        self._processes: Dict[int, object] = {}
         self._closed = False
         self._checkpoint: Optional[_Cut] = None
         self._superstep = 0
@@ -337,33 +341,25 @@ class MultiprocessBSPEngine:
         self._ctrl_token = 0
         self._last_max_supersteps = 100_000
         try:
-            self._wire.bind(self._ctx)
+            self._wire.bind()
             # Every worker starts before the first attach, so tcp workers
             # dial in in parallel.
             for wid in self._worker_ids:
-                self._spawn_worker(wid)
+                self._wire.start(wid, _worker_main, *self._worker_args(wid))
             for wid in self._worker_ids:
-                self._wire.attach(wid, self._processes[wid])
+                self._wire.attach(wid)
         except BaseException:
             # A worker dying during the handshake (or any bind failure)
             # must not leak processes, sockets, or shm segments.
             self.shutdown()
             raise
 
-    def _spawn_worker(self, wid: int) -> None:
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                self._wire.child_endpoint(wid),
-                self._shards[wid],
-                self._factory,
-                self._fault_plan,
-                self.obs is not None,
-            ),
-            daemon=True,
+    def _worker_args(self, wid: int) -> tuple:
+        """What :func:`_worker_main` takes after the endpoint."""
+        return (
+            self._shards[wid], self._factory, self._fault_plan,
+            self.obs is not None,
         )
-        process.start()
-        self._processes[wid] = process
 
     # ------------------------------------------------------------------
     # Crash-aware wire
@@ -637,11 +633,13 @@ class MultiprocessBSPEngine:
         """
         if self._closed or not self._fault_tolerance:
             raise exc
-        dead = self._await_dead(exc)
         obs = self.obs
         if obs is not None:
             restore_start = time.time_ns()
         while True:
+            dead = self._wire.dead(_DEATH_GRACE_S)
+            if not dead:  # pragma: no cover - not a process death; cannot repair
+                raise exc
             self.recovery.recoveries += 1
             # Drop the live outboxes before touching the wire: shm outbox
             # columns are views pinning the dead worker's segments, and
@@ -658,7 +656,6 @@ class MultiprocessBSPEngine:
                 break
             except WorkerCrashedError as again:
                 exc = again
-                dead = self._await_dead(exc)
         if self._checkpoint is None:
             # Crashed before the first cut existed: reset every program
             # and redo the start barrier.
@@ -680,45 +677,19 @@ class MultiprocessBSPEngine:
                 superstep=self._superstep,
             )
 
-    def _await_dead(self, exc: WorkerCrashedError) -> List[int]:
-        """Ids of the dead workers; re-raises ``exc`` if there are none.
-
-        A pipe EOF can be observed microseconds before waitpid() sees the
-        exit (the kernel closes fds before the zombie transition), so the
-        death gets a moment to become reapable before the crash is judged
-        something recovery cannot repair.
-        """
-        deadline = time.monotonic() + 5.0
-        while True:
-            dead = [
-                wid for wid in self._worker_ids
-                if not self._processes[wid].is_alive()
-            ]
-            if dead or time.monotonic() >= deadline:
-                break
-            time.sleep(POLL_S)
-        if not dead:  # pragma: no cover - not a process death; cannot repair
-            raise exc
-        return dead
-
     def _respawn(self, wid: int) -> None:
         if self.recovery.workers_respawned >= self._max_restarts:
-            raise WorkerCrashedError(
-                wid,
-                self._processes[wid].exitcode,
-                f"(respawn budget exhausted: max_restarts={self._max_restarts})",
+            raise self._wire.crashed(
+                wid, f"(respawn budget exhausted: max_restarts={self._max_restarts})"
             )
         self.recovery.workers_respawned += 1
         obs = self.obs
         if obs is not None:
             respawn_start = time.time_ns()
-        self._processes[wid].join(timeout=5)  # reap the corpse
-        self._wire.detach(wid)
         # Strip-on-respawn: a replacement worker is healthy, so every
         # scripted fault fires exactly once and replay terminates.
         self._fault_plan = self._fault_plan.without(child=wid)
-        self._spawn_worker(wid)
-        self._wire.attach(wid, self._processes[wid])
+        self._wire.restart(wid, _worker_main, *self._worker_args(wid))
         if obs is not None:
             obs.trace.record(
                 "engine.respawn", respawn_start, plane=_PLANE,
@@ -743,29 +714,27 @@ class MultiprocessBSPEngine:
         cut = self._checkpoint
         for wid in self._worker_ids:
             self._wire.send(wid, ("sync", token))
-            self._drain_until_ack(wid, "sync", token)
+            self._await_ack(wid, "sync", token)
             if verb == "restore":
                 self._wire.send(
                     wid, ("restore", cut.superstep, cut.blobs[wid], token)
                 )
-                self._drain_until_ack(wid, "restored", token)
+                self._await_ack(wid, "restored", token)
             else:
                 self._wire.send(wid, ("reset", token))
-                self._drain_until_ack(wid, "reset", token)
+                self._await_ack(wid, "reset", token)
 
-    def _drain_until_ack(self, wid: int, kind: str, token: int) -> None:
+    def _await_ack(self, wid: int, kind: str, token: int) -> None:
         """Drop ``wid``'s messages up to its ``kind`` ack for ``token``:
         a stale outbox or collect reply, or a control reply of an
         interrupted earlier phase."""
-        for _ in range(_DRAIN_LIMIT):
-            msg = self._wire.recv(wid)
-            if (
+        self._wire.await_reply(
+            wid,
+            lambda msg: (
                 isinstance(msg, tuple) and len(msg) >= 3 and msg[0] == _CTRL
                 and msg[1] == kind and msg[-1] == token
-            ):
-                return
-        raise RuntimeError(  # pragma: no cover - protocol violation
-            f"worker {wid} never acknowledged {kind!r}"
+            ),
+            limit=_DRAIN_LIMIT,
         )
 
     # ------------------------------------------------------------------
@@ -782,19 +751,14 @@ class MultiprocessBSPEngine:
         if self._closed:
             return
         self._closed = True
-        try:
-            self.leaked_pids += stop_children(
-                self._wire, self._processes, join_s=10, kill_join_s=5
-            )
-        finally:
-            # Release outbox column views (shm: exported pointers into the
-            # workers' segments) before closing the wire, or the segments
-            # cannot be unmapped.
-            self._outboxes = None
-            self._checkpoint = None
-            # Always last: reaps shm segments / sockets even when workers
-            # were terminated and their own close() never ran.
-            self._wire.close()
+        # Release outbox column views (shm: exported pointers into the
+        # workers' segments) before the wire closes, or the segments
+        # cannot be unmapped.
+        self._outboxes = None
+        self._checkpoint = None
+        # The wire closes last, so it reaps shm segments and sockets even
+        # when workers were terminated and their own close() never ran.
+        self.leaked_pids += self._wire.stop(join_s=10, kill_join_s=5)
 
     def __enter__(self) -> "MultiprocessBSPEngine":
         return self

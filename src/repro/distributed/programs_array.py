@@ -22,17 +22,16 @@ per-superstep counters against a tuple-message oracle.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
-from repro.baselines.slpa import _SEND, _TIE
+from repro.baselines.slpa import _SEND
+from repro.baselines.slpa_fast import plurality
 from repro.core.randomness import (
-    _C_SRC,
     NO_SOURCE,
     draw_position_array,
     draw_src_index_array,
-    mix64_array,
     slot_hash_array,
 )
 from repro.distributed.engine_array import ArrayWorkerProgram
@@ -150,9 +149,10 @@ class FastSLPAPropagationProgram(_LocalStateProgram):
     """The SLPA push protocol over columns: one ``spk`` row per directed edge.
 
     Speaker draws reuse :class:`repro.baselines.slpa.SLPA`'s composite edge
-    key; the per-listener plurality + tie-break is the
-    :class:`~repro.baselines.slpa_fast.FastSLPA` lexsort construction run
-    on the inbox columns of one worker.
+    key; the per-listener plurality + tie-break is
+    :func:`~repro.baselines.slpa_fast.plurality`, the kernel
+    :class:`~repro.baselines.slpa_fast.FastSLPA` runs, over the inbox
+    columns of one worker.
     """
 
     def __init__(self, shard: CSRShard, seed: int, iterations: int):
@@ -194,65 +194,12 @@ class FastSLPAPropagationProgram(_LocalStateProgram):
         dst, label, t_col = spk
         t = int(t_col[0])
         rows = self._rows_of(dst)
-        picked_rows, picked_labels = self._plurality(rows, label, t)
+        picked_rows, picked_labels = plurality(
+            rows, label, self.local_ids, self.seed, t
+        )
         self.memory[t, picked_rows] = picked_labels
         if t < self.iterations:
             self._speak(ctx, t + 1)
-
-    def _plurality(
-        self, rows: np.ndarray, labels: np.ndarray, t: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Plurality winner per listener row, reference tie-break included."""
-        # Inbox columns arrive (dst, fields...)-sorted, so (row, label) runs
-        # are already grouped; keep the explicit lexsort for independence
-        # from the delivery order (it is O(m log m) on sorted input anyway).
-        order = np.lexsort((labels, rows))
-        sorted_row = rows[order]
-        sorted_label = labels[order]
-        new_run = np.empty(len(order), dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (sorted_row[1:] != sorted_row[:-1]) | (
-            sorted_label[1:] != sorted_label[:-1]
-        )
-        run_starts = np.flatnonzero(new_run)
-        run_row = sorted_row[run_starts]
-        run_label = sorted_label[run_starts]
-        run_counts = np.diff(np.append(run_starts, len(order)))
-
-        # Max votes per listener group.
-        first_run = np.empty(len(run_starts), dtype=bool)
-        first_run[0] = True
-        first_run[1:] = run_row[1:] != run_row[:-1]
-        group_starts = np.flatnonzero(first_run)
-        max_per_group = np.maximum.reduceat(run_counts, group_starts)
-        group_index = np.cumsum(first_run) - 1
-        is_winner = run_counts == max_per_group[group_index]
-
-        # Winners per listener in ascending label order; rank within group.
-        winner_idx = np.flatnonzero(is_winner)
-        winner_row = run_row[winner_idx]
-        winner_label = run_label[winner_idx]
-        first_winner = np.empty(len(winner_idx), dtype=bool)
-        first_winner[0] = True
-        first_winner[1:] = winner_row[1:] != winner_row[:-1]
-        winner_group_start = np.flatnonzero(first_winner)
-        winners_per_listener = np.diff(
-            np.append(winner_group_start, len(winner_idx))
-        )
-        rank_in_group = np.arange(len(winner_idx)) - np.repeat(
-            winner_group_start, winners_per_listener
-        )
-
-        # Reference tie-break: mix64(slot_hash(seed^TIE, listener, t) ^ C_SRC)
-        # % num_winners indexes the ascending winner list.
-        unique_listeners = self.local_ids[winner_row[winner_group_start]]
-        tie_h = slot_hash_array(self.seed ^ _TIE, unique_listeners, t, 0)
-        chosen_rank = (
-            mix64_array(tie_h ^ np.uint64(_C_SRC))
-            % winners_per_listener.astype(np.uint64)
-        ).astype(np.int64)
-        picked = rank_in_group == np.repeat(chosen_rank, winners_per_listener)
-        return winner_row[picked], winner_label[picked]
 
     def collect(self) -> Dict[str, np.ndarray]:
         """The ``(T+1, n_local)`` memory matrix."""

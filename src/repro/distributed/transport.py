@@ -184,7 +184,7 @@ class SharedMemoryTransport(PipeWire):
         """Inbox ring slot (re)allocations so far, over every worker."""
         return sum(ring.grows for ring in self._inbox_rings.values())
 
-    def bind(self, mp_context) -> None:
+    def bind(self) -> None:
         # Start the resource-tracker daemon BEFORE the workers fork, so
         # driver and workers share one tracker.  Then create/unlink pairs
         # balance exactly: attaching re-adds a name the creator already
@@ -197,14 +197,14 @@ class SharedMemoryTransport(PipeWire):
             resource_tracker.ensure_running()
         except (ImportError, AttributeError):
             pass
-        super().bind(mp_context)
+        super().bind()
 
-    def child_endpoint(self, cid: int) -> "SharedMemoryEndpoint":
+    def _endpoint(self, cid: int) -> "SharedMemoryEndpoint":
         # A respawned worker keeps the driver-owned inbox ring: it
         # re-attaches the same segments by name on its first step.
         self._inbox_rings.setdefault(cid, _SegmentRing())
         self._outbox_caches.setdefault(cid, _SegmentCache())
-        return SharedMemoryEndpoint(super().child_endpoint(cid))
+        return SharedMemoryEndpoint(super()._endpoint(cid))
 
     def send(self, cid: int, message) -> None:
         # Pack first (never blocks), then the verb: the worker attaches

@@ -8,14 +8,20 @@ must never hang on a child that died, and must stop every child at
 shutdown.  This module is the one copy of that machinery:
 
 * :class:`Wire` — the supervisor's channel to its children, keyed by
-  child id; one wire carries every message to and from a child, command
-  verbs and payloads alike.  :class:`PipeWire` sends pickles over one
-  ``multiprocessing.Pipe`` per child; :class:`TcpWire` sends them over
-  localhost sockets, where each child dials in (jittered exponential
-  redial) and says a 24-byte hello: the per-wire cookie plus its int64
-  child id.  ``recv`` polls the child's liveness every :data:`POLL_S`,
-  so a dead child raises instead of hanging, and returns :data:`TIMEOUT`
-  when an explicit timeout lapses.
+  child id, and its one table of child processes; one wire carries every
+  message to and from a child, command verbs and payloads alike.
+  :class:`PipeWire` sends pickles over one ``multiprocessing.Pipe`` per
+  child; :class:`TcpWire` sends them over localhost sockets, where each
+  child dials in (jittered exponential redial) and says a 24-byte hello:
+  the per-wire cookie plus its int64 child id.  ``recv`` polls the
+  child's liveness every :data:`POLL_S`, so a dead child raises instead
+  of hanging, and returns :data:`TIMEOUT` when an explicit timeout
+  lapses; ``await_reply`` drops stale replies until the awaited one.
+  The wire alone creates, joins and signals processes: ``start`` /
+  ``attach`` bring a child up, ``dead`` names the children whose process
+  exited, ``restart`` replaces one, and ``stop`` ends them all — stop
+  message, then SIGTERM, then SIGKILL; a process that survives SIGKILL
+  is returned and logged, never silently abandoned.
 * :class:`SocketPeer` — one end of a message socket: liveness-polled
   ``send_all`` / ``recv_into`` loops (with a first-byte deadline) and
   protocol-5 pickles on top, whose contiguous buffers (numpy column
@@ -23,9 +29,6 @@ shutdown.  This module is the one copy of that machinery:
 * :class:`ChildCrashedError` — a child died; :class:`WorkerCrashedError`
   is the BSP engine's subclass (it names the ``worker_id``), so
   ``except ChildCrashedError`` catches a crash from either supervisor.
-* :func:`stop_children` — stop message, then SIGTERM, then SIGKILL; a
-  process that survives SIGKILL is returned and logged, never silently
-  abandoned.
 * :func:`fire_faults` — the one place a child acts out a scripted
   :class:`~repro.distributed.faults.FaultPlan`: both child loops call it
   at the ``recv`` and ``reply`` seams of every stepped verb.
@@ -39,7 +42,9 @@ several writes, and none of them may wait out Nagle and a delayed ACK.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import multiprocessing as mp
 import os
 import pickle
 import select
@@ -62,7 +67,6 @@ __all__ = [
     "TcpWire",
     "SocketPeer",
     "fire_faults",
-    "stop_children",
 ]
 
 logger = logging.getLogger(__name__)
@@ -75,10 +79,13 @@ POLL_S = 0.05
 TIMEOUT = object()
 
 #: Child-side redial budget: exponential backoff from _CONNECT_DELAY_S.  A
-#: respawned child may dial in while the supervisor is still detaching its
-#: predecessor, so the first attempt is allowed to fail.
+#: failed dial is retried before the child gives up on its supervisor.
 _CONNECT_ATTEMPTS = 6
 _CONNECT_DELAY_S = 0.05
+
+#: Seconds :meth:`Wire.detach` waits for a dropped child to exit, and
+#: then after each of SIGTERM and SIGKILL.
+_DETACH_JOIN_S = 1.0
 
 _HEAD = struct.Struct("<QQ")  #: message head: pickle length, buffer count
 _LENGTH = struct.Struct("<Q")  #: one out-of-band buffer's length
@@ -124,31 +131,52 @@ class WorkerCrashedError(ChildCrashedError):
 # Wires
 # ----------------------------------------------------------------------
 class Wire:
-    """Supervisor-side channel to every child of one supervisor.
+    """A supervisor's channel to its children, and its one table of them.
 
-    The supervisor calls :meth:`bind` once, then per child
-    :meth:`child_endpoint` (the picklable half handed to the process,
-    which calls ``open()`` inside the child and then ``send`` / ``recv`` /
-    ``close``) and :meth:`attach` once the process started.  Messages are
-    arbitrary pickles.  :meth:`send` and :meth:`recv` raise
-    ``crash_error`` (a :class:`ChildCrashedError` class) when the child
-    is gone; :meth:`recv` returns :data:`TIMEOUT` when an explicit
-    ``timeout`` lapses first.
+    The supervisor calls :meth:`bind` once, then per child :meth:`start`
+    and :meth:`attach`.  The endpoint :meth:`start` hands the child is
+    the picklable half it calls ``open()`` on, then ``send`` / ``recv`` /
+    ``close``.  Messages are arbitrary pickles.  :meth:`send` and
+    :meth:`recv` raise ``crash_error`` (a :class:`ChildCrashedError`
+    class) when the child is gone; :meth:`recv` returns :data:`TIMEOUT`
+    when an explicit ``timeout`` lapses first.  No supervisor touches a
+    process: :meth:`dead`, :meth:`restart`, :meth:`detach` and
+    :meth:`stop` do.
     """
 
     def __init__(self, crash_error: type = ChildCrashedError):
         self._crash_error = crash_error
+        self._ctx = mp.get_context()
         self._processes: Dict[int, object] = {}
+        self._leaked: List[int] = []
 
-    def bind(self, mp_context) -> None:
+    def bind(self) -> None:
         """Allocate supervisor-side resources before any child starts."""
 
-    def child_endpoint(self, cid: int):
+    def _endpoint(self, cid: int):
         raise NotImplementedError
 
-    def attach(self, cid: int, process) -> None:
-        """Complete the per-child handshake after ``process`` started."""
+    def start(self, cid: int, target: Callable, *args) -> None:
+        """Run ``target(endpoint, *args)`` in a daemon process, child ``cid``.
+
+        The endpoint is built and its process started in one step, so
+        every endpoint handed out so far belongs to a started child.
+        """
+        process = self._ctx.Process(
+            target=target, args=(self._endpoint(cid),) + args, daemon=True
+        )
+        process.start()
         self._processes[cid] = process
+
+    def attach(self, cid: int) -> None:
+        """Complete the per-child handshake after :meth:`start`."""
+
+    def restart(self, cid: int, target: Callable, *args) -> None:
+        """:meth:`detach` child ``cid`` (if any), then start and attach
+        ``target(endpoint, *args)`` in its place."""
+        self.detach(cid)
+        self.start(cid, target, *args)
+        self.attach(cid)
 
     def send(self, cid: int, message) -> None:
         raise NotImplementedError
@@ -160,14 +188,100 @@ class Wire:
         """Whether a message from ``cid`` is already waiting."""
         raise NotImplementedError
 
+    def await_reply(self, cid: int, match: Callable[[object], bool],
+                    timeout: Optional[float] = None,
+                    limit: Optional[int] = None):
+        """Child ``cid``'s first message ``match`` accepts, dropping the
+        stale ones before it (``match`` sees each); :data:`TIMEOUT` once
+        ``timeout`` seconds lapse, ``RuntimeError`` after ``limit``
+        messages without a match."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for _ in itertools.count() if limit is None else range(limit):
+            remaining = (
+                None if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
+            message = self.recv(cid, remaining)
+            if message is TIMEOUT or match(message):
+                return message
+        raise RuntimeError(  # pragma: no cover - protocol violation
+            f"child {cid} sent {limit} messages without the awaited reply"
+        )
+
+    def dead(self, grace_s: float) -> List[int]:
+        """Ids of the children whose process exited, ascending.
+
+        A pipe EOF can be observed microseconds before waitpid() sees the
+        exit (the kernel closes fds before the zombie transition), so this
+        waits up to ``grace_s`` seconds for a death to become reapable.
+        """
+        deadline = time.monotonic() + grace_s
+        while True:
+            dead = sorted(
+                cid for cid, process in self._processes.items()
+                if not process.is_alive()
+            )
+            if dead or time.monotonic() >= deadline:
+                return dead
+            time.sleep(POLL_S)
+
     def detach(self, cid: int) -> None:
-        """Release one child's connection state after its process died."""
-        self._processes.pop(cid, None)
+        """Reap child ``cid``'s process; subclasses release its connection
+        first, which ends a live child's loop.  One still alive after
+        :data:`_DETACH_JOIN_S` gets SIGTERM, then SIGKILL."""
+        process = self._processes.pop(cid, None)
+        if process is not None:
+            self._reap([process], _DETACH_JOIN_S, _DETACH_JOIN_S)
+
+    def stop(self, join_s: float, kill_join_s: float) -> List[int]:
+        """Stop every child, then :meth:`close`.
+
+        Each child gets a ``("stop",)`` message and ``join_s`` seconds to
+        exit, then SIGTERM and SIGKILL with ``kill_join_s`` seconds after
+        each.  Returns the pids of processes that survived even SIGKILL
+        (uninterruptible sleep), here or in a :meth:`detach`, each logged
+        instead of silently abandoned.
+        """
+        try:
+            for cid in self._processes:
+                try:
+                    self.send(cid, ("stop",))
+                except (ChildCrashedError, KeyError, OSError):
+                    pass  # already gone
+            self._reap(list(self._processes.values()), join_s, kill_join_s)
+        finally:
+            self.close()
+        return list(self._leaked)
+
+    def _reap(self, processes: List[object], join_s: float,
+              kill_join_s: float) -> None:
+        try:
+            for process in processes:
+                process.join(timeout=join_s)
+        finally:
+            for process in processes:
+                if process.is_alive():  # pragma: no cover - stuck child
+                    process.terminate()
+                    process.join(timeout=kill_join_s)
+            for process in processes:
+                if process.is_alive():  # pragma: no cover - ignored SIGTERM
+                    process.kill()
+                    process.join(timeout=kill_join_s)
+            for process in processes:
+                if process.is_alive():
+                    logger.error(
+                        "child process pid=%d survived the SIGKILL "
+                        "escalation; leaking it", process.pid,
+                    )
+                    self._leaked.append(process.pid)
 
     def close(self) -> None:
-        """Release every supervisor-side resource (idempotent)."""
+        """Release every supervisor-side resource (idempotent); the
+        children are forgotten, not reaped (:meth:`stop` reaps)."""
+        self._processes.clear()
 
-    def _crashed(self, cid: int, detail: str = "") -> ChildCrashedError:
+    def crashed(self, cid: int, detail: str = "") -> ChildCrashedError:
+        """The crash error for child ``cid``, with its exit code if known."""
         process = self._processes.get(cid)
         return self._crash_error(cid, getattr(process, "exitcode", None), detail)
 
@@ -179,26 +293,21 @@ class PipeWire(Wire):
         super().__init__(crash_error)
         self._conns: Dict[int, object] = {}
         self._child_conns: Dict[int, object] = {}
-        self._ctx = None
 
-    def bind(self, mp_context) -> None:
-        self._ctx = mp_context
-
-    def child_endpoint(self, cid: int) -> "PipeChildEndpoint":
-        # Every supervisor starts a child before it asks for the next
-        # endpoint, so the child halves handed out so far belong to
-        # started children: drop them before this child forks, or it
-        # would inherit them and a dead sibling's pipe would never report
-        # EOF or a broken pipe.  This lets a supervisor start all its
-        # children before it attaches the first.
+    def _endpoint(self, cid: int) -> "PipeChildEndpoint":
+        # start() starts each child as soon as its endpoint exists, so the
+        # child halves handed out so far belong to started children: drop
+        # them before this child forks, or it would inherit them and a
+        # dead sibling's pipe would never report EOF or a broken pipe.
+        # This lets a supervisor start all its children before it
+        # attaches the first.
         self._release_child_halves()
         parent_conn, child_conn = self._ctx.Pipe()
         self._conns[cid] = parent_conn
         self._child_conns[cid] = child_conn
         return PipeChildEndpoint(child_conn)
 
-    def attach(self, cid: int, process) -> None:
-        super().attach(cid, process)
+    def attach(self, cid: int) -> None:
         # Drop the supervisor's reference to the child half so an EOF is
         # unambiguous: only the child holds that end now.
         self._release_child_halves()
@@ -212,7 +321,7 @@ class PipeWire(Wire):
         try:
             self._conns[cid].send(message)
         except OSError:
-            raise self._crashed(cid, "(pipe closed)")
+            raise self.crashed(cid, "(pipe closed)")
 
     def recv(self, cid: int, timeout: Optional[float] = None):
         conn = self._conns[cid]
@@ -224,13 +333,13 @@ class PipeWire(Wire):
                 # dying and the message still sits in the pipe buffer.
                 if conn.poll(POLL_S):
                     break
-                raise self._crashed(cid)
+                raise self.crashed(cid)
             if deadline is not None and time.monotonic() >= deadline:
                 return TIMEOUT
         try:
             return conn.recv()
         except (EOFError, ConnectionResetError):
-            raise self._crashed(cid, "(pipe truncated)")
+            raise self.crashed(cid, "(pipe truncated)")
 
     def poll(self, cid: int) -> bool:
         try:
@@ -239,17 +348,17 @@ class PipeWire(Wire):
             return False
 
     def detach(self, cid: int) -> None:
-        super().detach(cid)
         conn = self._conns.pop(cid, None)
         if conn is not None:
             conn.close()
+        super().detach(cid)
 
     def close(self) -> None:
         for conn in self._conns.values():
             conn.close()
         self._conns.clear()
         self._release_child_halves()
-        self._processes.clear()
+        super().close()
 
 
 class PipeChildEndpoint:
@@ -391,23 +500,23 @@ class TcpWire(Wire):
         self._cookie = b""
         self._peers: Dict[int, SocketPeer] = {}
 
-    def bind(self, mp_context) -> None:
+    def bind(self) -> None:
         self._listener = socket.create_server((self._host, 0))
         self._listener.settimeout(POLL_S)
         self._port = self._listener.getsockname()[1]
         self._cookie = os.urandom(_COOKIE_BYTES)
 
-    def child_endpoint(self, cid: int) -> "TcpChildEndpoint":
+    def _endpoint(self, cid: int) -> "TcpChildEndpoint":
         return TcpChildEndpoint(self._host, self._port, cid, self._cookie)
 
-    def attach(self, cid: int, process) -> None:
-        super().attach(cid, process)
+    def attach(self, cid: int) -> None:
+        process = self._processes[cid]
         while cid not in self._peers:
             try:
                 sock, _addr = self._listener.accept()
             except socket.timeout:
                 if not process.is_alive():
-                    raise self._crashed(cid, "before connecting")
+                    raise self.crashed(cid, "before connecting")
                 continue
             hello = bytearray(_COOKIE_BYTES + _CHILD_ID.size)
             SocketPeer(sock, "connecting child").recv_into(memoryview(hello))
@@ -432,7 +541,7 @@ class TcpWire(Wire):
         try:
             yield self._peers[cid]
         except OSError as exc:  # ConnectionError included
-            raise self._crashed(cid, "(socket closed)") from exc
+            raise self.crashed(cid, "(socket closed)") from exc
 
     def send(self, cid: int, message) -> None:
         with self._peer(cid) as peer:
@@ -451,10 +560,10 @@ class TcpWire(Wire):
         return bool(readable)
 
     def detach(self, cid: int) -> None:
-        super().detach(cid)
         peer = self._peers.pop(cid, None)
         if peer is not None:
             peer.close()
+        super().detach(cid)
 
     def close(self) -> None:
         for peer in self._peers.values():
@@ -463,6 +572,7 @@ class TcpWire(Wire):
         if self._listener is not None:
             self._listener.close()
             self._listener = None
+        super().close()
 
 
 class TcpChildEndpoint(SocketPeer):
@@ -492,44 +602,6 @@ class TcpChildEndpoint(SocketPeer):
         self.sock.setsockopt(*_NODELAY)
         self.sock.sendall(self._cookie + _CHILD_ID.pack(self._cid))
         self.sock.settimeout(POLL_S)
-
-
-# ----------------------------------------------------------------------
-# Shutdown
-# ----------------------------------------------------------------------
-def stop_children(wire: Wire, processes: Dict[int, object], join_s: float,
-                  kill_join_s: float) -> List[int]:
-    """Stop every child: a ``("stop",)`` message, then SIGTERM, then SIGKILL.
-
-    ``processes`` maps child id to process.  Each child gets ``join_s``
-    seconds to exit after its stop message and ``kill_join_s`` after each
-    signal.  Returns the pids of processes that survive even SIGKILL
-    (uninterruptible sleep), each logged instead of silently abandoned.
-    """
-    for cid in processes:
-        try:
-            wire.send(cid, ("stop",))
-        except (ChildCrashedError, KeyError, OSError):
-            pass  # already gone
-    try:
-        for process in processes.values():
-            process.join(timeout=join_s)
-    finally:
-        for process in processes.values():
-            if process.is_alive():  # pragma: no cover - stuck child
-                process.terminate()
-                process.join(timeout=kill_join_s)
-        for process in processes.values():
-            if process.is_alive():  # pragma: no cover - ignored SIGTERM
-                process.kill()
-                process.join(timeout=kill_join_s)
-        leaked = [p.pid for p in processes.values() if p.is_alive()]
-        for pid in leaked:
-            logger.error(
-                "child process pid=%d survived the SIGKILL escalation; "
-                "leaking it", pid,
-            )
-    return leaked
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,10 @@ lands behind a torn line, where every later read would stop short of it;
 only writers append, so a reader (a replica, which may see the primary's
 in-flight append as a torn line) never cuts.  On checkpoint the WAL is
 rotated down to the records newer than the *oldest retained* checkpoint
-epoch (the surviving lines are copied verbatim) and older checkpoint files
-are pruned, so disk usage stays bounded
+epoch (the surviving lines are copied verbatim into a new log, published by
+rename; the store directory is fsynced before the next append, so the
+rename cannot be lost) and older checkpoint files are pruned, so disk
+usage stays bounded
 by ``keep`` checkpoints + ``keep`` WAL windows — and, crucially, every
 retained checkpoint has a complete WAL tail, so recovery can fall back to
 an older checkpoint (a torn latest file raises
@@ -431,6 +433,16 @@ class CheckpointStore:
                 # repro-lint: disable=RPL005 -- tmp must be durable before replace() publishes it
                 os.fsync(handle.fileno())
             os.replace(tmp, self.wal_path)
+            # A rename is durable only once its directory is synced; until
+            # then a power loss can bring back the old log and lose every
+            # later append.  The sync also covers the checkpoint's replace
+            # and the pruning done under the same lock.
+            directory = os.open(self.directory, os.O_RDONLY)
+            try:
+                # repro-lint: disable=RPL005 -- no append may be acknowledged before the rename is durable
+                os.fsync(directory)
+            finally:
+                os.close(directory)
             self._wal_intact = True
 
     def wal_records(self) -> int:

@@ -55,7 +55,10 @@ the :class:`~repro.runtime.PipeWire` / :class:`~repro.runtime.TcpWire`
 the BSP engine runs on too (one ``multiprocessing.Pipe`` per child, or
 length-prefixed pickles over localhost sockets with per-supervisor
 cookie auth).  A dead child surfaces as
-:class:`~repro.runtime.ChildCrashedError`.
+:class:`~repro.runtime.ChildCrashedError`.  The supervisor holds no
+process of its own: the wire is the one table of child processes, and it
+starts, restarts (a replica respawn), drops (a dead primary) and stops
+them.
 
 Replication requires ``strict_edits=True``: the supervisor's encoding of
 a batch must be byte-identical to the record the primary logs, which a
@@ -65,7 +68,6 @@ primary-side no-op filter would silently break.
 from __future__ import annotations
 
 import logging
-import multiprocessing as mp
 import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, Union
@@ -77,13 +79,7 @@ from repro.api.results import ReplicatedRunResult
 from repro.distributed.faults import PRIMARY, FaultPlan
 from repro.graph.adjacency import Graph
 from repro.graph.edits import EditBatch
-from repro.runtime import (
-    TIMEOUT,
-    ChildCrashedError,
-    Wire,
-    fire_faults,
-    stop_children,
-)
+from repro.runtime import TIMEOUT, ChildCrashedError, Wire, fire_faults
 from repro.service.durability import encode_wal_record, parse_wal_line
 from repro.service.facade import (
     CommunityService,
@@ -375,11 +371,9 @@ class ServiceSupervisor:
         self._queue = EditQueue(
             batch_size=self._cfg.batch_size, max_pending=self._cfg.max_pending
         )
-        self._ctx = mp.get_context()
         self._wire: Wire = SERVICE_TRANSPORTS.resolve(
             self.plan.service_transport
         )()
-        self._processes: Dict[int, object] = {}
         #: Pids that survived the SIGKILL escalation at shutdown.
         self.leaked_pids: List[int] = []
         self._replicas: Dict[int, _ReplicaState] = {}
@@ -411,9 +405,13 @@ class ServiceSupervisor:
         """Spawn the primary (fit + baseline checkpoint) and the replicas."""
         if self._started:
             raise RuntimeError("supervisor already started")
-        self._wire.bind(self._ctx)
+        self._wire.bind()
         try:
-            self._spawn_child(self._primary_cid, "primary", rid=-1)
+            self._wire.start(
+                self._primary_cid, _service_child_main,
+                *self._child_args("primary", -1),
+            )
+            self._wire.attach(self._primary_cid)
             self._wire.recv(self._primary_cid)  # ready: fit + checkpoint 0
             for rid in range(self.plan.replicas):
                 self._spawn_replica(rid, respawn=False)
@@ -423,24 +421,12 @@ class ServiceSupervisor:
         self._started = True
         return self
 
-    def _spawn_child(self, cid: int, role: str, rid: int) -> None:
-        endpoint = self._wire.child_endpoint(cid)
-        process = self._ctx.Process(
-            target=_service_child_main,
-            args=(
-                endpoint,
-                role,
-                rid,
-                self._graph if role == "primary" else None,
-                self._cfg,
-                self._checkpoint_dir,
-                self._fault_plan,
-            ),
-            daemon=True,
+    def _child_args(self, role: str, rid: int) -> tuple:
+        """What :func:`_service_child_main` takes after the endpoint."""
+        return (
+            role, rid, self._graph if role == "primary" else None,
+            self._cfg, self._checkpoint_dir, self._fault_plan,
         )
-        process.start()
-        self._processes[cid] = process
-        self._wire.attach(cid, process)
 
     def _spawn_replica(self, rid: int, respawn: bool) -> None:
         """Spawn (or respawn) replica ``rid`` and bootstrap it.
@@ -452,21 +438,26 @@ class ServiceSupervisor:
         (stable ids are path-dependent).  A respawned replica is healthy
         (its scripted faults are stripped) and takes the same path as an
         initial spawn, so the code path is exercised constantly, not only
-        in disasters.
+        in disasters.  A replica replaced while still alive (one that
+        lagged past the buffer) gets the wire's stop escalation.
         """
-        if respawn:
-            self._wire.detach(rid)
-            old = self._processes.pop(rid, None)
-            if old is not None:
-                old.join(timeout=1.0)
-            self._replicas[rid].respawns += 1
-            self.replica_respawns += 1
-            self._fault_plan = self._fault_plan.without(child=rid)
-        exported = self._request_primary_export()
-        self._spawn_child(rid, "replica", rid=rid)
-        self._wire.send(rid, ("bootstrap", exported))
-        ready = self._wire.recv(rid)
-        state = self._replicas.setdefault(rid, _ReplicaState(rid))
+        # Out of the ledger until bootstrapped: a failover while the
+        # primary exports must neither query nor elect this replica.
+        state = self._replicas.pop(rid, None) or _ReplicaState(rid)
+        try:
+            if respawn:
+                state.respawns += 1
+                self.replica_respawns += 1
+                self._fault_plan = self._fault_plan.without(child=rid)
+            exported = self._request_primary_export()
+            # A first spawn has no old process to detach.
+            self._wire.restart(
+                rid, _service_child_main, *self._child_args("replica", rid)
+            )
+            self._wire.send(rid, ("bootstrap", exported))
+            ready = self._wire.recv(rid)
+        finally:
+            self._replicas[rid] = state
         state.acked = ready[1]
         state.shipped = max(state.acked, self._committed_seq)
         state.pending.clear()
@@ -558,20 +549,17 @@ class ServiceSupervisor:
         while True:
             try:
                 self._wire.send(self._primary_cid, ("apply", seq, line))
-                ack = self._recv_primary_ack(seq)
-                return ack
+                # Anything before the ack is a stale response from an
+                # interrupted exchange (e.g. a query the client timed
+                # out on).
+                return self._wire.await_reply(
+                    self._primary_cid,
+                    lambda message: message[0] == "applied" and message[1] == seq,
+                )
             except ChildCrashedError:
                 self._handle_primary_crash(in_flight=(seq, line))
                 # Loop: re-send to the promoted primary (idempotent if
                 # the record was already durable before the crash).
-
-    def _recv_primary_ack(self, seq: int):
-        while True:
-            message = self._wire.recv(self._primary_cid)
-            if message[0] == "applied" and message[1] == seq:
-                return message
-            # Anything else is a stale response from an interrupted
-            # exchange (e.g. a query the client timed out on); drop it.
 
     # ------------------------------------------------------------------
     # Replication pump
@@ -698,9 +686,6 @@ class ServiceSupervisor:
                 f"{self.plan.max_failovers} exhausted"
             )
         self._wire.detach(self._primary_cid)
-        old = self._processes.pop(self._primary_cid, None)
-        if old is not None:
-            old.join(timeout=1.0)
         if not self._replicas:
             raise FailoverExhaustedError(
                 "primary died with no replicas left to promote"
@@ -750,10 +735,10 @@ class ServiceSupervisor:
         self._fault_plan = plan
         token = self._next_token()
         self._wire.send(promoted, ("promote", token, plan))
-        while True:
-            reply = self._wire.recv(promoted)
-            if reply[0] == "promoted" and reply[1] == token:
-                break
+        reply = self._wire.await_reply(
+            promoted,
+            lambda message: message[0] == "promoted" and message[1] == token,
+        )
         _verb, _token, applied, replayed = reply
         self.replayed_records += replayed
         self.promoted_replica = promoted
@@ -788,29 +773,25 @@ class ServiceSupervisor:
             self._wire.send(cid, ("export_index", token))
         else:
             self._wire.send(cid, ("query", token, kind, args))
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        while True:
-            remaining = (
-                None if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            message = self._wire.recv(cid, timeout=remaining)
-            if message is TIMEOUT:
-                raise ReplicaLapsedError(
-                    f"child {cid} missed the {timeout:.3f}s window"
-                )
-            if message[0] == "resp" and message[1] == token:
-                _verb, _token, ok, payload, applied = message
-                if not ok:
-                    raise payload
-                return payload, applied
-            if message[0] == "ack" and cid in self._replicas:
-                state = self._replicas[cid]
+        state = self._replicas.get(cid)
+
+        def match(message) -> bool:
+            # A late ack still counts; any other message is a stale
+            # tokened response, dropped.
+            if message[0] == "ack" and state is not None:
                 state.acked = max(state.acked, message[2])
                 state.stalled = False
-            # Otherwise: a stale tokened response; drop and keep waiting.
+            return message[0] == "resp" and message[1] == token
+
+        reply = self._wire.await_reply(cid, match, timeout=timeout)
+        if reply is TIMEOUT:
+            raise ReplicaLapsedError(
+                f"child {cid} missed the {timeout:.3f}s window"
+            )
+        _verb, _token, ok, payload, applied = reply
+        if not ok:
+            raise payload
+        return payload, applied
 
     def query_primary(self, kind: str, args: tuple = ()):  # crash-aware
         """Query the primary (blocking, surviving failovers)."""
@@ -927,13 +908,7 @@ class ServiceSupervisor:
         if self._closed:
             return
         self._closed = True
-        try:
-            self.leaked_pids += stop_children(
-                self._wire, self._processes, join_s=2.0, kill_join_s=1.0
-            )
-        finally:
-            self._processes.clear()
-            self._wire.close()
+        self.leaked_pids += self._wire.stop(join_s=2.0, kill_join_s=1.0)
 
     def _require_started(self) -> None:
         if not self._started:

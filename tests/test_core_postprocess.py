@@ -619,6 +619,28 @@ class TestCarriedCounts:
             )
         service.close()
 
+    def test_births_and_removals_keep_the_carried_counts(self, monkeypatch):
+        """Guard: a vertex birth above the largest id, a removal and a
+        rebirth below the largest id each change the row ids, yet the next
+        extraction counts fewer than half of the edges afresh and equals a
+        fresh one."""
+        graph = generate_webgraph(WebGraphParams(n=400, avg_out_degree=6.0), seed=1).graph
+        detector = RSLPADetector(graph, seed=3, iterations=20).fit()
+        detector.postprocess()
+        counted = _spy_collision_counts(monkeypatch)
+        top = max(detector.graph.vertices())
+        for step in (
+            lambda: detector.update(EditBatch.build(insertions=[(top + 1, 0), (top + 1, 1)])),
+            lambda: detector.remove_vertex(5),
+            lambda: detector.update(EditBatch.build(insertions=[(5, 2), (5, 3)])),
+        ):
+            counted.clear()
+            step()
+            got = detector.postprocess()
+            assert 0 < sum(counted) < detector.graph_caps().num_edges / 2
+            fresh = extract_communities(detector.graph, detector.array_state)
+            assert oracle.comparable(got) == oracle.comparable(fresh)
+
     def test_refit_drops_the_record(self, monkeypatch):
         detector = RSLPADetector(ring_of_cliques(6, 5), seed=4, iterations=20).fit()
         detector.postprocess()

@@ -552,7 +552,7 @@ class TestFaultKinds:
             checkpoint_interval=2,
         ) as engine:
             engine.run()
-            os.kill(engine._processes[0].pid, signal.SIGKILL)
+            os.kill(engine._wire._processes[0].pid, signal.SIGKILL)
             memories = _memories(shards, engine.collect())
             assert engine.recovery.recoveries == 1
         _assert_identical(memories, ref_memories)
@@ -647,8 +647,8 @@ class TestPolicy:
             def kill(self):
                 pass
 
-        real = owner._processes[0]
-        owner._processes[0] = Unkillable()
+        real = owner._wire._processes[0]
+        owner._wire._processes[0] = Unkillable()
         try:
             with caplog.at_level("ERROR", logger="repro.runtime"):
                 owner.shutdown()

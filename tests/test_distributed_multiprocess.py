@@ -239,7 +239,7 @@ class TestWorkerCrash:
             shards, part, factory, transport=transport
         )
         try:
-            os.kill(engine._processes[1].pid, signal.SIGKILL)
+            os.kill(engine._wire._processes[1].pid, signal.SIGKILL)
             with pytest.raises(WorkerCrashedError) as excinfo:
                 engine.run()
             assert excinfo.value.worker_id == 1
@@ -261,7 +261,7 @@ class TestWorkerCrash:
             with MultiprocessBSPEngine(
                 shards, part, factory, transport="shm"
             ) as engine:
-                os.kill(engine._processes[0].pid, signal.SIGKILL)
+                os.kill(engine._wire._processes[0].pid, signal.SIGKILL)
                 engine.run()
         assert _shm_segments() <= before
 

@@ -2,19 +2,66 @@
 
 The wires, crash errors and shutdown escalation are exercised end to end
 by the engine and service suites; these tests pin what neither reaches:
+the child table of every wire class on its own (a killed child found by
+``dead()``, replaced by ``restart()``, and nothing left by ``stop()``),
 the tcp handshake refusing a foreign cookie, ``TCP_NODELAY`` on both
 ends of a tcp connection, a pipe to a dead child breaking when every
 child started before the first attach, and the crash-error hierarchy the
 two supervisors' callers rely on.
 """
 
-import multiprocessing as mp
+import os
+import signal
 import socket
 import threading
 
 import pytest
 
+from repro.distributed.transport import SharedMemoryTransport
 from repro.runtime import ChildCrashedError, PipeWire, TcpWire, WorkerCrashedError
+
+
+def _echo_loop_child(endpoint):
+    endpoint.open()
+    try:
+        while True:
+            message = endpoint.recv()
+            if message[0] == "stop":
+                break
+            # Three fields: the shm wire reads a 2-tuple as an outbox header.
+            endpoint.send(("echo", os.getpid(), message))
+    finally:
+        endpoint.close()
+
+
+@pytest.mark.parametrize("wire_class", [PipeWire, SharedMemoryTransport, TcpWire])
+def test_wire_restarts_a_killed_child_and_stops_all(wire_class):
+    wire = wire_class()
+    wire.bind()
+    processes = []
+    try:
+        for cid in (0, 1):
+            wire.start(cid, _echo_loop_child)
+        for cid in (0, 1):
+            wire.attach(cid)
+        victim = wire._processes[1]
+        processes += wire._processes.values()
+        os.kill(victim.pid, signal.SIGKILL)
+        assert wire.dead(grace_s=10) == [1]
+        wire.restart(1, _echo_loop_child)
+        replacement = wire._processes[1]
+        processes.append(replacement)
+        assert replacement is not victim and wire.dead(grace_s=0) == []
+        for cid in (0, 1):
+            wire.send(cid, ("ping", cid))
+            assert wire.recv(cid, timeout=10) == (
+                "echo", wire._processes[cid].pid, ("ping", cid)
+            )
+    finally:
+        leaked = wire.stop(join_s=10, kill_join_s=5)
+    assert leaked == []
+    assert not any(process.is_alive() for process in processes)
+    assert wire._processes == {}
 
 
 def _echo_child(endpoint):
@@ -26,18 +73,16 @@ def _echo_child(endpoint):
 
 
 def test_tcp_wire_refuses_foreign_cookie():
-    ctx = mp.get_context()
     wire = TcpWire()
-    wire.bind(ctx)
-    endpoint = wire.child_endpoint(7)
+    wire.bind()
     # A foreign client dials first with the right id but a wrong cookie.
-    foreign = socket.create_connection(endpoint._address)
+    foreign = socket.create_connection((wire._host, wire._port))
     process = None
     try:
         foreign.sendall(b"\0" * 16 + (7).to_bytes(8, "little"))
-        process = ctx.Process(target=_echo_child, args=(endpoint,), daemon=True)
-        process.start()
-        wire.attach(7, process)
+        wire.start(7, _echo_child)
+        process = wire._processes[7]
+        wire.attach(7)
         foreign.settimeout(10)
         assert foreign.recv(1) == b""  # refused: the wire closed it
         wire.send(7, {"ping": [1, 2]})
@@ -68,16 +113,12 @@ def _report_nodelay_child(endpoint):
 def test_tcp_wire_sets_nodelay_on_both_ends():
     # A message is several writes (head, then each out-of-band buffer);
     # with Nagle on, each would wait for the previous one's delayed ACK.
-    ctx = mp.get_context()
     wire = TcpWire()
-    wire.bind(ctx)
-    process = ctx.Process(
-        target=_report_nodelay_child, args=(wire.child_endpoint(0),),
-        daemon=True,
-    )
+    wire.bind()
+    wire.start(0, _report_nodelay_child)
+    process = wire._processes[0]
     try:
-        process.start()
-        wire.attach(0, process)
+        wire.attach(0)
         assert _nodelay(wire._peers[0].sock)
         wire.send(0, "report")
         assert wire.recv(0, timeout=10) is True
@@ -99,9 +140,8 @@ def test_pipe_to_dead_child_breaks_when_all_children_start_first():
     # sibling forked later must not inherit an earlier child's pipe half,
     # or a send larger than the pipe buffer to that child, once dead,
     # would block forever instead of raising.
-    ctx = mp.get_context()
     wire = PipeWire()
-    wire.bind(ctx)
+    wire.bind()
     processes = {}
     outcome = []
 
@@ -113,13 +153,10 @@ def test_pipe_to_dead_child_breaks_when_all_children_start_first():
 
     try:
         for cid in (0, 1):
-            processes[cid] = ctx.Process(
-                target=_idle_child, args=(wire.child_endpoint(cid),),
-                daemon=True,
-            )
-            processes[cid].start()
-        for cid, process in processes.items():
-            wire.attach(cid, process)
+            wire.start(cid, _idle_child)
+            processes[cid] = wire._processes[cid]
+        for cid in processes:
+            wire.attach(cid)
         processes[0].kill()
         processes[0].join(timeout=10)
         sender = threading.Thread(target=push, daemon=True)

@@ -7,6 +7,7 @@ identical to the run that was never interrupted — per-seed label matrices
 and extracted cover alike, on both backends.
 """
 
+import os
 import random
 import shutil
 import tempfile
@@ -93,6 +94,25 @@ class TestCheckpointStore:
             assert np.array_equal(getattr(ckpt.state, name), getattr(state, name))
         restored = RSLPADetector.from_state(ckpt.edges, ckpt.state, ckpt.seed)
         assert restored.graph == graph
+
+    def test_checkpoint_syncs_the_store_directory(self, tmp_path, monkeypatch):
+        """The WAL rotation publishes the new log by rename, which is
+        durable only once the directory is synced: a checkpoint must fsync
+        the store directory before the next append can land."""
+        state, edges = self.fitted_state(ring_of_cliques(3, 4))
+        store = CheckpointStore(tmp_path)
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            meta = os.fstat(fd)
+            synced.append((meta.st_dev, meta.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        store.write_checkpoint(state, edges, seed=5, batch_epoch=0)
+        meta = os.stat(tmp_path)
+        assert (meta.st_dev, meta.st_ino) in synced
 
     @pytest.mark.parametrize("layout", ["contiguous", "sparse_negative_isolated"])
     def test_roundtrip_after_births_and_a_rebirth(self, layout, tmp_path):

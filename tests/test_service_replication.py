@@ -375,7 +375,7 @@ class TestReplicaFaults:
         ).start()
         try:
             sup.apply(EditBatch.build(insertions=[(0, 4), (0, 6)]))
-            victim = sup._processes[0]
+            victim = sup._wire._processes[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             assert not victim.is_alive()
@@ -386,6 +386,34 @@ class TestReplicaFaults:
                 0, "snapshot", (), timeout=None
             )
             assert replica == sup.snapshot()
+        finally:
+            sup.shutdown()
+
+    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
+    def test_primary_found_dead_while_a_replica_respawns(self, tmp_path,
+                                                         transport):
+        # Replica 0 and the primary die while idle.  Reading replica 0
+        # respawns it, and the respawn's index export finds the primary
+        # dead: the failover must neither query nor elect replica 0.
+        sup = ServiceSupervisor(
+            ring_of_cliques(3, 4), str(tmp_path),
+            make_config(service_transport=transport),
+        ).start()
+        try:
+            sup.apply(EditBatch.build(insertions=[(0, 4), (0, 6)]))
+            for cid in (0, -1):
+                victim = sup._wire._processes[cid]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10)
+                assert not victim.is_alive()
+            replica, _applied = sup.query_replica(
+                0, "snapshot", (), timeout=None
+            )
+            assert replica == sup.snapshot()
+            stats = sup.stats()
+            assert (stats["failovers"], stats["promoted_replica"]) == (1, 1)
+            assert stats["replica_respawns"] == 1
+            assert sorted(stats["replicas"]) == [0]
         finally:
             sup.shutdown()
 
@@ -406,7 +434,7 @@ class TestReplicaFaults:
             store = CheckpointStore(tmp_path)
             assert store.checkpoint_epochs() == [0, 2]
             corrupt_checkpoint(store, 2, damage)
-            victim = sup._processes[0]
+            victim = sup._wire._processes[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             # A fresh client reads replica 0 first, which finds it dead.
