@@ -15,9 +15,9 @@ provenance, epochs — in two interchangeable formats:
 
 :func:`write_npz` and :func:`read_npz` are the one npz writer and reader:
 numpy's container and member layout (what :func:`numpy.load` reads),
-deflated at :data:`NPZ_COMPRESSLEVEL`, and read back whole member by
-member so that each one's CRC-32 is checked.  Files numpy's own writer
-made load the same way.
+deflated at :data:`NPZ_COMPRESSLEVEL` (or stored, for the service's
+checkpoints), and read back whole member by member so that each one's
+CRC-32 is checked.  Files numpy's own writer made load the same way.
 
 Reverse records are *not* stored in either format: they are a pure function
 of the provenance and are rebuilt on load (smaller files, no consistency
@@ -67,9 +67,12 @@ ARRAY_FORMAT_VERSION = 2
 
 ARRAY_FORMAT_NAME = "repro.array_label_state"
 
-#: zlib level of :func:`write_npz`.  Level 1 deflates the int64 label
-#: matrices ~5x faster than numpy's level 6 for ~10% more bytes; storing
-#: them uncompressed writes ~6x the bytes.
+#: zlib level of :func:`write_npz`'s deflated members (:func:`save_state`'s
+#: files).  Level 1 deflates the int64 label matrices ~5x faster than
+#: numpy's level 6 for ~10% more bytes; storing them uncompressed writes
+#: ~6x the bytes.  The service's checkpoints store their columns instead,
+#: each narrowed to the smallest dtype that holds it, which costs about the
+#: bytes of level 1 at a tenth of its time (:mod:`repro.service.durability`).
 NPZ_COMPRESSLEVEL = 1
 
 AnyLabelState = Union[LabelState, ArrayLabelState]
@@ -198,15 +201,22 @@ def state_from_arrays(arrays) -> ArrayLabelState:
     )
 
 
-def write_npz(file: Union[str, IO[bytes]], arrays: Mapping[str, np.ndarray]) -> None:
-    """Write ``arrays`` as an npz archive: one deflated ``<name>.npy`` each.
+def write_npz(
+    file: Union[str, IO[bytes]],
+    arrays: Mapping[str, np.ndarray],
+    compression: int = zipfile.ZIP_DEFLATED,
+) -> None:
+    """Write ``arrays`` as an npz archive: one ``<name>.npy`` member each.
 
     The container :func:`numpy.savez_compressed` writes (zip64 members,
-    the npy format inside), so :func:`numpy.load` reads it back, at
-    :data:`NPZ_COMPRESSLEVEL`.  ``file`` is a path or a binary stream.
+    the npy format inside), so :func:`numpy.load` reads it back; members
+    are deflated at :data:`NPZ_COMPRESSLEVEL`, or written as they are with
+    ``compression=zipfile.ZIP_STORED`` (the container :func:`numpy.savez`
+    writes), where the CRC-32 :func:`read_npz` checks still covers every
+    byte.  ``file`` is a path or a binary stream.
     """
     with zipfile.ZipFile(
-        file, "w", zipfile.ZIP_DEFLATED,
+        file, "w", compression,
         compresslevel=NPZ_COMPRESSLEVEL, allowZip64=True,
     ) as archive:
         for name, value in arrays.items():

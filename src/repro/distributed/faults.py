@@ -29,14 +29,17 @@ The BSP worker loop (``_worker_main`` in
 :mod:`repro.distributed.multiprocess`) fires both seams around its
 ``start`` and ``step`` verbs, the service child loop
 (``_service_child_main`` in :mod:`repro.service.replication`) around the
-primary's ``apply`` and a replica's ``wal``.  Two phases belong to one
+primary's ``apply`` and a replica's ``wal``.  Three phases belong to one
 plane each and are read where they act: the worker loop's ``snapshot``
 reply (the worker truncates the checkpoint blob it returns, keeping the
-CRC of the intact blob, so the driver rejects the whole cut) and the
+CRC of the intact blob, so the driver rejects the whole cut), the
 service supervisor's ``ship`` of a WAL record (it drops that shipped
-copy once, so the replica's gap detection must nack).
+copy once, so the replica's gap detection must nack) and the primary's
+``wal`` append (before applying the record, the primary appends the first
+half of its line to the log, fsyncs and SIGKILLs itself, so the promoted
+replica's first append must cut the torn line away).
 
-Seven keywords build the table; each takes one site tuple or a list of
+Eight keywords build the table; each takes one site tuple or a list of
 them:
 
 ====================  ========================  =========================
@@ -50,6 +53,7 @@ keyword               site                      event (action @ phase)
 ``drop_wal_record``   ``(child, step)``         drop @ ship
 ``kill_primary``      ``(seq, "recv")``         kill @ recv of PRIMARY
                       ``(seq, "applied")``      kill @ reply of PRIMARY
+``torn_wal``          ``(seq,)``                tear @ wal of PRIMARY
 ====================  ========================  =========================
 
 So a kill or a stall scripted for a worker id fires on the replica with
@@ -63,8 +67,9 @@ and re-route, and never misdiagnose it as a crash.
 The plan only *decides*; the child loops act, so the decisions stay
 unit-testable in-process.  A supervisor strips a respawned child's
 events (``plan.without(child=...)``: a replacement child is healthy),
-and a fired primary kill or ship drop (``plan.without(event=...)``), so
-every scripted failure fires exactly once and replay terminates.
+and a fired primary kill or tear or a fired ship drop
+(``plan.without(event=...)``), so every scripted failure fires exactly
+once and replay terminates.
 """
 
 from __future__ import annotations
@@ -80,7 +85,8 @@ PRIMARY = -1
 #: ``kill_primary``'s phase names -> the seams they strike.
 _PRIMARY_PHASES = {"recv": "recv", "applied": "reply"}
 
-#: keyword -> (action, phase, site fields); kill_primary's phase is in its site.
+#: keyword -> (action, phase, site fields); a site starting with ``seq``
+#: strikes PRIMARY, and kill_primary's phase is in its site.
 _KEYWORDS = {
     "kill": ("kill", "recv", ("child", "step")),
     "drop_send": ("kill", "reply", ("child", "step")),
@@ -89,6 +95,7 @@ _KEYWORDS = {
     "torn_snapshot": ("tear", "snapshot", ("child", "step")),
     "drop_wal_record": ("drop", "ship", ("child", "step")),
     "kill_primary": ("kill", None, ("seq", "phase")),
+    "torn_wal": ("tear", "wal", ("seq",)),
 }
 
 
@@ -106,20 +113,22 @@ class Event(NamedTuple):
 def _event(keyword: str, site) -> Event:
     action, phase, fields = _KEYWORDS[keyword]
     if not isinstance(site, tuple) or len(site) != len(fields):
+        spelled = ", ".join(fields) + ("," if len(fields) == 1 else "")
         raise ValueError(
-            f"{keyword} fault must be a ({', '.join(fields)}) tuple, got {site!r}"
+            f"{keyword} fault must be a ({spelled}) tuple, got {site!r}"
         )
+    if fields[0] == "seq":
+        child, step = PRIMARY, site[0]
+    else:
+        child, step = site[:2]
     if phase is None:  # kill_primary: the site names the phase
-        step, when = site
-        child = PRIMARY
+        when = site[1]
         if when not in _PRIMARY_PHASES:
             raise ValueError(
                 f"{keyword} phase must be one of {tuple(_PRIMARY_PHASES)}, "
                 f"got {when!r}"
             )
         phase = _PRIMARY_PHASES[when]
-    else:
-        child, step = site[:2]
     child, step = int(child), int(step)
     seconds = float(site[2]) if len(fields) == 3 else 0.0
     if (child < 0 and child != PRIMARY) or step < 0:
@@ -151,12 +160,14 @@ class FaultPlan:
     events: Tuple[Event, ...]
 
     def __init__(self, kill=None, drop_send=None, stall=None, delay=None,
-                 torn_snapshot=None, drop_wal_record=None, kill_primary=None):
+                 torn_snapshot=None, drop_wal_record=None, kill_primary=None,
+                 torn_wal=None):
         table = set()
         for keyword, sites in (
             ("kill", kill), ("drop_send", drop_send), ("stall", stall),
             ("delay", delay), ("torn_snapshot", torn_snapshot),
             ("drop_wal_record", drop_wal_record), ("kill_primary", kill_primary),
+            ("torn_wal", torn_wal),
         ):
             if sites is not None:
                 for site in sites if isinstance(sites, list) else [sites]:

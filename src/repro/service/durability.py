@@ -7,17 +7,21 @@ pieces make that possible:
 
 * **Checkpoints** — the full :class:`~repro.core.labels_array.ArrayLabelState`
   (with its vertex ids, so any ids checkpoint) written array-native by
-  :func:`repro.core.serialize.write_npz` (the ``core.serialize`` npz layout,
-  deflated at zlib level 1), together with the graph's edge column — the
-  ascending ``(u, v)`` id pairs with ``u < v``, which a fast service reads
-  off its repair's array adjacency — and the run metadata (seed, batch
-  epoch, edits applied).  A load hands the edge column back as it is, and
-  the restore builds the adjacency from it (no tuples, no dict graph).
-  Version 1 checkpoints (no ids) still load, as ids ``0..n-1``.  Writes go
-  to a temp file and are
-  published with ``os.replace``, so a crash mid-write never corrupts the
-  latest good checkpoint; a temp file such a crash leaves behind is
-  deleted by the next checkpoint.
+  :func:`repro.core.serialize.write_npz` (the ``core.serialize`` npz layout),
+  together with the graph's edge column — the ascending ``(u, v)`` id
+  pairs with ``u < v``, which a fast service reads off its repair's array
+  adjacency — and the run metadata (seed, batch epoch, edits applied).
+  Version 3 stores each int column at the narrowest signed dtype that
+  holds its min and max, in uncompressed (``ZIP_STORED``) members: the
+  write costs about its fsync, the file is about the size deflate made,
+  and the CRC-32 the reader checks covers every stored byte.  A load
+  widens the columns back to int64 and hands the edge column back as an
+  ``(m, 2)`` array; the restore builds the adjacency from it (no tuples,
+  no dict graph).  Version 2 checkpoints (deflated int64 columns) and
+  version 1 ones (no ids, loaded as ids ``0..n-1``) still load.  Writes go
+  to a temp file and are published with ``os.replace``, so a crash
+  mid-write never corrupts the latest good checkpoint; a temp file such a
+  crash leaves behind is deleted by the next checkpoint.
 * **Write-ahead log** — every applied :class:`~repro.graph.edits.EditBatch`
   is appended (fsynced, CRC-tagged JSON lines) *before* the in-memory
   apply.  Because every random draw in Correction Propagation is keyed by
@@ -26,7 +30,10 @@ pieces make that possible:
   exact post-crash state on either backend.
 
 A torn tail (the record being written when the process died) fails its CRC
-and is discarded; everything before it replays.  A store cuts the log back
+and is discarded; everything before it replays.  Every scan of the log
+checks each line's CRC straight from the encoder's canonical layout and
+JSON-decodes only the records its caller keeps (a recovery's tail), so a
+rotation, the cut and a record count decode none.  A store cuts the log back
 to that intact prefix before its first append, so a record it appends never
 lands behind a torn line, where every later read would stop short of it;
 only writers append, so a reader (a replica, which may see the primary's
@@ -51,6 +58,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 import zipfile
@@ -79,8 +87,21 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro.service_checkpoint"
-CHECKPOINT_VERSION = 2
+#: Version 2 added the ids column, version 3 narrowed the int columns and
+#: stopped deflating them; every version loads.
+CHECKPOINT_VERSION = 3
 WAL_NAME = "wal.log"
+
+#: The checkpoint's int columns: stored narrowed, loaded as int64.
+_INT_COLUMNS = ("labels", "srcs", "poss", "epochs", "ids", "edges")
+
+#: The encoder's line layout (:func:`encode_wal_record`), field for field.
+#: The edge lists match as runs of the characters their JSON uses: the
+#: CRC, rebuilt over the matched bytes, vouches for the rest.
+_WAL_LINE = re.compile(
+    rb'\{"epoch":(-?[0-9]+),"ins":(\[[][0-9,-]*\]),"del":(\[[][0-9,-]*\]),'
+    rb'"crc":([0-9]+)\}\n?'
+)
 
 
 class CorruptCheckpointError(RuntimeError):
@@ -106,7 +127,8 @@ class CorruptCheckpointError(RuntimeError):
 class Checkpoint:
     """One recovered checkpoint: the state, the graph's edges as ascending
     ``(u, v)`` id pairs (an ``(m, 2)`` int64 array; the state's live
-    vertices are the vertex set), and the run metadata."""
+    vertices are the vertex set), and the run metadata.  Every int column
+    is int64, whatever width the file stored it at."""
 
     state: ArrayLabelState
     edges: np.ndarray
@@ -117,6 +139,26 @@ class Checkpoint:
     @property
     def iterations(self) -> int:
         return self.state.num_iterations
+
+
+def _narrowest(column: np.ndarray) -> np.ndarray:
+    """``column`` at the narrowest signed int dtype that holds its min and
+    max (int8 when it is empty)."""
+    column = np.asarray(column)
+    if not column.size:
+        return column.astype(np.int8)
+    low, high = int(column.min()), int(column.max())
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return column.astype(dtype)
+    return column
+
+
+def _body_crc(epoch: bytes, ins: bytes, dels: bytes) -> int:
+    """CRC-32 of a record's body, the sorted-keys dump
+    ``{"del":…,"epoch":…,"ins":…}``, from its fields' canonical JSON."""
+    return zlib.crc32(b'{"del":%s,"epoch":%s,"ins":%s}' % (dels, epoch, ins))
 
 
 def _wal_crc(epoch: int, ins: List[List[int]], dels: List[List[int]]) -> int:
@@ -140,8 +182,7 @@ def encode_wal_record(epoch: int, batch: EditBatch) -> str:
     stamp = json.dumps(epoch)
     ins = json.dumps(sorted(batch.insertions), separators=(",", ":"))
     dels = json.dumps(sorted(batch.deletions), separators=(",", ":"))
-    body = f'{{"del":{dels},"epoch":{stamp},"ins":{ins}}}'
-    crc = zlib.crc32(body.encode("utf-8"))
+    crc = _body_crc(stamp.encode(), ins.encode(), dels.encode())
     return f'{{"epoch":{stamp},"ins":{ins},"del":{dels},"crc":{crc}}}\n'
 
 
@@ -167,6 +208,25 @@ def parse_wal_line(line: str) -> Optional[Tuple[int, EditBatch]]:
     except (ValueError, KeyError, TypeError):
         return None
     return epoch, batch
+
+
+def _wal_epoch(line: bytes) -> Optional[int]:
+    """The epoch of an intact WAL line, or ``None`` if it is torn or fails
+    its CRC: :func:`parse_wal_line`'s verdict, without decoding the edges.
+
+    A line in the encoder's layout is checked from its bytes, the CRC body
+    rebuilt from the matched fields; any other line (re-spaced JSON, a
+    torn or flipped one) goes through :func:`parse_wal_line`.
+    """
+    match = _WAL_LINE.fullmatch(line)
+    if match is None:
+        try:
+            record = parse_wal_line(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            return None
+        return None if record is None else record[0]
+    epoch, ins, dels, crc = match.groups()
+    return int(epoch) if _body_crc(epoch, ins, dels) == int(crc) else None
 
 
 class CheckpointStore:
@@ -238,7 +298,12 @@ class CheckpointStore:
 
         ``edges`` is the graph's edge column: the ascending ``(u, v)`` id
         pairs with ``u < v``, an ``(m, 2)`` int64 array (what
-        ``RSLPADetector.edge_array`` returns).
+        ``RSLPADetector.edge_array`` returns).  The file is version 3:
+        every int column at its narrowest signed dtype, in stored members.
+        Traced, the ``service.checkpoint`` span holds
+        ``service.checkpoint.write`` (narrowing, members, fsync) and
+        ``service.checkpoint.rotate`` (the WAL scan, its rewrite and the
+        directory fsync).
         """
         obs = self.obs
         if obs is not None:
@@ -252,12 +317,17 @@ class CheckpointStore:
             batch_epoch=np.array(batch_epoch, dtype=np.int64),
             edits_applied=np.array(edits_applied, dtype=np.int64),
         )
+        for name in _INT_COLUMNS:
+            arrays[name] = _narrowest(arrays[name])
         final = self._checkpoint_path(batch_epoch)
         tmp = final.with_suffix(".npz.tmp")
         with open(tmp, "wb") as handle:
-            write_npz(handle, arrays)
+            write_npz(handle, arrays, compression=zipfile.ZIP_STORED)
             handle.flush()
             os.fsync(handle.fileno())
+        if obs is not None:
+            obs.trace.record("service.checkpoint.write", start, plane="service",
+                             superstep=batch_epoch)
         with self._lock:
             os.replace(tmp, final)
             for epoch in self.checkpoint_epochs()[: -self.keep]:
@@ -265,6 +335,8 @@ class CheckpointStore:
             # Temp files of writes a crash cut short are never published.
             for stale in self.directory.glob("checkpoint-*.npz.tmp"):
                 stale.unlink(missing_ok=True)
+            if obs is not None:
+                rotate_start = time.time_ns()
             # Rotate down to the *oldest retained* checkpoint, not the one
             # just written: every surviving checkpoint keeps its full
             # replay tail, so recovery can fall back past a corrupt latest
@@ -272,6 +344,8 @@ class CheckpointStore:
             self._rotate_wal(self.checkpoint_epochs()[0])
         if obs is not None:
             end = time.time_ns()
+            obs.trace.record("service.checkpoint.rotate", rotate_start,
+                             plane="service", superstep=batch_epoch, end_ns=end)
             obs.trace.record("service.checkpoint", start, plane="service",
                              superstep=batch_epoch, end_ns=end)
             obs.metrics.histogram("service.checkpoint_write_seconds").observe(
@@ -280,7 +354,10 @@ class CheckpointStore:
         return final
 
     def load_checkpoint(self, epoch: Optional[int] = None) -> Checkpoint:
-        """Load the checkpoint at ``epoch`` (latest by default)."""
+        """Load the checkpoint at ``epoch`` (latest by default).
+
+        Any version loads; its int columns come back as int64.
+        """
         if epoch is None:
             epoch = self.latest_epoch()
             if epoch is None:
@@ -292,14 +369,20 @@ class CheckpointStore:
             arrays = read_npz(path)
             if str(arrays["ckpt_format"]) != CHECKPOINT_FORMAT:
                 raise ValueError(f"{path} is not a service checkpoint")
-            if int(arrays["ckpt_version"]) not in (1, CHECKPOINT_VERSION):
+            if int(arrays["ckpt_version"]) not in (1, 2, CHECKPOINT_VERSION):
                 raise ValueError(
                     f"{path}: unsupported checkpoint version "
                     f"{int(arrays['ckpt_version'])}"
                 )
+            for name in _INT_COLUMNS:
+                column = arrays.get(name)
+                if column is not None:
+                    if column.dtype.kind != "i":
+                        raise ValueError(f"{path}: {name} column is {column.dtype}")
+                    arrays[name] = column.astype(np.int64, copy=False)
             state = state_from_arrays(arrays)
             edges = arrays["edges"]
-            if edges.dtype != np.int64 or edges.ndim != 2 or edges.shape[1] != 2:
+            if edges.ndim != 2 or edges.shape[1] != 2:
                 raise ValueError(f"{path}: edge column is {edges.dtype} {edges.shape}")
             meta = {
                 key: int(arrays[key])
@@ -346,31 +429,38 @@ class CheckpointStore:
                     time.perf_counter() - fsync_start
                 )
 
-    def _scan_wal(self) -> Tuple[List[Tuple[int, EditBatch, bytes]], int]:
+    def _scan_wal(
+        self, decode_after: Optional[int] = None
+    ) -> Tuple[List[Tuple[int, Optional[EditBatch], bytes]], int]:
         """The intact WAL records as ``(epoch, batch, line)``, in order,
         and the byte length of that intact prefix.
 
-        The scan stops at the first torn or corrupt line — by the
-        write-ahead ordering everything from there on was never applied —
-        and counts the lines cut off there (the torn one included) in
-        :attr:`last_discarded_records`.  Call under the lock.
+        Every line's CRC is checked (:func:`_wal_epoch`), but only the
+        records with an epoch above ``decode_after`` are decoded, through
+        :func:`parse_wal_line`; the others carry ``None`` as their batch,
+        and with ``decode_after=None`` (a rotation, the cut, a count) every
+        record does.  The scan stops at the first torn or corrupt line —
+        by the write-ahead ordering everything from there on was never
+        applied — and counts the lines cut off there (the torn one
+        included) in :attr:`last_discarded_records`.  Call under the lock.
         """
         self.last_discarded_records = 0
         if not self.wal_path.exists():
             return [], 0
         with open(self.wal_path, "rb") as handle:
             lines = handle.readlines()
-        records: List[Tuple[int, EditBatch, bytes]] = []
+        records: List[Tuple[int, Optional[EditBatch], bytes]] = []
         intact = 0
         for position, line in enumerate(lines):
-            try:
-                record = parse_wal_line(line.decode("utf-8"))
-            except UnicodeDecodeError:
-                record = None
-            if record is None:
+            epoch, batch = _wal_epoch(line), None
+            if epoch is not None and decode_after is not None and epoch > decode_after:
+                # The codec also refuses a line whose CRC holds but whose
+                # batch does not build, which no encoder line is.
+                epoch, batch = parse_wal_line(line.decode("utf-8")) or (None, None)
+            if epoch is None:
                 self.last_discarded_records = len(lines) - position
                 break
-            records.append((record[0], record[1], line))
+            records.append((epoch, batch, line))
             intact += len(line)
         return records, intact
 
@@ -379,10 +469,11 @@ class CheckpointStore:
 
         Reading stops at the first torn or corrupt record; the number of
         lines discarded that way is kept in :attr:`last_discarded_records`.
-        A read never changes the file.
+        Only the records returned are decoded.  A read never changes the
+        file.
         """
         with self._lock:
-            records, _intact = self._scan_wal()
+            records, _intact = self._scan_wal(decode_after=after_epoch)
         return [
             (epoch, batch) for epoch, batch, _line in records if epoch > after_epoch
         ]
@@ -410,13 +501,14 @@ class CheckpointStore:
     def _rotate_wal(self, checkpoint_epoch: int) -> None:
         """Drop WAL records the oldest retained checkpoint made redundant.
 
-        The survivors' lines are copied as read: the encoder is canonical,
-        so they are the bytes :func:`encode_wal_record` would write.
+        The survivors' lines are CRC-checked, not decoded, and copied as
+        read: the encoder is canonical, so they are the bytes
+        :func:`encode_wal_record` would write.
         """
         with self._lock:
             survivors = [
-                # A record cut just short of its newline still parses;
-                # end it, so the next append starts a line of its own.
+                # A record cut just short of its newline still passes its
+                # CRC; end it, so the next append starts a line of its own.
                 line if line.endswith(b"\n") else line + b"\n"
                 for epoch, _batch, line in self._scan_wal()[0]
                 if epoch > checkpoint_epoch
@@ -446,8 +538,9 @@ class CheckpointStore:
             self._wal_intact = True
 
     def wal_records(self) -> int:
-        """Number of intact records currently in the WAL."""
-        return len(self.read_wal())
+        """Number of intact records currently in the WAL (none decoded)."""
+        with self._lock:
+            return len(self._scan_wal()[0])
 
     def close(self) -> None:
         with self._lock:

@@ -35,9 +35,10 @@ takes: both child loops fire them through
 :func:`~repro.runtime.fire_faults` at the ``recv`` and ``reply`` seams
 of every stepped verb (the primary's ``apply``, a replica's ``wal``,
 keyed by WAL sequence number; the primary is the role-named child
-:data:`~repro.distributed.faults.PRIMARY`), and the supervisor drops
-shipped records at the ``ship`` phase itself.  A promotion strips the
-fired primary kill and the promoted replica's events, a respawn strips
+:data:`~repro.distributed.faults.PRIMARY`); the primary tears its own
+WAL append at the ``wal`` phase, and the supervisor drops shipped records
+at the ``ship`` phase itself.  A promotion strips the fired primary kill
+or tear and the promoted replica's events, a respawn strips
 the replica's events, and a fired ship drop is stripped too
 (:meth:`FaultPlan.without`), so every scripted fault fires exactly once.
 
@@ -68,6 +69,8 @@ primary-side no-op filter would silently break.
 from __future__ import annotations
 
 import logging
+import os
+import signal
 import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, Union
@@ -139,6 +142,18 @@ def _follow(service: CommunityService, seq: int, batch: EditBatch,
     return fresh
 
 
+def _tear_wal(path, line: str) -> None:
+    """Act out a scripted ``tear @ wal``: append the first half of
+    ``line`` to the log at ``path``, fsync, and SIGKILL this process, as
+    a crash in the middle of the append would leave it."""
+    data = line.encode("utf-8")
+    with open(path, "ab") as wal:
+        wal.write(data[: len(data) // 2])
+        wal.flush()
+        os.fsync(wal.fileno())
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def _service_child_main(
     endpoint,
     role: str,
@@ -154,7 +169,8 @@ def _service_child_main(
     primary's exported index; it follows shipped records until promoted.
     The primary's ``apply`` and a replica's ``wal`` are the stepped verbs
     (the step is the WAL sequence number): each fires the plan's faults
-    at ``recv``, and at ``reply`` after a fresh apply.
+    at ``recv``, and at ``reply`` after a fresh apply; the primary acts
+    out a ``wal`` tear right before a fresh apply.
     """
     # The fixed extraction grid: primary and replicas alike refresh after
     # every K-th batch, so their stable-id trajectories match.
@@ -214,6 +230,8 @@ def _service_child_main(
                         f"{service.batches_applied + 1}, got {seq}"
                     )
                 else:
+                    if faults.at(PRIMARY, seq, "wal"):
+                        _tear_wal(service.store.wal_path, line)
                     try:
                         service.apply(record[1])
                     except (ValueError, KeyError) as exc:
@@ -717,19 +735,20 @@ class ServiceSupervisor:
                 "left to promote"
             )
         promoted = max(sorted(statuses), key=lambda rid: statuses[rid])
-        # Strip the fired kill so the promoted primary cannot re-fire it.
-        # Exactly this record was in flight when the crash happened, so
-        # the fired event is the first primary kill at its seq (a recv
-        # kill fires before a reply one could).
+        # Strip the fired kill or tear so the promoted primary cannot
+        # re-fire it.  Exactly this record was in flight when the crash
+        # happened, so the fired event is the first primary death at its
+        # seq (a recv kill fires before the tear, the tear before a reply
+        # kill).
         plan = self._fault_plan
         if in_flight is not None:
-            kills = [
-                event for phase in ("recv", "reply")
+            deaths = [
+                event for phase in ("recv", "wal", "reply")
                 for event in plan.at(PRIMARY, in_flight[0], phase)
-                if event.action == "kill"
+                if event.action in ("kill", "tear")
             ]
-            if kills:
-                plan = plan.without(event=kills[0])
+            if deaths:
+                plan = plan.without(event=deaths[0])
         # The promoted process stops being replica ``promoted``.
         plan = plan.without(child=promoted)
         self._fault_plan = plan

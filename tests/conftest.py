@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import io
 import random
+import re
 import struct
 import zipfile
 
-import numpy as np
 import pytest
 
 from repro.core.rslpa import ReferencePropagator
@@ -64,35 +64,46 @@ def small_lfr():
     )
 
 
+def _member_start(archive_bytes, name):
+    """Offset of member ``name``'s data in a zip archive's bytes."""
+    with zipfile.ZipFile(io.BytesIO(archive_bytes)) as archive:
+        info = archive.getinfo(name)
+    # Local header: 30 fixed bytes, then the name and extra field.
+    name_len, extra_len = struct.unpack_from("<HH", archive_bytes, info.header_offset + 26)
+    return info.header_offset + 30 + name_len + extra_len, info.compress_size
+
+
 def _corrupt_checkpoint(store, epoch, damage="truncate"):
     """Damage one checkpoint file so it can no longer load its state.
 
     ``truncate`` tears the copy in half.  ``flip`` flips a seeded byte
-    inside the label matrix's deflate stream, short of its last byte
-    (whose padding bits may be unused).  ``short_header`` rewrites the
-    file with stored members and makes the ``srcs`` npy header ask for
-    int32, half the member's bytes, leaving the CRC stale: a reader
-    that stops where the header says never reaches the CRC check.
+    of the label matrix's member, whose bytes are stored as they are, so
+    its CRC-32 covers every one of them.  ``short_header`` halves the
+    width (the column count) in the ``srcs`` member's npy header, so it
+    asks for half the member's bytes whatever the column's dtype, leaving
+    the CRC stale: a reader that stops where the header says need not
+    reach the CRC check, so only one that reads each member to its end
+    (``read_npz``) is sure to.
     """
     path = store._checkpoint_path(epoch)
     payload = bytearray(path.read_bytes())
     if damage == "truncate":
         del payload[len(payload) // 2:]
     elif damage == "short_header":
-        with np.load(path) as arrays:
-            stored = io.BytesIO()
-            np.savez(stored, **{k: arrays[k] for k in arrays.files})
-        payload = bytearray(stored.getvalue())
-        at = payload.index(b"'descr': '<i8'", payload.index(b"srcs.npy"))
-        payload[at + len(b"'descr': '<i")] = ord("4")
+        start, _size = _member_start(bytes(payload), "srcs.npy")
+        # The npy header: magic, version, length, then the dict up to "\n".
+        assert payload[start:start + 6] == b"\x93NUMPY"
+        end = payload.index(b"\n", start + 10)
+        shape = re.compile(rb"'shape': \(\d+, (\d+)\)").search(payload, start, end)
+        assert shape is not None, "the rewritten header must be srcs's own"
+        width = shape.group(1)
+        payload[shape.start(1):shape.end(1)] = (
+            str(int(width) // 2).encode().ljust(len(width))
+        )
     else:
-        with zipfile.ZipFile(path) as archive:
-            info = archive.getinfo("labels.npy")
-        # Local header: 30 fixed bytes, then the name and extra field.
-        name_len, extra_len = struct.unpack_from("<HH", payload, info.header_offset + 26)
-        start = info.header_offset + 30 + name_len + extra_len
+        start, size = _member_start(bytes(payload), "labels.npy")
         rng = random.Random(epoch)
-        payload[start + rng.randrange(info.compress_size - 1)] ^= rng.randrange(1, 256)
+        payload[start + rng.randrange(size)] ^= rng.randrange(1, 256)
     path.write_bytes(bytes(payload))
 
 

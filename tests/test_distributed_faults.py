@@ -60,7 +60,7 @@ class TestFaultPlan:
         plan = FaultPlan(
             kill=(0, 1), drop_send=(0, 2), stall=(1, 1, 0.25),
             delay=(1, 2, 0.5), torn_snapshot=(0, 3), drop_wal_record=(1, 4),
-            kill_primary=[(5, "recv"), (6, "applied")],
+            kill_primary=[(5, "recv"), (6, "applied")], torn_wal=(7,),
         )
         assert set(plan.events) == {
             Event("kill", 0, 1, "recv"),
@@ -71,6 +71,7 @@ class TestFaultPlan:
             Event("drop", 1, 4, "ship"),
             Event("kill", PRIMARY, 5, "recv"),
             Event("kill", PRIMARY, 6, "reply"),
+            Event("tear", PRIMARY, 7, "wal"),
         }
         assert plan.at(1, 1, "reply") == ()  # a site is (child, step, phase)
 
@@ -698,6 +699,7 @@ BOTH_PLANES = FaultPlan(
     torn_snapshot=(0, 4),
     drop_wal_record=(1, 2),
     kill_primary=(3, "applied"),
+    torn_wal=(4,),
 )
 
 

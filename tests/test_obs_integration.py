@@ -261,6 +261,32 @@ class TestServiceTracing:
         assert plain_result is None and "metrics" not in plain_stats
         assert plain_cover == cover
 
+    def test_checkpoint_phases_nest_inside_service_checkpoint_smoke(
+        self, tmp_path
+    ):
+        """A traced checkpoint splits into its write (narrowing, members,
+        fsync) and its WAL rotation (scan, rewrite, directory fsync): one
+        of each inside every ``service.checkpoint``, in that order, and
+        together no longer than it."""
+        _cover, stats, result = self._drive(True, tmp_path, "on")
+        spans = result.spans
+        checkpoints = [s for s in spans if s.name == "service.checkpoint"]
+        assert len(checkpoints) == 1 + stats["batches_applied"]
+        phases = ("service.checkpoint.write", "service.checkpoint.rotate")
+        for phase in phases:
+            assert [s.name for s in spans].count(phase) == len(checkpoints)
+        for outer in checkpoints:
+            write, rotate = (
+                [s for s in spans if s.name == phase
+                 and outer.ts_ns <= s.ts_ns
+                 and s.ts_ns + s.dur_ns <= outer.ts_ns + outer.dur_ns]
+                for phase in phases
+            )
+            assert len(write) == len(rotate) == 1
+            write, rotate = write[0], rotate[0]
+            assert write.superstep == rotate.superstep == outer.superstep
+            assert write.ts_ns + write.dur_ns <= rotate.ts_ns
+            assert write.dur_ns + rotate.dur_ns <= outer.dur_ns
 
     def test_repair_phases_inside_service_apply_smoke(self, tmp_path):
         """A traced service's repair records its four phases, once per

@@ -7,11 +7,14 @@ identical to the run that was never interrupted — per-seed label matrices
 and extracted cover alike, on both backends.
 """
 
+import io
+import json
 import os
 import random
 import shutil
 import tempfile
 import threading
+import zipfile
 import zlib
 from collections import Counter
 
@@ -26,9 +29,11 @@ from repro.graph.adjacency import Graph
 from repro.graph.edits import EditBatch
 from repro.graph.generators import ring_of_cliques
 from repro.service import CommunityService
+from repro.core.serialize import state_to_arrays, write_npz
 from repro.service.durability import (
     CheckpointStore,
     CorruptCheckpointError,
+    _wal_epoch,
     encode_wal_record,
     parse_wal_line,
 )
@@ -64,6 +69,14 @@ GRAPH_LAYOUTS = {
     "empty": Graph,
 }
 
+#: The dtype a version-3 checkpoint stores each layout's edge column at:
+#: the narrowest signed one that holds its ids (int8 when there are none).
+NARROW_EDGES = {
+    "contiguous": np.int8,
+    "sparse_negative_isolated": np.int16,
+    "empty": np.int8,
+}
+
 
 class TestCheckpointStore:
     def fitted_state(self, graph, seed=5):
@@ -80,11 +93,12 @@ class TestCheckpointStore:
         path = store.write_checkpoint(state, edges, seed=5, batch_epoch=0,
                                       edits_applied=11)
         # The edge column must be the ascending (u, v) list the checkpoint
-        # format has always stored, and a load hands it back as it is.
+        # format has always stored, narrowed on disk, and a load hands it
+        # back as int64.
         with np.load(path) as arrays:
             edges = arrays["edges"]
         expected = np.array(sorted(graph.edges()), dtype=np.int64).reshape(-1, 2)
-        assert edges.dtype == np.int64
+        assert edges.dtype == NARROW_EDGES[layout]
         assert np.array_equal(edges, expected)
         ckpt = store.load_checkpoint()
         assert (ckpt.seed, ckpt.batch_epoch, ckpt.edits_applied) == (5, 0, 11)
@@ -94,6 +108,90 @@ class TestCheckpointStore:
             assert np.array_equal(getattr(ckpt.state, name), getattr(state, name))
         restored = RSLPADetector.from_state(ckpt.edges, ckpt.state, ckpt.seed)
         assert restored.graph == graph
+
+    @pytest.mark.parametrize("layout,narrow", [
+        # ids 0..29: every column fits int8 (srcs and poss hold -1).
+        ("contiguous", dict(labels=np.int8, srcs=np.int8, poss=np.int8,
+                            epochs=np.int8, ids=np.int8, edges=np.int8)),
+        # ids -7..250: the id-valued columns need int16, srcs are columns.
+        ("sparse_negative_isolated", dict(labels=np.int16, srcs=np.int8,
+                                          poss=np.int8, epochs=np.int8,
+                                          ids=np.int16, edges=np.int16)),
+        ("empty", dict(labels=np.int8, srcs=np.int8, poss=np.int8,
+                       epochs=np.int8, ids=np.int8, edges=np.int8)),
+        # ids from 2**20 and from 2**40: int32 and int64.
+        ("ids_from_2**20", dict(labels=np.int32, srcs=np.int8, poss=np.int8,
+                                epochs=np.int8, ids=np.int32, edges=np.int32)),
+        ("ids_from_2**40", dict(labels=np.int64, srcs=np.int8, poss=np.int8,
+                                epochs=np.int8, ids=np.int64, edges=np.int64)),
+    ])
+    def test_version_3_layout(self, layout, narrow, tmp_path):
+        """Version 3 stores every member as it is and each int column at
+        the narrowest signed dtype holding its min and max; a load hands
+        every column back as int64, equal to what was written."""
+        if layout.startswith("ids_from_"):
+            offset = 2 ** int(layout.rsplit("**", 1)[1])
+            graph = Graph.from_edges(
+                (u + offset, v + offset) for u, v in ring_of_cliques(3, 4).edges()
+            )
+        else:
+            graph = GRAPH_LAYOUTS[layout]()
+        state, edges = self.fitted_state(graph)
+        columns = {name: getattr(state, name) for name in narrow if name != "edges"}
+        columns["edges"] = edges
+        store = CheckpointStore(tmp_path)
+        path = store.write_checkpoint(state, edges, seed=5, batch_epoch=0)
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path) as arrays:
+            assert int(arrays["ckpt_version"]) == 3
+            for name, column in columns.items():
+                assert arrays[name].dtype == narrow[name], name
+                assert np.array_equal(arrays[name], column), name
+        ckpt = store.load_checkpoint()
+        loaded = {name: getattr(ckpt.state, name) for name in narrow if name != "edges"}
+        loaded["edges"] = ckpt.edges
+        for name, column in loaded.items():
+            assert column.dtype == np.int64, name
+            assert np.array_equal(column, columns[name]), name
+
+    def test_version_2_checkpoint_loads_bit_identically(self, tmp_path):
+        """A version-2 file as the previous writer made it (deflated int64
+        columns) loads to the same arrays, dtypes included, as the
+        version-3 file of the same state."""
+        graph = GRAPH_LAYOUTS["sparse_negative_isolated"]()
+        state, edges = self.fitted_state(graph)
+        store = CheckpointStore(tmp_path)
+        arrays = state_to_arrays(state)
+        arrays.update(
+            ckpt_format=np.array("repro.service_checkpoint"),
+            ckpt_version=np.array(2, dtype=np.int64),
+            edges=edges,
+            seed=np.array(5, dtype=np.int64),
+            batch_epoch=np.array(3, dtype=np.int64),
+            edits_applied=np.array(7, dtype=np.int64),
+        )
+        version_2 = store._checkpoint_path(3)
+        with open(version_2, "wb") as handle:
+            write_npz(handle, arrays)
+        with zipfile.ZipFile(version_2) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+        with np.load(version_2) as written:
+            assert {written[k].dtype for k in ("labels", "srcs", "edges")} == {
+                np.dtype(np.int64)
+            }
+        store.write_checkpoint(state, edges, seed=5, batch_epoch=4, edits_applied=7)
+        old, new = store.load_checkpoint(3), store.load_checkpoint(4)
+        assert (old.seed, old.batch_epoch, old.edits_applied) == (5, 3, 7)
+        for name in STATE_ARRAYS:
+            for ckpt in (old, new):
+                column = getattr(ckpt.state, name)
+                assert column.dtype == getattr(state, name).dtype, name
+                assert np.array_equal(column, getattr(state, name)), name
+        for ckpt in (old, new):
+            assert ckpt.edges.dtype == np.int64
+            assert np.array_equal(ckpt.edges, edges)
+        assert RSLPADetector.from_state(old.edges, old.state, 5).graph == graph
 
     def test_checkpoint_syncs_the_store_directory(self, tmp_path, monkeypatch):
         """The WAL rotation publishes the new log by rename, which is
@@ -182,9 +280,13 @@ class TestCheckpointStore:
         path = store.write_checkpoint(state, edges, seed=5, batch_epoch=4)
         with np.load(path) as written:
             payload = {k: written[k] for k in written.files}
+        # Those files were version 1 or 2, with int64 columns.
+        for name in ("labels", "srcs", "poss", "epochs", "ids", "edges"):
+            payload[name] = payload[name].astype(np.int64)
+        payload["ckpt_version"] = np.array(version, dtype=np.int64)
         if version == 1:
             del payload["ids"]
-            payload.update(version=arrays["version"], ckpt_version=arrays["version"])
+            payload.update(version=arrays["version"])
         np.savez_compressed(path, **payload)
         ckpt = store.load_checkpoint()
         assert ckpt.batch_epoch == 4
@@ -669,6 +771,114 @@ class TestWalRecordCodec:
         assert parse_wal_line(line[: len(line) // 2]) is None
         assert parse_wal_line("") is None
         assert parse_wal_line("not json at all\n") is None
+
+
+def _parsed_epoch(line: bytes):
+    """What a full decode says of one WAL line: its epoch, or ``None``."""
+    try:
+        record = parse_wal_line(line.decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
+    return None if record is None else record[0]
+
+
+_edges = st.lists(
+    st.tuples(st.integers(-50, 10**6), st.integers(-50, 10**6)).filter(
+        lambda e: e[0] != e[1]
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def wal_lines(draw):
+    """An encoder line, then one of: as written, a single flipped byte, a
+    torn prefix, or the same record re-spaced (valid JSON, not the
+    encoder's layout)."""
+    insertions = EditBatch.build(insertions=draw(_edges)).insertions
+    deletions = EditBatch.build(insertions=draw(_edges)).insertions - insertions
+    batch = EditBatch(insertions=insertions, deletions=deletions)
+    line = encode_wal_record(draw(st.integers(-3, 10**9)), batch).encode()
+    variant = draw(st.sampled_from(["intact", "flip", "torn", "respaced"]))
+    if variant == "flip":
+        flipped = bytearray(line)
+        flipped[draw(st.integers(0, len(line) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(flipped)
+    if variant == "torn":
+        return line[: draw(st.integers(0, len(line)))]
+    if variant == "respaced":
+        payload = json.loads(line)
+        return (json.dumps(payload, separators=(", ", ": "),
+                           sort_keys=draw(st.booleans())) + "\n").encode()
+    return line
+
+
+class TestWalScan:
+    """Every scan checks each line's CRC from its bytes, and decodes only
+    the records its caller keeps: a rotation, the cut and a record count
+    decode none, and ``read_wal`` only the records it returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=wal_lines())
+    def test_crc_check_agrees_with_the_codec(self, line):
+        assert _wal_epoch(line) == _parsed_epoch(line)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(wal_lines(), min_size=1, max_size=4))
+    def test_scan_agrees_with_a_full_decode(self, lines):
+        """Over a whole log, the scan keeps the same intact prefix, counts
+        the same discarded lines and returns the same records a line by
+        line decode does."""
+        blob = b"".join(line if line.endswith(b"\n") else line + b"\n"
+                        for line in lines[:-1]) + lines[-1]
+        expected, discarded = [], 0
+        split = io.BytesIO(blob).readlines()  # lines end at b"\n" only
+        for position, line in enumerate(split):
+            if _parsed_epoch(line) is None:
+                discarded = len(split) - position
+                break
+            expected.append(parse_wal_line(line.decode("utf-8")))
+        with tempfile.TemporaryDirectory() as tmp:
+            store = CheckpointStore(tmp)
+            store.wal_path.write_bytes(blob)
+            # Below every drawn epoch: the read returns all it kept.
+            assert store.read_wal(after_epoch=-4) == expected
+            assert store.last_discarded_records == discarded
+            assert store.wal_records() == len(expected)
+
+    def test_rotation_cut_and_count_decode_no_record(self, cliques_ring,
+                                                     tmp_path, monkeypatch):
+        detector = RSLPADetector(
+            cliques_ring, seed=5, iterations=ITERATIONS, backend="fast"
+        ).fit()
+        store = CheckpointStore(tmp_path, keep=1)
+        for epoch in range(1, 6):
+            store.append_wal(
+                epoch, EditBatch.build(insertions=[(0, epoch + 30), (1, epoch + 40)])
+            )
+        store.close()
+        with open(store.wal_path, "ab") as wal:
+            wal.write(b'{"epoch":6,"ins":[[0')  # a torn tail for the cut
+        decoded = []
+        real_loads = json.loads
+
+        def spy(text, *args, **kwargs):
+            payload = real_loads(text, *args, **kwargs)
+            decoded.append(payload)  # a torn line raises before this
+            return payload
+
+        monkeypatch.setattr(json, "loads", spy)
+        writer = CheckpointStore(tmp_path, keep=1)
+        writer.append_wal(6, EditBatch.build(insertions=[(0, 36)]))  # cuts first
+        assert writer.wal_records() == 6
+        writer.write_checkpoint(detector.array_state, detector.edge_array(),
+                                seed=5, batch_epoch=2)
+        assert writer.wal_records() == 4
+        assert decoded == []
+        # A read decodes the records it returns, and only those.
+        assert [e for e, _ in writer.read_wal(after_epoch=4)] == [5, 6]
+        assert len(decoded) == 2
+        writer.close()
 
 
 class TestCorruptCheckpointFallback:

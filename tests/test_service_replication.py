@@ -21,6 +21,7 @@ from repro.graph.edits import EditBatch
 from repro.graph.generators import ring_of_cliques
 from repro.runtime import PipeWire, TcpWire
 from repro.service import CheckpointStore, CommunityService, ServiceConfig
+from repro.service.durability import encode_wal_record
 from repro.service.replication import FailoverExhaustedError, ServiceSupervisor
 
 ITERATIONS = 30
@@ -32,6 +33,15 @@ EDITS = [
     ("+", 0, 8), ("-", 4, 5), ("+", 0, 9), ("+", 0, 10),
 ]
 TOTAL_SEQS = 4  # len(EDITS) / batch_size
+
+#: The batches the supervisor windows EDITS into, by WAL seq.
+WINDOWS = [
+    EditBatch.build(
+        insertions=[(u, v) for op, u, v in EDITS[i:i + 2] if op == "+"],
+        deletions=[(u, v) for op, u, v in EDITS[i:i + 2] if op == "-"],
+    )
+    for i in range(0, len(EDITS), 2)
+]
 
 
 def make_config(**overrides) -> ServicePlanConfig:
@@ -162,6 +172,17 @@ class TestServiceFaults:
         stripped = plan.without(child=1)
         assert not stripped
         assert plan.at(1, 6, "ship")  # the original is untouched
+
+    def test_torn_wal_is_a_primary_tear_at_its_append(self):
+        plan = FaultPlan(torn_wal=[(3,), (5,)])
+        assert plan.at(PRIMARY, 3, "wal") == (Event("tear", PRIMARY, 3, "wal"),)
+        assert plan.at(PRIMARY, 3, "recv") == ()
+        assert plan.at(0, 3, "wal") == ()  # the role, not replica 0
+        assert plan.without(event=plan.events[0]).events == (
+            Event("tear", PRIMARY, 5, "wal"),
+        )
+        with pytest.raises(ValueError, match=r"torn_wal fault must be a \(seq,\) tuple"):
+            FaultPlan(torn_wal=3)
 
     def test_invalid_primary_phase_rejected(self):
         with pytest.raises(ValueError, match="phase"):
@@ -482,6 +503,37 @@ class TestReplicaFaults:
         assert stats["failovers"] == 1
         assert stats["committed_seq"] == TOTAL_SEQS
         assert snapshot == baseline_snapshot
+        recovered = CommunityService.recover(str(tmp_path))
+        assert recovered.batches_applied == TOTAL_SEQS
+        assert recovered.wal_discarded_records == 0
+        assert set(recovered.cover()) == set(snapshot.values())
+        recovered.close()
+
+    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
+    def test_scripted_torn_wal_append_is_cut_by_promoted_primary_smoke(
+        self, tmp_path, baseline_snapshot, transport
+    ):
+        """``torn_wal=(3,)``: the primary appends half of record 3's line,
+        fsyncs and dies.  The promoted replica reads the half line as a
+        torn tail, its first append cuts it away, and the run ends on the
+        unfaulted run's cover and stable ids, with every read answered and
+        the log holding exactly the encoder's lines."""
+        snapshot, stats, client = run_supervised(
+            tmp_path, FaultPlan(torn_wal=(3,)),
+            checkpoint_every=TOTAL_SEQS + 1, service_transport=transport,
+        )
+        assert snapshot == baseline_snapshot
+        assert stats["failovers"] == 1
+        assert stats["promoted_replica"] is not None
+        assert stats["committed_seq"] == TOTAL_SEQS
+        # The promotion found the half line and had nothing to replay.
+        assert stats["wal_discarded_records"] == 1
+        assert stats["replayed_records"] == 0
+        assert client.queries_served == 2 * len(EDITS)
+        wal = CheckpointStore(tmp_path).wal_path
+        assert wal.read_text() == "".join(
+            encode_wal_record(seq, batch) for seq, batch in enumerate(WINDOWS, 1)
+        )
         recovered = CommunityService.recover(str(tmp_path))
         assert recovered.batches_applied == TOTAL_SEQS
         assert recovered.wal_discarded_records == 0
