@@ -14,9 +14,14 @@ long runtimes.
 from __future__ import annotations
 
 import os
-from typing import Sequence
+import platform
+import subprocess
+from pathlib import Path
+from typing import Dict, Sequence
 
-__all__ = ["SCALE", "scaled", "print_table", "print_series", "banner"]
+import numpy as np
+
+__all__ = ["SCALE", "scaled", "print_table", "print_series", "banner", "environment"]
 
 SCALE = os.environ.get("REPRO_SCALE", "small")
 if SCALE not in ("small", "medium", "paper"):
@@ -63,3 +68,40 @@ def print_series(writer, name: str, xs: Sequence, ys: Sequence[float]) -> None:
     """One figure series as a row of (x, y) pairs."""
     pairs = "  ".join(f"({x}, {y:.3f})" for x, y in zip(xs, ys))
     writer(f"{name}: {pairs}")
+
+
+def environment() -> Dict[str, object]:
+    """The host a bench record was measured on, for the record itself:
+    python, numpy, core count, CPU model and, in a git checkout, the
+    commit (suffixed ``-dirty`` when the tree has uncommitted changes)."""
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as handle:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in handle
+                 if line.startswith("model name")),
+                cpu,
+            )
+    except OSError:  # not Linux: the platform's own name stays
+        pass
+    info: Dict[str, object] = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+        "cpu": cpu,
+    }
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):  # no git on this host
+        return info
+    if sha.returncode == 0:
+        info["git_sha"] = sha.stdout.strip()
+    return info

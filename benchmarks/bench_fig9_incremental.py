@@ -7,9 +7,14 @@ and its cost grows *sublinearly* in the batch size (overlapping influence
 regions), making large batches especially attractive.
 
 This harness sweeps each batch size through the reference (pure-Python,
-event-driven) corrector AND the vectorised array corrector, asserts the two
-repairs are bit-identical, and records the reference/fast speedup trajectory
-in ``BENCH_incremental.json`` (same shape as ``BENCH_backends.json``), along
+event-driven) corrector AND the vectorised array corrector: one corrector
+per engine and row, each repairing the same ``BATCHES`` consecutive batches
+of an edit stream, with the two repairs asserted bit-identical after every
+batch.  A row's repair times are the medians over its batches (one ~5 ms
+repair is too short for one timing to set a row on a shared host); the
+from-scratch baselines stay a single timing.  It records the
+reference/fast speedup trajectory in ``BENCH_incremental.json`` (same
+shape as ``BENCH_backends.json``, plus the host's ``environment``), along
 with the ``to_label_state`` vs ``to_array_state`` export comparison.
 
 Run:  PYTHONPATH=src:. python -m pytest benchmarks/bench_fig9_incremental.py -q
@@ -19,17 +24,17 @@ The ``-k smoke`` selection runs a scaled-down, time-bounded sweep (CI).
 import json
 import time
 from pathlib import Path
+from statistics import median
 
 import numpy as np
 
-from benchmarks.bench_common import SCALE, banner, print_table, scaled
+from benchmarks.bench_common import SCALE, banner, environment, print_table, scaled
 from repro.core.fast import FastPropagator
 from repro.core.incremental import CorrectionPropagator
 from repro.core.incremental_fast import FastCorrectionPropagator
 from repro.core.rslpa import ReferencePropagator
 from repro.graph.csr import CSRGraph
-from repro.graph.edits import apply_batch
-from repro.workloads.dynamic import random_edit_batch
+from repro.workloads.dynamic import EditStream
 from repro.workloads.webgraph import WebGraphParams, generate_webgraph
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
@@ -40,6 +45,8 @@ BATCH_SIZES = scaled(
     [100, 300, 1000, 3000, 10_000],
     [100, 500, 1000, 5000, 10_000, 50_000, 100_000],
 )
+#: Consecutive batches per row; a row's repair times are their medians.
+BATCHES = 20
 
 
 def _assert_repairs_identical(ref_corrector, fast_corrector):
@@ -59,7 +66,7 @@ def _assert_repairs_identical(ref_corrector, fast_corrector):
         assert np.array_equal(ref_matrix, matrix), f"{name} diverged"
 
 
-def _sweep(graph, iterations, batch_sizes, seed=3):
+def _sweep(graph, iterations, batch_sizes, seed=3, batches=BATCHES):
     """One full Figure-9 sweep; returns (rows, export timing dict)."""
     rows = []
     export = None
@@ -91,43 +98,45 @@ def _sweep(graph, iterations, batch_sizes, seed=3):
         else:
             astate = fast_prop.to_array_state()
         fast_corrector = FastCorrectionPropagator(fast_graph, astate, seed)
-
-        batch = random_edit_batch(graph, batch_size, seed=batch_size)
         # The state's reverse records are built by its first repair; build
-        # them here so the timer below covers the repair alone.
+        # them here so the timers below cover the repairs alone.
         astate.reindex()
 
-        t0 = time.perf_counter()
-        ref_report = ref_corrector.apply_batch(batch)
-        reference_s = time.perf_counter() - t0
+        stream = EditStream(graph, batch_size, seed=batch_size)
+        reference_s, fast_s, etas = [], [], []
+        for _ in range(batches):
+            batch = stream.next_batch()
+            t0 = time.perf_counter()
+            ref_report = ref_corrector.apply_batch(batch)
+            reference_s.append(time.perf_counter() - t0)
 
-        t0 = time.perf_counter()
-        fast_report = fast_corrector.apply_batch(batch)
-        fast_s = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            fast_report = fast_corrector.apply_batch(batch)
+            fast_s.append(time.perf_counter() - t0)
 
-        assert ref_report.touched_labels == fast_report.touched_labels
-        assert ref_report.repicked == fast_report.repicked
-        _assert_repairs_identical(ref_corrector, fast_corrector)
+            assert ref_report == fast_report
+            _assert_repairs_identical(ref_corrector, fast_corrector)
+            etas.append(ref_report.touched_labels)
 
-        # From-scratch baselines on the post-batch graph.
-        scratch_graph = graph.copy()
-        apply_batch(scratch_graph, batch)
+        # From-scratch baselines on the graph after the row's last batch.
         t0 = time.perf_counter()
-        ReferencePropagator(scratch_graph, seed=seed).propagate(iterations)
+        ReferencePropagator(stream.graph.copy(), seed=seed).propagate(iterations)
         scratch_ref_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        scratch_fast = FastPropagator(CSRGraph.from_graph(scratch_graph), seed=seed)
+        scratch_fast = FastPropagator(CSRGraph.from_graph(stream.graph), seed=seed)
         scratch_fast.propagate(iterations)
         scratch_fast.to_array_state().reindex()  # fair: scratch must also yield records
         scratch_fast_s = time.perf_counter() - t0
 
+        reference_med, fast_med = median(reference_s), median(fast_s)
         rows.append(
             {
                 "batch_size": batch_size,
-                "reference_s": reference_s,
-                "fast_s": fast_s,
-                "speedup": reference_s / fast_s if fast_s else float("inf"),
-                "eta": ref_report.touched_labels,
+                "batches": batches,
+                "reference_s": reference_med,
+                "fast_s": fast_med,
+                "speedup": reference_med / fast_med if fast_med else float("inf"),
+                "eta": int(median(etas)),
                 "scratch_reference_s": scratch_ref_s,
                 "scratch_fast_s": scratch_fast_s,
             }
@@ -156,8 +165,8 @@ def _report_sweep(report, title, graph, iterations, rows, export):
         report,
         [
             "batch size",
-            "reference (s)",
-            "fast (s)",
+            "reference (s, median)",
+            "fast (s, median)",
             "speedup",
             "eta",
             "scratch ref (s)",
@@ -204,6 +213,7 @@ def test_fig9_incremental_vs_scratch(benchmark, report, webgraph):
         "benchmark": "fig9_incremental",
         "scale": SCALE,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "environment": environment(),
         "graph": {
             "kind": "webgraph_eu2015tpd_substitute",
             "num_vertices": base_graph.num_vertices,
@@ -243,14 +253,15 @@ def test_fig9_incremental_vs_scratch(benchmark, report, webgraph):
 def test_fig9_smoke(benchmark, report):
     """Scaled-down sweep for CI (`pytest benchmarks -k smoke`): exercises the
     full reference-vs-fast incremental path on a small webgraph in seconds,
-    with the bit-identity assertions but no timing regression gate."""
+    over a few consecutive batches per row, with the bit-identity
+    assertions after each but no timing regression gate."""
     graph = generate_webgraph(
         WebGraphParams(n=2500, avg_out_degree=8.0), seed=7
     ).graph
     results = {}
 
     def run_sweep():
-        rows, export = _sweep(graph, 30, [50, 200])
+        rows, export = _sweep(graph, 30, [50, 200], batches=3)
         results["batches"] = rows
         results["export"] = export
         return results

@@ -9,11 +9,11 @@ live graph, as one :class:`~repro.graph.csr.EdgeKeys` adjacency over the
 state's columns (sorted directed keys ``col_u·2³² + col_v`` plus
 ``indptr``), built once and advanced by every batch:
 
-0. **Merge** — one binary search of the batch's keys validates it, then
-   one delete and one insert merge it into the adjacency (no re-sort).
-   The touched vertices' candidate pools are ``indptr`` ranges of the
-   merged rows, and their batch-added neighbours the batch's sorted
-   inserted keys.
+0. **Merge** — one binary search of the batch's keys validates it (none
+   if ``validate_batch`` passed it), then one delete and one insert merge
+   it into the adjacency (no re-sort).  The touched vertices' candidate
+   pools are ``indptr`` ranges of the merged rows, and their batch-added
+   neighbours the batch's sorted inserted keys.
 1. **Classification** — every touched ``(v, t)`` slot is sorted into the
    paper's Categories 1–3 at once: deleted-source slots via one compare
    of the provenance against the batch's deleted ``(vertex, neighbour)``
@@ -23,12 +23,13 @@ state's columns (sorted directed keys ``col_u·2³² + col_v`` plus
    records through the state's O(1) record handles, then every repick's
    hash, candidate, position, epoch, and provenance is drawn and scattered
    in ONE vectorised pass (draws depend only on ``(v, t, epoch)``, never
-   on the cascade).
-3. **Drain** — the cascade runs one iteration level at a time: arrived
-   corrections and the level's repick value gathers are batched
-   gather/scatters (upstream rows are final by then), and one notification
-   query per level fans out through the sorted reverse-record runs,
-   grouped by destination level.
+   on the cascade), and each repick is flagged *due* at its level.
+3. **Drain** — one iteration level at a time over two ``(T+1, columns)``
+   bool matrices, ``due`` and ``repicked``.  A correction carries no
+   value: a due slot's new label is its source slot's label, final by
+   then (a source sits at a lower level).  So a level is one scan of its
+   ``due`` row, ONE gather (repicks and arrived corrections alike), one
+   compare and scatter, and one receivers lookup that flags them due.
 4. **Register** — the batch's new reverse records are appended to the
    state's overlay run in one pass.
 
@@ -38,7 +39,8 @@ hold the batch's own new records and send cascade corrections the
 reference never sends.  Later repairs compact the record runs at the same
 point when they have grown (see :mod:`repro.core.labels_array`).
 
-Total per-batch cost is O(η) array work, plus the overlay copy and the
+Total per-batch cost is O(η) array work plus one O(columns) row scan and
+a fixed handful of numpy calls per level, the overlay copy and the
 amortised compaction (see :meth:`ArrayLabelState.needs_compaction`) and
 O(batch) Python for the edit bookkeeping itself, with no Python per
 reverse record; the result is
@@ -70,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from time import time_ns
-from typing import List, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -100,20 +102,16 @@ _LOW = (np.int64(1) << _SHIFT) - np.int64(1)
 #: columns.
 LiveGraph = Union[Graph, np.ndarray, EdgeKeys]
 
-# Per-level pending notification buffers: lists of (columns, values).
-_Pending = List[List[Tuple[np.ndarray, np.ndarray]]]
-
-
 @dataclass(eq=False)
 class UpdateReport:
     """What one incremental update did — the measurable side of Section IV-D.
 
     ``touched_labels`` is the paper's ``η``: the number of slots whose label
     was re-drawn or whose value was corrected by the cascade.  It is a
-    count, and exact, because the two note sources are disjoint: a
-    repicked slot is detached before the cascade starts, so it can never
-    also receive a cascaded correction, and each slot is repicked (and
-    notified) at most once per batch.
+    count, and exact: every repicked slot is noted once, and a slot whose
+    value the cascade changed once when it was not repicked (no
+    correction reaches a repicked slot, detached before the cascade).
+    ``cascade_corrections`` counts one per receiver of a changed slot.
 
     The touched slots themselves are kept as the (vertex id, level) arrays
     the correctors note; :attr:`touched_slots` builds the set of pairs
@@ -237,6 +235,8 @@ class FastCorrectionPropagator:
         self.state = state
         self.seed = seed
         self.batch_epoch = 0
+        #: The last batch validate_batch passed, with its id pairs, until a merge.
+        self._validated: Optional[Tuple[EditBatch, np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_fast_propagator(
@@ -277,19 +277,17 @@ class FastCorrectionPropagator:
 
     def validate_batch(self, batch: EditBatch) -> None:
         """Raise ``ValueError`` unless ``batch`` applies cleanly: its
-        insertions absent from the live graph, its deletions present."""
-        self._validate(
-            _pairs(batch.insertions, len(batch.insertions)),
-            _pairs(batch.deletions, len(batch.deletions)),
-        )
-
-    def _validate(self, ins: np.ndarray, dels: np.ndarray) -> None:
+        insertions absent from the live graph, its deletions present.  An
+        :meth:`apply_batch` of the same batch before a merge reuses this."""
+        ins = _pairs(batch.insertions, len(batch.insertions))
+        dels = _pairs(batch.deletions, len(batch.deletions))
         bad = ins[self.has_edges(ins)]
         if len(bad):
             raise ValueError(f"insertions already present: {_first(bad)}")
         bad = dels[~self.has_edges(dels)]
         if len(bad):
             raise ValueError(f"deletions not present: {_first(bad)}")
+        self._validated = (batch, ins, dels)
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -301,9 +299,9 @@ class FastCorrectionPropagator:
         endpoint gets a column (or its dead column back) whatever its id.
         """
         state = self.state
-        ins = _pairs(batch.insertions, len(batch.insertions))
-        dels = _pairs(batch.deletions, len(batch.deletions))
-        self._validate(ins, dels)
+        if self._validated is None or self._validated[0] is not batch:
+            self.validate_batch(batch)
+        _, ins, dels = self._validated
         _, live = state.live_columns(ins.ravel())
         new_vertices = sorted(set(ins.ravel()[~live].tolist()))
         check_vertex_ids(new_vertices, "edit batch")
@@ -330,6 +328,7 @@ class FastCorrectionPropagator:
         # --- 1. create/resurrect endpoint columns; merge the batch ------
         state.add_vertices(new_vertices)
         ins_cols, del_cols = state.columns(ins), state.columns(dels)
+        self._validated = None
         self.adjacency.apply(del_cols, ins_cols, state.num_columns)
 
         t_max = state.num_iterations
@@ -418,9 +417,6 @@ class FastCorrectionPropagator:
             [pool_indptr[rep_all_col], a_indptr[rep_add_col] + len(pool_flat)]
         )
         rp_cnt = np.concatenate([pool_counts[rep_all_col], a_counts[rep_add_col]])
-        order = np.argsort(rp_t, kind="stable")
-        rp_v, rp_t = rp_v[order], rp_t[order]
-        rp_off, rp_cnt = rp_off[order], rp_cnt[order]
         if obs is not None:
             t0 = _lap(obs, "core.incremental_fast.classify", t0)
 
@@ -430,6 +426,9 @@ class FastCorrectionPropagator:
         # must read post-correction upstream rows), so the whole repick
         # schedule is drawn and scattered in one vectorised pass.
         report.repicked += len(rp_v)
+        due = np.zeros(state.labels.shape, dtype=bool)
+        repicked = np.zeros_like(due)
+        sourceless = set()  # the levels of repicks with no candidate
         if rp_v.size:
             state.detach_slots(rp_v, rp_t)
             epochs_new = state.epochs[rp_t, rp_v] + 1
@@ -443,65 +442,38 @@ class FastCorrectionPropagator:
             rp_pos = np.where(has_mask, rp_pos, np.int64(NO_SOURCE))
             state.srcs[rp_t, rp_v] = rp_src
             state.poss[rp_t, rp_v] = rp_pos
-            rp_fallback = state.labels[0, rp_v]  # isolated slots: own label
+            due[rp_t, rp_v] = repicked[rp_t, rp_v] = True
             report.note_touched(state.ids_of(rp_v), rp_t)
-            level_bounds = np.searchsorted(rp_t, np.arange(1, t_max + 2))
+            sourceless = set(rp_t[~has_mask].tolist())
         if obs is not None:
             t0 = _lap(obs, "core.incremental_fast.detach", t0)
 
-        # --- 4. drain: cascade + repick value gathers, level by level ---
-        pending: _Pending = [[] for _ in range(t_max + 1)]
+        # --- 4. drain: one gather per level -----------------------------
+        # A due slot takes its source slot's label (its own row-0 label
+        # without one); the slots that change make their receivers due.
+        labels, srcs, poss = state.labels, state.srcs, state.poss
         for t in range(1, t_max + 1):
-            changed_vs: List[np.ndarray] = []
-            changed_vals: List[np.ndarray] = []
-            bufs = pending[t]
-            if bufs:
-                av, avals = (
-                    bufs[0]
-                    if len(bufs) == 1
-                    else (
-                        np.concatenate([b[0] for b in bufs]),
-                        np.concatenate([b[1] for b in bufs]),
-                    )
-                )
-                report.cascade_corrections += len(av)
-                changed = state.labels[t, av] != avals
-                if changed.any():
-                    cv = av[changed]
-                    cvals = avals[changed]
-                    state.labels[t, cv] = cvals
-                    report.value_changes += len(cv)
-                    report.note_touched(state.ids_of(cv), t)
-                    changed_vs.append(cv)
-                    changed_vals.append(cvals)
-            if rp_v.size:
-                lo, hi = level_bounds[t - 1], level_bounds[t]
-                if hi > lo:
-                    rv = rp_v[lo:hi]
-                    new_labels = rp_fallback[lo:hi].copy()
-                    live = np.nonzero(has_mask[lo:hi])[0]
-                    if live.size:
-                        new_labels[live] = state.labels[
-                            rp_pos[lo:hi][live], rp_src[lo:hi][live]
-                        ]
-                    old_labels = state.labels[t, rv]
-                    state.labels[t, rv] = new_labels
-                    changed = new_labels != old_labels
-                    if changed.any():
-                        report.value_changes += int(np.count_nonzero(changed))
-                        changed_vs.append(rv[changed])
-                        changed_vals.append(new_labels[changed])
-            if changed_vs:
-                self._notify(
-                    np.concatenate(changed_vs)
-                    if len(changed_vs) > 1
-                    else changed_vs[0],
-                    t,
-                    np.concatenate(changed_vals)
-                    if len(changed_vals) > 1
-                    else changed_vals[0],
-                    pending,
-                )
+            cols = due[t].nonzero()[0]
+            if not len(cols):
+                continue
+            src = srcs[t][cols]
+            new = labels[poss[t][cols], src]
+            if t in sourceless:
+                own = src == NO_SOURCE
+                new[own] = labels[0][cols[own]]
+            row = labels[t]
+            changed = new != row[cols]
+            cols = cols[changed]
+            if not len(cols):
+                continue
+            row[cols] = new[changed]
+            report.value_changes += len(cols)
+            tar, k = state.receivers_query(cols * (t_max + 1) + t)
+            due[k, tar] = True
+            report.cascade_corrections += len(tar)
+            cascaded = cols[~repicked[t][cols]]
+            if len(cascaded):
+                report.note_touched(state.ids_of(cascaded), t)
 
         if obs is not None:
             t0 = _lap(obs, "core.incremental_fast.drain", t0)
@@ -535,36 +507,6 @@ class FastCorrectionPropagator:
             )
         self.state.drop_vertex(v)
         return report
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _notify(
-        self,
-        v_arr: np.ndarray,
-        t: int,
-        vals: np.ndarray,
-        pending: _Pending,
-    ) -> None:
-        """Queue corrected values of slots ``(v, t)`` to their receivers,
-        grouped by destination level (always strictly ahead of ``t``)."""
-        state = self.state
-        keys = v_arr * np.int64(state.num_iterations + 1) + np.int64(t)
-        owner, tar, k = state.receivers_query(keys)
-        if not len(tar):
-            return
-        if (k <= t).any():
-            raise AssertionError(
-                f"reverse record at level {t} points backwards in time"
-            )
-        order = np.argsort(k, kind="stable")
-        k_sorted = k[order]
-        tar_sorted = tar[order]
-        val_sorted = vals[owner[order]]
-        bounds = (np.flatnonzero(k_sorted[1:] != k_sorted[:-1]) + 1).tolist()
-        starts, stops = [0, *bounds], [*bounds, len(k_sorted)]
-        for lo, hi in zip(starts, stops):
-            pending[int(k_sorted[lo])].append((tar_sorted[lo:hi], val_sorted[lo:hi]))
 
     def __repr__(self) -> str:
         return (

@@ -14,13 +14,14 @@ numpy arrays over columns, one per vertex:
   ``0..n-1`` the id → column lookup is the identity and nothing is
   mapped; otherwise it is one binary search over the sorted ids;
 * reverse records — "which slots fetched slot ``(c, t)``" — are int64
-  ``(key, tar, k)`` columns searched by binary search over the sorted
-  source-slot keys ``c * (T+1) + t``, in two runs: the *static* run,
-  stored in key order, and one *overlay* run holding the records
-  registered since the last compaction, stored in arrival order beside
-  its sorted keys.  Each record has a tombstone bit and an O(1) handle
-  ``rec_pos[k, tar]``: its index in the static run (``>= 0``), ``-2 - i``
-  for record ``i`` of the overlay run, or ``-1`` (no record).
+  ``(tar, k)`` columns keyed by the source slot ``c * (T+1) + t``: the
+  *static* run in key order behind a dense slot index (``indptr`` over
+  all ``num_columns·(T+1)`` keys; no key column), and one *overlay* run of
+  the records registered since the last compaction, in arrival order
+  beside its sorted keys, with a bool *mark* per slot key.  Each record
+  has a tombstone bit and an O(1) handle ``rec_pos[k, tar]``: its index
+  in the static run (``>= 0``), ``-2 - i`` for record ``i`` of the
+  overlay run, or ``-1`` (no record).
 
 The records are built lazily.  A new state holds only its matrices; the
 first repair builds the records (:meth:`reindex`: one ``nonzero`` and one
@@ -32,13 +33,15 @@ replica bootstrap never pay for them.  On a state without records,
 Once built, the records follow every repair in array passes, with no
 Python per record: a detached slot tombstones its record through its
 handle, new records are appended to the overlay run (their keys sorted
-and inserted into its sorted keys, so only the new records get handles),
-and a query binary-searches both runs.  An append still copies the
+and inserted into its sorted keys and marked, so only the new records
+get handles), and a query is two gathers into the static index plus a
+binary search of the overlay for its marked keys; a column born since
+the build lies past the index.  An append still copies the
 overlay's sorted keys once, so :meth:`needs_compaction` asks for a
 :meth:`compact` once those copies and the static tombstones add up to the
-static run's length; the compaction merges the live records of the two
-runs into a new static run — a stable argsort over two sorted runs
-instead of a rebuild from the matrices.
+static run's length; the compaction places the overlay's live records
+among the static run's through its index (no sort, no rebuild from the
+matrices) and drops the marks.
 
 Both representations are freely convertible (:meth:`from_label_state` /
 :meth:`to_label_state`) and the test suite asserts the round trip is exact,
@@ -74,11 +77,11 @@ def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     :func:`repro.graph.partition.slice_csr`), so variable-length range
     lookups stay a single C-level pass.
     """
-    total = int(counts.sum())
+    ends = np.add.accumulate(counts)
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.cumsum(counts) - counts  # exclusive prefix sums
-    return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
+        return _EMPTY
+    return (starts + counts - ends).repeat(counts) + np.arange(total, dtype=np.int64)
 
 
 def _id_index(ids: np.ndarray) -> _IdIndex:
@@ -102,61 +105,115 @@ def _lookup(index: _IdIndex, ncols: int, v: np.ndarray) -> Tuple[np.ndarray, np.
 
 
 class _Run:
-    """One run of reverse records with tombstone bits, searchable by key.
+    """One run of reverse records with tombstone bits.
 
     Record ``i`` says slot ``(tar[i], k[i])`` fetched a slot; ``alive[i]``
     is cleared when the record is detached and ``dead`` counts the cleared
-    bits.  ``key`` holds the records' source-slot keys sorted, and
-    ``at[j]`` is the record behind ``key[j]``, or ``at`` is ``None`` when
-    the records are stored in key order (the static run).  The overlay run
-    only appends records, so a record's index never changes; ``moved``
-    counts the sorted entries its appends have copied.
+    bits.  A record's index never changes while its run lives.
     """
 
-    __slots__ = ("key", "at", "tar", "k", "alive", "dead", "moved")
+    __slots__ = ("tar", "k", "alive", "dead")
 
-    def __init__(
-        self,
-        key: np.ndarray,
-        tar: np.ndarray,
-        k: np.ndarray,
-        at: Optional[np.ndarray] = None,
-    ):
-        self.key, self.at, self.tar, self.k = key, at, tar, k
+    def __init__(self, tar: np.ndarray, k: np.ndarray):
+        self.tar, self.k = tar, k
         self.alive = np.ones(len(tar), dtype=bool)
         self.dead = 0
-        self.moved = 0
-
-    @classmethod
-    def sorted_from(cls, *parts: _Records) -> "_Run":
-        """The records of ``parts`` as one run in key order: a stable
-        argsort by key, which merges already-sorted parts in linear time."""
-        key, tar, k = (np.concatenate(column) for column in zip(*parts))
-        order = np.argsort(key, kind="stable")
-        return cls(key[order], tar[order], k[order])
-
-    @classmethod
-    def appendable(cls) -> "_Run":
-        """An empty run that :meth:`append` grows (the overlay)."""
-        return cls(_EMPTY, _EMPTY, _EMPTY, at=_EMPTY)
 
     def __len__(self) -> int:
         return len(self.tar)
 
-    def live(self) -> _Records:
-        """The live records as ``(key, tar, k)`` columns, sorted by key."""
-        if self.at is None:
-            if not self.dead:
-                return self.key, self.tar, self.k
-            keep = self.alive
-            return self.key[keep], self.tar[keep], self.k[keep]
-        keep = self.alive[self.at]
-        rec = self.at[keep]
-        return self.key[keep], self.tar[rec], self.k[rec]
-
     def kill(self, rec: np.ndarray) -> None:
         self.alive[rec] = False
         self.dead += len(rec)
+
+
+class _Static(_Run):
+    """The static run: records in key order behind a dense slot index.
+
+    The records of slot key ``j`` are ``indptr[j]:indptr[j + 1]``, for
+    every key of the columns the run was built over; a key past the index
+    (a column born since) has none.  A record's key is the slot whose
+    range holds it, so the run stores no key column.
+    """
+
+    __slots__ = ("indptr",)
+
+    def __init__(self, indptr: np.ndarray, tar: np.ndarray, k: np.ndarray):
+        super().__init__(tar, k)
+        self.indptr = indptr
+
+    @classmethod
+    def build(
+        cls, num_keys: int, key: np.ndarray, tar: np.ndarray, k: np.ndarray
+    ) -> "_Static":
+        """Records in any order as a run over ``num_keys`` slot keys: one
+        stable argsort by key, and one ``bincount`` and one ``cumsum``."""
+        order = np.argsort(key, kind="stable")
+        indptr = np.zeros(num_keys + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=num_keys), out=indptr[1:])
+        return cls(indptr, tar[order], k[order])
+
+    def merged(self, overlay: "_Overlay", num_keys: int) -> "_Static":
+        """This run's live records and ``overlay``'s as one run over
+        ``num_keys`` slot keys, with no sort.
+
+        An overlay record goes after every live static record of its key
+        or a lower one, and after the overlay records before it in key
+        order; the live static records fill the other places in order.
+        """
+        key, tar, k = overlay.live()
+        live = np.zeros(len(self) + 1, dtype=np.int64)
+        np.cumsum(self.alive, out=live[1:])  # live static records before j
+        end = len(self.indptr) - 1
+        at = np.arange(len(key)) + live[self.indptr.take(key + 1, mode="clip")]
+        rest = np.ones(int(live[-1]) + len(key), dtype=bool)
+        rest[at] = False
+        merged_tar = np.empty(len(rest), dtype=np.int64)
+        merged_k = np.empty_like(merged_tar)
+        merged_tar[at], merged_k[at] = tar, k
+        merged_tar[rest], merged_k[rest] = self.tar[self.alive], self.k[self.alive]
+        indptr = np.zeros(num_keys + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=num_keys), out=indptr[1:])
+        indptr[: end + 1] += live[self.indptr]
+        indptr[end + 1 :] += live[-1]
+        return _Static(indptr, merged_tar, merged_k)
+
+    def keys(self) -> np.ndarray:
+        """Every record's key, rebuilt from the index: record ``j``'s key
+        counts the ranges after the first that start at or before ``j``."""
+        starts = np.bincount(self.indptr[1:-1], minlength=len(self) + 1)
+        return np.cumsum(starts[: len(self)])
+
+    def hits(self, keys: np.ndarray) -> np.ndarray:
+        """The live records of ``keys``: two gathers into the index.  A
+        key past it clips to its end, where no range starts."""
+        left = self.indptr.take(keys, mode="clip")
+        rec = _expand_ranges(left, self.indptr.take(keys + 1, mode="clip") - left)
+        return rec[self.alive[rec]] if self.dead else rec
+
+
+class _Overlay(_Run):
+    """The overlay run: records in arrival order beside their sorted keys.
+
+    ``key`` holds the records' keys sorted and ``at[j]`` is the record
+    behind ``key[j]``; ``moved`` counts the sorted entries the appends
+    have copied.  ``marks[j]`` is set once slot key ``j`` has a record
+    here, so a query searches only the keys that may have one.
+    """
+
+    __slots__ = ("key", "at", "moved", "marks")
+
+    def __init__(self, num_keys: int):
+        super().__init__(_EMPTY, _EMPTY)
+        self.key = self.at = _EMPTY
+        self.moved = 0
+        self.marks = np.zeros(num_keys, dtype=bool)
+
+    def live(self) -> _Records:
+        """The live records as ``(key, tar, k)`` columns, sorted by key."""
+        keep = self.alive[self.at]
+        rec = self.at[keep]
+        return self.key[keep], self.tar[rec], self.k[rec]
 
     def append(self, key: np.ndarray, tar: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Add records in any key order; returns their indices.
@@ -175,26 +232,20 @@ class _Run:
         self.tar = np.concatenate([self.tar, tar])
         self.k = np.concatenate([self.k, k])
         self.alive = np.concatenate([self.alive, np.ones(len(key), dtype=bool)])
+        self.marks[key] = True
         return np.arange(first, len(self), dtype=np.int64)
 
-    def hits(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(owner, rec)``: live record ``rec[i]`` has key ``keys[owner[i]]``
-        (``keys`` ascending, which keeps the binary searches cache-friendly)."""
+    def hits(self, keys: np.ndarray) -> np.ndarray:
+        """The live records of ``keys``: a binary search of the marked ones."""
+        keys = keys[self.marks[keys]]
+        if not len(keys):
+            return _EMPTY
         # One binary-search call covers both bounds: for integer slot keys,
         # the right bound of ``key`` is the left bound of ``key + 1``.
         bounds = np.searchsorted(self.key, np.concatenate([keys, keys + 1]))
-        left, right = bounds[: len(keys)], bounds[len(keys):]
-        counts = right - left
-        rec = _expand_ranges(left, counts)
-        if not len(rec):
-            return _EMPTY, _EMPTY
-        owner = np.repeat(np.arange(len(keys), dtype=np.int64), counts)
-        if self.at is not None:
-            rec = self.at[rec]
-        if self.dead:
-            live = self.alive[rec]
-            owner, rec = owner[live], rec[live]
-        return owner, rec
+        left = bounds[: len(keys)]
+        rec = self.at[_expand_ranges(left, bounds[len(keys):] - left)]
+        return rec[self.alive[rec]] if self.dead else rec
 
 
 class ArrayLabelState:
@@ -391,10 +442,11 @@ class ArrayLabelState:
         return int(self.columns([v])[0]) * self._stride + t
 
     def receivers_of(self, v: int, t: int) -> Set[Tuple[int, int]]:
-        """Who fetched slot ``(v, t)`` — a fresh set, like the dict state."""
+        """Who fetched slot ``(v, t)``, as ``(vertex id, level)`` pairs — a
+        fresh set, like the dict state (one :meth:`receivers_query`)."""
         if not self.has_vertex(v):
             return set()
-        _, tar, k = self.receivers_query(
+        tar, k = self.receivers_query(
             np.array([self.slot_key(v, t)], dtype=np.int64)
         )
         return set(zip(self.ids_of(tar).tolist(), k.tolist()))
@@ -411,9 +463,11 @@ class ArrayLabelState:
         """Build the reverse records from the provenance matrices.
 
         One ``nonzero`` and one argsort over the n·T slots give the static
-        run; the overlay starts empty.  A repair calls this before it
-        writes any provenance, the first time it meets the state; a query
-        on a state without records calls it too.
+        run, and one ``bincount`` and one ``cumsum`` of its keys its slot
+        index over every ``num_columns·(T+1)`` key; the overlay starts
+        empty.  A repair calls this before it writes any provenance, the
+        first time it meets the state; a query on a state without records
+        calls it too.
         """
         sub = self.srcs[1:] != NO_SOURCE
         if not self.alive.all():
@@ -422,20 +476,22 @@ class ArrayLabelState:
         ks = row_idx + 1
         keys = self.srcs[ks, tar] * np.int64(self._stride) + self.poss[ks, tar]
         self._rec_pos = np.full(self.labels.shape, -1, dtype=np.int64)
-        self._install(_Run.sorted_from((keys, tar, ks)))
+        self._install(_Static.build(self.labels.size, keys, tar, ks))
 
     def compact(self) -> None:
         """Merge the live records of both runs into one static run.
 
-        Both runs give their live records in key order, so one stable
-        argsort merges them in linear time; every live record gets a fresh
-        static handle, which overwrites every handle into the old runs.
+        The overlay's live records, in key order, find their places among
+        the static run's through its index, with no sort; the new index
+        covers every column, born ones included.  Every live record gets a
+        fresh static handle, which overwrites every handle into the old
+        runs.
         """
-        self._install(_Run.sorted_from(self._static.live(), self._overlay.live()))
+        self._install(self._static.merged(self._overlay, self.labels.size))
 
-    def _install(self, static: _Run) -> None:
+    def _install(self, static: _Static) -> None:
         self._static = static
-        self._overlay = _Run.appendable()
+        self._overlay = _Overlay(self.labels.size)
         self._rec_pos[static.k, static.tar] = np.arange(len(static), dtype=np.int64)
 
     def needs_compaction(self) -> bool:
@@ -453,25 +509,22 @@ class ArrayLabelState:
             return False
         return self._overlay.moved + self._static.dead > len(self._static)
 
-    def receivers_query(
-        self, keys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def receivers_query(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Batched receiver lookup for an array of source-slot keys.
 
-        Returns ``(owner, tar, k)``: record ``i`` says slot ``(tar[i],
-        k[i])`` (a column and a level) fetched the slot behind
-        ``keys[owner[i]]``.  One binary search per run plus one flat
-        gather each; the order within a key is unspecified.
+        Returns ``(tar, k)``: each record says slot ``(tar[i], k[i])`` (a
+        column and a level) fetched one of the slots behind ``keys``, which
+        the caller names in any order, no key twice.  The static run's
+        records are two gathers into its slot index; the overlay's are a
+        binary search of the keys it has marked.  The order is unspecified.
         """
         if self._rec_pos is None:
             self.reindex()
         static, overlay = self._static, self._overlay
-        order = np.argsort(keys)
-        keys = keys[order]
-        owner, rec = static.hits(keys)
-        o_owner, o_rec = overlay.hits(keys)
+        rec, o_rec = static.hits(keys), overlay.hits(keys)
+        if not len(o_rec):
+            return static.tar[rec], static.k[rec]
         return (
-            order[np.concatenate([owner, o_owner])],
             np.concatenate([static.tar[rec], overlay.tar[o_rec]]),
             np.concatenate([static.k[rec], overlay.k[o_rec]]),
         )
@@ -560,6 +613,9 @@ class ArrayLabelState:
                     [self._rec_pos, np.full((self._stride, k), -1, dtype=np.int64)],
                     axis=1,
                 )
+                self._overlay.marks = np.concatenate(
+                    [self._overlay.marks, np.zeros(k * self._stride, dtype=bool)]
+                )
             extends = self._index is None and np.array_equal(
                 fresh, np.arange(ncols, ncols + k)
             )
@@ -589,7 +645,7 @@ class ArrayLabelState:
                 "(detach them first)"
             )
         keys = col * np.int64(self._stride) + np.arange(self._stride, dtype=np.int64)
-        _, tar, k = self.receivers_query(keys)
+        tar, k = self.receivers_query(keys)
         if len(tar):
             sample = sorted(zip(self.ids_of(tar).tolist(), k.tolist()))[:5]
             raise ValueError(
@@ -603,10 +659,12 @@ class ArrayLabelState:
     def validate(self, graph: Optional[Graph] = None) -> None:
         """Assert the full invariant set (raises ``AssertionError``).
 
-        With records built, checks the two-run structure first — every
-        slot with a source owns exactly one live record with its source
-        key, handles point at their records and nowhere else, each run is
-        sorted and counts its tombstones — then delegates the semantic
+        With records built, checks the two-run structure first — the
+        static index partitions its run and gives each record its own
+        source key, every live overlay key is marked, every slot with a
+        source owns exactly one live record with its source key, handles
+        point at their records and nowhere else, the overlay is sorted and
+        each run counts its tombstones — then delegates the semantic
         invariants (provenance values, edge existence) to
         :meth:`LabelState.validate` on the converted state.
         """
@@ -616,10 +674,32 @@ class ArrayLabelState:
 
     def _validate_records(self) -> None:
         stride, ncols = self._stride, self.num_columns
+        static, overlay = self._static, self._overlay
 
         def slots_of(values) -> List[Tuple[int, int]]:
             return [(int(s % ncols), int(s // ncols)) for s in values[:5]]
 
+        # The static index partitions its run (each record's key, checked
+        # against its slot's source below, is the range that holds it),
+        # and the overlay is sorted, holds every record and marks its keys.
+        indptr = static.indptr
+        if not (
+            len(indptr) <= self.labels.size + 1
+            and indptr[0] == 0
+            and indptr[-1] == len(static)
+            and (np.diff(indptr) >= 0).all()
+        ):
+            raise AssertionError("static index does not partition its run")
+        if not np.array_equal(np.sort(overlay.at), np.arange(len(overlay))):
+            raise AssertionError("overlay run's key order misses records")
+        if (np.diff(overlay.key) < 0).any():
+            raise AssertionError("overlay run is not sorted by key")
+        if len(overlay.marks) != self.labels.size:
+            raise AssertionError("overlay marks do not cover every slot key")
+        unmarked = overlay.alive[overlay.at] & ~overlay.marks[overlay.key]
+        if unmarked.any():
+            key = overlay.key[unmarked][0]
+            raise AssertionError(f"overlay key {key} has a live record but no mark")
         # Expected: one record per live slot with a source, keyed by it.
         sub = self.srcs != NO_SOURCE
         sub[0] = False
@@ -629,20 +709,13 @@ class ArrayLabelState:
         e_key = self.srcs[e_k, e_tar] * stride + self.poss[e_k, e_tar]
         # Actual: the live records of both runs, with the handle each
         # should have (static index i, or -2 - i in the overlay).
-        runs = {"static": self._static, "overlay": self._overlay}
-        record_keys = {}
-        for name, run in runs.items():
-            if run.at is None:
-                record_keys[name] = run.key
-            elif not np.array_equal(np.sort(run.at), np.arange(len(run))):
-                raise AssertionError(f"{name} run's key order misses records")
-            else:
-                record_keys[name] = np.empty_like(run.key)
-                record_keys[name][run.at] = run.key
-        recs = {name: np.flatnonzero(run.alive) for name, run in runs.items()}
-        a_tar = np.concatenate([runs[n].tar[r] for n, r in recs.items()])
-        a_k = np.concatenate([runs[n].k[r] for n, r in recs.items()])
-        a_key = np.concatenate([record_keys[n][r] for n, r in recs.items()])
+        overlay_keys = np.empty_like(overlay.key)
+        overlay_keys[overlay.at] = overlay.key
+        runs = {"static": (static, static.keys()), "overlay": (overlay, overlay_keys)}
+        recs = {name: np.flatnonzero(run.alive) for name, (run, _) in runs.items()}
+        a_tar = np.concatenate([runs[n][0].tar[r] for n, r in recs.items()])
+        a_k = np.concatenate([runs[n][0].k[r] for n, r in recs.items()])
+        a_key = np.concatenate([runs[n][1][r] for n, r in recs.items()])
         a_handle = np.concatenate([recs["static"], -2 - recs["overlay"]])
         a_slot = a_k * ncols + a_tar
         slots, counts = np.unique(a_slot, return_counts=True)
@@ -662,7 +735,8 @@ class ArrayLabelState:
                 != a_key[a_order][np.searchsorted(a_slot[a_order], both)]
             ]
             raise AssertionError(
-                "reverse records disagree with provenance: "
+                "reverse records (static keys read off the index) disagree "
+                "with provenance: "
                 f"missing={slots_of(np.setdiff1d(e_slot, a_slot))}, "
                 f"spurious={slots_of(np.setdiff1d(a_slot, e_slot))}, "
                 f"mismatched={slots_of(wrong)}"
@@ -677,9 +751,7 @@ class ArrayLabelState:
         stale = np.count_nonzero(self._rec_pos != -1) - len(a_slot)
         if stale:
             raise AssertionError(f"{stale} handle(s) point at no live record")
-        for name, run in runs.items():
-            if (np.diff(run.key) < 0).any():
-                raise AssertionError(f"{name} run is not sorted by key")
+        for name, (run, _) in runs.items():
             if run.dead != len(run) - len(recs[name]):
                 raise AssertionError(
                     f"{name} run counts {run.dead} tombstones, holds "

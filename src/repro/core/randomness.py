@@ -118,14 +118,16 @@ def draw_keep_uniform(h: int) -> float:
 # Vectorised forms (numpy uint64) — bit-identical to the scalar forms.
 # ----------------------------------------------------------------------
 
-_NP_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
 def _np_mix64(x: np.ndarray) -> np.ndarray:
-    x = (x + np.uint64(0x9E3779B97F4A7C15)) & _NP_MASK
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _NP_MASK
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _NP_MASK
-    return x ^ (x >> np.uint64(31))
+    # uint64 arithmetic wraps, so no masks; the first sum is a new array,
+    # and every later step works in place on it, never on the caller's.
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:

@@ -199,6 +199,44 @@ class TestBitIdentity:
         state.validate(fast.graph)
 
 
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_born_vertex_reached_by_a_later_cascade(self, cliques_ring, layout):
+        """A vertex born after the records were built has its column past
+        the static slot index; a later batch's cascade still reaches its
+        slots, through the overlay, exactly as the reference's does."""
+        vid = (lambda v: v) if layout == "dense" else (lambda v: 3 * v - 41)
+        graph = Graph.from_edges(
+            ((vid(u), vid(v)) for u, v in cliques_ring.edges()),
+            vertices=map(vid, cliques_ring.vertices()),
+        )
+        ref = ReferencePropagator(graph.copy(), seed=5)
+        ref.propagate(25)
+        reference = CorrectionPropagator(ref)
+        static = FastPropagator(graph, seed=5)
+        static.propagate(25)
+        fast = FastCorrectionPropagator(graph, static.to_array_state(), 5)
+        apply_both(reference, fast, EditBatch.build(insertions=[(vid(0), vid(12))]))
+        born = 30 if layout == "dense" else vid(5) + 1  # a gap id below the max
+        apply_both(
+            reference,
+            fast,
+            EditBatch.build(insertions=[(born, vid(2)), (born, vid(3))]),
+        )
+        col = int(fast.state.columns([born])[0])
+        assert len(fast.state._static.indptr) - 1 <= col * 26  # past the index
+        reached = 0
+        for step in range(6):
+            batch = random_edit_batch(fast.graph, 8, seed=40 + step)
+            batch = EditBatch(
+                insertions=frozenset(e for e in batch.insertions if born not in e),
+                deletions=frozenset(e for e in batch.deletions if born not in e),
+            )
+            _, report = apply_both(reference, fast, batch)
+            reached += any(v == born for v, _ in report.touched_slots)
+        assert reached  # some cascade arrived at the born vertex's slots
+        fast.state.validate(fast.graph)
+
+
 class TestContract:
     def test_rejects_sentinel_id_before_mutating(self, cliques_ring):
         _, fast = make_pair(cliques_ring, seed=1)
@@ -229,6 +267,18 @@ class TestContract:
         snapshot = fast.graph.copy()
         with pytest.raises(ValueError):
             fast.apply_batch(EditBatch.build(deletions=[(0, 29)]))
+        assert fast.graph == snapshot
+
+    def test_validation_is_reused_only_by_its_batch_until_a_merge(self, cliques_ring):
+        reference, fast = make_pair(cliques_ring, seed=1)
+        batch = EditBatch.build(insertions=[(0, 12)])
+        fast.validate_batch(batch)
+        apply_both(reference, fast, EditBatch.build(deletions=[(0, 1)]))
+        fast.validate_batch(batch)
+        apply_both(reference, fast, batch)  # reuses its own validation
+        snapshot = fast.graph.copy()
+        with pytest.raises(ValueError, match="already present"):
+            fast.apply_batch(batch)  # merged since: searched again
         assert fast.graph == snapshot
 
     def test_state_graph_mismatch_rejected(self, cliques_ring):

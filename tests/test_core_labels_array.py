@@ -4,13 +4,16 @@ The central contract: :class:`ArrayLabelState` and :class:`LabelState` are
 the same mathematical object in two layouts, and every mutation primitive
 (detach, register, vertex lifecycle, reindex, compact) preserves the
 record/provenance bijection that :meth:`validate` asserts.  The reverse
-records live in two sorted runs (static and overlay) with tombstones and
-``_rec_pos`` handles, and stay unbuilt until a repair or a query needs
-them.
+records live in two runs with tombstones and ``_rec_pos`` handles — a
+static run behind a dense slot index, and an overlay run searched by its
+sorted keys and filtered by a mark per slot key — and stay unbuilt until
+a repair or a query needs them.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fast import FastPropagator
 from repro.core.labels import NO_SOURCE, LabelState
@@ -28,9 +31,16 @@ def propagated_state(graph, seed=11, iterations=25) -> LabelState:
 
 def record_set(array_state: ArrayLabelState):
     """The live reverse records of both runs as ``(key, tar, k)`` triples."""
-    records = set()
-    for run in (array_state._static, array_state._overlay):
-        records.update(zip(*(column.tolist() for column in run.live())))
+    static = array_state._static
+    live = static.alive
+    records = set(
+        zip(
+            static.keys()[live].tolist(),
+            static.tar[live].tolist(),
+            static.k[live].tolist(),
+        )
+    )
+    records.update(zip(*(column.tolist() for column in array_state._overlay.live())))
     return records
 
 
@@ -104,16 +114,15 @@ class TestReverseRecords:
             for t in range(state.num_iterations + 1):
                 assert array_state.receivers_of(v, t) == state.receivers_of(v, t)
 
-    def test_batched_query_groups_by_owner(self, cliques_ring):
+    def test_batched_query_finds_every_receiver(self, cliques_ring):
         state = propagated_state(cliques_ring)
         array_state = ArrayLabelState.from_label_state(state)
         keys = np.array(
             [array_state.slot_key(v, 3) for v in range(10)], dtype=np.int64
         )
-        owner, tar, k = array_state.receivers_query(keys)
-        for i in range(10):
-            got = {(int(a), int(b)) for a, b in zip(tar[owner == i], k[owner == i])}
-            assert got == state.receivers_of(i, 3)
+        tar, k = array_state.receivers_query(keys[::-1])  # any key order
+        expected = set().union(*(state.receivers_of(v, 3) for v in range(10)))
+        assert sorted(zip(tar.tolist(), k.tolist())) == sorted(expected)
 
     def test_detach_then_register_round_trip(self, cliques_ring):
         state = propagated_state(cliques_ring)
@@ -227,7 +236,125 @@ class TestReverseRecords:
         state.compact()
         assert len(state._overlay) == 0 and state._static.dead == 0
         assert record_set(state) == before
-        assert np.array_equal(state._static.key, fresh._static.key)
+        assert np.array_equal(state._static.indptr, fresh._static.indptr)
+        state.validate(corrector.graph)
+
+
+class TestSlotIndex:
+    """The static run's dense slot index and the overlay's marks."""
+
+    @pytest.mark.parametrize("shift", ["one record", "past the next"])
+    def test_validate_catches_a_shifted_index_entry(self, cliques_ring, shift):
+        array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
+        array_state.reindex()
+        indptr = array_state._static.indptr
+        # A boundary between two non-empty ranges: moving it by one hands a
+        # record to the key below; moving it past the next one breaks order.
+        j = next(
+            j
+            for j in range(1, len(indptr) - 1)
+            if indptr[j - 1] < indptr[j] < indptr[j + 1]
+        )
+        indptr[j] = indptr[j] + 1 if shift == "one record" else indptr[j + 1] + 1
+        message = "mismatched=\\[\\(" if shift == "one record" else "static index"
+        with pytest.raises(AssertionError, match=message):
+            array_state.validate()
+
+    def test_validate_catches_a_cleared_mark(self, cliques_ring):
+        array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
+        array_state.reindex()
+        v, t = first_sourced_slot(array_state)
+        src, pos = int(array_state.srcs[t, v]), int(array_state.poss[t, v])
+        array_state.detach_slots(np.array([v]), np.array([t]))
+        array_state.srcs[t, v], array_state.poss[t, v] = src, pos
+        array_state.register_slots(np.array([src]), np.array([pos]), np.array([v]), t)
+        array_state.validate()
+        array_state._overlay.marks[array_state.slot_key(src, pos)] = False
+        with pytest.raises(AssertionError, match="no mark"):
+            array_state.validate()
+
+    def test_keys_past_the_index_have_no_records(self):
+        """A key past the index (a column born since the build) has no
+        static records, even when the last indexed key has some."""
+        from repro.core.labels_array import _Static
+
+        static = _Static.build(
+            4, np.array([3, 1, 3]), np.array([7, 8, 9]), np.array([2, 2, 2])
+        )
+        assert static.indptr.tolist() == [0, 0, 1, 1, 3]
+        assert sorted(static.hits(np.array([3])).tolist()) == [1, 2]
+        assert static.hits(np.array([4, 5, 40])).size == 0
+        assert sorted(static.hits(np.array([40, 1, 3])).tolist()) == [0, 1, 2]
+
+    def test_a_born_column_lies_past_the_index(self, cliques_ring):
+        array_state = ArrayLabelState.from_label_state(propagated_state(cliques_ring))
+        array_state.reindex()
+        array_state.add_vertices([30])
+        assert len(array_state._static.indptr) - 1 == 30 * array_state._stride
+        assert len(array_state._overlay.marks) == array_state.labels.size
+        keys = 30 * array_state._stride + np.arange(array_state._stride)
+        assert array_state.receivers_query(keys)[0].size == 0
+        array_state.validate()
+
+
+def scan_receivers(state: ArrayLabelState, keys: np.ndarray):
+    """Every live slot whose source slot key is in ``keys``, found by a
+    scan of the provenance matrices (``(column, level)`` pairs, sorted)."""
+    k, tar = np.nonzero(state.srcs != NO_SOURCE)
+    live = (k > 0) & state.alive[tar]
+    k, tar = k[live], tar[live]
+    source = state.srcs[k, tar] * (state.num_iterations + 1) + state.poss[k, tar]
+    hit = np.isin(source, keys)
+    return sorted(zip(tar[hit].tolist(), k[hit].tolist()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    layout=st.sampled_from(["dense", "sparse"]),
+    plan=st.lists(
+        st.tuples(st.integers(0, 2**31), st.booleans(), st.booleans()),
+        min_size=1,
+        max_size=5,
+    ),
+    query_seed=st.integers(0, 2**31),
+)
+def test_lookup_equals_a_scan_of_the_provenance(layout, plan, query_seed):
+    """After random batches, compactions and births whose columns lie past
+    the static index, every slot key's receivers are what a scan of
+    ``srcs``/``poss`` finds, queried in random order and random groups."""
+    from repro.core.incremental_fast import FastCorrectionPropagator
+    from repro.graph.edits import EditBatch
+    from repro.workloads.dynamic import random_edit_batch
+
+    vid = (lambda v: v) if layout == "dense" else (lambda v: 4 * v - 50)
+    base = erdos_renyi(24, 0.2, seed=5)
+    graph = Graph.from_edges(
+        ((vid(u), vid(v)) for u, v in base.edges()), vertices=map(vid, base.vertices())
+    )
+    fast = FastPropagator(graph, seed=9)
+    fast.propagate(8)
+    corrector = FastCorrectionPropagator(graph, fast.to_array_state(), 9)
+    rng = np.random.default_rng(query_seed)
+    born = 24
+    for batch_seed, birth, compact in plan:
+        batch = random_edit_batch(corrector.graph, 6, seed=batch_seed)
+        if birth:  # a new id linked to two live vertices: a new column
+            ends = rng.choice(sorted(corrector.state.vertices()), 2, replace=False)
+            # Dense: past the largest id; sparse: a gap id below it.
+            new = born if layout == "dense" else 4 * (born - 24) - 49
+            born += 1
+            batch = batch.merged_with(
+                EditBatch.build(insertions=[(new, int(u)) for u in ends])
+            )
+        corrector.apply_batch(batch)
+        state = corrector.state
+        if compact:
+            state.compact()
+        keys = rng.permutation(state.labels.size)
+        for group in np.array_split(keys, rng.integers(1, 8)):
+            tar, k = state.receivers_query(group)
+            got = sorted(zip(tar.tolist(), k.tolist()))
+            assert got == scan_receivers(state, group)
         state.validate(corrector.graph)
 
 

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 from repro.core.randomness import (
     draw_keep_uniform,
+    draw_keep_uniform_array,
     draw_position,
     draw_position_array,
     draw_src_index,
     draw_src_index_array,
     draw_src_pos,
+    keep_lottery_uniform,
     mix64,
+    mix64_array,
     slot_hash,
     slot_hash_array,
+    slot_hash_flex,
 )
 
 
@@ -111,6 +115,47 @@ class TestVectorisedEquality:
         vectorised = draw_position_array(h, 17)
         for v in range(200):
             assert vectorised[v] == draw_position(slot_hash(42, v, 17, 0), 17)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_mix64_array_matches_over_the_whole_range(self, values):
+        x = np.array(values, dtype=np.uint64)
+        before = x.copy()
+        assert mix64_array(x).tolist() == [mix64(v) for v in values]
+        assert np.array_equal(x, before)  # the kernel never writes its input
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.lists(
+            st.tuples(
+                st.integers(-(2**63), 2**63 - 1).filter(lambda v: v != -1),
+                st.integers(1, 300),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_chained_keep_lottery_matches(self, seed, slots, batch_epoch):
+        v = np.array([vertex for vertex, _ in slots], dtype=np.int64)
+        t = np.array([level for _, level in slots], dtype=np.int64)
+        v_before, t_before = v.copy(), t.copy()
+        base = slot_hash_flex(seed, v, t, 0)
+        base_before = base.copy()
+        draws = draw_keep_uniform_array(slot_hash_flex(base, v, t, batch_epoch))
+        assert draws.tolist() == [
+            keep_lottery_uniform(seed, vertex, level, batch_epoch)
+            for vertex, level in slots
+        ]
+        assert np.array_equal(v, v_before) and np.array_equal(t, t_before)
+        assert np.array_equal(base, base_before)
 
     def test_position_array_rejects_zero_iteration(self):
         with pytest.raises(ValueError):

@@ -355,3 +355,25 @@ class TestArrayGraphHotPaths:
             reference.apply(batch)
         assert service.graph == reference.graph
         assert reference.cover().communities == service.index.cover.communities
+
+    def test_strict_apply_validates_the_batch_once(self, cliques_ring, monkeypatch):
+        """The service validates a batch before its WAL append; the repair
+        reuses that check instead of searching the adjacency again, and
+        an invalid batch still fails before anything is logged."""
+        from repro.graph.csr import EdgeKeys
+
+        service = make_service(cliques_ring).start()
+        calls = []
+        contains = EdgeKeys.contains
+
+        def counted(self, pairs):
+            calls.append(len(pairs))
+            return contains(self, pairs)
+
+        monkeypatch.setattr(EdgeKeys, "contains", counted)
+        service.apply(EditBatch.build(insertions=[(0, 12)], deletions=[(0, 1)]))
+        assert calls == [1, 1]  # the insertions, then the deletions
+        assert service.graph.has_edge(0, 12) and not service.graph.has_edge(0, 1)
+        with pytest.raises(ValueError, match="already present"):
+            service.apply(EditBatch.build(insertions=[(0, 12)]))
+        assert service.batches_applied == 1
