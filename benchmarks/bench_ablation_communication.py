@@ -33,7 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.bench_common import SCALE, banner, print_table, scaled
+from benchmarks.bench_common import (
+    SCALE,
+    banner,
+    environment,
+    print_table,
+    scaled,
+)
+from repro.api.config import ExecutionConfig
 from repro.baselines.slpa_fast import FastSLPA
 from repro.core.fast import FastPropagator
 from repro.distributed.cluster import (
@@ -51,6 +58,7 @@ from repro.distributed.message_array import register_schema
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import FastSLPAPropagationProgram
 from repro.distributed.worker import CSRShard, build_csr_shards
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.partition import ContiguousPartitioner
 from repro.workloads.dynamic import random_edit_batch
@@ -61,7 +69,8 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_distributed.json"
 
 def _merge_record(section: str, payload: dict) -> None:
     """Write one top-level section of ``BENCH_distributed.json`` in place,
-    preserving whatever the other sweeps recorded."""
+    preserving whatever the other sweeps recorded; every section carries
+    the host it was measured on (``bench_common.environment()``)."""
     data = {}
     if RESULT_PATH.exists():
         try:
@@ -71,7 +80,7 @@ def _merge_record(section: str, payload: dict) -> None:
     if not isinstance(data, dict) or "results" in data:
         # pre-merge layout: a single flat engine-sweep payload
         data = {"engine_sweep": data} if isinstance(data, dict) else {}
-    data[section] = payload
+    data[section] = dict(payload, environment=environment())
     RESULT_PATH.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 N = scaled(300, 1000, 4000)
@@ -266,6 +275,121 @@ def test_engine_sweep_smoke(benchmark, report):
 
 
 # ----------------------------------------------------------------------
+# Fit vs local: the BSP plane's cost over the local core (ROADMAP item 4)
+# ----------------------------------------------------------------------
+#: perfbench dist_fit's graph shape and fit at every scale: the three
+#: numbers ROADMAP item 4 tracks are measured on it.
+FIT_LFR_N = 20_000
+FIT_ITERATIONS = 30
+FIT_WORKERS = 2
+FIT_RUNS = 7
+
+
+def _fit_vs_local(graph, iterations, runs):
+    """Wall-clock samples of the local ``FastPropagator`` fit (with its
+    export), the in-process 2-shard fit and the 2-worker shm fit, each
+    asserted bit-identical to the local fit.  One untimed warm-up round,
+    then ``runs`` rounds that rotate which fit goes first."""
+    csr = CSRGraph.from_graph(graph)
+    configs = {
+        "in_process": ExecutionConfig(num_workers=FIT_WORKERS),
+        "multiprocess_shm": ExecutionConfig(
+            num_workers=FIT_WORKERS, multiprocess=True, transport="shm"
+        ),
+    }
+
+    def local():
+        propagator = FastPropagator(csr, seed=1)
+        propagator.propagate(iterations)
+        return propagator.to_array_state()
+
+    def distributed(config):
+        return run_distributed_rslpa(
+            csr, seed=1, iterations=iterations, config=config
+        )[0]
+
+    fits = {"local": local}
+    fits.update(
+        (name, partial(distributed, config)) for name, config in configs.items()
+    )
+    expected = local()
+    samples = {name: [] for name in fits}
+    names = list(fits)
+    for round_ in range(runs + 1):
+        for name in names[round_ % 3:] + names[: round_ % 3]:
+            t0 = time.perf_counter()
+            state = fits[name]()
+            wall_s = time.perf_counter() - t0
+            for matrix in ("labels", "srcs", "poss"):
+                assert np.array_equal(
+                    getattr(state, matrix), getattr(expected, matrix)
+                ), (name, matrix)
+            if round_:  # round 0 is the warm-up
+                samples[name].append(wall_s)
+    return samples
+
+
+def test_fit_vs_local_records(benchmark, report):
+    """ROADMAP item 4's three numbers, recorded into
+    ``BENCH_distributed.json`` (section ``fit_vs_local``)."""
+    graph = _sweep_lfr(FIT_LFR_N)
+    results = {}
+
+    def run():
+        results["samples"] = _fit_vs_local(graph, FIT_ITERATIONS, FIT_RUNS)
+        return results
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    samples = results["samples"]
+    medians = {name: float(np.median(s)) for name, s in samples.items()}
+    report(
+        banner(
+            "Fit vs local: the BSP plane against the local core",
+            "Section V-B2: the same Algorithm 1 fit on the BSP cluster",
+            "bit-identical fits; the distributed ones cost a small multiple",
+        )
+    )
+    report(
+        f"LFR |V|={graph.num_vertices} |E|={graph.num_edges}, "
+        f"T={FIT_ITERATIONS}, {FIT_WORKERS} workers, median of {FIT_RUNS}"
+    )
+    print_table(
+        report,
+        ["fit", "median (s)", "x local"],
+        [
+            (name, round(median, 4), round(median / medians["local"], 2))
+            for name, median in medians.items()
+        ],
+    )
+    _merge_record(
+        "fit_vs_local",
+        {
+            "benchmark": "distributed_fit_vs_local",
+            "scale": SCALE,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "graph": {
+                "n": graph.num_vertices,
+                "num_edges": graph.num_edges,
+                "family": "lfr",
+                "seed": FIT_LFR_N,
+            },
+            "iterations": FIT_ITERATIONS,
+            "workers": FIT_WORKERS,
+            "runs": FIT_RUNS,
+            "median_s": {name: round(m, 4) for name, m in medians.items()},
+            "x_local": {
+                name: round(m / medians["local"], 2)
+                for name, m in medians.items()
+            },
+            "samples_s": {
+                name: [round(t, 4) for t in s] for name, s in samples.items()
+            },
+        },
+    )
+    report(f"results recorded in {RESULT_PATH}")
+
+
+# ----------------------------------------------------------------------
 # Transport sweep: the multiprocess data plane (PR 6 tentpole)
 # ----------------------------------------------------------------------
 TRANSPORTS = ("pipe", "shm", "tcp")
@@ -295,9 +419,10 @@ register_schema(BALLAST_KIND, BALLAST_FIELDS)
 class BallastRelayProgram(ArrayWorkerProgram):
     """Re-emits a fixed wide column batch every superstep.
 
-    Destinations are sorted and span the whole id space, so the shared
-    ``route_columns`` lexsort runs on nearly ordered keys and stays cheap
-    relative to the bytes each transport must move.
+    Destinations are sorted and span the whole id space, and every field
+    is zero, so the shared ``route_columns`` packs only owner and ``dst``
+    into its sort key and its one sort stays cheap relative to the bytes
+    each transport must move.
     """
 
     def __init__(self, shard, rows, supersteps, num_vertices):

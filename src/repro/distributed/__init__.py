@@ -14,21 +14,23 @@ relabelled: every random draw is a slot hash keyed by the vertex id.
 
 **Message plane** — :class:`ArrayBSPEngine` accumulates sends as typed
 struct-of-arrays int64 columns (:mod:`repro.distributed.message_array`),
-routes a whole superstep with one vectorised ``owner_array`` gather +
-lexsort barrier, and delivers per-kind column inboxes to
+routes a whole superstep with one vectorised ``owner_array`` gather and
+one packed-key sort per kind, and delivers per-kind column inboxes to
 :class:`~repro.distributed.engine_array.ArrayWorkerProgram` subclasses
 (:mod:`repro.distributed.programs_array`,
 :mod:`repro.distributed.programs`, :mod:`repro.distributed.components`).
 
 **Results** — each program's ``collect()`` returns named columns over
-its shard's ``local_ids``, and :func:`gather_columns` scatters them into
-ascending-id arrays, whichever engine ran the programs.
+its shard's ``local_ids`` (arrays the caller owns, on either engine and
+every transport), and :func:`gather_columns` scatters them into
+C-ordered ascending-id arrays, whichever engine ran the programs.
 
 **Processes** — :class:`MultiprocessBSPEngine` runs the same programs on
 real OS processes, over one wire per worker that carries command verbs
 and column payloads alike.  Its transport (pickles on a ``pipe``,
-zero-copy ``shm`` rings, or ``tcp`` sockets with out-of-band column
-bytes; :mod:`repro.distributed.transport`) never changes a result or a
+zero-copy ``shm`` rings that carry the collect replies too, or ``tcp``
+sockets with out-of-band column bytes;
+:mod:`repro.distributed.transport`) never changes a result or a
 per-superstep :class:`CommStats` counter: routing and accounting run on
 the driver before any wire touches the columns.  A worker that dies
 raises :class:`WorkerCrashedError` (a

@@ -20,12 +20,14 @@ delivered ``(dst, fields...)``-sorted, so a run is a pure function of
 distributed == sequential equality bit for bit.
 
 Observability: set :attr:`ArrayBSPEngine.obs` to record
-``engine.compute`` / ``engine.route`` spans, leave it ``None`` for a
-zero-overhead run.
+``engine.compute`` / ``engine.route`` spans, and ``stats.obs`` for the
+``engine.*`` communication counters (:meth:`CommStats.record`; the
+cluster wrappers set both); leave them ``None`` for a zero-overhead run.
 """
 
 from __future__ import annotations
 
+from math import prod
 from time import time_ns
 from typing import Dict, List, Sequence, Tuple
 
@@ -166,14 +168,6 @@ class ArrayBSPEngine:
                     "engine.route", route_start, plane="array",
                     superstep=superstep,
                 )
-                obs.metrics.counter("engine.messages").inc(step_stats.messages)
-                obs.metrics.counter("engine.remote_messages").inc(
-                    step_stats.remote_messages
-                )
-                obs.metrics.counter("engine.bytes").inc(step_stats.bytes)
-                obs.metrics.counter("engine.remote_bytes").inc(
-                    step_stats.remote_bytes
-                )
             outboxes = {}
             for program in programs:
                 if obs is not None:
@@ -199,12 +193,24 @@ def gather_columns(
     """The one driver-side result scatter, for either engine.
 
     ``collected[i]`` is ``shards[i]``'s :meth:`~ArrayWorkerProgram.collect`.
-    Returns the ascending vertex ids and, per name, every worker's array
-    joined along the last axis in that id order.
+    Returns the ascending vertex ids and, per name, one C-ordered
+    ``(..., n)`` array into which every worker's array is scattered row by
+    row at its vertices' places in that id order.
     """
     ids = np.concatenate([shard.local_ids for shard in shards])
     order = np.argsort(ids, kind="stable")
-    return ids[order], {
-        name: np.concatenate([r[name] for r in collected], axis=-1)[..., order]
-        for name in collected[0]
-    }
+    places = np.empty_like(order)
+    places[order] = np.arange(len(order))
+    bounds = np.cumsum([0] + [len(shard.local_ids) for shard in shards])
+    columns = {}
+    for name in collected[0]:
+        parts = [result[name] for result in collected]
+        lead = parts[0].shape[:-1]
+        out = np.empty(lead + (len(ids),), dtype=np.result_type(*parts))
+        rows = out.reshape(prod(lead), len(ids))
+        for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            at = places[lo:hi]
+            for row, values in zip(rows, part.reshape(prod(lead), hi - lo)):
+                row[at] = values
+        columns[name] = out
+    return ids[order], columns

@@ -6,7 +6,7 @@ fields, senders accumulate messages as struct-of-arrays ``int64`` columns
 (:func:`route_columns`) routes a whole outbox with a handful of numpy
 passes — one :meth:`~repro.graph.partition.Partitioner.owner_array` gather
 over the destination column, ``np.bincount`` for the per-worker split, and
-one lexsort per kind for deterministic inbox order.
+one sort of a packed ``uint64`` key per kind for deterministic inbox order.
 
 Two contracts make runs reproducible and comparable across partitioners,
 transports and worker processes:
@@ -23,6 +23,7 @@ transports and worker processes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -249,6 +250,35 @@ class ArrayInbox:
         )
 
 
+def _owner_sorted(owners: np.ndarray, columns: List[np.ndarray]) -> List[np.ndarray]:
+    """``columns`` with their rows sorted by ``(owner, columns...)``.
+
+    One uint64 key holds the owner in its high bits and then every column,
+    each offset by its minimum and packed at its range's bit width; one
+    sort of the key orders the rows, and shifts and masks unpack it.
+    Equal keys are identical rows, so the result is exactly
+    ``np.lexsort``'s, which runs instead when the widths sum past 64 bits.
+    """
+    keys = [owners.astype(np.int64, copy=False)] + columns
+    lows = [int(col.min()) for col in keys]
+    widths = [(int(col.max()) - low).bit_length() for col, low in zip(keys, lows)]
+    if sum(widths) > 64:
+        order = np.lexsort(keys[::-1])
+        return [col[order] for col in columns]
+    shifts = [sum(widths[i + 1:]) for i in range(len(keys))]
+    lows = [np.uint64(low % (1 << 64)) for low in lows]
+    key = np.zeros(len(owners), dtype=np.uint64)
+    for col, low, width, shift in zip(keys, lows, widths, shifts):
+        if width:
+            key |= (col.view(np.uint64) - low) << np.uint64(shift)
+    key.sort()
+    return [
+        (((key >> np.uint64(shift)) & np.uint64((1 << width) - 1)) + low
+         if width else np.full(len(key), low)).view(np.int64)
+        for low, width, shift in zip(lows[1:], widths[1:], shifts[1:])
+    ]
+
+
 def route_columns(
     outboxes: Dict[int, ArrayOutbox],
     partitioner: Partitioner,
@@ -261,8 +291,9 @@ def route_columns(
     plus the superstep's communication counters.  Per kind: concatenate
     across senders, one ``owner_array`` gather over the dst column, schema
     byte accounting (no per-message size calls), a remote/local split from
-    one vector compare, then ``lexsort + bincount + cumsum`` to emit
-    per-worker groups in deterministic ``(dst, fields...)`` order.
+    one vector compare, then one sort of a packed ``(owner, dst,
+    fields...)`` key (:func:`_owner_sorted`) and ``bincount + cumsum`` to
+    emit per-worker groups in deterministic ``(dst, fields...)`` order.
     """
     step_stats = SuperstepStats(superstep=superstep)
     inboxes: Dict[int, ArrayOutbox] = {p: {} for p in range(num_partitions)}
@@ -305,71 +336,74 @@ def route_columns(
         step_stats.remote_bytes += remote * schema.message_bytes
 
         # Owner-major, then (dst, fields...) lexicographic within an owner.
-        order = np.lexsort(tuple(fields[::-1]) + (dst, owners))
+        sorted_cols = _owner_sorted(owners, [dst] + fields)
         counts = np.bincount(owners, minlength=num_partitions)
         bounds = np.concatenate(([0], np.cumsum(counts)))
-        dst_sorted = dst[order]
-        fields_sorted = [field[order] for field in fields]
         for p in range(num_partitions):
             lo, hi = int(bounds[p]), int(bounds[p + 1])
             if lo == hi:
                 continue
-            inboxes[p][kind] = (dst_sorted[lo:hi],) + tuple(
-                field[lo:hi] for field in fields_sorted
-            )
+            inboxes[p][kind] = tuple(col[lo:hi] for col in sorted_cols)
     return inboxes, step_stats
 
 
 # ----------------------------------------------------------------------
-# Flat buffer packing (the transport wire/shared-memory format)
+# Flat buffer packing (the shared-memory ring format)
 # ----------------------------------------------------------------------
-# An ArrayOutbox flattens into one contiguous int64 region with a purely
-# structural index: kinds in ascending name order, each kind's columns in
-# (dst, fields...) order, each column ``rows * 8`` bytes.  The layout
-# tuple ``((kind, rows), ...)`` plus the schema registry fully determine
-# every offset, so the index exchanged between processes stays a few
-# dozen bytes regardless of payload size.  Both sides must register the
-# same schemas (module import does this for the built-in kinds; plugins
-# must register theirs before the engine spawns workers).
+# A payload maps names to int64 blocks: an ArrayOutbox maps each kind to
+# its (dst, fields...) columns, the rows of one block, and a collect()
+# reply maps each result name to one array.  It flattens into one
+# contiguous int64 region with a purely structural index: blocks in
+# ascending name order, each C-ordered.  The layout tuple
+# ``((name, shape), ...)`` fully determines every offset, so the index
+# exchanged between processes stays a few dozen bytes regardless of
+# payload size.
 
-def packed_nbytes(columns: ArrayOutbox) -> int:
-    """Bytes needed to pack ``columns`` with :func:`pack_columns`."""
-    total = 0
-    for kind, cols in columns.items():
-        total += len(cols) * int(cols[0].shape[0]) * 8
-    return total
+def _shape(block) -> Tuple[int, ...]:
+    """Shape of one payload block: an array, or equal-length columns."""
+    if isinstance(block, np.ndarray):
+        return block.shape
+    return (len(block),) + block[0].shape
 
 
-def pack_columns(columns: ArrayOutbox, buf) -> Tuple[Tuple[str, int], ...]:
-    """Write ``columns`` into ``buf`` (a writable buffer); returns the layout."""
+def packed_nbytes(payload) -> int:
+    """Bytes needed to pack ``payload`` with :func:`pack_columns`."""
+    return sum(8 * prod(_shape(block)) for block in payload.values())
+
+
+def pack_columns(payload, buf) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+    """Write ``payload`` into ``buf`` (a writable buffer); returns the layout."""
     layout = []
     offset = 0
-    for kind in sorted(columns):
-        cols = columns[kind]
-        rows = int(cols[0].shape[0])
-        layout.append((kind, rows))
-        for col in cols:
-            target = np.frombuffer(buf, dtype=np.int64, count=rows, offset=offset)
-            target[:] = col
-            offset += rows * 8
+    for name in sorted(payload):
+        block, shape = payload[name], _shape(payload[name])
+        target = np.frombuffer(
+            buf, dtype=np.int64, count=prod(shape), offset=offset
+        ).reshape(shape)
+        if isinstance(block, np.ndarray):
+            target[...] = block
+        else:
+            for row, col in zip(target, block):
+                row[...] = col
+        layout.append((name, shape))
+        offset += target.nbytes
     return tuple(layout)
 
 
-def unpack_columns(buf, layout: Sequence[Tuple[str, int]]) -> ArrayOutbox:
-    """Read-only column views over ``buf`` for a :func:`pack_columns` layout.
+def unpack_columns(buf, layout: Sequence[tuple]) -> Dict[str, np.ndarray]:
+    """Read-only views over ``buf`` for a :func:`pack_columns` layout, one
+    block per name (an outbox kind's block has one row per column).
 
     The views alias ``buf`` (zero copy); they stay valid only as long as
     the underlying buffer does — transports document the exact lifetime.
     """
-    out: ArrayOutbox = {}
+    out: Dict[str, np.ndarray] = {}
     offset = 0
-    for kind, rows in layout:
-        width = SCHEMAS[kind].width + 1
-        cols = []
-        for _ in range(width):
-            view = np.frombuffer(buf, dtype=np.int64, count=rows, offset=offset)
-            view.flags.writeable = False
-            cols.append(view)
-            offset += rows * 8
-        out[kind] = tuple(cols)
+    for name, shape in layout:
+        view = np.frombuffer(
+            buf, dtype=np.int64, count=prod(shape), offset=offset
+        ).reshape(shape)
+        view.flags.writeable = False
+        out[name] = view
+        offset += view.nbytes
     return out

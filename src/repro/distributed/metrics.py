@@ -90,7 +90,16 @@ class CommStats:
     obs: Optional[Any] = None
 
     def record(self, stats: SuperstepStats) -> None:
+        """Append one superstep's counters, and mirror them into the
+        ``engine.messages`` / ``engine.remote_messages`` /
+        ``engine.bytes`` / ``engine.remote_bytes`` counters of ``obs``
+        when the run is traced.  Like spans, the registry records what
+        executed: a superstep replayed after a recovery counts again
+        there, while :meth:`truncate` keeps ``per_superstep`` exact."""
         self.per_superstep.append(stats)
+        if self.obs is not None:
+            for name in ("messages", "remote_messages", "bytes", "remote_bytes"):
+                self.obs.metrics.counter(f"engine.{name}").inc(getattr(stats, name))
 
     def truncate(self, supersteps: int) -> None:
         """Forget everything recorded after the first ``supersteps`` entries.

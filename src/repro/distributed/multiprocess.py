@@ -21,9 +21,11 @@ touches the columns.
 Programs and their factory must be picklable (every built-in one is).
 A program's state stays inside its process; its results come back via
 ``collect()`` as the same named columns the in-process engine's programs
-return, so every program — Correction Propagation included — runs here
-unchanged and :func:`~repro.distributed.engine_array.gather_columns`
-assembles either engine's results.
+return (on ``shm`` through the worker's outbox ring, copied out once, so
+the caller owns them past ``shutdown()``), every program — Correction
+Propagation included — runs here unchanged, and
+:func:`~repro.distributed.engine_array.gather_columns` assembles either
+engine's results.
 
 A worker that dies mid-run can never hang the driver: every wait on the
 wire polls process liveness and raises
@@ -513,7 +515,8 @@ class MultiprocessBSPEngine:
                 self._recover(exc)
 
     def collect(self) -> List[dict]:
-        """Each worker program's ``collect()`` columns, in shard order."""
+        """Each worker program's ``collect()`` columns, in shard order, as
+        arrays the caller owns (still valid after :meth:`shutdown`)."""
         if self._closed:
             raise RuntimeError("engine already shut down")
         while True:

@@ -13,14 +13,17 @@ of the columnar message plane — alike.  The engine resolves its
     pickled onto the worker's ``multiprocessing.Pipe``.
 ``shm``
     :class:`SharedMemoryTransport` (this module): a ``PipeWire`` whose
-    column payloads travel through shared memory.  Each direction of each
+    array payloads travel through shared memory.  Each direction of each
     worker owns a double-buffered ring of ``multiprocessing.shared_memory``
-    segments; the writer packs its columns in place (one memcpy), the pipe
-    carries only an index header ``(segment name, ((kind, rows), ...))``
-    in the payload's place, and the reader maps the columns back as
+    segments; the writer packs its arrays in place (one memcpy), the pipe
+    carries only an index header ``(segment name, ((name, shape), ...))``
+    in the payload's place, and the reader maps the arrays back as
     read-only numpy views — payload arrays are never pickled.  The
     barrier becomes an index exchange plus
     :func:`~repro.distributed.message_array.route_columns` over views.
+    A worker's ``collect()`` reply travels through its outbox ring the
+    same way, and the driver copies it out once, so the results it hands
+    back are its caller's own arrays.
 ``tcp``
     :class:`~repro.runtime.TcpWire`: pickles over a localhost socket each
     worker dials, so worker groups exchange supersteps exactly as two
@@ -38,7 +41,8 @@ views into a ring slot that is rewritten two supersteps later, so
 programs must consume (or copy, see
 :meth:`~repro.distributed.message_array.ArrayInbox.materialize`) their
 inbox within the superstep that delivered it — the contract the built-in
-array programs already satisfy.
+array programs already satisfy.  Collect replies are never views: no
+array the driver returns outlives its segment.
 
 Crash safety: a worker that dies mid-superstep can never hang the driver.
 Every wire's receives poll worker liveness and raise
@@ -50,20 +54,30 @@ detaches the worker.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.distributed.message_array import (
-    ArrayOutbox,
     pack_columns,
     packed_nbytes,
     unpack_columns,
 )
-from repro.runtime import ChildCrashedError, PipeWire, WorkerCrashedError
+from repro.runtime import TIMEOUT, ChildCrashedError, PipeWire, WorkerCrashedError
 
 __all__ = ["WorkerCrashedError", "SharedMemoryTransport"]
 
 #: Verbs whose reply is the worker's outbox.
 _STEPPED = ("start", "step")
+
+
+def _packable(reply) -> bool:
+    """Whether a ``collect()`` reply can cross the ring: named int64
+    arrays (anything else is pickled onto the pipe)."""
+    return isinstance(reply, dict) and all(
+        isinstance(value, np.ndarray) and value.dtype == np.int64
+        for value in reply.values()
+    )
 
 
 def _unlink_quiet(segment) -> None:
@@ -88,7 +102,7 @@ class _SegmentRing:
     ``pack`` alternates between ``depth`` slots, so the reader's views of
     superstep ``s`` stay valid while superstep ``s+1`` is written — the
     lock-step barrier guarantees nothing older is still referenced.  A
-    slot grows geometrically when an outbox outgrows it (the header names
+    slot grows geometrically when a payload outgrows it (the header names
     the segment, so the reader re-attaches transparently).
     """
 
@@ -99,15 +113,15 @@ class _SegmentRing:
         self._seq = 0
         self.grows = 0  # slot (re)allocations; read by the traced driver
 
-    def pack(self, columns: ArrayOutbox) -> Tuple[Optional[str], tuple]:
-        """Write ``columns`` into the next slot; returns the index header."""
+    def pack(self, payload) -> Tuple[Optional[str], tuple]:
+        """Write ``payload`` into the next slot; returns the index header."""
         from multiprocessing import shared_memory
 
-        if not columns:
+        if not payload:
             return (None, ())
         slot = self._seq % self._depth
         self._seq += 1
-        need = packed_nbytes(columns)
+        need = packed_nbytes(payload)
         segment = self._slots[slot]
         if segment is None or segment.size < need:
             self.grows += 1
@@ -118,7 +132,7 @@ class _SegmentRing:
                 _unlink_quiet(segment)
             segment = shared_memory.SharedMemory(create=True, size=size)
             self._slots[slot] = segment
-        layout = pack_columns(columns, segment.buf)
+        layout = pack_columns(payload, segment.buf)
         return (segment.name, layout)
 
     def close(self) -> None:
@@ -135,7 +149,7 @@ class _SegmentCache:
     def __init__(self):
         self._segments: Dict[str, object] = {}
 
-    def unpack(self, header: Tuple[Optional[str], tuple]) -> ArrayOutbox:
+    def unpack(self, header: Tuple[Optional[str], tuple]) -> Dict[str, np.ndarray]:
         from multiprocessing import shared_memory
 
         name, layout = header
@@ -164,20 +178,23 @@ class _SegmentCache:
 
 
 class SharedMemoryTransport(PipeWire):
-    """A :class:`~repro.runtime.PipeWire` whose column payloads travel
+    """A :class:`~repro.runtime.PipeWire` whose array payloads travel
     through double-buffered shared-memory rings.
 
     The driver owns one :class:`_SegmentRing` per worker for inboxes; each
-    worker owns one for its outboxes.  The ``step`` verb's inbox and every
-    outbox cross the pipe as their ``(segment name, layout)`` header — the
-    index exchange — and each side maps the peer's columns as read-only
-    views, so no payload bytes are ever pickled or re-copied on receive.
+    worker owns one for its outboxes and its ``collect()`` reply.  The
+    ``step`` verb's inbox, every outbox and every collect reply of named
+    int64 arrays cross the pipe as their ``(segment name, layout)``
+    header — the index exchange.  Each side maps the peer's columns as
+    read-only views, so no payload bytes are ever pickled; the driver
+    copies a collect reply out of the ring once, so its caller owns it.
     """
 
     def __init__(self, crash_error: type = ChildCrashedError):
         super().__init__(crash_error)
         self._inbox_rings: Dict[int, _SegmentRing] = {}
         self._outbox_caches: Dict[int, _SegmentCache] = {}
+        self._collecting: Set[int] = set()  # workers owing a collect reply
 
     @property
     def segment_grows(self) -> int:
@@ -213,19 +230,32 @@ class SharedMemoryTransport(PipeWire):
             _verb, superstep, columns = message
             message = ("step", superstep, self._inbox_rings[cid].pack(columns))
         super().send(cid, message)
+        if message[0] == "collect":
+            self._collecting.add(cid)
 
     def recv(self, cid: int, timeout: Optional[float] = None):
         message = super().recv(cid, timeout)
-        # An outbox header is the only 2-tuple a worker sends (control
-        # replies are longer tuples, collect replies dicts).
+        if message is TIMEOUT:
+            return message
+        # A worker answers a collect verb before anything else.
+        collecting = cid in self._collecting
+        self._collecting.discard(cid)
+        # A header is the only 2-tuple a worker sends (control replies are
+        # longer tuples, a collect reply of other objects a dict).
         if isinstance(message, tuple) and len(message) == 2:
-            return self._outbox_caches[cid].unpack(message)
+            blocks = self._outbox_caches[cid].unpack(message)
+            if collecting:
+                # One copy out of the ring: the caller keeps its results
+                # past the slot's next rewrite and past shutdown.
+                return {name: np.array(block) for name, block in blocks.items()}
+            return {kind: tuple(block) for kind, block in blocks.items()}
         return message
 
     def detach(self, cid: int) -> None:
         # Reap the dead worker's outbox segments now (its own close never
         # ran); its replacement's endpoint starts a fresh cache.
         super().detach(cid)
+        self._collecting.discard(cid)
         cache = self._outbox_caches.pop(cid, None)
         if cache is not None:
             cache.close(unlink=True)
@@ -240,6 +270,7 @@ class SharedMemoryTransport(PipeWire):
             cache.close(unlink=True)
         self._inbox_rings.clear()
         self._outbox_caches.clear()
+        self._collecting.clear()
 
 
 class SharedMemoryEndpoint:
@@ -250,7 +281,7 @@ class SharedMemoryEndpoint:
         self._pipe = pipe
         self._ring: Optional[_SegmentRing] = None
         self._cache: Optional[_SegmentCache] = None
-        self._outbox_due = False
+        self._due: Optional[str] = None  # the verb the next send answers
 
     def open(self) -> None:
         self._pipe.open()
@@ -259,17 +290,20 @@ class SharedMemoryEndpoint:
 
     def recv(self):
         message = self._pipe.recv()
-        # The worker answers a stepped verb with its outbox, before
-        # anything else.
-        self._outbox_due = message[0] in _STEPPED
+        # The worker answers a stepped verb with its outbox, and a collect
+        # verb with its results, before anything else.
+        self._due = message[0]
         if message[0] == "step":
             _verb, superstep, header = message
-            message = ("step", superstep, self._cache.unpack(header))
+            blocks = self._cache.unpack(header)
+            message = ("step", superstep, {
+                kind: tuple(block) for kind, block in blocks.items()
+            })
         return message
 
     def send(self, message) -> None:
-        if self._outbox_due:
-            self._outbox_due = False
+        due, self._due = self._due, None
+        if due in _STEPPED or (due == "collect" and _packable(message)):
             message = self._ring.pack(message)
         self._pipe.send(message)
 

@@ -320,8 +320,13 @@ class PipeWire(Wire):
     def send(self, cid: int, message) -> None:
         try:
             self._conns[cid].send(message)
+            return
         except OSError:
-            raise self.crashed(cid, "(pipe closed)")
+            # Raised below, outside the handler: the failed send's frames
+            # (and the pickle buffer exported from its BytesIO) die here,
+            # not in a garbage cycle whose finalizer raises BufferError.
+            pass
+        raise self.crashed(cid, "(pipe closed)")
 
     def recv(self, cid: int, timeout: Optional[float] = None):
         conn = self._conns[cid]

@@ -535,7 +535,8 @@ class TestFaultKinds:
         assert recovery.recoveries == 0
         assert recovery.workers_respawned == 0
 
-    def test_collect_crash_recovers(self, reference):
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_collect_crash_recovers(self, reference, transport):
         # A worker lost between run() and collect() forces a replay from
         # the final (quiescence) cut; collect must still return full bits.
         ref_memories, _ = reference
@@ -548,7 +549,7 @@ class TestFaultKinds:
             shards,
             part,
             factory,
-            transport="tcp",
+            transport=transport,
             fault_tolerance=True,
             checkpoint_interval=2,
         ) as engine:

@@ -7,7 +7,9 @@ oracle, and a worker that dies mid-run must raise WorkerCrashedError
 instead of hanging the driver.
 """
 
+import gc
 import os
+import pickle
 import signal
 from collections import Counter
 from functools import partial
@@ -22,7 +24,7 @@ from repro.core.fast import FastPropagator
 from repro.core.incremental_fast import FastCorrectionPropagator
 from repro.core.rslpa import ReferencePropagator
 from repro.distributed.cluster import run_distributed_update
-from repro.distributed.engine_array import gather_columns
+from repro.distributed.engine_array import ArrayBSPEngine, gather_columns
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
@@ -34,6 +36,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.edits import EditBatch
 from repro.graph.generators import erdos_renyi, ring_of_cliques
 from repro.graph.partition import ContiguousPartitioner, HashPartitioner
+from repro.runtime import PipeWire
 from repro.workloads.dynamic import random_edit_batch
 
 
@@ -264,6 +267,92 @@ class TestWorkerCrash:
                 os.kill(engine._wire._processes[0].pid, signal.SIGKILL)
                 engine.run()
         assert _shm_segments() <= before
+
+
+class HalvedLabelsProgram(FastRSLPAPropagationProgram):
+    """Collects float results, which the shm ring does not carry."""
+
+    def collect(self):
+        return {"halved": self.labels / 2.0}
+
+
+class TestCollectThroughRing:
+    """``collect()`` results: through the shm ring as a header, and owned
+    by the caller on every transport."""
+
+    @staticmethod
+    def _in_process(shards, part, factory):
+        engine = ArrayBSPEngine(shards, part)
+        programs = engine.run([factory(shard) for shard in shards])
+        return gather_columns(shards, [p.collect() for p in programs])
+
+    def test_shm_collect_reply_crosses_the_pipe_as_a_header(
+        self, monkeypatch, small_setup
+    ):
+        graph, part, shards = small_setup
+        factory = partial(FastRSLPAPropagationProgram, seed=5, iterations=6)
+        raw = []
+        real_recv = PipeWire.recv
+
+        def spy(self, cid, timeout=None):
+            message = real_recv(self, cid, timeout)
+            raw.append(message)
+            return message
+
+        with MultiprocessBSPEngine(
+            shards, part, factory, transport="shm"
+        ) as engine:
+            engine.run()
+            monkeypatch.setattr(PipeWire, "recv", spy)
+            results = engine.collect()
+        assert len(raw) == len(shards)
+        for message, shard in zip(raw, shards):
+            segment, layout = message
+            assert segment.startswith("psm_")
+            assert layout == tuple(
+                (name, (7, len(shard.local_ids)))
+                for name in ("labels", "poss", "srcs")
+            )
+            assert len(pickle.dumps(message)) < 512
+        ids, columns = gather_columns(shards, results)
+        want_ids, want = self._in_process(shards, part, factory)
+        np.testing.assert_array_equal(ids, want_ids)
+        for name, column in want.items():
+            np.testing.assert_array_equal(columns[name], column)
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_results_stay_valid_after_shutdown(self, transport, small_setup):
+        graph, part, shards = small_setup
+        factory = partial(FastRSLPAPropagationProgram, seed=5, iterations=6)
+        before = _shm_segments()
+        with MultiprocessBSPEngine(
+            shards, part, factory, transport=transport
+        ) as engine:
+            engine.run()
+            results = engine.collect()
+        gc.collect()
+        assert _shm_segments() <= before
+        ids, columns = gather_columns(shards, results)
+        want_ids, want = self._in_process(shards, part, factory)
+        np.testing.assert_array_equal(ids, want_ids)
+        for name, column in want.items():
+            np.testing.assert_array_equal(columns[name], column)
+        for result in results:
+            for array in result.values():
+                array += 1  # the caller's own, writable arrays
+
+    def test_non_int64_results_cross_pickled(self, small_setup):
+        graph, part, shards = small_setup
+        factory = partial(HalvedLabelsProgram, seed=5, iterations=6)
+        with MultiprocessBSPEngine(
+            shards, part, factory, transport="shm"
+        ) as engine:
+            engine.run()
+            results = engine.collect()
+        _, columns = gather_columns(shards, results)
+        _, want = self._in_process(shards, part, factory)
+        assert columns["halved"].dtype == np.float64
+        np.testing.assert_array_equal(columns["halved"], want["halved"])
 
 
 # ----------------------------------------------------------------------

@@ -111,6 +111,8 @@ class TestMultiprocessTracing:
         assert snap["histograms"]["transport.shm.inbox_bytes"]["count"] > 0
         assert snap["histograms"]["transport.shm.outbox_bytes"]["count"] > 0
         assert snap["counters"]["transport.shm.segment_grows"] > 0
+        # The replayed superstep was routed, and counted, twice.
+        assert snap["counters"]["engine.messages"] > stats.total_messages
 
         # The export is a valid Chrome trace even after JSON encoding.
         payload = json.loads(json.dumps(result.to_chrome_trace()))
@@ -148,6 +150,16 @@ class TestMultiprocessTracing:
         assert "cluster.gather" in totals
         gathers = [s for s in stats.obs.result().spans if s.name == "cluster.gather"]
         assert [s.worker for s in gathers] == [DRIVER]
+        # The multiprocess engine mirrors communication into the registry
+        # as the in-process one does.
+        counters = stats.obs.result().metrics["counters"]
+        assert counters["engine.messages"] == stats.total_messages
+        assert counters["engine.remote_messages"] == stats.total_remote_messages
+        assert counters["engine.bytes"] == stats.total_bytes
+        assert counters["engine.remote_bytes"] == stats.total_remote_bytes
+        assert "# TYPE repro_engine_messages counter" in (
+            stats.obs.result().to_prometheus()
+        )
         plain, _ = run_distributed_rslpa(
             ring_of_cliques(3, 5), seed=SEED, iterations=ITERATIONS,
             config=ExecutionConfig(num_workers=2, multiprocess=True),

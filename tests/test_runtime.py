@@ -6,8 +6,9 @@ the child table of every wire class on its own (a killed child found by
 ``dead()``, replaced by ``restart()``, and nothing left by ``stop()``),
 the tcp handshake refusing a foreign cookie, ``TCP_NODELAY`` on both
 ends of a tcp connection, a pipe to a dead child breaking when every
-child started before the first attach, and the crash-error hierarchy the
-two supervisors' callers rely on.
+child started before the first attach, a failed pipe send keeping none
+of its frames (and so no exported pickle buffer) alive, and the
+crash-error hierarchy the two supervisors' callers rely on.
 """
 
 import os
@@ -168,6 +169,26 @@ def test_pipe_to_dead_child_breaks_when_all_children_start_first():
             process.kill()
             process.join(timeout=10)
         wire.close()
+
+
+def test_failed_pipe_send_keeps_no_frame_of_the_send():
+    # multiprocessing pickles a message into a BytesIO and writes a view
+    # of it.  A crash error chained to the failed write would keep those
+    # frames alive, so the BytesIO would wait for the garbage collector,
+    # whose finalizer closes it while still exported: a BufferError that
+    # dev mode (``-X dev``) reports as an unraisable exception.
+    wire = PipeWire()
+    wire.bind()
+    try:
+        wire.start(0, _idle_child)
+        wire.attach(0)
+        wire._processes[0].kill()
+        wire._processes[0].join(timeout=10)
+        with pytest.raises(ChildCrashedError) as excinfo:
+            wire.send(0, ("payload", b"\0" * 4096))
+    finally:
+        wire.close()
+    assert excinfo.value.__context__ is None
 
 
 def test_worker_crash_is_a_child_crash():
