@@ -961,7 +961,6 @@ def test_fault_tolerance_records_overhead(benchmark, report):
 OBS_LFR_N = scaled(400, 2_000, 10_000)
 OBS_ITERATIONS = scaled(6, 8, 10)
 OBS_WORKERS = [2, 4]
-OBS_REPS = scaled(3, 3, 5)
 #: Tracing must cost < 5% wall-clock on the multiprocess plane
 #: (against the identical untraced run; DESIGN.md budget).
 OBS_OVERHEAD_BUDGET_PCT = 5.0
@@ -988,21 +987,6 @@ def _obs_slpa_engine(graph, part, iterations, transport, trace):
     return MultiprocessBSPEngine(
         shards, part, factory, transport=transport, obs=obs
     ), obs
-
-
-def _min_wall(graph, part, iterations, trace, reps, transport="shm"):
-    """Best-of-``reps`` wall-clock for one config (untimed warm-up run)."""
-    engine, _obs = _obs_slpa_engine(graph, part, iterations, transport, trace)
-    try:
-        engine.run()  # warm-up, untimed
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            engine.run()
-            times.append(time.perf_counter() - t0)
-        return min(times)
-    finally:
-        engine.shutdown()
 
 
 def _paired_median_walls(graph, part, iterations, rounds, pairs,
@@ -1079,13 +1063,16 @@ def test_observability_phase_breakdown_records(benchmark, report):
         ]
         widest = max(OBS_WORKERS)
         part = ContiguousPartitioner(widest, graph.num_vertices)
-        plain = _min_wall(graph, part, OBS_ITERATIONS, False, OBS_REPS)
-        traced = _min_wall(graph, part, OBS_ITERATIONS, True, OBS_REPS)
+        plain, traced = _paired_median_walls(
+            graph, part, OBS_ITERATIONS, OBS_GATE_ROUNDS, OBS_GATE_PAIRS
+        )
         results["overhead"] = {
             "workers": widest,
-            "reps": OBS_REPS,
-            "untraced_best_s": round(plain, 4),
-            "traced_best_s": round(traced, 4),
+            "clock": "time.perf_counter (wall)",
+            "rounds": OBS_GATE_ROUNDS,
+            "pairs": OBS_GATE_PAIRS,
+            "untraced_median_s": round(plain, 4),
+            "traced_median_s": round(traced, 4),
             "overhead_pct": round(100.0 * (traced / plain - 1), 2),
         }
         return results
@@ -1118,8 +1105,8 @@ def test_observability_phase_breakdown_records(benchmark, report):
     report(
         f"tracing overhead at {overhead['workers']} workers: "
         f"{overhead['overhead_pct']}% "
-        f"({overhead['untraced_best_s']}s -> {overhead['traced_best_s']}s, "
-        f"best of {OBS_REPS})"
+        f"({overhead['untraced_median_s']}s -> {overhead['traced_median_s']}s, "
+        f"medians of {OBS_GATE_ROUNDS} x {OBS_GATE_PAIRS} interleaved pairs)"
     )
     _merge_record(
         "observability",

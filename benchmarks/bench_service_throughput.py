@@ -94,7 +94,12 @@ def _ingest(service, graph, batch_size, edits_total):
 
 
 def _measure_queries(service, num_queries):
-    """Mean query latency (µs) against the cached index, post-refresh."""
+    """Mean query latency (µs) against the cached index, post-refresh.
+
+    The queries stride through the vertices, so up to ``n`` of them each
+    read a vertex for the first time since the refresh, and the index
+    builds and memoises that vertex's tuple then.
+    """
     service.refresh()
     n = service.graph.num_vertices
     vertices = [(v * 9973) % n for v in range(num_queries)]

@@ -28,7 +28,9 @@ counts compare label *codes*: an :class:`ArrayLabelState`'s labels are
 vertex ids, so their columns code them; any other labels are ranked with
 ``np.unique``.  A refresh rarely changes most vertices' labels, so a
 :class:`CountsRecord` keeps one extraction's counts, and the next counts
-afresh only the edges that are new or have an end whose codes changed.
+afresh only the edges that are new or have an end whose codes changed,
+each oriented so that its count table is built for the changed end: the
+tables then cover the changed rows and the ends of inserted edges only.
 
 The τ1 sweep adds edges in the stable descending-weight order to a
 union-find that maintains the size histogram / entropy incrementally.  Only
@@ -36,7 +38,8 @@ the unions that succeed change the entropy, and those are exactly the
 maximum spanning forest for that order (Kruskal's algorithm), so the sweep
 finds the forest once, with a vectorised Borůvka that breaks ties by edge
 rank, and replays its ≤ n−1 edges: the same unions, hence the same floats,
-as a pass over every edge.  When every sequence has the same length the
+as a pass over every edge, with each entropy term read from a table
+(:class:`DisjointSetEntropy`).  When every sequence has the same length the
 order is an integer radix sort of the counts.  The strong components are
 the forest's prefix at τ1, and the weak attachment is two masks over the
 edges whose (community, vertex) pairs become the
@@ -56,7 +59,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from time import time_ns
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
@@ -174,9 +177,12 @@ class CountsRecord:
     only on the codes of its two rows, so an edge the record holds whose
     rows' codes did not change keeps its hits, however many repairs ran in
     between.  Rows are matched by id, so a vertex birth or removal costs
-    only the edges it touches.  Only label-column codes are kept: they
-    have no padding, and a label keeps its code from one extraction to the
-    next.  A record whose code width (T+1) differs is not used.
+    only the edges it touches.  An edge counted afresh takes as its table
+    row (:func:`_collision_counts`) an end whose codes changed, so the
+    count tables cover the changed rows, not their neighbours.  Only
+    label-column codes are kept: they have no padding, and a label keeps
+    its code from one extraction to the next.  A record whose code width
+    (T+1) differs is not used.
     ``recounted`` is how many edges the last call counted afresh.
     """
 
@@ -202,52 +208,69 @@ class CountsRecord:
         ``codes`` / ``num_labels`` / ``by_column`` :func:`_label_codes`'.
         Edges the record holds whose rows' codes match the record's take
         its hits (:meth:`_held`), found by one ``searchsorted`` of their
-        keys; :func:`_collision_counts` counts the rest.
+        keys; :func:`_collision_counts` counts the rest, each edge oriented
+        so that its table row is an end whose codes changed (either end of
+        an edge between two unchanged rows, which only an insertion makes).
         """
         n = len(ids)
         keys = (u * n + v).astype(_unsigned(n * n))
         hits = np.empty(len(keys), dtype=np.int64)
-        recount = np.ones(len(keys), dtype=bool)
+        narrow = codes.astype(_unsigned(num_labels)) if by_column else None
+        recount, table, other = slice(None), u, v
         if (
             by_column
             and self.ids is not None
             and self.ids.size
             and codes.shape[1] == self.codes.shape[1]
         ):
-            kept, held_hits = self._held(ids, u, v, codes)
+            same, kept, held_hits = self._held(ids, keys, u, v, narrow)
             hits[kept] = held_hits
             recount = ~kept
-        self.recounted = int(np.count_nonzero(recount))
+            table, other = u[recount], v[recount]
+            flip = same[table]
+            table, other = np.where(flip, other, table), np.where(flip, table, other)
+        self.recounted = table.size
         if self.recounted:
-            hits[recount] = _collision_counts(
-                codes, num_labels, u[recount], v[recount]
-            )
+            hits[recount] = _collision_counts(codes, num_labels, table, other)
         if by_column:
-            self.ids, self.keys = ids, keys
-            self.codes = codes.astype(_unsigned(num_labels))
+            self.ids, self.keys, self.codes = ids, keys, narrow
             self.hits = hits.astype(_unsigned(int(hits.max()) if hits.size else 0))
         else:
             self.ids = self.keys = self.hits = self.codes = None
         return hits
 
     def _held(
-        self, ids: np.ndarray, u: np.ndarray, v: np.ndarray, codes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Which edges ``(u, v)`` over the rows ``ids`` the record holds
-        with both rows' codes unchanged (a mask), and their hits.
+        self,
+        ids: np.ndarray,
+        keys: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+        codes: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Which rows kept the record's codes (a mask over ``ids``), which
+        edges ``(u, v)`` with keys ``keys`` the record holds with both rows
+        unchanged (a mask), and those edges' hits.
 
-        One ``searchsorted`` maps each row to the record's row of its id;
-        a row whose id the record lacks matches no code row.
+        ``codes`` are at the record's narrow dtype.  With the record's own
+        row ids (no birth or removal since), rows and keys are the
+        record's; otherwise one ``searchsorted`` maps each row to the
+        record's row of its id (a row whose id the record lacks matches no
+        code row), and the kept edges' keys are rebuilt over those rows.
         """
-        row = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
-        same = (self.ids[row] == ids) & (codes == self.codes[row]).all(axis=1)
-        kept = same[u] & same[v]
-        keys = (row[u[kept]] * len(self.ids) + row[v[kept]]).astype(self.keys.dtype)
+        if np.array_equal(ids, self.ids):
+            same = (codes == self.codes).all(axis=1)
+            kept = same[u] & same[v]
+            keys = keys[kept]
+        else:
+            row = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
+            same = (self.ids[row] == ids) & (codes == self.codes[row]).all(axis=1)
+            kept = same[u] & same[v]
+            keys = (row[u[kept]] * len(self.ids) + row[v[kept]]).astype(self.keys.dtype)
         at = np.searchsorted(self.keys, keys)
         held = at < len(self.keys)
         held[held] = self.keys[at[held]] == keys[held]
         kept[kept] = held
-        return kept, self.hits[at[held]]
+        return same, kept, self.hits[at[held]]
 
 
 def _unsigned(top: int) -> type:
@@ -356,39 +379,48 @@ def _label_codes(
 def _collision_counts(
     codes: np.ndarray, num_labels: int, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """``sum_l c_u(l) * c_v(l)`` for every edge ``(u[e], v[e])``, ``u`` ascending.
+    """``sum_l c_u(l) * c_v(l)`` for every edge ``(u[e], v[e])``.
 
     ``codes`` is :func:`_label_codes`' padded matrix.  The sum equals
-    ``sum_j c_u(L_v[j])`` over the slots ``j`` of ``v``, so each chunk of
-    edges writes the label counts of its rows ``u`` into a dense
-    ``(rows, num_labels + 1)`` table (the padding column stays 0) and sums,
-    per edge, the table cells of ``u`` at ``v``'s codes.  Chunks keep the
-    table and the gathered cells within ``max(2**18, codes.size)`` entries,
-    and the table takes the narrowest dtype that holds a row's length, so
-    its gathers stay in cache.
+    ``sum_j c_u(L_v[j])`` over the slots ``j`` of ``v``, so the rows ``u``
+    (in any order, repeats allowed) are the *table rows*: each chunk of
+    them writes its label counts into a dense ``(rows, num_labels + 1)``
+    table (the padding column stays 0), and each edge sums the table
+    cells of its ``u`` at ``v``'s codes.  Only the distinct table rows are
+    sorted and counted, so a caller that puts the few rows whose codes
+    changed on the ``u`` side pays for those rows alone.  Chunks keep the
+    table and the gathered cells within ``max(2**18, codes.size)``
+    entries, and the table takes the narrowest dtype that holds a row's
+    length, so its gathers stay in cache.
     """
-    n, width = codes.shape
+    width = codes.shape[1]
     stride = num_labels + 1
-    # Multiplicity of every slot's label within its row (0 for padding).
-    ordered = np.sort(codes, axis=1)
-    start = np.ones(ordered.shape, dtype=bool)
-    start[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    run = np.cumsum(start.ravel()) - 1
+    order = np.argsort(u)
+    rows = u[order]
+    start = np.ones(rows.size, dtype=bool)
+    start[1:] = rows[1:] != rows[:-1]
+    local = np.cumsum(start) - 1  # each edge's table row, in 0..k-1
+    # Multiplicity of every slot's label within its table row (0 for padding).
+    ordered = np.sort(codes[rows[start]], axis=1)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    run = np.cumsum(first.ravel()) - 1
     count = np.bincount(run)[run].reshape(ordered.shape)
     count[ordered == num_labels] = 0
     budget = max(1 << 18, codes.size)
     max_rows, max_edges = max(1, budget // stride), max(1, budget // width)
-    table = np.zeros(min(n, max_rows) * stride, dtype=_unsigned(width))
+    table = np.zeros(min(len(ordered), max_rows) * stride, dtype=_unsigned(width))
+    other = v[order]
     hits = np.empty(u.size, dtype=np.int64)
     e0 = 0
     while e0 < u.size:
-        r0 = int(u[e0])
-        e1 = min(int(np.searchsorted(u, r0 + max_rows)), e0 + max_edges)
-        r1 = int(u[e1 - 1]) + 1
+        r0 = int(local[e0])
+        e1 = min(int(np.searchsorted(local, r0 + max_rows)), e0 + max_edges)
+        r1 = int(local[e1 - 1]) + 1
         cells = (np.arange(r1 - r0) * stride)[:, None] + ordered[r0:r1]
         table[cells] = count[r0:r1]
-        at = ((u[e0:e1] - r0) * stride)[:, None] + ordered[v[e0:e1]]
-        hits[e0:e1] = table[at].sum(axis=1, dtype=np.int64)
+        at = ((local[e0:e1] - r0) * stride)[:, None] + codes[other[e0:e1]]
+        hits[order[e0:e1]] = table[at].sum(axis=1, dtype=np.int64)
         table[cells] = 0
         e0 = e1
     return hits
@@ -441,31 +473,42 @@ def _kruskal_forest(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     each round every component picks its lowest-position edge to another
     component — an edge of the unique minimum spanning forest, by the cut
     property — and the picked edges merge the components, so at most
-    ``log2(n)`` rounds run.
+    ``log2(n)`` rounds run.  Each round carries its edges' component
+    endpoints ``(cu, cv)`` beside their positions and relabels them
+    through the round's merge; round 1's components are the rows.
     """
-    comp = np.arange(n, dtype=np.int64)
     pos = np.arange(u.size, dtype=np.int64)
-    none = u.size
+    cu, cv = u, v
     picked = []
     while pos.size:
-        cu, cv = comp[u[pos]], comp[v[pos]]
         cross = cu != cv
         pos, cu, cv = pos[cross], cu[cross], cv[cross]
         if not pos.size:
             break
+        # pos ascends, so an edge's index orders the edges as its position.
+        none = pos.size
+        index = np.arange(none)
         best = np.full(n, none, dtype=np.int64)
-        np.minimum.at(best, cu, pos)
-        np.minimum.at(best, cv, pos)
+        np.minimum.at(best, cu, index)
+        np.minimum.at(best, cv, index)
         # Sort and keep each run's first: np.unique would hash.
         chosen = np.sort(best[best < none])
         first = np.ones(chosen.size, dtype=bool)
         first[1:] = chosen[1:] != chosen[:-1]
         chosen = chosen[first]
-        picked.append(chosen)
-        comp = _components(n, comp[u[chosen]], comp[v[chosen]])[comp]
+        picked.append(pos[chosen])
+        label = _components(n, cu[chosen], cv[chosen])
+        cu, cv = label[cu], label[cv]
     if not picked:
         return np.empty(0, dtype=np.int64)
     return np.sort(np.concatenate(picked))
+
+
+@lru_cache(maxsize=1)
+def _entropy_terms(n: int) -> Tuple[float, ...]:
+    """``-(s/n)·log(s/n)`` for every component size ``s`` in ``0..n``,
+    0.0 for the sizes 0 and 1 (isolated vertices contribute nothing)."""
+    return (0.0, 0.0) + tuple(-(s / n) * math.log(s / n) for s in range(2, n + 1))
 
 
 class DisjointSetEntropy:
@@ -477,7 +520,11 @@ class DisjointSetEntropy:
     indexed by row; finds halve paths and unions go by size.  Which row
     ends up a root may differ from another union-find's, but the component
     sizes, hence every entropy term, do not, and ``entropy`` is maintained
-    with the same float operations in the same order under every union.
+    with the same float operations in the same order under every union:
+    subtract the two merged sizes' terms, add the merged size's.  Each
+    term ``-(s/n)·log(s/n)`` is read from a table of every size's term,
+    computed with ``math.log`` by the same expression and kept for the
+    last ``n``, so it is the float the expression gives.
     """
 
     def __init__(self, rows: range):
@@ -491,32 +538,41 @@ class DisjointSetEntropy:
         self.num_components = self.n  # including singletons
 
     def union(self, u: int, v: int) -> bool:
-        """Merge the components of ``u`` and ``v``; returns True if merged.
+        """Merge the components of ``u`` and ``v``; returns True if merged."""
+        components = self.num_components
+        self.replay((u,), (v,))
+        return self.num_components < components
 
-        The finds and the entropy terms ``-p·log(p)`` are written inline:
-        the τ1 sweep calls this once per forest edge.
+    def replay(self, us: Sequence[int], vs: Sequence[int]) -> List[float]:
+        """Union ``us[i]`` with ``vs[i]`` for each ``i`` in turn; returns the
+        entropy before the first union and after each.
+
+        The finds and unions are written inline: the τ1 sweep replays its
+        forest here, one union per edge.
         """
-        parent = self.parent
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u == v:
-            return False
-        size, n = self.size, self.n
-        a, b = size[u], size[v]
-        if a < b:
-            u, v = v, u
-        merged = a + b
-        size[u] = merged
-        parent[v] = u
-        # Singletons contribute 0; the merged component has >= 2 members.
-        self.entropy -= (0.0 if a < 2 else -(a / n) * math.log(a / n)) + (
-            0.0 if b < 2 else -(b / n) * math.log(b / n)
-        )
-        self.entropy += -(merged / n) * math.log(merged / n)
-        self.num_components -= 1
-        return True
+        parent, size = self.parent, self.size
+        terms = _entropy_terms(self.n)
+        entropy = self.entropy
+        entropies = [entropy]
+        merges = 0
+        for u, v in zip(us, vs):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                a, b = size[u], size[v]
+                if a < b:
+                    u, v = v, u
+                size[u] = a + b
+                parent[v] = u
+                entropy -= terms[a] + terms[b]
+                entropy += terms[a + b]
+                merges += 1
+            entropies.append(entropy)
+        self.entropy = entropy
+        self.num_components -= merges
+        return entropies
 
 
 @dataclass(eq=False)
@@ -570,21 +626,18 @@ def sweep_tau1(
 
     # Descending grid: max_w, max_w - step, ..., down to tau2 inclusive.
     num_steps = max(0, int(math.floor((max_w - tau2) / step + 1e-9)))
-    grid = [max_w - k * step for k in range(num_steps + 1)]
+    grid = max_w - np.arange(num_steps + 1) * step
     if grid[-1] > tau2 + 1e-12:
-        grid.append(tau2)
+        grid = np.append(grid, tau2)
     # Edges admitted at each grid point: those of weight >= tau - 1e-12.
-    admitted = np.searchsorted(-weights, -(np.array(grid) - 1e-12), side="right")
+    admitted = np.searchsorted(-weights, -(grid - 1e-12), side="right")
     replayed = forest[: admitted[-1]]
     dsu = DisjointSetEntropy(range(edges.num_vertices))
-    entropies = [0.0]
-    for u, v in zip(edges.u[replayed].tolist(), edges.v[replayed].tolist()):
-        dsu.union(u, v)
-        entropies.append(dsu.entropy)
+    entropies = dsu.replay(edges.u[replayed].tolist(), edges.v[replayed].tolist())
 
     curve: List[Tuple[float, float]] = []
-    best_tau, best_entropy = grid[0], -1.0
-    for tau, k in zip(grid, admitted.tolist()):
+    best_tau, best_entropy = float(grid[0]), -1.0
+    for tau, k in zip(grid.tolist(), admitted.tolist()):
         entropy = entropies[k]
         curve.append((tau, entropy))
         if entropy > best_entropy + 1e-12:

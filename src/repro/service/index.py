@@ -14,10 +14,13 @@ once:
   vertex, and a disjoint pair has Jaccard 0 and can never clear the
   positive threshold, so the ids are the same as an all-pairs scan's.
 * **Inverted maps** — one builder, shared by :meth:`MembershipIndex.update`
-  and :meth:`MembershipIndex.install_state`, turns the cover's
-  vertex → community CSR into a ``vertex -> (stable ids)`` dict of tuples
-  and a ``stable id -> position`` dict, so a membership query is one dict
-  lookup; ``members`` reads the cover's frozenset view.
+  and :meth:`MembershipIndex.install_state`, keeps the cover's
+  vertex → community CSR as lists of vertices, offsets and each
+  membership's stable id, plus a ``stable id -> position`` dict.  The
+  first read of a vertex in a generation builds its sorted tuple of
+  stable ids (one ``bisect`` and a list slice) and memoises it, so a
+  refresh pays for no vertex it is not asked about; ``members`` reads
+  the cover's frozenset view.
 
 The index is rebuilt wholesale per extraction and serves any number of
 queries in between — this is what decouples query latency from ingest
@@ -25,19 +28,20 @@ batch size.  A refresh runs the array-native extraction of
 :mod:`repro.core.postprocess` straight on the detector's label matrix,
 which hands over the cover as CSR arrays; beside it, a refresh pays for
 the stable-id join and this rebuild, and no per-community frozenset or
-dict is made on the way.  :meth:`MembershipIndex.export_state` ships the
-cover as its two arrays (a :class:`~repro.core.communities.Cover` pickles
-as them), which is what a replica's bootstrap and respawn install.
+per-vertex tuple is made on the way.  :meth:`MembershipIndex.export_state`
+ships the cover as its two arrays (a :class:`~repro.core.communities.Cover`
+pickles as them), which is what a replica's bootstrap and respawn install.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from time import time_ns
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.communities import Cover, tuples_by_vertex
+from repro.core.communities import Cover
 from repro.core.tracking import TransitionReport, assign_stable_ids, check_matcher
 
 __all__ = ["MembershipIndex"]
@@ -104,18 +108,21 @@ class MembershipIndex:
         return self.last_transition
 
     def _build(self, cover: Cover) -> None:
-        """Index ``cover``, whose community ``c`` has stable id ``self._ids[c]``."""
+        """Index ``cover``, whose community ``c`` has stable id ``self._ids[c]``.
+
+        Only the cover's vertex → community CSR is kept, as lists; a
+        vertex's sorted tuple of stable ids is built on its first read in
+        this generation (:meth:`communities_of`) and kept in ``_vertex``.
+        """
         self._cover = cover
         self._position: Dict[int, int] = dict(zip(self._ids, range(len(self._ids))))
         vertices, offsets, communities = cover.by_vertex()
-        ids = np.asarray(self._ids, dtype=np.int64)[communities]
-        # A vertex's communities ascend by position; its stable ids need not.
-        counts = np.diff(offsets)
-        multi = np.flatnonzero(np.repeat(counts > 1, counts))
-        if multi.size:
-            owner = np.repeat(np.arange(counts.size), counts)[multi]
-            ids[multi] = ids[multi][np.lexsort((ids[multi], owner))]
-        self._vertex = tuples_by_vertex(vertices, offsets, ids)
+        self._vertices: List[int] = vertices.tolist()
+        self._offsets: List[int] = offsets.tolist()
+        self._stable: List[int] = (
+            np.asarray(self._ids, dtype=np.int64)[communities].tolist()
+        )
+        self._vertex: Dict[int, Tuple[int, ...]] = {}
 
     def export_state(self) -> Dict[str, object]:
         """Everything that shapes future id assignment, picklable.
@@ -158,7 +165,20 @@ class MembershipIndex:
 
     def communities_of(self, vertex: int) -> Tuple[int, ...]:
         """Stable ids of the communities containing ``vertex`` (sorted)."""
-        return self._vertex.get(vertex, ())
+        memo = self._vertex
+        found = memo.get(vertex)
+        if found is not None:
+            return found
+        vertices, offsets = self._vertices, self._offsets
+        row = bisect_left(vertices, vertex)
+        if row == len(vertices) or vertices[row] != vertex:
+            return ()
+        found = self._stable[offsets[row]:offsets[row + 1]]
+        if len(found) > 1:
+            # A vertex's communities ascend by position; its stable ids need not.
+            found.sort()
+        found = memo[vertex] = tuple(found)
+        return found
 
     def members(self, cid: int) -> FrozenSet[int]:
         """Members of stable community ``cid``; KeyError if dead/unknown."""
@@ -169,10 +189,10 @@ class MembershipIndex:
 
     def overlap(self, u: int, v: int) -> Tuple[int, ...]:
         """Stable ids of the communities containing both ``u`` and ``v``."""
-        cids_u = self._vertex.get(u)
+        cids_u = self.communities_of(u)
         if not cids_u:
             return ()
-        cids_v = set(self._vertex.get(v, ()))
+        cids_v = set(self.communities_of(v))
         return tuple(c for c in cids_u if c in cids_v)
 
     def snapshot(self) -> Dict[int, FrozenSet[int]]:

@@ -211,6 +211,26 @@ class TestEdgeWeightsOracle:
         )
         assert oracle.comparable(got) == oracle.comparable(want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_labelled_graph(), st.data())
+    def test_table_rows_in_any_order(self, case, data):
+        """The kernel takes its table rows in any order: swapped, shuffled
+        and repeated ``(a, b)`` pairs, self pairs included, each count
+        ``sequence_similarity``'s integer numerator."""
+        _graph, sequences = case
+        ids = np.array(sorted(sequences), dtype=np.int64)
+        codes, num_labels, _lengths, _ = postprocess._label_codes(sequences, ids)
+        row = st.integers(0, len(ids) - 1)
+        pairs = data.draw(st.lists(st.tuples(row, row), min_size=1, max_size=40))
+        pairs = data.draw(st.permutations(pairs + [(b, a) for a, b in pairs] + pairs))
+        a, b = np.array(pairs, dtype=np.int64).T
+        hits = postprocess._collision_counts(codes, num_labels, a, b)
+        for (i, j), got in zip(pairs, hits.tolist()):
+            seq_i, seq_j = sequences[ids[i]], sequences[ids[j]]
+            size = len(seq_i) * len(seq_j)
+            assert got == round(sequence_similarity(seq_i, seq_j) * size)
+            assert got / size == sequence_similarity(seq_i, seq_j)
+
     def test_rslpa_sequences(self, sparse_random):
         propagator = ReferencePropagator(sparse_random, seed=5)
         propagator.propagate(30)
@@ -235,6 +255,16 @@ class TestEdgeWeightsOracle:
         }
         got = edge_weights(graph, sequences)
         assert _items(got) == list(oracle.edge_weights(graph, sequences).items())
+        # The same counts with each edge's table row drawn at random and
+        # the edges shuffled, so the chunks hold rows in no order.
+        codes, num_labels, lengths, _ = postprocess._label_codes(sequences, got.ids)
+        flip = rng.random(got.u.size) < 0.5
+        order = rng.permutation(got.u.size)
+        table = np.where(flip, got.v, got.u)[order]
+        other = np.where(flip, got.u, got.v)[order]
+        shuffled = postprocess._collision_counts(codes, num_labels, table, other)
+        size = lengths[got.u] * lengths[got.v]
+        assert (shuffled / size[order]).tolist() == got.weights[order].tolist()
 
 
 def _webgraph(n, seed):
@@ -377,6 +407,24 @@ class TestDisjointSetEntropy:
         direct = -sum((s / 10) * math.log(s / 10) for s in sizes)
         assert dsu.entropy == pytest.approx(direct)
         assert dsu.entropy == ref.entropy
+
+    def test_replay_equals_oracle_unions(self):
+        """``replay`` gives the oracle's entropy after every union bit for
+        bit; the sizes alternate so the term table is rebuilt each time."""
+        rng = np.random.default_rng(8)
+        for n in (40, 97, 40, 97, 2):
+            pairs = rng.integers(0, n, size=(3 * n, 2)).tolist()
+            dsu, ref = DisjointSetEntropy(range(n)), oracle.DisjointSetEntropy(range(n))
+            half = len(pairs) // 2
+            got = dsu.replay([u for u, _ in pairs[:half]], [v for _, v in pairs[:half]])
+            got += dsu.replay([u for u, _ in pairs[half:]],
+                              [v for _, v in pairs[half:]])[1:]
+            want = [ref.entropy]
+            for u, v in pairs:
+                ref.union(u, v)
+                want.append(ref.entropy)
+            assert got == want
+            assert dsu.num_components == ref.num_components
 
     def test_rows_must_be_a_range(self):
         with pytest.raises(ValueError, match="range"):
@@ -617,6 +665,37 @@ class TestCarriedCounts:
             assert oracle.comparable(service.detector.postprocess()) == (
                 oracle.comparable(fresh)
             )
+        service.close()
+
+    def test_table_rows_are_the_changed_rows(self, monkeypatch):
+        """A K=1 refresh after a 1-edit batch builds count tables only for
+        the rows whose codes changed and the ends of inserted edges."""
+        graph = generate_webgraph(WebGraphParams(n=400, avg_out_degree=6.0), seed=1).graph
+        service = CommunityService(graph, seed=3, iterations=30, staleness_batches=1)
+        service.start()
+        tables = []
+        real = postprocess._collision_counts
+
+        def spy(codes, num_labels, u, v):
+            tables.append(set(u.tolist()))
+            return real(codes, num_labels, u, v)
+
+        monkeypatch.setattr(postprocess, "_collision_counts", spy)
+        record, counted = service.detector._counts_record, 0
+        for batch in EditStream(graph, batch_size=1, seed=2).take(6):
+            old_ids, old_codes = record.ids.copy(), record.codes.copy()
+            tables.clear()
+            service.apply(batch)
+            service.communities_of(0)  # K=1: the query refreshes
+            assert np.array_equal(record.ids, old_ids)
+            changed = set(np.flatnonzero((record.codes != old_codes).any(axis=1)).tolist())
+            inserted = set(np.searchsorted(
+                record.ids, np.array(sorted(batch.insertions), dtype=np.int64)
+            ).ravel().tolist())
+            assert len(tables) <= 1
+            assert all(rows <= changed | inserted for rows in tables)
+            counted += len(tables)
+        assert counted
         service.close()
 
     def test_births_and_removals_keep_the_carried_counts(self, monkeypatch):

@@ -4,11 +4,13 @@ import pickle
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 
+import repro.core.communities as communities_module
 from oracles import tracking as oracle
 from repro.api.config import ServicePlanConfig
-from repro.core.communities import Cover
+from repro.core.communities import Cover, tuples_by_vertex
 from repro.core.detector import RSLPADetector
 from repro.core.tracking import assign_stable_ids
 from repro.graph.generators import ring_of_cliques
@@ -149,6 +151,66 @@ class TestMembershipIndex:
         )
         assert index.communities_of(2) == (4, 7)
         assert index.members(4) == frozenset({0, 1, 2})
+
+
+def _random_cover(rng, universe=30):
+    """Up to 8 random communities over ``0..universe-1``, overlapping."""
+    return Cover(
+        set(rng.sample(range(universe), rng.randint(2, 9)))
+        for _ in range(rng.randint(1, 8))
+    )
+
+
+def _eager_tuples(index):
+    """The vertex -> sorted stable ids map, built eagerly from the index's
+    cover and ids."""
+    vertices, offsets, communities = index.cover.by_vertex()
+    ids = np.asarray(index.export_state()["ids"], dtype=np.int64)[communities]
+    eager = tuples_by_vertex(vertices, offsets, ids)
+    return {v: tuple(sorted(cids)) for v, cids in eager.items()}
+
+
+class TestLazyTuples:
+    """The index builds a vertex's tuple of stable ids on its first read
+    in a generation, not in :meth:`MembershipIndex.update`."""
+
+    def test_reads_equal_an_eager_map(self):
+        rng = random.Random(11)
+        index = MembershipIndex()
+        for step in range(12):
+            if step == 8:
+                clone = MembershipIndex()
+                clone.install_state(pickle.loads(pickle.dumps(index.export_state())))
+                index = clone
+            else:
+                index.update(_random_cover(rng))
+            eager = _eager_tuples(index)
+            probes = list(range(-2, 33))
+            rng.shuffle(probes)
+            for u in probes:  # overlap first, so its reads miss too
+                v = rng.choice(probes)
+                want = tuple(c for c in eager.get(u, ()) if c in eager.get(v, ()))
+                assert index.overlap(u, v) == want
+                assert index.communities_of(u) == eager.get(u, ())
+                assert index.communities_of(u) == eager.get(u, ())  # memoised
+            ids = index.export_state()["ids"]
+            assert index.snapshot() == dict(zip(ids, index.cover.communities))
+            for cid, members in zip(ids, index.cover.communities):
+                assert index.members(cid) == members
+
+    def test_update_builds_no_tuples(self):
+        index = MembershipIndex()
+        covers = [Cover([{0, 1, 2, 3}, {3, 4, 5}, {5, 6, 3}]),
+                  Cover([{0, 1, 2, 3, 9}, {3, 4, 5}, {5, 6, 3, 4}])]
+        with mock.patch.object(
+            communities_module, "tuples_by_vertex", side_effect=tuples_by_vertex
+        ) as tuples, mock.patch.object(np, "lexsort", side_effect=np.lexsort) as lexsort:
+            for cover in covers:
+                index.update(cover)
+        tuples.assert_not_called()
+        lexsort.assert_not_called()
+        assert index.communities_of(3) == tuple(sorted(index.communities_of(3)))
+        assert len(index.communities_of(3)) == 3
 
 
 # ----------------------------------------------------------------------
