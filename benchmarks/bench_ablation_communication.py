@@ -964,10 +964,11 @@ OBS_WORKERS = [2, 4]
 #: Tracing must cost < 5% wall-clock on the multiprocess plane
 #: (against the identical untraced run; DESIGN.md budget).
 OBS_OVERHEAD_BUDGET_PCT = 5.0
-#: The overhead gate's fit (~150 ms on a 2-vCPU host), and how many
+#: The overhead gate's fit (~55 ms on a 2-vCPU Xeon), and how many
 #: rounds of fresh engines times how many interleaved untraced/traced
 #: pairs per round it times.
 OBS_GATE_N = 2_000
+OBS_GATE_WORKERS = 2
 OBS_GATE_ITERATIONS = 10
 OBS_GATE_ROUNDS = 4
 OBS_GATE_PAIRS = 15
@@ -1021,6 +1022,29 @@ def _paired_median_walls(graph, part, iterations, rounds, pairs,
     return float(np.median(walls[False])), float(np.median(walls[True]))
 
 
+def _tracing_overhead(graph):
+    """The one tracing-overhead measurement, shared by the CI gate and
+    the ``observability`` record: the gate's multiprocess SLPA fit
+    (``OBS_GATE_WORKERS`` workers, ``OBS_GATE_ITERATIONS`` supersteps)
+    on ``graph``, timed as paired medians (:func:`_paired_median_walls`).
+    """
+    part = ContiguousPartitioner(OBS_GATE_WORKERS, graph.num_vertices)
+    plain, traced = _paired_median_walls(
+        graph, part, OBS_GATE_ITERATIONS, OBS_GATE_ROUNDS, OBS_GATE_PAIRS
+    )
+    return {
+        "workers": OBS_GATE_WORKERS,
+        "graph": {"n": graph.num_vertices, "num_edges": graph.num_edges},
+        "iterations": OBS_GATE_ITERATIONS,
+        "clock": "time.perf_counter (wall)",
+        "rounds": OBS_GATE_ROUNDS,
+        "pairs": OBS_GATE_PAIRS,
+        "untraced_median_s": plain,
+        "traced_median_s": traced,
+        "overhead_pct": 100.0 * (traced / plain - 1),
+    }
+
+
 def _phase_breakdown(graph, workers, iterations, transport="shm"):
     """One traced run's per-phase and per-worker second totals."""
     part = ContiguousPartitioner(workers, graph.num_vertices)
@@ -1052,7 +1076,10 @@ def _phase_breakdown(graph, workers, iterations, transport="shm"):
 
 def test_observability_phase_breakdown_records(benchmark, report):
     """Phase-timing breakdown per worker count + tracing overhead,
-    recorded into ``BENCH_distributed.json`` (section ``observability``)."""
+    recorded into ``BENCH_distributed.json`` (section ``observability``).
+
+    The overhead row is the smoke gate's measurement
+    (:func:`_tracing_overhead`), on the gate's graph."""
     graph = _sweep_lfr(OBS_LFR_N)
     results = {}
 
@@ -1061,19 +1088,9 @@ def test_observability_phase_breakdown_records(benchmark, report):
             _phase_breakdown(graph, workers, OBS_ITERATIONS)
             for workers in OBS_WORKERS
         ]
-        widest = max(OBS_WORKERS)
-        part = ContiguousPartitioner(widest, graph.num_vertices)
-        plain, traced = _paired_median_walls(
-            graph, part, OBS_ITERATIONS, OBS_GATE_ROUNDS, OBS_GATE_PAIRS
-        )
         results["overhead"] = {
-            "workers": widest,
-            "clock": "time.perf_counter (wall)",
-            "rounds": OBS_GATE_ROUNDS,
-            "pairs": OBS_GATE_PAIRS,
-            "untraced_median_s": round(plain, 4),
-            "traced_median_s": round(traced, 4),
-            "overhead_pct": round(100.0 * (traced / plain - 1), 2),
+            key: round(value, 4) if isinstance(value, float) else value
+            for key, value in _tracing_overhead(_sweep_lfr(OBS_GATE_N)).items()
         }
         return results
 
@@ -1103,7 +1120,8 @@ def test_observability_phase_breakdown_records(benchmark, report):
         ],
     )
     report(
-        f"tracing overhead at {overhead['workers']} workers: "
+        f"tracing overhead at {overhead['workers']} workers, "
+        f"|V|={overhead['graph']['n']}, T={overhead['iterations']}: "
         f"{overhead['overhead_pct']}% "
         f"({overhead['untraced_median_s']}s -> {overhead['traced_median_s']}s, "
         f"medians of {OBS_GATE_ROUNDS} x {OBS_GATE_PAIRS} interleaved pairs)"
@@ -1145,19 +1163,19 @@ def test_observability_overhead_smoke(benchmark, report):
     happens to run faster cannot land on one side only.
     """
     graph = _sweep_lfr(OBS_GATE_N)
-    part = ContiguousPartitioner(2, graph.num_vertices)
     results = {}
 
     def run():
-        results["plain"], results["traced"] = _paired_median_walls(
-            graph, part, OBS_GATE_ITERATIONS, OBS_GATE_ROUNDS, OBS_GATE_PAIRS
+        results["overhead"] = _tracing_overhead(graph)
+        results["breakdown"] = _phase_breakdown(
+            graph, OBS_GATE_WORKERS, OBS_GATE_ITERATIONS
         )
-        results["breakdown"] = _phase_breakdown(graph, 2, OBS_GATE_ITERATIONS)
         return results
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    plain, traced = results["plain"], results["traced"]
-    overhead_pct = 100.0 * (traced / plain - 1)
+    overhead = results["overhead"]
+    plain, traced = overhead["untraced_median_s"], overhead["traced_median_s"]
+    overhead_pct = overhead["overhead_pct"]
     report(
         banner(
             "Observability smoke: tracing overhead within budget",

@@ -73,7 +73,6 @@ from repro.service import (
     CommunityService,
     EditQueue,
     MembershipIndex,
-    ServiceConfig,
 )
 from repro.workloads import (
     EditStream,
@@ -126,7 +125,6 @@ __all__ = [
     "extract_communities",
     # service layer
     "CommunityService",
-    "ServiceConfig",
     "EditQueue",
     "MembershipIndex",
     "CheckpointStore",

@@ -10,8 +10,10 @@ Three frozen dataclasses describe a run before any negotiation happens:
   Every field takes ``"auto"``; :func:`repro.api.plan.resolve_plan`
   turns the config plus the graph's capabilities into a concrete
   :class:`~repro.api.plan.RunPlan` with recorded provenance.
-* :class:`ServicePlanConfig` — a :class:`CommunityService` deployment:
-  the algo + execution configs plus the ingest/query/durability knobs.
+* :class:`ServicePlanConfig` — the one service config, for a
+  :class:`CommunityService` or a replicated :class:`ServiceSupervisor`:
+  the algo + execution configs plus the ingest/query/durability and
+  replication knobs.
 
 Configs are pure data: hashable-by-value (except a caller-supplied
 partitioner instance), comparable, and safe to share between runs.  All
@@ -21,7 +23,7 @@ validation of *choices* lives here; all *negotiation* lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
 from repro.utils.validation import check_positive, check_type
@@ -210,11 +212,14 @@ class ServicePlanConfig:
     """A :class:`~repro.service.CommunityService` deployment, in one object.
 
     Composes the algorithm and execution configs with the service planes'
-    knobs (see :class:`repro.service.ServiceConfig` for the flat legacy
-    form, which maps 1:1 onto the non-replication fields).
-    ``staleness_batches`` is K in the lazy re-extraction policy;
+    knobs, and is the one config of :class:`CommunityService` and
+    :class:`ServiceSupervisor`, whose keyword arguments go through
+    :meth:`with_overrides`; ``seed``, ``iterations``, ``tau_step`` and
+    ``backend`` read back as properties.  ``staleness_batches`` is K in
+    the lazy re-extraction policy: a query finding K or more batches
+    applied since the last extraction triggers one (0 = always fresh).
     ``checkpoint_every = 0`` disables automatic checkpoints; with
-    ``strict_edits`` off, no-op edits are dropped instead of raising.
+    ``strict_edits`` off, flushed no-op edits are dropped, not raised.
 
     The replication topology lives here too: ``replicas > 0`` deploys the
     service under a :class:`~repro.service.replication.ServiceSupervisor`
@@ -269,3 +274,47 @@ class ServicePlanConfig:
                 SERVICE_TRANSPORT_CHOICES,
                 "service_transport",
             )
+
+    @property
+    def seed(self) -> int:
+        return self.algo.seed
+
+    @property
+    def iterations(self) -> int:
+        return self.algo.iterations
+
+    @property
+    def tau_step(self) -> float:
+        return self.algo.tau_step
+
+    @property
+    def backend(self) -> str:
+        return self.execution.backend
+
+    def with_overrides(self, **keywords) -> "ServicePlanConfig":
+        """This config with keyword overrides applied (validated anew).
+
+        ``seed``, ``iterations`` and ``tau_step`` set fields of ``algo``,
+        ``backend`` sets ``execution.backend``, and any other name sets
+        this config's own field of that name; each applies on top of an
+        ``algo=`` or ``execution=`` passed alongside it.  An unknown name
+        raises ``TypeError``.
+        """
+        own = dict(keywords)
+        algo = {
+            name: own.pop(name)
+            for name in ("seed", "iterations", "tau_step") if name in own
+        }
+        if "backend" in own:
+            backend = own.pop("backend")
+            own["execution"] = replace(
+                own.get("execution", self.execution), backend=backend
+            )
+        unknown = sorted(set(own) - {f.name for f in fields(self)})
+        if unknown:
+            raise TypeError(
+                f"unknown service config keyword(s): {', '.join(unknown)}"
+            )
+        if algo:
+            own["algo"] = replace(own.get("algo", self.algo), **algo)
+        return replace(self, **own)

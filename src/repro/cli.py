@@ -356,7 +356,22 @@ def _cmd_update(args, out) -> int:
     return 0
 
 
-def _cmd_serve_replicated(args, out) -> int:
+def _service_config_from_args(args) -> ServicePlanConfig:
+    """The one :class:`ServicePlanConfig` every ``serve`` path runs."""
+    return ServicePlanConfig(
+        algo=algo_config_from_args(args),
+        execution=execution_config_from_args(args),
+        batch_size=args.batch_size,
+        staleness_batches=args.staleness,
+        checkpoint_every=args.checkpoint_every,
+        replicas=args.replicas,
+        heartbeat_interval=args.heartbeat_interval,
+        max_failovers=args.max_failovers,
+        service_transport=args.service_transport,
+    )
+
+
+def _cmd_serve_replicated(args, config: ServicePlanConfig, out) -> int:
     from repro.service import ServiceSupervisor
 
     if args.recover:
@@ -372,17 +387,6 @@ def _cmd_serve_replicated(args, out) -> int:
     if not args.graph:
         raise ValueError("a graph file is required with --replicas")
     graph = read_edge_list(args.graph)
-    config = ServicePlanConfig(
-        algo=algo_config_from_args(args),
-        execution=execution_config_from_args(args),
-        batch_size=args.batch_size,
-        staleness_batches=args.staleness,
-        checkpoint_every=args.checkpoint_every,
-        replicas=args.replicas,
-        heartbeat_interval=args.heartbeat_interval,
-        max_failovers=args.max_failovers,
-        service_transport=args.service_transport,
-    )
     supervisor = ServiceSupervisor(graph, args.checkpoint_dir, config)
     supervisor.start()
     trace_result = None
@@ -422,8 +426,9 @@ def _cmd_serve_replicated(args, out) -> int:
 def _cmd_serve(args, out) -> int:
     from repro.service import CommunityService
 
+    config = _service_config_from_args(args)
     if args.replicas:
-        return _cmd_serve_replicated(args, out)
+        return _cmd_serve_replicated(args, config, out)
     for knob, value, unset in (
         ("--max-failovers", args.max_failovers, None),
         ("--heartbeat-interval", args.heartbeat_interval, None),
@@ -434,14 +439,7 @@ def _cmd_serve(args, out) -> int:
     if args.recover:
         if not args.checkpoint_dir:
             raise ValueError("--recover requires --checkpoint-dir")
-        service = CommunityService.recover(
-            args.checkpoint_dir,
-            backend=args.backend,
-            batch_size=args.batch_size,
-            staleness_batches=args.staleness,
-            checkpoint_every=args.checkpoint_every,
-            tau_step=args.tau_step,
-        )
+        service = CommunityService.recover(args.checkpoint_dir, config)
         out.write(
             f"recovered from {args.checkpoint_dir}: "
             f"{service.batches_applied} batches durable\n"
@@ -451,15 +449,7 @@ def _cmd_serve(args, out) -> int:
             raise ValueError("a graph file is required unless --recover is given")
         graph = read_edge_list(args.graph)
         service = CommunityService(
-            graph,
-            config=ServicePlanConfig(
-                algo=algo_config_from_args(args),
-                execution=execution_config_from_args(args),
-                batch_size=args.batch_size,
-                staleness_batches=args.staleness,
-                checkpoint_every=args.checkpoint_every,
-            ),
-            checkpoint_dir=args.checkpoint_dir,
+            graph, config=config, checkpoint_dir=args.checkpoint_dir
         )
         service.start()
     if args.edits:

@@ -82,9 +82,9 @@ from repro.core.randomness import (
     NO_SOURCE,
     check_vertex_ids,
     draw_keep_uniform_array,
-    draw_position_flex,
+    draw_position_array,
     draw_src_index_array,
-    slot_hash_flex,
+    slot_hash_array,
 )
 from repro.graph.adjacency import Graph
 from repro.graph.csr import EdgeKeys, id_order
@@ -391,8 +391,8 @@ class FastCorrectionPropagator:
         if lrow.size:
             lts = lrow + 1
             lvs = tv_ids[lcol]
-            h = slot_hash_flex(
-                slot_hash_flex(self.seed, lvs, lts, 0), lvs, lts, self.batch_epoch
+            h = slot_hash_array(
+                slot_hash_array(self.seed, lvs, lts, 0), lvs, lts, self.batch_epoch
             )
             n_added = a_counts[lcol]
             n_unchanged = (pool_counts - a_counts)[lcol]
@@ -433,9 +433,9 @@ class FastCorrectionPropagator:
             state.detach_slots(rp_v, rp_t)
             epochs_new = state.epochs[rp_t, rp_v] + 1
             state.epochs[rp_t, rp_v] = epochs_new
-            h = slot_hash_flex(self.seed, state.ids_of(rp_v), rp_t, epochs_new)
+            h = slot_hash_array(self.seed, state.ids_of(rp_v), rp_t, epochs_new)
             rp_idx = draw_src_index_array(h, rp_cnt)
-            rp_pos = draw_position_flex(h, rp_t)
+            rp_pos = draw_position_array(h, rp_t)
             has_mask = rp_cnt > 0
             rp_src = np.full(len(rp_v), NO_SOURCE, dtype=np.int64)
             rp_src[has_mask] = cand_flat[rp_off[has_mask] + rp_idx[has_mask]]

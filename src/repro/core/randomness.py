@@ -41,10 +41,8 @@ __all__ = [
     "draw_position",
     "draw_keep_uniform",
     "slot_hash_array",
-    "slot_hash_flex",
     "draw_src_index_array",
     "draw_position_array",
-    "draw_position_flex",
     "draw_keep_uniform_array",
 ]
 
@@ -140,35 +138,28 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return _np_mix64(np.asarray(x, dtype=np.uint64))
 
 
-def slot_hash_array(
-    seed: int, vertices: np.ndarray, iteration: int, epoch: int = 0
-) -> np.ndarray:
-    """Vectorised :func:`slot_hash` over an array of vertex ids."""
-    v = vertices.astype(np.uint64, copy=False)
-    h = _np_mix64(np.uint64(seed & _MASK) ^ (v * np.uint64(_C_VERTEX)))
-    h = _np_mix64(h ^ np.uint64((iteration * _C_ITER) & _MASK))
-    h = _np_mix64(h ^ np.uint64((epoch * _C_EPOCH) & _MASK))
-    return h
+def _times(x, constant: int):
+    """``x * constant`` mod 2**64 as ``uint64``, for an int or an int array."""
+    if isinstance(x, (int, np.integer)):
+        return np.uint64((int(x) * constant) & _MASK)
+    return np.asarray(x).astype(np.uint64, copy=False) * np.uint64(constant)
 
 
-def slot_hash_flex(seed, vertices, iterations, epochs) -> np.ndarray:
-    """Fully-broadcasting :func:`slot_hash`: every argument may be an array.
+def slot_hash_array(seed, vertices, iteration, epoch=0) -> np.ndarray:
+    """Vectorised :func:`slot_hash` over an array of vertex ids.
 
-    Unlike :func:`slot_hash_array` (scalar iteration/epoch), this takes
-    per-element iteration and epoch arrays — what the incremental engine
-    needs, where each repicked slot sits at its own ``(v, t, epoch)`` — and
-    an *array* seed, which lets the Theorem-5 keep lottery chain two hashes
+    ``seed``, ``iteration`` and ``epoch`` are each an int or an array
+    broadcasting against ``vertices``: the incremental engine draws each
+    repicked slot at its own ``(v, t, epoch)``, and an array seed lets
+    the Theorem-5 keep lottery chain two hashes
     (``slot_hash(slot_hash(seed, v, t, 0), v, t, batch_epoch)``) without
-    leaving numpy.  uint64 wraparound matches the scalar ``& _MASK`` exactly.
+    leaving numpy.  uint64 wraparound matches the scalar ``& _MASK``.
     """
     if isinstance(seed, (int, np.integer)):
         seed = np.uint64(int(seed) & _MASK)
-    v = np.asarray(vertices).astype(np.uint64, copy=False)
-    it = np.asarray(iterations).astype(np.uint64, copy=False)
-    ep = np.asarray(epochs).astype(np.uint64, copy=False)
-    h = _np_mix64(seed ^ (v * np.uint64(_C_VERTEX)))
-    h = _np_mix64(h ^ (it * np.uint64(_C_ITER)))
-    h = _np_mix64(h ^ (ep * np.uint64(_C_EPOCH)))
+    h = _np_mix64(seed ^ _times(vertices, _C_VERTEX))
+    h = _np_mix64(h ^ _times(iteration, _C_ITER))
+    h = _np_mix64(h ^ _times(epoch, _C_EPOCH))
     return h
 
 
@@ -187,21 +178,13 @@ def draw_src_index_array(h: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return (_np_mix64(h ^ np.uint64(_C_SRC)) % safe).astype(np.int64)
 
 
-def draw_position_array(h: np.ndarray, iteration: int) -> np.ndarray:
-    """Vectorised :func:`draw_position`."""
-    if iteration <= 0:
-        raise ValueError(f"iteration must be positive, got {iteration}")
-    return (_np_mix64(h ^ np.uint64(_C_POS)) % np.uint64(iteration)).astype(np.int64)
-
-
-def draw_position_flex(h: np.ndarray, iterations: np.ndarray) -> np.ndarray:
-    """:func:`draw_position` with a per-element iteration array.
-
-    Zero iterations are clamped to 1 as a branch-free placeholder (position
-    draws at ``t = 0`` never occur; callers never read those entries).
-    """
-    safe = np.maximum(np.asarray(iterations).astype(np.uint64, copy=False), np.uint64(1))
-    return (_np_mix64(h ^ np.uint64(_C_POS)) % safe).astype(np.int64)
+def draw_position_array(h: np.ndarray, iteration) -> np.ndarray:
+    """Vectorised :func:`draw_position`; ``iteration`` is an int or a
+    per-element array, every entry positive."""
+    t = np.asarray(iteration)
+    if t.size and t.min() <= 0:
+        raise ValueError(f"iteration must be positive, got {t.min()}")
+    return (_np_mix64(h ^ np.uint64(_C_POS)) % t.astype(np.uint64)).astype(np.int64)
 
 
 def keep_lottery_uniform(seed: int, vertex: int, iteration: int, batch_epoch: int) -> float:
@@ -220,7 +203,3 @@ def repick_draw(
     """The (candidate index, position) pair for a repick at a given epoch."""
     h = slot_hash(seed, vertex, iteration, epoch)
     return draw_src_index(h, num_candidates), draw_position(h, iteration)
-
-
-#: The (source index, position) pair of any slot: the same draw.
-draw_src_pos = repick_draw

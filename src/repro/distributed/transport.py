@@ -54,6 +54,7 @@ detaches the worker.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -69,6 +70,9 @@ __all__ = ["WorkerCrashedError", "SharedMemoryTransport"]
 
 #: Verbs whose reply is the worker's outbox.
 _STEPPED = ("start", "step")
+
+#: Slots per ring (writer) and mappings per cache (reader).
+_RING_DEPTH = 2
 
 
 def _packable(reply) -> bool:
@@ -99,17 +103,16 @@ def _close_quiet(segment) -> None:
 class _SegmentRing:
     """Writer half of one direction: a double-buffered ring of segments.
 
-    ``pack`` alternates between ``depth`` slots, so the reader's views of
-    superstep ``s`` stay valid while superstep ``s+1`` is written — the
-    lock-step barrier guarantees nothing older is still referenced.  A
-    slot grows geometrically when a payload outgrows it (the header names
-    the segment, so the reader re-attaches transparently).
+    ``pack`` alternates between :data:`_RING_DEPTH` slots, so the reader's
+    views of superstep ``s`` stay valid while superstep ``s+1`` is written
+    — the lock-step barrier guarantees nothing older is still referenced.
+    A slot grows geometrically when a payload outgrows it (the header
+    names the segment, so the reader re-attaches transparently).
     """
 
-    def __init__(self, depth: int = 2, min_bytes: int = 1 << 20):
-        self._depth = depth
+    def __init__(self, min_bytes: int = 1 << 20):
         self._min_bytes = min_bytes
-        self._slots: List[Optional[object]] = [None] * depth
+        self._slots: List[Optional[object]] = [None] * _RING_DEPTH
         self._seq = 0
         self.grows = 0  # slot (re)allocations; read by the traced driver
 
@@ -119,7 +122,7 @@ class _SegmentRing:
 
         if not payload:
             return (None, ())
-        slot = self._seq % self._depth
+        slot = self._seq % _RING_DEPTH
         self._seq += 1
         need = packed_nbytes(payload)
         segment = self._slots[slot]
@@ -144,10 +147,13 @@ class _SegmentRing:
 
 
 class _SegmentCache:
-    """Reader half: attaches segments by name, caches the mappings."""
+    """Reader half: attaches segments by name and keeps the
+    :data:`_RING_DEPTH` most recently named mappings — the writer's live
+    slots.  An older name is a segment its writer unlinked when the slot
+    grew, and the lock-step barrier left no view of it alive."""
 
     def __init__(self):
-        self._segments: Dict[str, object] = {}
+        self._segments: "OrderedDict[str, object]" = OrderedDict()
 
     def unpack(self, header: Tuple[Optional[str], tuple]) -> Dict[str, np.ndarray]:
         from multiprocessing import shared_memory
@@ -156,7 +162,9 @@ class _SegmentCache:
         if name is None:
             return {}
         segment = self._segments.get(name)
-        if segment is None:
+        if segment is not None:
+            self._segments.move_to_end(name)
+        else:
             # Attaching registers with the resource tracker a second time;
             # that's a harmless set-add — the tracker daemon is shared with
             # the process that created the segment (fork and spawn both
@@ -165,6 +173,8 @@ class _SegmentCache:
             # name exactly once.
             segment = shared_memory.SharedMemory(name=name)
             self._segments[name] = segment
+            if len(self._segments) > _RING_DEPTH:
+                _close_quiet(self._segments.popitem(last=False)[1])
         return unpack_columns(segment.buf, layout)
 
     def close(self, unlink: bool = False) -> None:

@@ -39,6 +39,10 @@ together and is the one class most deployments need::
     # after a crash:
     service = CommunityService.recover("state/")
 
+One :class:`ServicePlanConfig` configures it (``service.config``):
+passed as ``config=``, with the keywords applied through
+:meth:`ServicePlanConfig.with_overrides`.
+
 A fourth plane, **replication** (``repro.service.replication``), runs the
 service as a supervised topology — one primary process plus N read
 replicas fed by shipped WAL records — so queries keep being answered
@@ -47,7 +51,7 @@ its tail, bit-identically).  The supervisor talks to its children over
 a :mod:`repro.runtime` wire (the same pipe/tcp wires the BSP engine
 uses); a dead child raises :class:`ChildCrashedError`, which the
 supervisor absorbs by respawning a replica or failing over the
-primary::
+primary.  It takes the same config, replication fields included::
 
     from repro.service import ServiceSupervisor
 
@@ -63,7 +67,7 @@ from repro.service.durability import (
     CheckpointStore,
     CorruptCheckpointError,
 )
-from repro.service.facade import CommunityService, ServiceConfig, ServicePlanConfig
+from repro.service.facade import CommunityService, ServicePlanConfig
 from repro.service.index import MembershipIndex
 from repro.service.ingest import DELETE, INSERT, BackpressureError, EditQueue
 from repro.service.replication import (
@@ -76,7 +80,6 @@ from repro.service.replication import (
 
 __all__ = [
     "CommunityService",
-    "ServiceConfig",
     "ServicePlanConfig",
     "EditQueue",
     "BackpressureError",

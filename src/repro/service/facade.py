@@ -27,6 +27,11 @@ surface :class:`~repro.service.ingest.BackpressureError` with a
 engine its :class:`~repro.distributed.metrics.RecoveryStats` counters
 appear under ``stats()["recovery"]``.
 
+One :class:`~repro.api.config.ServicePlanConfig` configures a service,
+its detector running the ``algo`` and ``execution`` as they are; keyword
+arguments apply through its ``with_overrides``, bar the replication
+fields, which are the supervisor's.
+
 The facade works unchanged over every engine the detector offers: local
 reference, the vectorised array substrate, or a :meth:`start`
 ``num_workers > 0`` distributed BSP fit — all bit-identical per seed, so
@@ -38,16 +43,10 @@ keeps checkpointing whatever ids its batches create.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
 from time import time_ns
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.api.config import (
-    DEFAULT_ITERATIONS,
-    AlgoConfig,
-    ExecutionConfig,
-    ServicePlanConfig,
-)
+from repro.api.config import ExecutionConfig, ServicePlanConfig
 from repro.api.plan import RunPlan
 from repro.core.communities import Cover
 from repro.core.detector import RSLPADetector
@@ -60,107 +59,23 @@ from repro.service.durability import CheckpointStore, CorruptCheckpointError
 from repro.service.index import MembershipIndex
 from repro.service.ingest import EditQueue
 
-__all__ = ["CommunityService", "ServiceConfig", "ServicePlanConfig"]
+__all__ = ["CommunityService", "ServicePlanConfig"]
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Everything tunable about a service instance, flat in one place.
-
-    This is the keyword-friendly (legacy) form of
-    :class:`repro.api.config.ServicePlanConfig`; the two convert 1:1
-    (:meth:`as_plan_config` / :func:`_flatten_plan_config`) and the
-    service takes either.
-
-    ``staleness_batches`` is K in the lazy re-extraction policy: a query
-    finding K or more batches applied since the last extraction triggers
-    one (0 = always fresh).  ``checkpoint_every`` = 0 disables automatic
-    checkpoints (explicit :meth:`CommunityService.checkpoint` still works);
-    it only matters when a checkpoint directory is configured.  With
-    ``strict_edits`` off, flushed edits that are no-ops against the live
-    graph (inserting a present edge, deleting an absent one) are dropped
-    instead of raising.
-    """
-
-    seed: int = 0
-    iterations: int = DEFAULT_ITERATIONS
-    backend: str = "auto"
-    tau_step: float = 0.001
-    batch_size: int = 256
-    max_pending: Optional[int] = None
-    staleness_batches: int = 4
-    match_threshold: float = 0.3
-    drift_tolerance: float = 0.1
-    checkpoint_every: int = 1
-    keep_checkpoints: int = 2
-    strict_edits: bool = True
-
-    def as_plan_config(
-        self, execution: Optional[ExecutionConfig] = None
-    ) -> ServicePlanConfig:
-        """The structured config-layer form of this flat config.
-
-        An ``execution`` config supplies the distributed axes; its backend
-        is overridden by this config's ``backend`` field (the same
-        precedence the service applies to keyword overrides).
-        """
-        if execution is None:
-            execution = ExecutionConfig(backend=self.backend)
-        elif execution.backend != self.backend:
-            execution = replace(execution, backend=self.backend)
-        return ServicePlanConfig(
-            algo=AlgoConfig(
-                seed=self.seed, iterations=self.iterations, tau_step=self.tau_step
-            ),
-            execution=execution,
-            batch_size=self.batch_size,
-            max_pending=self.max_pending,
-            staleness_batches=self.staleness_batches,
-            match_threshold=self.match_threshold,
-            drift_tolerance=self.drift_tolerance,
-            checkpoint_every=self.checkpoint_every,
-            keep_checkpoints=self.keep_checkpoints,
-            strict_edits=self.strict_edits,
+def _config_of(config: Optional[ServicePlanConfig], overrides) -> ServicePlanConfig:
+    """``config`` (default: :class:`ServicePlanConfig`) with the facade's
+    keyword overrides; the replication ones are the supervisor's."""
+    refused = sorted(set(overrides) & {
+        "replicas", "heartbeat_interval", "max_failovers", "service_transport"
+    })
+    if refused:
+        raise TypeError(
+            f"CommunityService got unexpected keyword(s) {', '.join(refused)}; "
+            f"a replicated deployment runs under ServiceSupervisor"
         )
-
-
-def _flatten_plan_config(plan_cfg: ServicePlanConfig) -> ServiceConfig:
-    """The flat legacy view of a :class:`ServicePlanConfig` (1:1 fields)."""
-    return ServiceConfig(
-        seed=plan_cfg.algo.seed,
-        iterations=plan_cfg.algo.iterations,
-        backend=plan_cfg.execution.backend,
-        tau_step=plan_cfg.algo.tau_step,
-        batch_size=plan_cfg.batch_size,
-        max_pending=plan_cfg.max_pending,
-        staleness_batches=plan_cfg.staleness_batches,
-        match_threshold=plan_cfg.match_threshold,
-        drift_tolerance=plan_cfg.drift_tolerance,
-        checkpoint_every=plan_cfg.checkpoint_every,
-        keep_checkpoints=plan_cfg.keep_checkpoints,
-        strict_edits=plan_cfg.strict_edits,
-    )
-
-
-def _normalise_config(
-    config: Optional[Union[ServiceConfig, ServicePlanConfig]], overrides
-) -> Tuple[ServiceConfig, ExecutionConfig]:
-    """Accept either config form (+ keyword overrides on the flat fields)."""
-    if isinstance(config, ServicePlanConfig):
-        execution = config.execution
-        cfg = _flatten_plan_config(config)
-    else:
-        cfg = config if config is not None else ServiceConfig()
-        execution = None
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    if execution is None:
-        execution = ExecutionConfig(backend=cfg.backend)
-    elif execution.backend != cfg.backend:  # a backend= override wins
-        execution = replace(execution, backend=cfg.backend)
-    return cfg, execution
+    return (config or ServicePlanConfig()).with_overrides(**overrides)
 
 
 def _service_obs(execution: ExecutionConfig):
@@ -203,29 +118,24 @@ class CommunityService:
     def __init__(
         self,
         graph: Graph,
-        config: Optional[Union[ServiceConfig, ServicePlanConfig]] = None,
+        config: Optional[ServicePlanConfig] = None,
         checkpoint_dir: Optional[str] = None,
         **overrides,
     ):
-        cfg, execution = _normalise_config(config, overrides)
+        config = _config_of(config, overrides)
         detector = RSLPADetector(
-            graph,
-            algo=AlgoConfig(
-                seed=cfg.seed, iterations=cfg.iterations, tau_step=cfg.tau_step
-            ),
-            execution=execution,
+            graph, algo=config.algo, execution=config.execution
         )
         store = (
-            CheckpointStore(checkpoint_dir, keep=cfg.keep_checkpoints)
+            CheckpointStore(checkpoint_dir, keep=config.keep_checkpoints)
             if checkpoint_dir is not None
             else None
         )
-        self._setup(cfg, execution, detector, store)
+        self._setup(config, detector, store)
 
     def _setup(
         self,
-        cfg: ServiceConfig,
-        execution: ExecutionConfig,
+        config: ServicePlanConfig,
         detector: RSLPADetector,
         store: Optional[CheckpointStore],
         *,
@@ -235,18 +145,17 @@ class CommunityService:
         checkpoint_fallbacks: int = 0,
     ) -> None:
         """Set every field; shared by :meth:`__init__` and :meth:`_restore`."""
-        self.config = cfg
-        self.execution = execution
+        self.config = config
         self.detector = detector
         self.queue = EditQueue(
-            batch_size=cfg.batch_size, max_pending=cfg.max_pending
+            batch_size=config.batch_size, max_pending=config.max_pending
         )
         self.index = MembershipIndex(
-            match_threshold=cfg.match_threshold,
-            drift_tolerance=cfg.drift_tolerance,
+            match_threshold=config.match_threshold,
+            drift_tolerance=config.drift_tolerance,
         )
         self.store = store
-        self.obs = _service_obs(execution)
+        self.obs = _service_obs(config.execution)
         self.detector.obs = self.obs
         self.index.obs = self.obs
         if store is not None:
@@ -280,14 +189,14 @@ class CommunityService:
         """Fit the detector (locally, or on ``num_workers`` BSP workers),
         build the first extraction, and write the baseline checkpoint.
 
-        Defaults come from the service's :class:`ExecutionConfig` — a
+        Defaults come from the config's :class:`ExecutionConfig` — a
         :class:`ServicePlanConfig` with ``execution.num_workers > 0``
         makes ``start()`` a distributed fit without further keywords.
         """
         if self._started:
             raise RuntimeError("service already started")
         if num_workers is None:
-            num_workers = self.execution.num_workers
+            num_workers = self.config.execution.num_workers
         if num_workers:
             self.detector.fit_distributed(num_workers=num_workers)
         else:
@@ -312,7 +221,7 @@ class CommunityService:
     def recover(
         cls,
         checkpoint_dir: str,
-        config: Optional[Union[ServiceConfig, ServicePlanConfig]] = None,
+        config: Optional[ServicePlanConfig] = None,
         **overrides,
     ) -> "CommunityService":
         """Restore a service from its checkpoint directory.
@@ -320,9 +229,9 @@ class CommunityService:
         Loads the latest checkpoint, replays the WAL tail, and re-extracts
         — the result is bit-identical (label matrices and cover) to the
         state the crashed service held after its last durably-applied
-        batch.  The seed is taken from the checkpoint; other config
-        (backend, staleness, batching) may differ from the original run
-        without affecting the recovered state.
+        batch.  The seed and iterations are taken from the checkpoint;
+        other config (backend, staleness, batching, tracing) may differ
+        from the original run without affecting the recovered state.
 
         A torn WAL tail (the crash interrupted an append) is discarded —
         by write-ahead ordering those records were never applied — but the
@@ -345,7 +254,7 @@ class CommunityService:
     def _restore(
         cls,
         checkpoint_dir: str,
-        config: Optional[Union[ServiceConfig, ServicePlanConfig]] = None,
+        config: Optional[ServicePlanConfig] = None,
         **overrides,
     ) -> "CommunityService":
         """:meth:`recover` without its closing extraction: the one restore.
@@ -355,8 +264,8 @@ class CommunityService:
         The index is left unpublished: :meth:`recover` extracts, and a
         read replica installs its primary's exported index instead.
         """
-        cfg, execution = _normalise_config(config, overrides)
-        store = CheckpointStore(checkpoint_dir, keep=cfg.keep_checkpoints)
+        config = _config_of(config, overrides)
+        store = CheckpointStore(checkpoint_dir, keep=config.keep_checkpoints)
         epochs = store.checkpoint_epochs()
         if not epochs:
             raise FileNotFoundError(f"no checkpoints under {checkpoint_dir}")
@@ -376,19 +285,18 @@ class CommunityService:
             # Every retained checkpoint is bad; re-raise the freshest
             # failure — it names the file the operator should inspect.
             raise corrupt[0]
-        cfg = replace(cfg, seed=ckpt.seed, iterations=ckpt.iterations)
+        config = config.with_overrides(seed=ckpt.seed, iterations=ckpt.iterations)
         detector = RSLPADetector.from_state(
             ckpt.edges,
             ckpt.state,
             ckpt.seed,
-            backend=cfg.backend,
-            tau_step=cfg.tau_step,
+            backend=config.backend,
+            tau_step=config.tau_step,
             batch_epoch=ckpt.batch_epoch,
         )
         service = cls.__new__(cls)
         service._setup(
-            cfg,
-            execution,
+            config,
             detector,
             store,
             started=True,

@@ -61,6 +61,12 @@ process of its own: the wire is the one table of child processes, and it
 starts, restarts (a replica respawn), drops (a dead primary) and stops
 them.
 
+The supervisor and its children share one
+:class:`~repro.api.config.ServicePlanConfig`; each child runs its
+service with that config's execution reduced to the backend (in-process
+and untraced).  The child answers every read, the bootstrap's index
+export included, on the one ``query`` verb.
+
 Replication requires ``strict_edits=True``: the supervisor's encoding of
 a batch must be byte-identical to the record the primary logs, which a
 primary-side no-op filter would silently break.
@@ -73,9 +79,9 @@ import os
 import signal
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.api.config import ServicePlanConfig
+from repro.api.config import ExecutionConfig, ServicePlanConfig
 from repro.api.plan import GraphCaps, ServiceRunPlan, resolve_service_plan
 from repro.api.registry import SERVICE_TRANSPORTS
 from repro.api.results import ReplicatedRunResult
@@ -84,13 +90,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.edits import EditBatch
 from repro.runtime import TIMEOUT, ChildCrashedError, Wire, fire_faults
 from repro.service.durability import encode_wal_record, parse_wal_line
-from repro.service.facade import (
-    CommunityService,
-    ServiceConfig,
-    _flatten_plan_config,
-    _service_obs,
-)
-from repro.service.index import MembershipIndex
+from repro.service.facade import CommunityService, _service_obs
 from repro.service.ingest import EditQueue
 from repro.utils.backoff import JitteredBackoff
 
@@ -119,16 +119,17 @@ class ReplicaLapsedError(RuntimeError):
 # ----------------------------------------------------------------------
 # Child process main loop
 # ----------------------------------------------------------------------
-def _index_payload(index: MembershipIndex, kind: str, args: tuple):
-    """Answer one query against an index, bypassing any lazy refresh."""
-    if kind == "communities_of":
-        return index.communities_of(*args)
-    if kind == "members":
-        return index.members(*args)
-    if kind == "overlap":
-        return index.overlap(*args)
-    if kind == "snapshot":
-        return index.snapshot()
+def _query_payload(service: CommunityService, role: str, kind: str,
+                   args: tuple):
+    """Answer one ``query`` verb; index reads bypass any lazy refresh."""
+    if kind in ("communities_of", "members", "overlap", "snapshot"):
+        return getattr(service.index, kind)(*args)
+    if kind == "stats":
+        return dict(service.stats(), role=role)
+    if kind == "status":
+        return service.batches_applied
+    if kind == "export_index":
+        return service._export_index()
     raise ValueError(f"unknown query kind {kind!r}")
 
 
@@ -159,7 +160,7 @@ def _service_child_main(
     role: str,
     rid: int,
     graph: Optional[Graph],
-    cfg: ServiceConfig,
+    config: ServicePlanConfig,
     checkpoint_dir: str,
     faults: FaultPlan,
 ) -> None:
@@ -174,19 +175,19 @@ def _service_child_main(
     """
     # The fixed extraction grid: primary and replicas alike refresh after
     # every K-th batch, so their stable-id trajectories match.
-    grid = max(1, cfg.staleness_batches)
+    grid = max(1, config.staleness_batches)
     service: Optional[CommunityService] = None
     try:
         endpoint.open()
         if role == "primary":
             service = CommunityService(
-                graph, config=cfg, checkpoint_dir=checkpoint_dir
+                graph, config=config, checkpoint_dir=checkpoint_dir
             ).start()
         else:
             message = endpoint.recv()
             if message[0] != "bootstrap":  # pragma: no cover - protocol
                 raise ValueError(f"replica expected bootstrap, got {message!r}")
-            service = CommunityService._restore(checkpoint_dir, cfg)
+            service = CommunityService._restore(checkpoint_dir, config)
             service._install_index(message[1])
         endpoint.send(("ready", service.batches_applied))
         while True:
@@ -198,12 +199,7 @@ def _service_child_main(
                 _verb, token, kind, args = message
                 applied = service.batches_applied
                 try:
-                    if kind == "stats":
-                        payload = dict(service.stats(), role=role)
-                    elif kind == "status":
-                        payload = applied
-                    else:
-                        payload = _index_payload(service.index, kind, args)
+                    payload = _query_payload(service, role, kind, args)
                     endpoint.send(("resp", token, True, payload, applied))
                 except Exception as exc:
                     endpoint.send(("resp", token, False, exc, applied))
@@ -268,12 +264,6 @@ def _service_child_main(
                 endpoint.send(
                     ("promoted", token, service.batches_applied, replayed)
                 )
-            elif verb == "export_index" and role == "primary":
-                _verb, token = message
-                endpoint.send(
-                    ("resp", token, True, service._export_index(),
-                     service.batches_applied)
-                )
             else:  # pragma: no cover - protocol violation
                 raise ValueError(f"unknown command {verb!r} for role {role}")
     finally:
@@ -311,6 +301,9 @@ class ServiceSupervisor:
     >>> # sup = ServiceSupervisor(ring_of_cliques(3, 4), "state/", config)
     >>> # sup.start(); sup.submit_insert(0, 5); ...; sup.shutdown()
 
+    Keyword arguments apply to ``config`` through
+    :meth:`ServicePlanConfig.with_overrides` (``replicas=2, seed=7``).
+
     The supervisor windows edits exactly like the facade (same
     :class:`EditQueue` semantics), labels each drained batch with the
     next WAL sequence number, commits it to the primary, and ships the
@@ -323,37 +316,11 @@ class ServiceSupervisor:
         self,
         graph: Graph,
         checkpoint_dir: str,
-        config: Optional[Union[ServicePlanConfig, ServiceConfig]] = None,
+        config: Optional[ServicePlanConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         **overrides,
     ):
-        from dataclasses import fields, replace
-
-        if isinstance(config, ServiceConfig):
-            config = config.as_plan_config()
-        if config is None:
-            config = ServicePlanConfig()
-        # Accept both config vocabularies as keyword overrides: the
-        # structured ServicePlanConfig fields (replicas=, max_failovers=)
-        # and the facade's flat ServiceConfig fields (seed=, batch_size=).
-        plan_fields = {f.name for f in fields(ServicePlanConfig)}
-        flat_overrides = {
-            k: v for k, v in overrides.items() if k not in plan_fields
-        }
-        plan_overrides = {
-            k: v for k, v in overrides.items() if k in plan_fields
-        }
-        if flat_overrides:
-            flat_cfg = replace(_flatten_plan_config(config), **flat_overrides)
-            config = replace(
-                flat_cfg.as_plan_config(config.execution),
-                replicas=config.replicas,
-                heartbeat_interval=config.heartbeat_interval,
-                max_failovers=config.max_failovers,
-                service_transport=config.service_transport,
-            )
-        if plan_overrides:
-            config = replace(config, **plan_overrides)
+        config = (config or ServicePlanConfig()).with_overrides(**overrides)
         if config.replicas < 1:
             raise ValueError(
                 "ServiceSupervisor requires replicas >= 1 in the "
@@ -363,14 +330,13 @@ class ServiceSupervisor:
         self.plan: ServiceRunPlan = resolve_service_plan(
             GraphCaps.of(graph), config
         )
-        self._cfg: ServiceConfig = _flatten_plan_config(config)
-        if not self._cfg.strict_edits:
+        if not config.strict_edits:
             raise ValueError(
                 "replication requires strict_edits=True: the shipped WAL "
                 "record must be byte-identical to the record the primary "
                 "logs, which the no-op filter would break"
             )
-        if self._cfg.checkpoint_every < 1:
+        if config.checkpoint_every < 1:
             raise ValueError(
                 "replication requires checkpoint_every >= 1: replicas "
                 "bootstrap (and promotions replay) from the shared "
@@ -387,7 +353,13 @@ class ServiceSupervisor:
             fault_plan if fault_plan is not None else FaultPlan()
         )
         self._queue = EditQueue(
-            batch_size=self._cfg.batch_size, max_pending=self._cfg.max_pending
+            batch_size=config.batch_size, max_pending=config.max_pending
+        )
+        # The children run the service in-process (a daemon child cannot
+        # start BSP workers) and untraced: the supervisor's own context
+        # clocks every cross-process exchange end to end.
+        self._child_config = config.with_overrides(
+            execution=ExecutionConfig(backend=config.backend)
         )
         self._wire: Wire = SERVICE_TRANSPORTS.resolve(
             self.plan.service_transport
@@ -402,9 +374,7 @@ class ServiceSupervisor:
         self._token = 0
         self._started = False
         self._closed = False
-        # Supervisor-side observability: commit / ship / failover spans
-        # and the replication metrics live here (children run untraced —
-        # the supervisor clocks every cross-process exchange end to end).
+        # Commit / ship / failover spans and the replication metrics.
         self.obs = _service_obs(config.execution)
         if self.obs is not None:
             self.obs.meta["mode"] = "replicated-service"
@@ -443,7 +413,7 @@ class ServiceSupervisor:
         """What :func:`_service_child_main` takes after the endpoint."""
         return (
             role, rid, self._graph if role == "primary" else None,
-            self._cfg, self._checkpoint_dir, self._fault_plan,
+            self._child_config, self._checkpoint_dir, self._fault_plan,
         )
 
     def _spawn_replica(self, rid: int, respawn: bool) -> None:
@@ -467,7 +437,8 @@ class ServiceSupervisor:
                 state.respawns += 1
                 self.replica_respawns += 1
                 self._fault_plan = self._fault_plan.without(child=rid)
-            exported = self._request_primary_export()
+            # The primary's index and its extraction epoch.
+            exported, _applied = self._query_primary("export_index")
             # A first spawn has no old process to detach.
             self._wire.restart(
                 rid, _service_child_main, *self._child_args("replica", rid)
@@ -480,18 +451,6 @@ class ServiceSupervisor:
         state.shipped = max(state.acked, self._committed_seq)
         state.pending.clear()
         state.stalled = False
-
-    def _request_primary_export(self) -> Tuple[object, int]:
-        """The primary's exported index and its extraction epoch, failing
-        over first if the primary is found dead."""
-        while True:
-            try:
-                payload, _applied = self._query_child(
-                    self._primary_cid, "export_index", (), timeout=None
-                )
-                return payload
-            except ChildCrashedError:
-                self._handle_primary_crash(in_flight=None)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -788,10 +747,7 @@ class ServiceSupervisor:
                      timeout: Optional[float]):
         """One token-tagged query; stale responses are discarded."""
         token = self._next_token()
-        if kind == "export_index":
-            self._wire.send(cid, ("export_index", token))
-        else:
-            self._wire.send(cid, ("query", token, kind, args))
+        self._wire.send(cid, ("query", token, kind, args))
         state = self._replicas.get(cid)
 
         def match(message) -> bool:
@@ -815,12 +771,16 @@ class ServiceSupervisor:
     def query_primary(self, kind: str, args: tuple = ()):  # crash-aware
         """Query the primary (blocking, surviving failovers)."""
         self._require_started()
+        return self._query_primary(kind, args)
+
+    def _query_primary(self, kind: str, args: tuple = ()):
+        """:meth:`query_primary` without the started check (a replica
+        spawns from inside :meth:`start`)."""
         while True:
             try:
-                payload, applied = self._query_child(
+                return self._query_child(
                     self._primary_cid, kind, args, timeout=None
                 )
-                return payload, applied
             except ChildCrashedError:
                 self._handle_primary_crash(in_flight=None)
 

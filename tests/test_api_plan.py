@@ -220,11 +220,10 @@ class TestDeprecationShims:
         assert stats.total_messages > 0
 
     def test_service_config_forms_bit_identical(self, cliques_ring):
-        from repro.service import CommunityService, ServiceConfig
+        from repro.service import CommunityService
 
-        flat = CommunityService(
-            cliques_ring.copy(),
-            config=ServiceConfig(seed=3, iterations=ITERATIONS, batch_size=4),
+        keyworded = CommunityService(
+            cliques_ring.copy(), seed=3, iterations=ITERATIONS, batch_size=4,
         ).start()
         structured = CommunityService(
             cliques_ring.copy(),
@@ -233,12 +232,12 @@ class TestDeprecationShims:
                 batch_size=4,
             ),
         ).start()
-        assert flat.config == structured.config
-        assert flat.cover() == structured.cover()
-        for service in (flat, structured):
+        assert keyworded.config == structured.config
+        assert keyworded.cover() == structured.cover()
+        for service in (keyworded, structured):
             service.submit_insert(0, 12)
             service.submit_insert(3, 18)
-        assert flat.cover() == structured.cover()
+        assert keyworded.cover() == structured.cover()
 
     def test_service_plan_config_drives_distributed_start(self, cliques_ring):
         from repro.service import CommunityService
@@ -329,19 +328,41 @@ class TestResultObjects:
         assert detector.label_state.labels == reference.label_state.labels
         detector.array_state.validate(detector.graph)
 
-    def test_service_config_round_trips_through_plan_config(self):
-        from repro.service import ServiceConfig
-        from repro.service.facade import _flatten_plan_config
-
-        flat = ServiceConfig(seed=9, iterations=50, backend="reference",
-                             batch_size=7)
-        assert _flatten_plan_config(flat.as_plan_config()) == flat
-        # the flat backend wins over a conflicting execution config, the
-        # same precedence the service applies to keyword overrides
-        structured = flat.as_plan_config(ExecutionConfig(backend="fast",
-                                                         num_workers=3))
-        assert structured.execution.backend == "reference"
-        assert structured.execution.num_workers == 3
+    def test_service_plan_config_with_overrides(self):
+        base = ServicePlanConfig(
+            algo=AlgoConfig(seed=1, iterations=50),
+            execution=ExecutionConfig(num_workers=3),
+            batch_size=7,
+        )
+        config = base.with_overrides(
+            seed=9, tau_step=0.01, backend="reference", staleness_batches=2,
+            replicas=1,
+        )
+        assert config.algo == AlgoConfig(seed=9, iterations=50, tau_step=0.01)
+        assert config.execution == ExecutionConfig(
+            backend="reference", num_workers=3
+        )
+        assert (config.batch_size, config.staleness_batches,
+                config.replicas) == (7, 2, 1)
+        # each keyword reads back under its own name
+        assert (config.seed, config.iterations, config.tau_step,
+                config.backend) == (9, 50, 0.01, "reference")
+        assert base.with_overrides() == base
+        # a passed algo / execution combines with the keywords on top
+        combined = base.with_overrides(
+            algo=AlgoConfig(seed=4), iterations=60,
+            execution=ExecutionConfig(trace=True), backend="fast",
+        )
+        assert combined.algo == AlgoConfig(seed=4, iterations=60)
+        assert combined.execution == ExecutionConfig(backend="fast", trace=True)
+        with pytest.raises(TypeError, match="num_workers"):
+            base.with_overrides(num_workers=2)
+        with pytest.raises(ValueError, match="batch_size"):
+            base.with_overrides(batch_size=0)
+        with pytest.raises(ValueError, match="iterations"):
+            base.with_overrides(iterations=0)
+        with pytest.raises(ValueError, match="backend"):
+            base.with_overrides(backend="spark")
 
     def test_run_distributed_result(self, cliques_ring):
         result = run_distributed(

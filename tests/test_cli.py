@@ -253,6 +253,31 @@ class TestServe:
         assert recovered["stats"]["edges"] == original["stats"]["edges"]
         assert recovered["memberships"] == original["memberships"]
 
+    def test_serve_recover_honours_trace_flags(self, graph_file, tmp_path):
+        # Recovery runs the one config the other serve paths run, so its
+        # execution flags (here the trace ones) apply too.
+        ckpt_dir = str(tmp_path / "svc")
+        edits = tmp_path / "edits.txt"
+        edits.write_text("+ 0 12\n+ 3 18\n")
+        code, _ = run_cli(
+            "serve", graph_file, "--seed", "3", "-T", "40",
+            "--edits", str(edits), "--batch-size", "2",
+            "--checkpoint-dir", ckpt_dir,
+        )
+        assert code == 0
+        trace_path = str(tmp_path / "recover.trace.json")
+        code, output = run_cli(
+            "serve", "--recover", "--checkpoint-dir", ckpt_dir,
+            "--trace", "--trace-out", trace_path,
+        )
+        assert code == 0
+        assert "no spans recorded" not in output
+        assert f"trace saved to {trace_path}" in output
+        from repro.obs import TraceResult
+
+        names = {span.name for span in TraceResult.load(trace_path).spans}
+        assert "service.extract" in names
+
     def test_serve_recover_requires_dir(self):
         code, _ = run_cli("serve", "--recover")
         assert code == 2

@@ -12,13 +12,12 @@ from repro.core.randomness import (
     draw_position_array,
     draw_src_index,
     draw_src_index_array,
-    draw_src_pos,
     keep_lottery_uniform,
     mix64,
     mix64_array,
+    repick_draw,
     slot_hash,
     slot_hash_array,
-    slot_hash_flex,
 )
 
 
@@ -76,8 +75,8 @@ class TestScalarDraws:
         with pytest.raises(ValueError):
             draw_position(1, 0)
 
-    def test_draw_src_pos_convenience(self):
-        idx, pos = draw_src_pos(3, 4, 5, 0, 7)
+    def test_repick_draw_convenience(self):
+        idx, pos = repick_draw(3, 4, 5, 0, 7)
         h = slot_hash(3, 4, 5, 0)
         assert idx == draw_src_index(h, 7)
         assert pos == draw_position(h, 5)
@@ -98,6 +97,14 @@ class TestVectorisedEquality:
         vectorised = slot_hash_array(seed, vertices, t, epoch)
         scalar = [slot_hash(seed, v, t, epoch) for v in range(n)]
         assert vectorised.tolist() == scalar
+        # Per-element iterations and epochs (the repair's repicks).
+        levels = 1 + (vertices * 7 + t) % 300
+        epochs = (vertices + epoch) % 6
+        vectorised = slot_hash_array(seed, vertices, levels, epochs)
+        scalar = [
+            slot_hash(seed, v, int(levels[v]), int(epochs[v])) for v in range(n)
+        ]
+        assert vectorised.tolist() == scalar
 
     def test_src_index_matches(self):
         vertices = np.arange(200, dtype=np.int64)
@@ -115,6 +122,13 @@ class TestVectorisedEquality:
         vectorised = draw_position_array(h, 17)
         for v in range(200):
             assert vectorised[v] == draw_position(slot_hash(42, v, 17, 0), 17)
+        # Per-element iterations.
+        levels = 1 + vertices % 23
+        h = slot_hash_array(42, vertices, levels, 0)
+        vectorised = draw_position_array(h, levels)
+        for v in range(200):
+            t = int(levels[v])
+            assert vectorised[v] == draw_position(slot_hash(42, v, t, 0), t)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -147,9 +161,9 @@ class TestVectorisedEquality:
         v = np.array([vertex for vertex, _ in slots], dtype=np.int64)
         t = np.array([level for _, level in slots], dtype=np.int64)
         v_before, t_before = v.copy(), t.copy()
-        base = slot_hash_flex(seed, v, t, 0)
+        base = slot_hash_array(seed, v, t, 0)
         base_before = base.copy()
-        draws = draw_keep_uniform_array(slot_hash_flex(base, v, t, batch_epoch))
+        draws = draw_keep_uniform_array(slot_hash_array(base, v, t, batch_epoch))
         assert draws.tolist() == [
             keep_lottery_uniform(seed, vertex, level, batch_epoch)
             for vertex, level in slots
@@ -160,6 +174,10 @@ class TestVectorisedEquality:
     def test_position_array_rejects_zero_iteration(self):
         with pytest.raises(ValueError):
             draw_position_array(np.zeros(3, dtype=np.uint64), 0)
+        with pytest.raises(ValueError):
+            draw_position_array(
+                np.zeros(3, dtype=np.uint64), np.array([2, 0, 1], dtype=np.int64)
+            )
 
 
 class TestUniformity:

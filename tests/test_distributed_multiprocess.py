@@ -30,7 +30,11 @@ from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
     FastSLPAPropagationProgram,
 )
-from repro.distributed.transport import WorkerCrashedError
+from repro.distributed.transport import (
+    WorkerCrashedError,
+    _SegmentCache,
+    _SegmentRing,
+)
 from repro.distributed.worker import build_csr_shards
 from repro.graph.adjacency import Graph
 from repro.graph.edits import EditBatch
@@ -353,6 +357,30 @@ class TestCollectThroughRing:
         _, want = self._in_process(shards, part, factory)
         assert columns["halved"].dtype == np.float64
         np.testing.assert_array_equal(columns["halved"], want["halved"])
+
+
+class TestSegmentCacheBound:
+    """A reader keeps only the writer's live ring slots mapped."""
+
+    def test_cache_holds_only_live_slots_while_slots_grow(self):
+        ring, cache = _SegmentRing(min_bytes=64), _SegmentCache()
+        before = _shm_segments()
+        try:
+            # 8 rows fill a 64-byte slot; 32 and then 128 rows grow each
+            # of the two slots twice, and the writer unlinks the old ones.
+            for rows in (8, 8, 32, 32, 128, 128, 8, 8):
+                column = np.arange(rows, dtype=np.int64)
+                blocks = cache.unpack(ring.pack({"k": column}))
+                np.testing.assert_array_equal(blocks["k"], column)
+                del blocks  # consumed within its superstep
+                live = {slot.name for slot in ring._slots if slot is not None}
+                assert len(cache._segments) <= 2
+                assert set(cache._segments) <= live
+            assert ring.grows == 6
+        finally:
+            cache.close()
+            ring.close()
+        assert _shm_segments() <= before
 
 
 # ----------------------------------------------------------------------

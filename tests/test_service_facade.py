@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api.config import AlgoConfig, ExecutionConfig
 from repro.core.detector import RSLPADetector
 from repro.core.labels_array import ArrayLabelState
 from repro.graph.edits import EditBatch
-from repro.service import BackpressureError, CommunityService, ServiceConfig
+from repro.service import BackpressureError, CommunityService, ServicePlanConfig
 from repro.workloads.dynamic import EditStream
 
 ITERATIONS = 40
@@ -61,10 +62,46 @@ class TestLifecycle:
         )
 
     def test_config_object_and_overrides_compose(self, cliques_ring):
-        config = ServiceConfig(seed=3, iterations=ITERATIONS, batch_size=9)
-        service = CommunityService(cliques_ring, config, staleness_batches=1)
+        config = ServicePlanConfig(
+            algo=AlgoConfig(seed=3, iterations=ITERATIONS), batch_size=9
+        )
+        service = CommunityService(
+            cliques_ring, config, staleness_batches=1, backend="reference"
+        )
         assert service.config.batch_size == 9
         assert service.config.staleness_batches == 1
+        assert service.config.algo == AlgoConfig(seed=3, iterations=ITERATIONS)
+        assert service.config.execution == ExecutionConfig(backend="reference")
+        assert service.detector.algo == service.config.algo
+        assert service.detector.execution == service.config.execution
+
+    def test_perfbench_keywords_read_back(self, cliques_ring):
+        service = CommunityService(
+            cliques_ring, seed=3, iterations=ITERATIONS, backend="fast",
+            staleness_batches=1,
+        )
+        config = service.config
+        assert isinstance(config, ServicePlanConfig)
+        assert (config.seed, config.iterations, config.backend) == (
+            3, ITERATIONS, "fast",
+        )
+        assert config.tau_step == 0.001
+        assert config.match_threshold == 0.3
+        assert config.drift_tolerance == 0.1
+        assert config.staleness_batches == 1
+
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [("replicas", 2), ("heartbeat_interval", 0.5), ("max_failovers", 1),
+         ("service_transport", "tcp")],
+    )
+    def test_replication_keywords_rejected(
+        self, cliques_ring, tmp_path, keyword, value
+    ):
+        with pytest.raises(TypeError, match=keyword):
+            CommunityService(cliques_ring, **{keyword: value})
+        with pytest.raises(TypeError, match=keyword):
+            CommunityService.recover(str(tmp_path), **{keyword: value})
 
 
 class TestIngest:

@@ -14,13 +14,13 @@ import time
 
 import pytest
 
-from repro.api.config import AlgoConfig, ServicePlanConfig
+from repro.api.config import AlgoConfig, ExecutionConfig, ServicePlanConfig
 from repro.api.plan import GraphCaps, resolve_service_plan
 from repro.distributed.faults import PRIMARY, Event, FaultPlan
 from repro.graph.edits import EditBatch
 from repro.graph.generators import ring_of_cliques
 from repro.runtime import PipeWire, TcpWire
-from repro.service import CheckpointStore, CommunityService, ServiceConfig
+from repro.service import CheckpointStore, CommunityService
 from repro.service.durability import encode_wal_record
 from repro.service.replication import FailoverExhaustedError, ServiceSupervisor
 
@@ -222,14 +222,37 @@ class TestSupervisorValidation:
         with pytest.raises(ValueError, match="checkpoint_dir"):
             ServiceSupervisor(ring_of_cliques(3, 4), None, make_config())
 
-    def test_accepts_flat_config_and_overrides(self, tmp_path):
+    def test_accepts_config_and_overrides(self, tmp_path):
         sup = ServiceSupervisor(
             ring_of_cliques(3, 4), str(tmp_path),
-            ServiceConfig(seed=3, iterations=ITERATIONS, batch_size=2),
-            replicas=1, seed=9,
+            make_config(replicas=0, batch_size=4),
+            replicas=1, seed=9, batch_size=2, backend="reference",
         )
         assert sup.plan.replicas == 1
-        assert sup.plan.requested.algo.seed == 9
+        requested = sup.plan.requested
+        assert (requested.seed, requested.iterations) == (9, ITERATIONS)
+        assert (requested.batch_size, requested.backend) == (2, "reference")
+        # The repro.service docstring example's form: keywords alone.
+        sup = ServiceSupervisor(
+            ring_of_cliques(3, 4), str(tmp_path), replicas=2, seed=7
+        )
+        assert (sup.plan.replicas, sup.plan.requested.seed) == (2, 7)
+        with pytest.raises(TypeError, match="replica_count"):
+            ServiceSupervisor(
+                ring_of_cliques(3, 4), str(tmp_path), replica_count=2
+            )
+
+    def test_children_run_local_and_untraced(self, tmp_path):
+        sup = ServiceSupervisor(
+            ring_of_cliques(3, 4), str(tmp_path),
+            make_config(execution=ExecutionConfig(
+                backend="reference", num_workers=2, trace=True,
+            )),
+        )
+        config = sup._child_args("primary", -1)[3]
+        assert config.execution == ExecutionConfig(backend="reference")
+        assert config.algo == sup.plan.requested.algo
+        assert config.replicas == 2
 
     def test_queries_require_start(self, tmp_path):
         sup = ServiceSupervisor(ring_of_cliques(3, 4), str(tmp_path),
