@@ -966,11 +966,12 @@ OBS_WORKERS = [2, 4]
 OBS_OVERHEAD_BUDGET_PCT = 5.0
 #: The overhead gate's fit (~55 ms on a 2-vCPU Xeon), and how many
 #: rounds of fresh engines times how many interleaved untraced/traced
-#: pairs per round it times.
+#: pairs per round it times: 8 x 15, because at 4 x 15 two back-to-back
+#: readings differed by about the whole 5% budget.
 OBS_GATE_N = 2_000
 OBS_GATE_WORKERS = 2
 OBS_GATE_ITERATIONS = 10
-OBS_GATE_ROUNDS = 4
+OBS_GATE_ROUNDS = 8
 OBS_GATE_PAIRS = 15
 
 
@@ -1046,7 +1047,8 @@ def _tracing_overhead(graph):
 
 
 def _phase_breakdown(graph, workers, iterations, transport="shm"):
-    """One traced run's per-phase and per-worker second totals."""
+    """One traced run's per-phase and per-worker second totals, and how
+    much the workers computed at once (:meth:`TraceResult.compute_overlap`)."""
     part = ContiguousPartitioner(workers, graph.num_vertices)
     engine, obs = _obs_slpa_engine(graph, part, iterations, transport, True)
     try:
@@ -1064,6 +1066,7 @@ def _phase_breakdown(graph, workers, iterations, transport="shm"):
         "workers": workers,
         "wall_s": round(wall_s, 4),
         "spans": len(result.spans),
+        "compute_overlap": round(result.compute_overlap(), 4),
         "phase_seconds": {
             name: round(total, 6)
             for name, total in result.phase_totals().items()
@@ -1110,10 +1113,12 @@ def test_observability_phase_breakdown_records(benchmark, report):
     phases = sorted({p for row in rows for p in row["phase_seconds"]})
     print_table(
         report,
-        ["workers", "wall (s)", "spans"] + [p.split(".")[-1] for p in phases],
+        ["workers", "wall (s)", "spans", "overlap"]
+        + [p.split(".")[-1] for p in phases],
         [
             tuple(
-                [row["workers"], row["wall_s"], row["spans"]]
+                [row["workers"], row["wall_s"], row["spans"],
+                 row["compute_overlap"]]
                 + [round(row["phase_seconds"].get(p, 0.0), 4) for p in phases]
             )
             for row in rows

@@ -18,6 +18,10 @@ alike.  Results and per-superstep :class:`CommStats` are bit-identical
 across all transports — routing happens on the driver before any wire
 touches the columns.
 
+Each worker pins itself to a CPU of its own (see :func:`_worker_main`),
+so the shards compute at the same time; the driver and the service
+supervisor's children stay unpinned.
+
 Programs and their factory must be picklable (every built-in one is).
 A program's state stays inside its process; its results come back via
 ``collect()`` as the same named columns the in-process engine's programs
@@ -77,6 +81,7 @@ Usage::
 from __future__ import annotations
 
 import logging
+import os
 import pickle
 import time
 import zlib
@@ -141,8 +146,22 @@ def _worker_main(
     this worker's attribution, shipped to the driver on the ``trace``
     verb and cleared.  ``time.time_ns()`` is the shared timebase, so the
     shipped spans align with the driver's on one wall clock.
+
+    First the worker pins itself to ``cpus[wid % len(cpus)]`` of the
+    sorted affinity set it inherited, when that set holds two or more:
+    unpinned, a woken worker tends to stay on the CPU of the driver that
+    woke it, and the shards compute one after the other.  Pinning moves
+    no byte.  The driver, which works while the workers wait, stays
+    unpinned, as do the service's children: theirs is a serial ping-pong
+    with nothing to overlap, where pinning only added cross-CPU wake-ups.
     """
     wid = shard.worker_id
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) >= 2:
+            os.sched_setaffinity(0, {cpus[wid % len(cpus)]})
+    except (AttributeError, OSError):  # no affinity control: run unpinned
+        pass
     obs = None
     if trace:
         from repro.obs import Obs

@@ -16,7 +16,8 @@ them), like an aircraft flight recorder — the recent past is always
 there, memory use is always bounded.
 
 :class:`TraceResult` is the frozen, serialisable end product attached to
-the uniform result objects: phase totals, a human summary table, classic
+the uniform result objects: phase totals, a human summary table (with
+the workers' compute overlap for a multiprocess run), classic
 Prometheus exposition of the merged metrics, a JSON save/load round
 trip, and :meth:`TraceResult.to_chrome_trace` — a ``chrome://tracing`` /
 Perfetto-loadable event list with one timeline row per worker plus one
@@ -29,7 +30,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -170,6 +171,28 @@ class TraceResult:
     def workers(self) -> List[int]:
         return sorted({span.worker for span in self.spans})
 
+    def compute_overlap(self) -> Optional[float]:
+        """Over the supersteps in which two or more workers have an
+        ``engine.compute`` span: the time all of them computed, divided by
+        the time the shortest one computed (1.0 = fully at once).  ``None``
+        without such a superstep, and for any trace but a multiprocess
+        run's: the in-process engine computes its shards one by one.
+        """
+        if self.meta.get("mode") != "multiprocess":
+            return None
+        steps: Dict[int, Dict[int, Span]] = {}
+        for span in self.spans:
+            if span.name == "engine.compute":  # a replayed step keeps its last
+                steps.setdefault(span.superstep, {})[span.worker] = span
+        together = shortest = 0
+        for by_worker in steps.values():
+            if len(by_worker) >= 2:
+                spans = by_worker.values()
+                end = min(span.ts_ns + span.dur_ns for span in spans)
+                together += max(0, end - max(span.ts_ns for span in spans))
+                shortest += min(span.dur_ns for span in spans)
+        return together / shortest if shortest else None
+
     def summary(self) -> str:
         """A fixed-width per-phase table (count, total, mean, share)."""
         counts: Dict[str, int] = {}
@@ -188,6 +211,10 @@ class TraceResult:
             f"{len(self.spans)} spans over {len(self.workers())} timelines"
             + (f" ({self.dropped_spans} dropped)" if self.dropped_spans else "")
         )
+        overlap = self.compute_overlap()
+        if overlap is not None:
+            lines.append(f"worker compute overlap {100 * overlap:.1f}% "
+                         "(all at once / the shortest one's compute)")
         return "\n".join(lines)
 
     # -- exports -------------------------------------------------------

@@ -64,8 +64,8 @@ them.
 The supervisor and its children share one
 :class:`~repro.api.config.ServicePlanConfig`; each child runs its
 service with that config's execution reduced to the backend (in-process
-and untraced).  The child answers every read, the bootstrap's index
-export included, on the one ``query`` verb.
+and untraced; a distributed fit is refused).  The child answers every
+read, the bootstrap's index export included, on the one ``query`` verb.
 
 Replication requires ``strict_edits=True``: the supervisor's encoding of
 a batch must be byte-identical to the record the primary logs, which a
@@ -327,6 +327,14 @@ class ServiceSupervisor:
                 "ServicePlanConfig; an unreplicated deployment is plain "
                 "CommunityService"
             )
+        execution = config.execution
+        if execution.num_workers or execution.multiprocess:
+            raise ValueError(
+                "replication runs a local fit: its children are daemon "
+                "processes that fit in-process and cannot start BSP workers "
+                f"(got num_workers={execution.num_workers}, "
+                f"multiprocess={execution.multiprocess})"
+            )
         self.plan: ServiceRunPlan = resolve_service_plan(
             GraphCaps.of(graph), config
         )
@@ -355,9 +363,8 @@ class ServiceSupervisor:
         self._queue = EditQueue(
             batch_size=config.batch_size, max_pending=config.max_pending
         )
-        # The children run the service in-process (a daemon child cannot
-        # start BSP workers) and untraced: the supervisor's own context
-        # clocks every cross-process exchange end to end.
+        # The children run untraced: the supervisor's own context clocks
+        # every cross-process exchange end to end.
         self._child_config = config.with_overrides(
             execution=ExecutionConfig(backend=config.backend)
         )

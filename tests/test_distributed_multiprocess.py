@@ -25,6 +25,7 @@ from repro.core.incremental_fast import FastCorrectionPropagator
 from repro.core.rslpa import ReferencePropagator
 from repro.distributed.cluster import run_distributed_update
 from repro.distributed.engine_array import ArrayBSPEngine, gather_columns
+from repro.distributed.faults import FaultPlan
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
@@ -381,6 +382,94 @@ class TestSegmentCacheBound:
             cache.close()
             ring.close()
         assert _shm_segments() <= before
+
+
+class AffinityProgram(FastRSLPAPropagationProgram):
+    """Also collects the CPUs its worker process may run on."""
+
+    def collect(self):
+        cpus = np.array(sorted(os.sched_getaffinity(0)), dtype=np.int64)
+        return dict(super().collect(), cpus=cpus)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control"
+)
+class TestWorkerPinning:
+    """Worker ``w`` pins itself to ``cpus[w % len(cpus)]`` of the sorted
+    affinity set it inherited, when that set holds two or more CPUs.
+    Each worker reports its set through ``collect()``, so the answer
+    crosses the real wire."""
+
+    FACTORY = partial(AffinityProgram, seed=5, iterations=8)
+
+    @staticmethod
+    def _two_workers():
+        part = HashPartitioner(2)
+        return part, build_csr_shards(ring_of_cliques(4, 5), part)
+
+    @staticmethod
+    def _allowed_cpus():
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) < 2:
+            pytest.skip("needs two allowed CPUs")
+        return cpus
+
+    def _fit(self, part, shards, **engine_kwargs):
+        """Each worker's CPU set, the gathered columns and the recovery."""
+        with MultiprocessBSPEngine(
+            shards, part, self.FACTORY, **engine_kwargs
+        ) as engine:
+            engine.run()
+            results = engine.collect()
+        cpus = [set(result.pop("cpus").tolist()) for result in results]
+        return cpus, gather_columns(shards, results), engine.recovery
+
+    def _assert_matches_in_process(self, part, shards, gathered):
+        programs = ArrayBSPEngine(shards, part).run(
+            [self.FACTORY(shard) for shard in shards]
+        )
+        results = [program.collect() for program in programs]
+        for result in results:
+            del result["cpus"]
+        want_ids, want = gather_columns(shards, results)
+        ids, columns = gathered
+        np.testing.assert_array_equal(ids, want_ids)
+        assert columns.keys() == want.keys()
+        for name, column in want.items():
+            np.testing.assert_array_equal(columns[name], column)
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_each_worker_pins_to_its_own_cpu(self, transport):
+        cpus = self._allowed_cpus()
+        part, shards = self._two_workers()
+        pinned, gathered, _ = self._fit(part, shards, transport=transport)
+        assert pinned == [{cpus[wid % len(cpus)]} for wid in range(2)]
+        self._assert_matches_in_process(part, shards, gathered)
+
+    def test_one_allowed_cpu_keeps_the_workers_on_it(self):
+        part, shards = self._two_workers()
+        saved = os.sched_getaffinity(0)
+        only = min(saved)
+        os.sched_setaffinity(0, {only})
+        try:
+            pinned, gathered, _ = self._fit(part, shards, transport="shm")
+        finally:
+            os.sched_setaffinity(0, saved)
+        assert pinned == [{only}, {only}]
+        self._assert_matches_in_process(part, shards, gathered)
+
+    def test_respawned_worker_pins_to_the_same_cpu(self):
+        cpus = self._allowed_cpus()
+        part, shards = self._two_workers()
+        pinned, gathered, recovery = self._fit(
+            part, shards, transport="shm", fault_tolerance=True,
+            checkpoint_interval=2, fault_plan=FaultPlan(kill=(1, 3)),
+        )
+        assert recovery.workers_respawned == 1
+        assert pinned == [{cpus[wid % len(cpus)]} for wid in range(2)]
+        # The in-process fit is the fault-free result.
+        self._assert_matches_in_process(part, shards, gathered)
 
 
 # ----------------------------------------------------------------------

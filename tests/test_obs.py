@@ -120,6 +120,17 @@ def _make_obs():
     return obs
 
 
+def _compute_trace(mode, *workers):
+    """A trace of ``engine.compute`` spans: each worker's ``(start, end)``
+    pairs, one per superstep."""
+    spans = tuple(
+        Span("engine.compute", "array", wid, step, start, end - start)
+        for wid, intervals in enumerate(workers)
+        for step, (start, end) in enumerate(intervals)
+    )
+    return TraceResult(spans=spans, meta={"mode": mode})
+
+
 class TestTraceRecorder:
     def test_record_take_merge_round_trip_smoke(self):
         rec = TraceRecorder()
@@ -151,6 +162,47 @@ class TestTraceResult:
         assert result.workers() == [DRIVER, 0]
         table = result.summary()
         assert "engine.compute" in table and "2 spans" in table
+
+    def test_compute_overlap_full_and_disjoint(self):
+        full = _compute_trace(
+            "multiprocess", [(0, 100), (200, 260)], [(0, 100), (200, 260)]
+        )
+        assert full.compute_overlap() == 1.0
+        assert "worker compute overlap 100.0%" in full.summary()
+        disjoint = _compute_trace(
+            "multiprocess", [(0, 100), (300, 400)], [(100, 250), (150, 300)]
+        )
+        assert disjoint.compute_overlap() == 0.0
+        assert "worker compute overlap 0.0%" in disjoint.summary()
+
+    def test_compute_overlap_over_the_shortest_worker(self):
+        # Superstep 0: 50 of the shorter 80 together; superstep 1: the
+        # 40-long span lies inside the 100-long one.  (50 + 40) / (80 + 40)
+        partly = _compute_trace(
+            "multiprocess", [(0, 80), (0, 100)], [(30, 130), (30, 70)]
+        )
+        assert partly.compute_overlap() == pytest.approx(90 / 120)
+        # A replayed superstep 0 counts its last run only: 30 of 60.
+        replayed = TraceResult(
+            spans=partly.spans + (
+                Span("engine.compute", "array", 0, 0, 500, 60),
+                Span("engine.compute", "array", 1, 0, 530, 60),
+            ),
+            meta={"mode": "multiprocess"},
+        )
+        assert replayed.compute_overlap() == pytest.approx((30 + 40) / (60 + 40))
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            _compute_trace("multiprocess", [(0, 100), (200, 300)]),
+            _compute_trace("in-process", [(0, 100)], [(0, 100)]),
+        ],
+        ids=["one-worker", "in-process"],
+    )
+    def test_compute_overlap_needs_concurrent_workers(self, trace):
+        assert trace.compute_overlap() is None
+        assert "overlap" not in trace.summary()
 
     def test_chrome_trace_export_validates_smoke(self):
         result = _make_obs().result()

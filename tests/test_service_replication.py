@@ -246,13 +246,30 @@ class TestSupervisorValidation:
         sup = ServiceSupervisor(
             ring_of_cliques(3, 4), str(tmp_path),
             make_config(execution=ExecutionConfig(
-                backend="reference", num_workers=2, trace=True,
+                backend="reference", trace=True,
             )),
         )
+        assert sup.obs is not None  # trace=True traces the supervisor
         config = sup._child_args("primary", -1)[3]
         assert config.execution == ExecutionConfig(backend="reference")
         assert config.algo == sup.plan.requested.algo
         assert config.replicas == 2
+
+    @pytest.mark.parametrize(
+        "execution",
+        [
+            ExecutionConfig(num_workers=2),
+            ExecutionConfig(num_workers=2, multiprocess=True),
+            ExecutionConfig(multiprocess=True),
+        ],
+        ids=["simulated", "multiprocess", "multiprocess-flag"],
+    )
+    def test_refuses_a_fit_its_children_never_run(self, tmp_path, execution):
+        with pytest.raises(ValueError, match="daemon processes"):
+            ServiceSupervisor(
+                ring_of_cliques(3, 4), str(tmp_path),
+                make_config(execution=execution),
+            )
 
     def test_queries_require_start(self, tmp_path):
         sup = ServiceSupervisor(ring_of_cliques(3, 4), str(tmp_path),
@@ -748,3 +765,17 @@ class TestServeReplicatedCLI:
         )
         assert code == 2
         assert "--recover" in capsys.readouterr().err
+
+    def test_distributed_fit_with_replicas_rejected(self, tmp_path, capsys):
+        from repro.graph.io import write_edge_list
+
+        graph_file = str(tmp_path / "graph.txt")
+        write_edge_list(ring_of_cliques(3, 4), graph_file)
+        code, output = self.run_cli(
+            "serve", graph_file, "--replicas", "1", "--distributed", "2",
+            "--checkpoint-dir", str(tmp_path / "state"),
+        )
+        assert code == 2
+        assert output == ""  # no plan printed for a fit that never runs
+        assert "daemon processes" in capsys.readouterr().err
+        assert not (tmp_path / "state").exists()
