@@ -1048,7 +1048,9 @@ def _tracing_overhead(graph):
 
 def _phase_breakdown(graph, workers, iterations, transport="shm"):
     """One traced run's per-phase and per-worker second totals, and how
-    much the workers computed at once (:meth:`TraceResult.compute_overlap`)."""
+    much the workers computed at once (:meth:`TraceResult.compute_overlap`;
+    ``None`` with more workers than CPUs, which can never all compute at
+    once)."""
     part = ContiguousPartitioner(workers, graph.num_vertices)
     engine, obs = _obs_slpa_engine(graph, part, iterations, transport, True)
     try:
@@ -1059,6 +1061,7 @@ def _phase_breakdown(graph, workers, iterations, transport="shm"):
     finally:
         engine.shutdown()
     result = obs.result()
+    overlap = result.compute_overlap()
     busy = {}
     for span in result.spans:
         busy[span.worker] = busy.get(span.worker, 0.0) + span.dur_ns / 1e9
@@ -1066,7 +1069,7 @@ def _phase_breakdown(graph, workers, iterations, transport="shm"):
         "workers": workers,
         "wall_s": round(wall_s, 4),
         "spans": len(result.spans),
-        "compute_overlap": round(result.compute_overlap(), 4),
+        "compute_overlap": None if overlap is None else round(overlap, 4),
         "phase_seconds": {
             name: round(total, 6)
             for name, total in result.phase_totals().items()

@@ -215,11 +215,12 @@ class ServicePlanConfig:
     knobs, and is the one config of :class:`CommunityService` and
     :class:`ServiceSupervisor`, whose keyword arguments go through
     :meth:`with_overrides`; ``seed``, ``iterations``, ``tau_step`` and
-    ``backend`` read back as properties.  ``staleness_batches`` is K in
+    ``backend`` read back as properties.  ``batch_size`` net edits make
+    one ingest window, which the ``submit`` that fills it applies before
+    returning (ingest is synchronous).  ``staleness_batches`` is K in
     the lazy re-extraction policy: a query finding K or more batches
     applied since the last extraction triggers one (0 = always fresh).
-    ``checkpoint_every = 0`` disables automatic checkpoints; with
-    ``strict_edits`` off, flushed no-op edits are dropped, not raised.
+    ``checkpoint_every = 0`` disables automatic checkpoints.
 
     The replication topology lives here too: ``replicas > 0`` deploys the
     service under a :class:`~repro.service.replication.ServiceSupervisor`
@@ -236,13 +237,11 @@ class ServicePlanConfig:
     algo: AlgoConfig = field(default_factory=AlgoConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     batch_size: int = 256
-    max_pending: Optional[int] = None
     staleness_batches: int = 4
     match_threshold: float = 0.3
     drift_tolerance: float = 0.1
     checkpoint_every: int = 1
     keep_checkpoints: int = 2
-    strict_edits: bool = True
     replicas: int = 0
     heartbeat_interval: Optional[float] = None
     max_failovers: Optional[int] = None

@@ -31,7 +31,7 @@ bit-identical per seed for fit *and* every subsequent update.  Vertex id
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -171,9 +171,8 @@ class RSLPADetector:
 
         On the fast path a fitted detector keeps it as its corrector's
         array adjacency, and each read builds a new :class:`Graph` from
-        it (O(m)); :meth:`graph_caps`, :meth:`has_edges`,
-        :meth:`validate_batch` and :meth:`edge_array` read the adjacency
-        instead.
+        it (O(m)); :meth:`graph_caps`, :meth:`validate_batch` and
+        :meth:`edge_array` read the adjacency instead.
         """
         if self._graph is None:
             return self._corrector.graph
@@ -187,12 +186,6 @@ class RSLPADetector:
                 num_edges=self._corrector.adjacency.num_edges,
             )
         return GraphCaps.of(self._graph)
-
-    def has_edges(self, edges: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Whether each ``(u, v)`` id pair of ``edges`` is a live edge."""
-        if self._graph is None:
-            return self._corrector.has_edges(edges)
-        return np.array([self._graph.has_edge(u, v) for u, v in edges], dtype=bool)
 
     def validate_batch(self, batch: EditBatch) -> None:
         """Raise ``ValueError`` unless ``batch`` applies cleanly to the live

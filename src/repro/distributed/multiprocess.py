@@ -342,6 +342,10 @@ class MultiprocessBSPEngine:
             obs.meta.setdefault("plane", _PLANE)
             obs.meta.setdefault("transport", transport)
             obs.meta.setdefault("num_workers", len(shards))
+            try:  # the affinity set each worker pins itself from
+                obs.meta.setdefault("cpus", len(os.sched_getaffinity(0)))
+            except AttributeError:  # no affinity control: workers unpinned
+                pass
         self._fault_tolerance = bool(fault_tolerance)
         self._checkpoint_interval = checkpoint_interval
         self._max_restarts = max_restarts

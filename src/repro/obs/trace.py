@@ -177,8 +177,14 @@ class TraceResult:
         the time the shortest one computed (1.0 = fully at once).  ``None``
         without such a superstep, and for any trace but a multiprocess
         run's: the in-process engine computes its shards one by one.
+        ``None`` too when the run had more workers than the CPUs they pin
+        themselves to (``meta["cpus"]``): they could never all compute at
+        once, so the time they did is zero by construction.
         """
         if self.meta.get("mode") != "multiprocess":
+            return None
+        cpus = self.meta.get("cpus")
+        if cpus is not None and self.meta.get("num_workers", 0) > cpus:
             return None
         steps: Dict[int, Dict[int, Span]] = {}
         for span in self.spans:

@@ -10,8 +10,9 @@ story in ``distributed/``):
 * **Ingest plane** (``repro.service.ingest``) — :class:`EditQueue`
   coalesces a stream of single edge edits into net
   :class:`~repro.graph.edits.EditBatch` windows (opposite edits cancel,
-  duplicates absorb, ``max_pending`` backpressures), each window paid for
-  once by Correction Propagation via ``detector.update``.
+  duplicates absorb), each window paid for once by Correction
+  Propagation via ``detector.update``.  Ingest is synchronous: the edit
+  that fills a window applies it before its ``submit`` returns.
 * **Query plane** (``repro.service.index``) — :class:`MembershipIndex`
   inverts the latest extraction, which arrives as CSR arrays, into a
   ``vertex -> stable community ids`` map, with identity carried across
@@ -69,7 +70,7 @@ from repro.service.durability import (
 )
 from repro.service.facade import CommunityService, ServicePlanConfig
 from repro.service.index import MembershipIndex
-from repro.service.ingest import DELETE, INSERT, BackpressureError, EditQueue
+from repro.service.ingest import DELETE, INSERT, EditQueue
 from repro.service.replication import (
     ChildCrashedError,
     FailoverExhaustedError,
@@ -82,7 +83,6 @@ __all__ = [
     "CommunityService",
     "ServicePlanConfig",
     "EditQueue",
-    "BackpressureError",
     "INSERT",
     "DELETE",
     "MembershipIndex",

@@ -18,14 +18,17 @@ One object wires the three planes together around a fitted
   :meth:`stats` — by write-ahead ordering those records were never
   applied).
 
+Ingest is synchronous: the :meth:`submit` that fills a window validates
+it against the live graph, logs it and applies it before returning, so
+no burst can outrun the repair; a window that does not apply raises
+``ValueError`` before anything is logged.
+
 The service degrades gracefully rather than failing hard: a lazy
 re-extraction that raises keeps serving the last published index (the
-queries stay answerable, counted as ``stale_serves``), ingest bursts
-surface :class:`~repro.service.ingest.BackpressureError` with a
-``retry_after`` hint (and :meth:`submit` takes a bounded-wait
-``timeout=``), and when the detector ran on the supervised multiprocess
-engine its :class:`~repro.distributed.metrics.RecoveryStats` counters
-appear under ``stats()["recovery"]``.
+queries stay answerable, counted as ``stale_serves``), and when the
+detector ran on the supervised multiprocess engine its
+:class:`~repro.distributed.metrics.RecoveryStats` counters appear under
+``stats()["recovery"]``.
 
 One :class:`~repro.api.config.ServicePlanConfig` configures a service,
 its detector running the ``algo`` and ``execution`` as they are; keyword
@@ -33,8 +36,9 @@ arguments apply through its ``with_overrides``, bar the replication
 fields, which are the supervisor's.
 
 The facade works unchanged over every engine the detector offers: local
-reference, the vectorised array substrate, or a :meth:`start`
-``num_workers > 0`` distributed BSP fit — all bit-identical per seed, so
+reference, the vectorised array substrate, or, with
+``execution.num_workers > 0``, a distributed BSP fit in :meth:`start` —
+all bit-identical per seed, so
 the durability contract holds across them too, for any vertex ids the
 detector takes (all but −1): checkpoints carry the ids, so a service
 keeps checkpointing whatever ids its batches create.
@@ -147,9 +151,7 @@ class CommunityService:
         """Set every field; shared by :meth:`__init__` and :meth:`_restore`."""
         self.config = config
         self.detector = detector
-        self.queue = EditQueue(
-            batch_size=config.batch_size, max_pending=config.max_pending
-        )
+        self.queue = EditQueue(batch_size=config.batch_size)
         self.index = MembershipIndex(
             match_threshold=config.match_threshold,
             drift_tolerance=config.drift_tolerance,
@@ -185,20 +187,18 @@ class CommunityService:
         """The detector's resolved execution plan for the live graph."""
         return self.detector.plan()
 
-    def start(self, num_workers: Optional[int] = None) -> "CommunityService":
-        """Fit the detector (locally, or on ``num_workers`` BSP workers),
-        build the first extraction, and write the baseline checkpoint.
+    def start(self) -> "CommunityService":
+        """Fit the detector, build the first extraction, and write the
+        baseline checkpoint.
 
-        Defaults come from the config's :class:`ExecutionConfig` — a
-        :class:`ServicePlanConfig` with ``execution.num_workers > 0``
-        makes ``start()`` a distributed fit without further keywords.
+        The config's :class:`ExecutionConfig` says where the fit runs:
+        ``execution.num_workers > 0`` makes it a distributed BSP fit on
+        that many workers, else it runs locally.
         """
         if self._started:
             raise RuntimeError("service already started")
-        if num_workers is None:
-            num_workers = self.config.execution.num_workers
-        if num_workers:
-            self.detector.fit_distributed(num_workers=num_workers)
+        if self.config.execution.num_workers:
+            self.detector.fit_distributed()
         else:
             self.detector.fit()
         if self.obs is not None:
@@ -360,33 +360,24 @@ class CommunityService:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def submit(
-        self, op: str, u: int, v: int, timeout: Optional[float] = None
-    ) -> Optional[UpdateReport]:
+    def submit(self, op: str, u: int, v: int) -> Optional[UpdateReport]:
         """Offer one edit ('+' insert / '-' delete); flush if a window fills.
 
         Returns the flush's :class:`UpdateReport` when this edit completed
         a window, else ``None`` (the edit is pending, coalesced, or
-        cancelled).  A full queue raises
-        :class:`~repro.service.ingest.BackpressureError` carrying a
-        ``retry_after`` back-off hint; ``timeout=`` bounds a wait for
-        capacity first.
+        cancelled).
         """
         self._require_started()
-        self.queue.offer(op, u, v, timeout=timeout)
+        self.queue.offer(op, u, v)
         if self.queue.ready:
             return self.flush()
         return None
 
-    def submit_insert(
-        self, u: int, v: int, timeout: Optional[float] = None
-    ) -> Optional[UpdateReport]:
-        return self.submit("+", u, v, timeout=timeout)
+    def submit_insert(self, u: int, v: int) -> Optional[UpdateReport]:
+        return self.submit("+", u, v)
 
-    def submit_delete(
-        self, u: int, v: int, timeout: Optional[float] = None
-    ) -> Optional[UpdateReport]:
-        return self.submit("-", u, v, timeout=timeout)
+    def submit_delete(self, u: int, v: int) -> Optional[UpdateReport]:
+        return self.submit("-", u, v)
 
     def flush(self) -> Optional[UpdateReport]:
         """Drain the queue and apply the net batch now (empty → no-op)."""
@@ -407,20 +398,6 @@ class CommunityService:
     def _apply(self, batch: EditBatch) -> Optional[UpdateReport]:
         if not batch:
             return None
-        if not self.config.strict_edits:
-            ins, dels = list(batch.insertions), list(batch.deletions)
-            present_ins = self.detector.has_edges(ins)
-            present_dels = self.detector.has_edges(dels)
-            batch = EditBatch(
-                insertions=frozenset(
-                    e for e, present in zip(ins, present_ins) if not present
-                ),
-                deletions=frozenset(
-                    e for e, present in zip(dels, present_dels) if present
-                ),
-            )
-            if not batch:
-                return None
         obs = self.obs
         if obs is not None:
             apply_start = time_ns()
@@ -605,8 +582,6 @@ class CommunityService:
             "index_generation": self.index.generation,
             "queue_cancelled_pairs": self.queue.cancelled_pairs,
             "queue_duplicates": self.queue.duplicates,
-            "queue_backpressure_hits": self.queue.backpressure_hits,
-            "queue_retry_after": self.queue.retry_after,
             "stale_serves": self.stale_serves,
             "refresh_failures": self.refresh_failures,
         }

@@ -13,47 +13,31 @@ sits between that stream and ``detector.update``:
   cost Correction Propagation pays.
 * **Flush policy** — the queue reports :attr:`ready` once ``batch_size``
   net edits are pending; the service flushes there, or earlier on demand.
-* **Backpressure** — with ``max_pending`` set, offers that would grow the
-  queue past the bound raise :class:`BackpressureError` instead of letting
-  an ingest burst outrun the repair engine unboundedly.  Cancelling and
-  duplicate offers never trip it (they do not grow the queue).  The error
-  carries a ``retry_after`` hint — an EWMA of the observed drain cadence —
-  and ``offer(..., timeout=)`` turns the hard error into a bounded wait
-  for capacity.
+
+Ingest is synchronous: the ``submit`` that fills a window drains and
+applies it before returning, so the queue never holds more than
+``batch_size - 1`` edits and needs no bound of its own.
 
 The queue is graph-agnostic: validation against the live graph happens at
-apply time (strictly, in the service), so the queue itself stays O(1) per
-offer.
+apply time (in the service, before the WAL append), so the queue itself
+stays O(1) per offer.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.graph.adjacency import normalize_edge
 from repro.graph.edits import EditBatch
 from repro.utils.validation import check_positive, check_type
 
-__all__ = ["EditQueue", "BackpressureError", "INSERT", "DELETE"]
+__all__ = ["EditQueue", "INSERT", "DELETE"]
 
 #: The two edit kinds, spelled like the CLI edit-file prefixes.
 INSERT = "+"
 DELETE = "-"
 
 Edge = Tuple[int, int]
-
-
-class BackpressureError(RuntimeError):
-    """The queue is at ``max_pending`` and cannot absorb a growing offer.
-
-    ``retry_after`` (seconds, possibly ``None``) hints when capacity is
-    likely to exist again — the queue's EWMA of its recent drain cadence.
-    """
-
-    def __init__(self, message: str, retry_after: Optional[float] = None):
-        super().__init__(message)
-        self.retry_after = retry_after
 
 
 class EditQueue:
@@ -68,49 +52,29 @@ class EditQueue:
     0
     """
 
-    def __init__(self, batch_size: int = 256, max_pending: Optional[int] = None):
+    def __init__(self, batch_size: int = 256):
         check_type(batch_size, int, "batch_size")
         check_positive(batch_size, "batch_size")
-        if max_pending is not None:
-            check_type(max_pending, int, "max_pending")
-            if max_pending < batch_size:
-                raise ValueError(
-                    f"max_pending ({max_pending}) must be >= batch_size "
-                    f"({batch_size}) or the queue could never fill a window"
-                )
         self.batch_size = batch_size
-        self.max_pending = max_pending
-        # Insertion-ordered edge -> op; drain() preserves arrival order.
+        # Net pending edge -> op.
         self._pending: Dict[Edge, str] = {}
         self.offered = 0
         self.cancelled_pairs = 0
         self.duplicates = 0
         self.drained_batches = 0
         self.drained_edits = 0
-        self.backpressure_hits = 0
-        self._last_drain_time: Optional[float] = None
-        self._drain_interval_s: Optional[float] = None  # EWMA of the cadence
 
     # ------------------------------------------------------------------
     # Offering
     # ------------------------------------------------------------------
-    def offer(
-        self, op: str, u: int, v: int, timeout: Optional[float] = None
-    ) -> bool:
+    def offer(self, op: str, u: int, v: int) -> bool:
         """Enqueue one edit; returns True iff the edit is now pending.
 
         False means it coalesced away — a duplicate of an identical pending
         edit, or the cancellation of the opposite pending edit.
-
-        With ``timeout`` (seconds) set, a full queue waits up to that long
-        for another thread to drain capacity before raising
-        :class:`BackpressureError`; the default raises immediately.  The
-        raised error carries :attr:`retry_after` either way.
         """
         if op not in (INSERT, DELETE):
             raise ValueError(f"op must be '+' or '-', got {op!r}")
-        if timeout is not None and timeout < 0:
-            raise ValueError(f"timeout must be >= 0, got {timeout}")
         edge = normalize_edge(u, v)
         self.offered += 1
         pending_op = self._pending.get(edge)
@@ -121,23 +85,6 @@ class EditQueue:
             del self._pending[edge]
             self.cancelled_pairs += 1
             return False
-        if self.max_pending is not None and len(self._pending) >= self.max_pending:
-            if timeout:
-                deadline = time.monotonic() + timeout
-                while len(self._pending) >= self.max_pending:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    # Bounded sleep-poll: wake at the cadence hint (or
-                    # quickly, if the cadence is unknown/faster).
-                    time.sleep(max(0.001, min(remaining, self.retry_after, 0.05)))
-            if len(self._pending) >= self.max_pending:
-                self.backpressure_hits += 1
-                raise BackpressureError(
-                    f"edit queue at max_pending={self.max_pending}; drain "
-                    f"before offering more (retry_after~{self.retry_after:.3f}s)",
-                    retry_after=self.retry_after,
-                )
         self._pending[edge] = op
         return True
 
@@ -172,47 +119,16 @@ class EditQueue:
             return 0.0
         return (self.duplicates + 2 * self.cancelled_pairs) / self.offered
 
-    @property
-    def retry_after(self) -> float:
-        """Seconds a producer should back off when the queue is full.
-
-        An EWMA of the observed inter-drain interval; 0.1 s before any
-        cadence has been observed (one drain establishes nothing — the
-        estimate starts at the second).
-        """
-        if self._drain_interval_s is None:
-            return 0.1
-        return self._drain_interval_s
-
-    def drain(self, limit: Optional[int] = None) -> EditBatch:
-        """Remove up to ``limit`` pending edits (all, by default) as a batch.
-
-        Edits leave in arrival order, so a partial drain keeps the stream's
-        ordering semantics.
-        """
-        if limit is None or limit >= len(self._pending):
-            taken = self._pending
-            self._pending = {}
-        else:
-            taken = {}
-            for edge in list(self._pending)[:limit]:
-                taken[edge] = self._pending.pop(edge)
+    def drain(self) -> EditBatch:
+        """Remove every pending edit as one net batch (the window)."""
+        taken = self._pending
+        self._pending = {}
         insertions = frozenset(e for e, op in taken.items() if op == INSERT)
         deletions = frozenset(e for e, op in taken.items() if op == DELETE)
         batch = EditBatch(insertions=insertions, deletions=deletions)
         if batch:
             self.drained_batches += 1
             self.drained_edits += batch.size
-            now = time.monotonic()
-            if self._last_drain_time is not None:
-                interval = now - self._last_drain_time
-                if self._drain_interval_s is None:
-                    self._drain_interval_s = interval
-                else:  # EWMA, half-life of ~one drain
-                    self._drain_interval_s = (
-                        0.5 * self._drain_interval_s + 0.5 * interval
-                    )
-            self._last_drain_time = now
         return batch
 
     def stats(self) -> Dict[str, Union[int, float]]:
@@ -223,8 +139,6 @@ class EditQueue:
             "cancelled_pairs": self.cancelled_pairs,
             "drained_batches": self.drained_batches,
             "drained_edits": self.drained_edits,
-            "backpressure_hits": self.backpressure_hits,
-            "retry_after": self.retry_after,
             "coalesce_ratio": self.coalesce_ratio,
         }
 
@@ -232,7 +146,4 @@ class EditQueue:
         return len(self._pending)
 
     def __repr__(self) -> str:
-        return (
-            f"EditQueue(pending={self.pending}, batch_size={self.batch_size}, "
-            f"max_pending={self.max_pending})"
-        )
+        return f"EditQueue(pending={self.pending}, batch_size={self.batch_size})"

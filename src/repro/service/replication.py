@@ -67,9 +67,9 @@ service with that config's execution reduced to the backend (in-process
 and untraced; a distributed fit is refused).  The child answers every
 read, the bootstrap's index export included, on the one ``query`` verb.
 
-Replication requires ``strict_edits=True``: the supervisor's encoding of
-a batch must be byte-identical to the record the primary logs, which a
-primary-side no-op filter would silently break.
+A shipped record is byte-identical to the primary's: both come from
+:func:`~repro.service.durability.encode_wal_record`, which sorts each
+edge list, and the primary logs every batch as it came, once validated.
 """
 
 from __future__ import annotations
@@ -338,12 +338,6 @@ class ServiceSupervisor:
         self.plan: ServiceRunPlan = resolve_service_plan(
             GraphCaps.of(graph), config
         )
-        if not config.strict_edits:
-            raise ValueError(
-                "replication requires strict_edits=True: the shipped WAL "
-                "record must be byte-identical to the record the primary "
-                "logs, which the no-op filter would break"
-            )
         if config.checkpoint_every < 1:
             raise ValueError(
                 "replication requires checkpoint_every >= 1: replicas "
@@ -360,9 +354,7 @@ class ServiceSupervisor:
         self._fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan()
         )
-        self._queue = EditQueue(
-            batch_size=config.batch_size, max_pending=config.max_pending
-        )
+        self._queue = EditQueue(batch_size=config.batch_size)
         # The children run untraced: the supervisor's own context clocks
         # every cross-process exchange end to end.
         self._child_config = config.with_overrides(
@@ -462,26 +454,23 @@ class ServiceSupervisor:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def submit(self, op: str, u: int, v: int,
-               timeout: Optional[float] = None) -> Optional[int]:
+    def submit(self, op: str, u: int, v: int) -> Optional[int]:
         """Offer one edit; commits a batch when the window fills.
 
         Returns the committed WAL sequence when this edit completed a
         window, else ``None``.
         """
         self._require_started()
-        self._queue.offer(op, u, v, timeout=timeout)
+        self._queue.offer(op, u, v)
         if self._queue.ready:
             return self.flush()
         return None
 
-    def submit_insert(self, u: int, v: int,
-                      timeout: Optional[float] = None) -> Optional[int]:
-        return self.submit("+", u, v, timeout=timeout)
+    def submit_insert(self, u: int, v: int) -> Optional[int]:
+        return self.submit("+", u, v)
 
-    def submit_delete(self, u: int, v: int,
-                      timeout: Optional[float] = None) -> Optional[int]:
-        return self.submit("-", u, v, timeout=timeout)
+    def submit_delete(self, u: int, v: int) -> Optional[int]:
+        return self.submit("-", u, v)
 
     def flush(self) -> Optional[int]:
         """Drain the window and commit the net batch now (empty → no-op)."""

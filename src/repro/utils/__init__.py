@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG derivation and argument validation."""
 
-from repro.utils.rng import RngFactory, derive_rng, derive_seed, spawn_rng
+from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.validation import (
     check_fraction,
     check_non_negative,
@@ -10,10 +10,8 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "RngFactory",
     "derive_rng",
     "derive_seed",
-    "spawn_rng",
     "check_fraction",
     "check_non_negative",
     "check_positive",

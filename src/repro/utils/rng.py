@@ -1,20 +1,16 @@
-"""Deterministic, counter-based random number derivation.
+"""Keyed ``random.Random`` streams for everything outside the engines.
 
-Every stochastic choice in this library is drawn from a :class:`random.Random`
-stream keyed by a tuple such as ``(seed, vertex, iteration)``.  This gives two
-properties the reproduction relies on:
+:func:`derive_rng` returns a stream seeded from a key tuple such as
+``(seed, "erdos-renyi", n)`` and :func:`derive_seed` the 64-bit seed
+itself, a BLAKE2b digest that is the same in every process and Python
+version.  They serve the graph generators, the workloads, the hash
+partitioner's salt and the retry backoff's jitter, so each of those
+reproduces from its seed alone.
 
-* **Backend equivalence** — the reference (pure Python), vectorised (numpy)
-  and distributed (BSP) label-propagation engines consume randomness keyed by
-  *what* is being decided, not by *when* the decision executes.  All backends
-  therefore produce bit-identical label states for the same seed, regardless
-  of partitioning or scheduling order.
-
-* **Incremental stability** — the Correction Propagation algorithm
-  (Section IV of the paper) argues correctness by "pretending we used the
-  same series of random numbers" on the new graph.  Keyed streams make that
-  literal: untouched labels keep their random draws, while repicks derive
-  fresh streams via an epoch counter.
+The label-propagation engines draw nothing from here: every pick, repick
+and keep lottery is a SplitMix64 hash of its slot in
+:mod:`repro.core.randomness`, which is what makes the reference, array and
+distributed engines bit-identical per seed.
 """
 
 from __future__ import annotations
@@ -22,9 +18,9 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from typing import Iterator, Tuple
+from typing import Tuple
 
-__all__ = ["derive_seed", "derive_rng", "spawn_rng", "RngFactory"]
+__all__ = ["derive_seed", "derive_rng"]
 
 _HASH_BYTES = 8
 
@@ -74,50 +70,3 @@ def derive_rng(*key) -> random.Random:
     True
     """
     return random.Random(derive_seed(*key))
-
-
-def spawn_rng(rng: random.Random) -> random.Random:
-    """Derive an independent child stream from an existing ``rng``."""
-    return random.Random(rng.getrandbits(64))
-
-
-class RngFactory:
-    """Factory producing named deterministic random streams under one seed.
-
-    This is the object that algorithm implementations carry around.  It is
-    intentionally tiny: the whole point is that the state lives in the *key*,
-    not in the factory, so the factory can be freely copied across processes.
-
-    >>> fac = RngFactory(42)
-    >>> fac.rng("pick", 3, 1).randrange(10) == RngFactory(42).rng("pick", 3, 1).randrange(10)
-    True
-    """
-
-    __slots__ = ("seed",)
-
-    def __init__(self, seed: int):
-        if not isinstance(seed, int):
-            raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-        self.seed = seed
-
-    def rng(self, *key) -> random.Random:
-        """Return the stream for ``key`` (always freshly seeded)."""
-        return derive_rng(self.seed, *key)
-
-    def seed_for(self, *key) -> int:
-        """Return the 64-bit derived seed for ``key`` (for numpy generators)."""
-        return derive_seed(self.seed, *key)
-
-    def streams(self, name: str, count: int) -> Iterator[random.Random]:
-        """Yield ``count`` independent streams ``name/0 .. name/count-1``."""
-        for index in range(count):
-            yield self.rng(name, index)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngFactory(seed={self.seed})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RngFactory) and other.seed == self.seed
-
-    def __hash__(self) -> int:
-        return hash(("RngFactory", self.seed))

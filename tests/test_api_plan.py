@@ -328,6 +328,16 @@ class TestResultObjects:
         assert detector.label_state.labels == reference.label_state.labels
         detector.array_state.validate(detector.graph)
 
+    @pytest.mark.parametrize("field, value",
+                             [("max_pending", 64), ("strict_edits", False)])
+    def test_service_plan_config_has_no_ingest_knobs(self, field, value):
+        """Ingest is synchronous and every window is validated, so neither
+        a queue bound nor a lenient-edit switch is a config field."""
+        with pytest.raises(TypeError, match=field):
+            ServicePlanConfig(**{field: value})
+        with pytest.raises(TypeError, match=field):
+            ServicePlanConfig().with_overrides(**{field: value})
+
     def test_service_plan_config_with_overrides(self):
         base = ServicePlanConfig(
             algo=AlgoConfig(seed=1, iterations=50),

@@ -79,7 +79,8 @@ class TestDetect:
         assert code == 0
         state = load_state(state_path)
         assert state.num_iterations == 40
-        assert json.load(open(cover_path))["format"] == "repro.cover"
+        with open(cover_path) as handle:
+            assert json.load(handle)["format"] == "repro.cover"
 
     def test_detect_distributed_matches_local(self, graph_file, tmp_path):
         """--distributed N produces the same state/cover as a local fit."""

@@ -120,7 +120,7 @@ def _make_obs():
     return obs
 
 
-def _compute_trace(mode, *workers):
+def _compute_trace(mode, *workers, **meta):
     """A trace of ``engine.compute`` spans: each worker's ``(start, end)``
     pairs, one per superstep."""
     spans = tuple(
@@ -128,7 +128,7 @@ def _compute_trace(mode, *workers):
         for wid, intervals in enumerate(workers)
         for step, (start, end) in enumerate(intervals)
     )
-    return TraceResult(spans=spans, meta={"mode": mode})
+    return TraceResult(spans=spans, meta={"mode": mode, **meta})
 
 
 class TestTraceRecorder:
@@ -197,12 +197,27 @@ class TestTraceResult:
         [
             _compute_trace("multiprocess", [(0, 100), (200, 300)]),
             _compute_trace("in-process", [(0, 100)], [(0, 100)]),
+            # Three workers on two CPUs can never all compute at once,
+            # even when their spans happen to line up.
+            _compute_trace("multiprocess", *[[(0, 100)]] * 3,
+                           num_workers=3, cpus=2),
         ],
-        ids=["one-worker", "in-process"],
+        ids=["one-worker", "in-process", "more-workers-than-cpus"],
     )
     def test_compute_overlap_needs_concurrent_workers(self, trace):
         assert trace.compute_overlap() is None
         assert "overlap" not in trace.summary()
+
+    @pytest.mark.parametrize("cpus", [3, None])
+    def test_compute_overlap_kept_with_a_cpu_per_worker(self, cpus):
+        """A CPU per worker, or a trace that does not say how many CPUs
+        there were, keeps the number."""
+        meta = {"num_workers": 3} if cpus is None else {
+            "num_workers": 3, "cpus": cpus
+        }
+        spread = _compute_trace("multiprocess", *[[(0, 100)]] * 3, **meta)
+        assert spread.compute_overlap() == 1.0
+        assert "worker compute overlap 100.0%" in spread.summary()
 
     def test_chrome_trace_export_validates_smoke(self):
         result = _make_obs().result()

@@ -10,6 +10,7 @@ Tests named ``*smoke*`` are the CI subset (``-k "obs and smoke"``).
 """
 
 import json
+import os
 from functools import partial
 
 import pytest
@@ -148,6 +149,9 @@ class TestMultiprocessTracing:
         totals = stats.obs.result().phase_totals()
         assert SUPERSTEP_PHASES <= set(totals)
         assert "cluster.gather" in totals
+        meta = stats.obs.result().meta
+        assert meta["num_workers"] == 2
+        assert meta["cpus"] == len(os.sched_getaffinity(0))
         gathers = [s for s in stats.obs.result().spans if s.name == "cluster.gather"]
         assert [s.worker for s in gathers] == [DRIVER]
         # The multiprocess engine mirrors communication into the registry

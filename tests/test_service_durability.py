@@ -329,6 +329,7 @@ class TestCheckpointStore:
         for epoch, batch in enumerate(batches, start=1):
             store.append_wal(epoch, batch)
         records = store.read_wal()
+        store.close()
         assert [e for e, _ in records] == [1, 2]
         assert [b for _, b in records] == batches
 
@@ -336,6 +337,7 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         for epoch in (1, 2, 3):
             store.append_wal(epoch, EditBatch.build(insertions=[(0, epoch)]))
+        store.close()
         assert [e for e, _ in store.read_wal(after_epoch=2)] == [3]
 
     def test_torn_tail_is_discarded(self, tmp_path):
@@ -381,6 +383,7 @@ class TestCheckpointStore:
         assert store.wal_path.read_bytes() == "".join(survivors).encode()
         assert store.last_discarded_records == (3 if damage == "crc_failed" else 0)
         store.append_wal(9, EditBatch.build(insertions=[(0, 39)]))
+        store.close()
         assert [e for e, _ in store.read_wal()] == kept + [9]
 
     def test_keep_must_be_positive(self, tmp_path):
@@ -1036,4 +1039,5 @@ class TestRotationRace:
         store.write_checkpoint(detector.array_state, detector.edge_array(), seed=5,
                                batch_epoch=2)
         store.append_wal(3, EditBatch.build(insertions=[(0, 33)]))
+        store.close()
         assert [e for e, _ in store.read_wal()] == [3]

@@ -7,7 +7,7 @@ from repro.api.config import AlgoConfig, ExecutionConfig
 from repro.core.detector import RSLPADetector
 from repro.core.labels_array import ArrayLabelState
 from repro.graph.edits import EditBatch
-from repro.service import BackpressureError, CommunityService, ServicePlanConfig
+from repro.service import CommunityService, ServicePlanConfig
 from repro.workloads.dynamic import EditStream
 
 ITERATIONS = 40
@@ -53,13 +53,24 @@ class TestLifecycle:
 
     def test_distributed_start_matches_local(self, cliques_ring):
         local = make_service(cliques_ring).start()
-        dist = make_service(cliques_ring).start(num_workers=3)
+        dist = make_service(
+            cliques_ring, execution=ExecutionConfig(num_workers=3)
+        ).start()
         assert dist.detector.comm_stats is not None
         assert local.cover() == dist.cover()
         assert np.array_equal(
             state_matrices(local.detector).labels,
             state_matrices(dist.detector).labels,
         )
+
+    def test_start_takes_no_argument(self, cliques_ring):
+        """Where the fit runs is said once, by ``config.execution``."""
+        service = make_service(cliques_ring)
+        with pytest.raises(TypeError):
+            service.start(num_workers=3)
+        service.start()
+        assert service.detector.comm_stats is None  # a local fit
+        assert service.extractions == 1
 
     def test_config_object_and_overrides_compose(self, cliques_ring):
         config = ServicePlanConfig(
@@ -145,29 +156,45 @@ class TestIngest:
         with pytest.raises(ValueError, match="already present"):
             service.submit_insert(0, 1)  # clique edge already exists
 
-    def test_lenient_mode_drops_noops(self, cliques_ring):
-        service = make_service(
-            cliques_ring, batch_size=4, strict_edits=False
-        ).start()
-        service.submit_insert(0, 1)    # already present: dropped at flush
-        service.submit_delete(0, 10)   # absent: dropped at flush
-        assert service.flush() is None
-        report = service.apply(
-            EditBatch.build(insertions=[(0, 1), (0, 10)])
-        )
-        assert report.num_inserted == 1  # only the genuinely new edge
+    def test_queue_never_holds_a_full_window(self, cliques_ring):
+        """The submit that fills a window applies it before returning."""
+        service = make_service(cliques_ring, batch_size=3).start()
+        reports = []
+        for v in range(10, 17):
+            reports.append(service.submit_insert(0, v))
+            assert service.queue.pending < 3
+        assert [r is not None for r in reports] == [
+            False, False, True, False, False, True, False,
+        ]
+        assert service.batches_applied == 2
+        assert service.stats()["pending_edits"] == 1
 
-    def test_backpressure_surfaces(self, cliques_ring):
+    @pytest.mark.parametrize(
+        "batch, error",
+        [
+            (EditBatch.build(insertions=[(0, 1)]), "already present"),
+            (EditBatch.build(deletions=[(0, 10)]), "not present"),
+        ],
+        ids=["present-insertion", "absent-deletion"],
+    )
+    def test_invalid_window_never_reaches_the_wal(
+        self, cliques_ring, tmp_path, batch, error
+    ):
+        """Every window is validated before its WAL append, so a no-op
+        edit is refused whole and leaves no record to replay."""
         service = make_service(
-            cliques_ring, batch_size=2, max_pending=2, staleness_batches=0
+            cliques_ring, checkpoint_dir=str(tmp_path), checkpoint_every=0
         ).start()
-        # Fill the window with edits that cannot flush (strict validation
-        # happens at flush; the queue itself enforces depth).
-        queue = service.queue
-        queue.offer_insert(0, 10)
-        queue.offer_insert(0, 11)
-        with pytest.raises(BackpressureError):
-            queue.offer_insert(0, 12)
+        service.apply(EditBatch.build(insertions=[(0, 12)]))
+        with pytest.raises(ValueError, match=error):
+            service.apply(batch)
+        assert service.batches_applied == 1
+        assert service.store.wal_records() == 1
+        recovered = CommunityService.recover(str(tmp_path))
+        assert recovered.batches_applied == 1
+        assert recovered.cover() == service.cover()
+        service.close()
+        recovered.close()
 
     def test_ingest_equivalent_to_plain_detector(self, cliques_ring):
         """Feeding whole stream batches through the service == detector.update."""
@@ -309,22 +336,30 @@ class TestDegradation:
         assert service.stale_serves == 1     # no further degradation
         assert service.batches_since_extract == 0
 
-    def test_submit_timeout_passes_through_to_queue(self, cliques_ring):
-        service = make_service(
-            cliques_ring, batch_size=2, max_pending=2
-        ).start()
-        # Fill the queue below the flush threshold via the raw queue so
-        # submit's own flush-on-ready cannot relieve the pressure.
-        service.queue.offer_insert(0, 10)
-        service.queue.offer_insert(0, 11)
-        import time
+    def test_stats_report_coalescing(self, cliques_ring):
+        service = make_service(cliques_ring, batch_size=4).start()
+        service.submit_insert(0, 10)
+        service.submit_insert(10, 0)    # duplicate
+        service.submit_insert(0, 11)
+        service.submit_delete(0, 11)    # cancels the pending insert
+        stats = service.stats()
+        assert (stats["queue_duplicates"], stats["queue_cancelled_pairs"],
+                stats["pending_edits"]) == (1, 1, 1)
+        assert not any("backpressure" in k or "retry" in k for k in stats)
 
-        start = time.monotonic()
-        with pytest.raises(BackpressureError) as excinfo:
-            service.submit_insert(0, 12, timeout=0.05)
-        assert time.monotonic() - start >= 0.04
-        assert excinfo.value.retry_after is not None
-        assert service.stats()["queue_backpressure_hits"] == 1
+    @pytest.mark.parametrize(
+        "method, args",
+        [("submit", ("+", 0, 10)), ("submit_insert", (0, 10)),
+         ("submit_delete", (0, 1))],
+    )
+    def test_submit_takes_no_timeout(self, cliques_ring, method, args):
+        """Ingest never waits: a submit applies or queues, then returns."""
+        service = make_service(cliques_ring, batch_size=1).start()
+        with pytest.raises(TypeError):
+            getattr(service, method)(*args, timeout=0.05)
+        assert service.queue.pending == 0
+        assert getattr(service, method)(*args) is not None
+        assert service.batches_applied == 1
 
     def test_stats_have_no_recovery_section_in_process(self, cliques_ring):
         service = make_service(cliques_ring).start()
@@ -360,7 +395,6 @@ class TestArrayGraphHotPaths:
             graph, staleness_batches=1, checkpoint_every=4,
             checkpoint_dir=str(tmp_path / "main"),
         ).start()
-        lenient = make_service(graph, strict_edits=False).start()
 
         def refuse(*args, **kwargs):
             raise AssertionError("a service path built or snapshotted a Graph")
@@ -372,9 +406,6 @@ class TestArrayGraphHotPaths:
             service.communities_of(vid(i))
             service.stats()
             service.plan()
-        edge = next(iter(batches[0].insertions))
-        assert lenient.apply(EditBatch.build(insertions=[edge])) is not None
-        assert lenient.apply(EditBatch.build(insertions=[edge])) is None
         assert service.extractions == 13 and service.refresh_failures == 0
         assert service.store.checkpoint_epochs() == [8, 12]
         recovered = CommunityService.recover(str(tmp_path / "main"))

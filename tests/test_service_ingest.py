@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service.ingest import BackpressureError, EditQueue, INSERT
+from repro.service.ingest import INSERT, EditQueue
 
 
 class TestOfferCoalescing:
@@ -49,6 +49,25 @@ class TestOfferCoalescing:
         with pytest.raises(ValueError):
             EditQueue(batch_size=2).offer_insert(3, 3)
 
+    def test_offer_has_no_depth_bound(self):
+        """The facade drains every window it fills, so the queue itself
+        accepts any number of distinct edits past ``batch_size``."""
+        queue = EditQueue(batch_size=2)
+        assert all(queue.offer_insert(0, v) for v in range(1, 51))
+        assert queue.pending == 50
+        assert queue.ready
+
+    def test_coalescing_on_a_ready_window(self):
+        queue = EditQueue(batch_size=2)
+        queue.offer_insert(1, 2)
+        queue.offer_insert(2, 3)
+        assert queue.ready
+        assert queue.offer_insert(1, 2) is False     # duplicate
+        assert queue.offer_delete(1, 2) is False     # cancellation
+        assert queue.pending == 1
+        assert not queue.ready
+        assert (queue.duplicates, queue.cancelled_pairs) == (1, 1)
+
 
 class TestFlushPolicy:
     def test_ready_at_batch_size(self):
@@ -77,16 +96,29 @@ class TestFlushPolicy:
         assert batch.deletions == frozenset({(3, 4)})
         assert queue.pending == 0
 
-    def test_drain_limit_preserves_arrival_order(self):
-        queue = EditQueue(batch_size=8)
+    def test_drain_takes_the_whole_window(self):
+        queue = EditQueue(batch_size=2)
         queue.offer_insert(1, 2)
         queue.offer_delete(3, 4)
-        queue.offer_insert(5, 6)
-        first = queue.drain(limit=2)
-        assert first.insertions == frozenset({(1, 2)})
-        assert first.deletions == frozenset({(3, 4)})
-        rest = queue.drain()
-        assert rest.insertions == frozenset({(5, 6)})
+        queue.offer_insert(5, 6)       # past the window's size
+        batch = queue.drain()
+        assert batch.insertions == frozenset({(1, 2), (5, 6)})
+        assert batch.deletions == frozenset({(3, 4)})
+        assert queue.pending == 0 and not queue.ready
+        assert not queue.drain()
+        assert (queue.drained_batches, queue.drained_edits) == (1, 3)
+
+    def test_drain_makes_room_for_the_next_window(self):
+        queue = EditQueue(batch_size=2)
+        queue.offer_insert(1, 2)
+        queue.offer_insert(2, 3)
+        queue.drain()
+        assert queue.offer_insert(1, 2) is True   # pending again, not a duplicate
+        assert not queue.ready
+        queue.offer_insert(3, 4)
+        assert queue.ready
+        assert queue.drain().insertions == frozenset({(1, 2), (3, 4)})
+        assert (queue.drained_batches, queue.drained_edits) == (2, 4)
 
     def test_drain_empty_is_empty_batch(self):
         queue = EditQueue(batch_size=2)
@@ -108,100 +140,41 @@ class TestFlushPolicy:
         assert stats["drained_batches"] == 1
         assert stats["drained_edits"] == 1
 
+    def test_coalesce_ratio(self):
+        queue = EditQueue(batch_size=8)
+        assert queue.coalesce_ratio == 0.0        # nothing offered yet
+        queue.offer_insert(1, 2)
+        queue.offer_insert(1, 2)                  # duplicate
+        queue.offer_insert(3, 4)
+        queue.offer_delete(3, 4)                  # cancels (3, 4)
+        queue.offer_insert(5, 6)
+        # One duplicate plus both halves of one pair, of five offers.
+        assert queue.coalesce_ratio == pytest.approx(3 / 5)
+        assert queue.stats()["coalesce_ratio"] == queue.coalesce_ratio
+
+    def test_stats_keys(self):
+        assert set(EditQueue(batch_size=2).stats()) == {
+            "pending", "offered", "duplicates", "cancelled_pairs",
+            "drained_batches", "drained_edits", "coalesce_ratio",
+        }
+
 
 class TestBackpressure:
-    def test_overflow_raises(self):
-        queue = EditQueue(batch_size=2, max_pending=2)
-        queue.offer_insert(1, 2)
-        queue.offer_insert(2, 3)
-        with pytest.raises(BackpressureError, match="max_pending"):
-            queue.offer_insert(3, 4)
-
-    def test_cancelling_offer_never_trips(self):
-        queue = EditQueue(batch_size=2, max_pending=2)
-        queue.offer_insert(1, 2)
-        queue.offer_insert(2, 3)
-        # These do not grow the queue, so they must be accepted.
-        queue.offer_insert(1, 2)     # duplicate
-        queue.offer_delete(1, 2)     # cancellation
-        assert queue.pending == 1
-
-    def test_drain_relieves_pressure(self):
-        queue = EditQueue(batch_size=2, max_pending=2)
-        queue.offer_insert(1, 2)
-        queue.offer_insert(2, 3)
-        queue.drain()
-        assert queue.offer_insert(3, 4) is True
-
-    def test_max_pending_below_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="max_pending"):
-            EditQueue(batch_size=8, max_pending=4)
-
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError):
             EditQueue(batch_size=0)
 
-
-class TestRetryAfterAndTimeout:
-    def full_queue(self):
-        queue = EditQueue(batch_size=2, max_pending=2)
-        queue.offer_insert(1, 2)
-        queue.offer_insert(2, 3)
-        return queue
-
-    def test_error_carries_retry_after_hint(self):
-        queue = self.full_queue()
-        with pytest.raises(BackpressureError) as excinfo:
-            queue.offer_insert(3, 4)
-        assert excinfo.value.retry_after == queue.retry_after
-        assert "retry_after~" in str(excinfo.value)
-        assert queue.backpressure_hits == 1
-
-    def test_retry_after_defaults_before_any_cadence(self):
-        assert EditQueue(batch_size=2).retry_after == 0.1
-
-    def test_retry_after_tracks_drain_cadence(self):
-        import time
-
-        queue = EditQueue(batch_size=1)
-        queue.offer_insert(1, 2)
-        queue.drain()                    # first drain: no cadence yet
-        assert queue.retry_after == 0.1
-        time.sleep(0.01)
-        queue.offer_insert(2, 3)
-        queue.drain()                    # second drain establishes the EWMA
-        assert 0.0 < queue.retry_after < 0.1
-
-    def test_timeout_bounds_the_wait_then_raises(self):
-        import time
-
-        queue = self.full_queue()
-        start = time.monotonic()
-        with pytest.raises(BackpressureError):
-            queue.offer(INSERT, 3, 4, timeout=0.05)
-        assert time.monotonic() - start >= 0.04
-
-    def test_timeout_succeeds_when_capacity_appears(self):
-        import threading
-
-        queue = self.full_queue()
-        timer = threading.Timer(0.02, queue.drain)
-        timer.start()
-        try:
-            assert queue.offer(INSERT, 3, 4, timeout=2.0) is True
-        finally:
-            timer.cancel()
-        assert queue.backpressure_hits == 0
-
-    def test_negative_timeout_rejected(self):
-        queue = EditQueue(batch_size=2)
-        with pytest.raises(ValueError, match="timeout"):
-            queue.offer(INSERT, 1, 2, timeout=-1)
-
-    def test_stats_expose_backpressure_counters(self):
-        queue = self.full_queue()
-        with pytest.raises(BackpressureError):
-            queue.offer_insert(3, 4)
-        stats = queue.stats()
-        assert stats["backpressure_hits"] == 1
-        assert stats["retry_after"] == queue.retry_after
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: EditQueue(batch_size=8, max_pending=16),
+            lambda: EditQueue(batch_size=2).offer(INSERT, 1, 2, timeout=0.1),
+            lambda: EditQueue(batch_size=2).drain(limit=1),
+        ],
+        ids=["max_pending", "offer-timeout", "drain-limit"],
+    )
+    def test_no_bound_wait_or_partial_drain(self, call):
+        """Ingest is synchronous: the queue has no depth bound to wait on
+        and drains whole windows only."""
+        with pytest.raises(TypeError):
+            call()

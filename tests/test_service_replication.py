@@ -26,7 +26,7 @@ from repro.service.replication import FailoverExhaustedError, ServiceSupervisor
 
 ITERATIONS = 30
 
-#: Edit script against ring_of_cliques(3, 4): all valid under strict_edits,
+#: Edit script against ring_of_cliques(3, 4): every edit valid when applied,
 #: windowed into 4 batches of 2 by batch_size=2.
 EDITS = [
     ("+", 0, 4), ("+", 0, 6), ("-", 0, 1), ("+", 0, 7),
@@ -204,13 +204,6 @@ class TestSupervisorValidation:
                 ring_of_cliques(3, 4), str(tmp_path), make_config(replicas=0)
             )
 
-    def test_requires_strict_edits(self, tmp_path):
-        with pytest.raises(ValueError, match="strict_edits"):
-            ServiceSupervisor(
-                ring_of_cliques(3, 4), str(tmp_path),
-                make_config(strict_edits=False),
-            )
-
     def test_requires_checkpoint_every(self, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_every"):
             ServiceSupervisor(
@@ -270,6 +263,38 @@ class TestSupervisorValidation:
                 ring_of_cliques(3, 4), str(tmp_path),
                 make_config(execution=execution),
             )
+
+    @pytest.mark.parametrize(
+        "method, args",
+        [("submit", ("+", 0, 4)), ("submit_insert", (0, 4)),
+         ("submit_delete", (0, 1))],
+    )
+    def test_submit_takes_no_timeout(self, tmp_path, method, args):
+        sup = ServiceSupervisor(ring_of_cliques(3, 4), str(tmp_path),
+                                make_config())
+        with pytest.raises(TypeError):
+            getattr(sup, method)(*args, timeout=0.05)
+
+    def test_invalid_batch_refused_before_commit(self, tmp_path):
+        """The primary validates a batch before its WAL append: a refused
+        batch consumes no sequence number and reaches no replica, and the
+        session then goes on as if it had never been submitted."""
+        sup = ServiceSupervisor(
+            ring_of_cliques(3, 4), str(tmp_path), make_config(replicas=1)
+        ).start()
+        try:
+            with pytest.raises(ValueError, match="already present"):
+                sup.apply(EditBatch.build(insertions=[(0, 1)]))
+            with pytest.raises(ValueError, match="not present"):
+                sup.apply(EditBatch.build(deletions=[(0, 4)]))
+            assert sup.stats()["committed_seq"] == 0
+            assert sup.apply(WINDOWS[0]) == 1
+            stats = sup.stats()
+            assert stats["committed_seq"] == 1
+            assert [r["acked"] for r in stats["replicas"].values()] == [1]
+            assert stats["failovers"] == 0
+        finally:
+            sup.shutdown()
 
     def test_queries_require_start(self, tmp_path):
         sup = ServiceSupervisor(ring_of_cliques(3, 4), str(tmp_path),

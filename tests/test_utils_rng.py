@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.rng import RngFactory, derive_rng, derive_seed, spawn_rng
+from repro.utils.rng import derive_rng, derive_seed
 
 
 class TestDeriveSeed:
@@ -63,46 +63,17 @@ class TestDeriveRng:
     def test_returns_random_instance(self):
         assert isinstance(derive_rng(0), random.Random)
 
+    def test_seeded_by_derive_seed(self):
+        rng = derive_rng(7, "k", 1)
+        twin = random.Random(derive_seed(7, "k", 1))
+        assert [rng.random() for _ in range(5)] == [
+            twin.random() for _ in range(5)
+        ]
 
-class TestSpawnRng:
-    def test_child_is_deterministic_from_parent_state(self):
-        parent1 = derive_rng(3)
-        parent2 = derive_rng(3)
-        assert spawn_rng(parent1).random() == spawn_rng(parent2).random()
-
-    def test_child_differs_from_parent_continuation(self):
-        parent = derive_rng(3)
-        child = spawn_rng(parent)
-        assert child.random() != parent.random()
-
-
-class TestRngFactory:
-    def test_equality_and_hash(self):
-        assert RngFactory(5) == RngFactory(5)
-        assert RngFactory(5) != RngFactory(6)
-        assert hash(RngFactory(5)) == hash(RngFactory(5))
-
-    def test_rejects_non_int_seed(self):
-        with pytest.raises(TypeError):
-            RngFactory("seed")
-
-    def test_named_streams_reproducible(self):
-        fac = RngFactory(42)
-        a = fac.rng("pick", 3).randrange(1000)
-        b = RngFactory(42).rng("pick", 3).randrange(1000)
-        assert a == b
-
-    def test_seed_for_matches_derive_seed(self):
-        fac = RngFactory(7)
-        assert fac.seed_for("k", 1) == derive_seed(7, "k", 1)
-
-    def test_streams_are_independent(self):
-        fac = RngFactory(1)
-        values = [rng.random() for rng in fac.streams("s", 10)]
+    def test_indexed_streams_are_independent(self):
+        """One stream per index, as the workloads and generators draw them."""
+        values = [derive_rng(1, "s", i).random() for i in range(10)]
         assert len(set(values)) == 10
-
-    def test_streams_count(self):
-        assert len(list(RngFactory(0).streams("x", 4))) == 4
 
 
 class TestUniformity:
